@@ -4,6 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ml4all_dataflow::{ClusterSpec, PartitionScheme, PartitionedDataset, SamplingMethod, SimEnv};
+use ml4all_datasets::synth::{sparse_classification, SparseClassConfig};
 use ml4all_gd::{execute_plan, GdPlan, GradientKind, TrainParams, TransformPolicy};
 use ml4all_linalg::{FeatureVec, LabeledPoint};
 use rand::rngs::StdRng;
@@ -27,8 +28,28 @@ fn dataset(n: usize, dims: usize) -> PartitionedDataset {
     .unwrap()
 }
 
+/// The benchmark's sparse shape: CSR rows 20 000 wide, 30 stored entries
+/// each.
+fn csr_dataset() -> PartitionedDataset {
+    PartitionedDataset::from_points(
+        "bench-csr",
+        sparse_classification(&SparseClassConfig {
+            n: 4_000,
+            dims: 20_000,
+            density: 30.0 / 20_000.0,
+            noise: 0.05,
+            skewed: false,
+            seed: 2,
+        }),
+        PartitionScheme::RoundRobin,
+        &ClusterSpec::paper_testbed(),
+    )
+    .unwrap()
+}
+
 fn bench_executor(c: &mut Criterion) {
     let data = dataset(10_000, 50);
+    let csr = csr_dataset();
     let mut group = c.benchmark_group("executor");
     group.sample_size(20);
 
@@ -66,6 +87,40 @@ fn bench_executor(c: &mut Criterion) {
         b.iter(|| {
             let mut env = SimEnv::new(ClusterSpec::paper_testbed());
             let r = execute_plan(&plan, &data, &params, &mut env).unwrap();
+            black_box(r.iterations)
+        })
+    });
+
+    // One case on each side of the executor's iteration-tail selection:
+    // a one-row wave reads 30 stored entries against 20 000 columns (tail
+    // over the row's support), a 1 000-row wave reads 30 000 (dense tail).
+    group.bench_function("sgd_1000_iterations_csr", |b| {
+        let plan = GdPlan::sgd(TransformPolicy::Lazy, SamplingMethod::ShuffledPartition).unwrap();
+        let mut params = TrainParams::paper_defaults(GradientKind::LogisticRegression);
+        params.tolerance = 0.0;
+        params.max_iter = 1000;
+        params.record_error_seq = false;
+        b.iter(|| {
+            let mut env = SimEnv::new(ClusterSpec::paper_testbed());
+            let r = execute_plan(&plan, &csr, &params, &mut env).unwrap();
+            black_box(r.iterations)
+        })
+    });
+
+    group.bench_function("mgd1k_30_iterations_csr", |b| {
+        let plan = GdPlan::mgd(
+            1000,
+            TransformPolicy::Eager,
+            SamplingMethod::RandomPartition,
+        )
+        .unwrap();
+        let mut params = TrainParams::paper_defaults(GradientKind::LogisticRegression);
+        params.tolerance = 0.0;
+        params.max_iter = 30;
+        params.record_error_seq = false;
+        b.iter(|| {
+            let mut env = SimEnv::new(ClusterSpec::paper_testbed());
+            let r = execute_plan(&plan, &csr, &params, &mut env).unwrap();
             black_box(r.iterations)
         })
     });

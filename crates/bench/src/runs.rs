@@ -4,7 +4,13 @@ use ml4all_core::chooser::{choose_plan, OptimizerConfig};
 use ml4all_core::estimator::SpeculationConfig;
 use ml4all_dataflow::{ClusterSpec, PartitionedDataset, SimEnv};
 use ml4all_datasets::registry::DatasetSpec;
-use ml4all_gd::{execute_plan, GdError, GdPlan, GdVariant, TrainParams, TrainResult};
+use ml4all_gd::executor::reference_operators;
+use ml4all_gd::operators::GradientCompute;
+use ml4all_gd::{
+    execute_plan, ComputeAcc, ComputeOp, Context, GdError, GdOperators, GdPlan, GdVariant,
+    TrainParams, TrainResult,
+};
+use ml4all_linalg::PointView;
 
 use crate::harness::{task_gradient, BenchConfig};
 
@@ -27,6 +33,33 @@ pub fn run_plan(
 ) -> Result<TrainResult, GdError> {
     let mut env = SimEnv::new(cluster.clone());
     execute_plan(plan, data, params, &mut env)
+}
+
+/// The reference compute op without its
+/// [`ComputeOp::writes_only_stored_indices`] promise.
+struct DenseTailCompute(GradientCompute);
+
+impl ComputeOp for DenseTailCompute {
+    fn compute(&self, point: PointView<'_>, ctx: &Context, acc: &mut ComputeAcc) {
+        self.0.compute(point, ctx, acc);
+    }
+    fn compute4(&self, points: [PointView<'_>; 4], ctx: &Context, acc: &mut ComputeAcc) {
+        self.0.compute4(points, ctx, acc);
+    }
+    fn compute8(&self, points: [PointView<'_>; 8], ctx: &Context, acc: &mut ComputeAcc) {
+        self.0.compute8(points, ctx, acc);
+    }
+}
+
+/// [`reference_operators`] with a compute op that delegates to the
+/// reference one but does not promise to write only a unit's stored
+/// indices, so the executor runs its dense iteration tail on every wave:
+/// the oracle that support-tail runs are compared against bit for bit,
+/// with no switch in the executor itself.
+pub fn dense_tail_operators(plan: &GdPlan, params: &TrainParams, dims: usize) -> GdOperators {
+    let mut ops = reference_operators(plan, params, dims);
+    ops.compute = Box::new(DenseTailCompute(GradientCompute::of(params.gradient)));
+    ops
 }
 
 /// Exhaustively run every plan of the Figure 5 space (the Figure 8

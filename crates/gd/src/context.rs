@@ -6,6 +6,8 @@ use std::collections::HashMap;
 
 use ml4all_linalg::DenseVector;
 
+use crate::operators::Support;
+
 /// A value stored in the context's extras map.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Extra {
@@ -91,7 +93,7 @@ impl Context {
 
     /// `true` once any weight is non-finite — the divergence detector.
     pub fn weights_diverged(&self) -> bool {
-        self.weights.as_slice().iter().any(|w| !w.is_finite())
+        Support::All.any_non_finite(self.weights.as_slice())
     }
 }
 

@@ -122,6 +122,15 @@ pub trait Gradient: Send + Sync {
         [lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]]
     }
 
+    /// `true` only if every `accumulate_*` method adds to `acc` at the
+    /// point's *stored* indices and nowhere else — the promise
+    /// [`crate::operators::ComputeOp::writes_only_stored_indices`] forwards
+    /// for a [`crate::operators::GradientCompute`]. The built-in
+    /// [`GradientKind`]s make it; the default, `false`, is always safe.
+    fn writes_only_stored_indices(&self) -> bool {
+        false
+    }
+
     /// Owned-point convenience for [`Gradient::accumulate_view`].
     fn accumulate(&self, w: &[f64], point: &LabeledPoint, acc: &mut [f64]) {
         self.accumulate_view(w, point.view(), acc);
@@ -312,6 +321,11 @@ impl Gradient for GradientKind {
     fn accumulate_view(&self, w: &[f64], point: PointView<'_>, acc: &mut [f64]) {
         let score = point.features.dot(w);
         self.accumulate_scored(score, point, acc);
+    }
+
+    /// Every arm of `accumulate_scored` is an `axpy_into` of the row.
+    fn writes_only_stored_indices(&self) -> bool {
+        true
     }
 
     fn loss_view(&self, w: &[f64], point: PointView<'_>) -> f64 {

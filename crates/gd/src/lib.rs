@@ -46,7 +46,7 @@ pub use gradient::{Gradient, GradientKind, Regularizer};
 pub use objective::{dataset_loss, partitioned_loss};
 pub use operators::{
     ComputeAcc, ComputeOp, ConvergeOp, GdOperators, LoopOp, RawUnit, SampleOp, SampleSize, StageOp,
-    TransformOp, UpdateOp, UpdateOutcome,
+    Support, TransformOp, UpdateOp, UpdateOutcome,
 };
 pub use plan::{GdPlan, GdVariant, TransformPolicy};
 pub use step::StepSize;

@@ -50,6 +50,48 @@ pub trait StageOp: Send + Sync {
     }
 }
 
+/// Which model coordinates one iteration's wave can have touched — what the
+/// executor's iteration tail (accumulator clearing, `Update`, the
+/// finiteness check, `Converge`, the previous-weights refresh) has to visit.
+///
+/// The executor passes [`Support::Indices`] only for a sampled wave over
+/// CSR rows whose stored entries are few against the model width, computed
+/// by a [`ComputeOp`] that makes the [`ComputeOp::writes_only_stored_indices`]
+/// promise; every other wave is [`Support::All`], the dense tail. The two
+/// tails are bit-identical: off the support the gradient sum is `+0.0`, so
+/// a support-restricted op skips only exact identities.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Support<'a> {
+    /// Every coordinate.
+    All,
+    /// These coordinates only: strictly increasing model indices (the
+    /// sorted, de-duplicated union of the sampled rows' stored indices).
+    Indices(&'a [u32]),
+}
+
+impl Support<'_> {
+    /// `true` when any of `values` on the support is NaN or infinite.
+    pub(crate) fn any_non_finite(self, values: &[f64]) -> bool {
+        match self {
+            Self::All => values.iter().any(|v| !v.is_finite()),
+            Self::Indices(idx) => idx.iter().any(|&i| !values[i as usize].is_finite()),
+        }
+    }
+
+    /// `dst[i] = src[i]` over the support, into `dst`'s existing buffer.
+    pub(crate) fn copy(self, dst: &mut DenseVector, src: &DenseVector) {
+        match self {
+            Self::All => dst.clone_from(src),
+            Self::Indices(idx) => {
+                let (dst, src) = (dst.as_mut_slice(), src.as_slice());
+                for &i in idx {
+                    dst[i as usize] = src[i as usize];
+                }
+            }
+        }
+    }
+}
+
 /// Accumulated output of `Compute` over the units of one iteration: the
 /// aggregated `U_C`. `primary` is the gradient sum; `secondary` carries the
 /// second component of pair-valued computes (SVRG's full-model gradient,
@@ -86,6 +128,22 @@ impl ComputeAcc {
         }
         self.scalar = 0.0;
         self.count = 0;
+    }
+
+    /// [`ComputeAcc::reset`] for a wave that wrote `primary` on `support`
+    /// only (and no `secondary`): clears exactly what was written.
+    pub(crate) fn reset_on(&mut self, support: Support<'_>) {
+        match support {
+            Support::All => self.reset(),
+            Support::Indices(idx) => {
+                let primary = self.primary.as_mut_slice();
+                for &i in idx {
+                    primary[i as usize] = 0.0;
+                }
+                self.scalar = 0.0;
+                self.count = 0;
+            }
+        }
     }
 
     /// Lazily materialize the secondary accumulator.
@@ -135,6 +193,17 @@ pub trait ComputeOp: Send + Sync {
         self.compute4([p0, p1, p2, p3], ctx, acc);
         self.compute4([p4, p5, p6, p7], ctx, acc);
     }
+
+    /// Opt in to the support-proportional iteration tail (see
+    /// [`Support`]). Return `true` only if, for every unit, this op adds to
+    /// `acc.primary` at the unit's *stored* indices and nowhere else, and
+    /// never materializes `acc.secondary` — then a sampled wave over a few
+    /// CSR rows leaves the accumulator `+0.0` off those rows' indices and
+    /// the executor may skip them. The default, `false`, keeps the dense
+    /// tail, which is correct for any op.
+    fn writes_only_stored_indices(&self) -> bool {
+        false
+    }
 }
 
 /// Result of an `Update` application.
@@ -152,6 +221,25 @@ pub enum UpdateOutcome {
 pub trait UpdateOp: Send + Sync {
     /// Apply the aggregate.
     fn update(&self, acc: &ComputeAcc, ctx: &mut Context) -> UpdateOutcome;
+
+    /// [`UpdateOp::update`] for a wave that left `acc.primary` at `+0.0`
+    /// off `support`; returns the outcome and the coordinates of
+    /// `ctx.weights` the call may have changed. This is what the executor
+    /// calls. An op opts in to the support-proportional tail by visiting
+    /// only `support` and returning it, which it may do only where its full
+    /// update is the identity on every weight whose gradient is `+0.0`
+    /// (no weight decay, no per-coordinate state that moves on a zero
+    /// gradient) — the result must equal the full update bit for bit. The
+    /// default runs the full update and reports [`Support::All`].
+    fn update_on<'s>(
+        &self,
+        acc: &ComputeAcc,
+        ctx: &mut Context,
+        support: Support<'s>,
+    ) -> (UpdateOutcome, Support<'s>) {
+        let _ = support;
+        (self.update(acc, ctx), Support::All)
+    }
 }
 
 /// How many units the next iteration should consume.
@@ -177,6 +265,17 @@ pub trait SampleOp: Send + Sync {
 pub trait ConvergeOp: Send + Sync {
     /// Delta between the previous and current model.
     fn converge(&self, previous: &DenseVector, ctx: &Context) -> f64;
+
+    /// [`ConvergeOp::converge`] given that `previous` and `ctx.weights`
+    /// agree off `changed`. This is what the executor calls. An op opts in
+    /// to the support-proportional tail by visiting only `changed`, which
+    /// it may do only if the result equals the full delta bit for bit (see
+    /// [`DenseVector::l1_distance_at`]). The default computes the full
+    /// delta.
+    fn converge_on(&self, previous: &DenseVector, ctx: &Context, changed: Support<'_>) -> f64 {
+        let _ = changed;
+        self.converge(previous, ctx)
+    }
 }
 
 /// **Operator 7 — `Loop(U_Δ) → bool`**: decide whether to keep iterating.
@@ -430,6 +529,10 @@ impl ComputeOp for GradientCompute {
             .accumulate_view8(ctx.weights.as_slice(), points, acc.primary.as_mut_slice());
         acc.count += 8;
     }
+
+    fn writes_only_stored_indices(&self) -> bool {
+        self.gradient.writes_only_stored_indices()
+    }
 }
 
 /// Reference `Update` (Listing 3): `w ← w − α_i ( Σg / count + ∇R(w) )`.
@@ -447,29 +550,53 @@ pub struct StepUpdate {
 
 impl UpdateOp for StepUpdate {
     fn update(&self, acc: &ComputeAcc, ctx: &mut Context) -> UpdateOutcome {
+        self.update_on(acc, ctx, Support::All).0
+    }
+
+    fn update_on<'s>(
+        &self,
+        acc: &ComputeAcc,
+        ctx: &mut Context,
+        support: Support<'s>,
+    ) -> (UpdateOutcome, Support<'s>) {
         if acc.count == 0 {
-            return UpdateOutcome::InternalOnly;
+            return (UpdateOutcome::InternalOnly, Support::Indices(&[]));
         }
         let alpha = self.step.at(ctx.iteration);
         let scale = -alpha / acc.count as f64;
         let w = ctx.weights.as_mut_slice();
-        match self.regularizer {
+        let g = acc.primary.as_slice();
+        match (self.regularizer, support) {
+            // `w += scale·(+0.0)` adds `-0.0` for a finite negative scale —
+            // the identity on every `w`, so off-support weights can be
+            // skipped. Any other scale (a non-finite step turns every
+            // weight NaN; a positive one flips `-0.0` weights) takes the
+            // full pass below.
+            (Regularizer::None, Support::Indices(idx))
+                if scale.is_finite() && scale.is_sign_negative() =>
+            {
+                for &i in idx {
+                    w[i as usize] += scale * g[i as usize];
+                }
+                return (UpdateOutcome::Updated, support);
+            }
             // Fast path: no per-iteration regularizer buffer (this loop
             // runs once per iteration over the full model vector).
-            Regularizer::None => {
-                for (wi, gi) in w.iter_mut().zip(acc.primary.as_slice()) {
+            (Regularizer::None, _) => {
+                for (wi, gi) in w.iter_mut().zip(g) {
                     *wi += scale * gi;
                 }
             }
-            Regularizer::L2 { lambda } => {
+            (Regularizer::L2 { lambda }, _) => {
                 // The regularizer gradient `λw` applies at full strength
-                // regardless of the sample size.
-                for (wi, gi) in w.iter_mut().zip(acc.primary.as_slice()) {
+                // regardless of the sample size — to every weight, so
+                // there is no support to restrict to.
+                for (wi, gi) in w.iter_mut().zip(g) {
                     *wi += scale * gi - alpha * lambda * *wi;
                 }
             }
         }
-        UpdateOutcome::Updated
+        (UpdateOutcome::Updated, Support::All)
     }
 }
 
@@ -496,6 +623,13 @@ impl ConvergeOp for L1Converge {
             .l1_distance(previous)
             .expect("weights dimensionality is fixed for a run")
     }
+
+    fn converge_on(&self, previous: &DenseVector, ctx: &Context, changed: Support<'_>) -> f64 {
+        match changed {
+            Support::All => self.converge(previous, ctx),
+            Support::Indices(idx) => ctx.weights.l1_distance_at(previous, idx),
+        }
+    }
 }
 
 /// L2 variant of `Converge`.
@@ -507,6 +641,13 @@ impl ConvergeOp for L2Converge {
         ctx.weights
             .l2_distance(previous)
             .expect("weights dimensionality is fixed for a run")
+    }
+
+    fn converge_on(&self, previous: &DenseVector, ctx: &Context, changed: Support<'_>) -> f64 {
+        match changed {
+            Support::All => self.converge(previous, ctx),
+            Support::Indices(idx) => ctx.weights.l2_distance_at(previous, idx),
+        }
     }
 }
 

@@ -1,0 +1,196 @@
+//! The steady-state training loop allocates nothing per iteration: under a
+//! counting global allocator, doubling `max_iter` adds no request the size
+//! of a model vector on any runtime, and no request at all on the inline
+//! (one-worker) runtime.
+//!
+//! One `#[test]` only: the counters are process-wide, and the harness runs
+//! tests of one binary on parallel threads.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use ml4all_dataflow::{
+    ClusterSpec, PartitionScheme, PartitionedDataset, Runtime, SamplingMethod, SimEnv,
+};
+use ml4all_gd::{execute_plan, GdPlan, GradientKind, TrainParams, TransformPolicy};
+use ml4all_linalg::{FeatureVec, LabeledPoint, SparseVector};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Every allocation request (`alloc`, `alloc_zeroed`, `realloc`).
+static REQUESTS: AtomicU64 = AtomicU64::new(0);
+/// Requests of at least [`LARGE`] bytes.
+static LARGE_REQUESTS: AtomicU64 = AtomicU64::new(0);
+static LARGE: AtomicUsize = AtomicUsize::new(usize::MAX);
+
+struct Counting;
+
+impl Counting {
+    fn count(size: usize) {
+        REQUESTS.fetch_add(1, Ordering::Relaxed);
+        if size >= LARGE.load(Ordering::Relaxed) {
+            LARGE_REQUESTS.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters are plain atomics.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::count(layout.size());
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::count(layout.size());
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::count(new_size);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const ROWS: usize = 2048;
+const DENSE_DIMS: usize = 64;
+const CSR_DIMS: usize = 4096;
+
+fn dataset(dims: usize, sparse: bool) -> PartitionedDataset {
+    let mut rng = StdRng::seed_from_u64(1);
+    let points: Vec<LabeledPoint> = (0..ROWS)
+        .map(|_| {
+            let label = if rng.gen_range(0.0..1.0) < 0.5 {
+                -1.0
+            } else {
+                1.0
+            };
+            let features = if sparse {
+                let mut idx: Vec<u32> = (0..6).map(|_| rng.gen_range(0..dims as u32)).collect();
+                idx.sort_unstable();
+                idx.dedup();
+                let vals = idx.iter().map(|_| rng.gen_range(-1.0..1.0)).collect();
+                FeatureVec::Sparse(SparseVector::new(dims, idx, vals).unwrap())
+            } else {
+                FeatureVec::dense((0..dims).map(|_| rng.gen_range(-1.0..1.0)).collect())
+            };
+            LabeledPoint::new(label, features)
+        })
+        .collect();
+    PartitionedDataset::from_points(
+        "alloc",
+        points,
+        PartitionScheme::RoundRobin,
+        &ClusterSpec::paper_testbed(),
+    )
+    .unwrap()
+}
+
+/// `(all requests, model-sized requests)` of one whole run: the least of
+/// three, because the counters are process-wide and the test harness's
+/// own threads allocate now and then. A stray request only ever adds; an
+/// allocation per iteration is in all three.
+fn requests(
+    plan: &GdPlan,
+    data: &PartitionedDataset,
+    runtime: &Arc<Runtime>,
+    max_iter: u64,
+) -> (u64, u64) {
+    let runs = [(); 3].map(|()| requests_once(plan, data, runtime, max_iter));
+    (
+        runs.iter().map(|r| r.0).min().expect("three runs"),
+        runs.iter().map(|r| r.1).min().expect("three runs"),
+    )
+}
+
+fn requests_once(
+    plan: &GdPlan,
+    data: &PartitionedDataset,
+    runtime: &Arc<Runtime>,
+    max_iter: u64,
+) -> (u64, u64) {
+    let mut params = TrainParams::paper_defaults(GradientKind::LogisticRegression);
+    params.tolerance = 0.0;
+    params.max_iter = max_iter;
+    params.record_error_seq = false;
+    let mut env = SimEnv::with_runtime(ClusterSpec::paper_testbed(), Arc::clone(runtime));
+    let before = (
+        REQUESTS.load(Ordering::Relaxed),
+        LARGE_REQUESTS.load(Ordering::Relaxed),
+    );
+    let result = execute_plan(plan, data, &params, &mut env).unwrap();
+    let after = (
+        REQUESTS.load(Ordering::Relaxed),
+        LARGE_REQUESTS.load(Ordering::Relaxed),
+    );
+    assert_eq!(result.iterations, max_iter);
+    (after.0 - before.0, after.1 - before.1)
+}
+
+#[test]
+fn doubling_the_iterations_adds_no_allocation() {
+    // Shuffled sampling serves all runs below from the one partition's
+    // first shuffle (at most 32 × 40 of its 2 048 rows), so no reshuffle —
+    // the loop's one documented allocation site — falls inside a run.
+    let plans = [
+        ("bgd", GdPlan::bgd()),
+        (
+            "mgd-32",
+            GdPlan::mgd(
+                32,
+                TransformPolicy::Eager,
+                SamplingMethod::ShuffledPartition,
+            )
+            .unwrap(),
+        ),
+        (
+            "mgd-32-bernoulli",
+            GdPlan::mgd(32, TransformPolicy::Eager, SamplingMethod::Bernoulli).unwrap(),
+        ),
+        (
+            "sgd",
+            GdPlan::sgd(TransformPolicy::Lazy, SamplingMethod::ShuffledPartition).unwrap(),
+        ),
+        (
+            "sgd-random",
+            GdPlan::sgd(TransformPolicy::Eager, SamplingMethod::RandomPartition).unwrap(),
+        ),
+    ];
+    for (store, dims, sparse) in [("dense", DENSE_DIMS, false), ("csr", CSR_DIMS, true)] {
+        let data = dataset(dims, sparse);
+        assert_eq!(data.num_partitions(), 1, "one shuffle serves a whole run");
+        LARGE.store(dims * 8, Ordering::Relaxed);
+        for workers in [1usize, 2] {
+            let runtime = Arc::new(Runtime::new(workers));
+            for (name, plan) in &plans {
+                let label = format!("{name} on {store} rows at {workers} workers");
+                // Once-per-process set-up (kernel dispatch, thread start)
+                // happens in a run of its own.
+                requests_once(plan, &data, &runtime, 1);
+                let (all_short, large_short) = requests(plan, &data, &runtime, 20);
+                let (all_long, large_long) = requests(plan, &data, &runtime, 40);
+                assert_eq!(
+                    large_long, large_short,
+                    "{label}: model-sized requests grew with the iteration count"
+                );
+                if workers == 1 {
+                    assert_eq!(
+                        all_long, all_short,
+                        "{label}: the inline loop allocated per iteration"
+                    );
+                }
+            }
+        }
+        LARGE.store(usize::MAX, Ordering::Relaxed);
+    }
+}

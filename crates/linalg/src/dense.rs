@@ -11,8 +11,21 @@ use crate::LinalgError;
 /// return [`LinalgError::DimensionMismatch`] on disagreement; the unchecked
 /// in-place kernels (`axpy`, `add_assign`) debug-assert instead because they
 /// sit on the per-data-unit hot path of every GD iteration.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Default, Serialize, Deserialize)]
 pub struct DenseVector(Vec<f64>);
+
+impl Clone for DenseVector {
+    fn clone(&self) -> Self {
+        Self(self.0.clone())
+    }
+
+    /// Reuses `self`'s buffer (the derived `clone_from` would allocate a
+    /// fresh one): the executor refreshes its previous-weights copy this
+    /// way once per iteration.
+    fn clone_from(&mut self, source: &Self) {
+        self.0.clone_from(&source.0);
+    }
+}
 
 impl DenseVector {
     /// Create a vector from raw values.
@@ -145,6 +158,55 @@ impl DenseVector {
             .sqrt())
     }
 
+    /// [`DenseVector::l1_distance`] summed over `support` only: strictly
+    /// increasing indices outside which the two vectors agree. Bit-identical
+    /// to the full distance under that condition — every skipped term is
+    /// `+0.0`, an exact identity of the sequential sum once the first term
+    /// has absorbed `Iterator::sum`'s `-0.0` seed — at a cost proportional
+    /// to the support, not the dimension.
+    ///
+    /// # Panics
+    /// If the dimensions differ or an index is out of range.
+    pub fn l1_distance_at(&self, other: &Self, support: &[u32]) -> f64 {
+        assert_eq!(self.dim(), other.dim());
+        let (a, b) = (&self.0, &other.0);
+        self.absorb_seed(
+            support
+                .iter()
+                .map(|&i| (a[i as usize] - b[i as usize]).abs())
+                .sum(),
+        )
+    }
+
+    /// [`DenseVector::l2_distance`] summed over `support` only, under the
+    /// contract of [`DenseVector::l1_distance_at`].
+    pub fn l2_distance_at(&self, other: &Self, support: &[u32]) -> f64 {
+        assert_eq!(self.dim(), other.dim());
+        let (a, b) = (&self.0, &other.0);
+        self.absorb_seed(
+            support
+                .iter()
+                .map(|&i| {
+                    let d = a[i as usize] - b[i as usize];
+                    d * d
+                })
+                .sum(),
+        )
+        .sqrt()
+    }
+
+    /// What a sum of non-negative terms over a support reads once the full
+    /// sum's skipped `+0.0` terms are counted: an empty support leaves
+    /// `Iterator::sum`'s `-0.0` seed, which any term of a non-empty vector
+    /// turns into `+0.0`.
+    fn absorb_seed(&self, sum: f64) -> f64 {
+        if self.is_empty() {
+            sum
+        } else {
+            sum + 0.0
+        }
+    }
+
     /// Set every component to zero, keeping the allocation (workhorse
     /// accumulator pattern).
     pub fn fill_zero(&mut self) {
@@ -249,6 +311,40 @@ mod tests {
         let v = DenseVector::new(vec![3.0, 4.0]);
         assert_eq!(v.l2_norm(), 5.0);
         assert_eq!(v.l2_norm_squared(), 25.0);
+    }
+
+    #[test]
+    fn clone_from_reuses_the_buffer() {
+        let src = DenseVector::new(vec![1.0, 2.0, 3.0]);
+        let mut dst = DenseVector::zeros(3);
+        let ptr = dst.as_slice().as_ptr();
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(ptr, dst.as_slice().as_ptr());
+    }
+
+    #[test]
+    fn support_distances_match_the_seed_of_the_full_sums() {
+        // An empty support over a non-empty vector is `+0.0`, as the full
+        // sum of `+0.0` terms reads; over an empty vector both keep the
+        // bare seed.
+        let v = DenseVector::new(vec![1.5, -2.0]);
+        for (at, full) in [
+            (v.l1_distance_at(&v, &[]), v.l1_distance(&v).unwrap()),
+            (v.l2_distance_at(&v, &[]), v.l2_distance(&v).unwrap()),
+        ] {
+            assert_eq!(at.to_bits(), full.to_bits());
+            assert_eq!(at.to_bits(), 0.0f64.to_bits());
+        }
+        let e = DenseVector::zeros(0);
+        assert_eq!(
+            e.l1_distance_at(&e, &[]).to_bits(),
+            e.l1_distance(&e).unwrap().to_bits()
+        );
+        assert_eq!(
+            e.l2_distance_at(&e, &[]).to_bits(),
+            e.l2_distance(&e).unwrap().to_bits()
+        );
     }
 
     #[test]

@@ -110,4 +110,32 @@ proptest! {
             prop_assert!((x - y).abs() <= 1e-6 * (1.0 + y.abs()));
         }
     }
+
+    // The support-ordered distances are the full distances, bit for bit,
+    // whenever the vectors differ on the support only — empty (`mode` 0)
+    // and full (`mode` 1) supports included.
+    #[test]
+    fn support_distances_equal_full_distances_bitwise(
+        a in finite_vec(DIM),
+        delta in finite_vec(DIM),
+        picks in prop::collection::vec(0u32..2, DIM),
+        mode in 0u32..4,
+    ) {
+        let support: Vec<u32> = (0..DIM as u32)
+            .filter(|&i| mode == 1 || (mode > 1 && picks[i as usize] == 1))
+            .collect();
+        let mut b = a.clone();
+        for &i in &support {
+            b[i as usize] += delta[i as usize];
+        }
+        let (va, vb) = (DenseVector::new(a), DenseVector::new(b));
+        prop_assert_eq!(
+            va.l1_distance_at(&vb, &support).to_bits(),
+            va.l1_distance(&vb).unwrap().to_bits()
+        );
+        prop_assert_eq!(
+            va.l2_distance_at(&vb, &support).to_bits(),
+            va.l2_distance(&vb).unwrap().to_bits()
+        );
+    }
 }

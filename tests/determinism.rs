@@ -7,9 +7,19 @@ use std::sync::Arc;
 use ml4all_baselines::MllibRunner;
 use ml4all_core::chooser::{choose_plan, OptimizerConfig};
 use ml4all_core::estimator::SpeculationConfig;
-use ml4all_dataflow::{Backend, ClusterSpec, Runtime, SamplingMethod, SimEnv, RNG_STREAM_VERSION};
+use ml4all_dataflow::{
+    Backend, ClusterSpec, PartitionScheme, PartitionedDataset, Runtime, SamplingMethod, SimEnv,
+    RNG_STREAM_VERSION,
+};
 use ml4all_datasets::registry;
-use ml4all_gd::{execute_plan, GdPlan, GdVariant, GradientKind, TrainParams, TransformPolicy};
+use ml4all_gd::executor::reference_operators;
+use ml4all_gd::{
+    execute_plan, execute_with_operators, GdPlan, GdVariant, GradientKind, TrainParams,
+    TransformPolicy,
+};
+use ml4all_linalg::{FeatureVec, LabeledPoint, SparseVector};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn params() -> TrainParams {
     let mut p = TrainParams::paper_defaults(GradientKind::LogisticRegression);
@@ -256,4 +266,118 @@ fn baselines_are_deterministic_per_seed() {
         .unwrap();
     assert_eq!(a.weights, b.weights);
     assert_eq!(a.sim_time_s, b.sim_time_s);
+}
+
+/// Random CSR rows: 0 to 40 stored entries each, over `dims` columns.
+fn random_csr(rows: usize, dims: usize, seed: u64) -> PartitionedDataset {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let points: Vec<LabeledPoint> = (0..rows)
+        .map(|_| {
+            let nnz = rng.gen_range(0..=40usize);
+            let mut idx: Vec<u32> = (0..nnz).map(|_| rng.gen_range(0..dims as u32)).collect();
+            idx.sort_unstable();
+            idx.dedup();
+            let vals = idx.iter().map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let label = if rng.gen_range(0.0..1.0) < 0.5 {
+                -1.0
+            } else {
+                1.0
+            };
+            LabeledPoint::new(
+                label,
+                FeatureVec::Sparse(SparseVector::new(dims, idx, vals).unwrap()),
+            )
+        })
+        .collect();
+    PartitionedDataset::from_points(
+        "random-csr",
+        points,
+        PartitionScheme::RoundRobin,
+        &ClusterSpec::paper_testbed(),
+    )
+    .unwrap()
+}
+
+/// The executor's iteration tail runs over the wave's support when a
+/// sampled wave over CSR rows is small against the model width, and over
+/// all `d` coordinates otherwise. Both must compute the same run: across
+/// model widths, tasks, samplers, batch sizes on either side of the
+/// crossover, transform policies and worker counts, the reference bundle
+/// equals — in every deterministic field, bit for bit — the same bundle
+/// under a compute op that withholds the support promise and therefore
+/// takes the dense tail on every wave.
+#[test]
+fn support_tail_equals_the_dense_tail_bit_for_bit() {
+    let cluster = ClusterSpec::paper_testbed();
+    let runtimes: Vec<Arc<Runtime>> = [1usize, 2, 8]
+        .into_iter()
+        .map(|workers| Arc::new(Runtime::new(workers)))
+        .collect();
+    for (dims, data_seed) in [(64usize, 1u64), (1_000, 2), (20_000, 3)] {
+        let data = random_csr(600, dims, data_seed);
+        for gradient in [
+            GradientKind::Svm,
+            GradientKind::LogisticRegression,
+            GradientKind::LinearRegression,
+        ] {
+            for sampling in [
+                SamplingMethod::Bernoulli,
+                SamplingMethod::RandomPartition,
+                SamplingMethod::ShuffledPartition,
+            ] {
+                for batch in [1usize, 4, 32, 1_000] {
+                    for transform in [TransformPolicy::Eager, TransformPolicy::Lazy] {
+                        let plan = if batch == 1 {
+                            GdPlan::sgd(transform, sampling)
+                        } else {
+                            GdPlan::mgd(batch, transform, sampling)
+                        };
+                        // Lazy transformation with Bernoulli sampling is
+                        // outside the plan space.
+                        let Ok(plan) = plan else { continue };
+                        let mut params = TrainParams::paper_defaults(gradient);
+                        params.tolerance = 0.0;
+                        params.max_iter = 40;
+                        params.seed = 99 + batch as u64;
+                        for runtime in &runtimes {
+                            let label = format!(
+                                "d={dims} {gradient:?} {plan} at {} workers",
+                                runtime.workers()
+                            );
+                            let run = |ops| {
+                                let mut env =
+                                    SimEnv::with_runtime(cluster.clone(), Arc::clone(runtime));
+                                execute_with_operators(&plan, &data, &ops, &params, &mut env)
+                                    .unwrap_or_else(|e| panic!("{label}: {e}"))
+                            };
+                            let got = run(reference_operators(&plan, &params, dims));
+                            let want = run(ml4all_bench::runs::dense_tail_operators(
+                                &plan, &params, dims,
+                            ));
+                            let bits = |r: &ml4all_gd::TrainResult| -> Vec<u64> {
+                                r.weights.as_slice().iter().map(|w| w.to_bits()).collect()
+                            };
+                            let seq = |r: &ml4all_gd::TrainResult| -> Vec<(u64, u64)> {
+                                r.error_seq.iter().map(|&(i, d)| (i, d.to_bits())).collect()
+                            };
+                            assert_eq!(bits(&got), bits(&want), "{label}: weights");
+                            assert_eq!(seq(&got), seq(&want), "{label}: error sequence");
+                            assert_eq!(got.cost, want.cost, "{label}: cost ledger");
+                            assert_eq!(
+                                got.sim_time_s.to_bits(),
+                                want.sim_time_s.to_bits(),
+                                "{label}: simulated time"
+                            );
+                            assert_eq!(got.iterations, want.iterations, "{label}: iterations");
+                            assert_eq!(got.stop, want.stop, "{label}: stop reason");
+                            assert_eq!(
+                                got.sampler_shuffles, want.sampler_shuffles,
+                                "{label}: sampler shuffles"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

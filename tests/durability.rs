@@ -15,12 +15,18 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ml4all::{
-    CheckpointError, DataSource, Engine, ExplainRequest, GradientKind, JobEvent, ReplanPolicy,
-    Runtime, SessionError, TrainRequest,
+    CheckpointError, DataSource, Engine, ExplainRequest, GdVariant, GradientKind, JobEvent,
+    ReplanPolicy, Runtime, SamplingMethod, SessionError, TrainRequest,
 };
+use ml4all_bench::runs::dense_tail_operators;
 use ml4all_core::estimator::SpeculationConfig;
 use ml4all_core::plancache::PlanCacheKey;
-use ml4all_dataflow::CostBreakdown;
+use ml4all_dataflow::{ClusterSpec, CostBreakdown, ExecState, SimEnv};
+use ml4all_gd::executor::reference_operators;
+use ml4all_gd::{
+    execute_with_operators_observed, ExecHooks, GdOperators, GdPlan, IterationTick, StopReason,
+    TrainParams, TrainResult, TransformPolicy,
+};
 
 /// Iteration cap: every run's trajectory has exactly this length because
 /// the tolerance is far out of reach.
@@ -52,14 +58,26 @@ fn state_dir(tag: &str) -> PathBuf {
 /// The job under test: a tolerance below reach keeps the loop running to
 /// the iteration cap, so interrupted and uninterrupted runs share one
 /// fixed-length trajectory to compare bit for bit.
+///
+/// `rcv1` (CSR, 47 236 columns, ~70 stored entries per row) is pinned to
+/// SGD: every wave reads one short row, so the executor's iteration tail
+/// runs over that row's support, and every checkpoint and kill lands while
+/// it does.
 fn request(dataset: &str) -> TrainRequest {
-    TrainRequest::new(
+    let request = TrainRequest::new(
         GradientKind::LogisticRegression,
         DataSource::registry(dataset),
     )
     .epsilon(1e-12)
     .max_iter(MAX_ITER)
-    .seed(SEED)
+    .seed(SEED);
+    if dataset == "rcv1" {
+        request
+            .algorithm(GdVariant::Stochastic)
+            .sampler(SamplingMethod::ShuffledPartition)
+    } else {
+        request
+    }
 }
 
 /// One progress tick, captured bit-exactly.
@@ -116,12 +134,12 @@ fn run_reference(dataset: &str) -> Reference {
 /// 2, and 8 workers.
 #[test]
 fn killed_jobs_resume_bit_identically_across_backends_and_workers() {
-    for dataset in ["adult", "svm1"] {
+    for dataset in ["adult", "svm1", "rcv1"] {
         let reference = run_reference(dataset);
-        let expected_backend = if dataset == "svm1" {
-            "simulated-cluster"
-        } else {
+        let expected_backend = if dataset == "adult" {
             "local"
+        } else {
+            "simulated-cluster"
         };
         assert_eq!(reference.trained.summary.iterations, MAX_ITER);
         assert_eq!(reference.trained.summary.backend, expected_backend);
@@ -441,6 +459,157 @@ fn induced_replans_are_bit_identical_across_workers_backends_and_resume() {
             "{label}: final weights"
         );
         let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// One executor run of the SGD-on-CSR job — checkpointing every 13
+/// iterations, optionally resumed from `resume`, optionally yielding for a
+/// replan at iteration `yield_at` — with every checkpoint it took.
+fn run_observed(
+    plan: &GdPlan,
+    data: &ml4all_dataflow::PartitionedDataset,
+    ops: &GdOperators,
+    params: &TrainParams,
+    resume: Option<&ExecState>,
+    yield_at: Option<u64>,
+) -> (TrainResult, Vec<ExecState>) {
+    let captured = std::sync::Mutex::new(Vec::new());
+    let on_checkpoint = |state: ExecState| captured.lock().unwrap().push(state);
+    let trigger = |tick: &IterationTick| Some(tick.iteration) == yield_at;
+    let hooks = ExecHooks {
+        tick_every: 8,
+        checkpoint_every: 13,
+        on_checkpoint: Some(&on_checkpoint),
+        resume: resume.cloned(),
+        replan: Some(&trigger),
+        ..Default::default()
+    };
+    let mut env = SimEnv::new(ClusterSpec::paper_testbed());
+    let result =
+        execute_with_operators_observed(plan, data, ops, params, &mut env, &hooks).unwrap();
+    (result, captured.into_inner().unwrap())
+}
+
+/// Bitwise equality of two executor states: `PartialEq` on `f64` would let
+/// a `-0.0` pass for a `+0.0`.
+fn assert_same_state(a: &ExecState, b: &ExecState, label: &str) {
+    let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+    assert_eq!(a.iteration, b.iteration, "{label}: iteration");
+    assert_eq!(bits(&a.weights), bits(&b.weights), "{label}: weights");
+    assert_eq!(
+        bits(&a.prev_weights),
+        bits(&b.prev_weights),
+        "{label}: previous weights"
+    );
+    assert_eq!(a, b, "{label}: delta, error sequence, RNG cursor, ledger");
+}
+
+fn assert_same_run(a: &TrainResult, b: &TrainResult, label: &str) {
+    assert_eq!(a.iterations, b.iterations, "{label}: iterations");
+    assert_eq!(a.stop, b.stop, "{label}: stop");
+    assert_eq!(
+        a.weights
+            .as_slice()
+            .iter()
+            .map(|w| w.to_bits())
+            .collect::<Vec<_>>(),
+        b.weights
+            .as_slice()
+            .iter()
+            .map(|w| w.to_bits())
+            .collect::<Vec<_>>(),
+        "{label}: weights"
+    );
+    assert_eq!(a.error_seq, b.error_seq, "{label}: error sequence");
+    assert_eq!(a.cost, b.cost, "{label}: ledger");
+    assert_eq!(
+        a.sim_time_s.to_bits(),
+        b.sim_time_s.to_bits(),
+        "{label}: simulated clock"
+    );
+    assert_eq!(a.sampler_shuffles, b.sampler_shuffles, "{label}: shuffles");
+}
+
+/// Checkpoints and a replan yield taken while the executor's iteration
+/// tail runs over one row's support (SGD on the CSR `rcv1` analog) carry
+/// the state the dense tail would have left — weights, previous weights,
+/// ledger, RNG cursor — and both the resumed continuation and a handoff to
+/// a different plan finish bit-identical to the dense tail doing the same.
+/// The dense tail is the same bundle under a compute op that withholds the
+/// support promise.
+#[test]
+fn sgd_on_csr_checkpoints_and_hands_off_mid_support_tail_bit_identically() {
+    let cluster = ClusterSpec::paper_testbed();
+    let data = ml4all_datasets::registry::rcv1()
+        .build(1000, 7, &cluster)
+        .unwrap();
+    let dims = data.descriptor().dims;
+    let sgd = GdPlan::sgd(TransformPolicy::Lazy, SamplingMethod::ShuffledPartition).unwrap();
+    let mut params = TrainParams::paper_defaults(GradientKind::LogisticRegression);
+    params.tolerance = 0.0;
+    params.max_iter = 90;
+    params.seed = SEED;
+    let support = reference_operators(&sgd, &params, dims);
+    let dense = dense_tail_operators(&sgd, &params, dims);
+
+    // Uninterrupted, under both tails.
+    let (full, states) = run_observed(&sgd, &data, &support, &params, None, None);
+    let (full_dense, states_dense) = run_observed(&sgd, &data, &dense, &params, None, None);
+    assert_same_run(&full, &full_dense, "uninterrupted");
+    assert_eq!(states.len(), 6, "90 iterations / every 13");
+    for (a, b) in states.iter().zip(&states_dense) {
+        assert_same_state(a, b, &format!("checkpoint at {}", a.iteration));
+    }
+
+    // Killed at every checkpoint and resumed.
+    for state in &states {
+        let label = format!("resumed from {}", state.iteration);
+        let (resumed, later) = run_observed(&sgd, &data, &support, &params, Some(state), None);
+        assert_same_run(&resumed, &full, &label);
+        let expected = states.iter().filter(|s| s.iteration > state.iteration);
+        assert_eq!(later.len(), expected.clone().count(), "{label}");
+        for (a, b) in later.iter().zip(expected) {
+            assert_same_state(a, b, &label);
+        }
+    }
+
+    // Replan yield at iteration 32, handed to a different plan: one whose
+    // waves stay under the crossover (MGD-4, support tail) and one whose
+    // waves do not (MGD-1000, dense tail).
+    let (yielded, _) = run_observed(&sgd, &data, &support, &params, None, Some(32));
+    let (yielded_dense, _) = run_observed(&sgd, &data, &dense, &params, None, Some(32));
+    assert_eq!(yielded.stop, StopReason::Replan);
+    assert_eq!(yielded.iterations, 32);
+    let state = *yielded.resume_state.expect("a yield carries its state");
+    let state_dense = *yielded_dense
+        .resume_state
+        .expect("a yield carries its state");
+    assert_same_state(&state, &state_dense, "replan yield");
+    for batch in [4usize, 1000] {
+        let next = GdPlan::mgd(
+            batch,
+            TransformPolicy::Eager,
+            SamplingMethod::ShuffledPartition,
+        )
+        .unwrap();
+        let (continued, _) = run_observed(
+            &next,
+            &data,
+            &reference_operators(&next, &params, dims),
+            &params,
+            Some(&state),
+            None,
+        );
+        let (continued_dense, _) = run_observed(
+            &next,
+            &data,
+            &dense_tail_operators(&next, &params, dims),
+            &params,
+            Some(&state_dense),
+            None,
+        );
+        assert_eq!(continued.iterations, 90);
+        assert_same_run(&continued, &continued_dense, &format!("handoff to {next}"));
     }
 }
 
