@@ -28,6 +28,7 @@ pub mod golden;
 pub mod harness;
 pub mod report;
 pub mod runs;
+pub mod wire_samples;
 
 pub use conformance::{
     calibration_sweep, conformance_fit, sweep_dataset, sweep_with, CalibrationConformance,

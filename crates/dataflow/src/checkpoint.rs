@@ -303,14 +303,19 @@ impl WireCheckpoint {
 }
 
 /// Serialize `ckpt` into the on-disk text format (without writing it).
+/// The payload is encoded once, straight into the file image, behind a
+/// checksum line that is patched in afterwards.
 pub fn encode_checkpoint(ckpt: &Checkpoint) -> Result<Vec<u8>, CheckpointError> {
-    let payload = serde_json::to_string(&WireCheckpoint::from_checkpoint(ckpt))
+    let mut file = format!("{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}\ncrc ").into_bytes();
+    let crc_at = file.len();
+    file.extend_from_slice(b"0000000000000000\n");
+    let payload_at = file.len();
+    serde_json::to_writer(&mut file, &WireCheckpoint::from_checkpoint(ckpt))
         .map_err(|e| CheckpointError::Format(format!("payload serialization failed: {e}")))?;
-    let crc = fnv1a64(payload.as_bytes());
-    Ok(
-        format!("{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}\ncrc {crc:016x}\n{payload}\n")
-            .into_bytes(),
-    )
+    let crc = format!("{:016x}", fnv1a64(&file[payload_at..]));
+    file[crc_at..crc_at + 16].copy_from_slice(crc.as_bytes());
+    file.push(b'\n');
+    Ok(file)
 }
 
 /// Write `ckpt` to `path` crash-safely (temp + fsync + rename).
@@ -318,11 +323,16 @@ pub fn write_checkpoint(path: impl AsRef<Path>, ckpt: &Checkpoint) -> Result<(),
     Ok(atomic_write(path, &encode_checkpoint(ckpt)?)?)
 }
 
-/// Read and validate a checkpoint: magic, version, checksum, and payload
-/// structure. Identity validation against the *expected* job is the
-/// caller's business ([`Checkpoint::key_hash`] and friends).
+/// Read and validate a checkpoint file; see [`decode_checkpoint`].
 pub fn read_checkpoint(path: impl AsRef<Path>) -> Result<Checkpoint, CheckpointError> {
-    let text = std::fs::read_to_string(path.as_ref())?;
+    decode_checkpoint(&std::fs::read_to_string(path.as_ref())?)
+}
+
+/// Validate a checkpoint file's text — magic, version, checksum, and
+/// payload structure — and decode it. Identity validation against the
+/// *expected* job is the caller's business ([`Checkpoint::key_hash`] and
+/// friends).
+pub fn decode_checkpoint(text: &str) -> Result<Checkpoint, CheckpointError> {
     let mut lines = text.lines();
     let header = lines
         .next()

@@ -50,7 +50,8 @@ pub mod slab;
 
 pub use backend::{Backend, ClusterTopology, FaultSchedule};
 pub use checkpoint::{
-    fnv1a64, read_checkpoint, write_checkpoint, Checkpoint, CheckpointError, ExecState,
+    decode_checkpoint, encode_checkpoint, fnv1a64, read_checkpoint, write_checkpoint, Checkpoint,
+    CheckpointError, ExecState,
 };
 pub use cluster::{ClusterSpec, StorageMedium};
 pub use columns::{ColumnStore, ColumnarBuilder};

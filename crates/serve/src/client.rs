@@ -1,13 +1,13 @@
 //! A small blocking client for the serving protocol — used by the CLI,
 //! the load generator, and the integration tests.
 
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use crate::protocol::{
-    code, read_frame, write_frame, write_message, FrameIn, Payload, Request, Response, WireError,
-    WireEvent, WireReport, WireServerStats, WireSource, WireStats, WireTrain, WireTrained,
-    PROTOCOL_VERSION,
+    code, encode_frame_into, read_frame, write_frame, FrameIn, Payload, Request, Response,
+    WireError, WireEvent, WireReport, WireServerStats, WireSource, WireStats, WireTrain,
+    WireTrained, PROTOCOL_VERSION,
 };
 
 /// Client-side cap on a response frame (joins carry whole weight
@@ -80,7 +80,10 @@ impl From<io::Error> for ClientError {
 /// A blocking connection to a serving front end.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
+    /// The outgoing frame, built in place and written in one call;
+    /// reused across requests.
+    frame: Vec<u8>,
 }
 
 impl Client {
@@ -92,7 +95,8 @@ impl Client {
         stream.set_nodelay(true)?;
         Ok(Self {
             reader: BufReader::new(stream.try_clone()?),
-            writer: BufWriter::new(stream),
+            writer: stream,
+            frame: Vec::new(),
         })
     }
 
@@ -227,8 +231,9 @@ impl Client {
     /// (malformed JSON, hostile sizes); pair with
     /// [`Client::read_response`].
     pub fn send_raw(&mut self, payload: &[u8]) -> io::Result<()> {
-        write_frame(&mut self.writer, payload)?;
-        self.writer.flush()
+        self.frame.clear();
+        write_frame(&mut self.frame, payload)?;
+        self.writer.write_all(&self.frame)
     }
 
     /// Read one raw response frame — for protocol tests.
@@ -237,8 +242,9 @@ impl Client {
     }
 
     fn send(&mut self, request: &Request) -> io::Result<()> {
-        write_message(&mut self.writer, request)?;
-        self.writer.flush()
+        self.frame.clear();
+        encode_frame_into(&mut self.frame, request)?;
+        self.writer.write_all(&self.frame)
     }
 
     fn read_response_inner(&mut self) -> Result<Response, ClientError> {

@@ -9,20 +9,43 @@
 //! `{"Ok":{"Event":…}}` frame per job event and terminates with
 //! `{"Ok":{"ObserveEnd":…}}`.
 //!
-//! Two framing rules keep malformed clients from hurting anyone else:
+//! # Framing
+//!
+//! **Writing.** A frame is built in place: [`encode_frame_into`]
+//! reserves the four header bytes in the output buffer, has the typed
+//! serializer write the payload directly behind them, and patches the
+//! length in afterwards. There is no intermediate `String`, `Value` tree
+//! or payload copy; [`encode_frame`] (an owned frame, what the reactor
+//! shares between observers) and [`write_message`] (a blocking writer)
+//! are thin wrappers over it.
+//!
+//! **Reading.** [`read_frame`] (blocking) and [`FrameDecoder`]
+//! (nonblocking, push-driven) cut the byte stream into payloads; a
+//! payload is then decoded straight into its typed message by
+//! `serde_json::from_slice`, which validates UTF-8 once and reads the
+//! fields off a byte cursor. What that decoder accepts — missing keys
+//! read as `null`, unknown keys are skipped, the last duplicate wins, an
+//! enum object's first key is its tag, 128 levels of nesting at most — is
+//! specified in the vendored `serde` crate docs and pinned by
+//! `tests/wire_semantics.rs`.
+//!
+//! Two rules keep malformed clients from hurting anyone else:
 //!
 //! - an **oversized** frame (length above the server's `max_frame`) is
 //!   drained from the socket without buffering and answered with a typed
 //!   `oversized_frame` error — the connection survives;
 //! - a frame whose payload is not valid JSON for [`Request`] is answered
-//!   with `bad_frame` — the connection survives, because the framing
-//!   layer already knows where the next frame starts.
+//!   with `bad_frame` (the message names the first syntax error and its
+//!   byte offset, or the first mismatched field) — the connection
+//!   survives, because the framing layer already knows where the next
+//!   frame starts.
 //!
 //! Floats cross the wire twice: as plain JSON numbers (readable, and
 //! round-trip-exact under Rust's shortest-representation formatting) and
 //! as 16-hex-digit IEEE-754 bit patterns (`*_bits` fields), which are the
 //! authoritative values for bit-exactness checks.
 
+use std::borrow::Cow;
 use std::io::{self, Read, Write};
 use std::time::Duration;
 
@@ -137,22 +160,44 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     writer.write_all(payload)
 }
 
-/// Serialize a value and write it as one frame. The caller flushes.
+/// Serialize a value and write it as one frame, in one `write_all`. The
+/// caller flushes.
 pub fn write_message(writer: &mut impl Write, message: &impl Serialize) -> io::Result<()> {
-    let text = serde_json::to_string(message)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    write_frame(writer, text.as_bytes())
+    writer.write_all(&encode_frame(message)?)
 }
 
 /// Serialize a value into a complete frame (header + payload) as owned
 /// bytes. This is what the reactor shares between observers: one event
 /// serialized once, the identical bytes fanned out to every stream.
 pub fn encode_frame(message: &impl Serialize) -> io::Result<Vec<u8>> {
-    let text = serde_json::to_string(message)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let mut frame = Vec::with_capacity(4 + text.len());
-    write_frame(&mut frame, text.as_bytes())?;
+    let mut frame = Vec::new();
+    encode_frame_into(&mut frame, message)?;
     Ok(frame)
+}
+
+/// Append one complete frame to `buf`: reserve the header, serialize the
+/// payload straight behind it, then patch the length in — the message is
+/// encoded exactly once and never copied. With a reused `buf` of enough
+/// capacity this allocates nothing. On error `buf` is left as it was.
+pub fn encode_frame_into(buf: &mut Vec<u8>, message: &impl Serialize) -> io::Result<()> {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    let encoded = serde_json::to_writer(buf, message)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+        .and_then(|()| {
+            u32::try_from(buf.len() - start - 4)
+                .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large for u32"))
+        });
+    match encoded {
+        Ok(len) => {
+            buf[start..start + 4].copy_from_slice(&len.to_be_bytes());
+            Ok(())
+        }
+        Err(e) => {
+            buf.truncate(start);
+            Err(e)
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -912,8 +957,9 @@ pub struct WireJob {
     pub engine_id: Option<u64>,
     /// Requested result name (tenant-visible).
     pub name: Option<String>,
-    /// `queued` / `running` / `completed` / `cancelled` / `failed`.
-    pub status: String,
+    /// `queued` / `running` / `completed` / `cancelled` / `failed` — the
+    /// server lends one of its five literals, a decoded row owns its text.
+    pub status: Cow<'static, str>,
 }
 
 // ---------------------------------------------------------------------
@@ -923,12 +969,22 @@ pub struct WireJob {
 /// The authoritative wire form of an `f64`: its IEEE-754 bit pattern as
 /// 16 lowercase hex digits.
 pub fn f64_to_bits_hex(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
+    let bits = x.to_bits();
+    (0..16)
+        .rev()
+        .map(|nibble| char::from(b"0123456789abcdef"[(bits >> (4 * nibble)) as usize & 0xf]))
+        .collect()
 }
 
 /// Parse [`f64_to_bits_hex`]'s output back to the identical float.
+///
+/// Only the canonical spelling is a bit pattern: exactly 16 ASCII hex
+/// digits, lowercase as the encoder writes them. A sign, uppercase
+/// digits, any other length or a non-ASCII character is `None` — a
+/// string this function accepts re-encodes to itself.
 pub fn f64_from_bits_hex(s: &str) -> Option<f64> {
-    if s.len() != 16 {
+    let canonical = s.len() == 16 && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    if !canonical {
         return None;
     }
     u64::from_str_radix(s, 16).ok().map(f64::from_bits)
@@ -1118,6 +1174,44 @@ mod tests {
         }
         assert_eq!(f64_from_bits_hex("xyz"), None);
         assert_eq!(f64_from_bits_hex("3ff"), None);
+    }
+
+    #[test]
+    fn bits_hex_accepts_only_the_canonical_spelling() {
+        assert_eq!(f64_to_bits_hex(1.0), "3ff0000000000000");
+        assert_eq!(f64_to_bits_hex(-0.0), "8000000000000000");
+        assert_eq!(
+            f64_to_bits_hex(f64::from_bits(0x0123_4567_89ab_cdef)),
+            "0123456789abcdef"
+        );
+        assert_eq!(f64_from_bits_hex("3ff0000000000000"), Some(1.0));
+        for refused in [
+            "+ff0000000000000", // sign + 15 digits: `from_str_radix` takes it
+            "-ff0000000000000",
+            "3FF0000000000000",  // uppercase is not what the encoder writes
+            "3ff000000000000",   // 15 digits
+            "3ff00000000000000", // 17 digits
+            "3ff00000000000é",   // 16 bytes, not ASCII
+            "３ff000000000000",  // full-width digit
+            " 3ff000000000000",
+            "0x3ff00000000000",
+            "",
+        ] {
+            assert_eq!(f64_from_bits_hex(refused), None, "{refused:?}");
+        }
+    }
+
+    #[test]
+    fn frames_are_encoded_in_place_behind_their_header() {
+        let message = Response::Ok(Payload::Submitted { job: 9 });
+        let payload = serde_json::to_string(&message).unwrap();
+        let mut buf = b"keep".to_vec();
+        encode_frame_into(&mut buf, &message).unwrap();
+        encode_frame_into(&mut buf, &Request::Stats).unwrap();
+        let mut expected = b"keep".to_vec();
+        write_frame(&mut expected, payload.as_bytes()).unwrap();
+        write_frame(&mut expected, b"\"Stats\"").unwrap();
+        assert_eq!(buf, expected);
     }
 
     #[test]

@@ -45,6 +45,7 @@
 //! are nondeterministic and therefore live in the separate
 //! `ServerStats` verb, never in `Stats`.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -415,20 +416,21 @@ fn cancelled_outcome(job: u64, iterations: u64) -> WireTrained {
 /// *after* the last event frame, so `outcome.is_some()` implies the
 /// event buffer is complete.
 fn finalize(shared: &Shared, job: &ServedJob, outcome: WireTrained) {
+    let end_frame = encode_frame(&Response::Ok(Payload::ObserveEnd {
+        job: job.id,
+        status: outcome.status.clone(),
+    }))
+    .expect("serialize");
+    // The outcome is lent to the response for encoding, not cloned: it
+    // carries the whole weight vector twice.
+    let joined = Response::Ok(Payload::Joined(outcome));
+    let outcome_frame = encode_frame(&joined).expect("serialize");
+    let Response::Ok(Payload::Joined(outcome)) = joined else {
+        unreachable!("built as Joined just above");
+    };
     let mut state = job.state.lock().expect("job state");
-    state.outcome_frame = Some(
-        encode_frame(&Response::Ok(Payload::Joined(outcome.clone())))
-            .expect("serialize")
-            .into(),
-    );
-    state.end_frame = Some(
-        encode_frame(&Response::Ok(Payload::ObserveEnd {
-            job: job.id,
-            status: outcome.status.clone(),
-        }))
-        .expect("serialize")
-        .into(),
-    );
+    state.outcome_frame = Some(outcome_frame.into());
+    state.end_frame = Some(end_frame.into());
     state.outcome = Some(outcome);
     drop(state);
     job.dirty.store(true, Ordering::Release);
@@ -1471,17 +1473,14 @@ fn submit(shared: &Shared, tenant: &str, train: &protocol::WireTrain, cost: usiz
     }
 }
 
-/// This tenant's stats: admission counters plus its job table. Job
-/// statuses come from the [`Engine::jobs`] snapshot — the engine is the
-/// single source of truth for dispatched jobs.
+/// This tenant's stats: admission counters plus its job table. A
+/// finished job's status is its recorded outcome; only a dispatched job
+/// without one is looked up in an [`Engine::jobs`] snapshot — the engine
+/// is the single source of truth for running jobs — and that snapshot is
+/// taken at most once, when the first such job is met.
 fn stats(shared: &Shared, tenant: &str) -> WireStats {
     let lane = shared.admission.stats(tenant);
-    let engine_status: HashMap<u64, JobStatus> = shared
-        .engine
-        .jobs()
-        .into_iter()
-        .map(|info| (info.id, info.status))
-        .collect();
+    let mut engine_status: Option<HashMap<u64, JobStatus>> = None;
     let mut jobs: Vec<WireJob> = shared
         .jobs
         .lock()
@@ -1491,18 +1490,25 @@ fn stats(shared: &Shared, tenant: &str) -> WireStats {
         .map(|job| {
             let state = job.state.lock().expect("job state");
             let status = match (&state.outcome, state.engine_id) {
-                (Some(outcome), _) => outcome.status.clone(),
+                (Some(outcome), _) => terminal_status(&outcome.status),
                 (None, Some(engine_id)) => engine_status
+                    .get_or_insert_with(|| {
+                        shared
+                            .engine
+                            .jobs()
+                            .into_iter()
+                            .map(|info| (info.id, info.status))
+                            .collect()
+                    })
                     .get(&engine_id)
-                    .map(|status| status_name(*status).to_string())
-                    .unwrap_or_else(|| "running".to_string()),
-                (None, None) => "queued".to_string(),
+                    .map_or("running", |status| status_name(*status)),
+                (None, None) => "queued",
             };
             WireJob {
                 job: job.id,
                 engine_id: state.engine_id,
                 name: Some(job.name.clone()),
-                status,
+                status: Cow::Borrowed(status),
             }
         })
         .collect();
@@ -1529,6 +1535,17 @@ fn stats(shared: &Shared, tenant: &str) -> WireStats {
             .map(|snapshot| snapshot.residual_confidence()),
         replans: shared.engine.replans(),
         jobs,
+    }
+}
+
+/// The `'static` spelling of a recorded outcome's status — one of the
+/// three literals [`JobSink::finished`] writes — so a job-table row
+/// borrows it instead of cloning a `String` per row.
+fn terminal_status(status: &str) -> &'static str {
+    match status {
+        "completed" => "completed",
+        "cancelled" => "cancelled",
+        _ => "failed",
     }
 }
 

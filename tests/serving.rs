@@ -8,6 +8,8 @@ use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+mod mutate;
+
 use ml4all::{DataSource, Engine, GradientKind, JobEvent, TrainRequest};
 use ml4all_bench::golden::assert_golden;
 use ml4all_serve::{
@@ -264,6 +266,53 @@ fn malformed_and_oversized_frames_get_typed_errors_and_the_connection_survives()
     expect_err(&mut client, code::OVERSIZED_FRAME);
 
     assert_eq!(server.protocol_errors(), 10);
+
+    // A generated batch on the same connection: fixed-seed mutants of
+    // three valid requests (byte flips, truncations, nesting bombs,
+    // duplicate and unknown keys, runs past the frame cap). No `Hello`
+    // has been sent yet, so a mutant that still parses is answered
+    // `hello_required`; every other one is a counted framing violation,
+    // `bad_frame` or — grown past the cap — `oversized_frame`. Each gets
+    // exactly one typed answer and the connection stays in sync.
+    let seeds: Vec<Vec<u8>> = [
+        Request::Submit {
+            train: adult_train(10, 0, "fuzz"),
+        },
+        Request::Observe {
+            job: 1,
+            from: Some(0),
+        },
+        Request::Predict {
+            model: "m".into(),
+            source: WireSource::File("a.csv".into()),
+        },
+    ]
+    .iter()
+    .map(|request| {
+        serde_json::to_string(request)
+            .expect("serialize")
+            .into_bytes()
+    })
+    .collect();
+    let limits = mutate::Limits {
+        bomb_depth: 3_000,
+        long_run: 8_192,
+    };
+    let mut rng = proptest::TestRng::for_test("serving::malformed_frames");
+    let mut violations = 0;
+    for case in 0..600 {
+        let mutant = mutate::mutate(&mut rng, &seeds[case % seeds.len()], limits);
+        client.send_raw(&mutant).expect("send");
+        match client.read_response().expect("typed response, live socket") {
+            Response::Err(e) if e.code == code::HELLO_REQUIRED => {}
+            Response::Err(e) if e.code == code::BAD_FRAME || e.code == code::OVERSIZED_FRAME => {
+                violations += 1;
+            }
+            other => panic!("mutant #{case} got {other:?}"),
+        }
+    }
+    assert!(violations > 300, "most mutants are malformed: {violations}");
+    assert_eq!(server.protocol_errors(), 10 + violations);
 
     // The same connection still serves real traffic afterwards.
     client.hello("acme").expect("hello after fuzz");
