@@ -18,8 +18,10 @@ use ml4all_datasets::registry;
 use ml4all_gd::{GdPlan, GdVariant, TransformPolicy};
 
 /// Dispatch cost per iteration attributed to the operator abstraction
-/// (boxed-trait calls, context lookups): measured in the criterion bench
-/// `abstraction_dispatch`; well under a millisecond.
+/// (boxed-trait calls, context lookups): a deliberately generous charge
+/// — a boxed operator call measured ~141 ns against ~155 ns direct
+/// (`BENCH_baseline.json`, `abstraction_dispatch/*`, the bench since
+/// retired).
 const DISPATCH_S_PER_ITER: f64 = 2.0e-4;
 
 fn main() {

@@ -25,12 +25,10 @@
 //! if/else operators, and [`linesearch`] implements BGD with backtracking
 //! line search through a scalar-carrying `Compute`/`Update` pair.
 
-pub mod adagrad;
 pub mod context;
 pub mod executor;
 pub mod gradient;
 pub mod linesearch;
-pub mod momentum;
 pub mod objective;
 pub mod operators;
 pub mod plan;

@@ -5,7 +5,7 @@
 use ml4all_dataflow::{ClusterSpec, PartitionScheme, PartitionedDataset, SamplingMethod, SimEnv};
 use ml4all_gd::linesearch::execute_line_search_bgd;
 use ml4all_gd::svrg::execute_svrg;
-use ml4all_gd::{dataset_loss, partitioned_loss, GradientKind, Regularizer, StepSize, TrainParams};
+use ml4all_gd::{partitioned_loss, GradientKind, Regularizer, StepSize, TrainParams};
 use ml4all_linalg::{FeatureVec, LabeledPoint};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -167,134 +167,6 @@ fn svrg_anchor_frequency_one_degenerates_to_batch() {
         &data,
     );
     assert!(loss < 0.05, "anchored-only SVRG loss {loss}");
-}
-
-#[test]
-fn momentum_bgd_accelerates_on_ill_conditioned_objectives() {
-    // The textbook heavy-ball win: a badly-conditioned quadratic. One
-    // feature spans [-1, 1], the other [-0.05, 0.05] (condition number
-    // ~400); plain GD crawls along the flat direction while momentum
-    // accelerates through it. (Weight-delta convergence triggers later
-    // under momentum, so compare losses at a fixed budget.)
-    use ml4all_gd::momentum::execute_momentum_bgd;
-    use ml4all_gd::{execute_plan, GdPlan};
-    let mut rng = StdRng::seed_from_u64(21);
-    let points: Vec<LabeledPoint> = (0..1000)
-        .map(|_| {
-            let x0: f64 = rng.gen_range(-1.0..1.0);
-            let x1: f64 = rng.gen_range(-0.05..0.05);
-            let y = x0 + 20.0 * x1;
-            LabeledPoint::new(y, FeatureVec::dense(vec![x0, x1]))
-        })
-        .collect();
-    let data = PartitionedDataset::from_points(
-        "illcond",
-        points.clone(),
-        PartitionScheme::RoundRobin,
-        &ClusterSpec::paper_testbed(),
-    )
-    .unwrap();
-
-    let mut params = TrainParams::paper_defaults(GradientKind::LinearRegression);
-    params.tolerance = 0.0;
-    params.max_iter = 300;
-    params.step = StepSize::Constant(0.5);
-
-    let mut env_plain = SimEnv::new(ClusterSpec::paper_testbed());
-    let plain = execute_plan(&GdPlan::bgd(), &data, &params, &mut env_plain).unwrap();
-    let mut env_mom = SimEnv::new(ClusterSpec::paper_testbed());
-    let momentum = execute_momentum_bgd(&data, 0.9, &params, &mut env_mom).unwrap();
-
-    let loss = |w: &ml4all_linalg::DenseVector| {
-        dataset_loss(
-            &GradientKind::LinearRegression,
-            &Regularizer::None,
-            w.as_slice(),
-            &points,
-        )
-    };
-    assert!(
-        loss(&momentum.weights) < loss(&plain.weights) * 0.5,
-        "momentum {} vs plain {}",
-        loss(&momentum.weights),
-        loss(&plain.weights)
-    );
-}
-
-#[test]
-fn momentum_sgd_trains_a_model() {
-    use ml4all_gd::momentum::execute_momentum_sgd;
-    let data = dataset(1000, 23);
-    let mut params = TrainParams::paper_defaults(GradientKind::LinearRegression);
-    params.tolerance = 0.0;
-    params.max_iter = 2000;
-    params.step = StepSize::Constant(0.02);
-    let mut env = SimEnv::new(ClusterSpec::paper_testbed());
-    let r = execute_momentum_sgd(
-        &data,
-        0.9,
-        SamplingMethod::ShuffledPartition,
-        &params,
-        &mut env,
-    )
-    .unwrap();
-    let loss = partitioned_loss(
-        &GradientKind::LinearRegression,
-        &Regularizer::None,
-        r.weights.as_slice(),
-        &data,
-    );
-    assert!(loss < 0.05, "momentum-SGD loss {loss}");
-}
-
-#[test]
-fn adagrad_converges_without_schedule_tuning() {
-    use ml4all_gd::adagrad::execute_adagrad;
-    let data = dataset(1000, 29);
-    let mut params = TrainParams::paper_defaults(GradientKind::LinearRegression);
-    params.tolerance = 1e-6;
-    params.max_iter = 5000;
-    let mut env = SimEnv::new(ClusterSpec::paper_testbed());
-    let r = execute_adagrad(
-        &data,
-        0.5,
-        100,
-        SamplingMethod::ShuffledPartition,
-        &params,
-        &mut env,
-    )
-    .unwrap();
-    let loss = partitioned_loss(
-        &GradientKind::LinearRegression,
-        &Regularizer::None,
-        r.weights.as_slice(),
-        &data,
-    );
-    assert!(loss < 0.05, "adagrad loss {loss}");
-}
-
-#[test]
-fn adagrad_per_coordinate_steps_differ() {
-    // The point of AdaGrad: coordinates with larger accumulated gradients
-    // get smaller effective steps. Verify the accumulator state exists and
-    // the model is sane after a few iterations.
-    use ml4all_gd::adagrad::execute_adagrad;
-    let data = dataset(500, 31);
-    let mut params = TrainParams::paper_defaults(GradientKind::LinearRegression);
-    params.tolerance = 0.0;
-    params.max_iter = 50;
-    let mut env = SimEnv::new(ClusterSpec::paper_testbed());
-    let r = execute_adagrad(
-        &data,
-        0.5,
-        50,
-        SamplingMethod::RandomPartition,
-        &params,
-        &mut env,
-    )
-    .unwrap();
-    assert_eq!(r.iterations, 50);
-    assert!(r.weights.as_slice().iter().all(|w| w.is_finite()));
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! cancellation (`cancel()`), and joins the final result (`join()`).
 
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use ml4all_dataflow::{CancelToken, CostBreakdown};
 use ml4all_gd::{GdPlan, StopReason};
@@ -177,33 +177,19 @@ pub fn render_trace(events: &[JobEvent]) -> String {
     out
 }
 
-/// One row of an [`Engine::jobs`](crate::Engine::jobs) snapshot: enough
-/// for a serving front end's `stats` verb or a dashboard without any
-/// bookkeeping outside the engine.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobInfo {
-    /// Engine-assigned job id (monotonic per engine, never reused).
-    pub id: u64,
-    /// The requested result name (`None` for auto-named requests).
-    pub name: Option<String>,
-    /// Tenant tag the job was submitted under
-    /// ([`Engine::submit_tagged`](crate::Engine::submit_tagged));
-    /// plain [`Engine::submit`](crate::Engine::submit) tags `"local"`.
-    pub tenant: String,
-    /// Lifecycle state at snapshot time.
-    pub status: JobStatus,
-}
-
-/// A push-mode consumer of a job's event stream, for callers (like a
-/// serving front end's reactor) that must not park a thread per job.
+/// The consumer of a job's event stream. Every job has at most one: the
+/// channel behind [`JobHandle::progress`] for
+/// [`Engine::submit`](crate::Engine::submit), or the caller's own for
+/// [`Engine::submit_with_sink`](crate::Engine::submit_with_sink) — for
+/// callers (like a serving front end's reactor) that must not park a
+/// thread per job.
 ///
-/// [`Engine::submit_with_sink`](crate::Engine::submit_with_sink) routes
-/// the job's events here instead of the [`JobHandle::progress`] channel.
 /// Both callbacks run **on the worker thread executing the job**, so
 /// they must be quick and must never block on the job itself (calling
 /// [`JobHandle::join`] from inside `event` would deadlock; from inside
 /// `finished` it would merely be redundant — the outcome is already in
-/// hand as an argument).
+/// hand as an argument). The job drops its sink right after `finished`
+/// returns, so a sink may own whatever owns the job's handle.
 pub trait EventSink: Send + Sync + 'static {
     /// One progress event, in emission order. Terminal events
     /// (`Completed` / `Cancelled` / `Failed`) arrive here *before*
@@ -216,90 +202,79 @@ pub trait EventSink: Send + Sync + 'static {
     fn finished(&self, outcome: &Result<Trained, SessionError>);
 }
 
-/// Where a job's events go: the pull-mode channel behind
-/// [`JobHandle::progress`], or a push-mode [`EventSink`].
-enum EventRoute {
-    Channel(Option<Sender<JobEvent>>),
-    Sink(std::sync::Arc<dyn EventSink>),
+/// The pull-mode sink behind [`JobHandle::progress`]: events queue on an
+/// unbounded channel, and the stream ends when the finished job drops
+/// this sink, and the sender with it.
+struct ChannelSink(Sender<JobEvent>);
+
+impl EventSink for ChannelSink {
+    fn event(&self, event: JobEvent) {
+        // A dropped handle no longer listens; the job runs on regardless.
+        let _ = self.0.send(event);
+    }
+
+    fn finished(&self, _outcome: &Result<Trained, SessionError>) {}
 }
 
-/// Shared state between a [`JobHandle`] and the worker running the job.
+/// The carrier of one training run — submitted or synchronous — shared
+/// between its [`JobHandle`] (if any) and the thread running it.
 pub(crate) struct JobState {
     pub(crate) cancel: CancelToken,
     status: Mutex<JobStatus>,
-    events: Mutex<EventRoute>,
+    /// `None` for a run nobody observes (a synchronous
+    /// [`Engine::train`](crate::Engine::train)), and once finished.
+    sink: Mutex<Option<Arc<dyn EventSink>>>,
     outcome: Mutex<Option<Result<Trained, SessionError>>>,
     done: Condvar,
 }
 
 impl JobState {
-    pub(crate) fn new(events: Sender<JobEvent>) -> Self {
-        Self::with_route(EventRoute::Channel(Some(events)))
-    }
-
-    pub(crate) fn with_sink(sink: std::sync::Arc<dyn EventSink>) -> Self {
-        Self::with_route(EventRoute::Sink(sink))
-    }
-
-    fn with_route(route: EventRoute) -> Self {
+    pub(crate) fn new(sink: Option<Arc<dyn EventSink>>) -> Self {
         Self {
             cancel: CancelToken::new(),
             status: Mutex::new(JobStatus::Queued),
-            events: Mutex::new(route),
+            sink: Mutex::new(sink),
             outcome: Mutex::new(None),
             done: Condvar::new(),
         }
+    }
+
+    /// A job whose events feed the returned channel.
+    pub(crate) fn with_channel() -> (Self, Receiver<JobEvent>) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        (Self::new(Some(Arc::new(ChannelSink(tx)))), rx)
     }
 
     pub(crate) fn set_status(&self, status: JobStatus) {
         *self.status.lock().expect("job status") = status;
     }
 
-    pub(crate) fn status(&self) -> JobStatus {
-        *self.status.lock().expect("job status")
-    }
-
-    /// Send an event to the (possibly dropped) progress stream or the
-    /// attached push-mode sink.
-    pub(crate) fn emit(&self, event: JobEvent) {
+    /// Deliver one event to the sink. `event` is built only when a sink
+    /// is attached, so an unobserved run pays nothing for its trace.
+    pub(crate) fn emit(&self, event: impl FnOnce() -> JobEvent) {
         // Clone the sink out of the lock so a sink callback can never
         // deadlock against another emitter.
-        let sink = match &*self.events.lock().expect("job events") {
-            EventRoute::Channel(Some(tx)) => {
-                let _ = tx.send(event);
-                return;
-            }
-            EventRoute::Channel(None) => return,
-            EventRoute::Sink(sink) => std::sync::Arc::clone(sink),
-        };
-        sink.event(event);
+        let sink = self.sink.lock().expect("job sink").clone();
+        if let Some(sink) = sink {
+            sink.event(event());
+        }
     }
 
-    /// Record the final outcome, set the terminal status, close the event
-    /// stream, and wake every joiner (then notify a push-mode sink).
+    /// Set the terminal status, hand the outcome to the sink and release
+    /// it (closing a `progress()` stream), then publish the outcome and
+    /// wake every joiner.
     pub(crate) fn finish(&self, outcome: Result<Trained, SessionError>) {
-        let status = match &outcome {
+        self.set_status(match &outcome {
             Ok(_) => JobStatus::Completed,
             Err(SessionError::Cancelled { .. }) => JobStatus::Cancelled,
             Err(_) => JobStatus::Failed,
-        };
-        self.set_status(status);
-        let sink = {
-            let mut events = self.events.lock().expect("job events");
-            match &mut *events {
-                // Dropping the sender ends `progress()` iteration.
-                EventRoute::Channel(tx) => {
-                    tx.take();
-                    None
-                }
-                EventRoute::Sink(sink) => Some(std::sync::Arc::clone(sink)),
-            }
-        };
+        });
         // Notify the sink before publishing the outcome, outside every
         // lock: a `finished` implementation can therefore take its own
         // locks freely, and anything it publishes is visible before
         // joiners wake.
-        if let Some(sink) = &sink {
+        let sink = self.sink.lock().expect("job sink").take();
+        if let Some(sink) = sink {
             sink.finished(&outcome);
         }
         *self.outcome.lock().expect("job outcome") = Some(outcome);
@@ -333,12 +308,12 @@ impl JobState {
 /// ```
 pub struct JobHandle {
     pub(crate) id: u64,
-    pub(crate) state: std::sync::Arc<JobState>,
+    pub(crate) state: Arc<JobState>,
     pub(crate) events: Receiver<JobEvent>,
 }
 
 impl JobHandle {
-    /// The engine-assigned job id (the one [`JobInfo::id`] reports).
+    /// The engine-assigned job id (monotonic per engine, never reused).
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -353,13 +328,6 @@ impl JobHandle {
     /// state consistent. Idempotent; a no-op once the job finished.
     pub fn cancel(&self) {
         self.state.cancel.cancel();
-    }
-
-    /// A clone of the job's cancellation token, so an owner that hands
-    /// the handle off (e.g. to an event-pump thread) keeps the ability to
-    /// cancel.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.state.cancel.clone()
     }
 
     /// Block until the job reaches a terminal state and return it,

@@ -48,7 +48,7 @@ pub mod session;
 
 pub use engine::Engine;
 pub use explain::render_report;
-pub use job::{render_trace, EventSink, JobEvent, JobHandle, JobInfo, JobStatus};
+pub use job::{render_trace, EventSink, JobEvent, JobHandle, JobStatus};
 pub use model::{Model, ModelError};
 pub use request::{ExplainRequest, ModelRef, PredictRequest, TrainRequest};
 pub use session::{Predictions, Session, SessionOutput, TrainSummary, Trained};

@@ -19,9 +19,10 @@
 //! shares between observers) and [`write_message`] (a blocking writer)
 //! are thin wrappers over it.
 //!
-//! **Reading.** [`read_frame`] (blocking) and [`FrameDecoder`]
-//! (nonblocking, push-driven) cut the byte stream into payloads; a
-//! payload is then decoded straight into its typed message by
+//! **Reading.** [`FrameDecoder`] (push-driven, what the reactor feeds
+//! from nonblocking sockets) cuts the byte stream into payloads, and
+//! [`read_frame`] is the same decoder pulled through a blocking
+//! `BufRead`; a payload is then decoded straight into its typed message by
 //! `serde_json::from_slice`, which validates UTF-8 once and reads the
 //! fields off a byte cursor. What that decoder accepts — missing keys
 //! read as `null`, unknown keys are skipped, the last duplicate wins, an
@@ -46,7 +47,7 @@
 //! authoritative values for bit-exactness checks.
 
 use std::borrow::Cow;
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Write};
 use std::time::Duration;
 
 use ml4all::{
@@ -116,40 +117,36 @@ pub enum FrameIn {
     Eof,
 }
 
-/// Read one frame. EOF mid-frame (after any header byte) is an
-/// `UnexpectedEof` error; EOF exactly at a frame boundary is
-/// [`FrameIn::Eof`].
-pub fn read_frame(reader: &mut impl Read, max_frame: usize) -> io::Result<FrameIn> {
-    let mut header = [0u8; 4];
-    // Distinguish clean EOF (zero bytes) from a truncated header.
-    let mut filled = 0;
-    while filled < header.len() {
-        match reader.read(&mut header[filled..])? {
-            0 if filled == 0 => return Ok(FrameIn::Eof),
-            0 => {
-                return Err(io::Error::new(
+/// Read one frame: a blocking drive of the [`FrameDecoder`], which owns
+/// the header, cap and drain rules. EOF mid-frame (after any header
+/// byte) is an `UnexpectedEof` error; EOF exactly at a frame boundary is
+/// [`FrameIn::Eof`]. Nothing past the frame is consumed from `reader`.
+pub fn read_frame(reader: &mut impl BufRead, max_frame: usize) -> io::Result<FrameIn> {
+    let mut decoder = FrameDecoder::new(max_frame);
+    loop {
+        let available = match reader.fill_buf() {
+            Ok(available) => available,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if available.is_empty() {
+            return if decoder.mid_frame() {
+                Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
-                    "eof inside frame header",
+                    "eof inside frame",
                 ))
-            }
-            n => filled += n,
+            } else {
+                Ok(FrameIn::Eof)
+            };
+        }
+        let (used, item) = decoder.advance(available);
+        reader.consume(used);
+        match item {
+            Some(Decoded::Frame(payload)) => return Ok(FrameIn::Frame(payload)),
+            Some(Decoded::Oversized { len }) => return Ok(FrameIn::Oversized { len }),
+            None => {}
         }
     }
-    let len = u32::from_be_bytes(header);
-    if len as usize > max_frame {
-        // Drain without buffering so the connection stays usable.
-        let drained = io::copy(&mut reader.take(len as u64), &mut io::sink())?;
-        if drained < len as u64 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "eof inside oversized frame",
-            ));
-        }
-        return Ok(FrameIn::Oversized { len });
-    }
-    let mut payload = vec![0u8; len as usize];
-    reader.read_exact(&mut payload)?;
-    Ok(FrameIn::Frame(payload))
 }
 
 /// Write one frame (length header + payload). The caller flushes.
@@ -227,13 +224,12 @@ enum DecodeState {
     Drain { len: u32, remaining: u64 },
 }
 
-/// The nonblocking analog of [`read_frame`]: a push-driven state machine
-/// that accepts bytes in whatever slices the socket yields — one byte at
-/// a time, or several frames at once — and emits complete items.
+/// The one implementation of the framing rules: a push-driven state
+/// machine that accepts bytes in whatever slices the socket yields — one
+/// byte at a time, or several frames at once — and emits complete items.
 ///
-/// The oversized rule matches the blocking path: the payload is counted
-/// off and discarded without allocation, and [`Decoded::Oversized`] is
-/// emitted at the next frame boundary.
+/// An oversized payload is counted off and discarded without allocation,
+/// and [`Decoded::Oversized`] is emitted at the next frame boundary.
 pub struct FrameDecoder {
     max_frame: usize,
     state: DecodeState,
@@ -925,8 +921,8 @@ pub struct WireStats {
 /// All counters are monotone except `active_connections`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WireServerStats {
-    /// The readiness backend compiled in: `epoll` / `kqueue` / `poll` /
-    /// `tick`.
+    /// The readiness backend compiled in: `epoll` (Linux) or `poll`
+    /// (every other Unix).
     pub backend: String,
     /// Connections currently registered with the reactor (including the
     /// one asking).
@@ -1078,6 +1074,95 @@ mod tests {
             assert!(matches!(items[2], Decoded::Oversized { len: 100 }));
             assert!(matches!(&items[3], Decoded::Frame(f) if f == b"after"));
             assert!(!decoder.mid_frame(), "chunk={chunk}");
+        }
+    }
+
+    /// A reader that hands out at most `step` bytes per call, whichever
+    /// of its two traits it is read through.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        step: usize,
+    }
+
+    impl io::Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.step.min(self.data.len()).min(buf.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    impl io::BufRead for Trickle<'_> {
+        fn fill_buf(&mut self) -> io::Result<&[u8]> {
+            Ok(&self.data[..self.step.min(self.data.len())])
+        }
+
+        fn consume(&mut self, n: usize) {
+            self.data = &self.data[n..];
+        }
+    }
+
+    /// `read_frame` over `stream` must report what a [`FrameDecoder`]
+    /// fed the same bytes reports: the same items, each leaving the same
+    /// bytes unread, then `Eof` at a boundary or `UnexpectedEof` inside
+    /// a frame.
+    fn assert_blocking_reads_match_the_decoder(stream: &[u8], max_frame: usize, step: usize) {
+        let mut decoder = FrameDecoder::new(max_frame);
+        let mut reader = Trickle { data: stream, step };
+        let mut offset = 0;
+        while offset < stream.len() {
+            let (used, item) = decoder.advance(&stream[offset..]);
+            offset += used;
+            let Some(item) = item else { continue };
+            let read = read_frame(&mut reader, max_frame).expect("a complete frame reads");
+            match (item, read) {
+                (Decoded::Frame(want), FrameIn::Frame(got)) => assert_eq!(want, got),
+                (Decoded::Oversized { len: want }, FrameIn::Oversized { len: got }) => {
+                    assert_eq!(want, got);
+                }
+                (want, got) => panic!("decoder saw {want:?}, read_frame saw {got:?}"),
+            }
+            assert_eq!(
+                reader.data.len(),
+                stream.len() - offset,
+                "nothing past the frame is consumed"
+            );
+        }
+        match read_frame(&mut reader, max_frame) {
+            Ok(FrameIn::Eof) => assert!(!decoder.mid_frame()),
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => assert!(decoder.mid_frame()),
+            other => panic!("expected end of stream, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn blocking_reads_match_the_decoder_on_random_and_truncated_streams() {
+        const CAP: usize = 16;
+        let mut rng = proptest::TestRng::for_test("blocking_reads_match_the_decoder");
+        for _ in 0..64 {
+            let mut stream = Vec::new();
+            for _ in 0..1 + rng.below(5) {
+                let len = match rng.below(5) {
+                    0 => 0,
+                    1 => CAP,
+                    2 => CAP + 1,
+                    3 => CAP + 1 + rng.below(48) as usize,
+                    _ => rng.below(CAP as u64) as usize,
+                };
+                let payload: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+                write_frame(&mut stream, &payload).unwrap();
+            }
+            // An oversized frame, then a valid one: the stream stays in
+            // sync past the drain.
+            write_frame(&mut stream, &[b'x'; 3 * CAP]).unwrap();
+            write_frame(&mut stream, b"valid").unwrap();
+            for step in [1, stream.len()] {
+                assert_blocking_reads_match_the_decoder(&stream, CAP, step);
+                for cut in 0..stream.len() {
+                    assert_blocking_reads_match_the_decoder(&stream[..cut], CAP, step);
+                }
+            }
         }
     }
 

@@ -1,24 +1,23 @@
 //! Readiness polling for the serving reactor, with zero crate
 //! dependencies (the same no-crate syscall precedent as the slab
-//! `mmap` wrapper in `ml4all-dataflow`).
+//! `mmap` wrapper in `ml4all-dataflow`). Unix only.
 //!
 //! One [`Poller`] instance backs the whole server. The backend is
-//! chosen at compile time:
+//! chosen at compile time, by target alone:
 //!
 //! - **Linux** — raw `epoll` (level-triggered), the production path;
-//! - **macOS / iOS / FreeBSD / NetBSD / OpenBSD** — raw `kqueue`;
-//! - **other Unix** — a `poll(2)` loop rebuilt from the registration
-//!   table per wait;
-//! - **non-Unix** — a tick loop that reports every registered source
-//!   ready on a short cadence; correctness then rests entirely on the
-//!   sockets being nonblocking (reads return `WouldBlock` when idle).
+//! - **every other Unix** — a `poll(2)` loop rebuilt from the
+//!   registration table per wait.
 //!
-//! Cross-thread wake-ups use the classic self-pipe trick (an atomic
-//! flag plus short sleeps on the tick backend): [`Waker::wake`] is
-//! safe from any thread, including the engine's worker threads pushing
-//! job events at the reactor.
+//! Both modules expose the same `Poller` (`new`, `waker`, `register`,
+//! `update`, `deregister`, `wait`) and must pass the same contract tests;
+//! on Linux the `poll(2)` module is compiled for those tests as well, so
+//! the fallback is exercised on the host CI runs on.
+//!
+//! Cross-thread wake-ups use the classic self-pipe trick:
+//! [`Waker::wake`] is safe from any thread, including the engine's
+//! worker threads pushing job events at the reactor.
 
-use std::io;
 use std::time::Duration;
 
 /// What a registered source is currently interested in.
@@ -68,113 +67,37 @@ pub struct Event {
     pub hangup: bool,
 }
 
-/// The reactor's readiness source. See the module docs for backends.
-pub struct Poller {
-    inner: imp::Poller,
-}
-
 /// A cheap, cloneable cross-thread handle that interrupts
 /// [`Poller::wait`].
 #[derive(Clone)]
-pub struct Waker {
-    inner: imp::Waker,
-}
+pub struct Waker(pipe::Notifier);
 
 impl Waker {
     /// Interrupt the poller's current (or next) wait. Safe from any
     /// thread; coalesces — a thousand wakes cost one wake-up.
     pub fn wake(&self) {
-        self.inner.wake();
+        self.0.notify();
     }
 }
 
-impl Poller {
-    /// Open a poller (and its internal wake-up channel).
-    pub fn new() -> io::Result<Self> {
-        Ok(Self {
-            inner: imp::Poller::new()?,
-        })
-    }
+#[cfg(target_os = "linux")]
+pub use epoll::Poller;
+#[cfg(not(target_os = "linux"))]
+pub use poll::Poller;
 
-    /// The compile-time backend name, surfaced in server stats:
-    /// `"epoll"`, `"kqueue"`, `"poll"`, or `"tick"`.
-    pub fn backend(&self) -> &'static str {
-        imp::BACKEND
-    }
-
-    /// A handle other threads use to interrupt [`Poller::wait`].
-    pub fn waker(&self) -> Waker {
-        Waker {
-            inner: self.inner.waker(),
-        }
-    }
-
-    /// Start watching `source` under `token`.
-    pub fn register(&mut self, source: Source, token: u64, interest: Interest) -> io::Result<()> {
-        self.inner.register(source, token, interest)
-    }
-
-    /// Change what an already-registered source is interested in.
-    pub fn update(&mut self, source: Source, token: u64, interest: Interest) -> io::Result<()> {
-        self.inner.update(source, token, interest)
-    }
-
-    /// Stop watching `source` (call before closing it).
-    pub fn deregister(&mut self, source: Source) -> io::Result<()> {
-        self.inner.deregister(source)
-    }
-
-    /// Block until at least one source is ready, a waker fires, or
-    /// `timeout` passes; readiness lands in `events` (cleared first).
-    /// Returns the number of readiness events (0 on timeout or wake).
-    pub fn wait(
-        &mut self,
-        events: &mut Vec<Event>,
-        timeout: Option<Duration>,
-    ) -> io::Result<usize> {
-        events.clear();
-        self.inner.wait(events, timeout)
-    }
-}
-
-/// The platform handle a source is registered by: a raw file
-/// descriptor on Unix, the token itself on the tick backend.
-#[cfg(unix)]
-pub type Source = std::os::unix::io::RawFd;
-#[cfg(not(unix))]
-pub type Source = u64;
-
-/// The poller source of a TCP stream.
-#[cfg(unix)]
-pub fn source_of(stream: &std::net::TcpStream, _token: u64) -> Source {
-    use std::os::unix::io::AsRawFd;
-    stream.as_raw_fd()
-}
-
-/// On the tick backend every registered token is reported ready each
-/// cadence, so the token doubles as the source.
-#[cfg(not(unix))]
-pub fn source_of(_stream: &std::net::TcpStream, token: u64) -> Source {
-    token
-}
-
-/// The poller source of a TCP listener.
-#[cfg(unix)]
-pub fn source_of_listener(listener: &std::net::TcpListener, _token: u64) -> Source {
-    use std::os::unix::io::AsRawFd;
-    listener.as_raw_fd()
-}
-
-#[cfg(not(unix))]
-pub fn source_of_listener(_listener: &std::net::TcpListener, token: u64) -> Source {
-    token
+/// `Poller::wait`'s timeout as the milliseconds `epoll_wait` and `poll`
+/// take: `-1` blocks, and a sub-millisecond wait rounds up, not to a
+/// busy spin.
+fn timeout_ms(timeout: Option<Duration>) -> i32 {
+    timeout.map_or(-1, |t| {
+        i32::try_from(t.as_millis().max(1)).unwrap_or(i32::MAX)
+    })
 }
 
 // ---------------------------------------------------------------------
-// Self-pipe plumbing shared by the Unix backends
+// Self-pipe plumbing shared by both backends
 // ---------------------------------------------------------------------
 
-#[cfg(unix)]
 mod pipe {
     use std::io;
     use std::sync::Arc;
@@ -277,13 +200,12 @@ mod pipe {
 // ---------------------------------------------------------------------
 
 #[cfg(target_os = "linux")]
-mod imp {
-    use super::pipe::{Notifier, SelfPipe};
-    use super::{Event, Interest, Source};
+mod epoll {
+    use super::pipe::SelfPipe;
+    use super::{timeout_ms, Event, Interest, Waker};
     use std::io;
+    use std::os::unix::io::AsRawFd;
     use std::time::Duration;
-
-    pub const BACKEND: &str = "epoll";
 
     // The kernel ABI packs epoll_event on x86-64 only.
     #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
@@ -314,19 +236,11 @@ mod imp {
     /// The waker's reserved token; never surfaced to the caller.
     const WAKER_TOKEN: u64 = u64::MAX;
 
+    /// The reactor's readiness source, over `epoll`.
     pub struct Poller {
         epfd: i32,
         pipe: SelfPipe,
         buf: Vec<EpollEvent>,
-    }
-
-    #[derive(Clone)]
-    pub struct Waker(Notifier);
-
-    impl Waker {
-        pub fn wake(&self) {
-            self.0.notify();
-        }
     }
 
     fn mask(interest: Interest) -> u32 {
@@ -352,6 +266,10 @@ mod imp {
     }
 
     impl Poller {
+        /// The backend name, surfaced in server stats.
+        pub const BACKEND: &'static str = "epoll";
+
+        /// Open a poller (and its internal wake-up channel).
         pub fn new() -> io::Result<Self> {
             let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if epfd < 0 {
@@ -379,30 +297,47 @@ mod imp {
             Ok(poller)
         }
 
+        /// A handle other threads use to interrupt [`Poller::wait`].
         pub fn waker(&self) -> Waker {
             Waker(self.pipe.notifier())
         }
 
-        pub fn register(&mut self, fd: Source, token: u64, interest: Interest) -> io::Result<()> {
+        /// Start watching `source` under `token`.
+        pub fn register(
+            &mut self,
+            source: &impl AsRawFd,
+            token: u64,
+            interest: Interest,
+        ) -> io::Result<()> {
+            let fd = source.as_raw_fd();
             ctl(self.epfd, EPOLL_CTL_ADD, fd, mask(interest), token)
         }
 
-        pub fn update(&mut self, fd: Source, token: u64, interest: Interest) -> io::Result<()> {
+        /// Change what an already-registered source is interested in.
+        pub fn update(
+            &mut self,
+            source: &impl AsRawFd,
+            token: u64,
+            interest: Interest,
+        ) -> io::Result<()> {
+            let fd = source.as_raw_fd();
             ctl(self.epfd, EPOLL_CTL_MOD, fd, mask(interest), token)
         }
 
-        pub fn deregister(&mut self, fd: Source) -> io::Result<()> {
-            ctl(self.epfd, EPOLL_CTL_DEL, fd, 0, 0)
+        /// Stop watching `source` (call before closing it).
+        pub fn deregister(&mut self, source: &impl AsRawFd) -> io::Result<()> {
+            ctl(self.epfd, EPOLL_CTL_DEL, source.as_raw_fd(), 0, 0)
         }
 
+        /// Block until at least one source is ready, a waker fires, or
+        /// `timeout` passes; readiness lands in `out` (cleared first).
+        /// Returns the number of readiness events (0 on timeout or wake).
         pub fn wait(
             &mut self,
             out: &mut Vec<Event>,
             timeout: Option<Duration>,
         ) -> io::Result<usize> {
-            let timeout_ms = timeout
-                .map(|t| i32::try_from(t.as_millis().max(1)).unwrap_or(i32::MAX))
-                .unwrap_or(-1);
+            out.clear();
             self.buf.resize(256, EpollEvent { events: 0, data: 0 });
             let n = loop {
                 let n = unsafe {
@@ -410,7 +345,7 @@ mod imp {
                         self.epfd,
                         self.buf.as_mut_ptr(),
                         self.buf.len() as i32,
-                        timeout_ms,
+                        timeout_ms(timeout),
                     )
                 };
                 if n >= 0 {
@@ -446,263 +381,17 @@ mod imp {
 }
 
 // ---------------------------------------------------------------------
-// macOS / BSDs: kqueue
+// Every other Unix (and Linux under test): poll(2) loop
 // ---------------------------------------------------------------------
 
-#[cfg(any(
-    target_os = "macos",
-    target_os = "ios",
-    target_os = "freebsd",
-    target_os = "netbsd",
-    target_os = "openbsd"
-))]
-mod imp {
-    use super::pipe::{Notifier, SelfPipe};
-    use super::{Event, Interest, Source};
-    use std::io;
-    use std::time::Duration;
-
-    pub const BACKEND: &str = "kqueue";
-
-    #[repr(C)]
-    struct Timespec {
-        tv_sec: i64,
-        tv_nsec: i64,
-    }
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct KEvent {
-        ident: usize,
-        filter: i16,
-        flags: u16,
-        fflags: u32,
-        data: isize,
-        udata: u64,
-    }
-
-    extern "C" {
-        fn kqueue() -> i32;
-        fn kevent(
-            kq: i32,
-            changelist: *const KEvent,
-            nchanges: i32,
-            eventlist: *mut KEvent,
-            nevents: i32,
-            timeout: *const Timespec,
-        ) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-
-    const EVFILT_READ: i16 = -1;
-    const EVFILT_WRITE: i16 = -2;
-    const EV_ADD: u16 = 0x1;
-    const EV_DELETE: u16 = 0x2;
-    const EV_ERROR: u16 = 0x4000;
-    const EV_EOF: u16 = 0x8000;
-
-    const WAKER_TOKEN: u64 = u64::MAX;
-
-    pub struct Poller {
-        kq: i32,
-        pipe: SelfPipe,
-        buf: Vec<KEvent>,
-        /// fd → (token, interest), to diff on update/deregister.
-        registered: std::collections::HashMap<i32, (u64, Interest)>,
-    }
-
-    #[derive(Clone)]
-    pub struct Waker(Notifier);
-
-    impl Waker {
-        pub fn wake(&self) {
-            self.0.notify();
-        }
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Self> {
-            let kq = unsafe { kqueue() };
-            if kq < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            let pipe = match SelfPipe::new() {
-                Ok(pipe) => pipe,
-                Err(e) => {
-                    unsafe { close(kq) };
-                    return Err(e);
-                }
-            };
-            let mut poller = Self {
-                kq,
-                buf: Vec::with_capacity(256),
-                registered: std::collections::HashMap::new(),
-                pipe,
-            };
-            poller.filter(poller.pipe.read_fd(), EVFILT_READ, EV_ADD, WAKER_TOKEN)?;
-            Ok(poller)
-        }
-
-        pub fn waker(&self) -> Waker {
-            Waker(self.pipe.notifier())
-        }
-
-        fn filter(&mut self, fd: i32, filter: i16, flags: u16, token: u64) -> io::Result<()> {
-            let change = KEvent {
-                ident: fd as usize,
-                filter,
-                flags,
-                fflags: 0,
-                data: 0,
-                udata: token,
-            };
-            let rc = unsafe {
-                kevent(
-                    self.kq,
-                    &change,
-                    1,
-                    std::ptr::null_mut(),
-                    0,
-                    std::ptr::null(),
-                )
-            };
-            if rc < 0 {
-                let err = io::Error::last_os_error();
-                // Deleting an absent filter is the common no-op.
-                if flags & EV_DELETE != 0 && err.raw_os_error() == Some(2) {
-                    return Ok(());
-                }
-                return Err(err);
-            }
-            Ok(())
-        }
-
-        fn apply(&mut self, fd: i32, token: u64, old: Interest, new: Interest) -> io::Result<()> {
-            if new.read && !old.read {
-                self.filter(fd, EVFILT_READ, EV_ADD, token)?;
-            } else if !new.read && old.read {
-                self.filter(fd, EVFILT_READ, EV_DELETE, token)?;
-            }
-            if new.write && !old.write {
-                self.filter(fd, EVFILT_WRITE, EV_ADD, token)?;
-            } else if !new.write && old.write {
-                self.filter(fd, EVFILT_WRITE, EV_DELETE, token)?;
-            }
-            Ok(())
-        }
-
-        pub fn register(&mut self, fd: Source, token: u64, interest: Interest) -> io::Result<()> {
-            self.apply(fd, token, Interest::NONE, interest)?;
-            self.registered.insert(fd, (token, interest));
-            Ok(())
-        }
-
-        pub fn update(&mut self, fd: Source, token: u64, interest: Interest) -> io::Result<()> {
-            let old = self
-                .registered
-                .get(&fd)
-                .map(|(_, i)| *i)
-                .unwrap_or(Interest::NONE);
-            self.apply(fd, token, old, interest)?;
-            self.registered.insert(fd, (token, interest));
-            Ok(())
-        }
-
-        pub fn deregister(&mut self, fd: Source) -> io::Result<()> {
-            if let Some((token, old)) = self.registered.remove(&fd) {
-                self.apply(fd, token, old, Interest::NONE)?;
-            }
-            Ok(())
-        }
-
-        pub fn wait(
-            &mut self,
-            out: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<usize> {
-            let spec = timeout.map(|t| Timespec {
-                tv_sec: t.as_secs() as i64,
-                tv_nsec: i64::from(t.subsec_nanos()),
-            });
-            self.buf.resize(
-                256,
-                KEvent {
-                    ident: 0,
-                    filter: 0,
-                    flags: 0,
-                    fflags: 0,
-                    data: 0,
-                    udata: 0,
-                },
-            );
-            let n = loop {
-                let n = unsafe {
-                    kevent(
-                        self.kq,
-                        std::ptr::null(),
-                        0,
-                        self.buf.as_mut_ptr(),
-                        self.buf.len() as i32,
-                        spec.as_ref()
-                            .map(|s| s as *const Timespec)
-                            .unwrap_or(std::ptr::null()),
-                    )
-                };
-                if n >= 0 {
-                    break n as usize;
-                }
-                let err = io::Error::last_os_error();
-                if err.kind() != io::ErrorKind::Interrupted {
-                    return Err(err);
-                }
-            };
-            for raw in &self.buf[..n] {
-                if raw.udata == WAKER_TOKEN {
-                    self.pipe.drain();
-                    continue;
-                }
-                let hangup = raw.flags & (EV_EOF | EV_ERROR) != 0;
-                out.push(Event {
-                    token: raw.udata,
-                    readable: raw.filter == EVFILT_READ || hangup,
-                    writable: raw.filter == EVFILT_WRITE,
-                    hangup,
-                });
-            }
-            Ok(out.len())
-        }
-    }
-
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            unsafe { close(self.kq) };
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Other Unix: poll(2) loop
-// ---------------------------------------------------------------------
-
-#[cfg(all(
-    unix,
-    not(any(
-        target_os = "linux",
-        target_os = "macos",
-        target_os = "ios",
-        target_os = "freebsd",
-        target_os = "netbsd",
-        target_os = "openbsd"
-    ))
-))]
-mod imp {
-    use super::pipe::{Notifier, SelfPipe};
-    use super::{Event, Interest, Source};
+#[cfg(any(test, not(target_os = "linux")))]
+mod poll {
+    use super::pipe::SelfPipe;
+    use super::{timeout_ms, Event, Interest, Waker};
     use std::collections::HashMap;
     use std::io;
+    use std::os::unix::io::AsRawFd;
     use std::time::Duration;
-
-    pub const BACKEND: &str = "poll";
 
     #[repr(C)]
     #[derive(Clone, Copy)]
@@ -712,8 +401,15 @@ mod imp {
         revents: i16,
     }
 
+    /// C's `nfds_t`: `unsigned long` on Linux, `unsigned int` on macOS
+    /// and the BSDs.
+    #[cfg(target_os = "linux")]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type Nfds = std::ffi::c_uint;
+
     extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: i32) -> i32;
     }
 
     const POLLIN: i16 = 0x001;
@@ -721,22 +417,18 @@ mod imp {
     const POLLERR: i16 = 0x008;
     const POLLHUP: i16 = 0x010;
 
+    /// The reactor's readiness source, over `poll(2)`.
     pub struct Poller {
         pipe: SelfPipe,
         registered: HashMap<i32, (u64, Interest)>,
         buf: Vec<PollFd>,
     }
 
-    #[derive(Clone)]
-    pub struct Waker(Notifier);
-
-    impl Waker {
-        pub fn wake(&self) {
-            self.0.notify();
-        }
-    }
-
     impl Poller {
+        /// The backend name, surfaced in server stats.
+        pub const BACKEND: &'static str = "poll";
+
+        /// Open a poller (and its internal wake-up channel).
         pub fn new() -> io::Result<Self> {
             Ok(Self {
                 pipe: SelfPipe::new()?,
@@ -745,30 +437,48 @@ mod imp {
             })
         }
 
+        /// A handle other threads use to interrupt [`Poller::wait`].
         pub fn waker(&self) -> Waker {
             Waker(self.pipe.notifier())
         }
 
-        pub fn register(&mut self, fd: Source, token: u64, interest: Interest) -> io::Result<()> {
-            self.registered.insert(fd, (token, interest));
+        /// Start watching `source` under `token`.
+        pub fn register(
+            &mut self,
+            source: &impl AsRawFd,
+            token: u64,
+            interest: Interest,
+        ) -> io::Result<()> {
+            self.registered
+                .insert(source.as_raw_fd(), (token, interest));
             Ok(())
         }
 
-        pub fn update(&mut self, fd: Source, token: u64, interest: Interest) -> io::Result<()> {
-            self.registered.insert(fd, (token, interest));
+        /// Change what an already-registered source is interested in.
+        pub fn update(
+            &mut self,
+            source: &impl AsRawFd,
+            token: u64,
+            interest: Interest,
+        ) -> io::Result<()> {
+            self.register(source, token, interest)
+        }
+
+        /// Stop watching `source` (call before closing it).
+        pub fn deregister(&mut self, source: &impl AsRawFd) -> io::Result<()> {
+            self.registered.remove(&source.as_raw_fd());
             Ok(())
         }
 
-        pub fn deregister(&mut self, fd: Source) -> io::Result<()> {
-            self.registered.remove(&fd);
-            Ok(())
-        }
-
+        /// Block until at least one source is ready, a waker fires, or
+        /// `timeout` passes; readiness lands in `out` (cleared first).
+        /// Returns the number of readiness events (0 on timeout or wake).
         pub fn wait(
             &mut self,
             out: &mut Vec<Event>,
             timeout: Option<Duration>,
         ) -> io::Result<usize> {
+            out.clear();
             self.buf.clear();
             self.buf.push(PollFd {
                 fd: self.pipe.read_fd(),
@@ -789,11 +499,18 @@ mod imp {
                     revents: 0,
                 });
             }
-            let timeout_ms = timeout
-                .map(|t| i32::try_from(t.as_millis().max(1)).unwrap_or(i32::MAX))
-                .unwrap_or(-1);
             let rc = loop {
-                let rc = unsafe { poll(self.buf.as_mut_ptr(), self.buf.len() as u64, timeout_ms) };
+                // SAFETY: `buf` is a live, exclusively borrowed array of
+                // exactly the `buf.len()` `pollfd`s the count announces
+                // (the table is bounded by open descriptors, far inside
+                // `Nfds`), and `PollFd` is `repr(C)` with C's layout.
+                let rc = unsafe {
+                    poll(
+                        self.buf.as_mut_ptr(),
+                        self.buf.len() as Nfds,
+                        timeout_ms(timeout),
+                    )
+                };
                 if rc >= 0 {
                     break rc;
                 }
@@ -813,98 +530,12 @@ mod imp {
                     continue;
                 }
                 let (token, _) = self.registered[&raw.fd];
-                let hangup = raw.revents & (POLLHUP | POLLERR) != 0;
                 out.push(Event {
                     token,
                     readable: raw.revents & (POLLIN | POLLHUP | POLLERR) != 0,
                     writable: raw.revents & (POLLOUT | POLLERR) != 0,
-                    hangup,
+                    hangup: raw.revents & (POLLHUP | POLLERR) != 0,
                 });
-            }
-            Ok(out.len())
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Non-Unix: tick loop
-// ---------------------------------------------------------------------
-
-#[cfg(not(unix))]
-mod imp {
-    use super::{Event, Interest, Source};
-    use std::collections::HashMap;
-    use std::io;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    pub const BACKEND: &str = "tick";
-
-    /// Reported readiness cadence while blocked.
-    const TICK: Duration = Duration::from_millis(2);
-
-    pub struct Poller {
-        registered: HashMap<Source, (u64, Interest)>,
-        woken: Arc<AtomicBool>,
-    }
-
-    #[derive(Clone)]
-    pub struct Waker(Arc<AtomicBool>);
-
-    impl Waker {
-        pub fn wake(&self) {
-            self.0.store(true, Ordering::Release);
-        }
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Self> {
-            Ok(Self {
-                registered: HashMap::new(),
-                woken: Arc::new(AtomicBool::new(false)),
-            })
-        }
-
-        pub fn waker(&self) -> Waker {
-            Waker(Arc::clone(&self.woken))
-        }
-
-        pub fn register(&mut self, s: Source, token: u64, interest: Interest) -> io::Result<()> {
-            self.registered.insert(s, (token, interest));
-            Ok(())
-        }
-
-        pub fn update(&mut self, s: Source, token: u64, interest: Interest) -> io::Result<()> {
-            self.registered.insert(s, (token, interest));
-            Ok(())
-        }
-
-        pub fn deregister(&mut self, s: Source) -> io::Result<()> {
-            self.registered.remove(&s);
-            Ok(())
-        }
-
-        pub fn wait(
-            &mut self,
-            out: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<usize> {
-            // One short sleep keeps the loop from spinning; nonblocking
-            // sockets make the "everything is ready" report harmless.
-            if !self.woken.swap(false, Ordering::Acquire) {
-                std::thread::sleep(timeout.map(|t| t.min(TICK)).unwrap_or(TICK));
-                self.woken.store(false, Ordering::Release);
-            }
-            for (_, (token, interest)) in &self.registered {
-                if interest.read || interest.write {
-                    out.push(Event {
-                        token: *token,
-                        readable: interest.read,
-                        writable: interest.write,
-                        hangup: false,
-                    });
-                }
             }
             Ok(out.len())
         }
@@ -913,138 +544,186 @@ mod imp {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use std::io::{Read, Write};
-    use std::net::{TcpListener, TcpStream};
-    use std::time::Duration;
+    use super::{Event, Interest};
+    use std::io::{self, Read, Write};
+    use std::net::{Shutdown, TcpListener, TcpStream};
+    use std::time::{Duration, Instant};
 
-    #[test]
-    fn poller_sees_listener_and_stream_readiness() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        listener.set_nonblocking(true).unwrap();
-        let mut poller = Poller::new().unwrap();
-        poller
-            .register(source_of_listener(&listener, 1), 1, Interest::READ)
-            .unwrap();
+    /// The `Poller` contract the reactor relies on, run against both
+    /// backend modules: each case's body is compiled once per backend
+    /// with `Poller` naming that module's type.
+    macro_rules! on_each_backend {
+        ($(fn $case:ident() $body:block)*) => {$(
+            #[test]
+            fn $case() {
+                #[cfg(target_os = "linux")]
+                {
+                    use super::epoll::Poller;
+                    eprintln!("backend: {}", Poller::BACKEND);
+                    $body
+                }
+                {
+                    use super::poll::Poller;
+                    eprintln!("backend: {}", Poller::BACKEND);
+                    $body
+                }
+            }
+        )*};
+    }
 
-        // No client yet: a short wait returns no events (tick backend may
-        // report readiness, but accept would WouldBlock — skip there).
+    /// Turn `wait` (a backend's `Poller::wait`) until an event matches
+    /// `wanted`; `false` if none does within two seconds.
+    fn saw(
+        mut wait: impl FnMut(&mut Vec<Event>, Option<Duration>) -> io::Result<usize>,
+        wanted: impl Fn(&Event) -> bool,
+    ) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(2);
         let mut events = Vec::new();
-        if poller.backend() != "tick" {
-            poller
-                .wait(&mut events, Some(Duration::from_millis(20)))
-                .unwrap();
-            assert!(events.iter().all(|e| e.token != 1 || !e.readable));
+        loop {
+            wait(&mut events, Some(Duration::from_millis(50))).unwrap();
+            if events.iter().any(&wanted) {
+                return true;
+            }
+            if Instant::now() > deadline {
+                return false;
+            }
         }
+    }
 
-        // A connecting client makes the listener readable.
-        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        let ready = loop {
-            poller
-                .wait(&mut events, Some(Duration::from_millis(50)))
-                .unwrap();
-            if events.iter().any(|e| e.token == 1 && e.readable) {
-                break true;
-            }
-            if std::time::Instant::now() > deadline {
-                break false;
-            }
-        };
-        assert!(ready, "listener never became readable");
+    /// A connected loopback pair: (client, nonblocking server side).
+    fn pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server_side, _) = listener.accept().unwrap();
         server_side.set_nonblocking(true).unwrap();
-        poller
-            .register(source_of(&server_side, 2), 2, Interest::READ)
-            .unwrap();
+        (client, server_side)
+    }
 
-        // Data from the client makes the accepted stream readable.
-        client.write_all(b"ping").unwrap();
-        client.flush().unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        loop {
-            poller
-                .wait(&mut events, Some(Duration::from_millis(50)))
-                .unwrap();
-            if events.iter().any(|e| e.token == 2 && e.readable) {
-                break;
-            }
+    const SHORT: Option<Duration> = Some(Duration::from_millis(20));
+
+    on_each_backend! {
+        fn poller_sees_listener_and_stream_readiness() {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            listener.set_nonblocking(true).unwrap();
+            let mut poller = Poller::new().unwrap();
+            poller.register(&listener, 1, Interest::READ).unwrap();
+
+            // No client yet: a short wait returns no events.
+            let mut events = Vec::new();
+            poller.wait(&mut events, SHORT).unwrap();
+            assert!(events.is_empty());
+
+            // A connecting client makes the listener readable.
+            let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
             assert!(
-                std::time::Instant::now() < deadline,
+                saw(|ev, t| poller.wait(ev, t), |e| e.token == 1 && e.readable),
+                "listener never became readable"
+            );
+            let (server_side, _) = listener.accept().unwrap();
+            server_side.set_nonblocking(true).unwrap();
+            poller.register(&server_side, 2, Interest::READ).unwrap();
+
+            // Data from the client makes the accepted stream readable.
+            client.write_all(b"ping").unwrap();
+            assert!(
+                saw(|ev, t| poller.wait(ev, t), |e| e.token == 2 && e.readable),
                 "stream never readable"
             );
-        }
-        let mut buf = [0u8; 8];
-        let mut stream = &server_side;
-        assert_eq!(stream.read(&mut buf).unwrap(), 4);
+            let mut buf = [0u8; 8];
+            assert_eq!((&server_side).read(&mut buf).unwrap(), 4);
 
-        // Write interest on an idle socket fires immediately (buffer has
-        // room).
-        poller
-            .update(source_of(&server_side, 2), 2, Interest::BOTH)
-            .unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        loop {
-            poller
-                .wait(&mut events, Some(Duration::from_millis(50)))
-                .unwrap();
-            if events.iter().any(|e| e.token == 2 && e.writable) {
-                break;
-            }
+            // Write interest on an idle socket fires immediately (buffer
+            // has room).
+            poller.update(&server_side, 2, Interest::BOTH).unwrap();
             assert!(
-                std::time::Instant::now() < deadline,
+                saw(|ev, t| poller.wait(ev, t), |e| e.token == 2 && e.writable),
                 "stream never writable"
             );
         }
-        poller.deregister(source_of(&server_side, 2)).unwrap();
 
-        // EOF after deregistration must not resurface token 2.
-        drop(client);
-        poller
-            .wait(&mut events, Some(Duration::from_millis(20)))
-            .unwrap();
-        assert!(events.iter().all(|e| e.token != 2));
-    }
+        fn parked_sources_stay_silent_until_rearmed() {
+            let (mut client, server_side) = pair();
+            let mut poller = Poller::new().unwrap();
+            poller.register(&server_side, 7, Interest::READ).unwrap();
+            client.write_all(b"ping").unwrap();
+            assert!(saw(|ev, t| poller.wait(ev, t), |e| e.token == 7 && e.readable));
 
-    #[test]
-    fn waker_interrupts_a_blocked_wait_from_another_thread() {
-        let mut poller = Poller::new().unwrap();
-        let waker = poller.waker();
-        let handle = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            waker.wake();
-        });
-        let started = std::time::Instant::now();
-        let mut events = Vec::new();
-        // Block "forever": only the waker can end this before the outer
-        // timeout would fail the test.
-        poller
-            .wait(&mut events, Some(Duration::from_secs(10)))
-            .unwrap();
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "wake-up never arrived"
-        );
-        handle.join().unwrap();
-    }
+            // Parked with the bytes still unread: ready, but not reported.
+            poller.update(&server_side, 7, Interest::NONE).unwrap();
+            let mut events = Vec::new();
+            poller.wait(&mut events, SHORT).unwrap();
+            assert!(events.is_empty(), "{events:?}");
 
-    #[test]
-    fn wakes_coalesce_and_do_not_leave_stale_readiness() {
-        let mut poller = Poller::new().unwrap();
-        let waker = poller.waker();
-        for _ in 0..1000 {
-            waker.wake();
+            // Re-armed: level-triggered readiness resurfaces at once.
+            poller.update(&server_side, 7, Interest::READ).unwrap();
+            assert!(saw(|ev, t| poller.wait(ev, t), |e| e.token == 7 && e.readable));
         }
-        let mut events = Vec::new();
-        poller
-            .wait(&mut events, Some(Duration::from_millis(100)))
-            .unwrap();
-        // All 1000 wakes drained in one turn: the next wait times out
-        // instead of spinning on a stale pipe byte.
-        let started = std::time::Instant::now();
-        poller
-            .wait(&mut events, Some(Duration::from_millis(30)))
-            .unwrap();
-        assert!(started.elapsed() >= Duration::from_millis(25));
+
+        fn deregistered_sources_yield_no_further_event() {
+            let (mut client, server_side) = pair();
+            let mut poller = Poller::new().unwrap();
+            poller.register(&server_side, 2, Interest::BOTH).unwrap();
+            assert!(saw(|ev, t| poller.wait(ev, t), |e| e.token == 2 && e.writable));
+            poller.deregister(&server_side).unwrap();
+
+            // Neither pending data, nor the peer's EOF, nor closing the
+            // descriptor itself resurfaces the token.
+            client.write_all(b"late").unwrap();
+            drop(client);
+            let mut events = Vec::new();
+            poller.wait(&mut events, SHORT).unwrap();
+            assert!(events.is_empty(), "{events:?}");
+            drop(server_side);
+            poller.wait(&mut events, SHORT).unwrap();
+            assert!(events.is_empty(), "{events:?}");
+        }
+
+        fn peer_close_reports_hangup_with_readable() {
+            let (client, server_side) = pair();
+            let mut poller = Poller::new().unwrap();
+            poller.register(&server_side, 3, Interest::READ).unwrap();
+
+            // A peer that merely closes is an EOF to read, not yet a
+            // hangup: this side may still write.
+            drop(client);
+            assert!(saw(|ev, t| poller.wait(ev, t), |e| e.token == 3 && e.readable));
+            assert_eq!((&server_side).read(&mut [0u8; 8]).unwrap(), 0);
+
+            // Both directions shut: a hangup, and always readable with it
+            // so the owner reads, observes the end, and closes.
+            server_side.shutdown(Shutdown::Write).unwrap();
+            assert!(saw(|ev, t| poller.wait(ev, t), |e| e.token == 3 && e.hangup && e.readable));
+        }
+
+        fn waker_interrupts_a_blocked_wait_from_another_thread() {
+            let mut poller = Poller::new().unwrap();
+            let waker = poller.waker();
+            let handle = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(30));
+                waker.wake();
+            });
+            let started = Instant::now();
+            let mut events = Vec::new();
+            // Block "forever": only the waker can end this before the
+            // outer timeout would fail the test.
+            poller.wait(&mut events, Some(Duration::from_secs(10))).unwrap();
+            assert!(started.elapsed() < Duration::from_secs(5), "wake-up never arrived");
+            handle.join().unwrap();
+        }
+
+        fn wakes_coalesce_and_do_not_leave_stale_readiness() {
+            let mut poller = Poller::new().unwrap();
+            let waker = poller.waker();
+            for _ in 0..1000 {
+                waker.wake();
+            }
+            let mut events = Vec::new();
+            poller.wait(&mut events, Some(Duration::from_millis(100))).unwrap();
+            // All 1000 wakes drained in one turn: the next wait times out
+            // instead of spinning on a stale pipe byte.
+            let started = Instant::now();
+            poller.wait(&mut events, Some(Duration::from_millis(30))).unwrap();
+            assert!(started.elapsed() >= Duration::from_millis(25));
+        }
     }
 }

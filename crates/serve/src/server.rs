@@ -5,7 +5,7 @@
 //!
 //! ```text
 //!                 ┌────────────────────────────────────────────┐
-//!  TCP clients ──▶│ reactor thread (epoll/kqueue/poll, 1 thread)│
+//!  TCP clients ──▶│ reactor thread (epoll or poll, 1 thread)    │
 //!                 │  accept · decode · verbs · admission drain  │
 //!                 │  observer fan-out · bounded write buffers   │
 //!                 └───────┬───────────────▲────────────────────┘
@@ -54,7 +54,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ml4all::{CancelToken, Engine, EventSink, JobEvent, JobStatus, ModelRef, PredictRequest};
+use ml4all::{Engine, EventSink, JobEvent, JobHandle, JobStatus, ModelRef, PredictRequest};
 use ml4all::{ExplainRequest, SessionError, TrainRequest, Trained, RNG_STREAM_VERSION};
 
 use crate::admission::{Admission, TenantQuota};
@@ -63,7 +63,7 @@ use crate::protocol::{
     WireEvent, WireJob, WireServerStats, WireStats, WireTrained, DEFAULT_MAX_FRAME,
     PROTOCOL_VERSION,
 };
-use crate::reactor::{source_of, source_of_listener, Event, Interest, Poller, Waker};
+use crate::reactor::{Event, Interest, Poller, Waker};
 
 /// Server configuration: address, framing cap, and admission policy.
 #[derive(Debug, Clone)]
@@ -130,16 +130,27 @@ const FIRST_CONN_TOKEN: u64 = 2;
 /// serialized exactly once, shared by every observer, indexed by
 /// sequence number.
 struct Progress {
-    engine_id: Option<u64>,
-    cancel: Option<CancelToken>,
+    /// The engine's handle once dispatched: the job's engine id, status
+    /// and cancellation. `None` while queued, and for a job cancelled
+    /// before its turn came.
+    handle: Option<JobHandle>,
     cancel_requested: bool,
     /// `frames[seq]` is the complete `Event{seq, …}` response frame.
     frames: Vec<Arc<[u8]>>,
-    outcome: Option<WireTrained>,
+    /// Set *after* the last event frame, so `Some` implies `frames` is
+    /// complete.
+    finished: Option<Finished>,
+}
+
+/// A finished job's record: the weights live once, in the encoded
+/// `Joined` frame.
+struct Finished {
+    /// `completed` / `cancelled` / `failed`.
+    status: &'static str,
     /// Pre-framed `Joined(outcome)` response.
-    outcome_frame: Option<Arc<[u8]>>,
+    joined: Arc<[u8]>,
     /// Pre-framed `ObserveEnd` response.
-    end_frame: Option<Arc<[u8]>>,
+    end: Arc<[u8]>,
 }
 
 /// One wire-submitted job.
@@ -195,7 +206,6 @@ struct Shared {
     actions: Mutex<VecDeque<Action>>,
     waker: Waker,
     counters: Counters,
-    backend: &'static str,
 }
 
 impl Shared {
@@ -226,11 +236,7 @@ impl Server {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let mut poller = Poller::new()?;
-        poller.register(
-            source_of_listener(&listener, LISTENER_TOKEN),
-            LISTENER_TOKEN,
-            Interest::READ,
-        )?;
+        poller.register(&listener, LISTENER_TOKEN, Interest::READ)?;
         let admission = Admission::new(
             config.drr_quantum,
             config.global_in_flight,
@@ -239,7 +245,6 @@ impl Server {
         for (tenant, quota) in &config.tenant_quotas {
             admission.set_quota(tenant, *quota);
         }
-        let backend = poller.backend();
         let waker = poller.waker();
         let verb_workers = config.verb_workers.max(1);
         let shared = Arc::new(Shared {
@@ -253,7 +258,6 @@ impl Server {
             actions: Mutex::new(VecDeque::new()),
             waker,
             counters: Counters::default(),
-            backend,
         });
         let (verb_tx, verb_rx) = mpsc::channel::<VerbTask>();
         let verb_rx = Arc::new(Mutex::new(verb_rx));
@@ -351,18 +355,16 @@ impl EventSink for JobSink {
     }
 
     fn finished(&self, outcome: &Result<Trained, SessionError>) {
-        let outcome = match outcome {
+        let blank = blank_outcome(self.job.id);
+        let (status, outcome) = match outcome {
             Ok(trained) => {
                 let (weights, weights_bits) = self
                     .shared
                     .engine
                     .model(&trained.name)
                     .map(|model| protocol::encode_weights(model.weights.as_slice()))
-                    .map(|(w, b)| (Some(w), Some(b)))
-                    .unwrap_or((None, None));
-                WireTrained {
-                    job: self.job.id,
-                    status: "completed".to_string(),
+                    .unzip();
+                let outcome = WireTrained {
                     name: Some(self.job.name.clone()),
                     plan: Some(trained.summary.plan.to_string()),
                     iterations: Some(trained.summary.iterations),
@@ -370,39 +372,40 @@ impl EventSink for JobSink {
                     sim_time_s: Some(trained.summary.sim_time_s),
                     weights,
                     weights_bits,
-                    error: None,
-                }
+                    ..blank
+                };
+                ("completed", outcome)
             }
             Err(SessionError::Cancelled { iterations }) => {
-                cancelled_outcome(self.job.id, *iterations)
+                let outcome = WireTrained {
+                    iterations: Some(*iterations),
+                    ..blank
+                };
+                ("cancelled", outcome)
             }
-            Err(other) => WireTrained {
-                job: self.job.id,
-                status: "failed".to_string(),
-                name: None,
-                plan: None,
-                iterations: None,
-                converged: None,
-                sim_time_s: None,
-                weights: None,
-                weights_bits: None,
-                error: Some(other.to_string()),
-            },
+            Err(other) => {
+                let outcome = WireTrained {
+                    error: Some(other.to_string()),
+                    ..blank
+                };
+                ("failed", outcome)
+            }
         };
-        finalize(&self.shared, &self.job, outcome);
+        finalize(&self.shared, &self.job, status, outcome);
         self.shared
             .post([Action::JobDirty(Arc::clone(&self.job)), Action::Dispatch]);
     }
 }
 
-/// The terminal record of a job cancelled after `iterations`.
-fn cancelled_outcome(job: u64, iterations: u64) -> WireTrained {
+/// A terminal record with every optional field empty; [`finalize`] fills
+/// in the status.
+fn blank_outcome(job: u64) -> WireTrained {
     WireTrained {
         job,
-        status: "cancelled".to_string(),
+        status: String::new(),
         name: None,
         plan: None,
-        iterations: Some(iterations),
+        iterations: None,
         converged: None,
         sim_time_s: None,
         weights: None,
@@ -411,28 +414,21 @@ fn cancelled_outcome(job: u64, iterations: u64) -> WireTrained {
     }
 }
 
-/// Store a job's outcome and its pre-framed `Joined`/`ObserveEnd`
-/// responses, then free its admission slot. The outcome is recorded
-/// *after* the last event frame, so `outcome.is_some()` implies the
-/// event buffer is complete.
-fn finalize(shared: &Shared, job: &ServedJob, outcome: WireTrained) {
-    let end_frame = encode_frame(&Response::Ok(Payload::ObserveEnd {
+/// Record a job's terminal `status` with its pre-framed `Joined(outcome)`
+/// and `ObserveEnd` responses, then free its admission slot.
+fn finalize(shared: &Shared, job: &ServedJob, status: &'static str, mut outcome: WireTrained) {
+    let end = encode_frame(&Response::Ok(Payload::ObserveEnd {
         job: job.id,
-        status: outcome.status.clone(),
+        status: status.to_string(),
     }))
     .expect("serialize");
-    // The outcome is lent to the response for encoding, not cloned: it
-    // carries the whole weight vector twice.
-    let joined = Response::Ok(Payload::Joined(outcome));
-    let outcome_frame = encode_frame(&joined).expect("serialize");
-    let Response::Ok(Payload::Joined(outcome)) = joined else {
-        unreachable!("built as Joined just above");
-    };
-    let mut state = job.state.lock().expect("job state");
-    state.outcome_frame = Some(outcome_frame.into());
-    state.end_frame = Some(end_frame.into());
-    state.outcome = Some(outcome);
-    drop(state);
+    outcome.status = status.to_string();
+    let joined = encode_frame(&Response::Ok(Payload::Joined(outcome))).expect("serialize");
+    job.state.lock().expect("job state").finished = Some(Finished {
+        status,
+        joined: joined.into(),
+        end: end.into(),
+    });
     job.dirty.store(true, Ordering::Release);
     shared.admission.complete(&job.tenant);
 }
@@ -694,7 +690,7 @@ impl Reactor {
                     self.next_token += 1;
                     if self
                         .poller
-                        .register(source_of(&stream, token), token, Interest::READ)
+                        .register(&stream, token, Interest::READ)
                         .is_err()
                     {
                         continue;
@@ -895,9 +891,9 @@ impl Reactor {
                 Err(e) => self.respond(token, &Response::Err(e)),
                 Ok(job) => {
                     let mut state = job.state.lock().expect("job state");
-                    if state.outcome.is_none() {
-                        match &state.cancel {
-                            Some(cancel) => cancel.cancel(),
+                    if state.finished.is_none() {
+                        match &state.handle {
+                            Some(handle) => handle.cancel(),
                             // Still queued: dispatch finalizes it as
                             // cancelled when its turn comes.
                             None => state.cancel_requested = true,
@@ -910,7 +906,10 @@ impl Reactor {
             Request::Join { job } => match owned_job(&self.shared, tenant, job) {
                 Err(e) => self.respond(token, &Response::Err(e)),
                 Ok(job) => {
-                    let ready = job.state.lock().expect("job state").outcome_frame.clone();
+                    let ready = {
+                        let state = job.state.lock().expect("job state");
+                        state.finished.as_ref().map(|f| Arc::clone(&f.joined))
+                    };
                     match ready {
                         Some(frame) => {
                             self.queue_frame(token, frame);
@@ -955,7 +954,7 @@ impl Reactor {
             Request::ServerStats => {
                 let c = &self.shared.counters;
                 let response = Response::Ok(Payload::ServerStats(WireServerStats {
-                    backend: self.shared.backend.to_string(),
+                    backend: Poller::BACKEND.to_string(),
                     active_connections: c.active_connections.load(Ordering::Relaxed),
                     total_connections: c.total_connections.load(Ordering::Relaxed),
                     wakeups: c.wakeups.load(Ordering::Relaxed),
@@ -1006,9 +1005,9 @@ impl Reactor {
         let Some(tokens) = self.waiters.remove(&job.id) else {
             return;
         };
-        let (outcome_frame, done) = {
+        let joined = {
             let state = job.state.lock().expect("job state");
-            (state.outcome_frame.clone(), state.outcome.is_some())
+            state.finished.as_ref().map(|f| Arc::clone(&f.joined))
         };
         let mut still_waiting = Vec::new();
         for token in tokens {
@@ -1047,8 +1046,8 @@ impl Reactor {
                         still_waiting.push(token);
                     }
                 }
-                Some(PendingVerb::Join { .. }) => match (&outcome_frame, done) {
-                    (Some(frame), true) => {
+                Some(PendingVerb::Join { .. }) => match &joined {
+                    Some(frame) => {
                         let frame = Arc::clone(frame);
                         if let Some(conn) = self.conns.get_mut(&token) {
                             conn.pending = None;
@@ -1056,7 +1055,7 @@ impl Reactor {
                         self.queue_frame(token, frame);
                         self.service(token);
                     }
-                    _ => still_waiting.push(token),
+                    None => still_waiting.push(token),
                 },
                 _ => continue,
             }
@@ -1095,7 +1094,7 @@ impl Reactor {
                 conn.wbuf.is_empty(),
             )
         };
-        let (batch, end_frame, done, head) = {
+        let (batch, end_frame, head) = {
             let state = job.state.lock().expect("job state");
             let head = state.frames.len();
             let mut budget = max.saturating_sub(wbuf_bytes);
@@ -1113,17 +1112,13 @@ impl Reactor {
                 batch.push(Arc::clone(frame));
                 at += 1;
             }
-            (
-                batch,
-                state.end_frame.clone(),
-                state.outcome.is_some(),
-                head,
-            )
+            let end_frame = state.finished.as_ref().map(|f| Arc::clone(&f.end));
+            (batch, end_frame, head)
         };
         let new_cursor = cursor_now + batch.len();
         // Frames are never appended after a job turns terminal, so the
-        // snapshot's head is final once `done` is set.
-        let finished = done && new_cursor >= head;
+        // snapshot's head is final once the end frame exists.
+        let finished = end_frame.is_some() && new_cursor >= head;
         if batch.is_empty() && !finished {
             return false;
         }
@@ -1183,16 +1178,19 @@ impl Reactor {
                     .into(),
                 );
                 drop(state);
-                finalize(&self.shared, &job, cancelled_outcome(job.id, 0));
+                let outcome = WireTrained {
+                    iterations: Some(0),
+                    ..blank_outcome(job.id)
+                };
+                finalize(&self.shared, &job, "cancelled", outcome);
                 self.deliver_job(&job);
                 continue;
             }
-            let handle = self
-                .shared
-                .engine
-                .submit_with_sink(request, &job.tenant, sink);
-            state.engine_id = Some(handle.id());
-            state.cancel = Some(handle.cancel_token());
+            state.handle = Some(
+                self.shared
+                    .engine
+                    .submit_with_sink(request, &job.tenant, sink),
+            );
         }
     }
 
@@ -1310,12 +1308,7 @@ impl Reactor {
             return;
         };
         let want = conn.desired_interest();
-        if want != conn.interest
-            && self
-                .poller
-                .update(source_of(&conn.stream, token), token, want)
-                .is_ok()
-        {
+        if want != conn.interest && self.poller.update(&conn.stream, token, want).is_ok() {
             conn.interest = want;
         }
     }
@@ -1389,7 +1382,7 @@ impl Reactor {
         let Some(conn) = self.conns.remove(&token) else {
             return;
         };
-        let _ = self.poller.deregister(source_of(&conn.stream, token));
+        let _ = self.poller.deregister(&conn.stream);
         if let Some(job_id) = conn.pending.as_ref().and_then(PendingVerb::job_id) {
             if let Some(waiting) = self.waiters.get_mut(&job_id) {
                 waiting.retain(|t| *t != token);
@@ -1426,13 +1419,10 @@ fn submit(shared: &Shared, tenant: &str, train: &protocol::WireTrain, cost: usiz
         tenant: tenant.to_string(),
         name: visible,
         state: Mutex::new(Progress {
-            engine_id: None,
-            cancel: None,
+            handle: None,
             cancel_requested: false,
             frames: Vec::new(),
-            outcome: None,
-            outcome_frame: None,
-            end_frame: None,
+            finished: None,
         }),
         dirty: AtomicBool::new(false),
     });
@@ -1446,7 +1436,7 @@ fn submit(shared: &Shared, tenant: &str, train: &protocol::WireTrain, cost: usiz
             let excess = jobs.len() - SERVED_HISTORY_CAP;
             let prunable: Vec<u64> = jobs
                 .iter()
-                .filter(|(_, j)| j.state.lock().expect("job state").outcome.is_some())
+                .filter(|(_, j)| j.state.lock().expect("job state").finished.is_some())
                 .map(|(id, _)| *id)
                 .take(excess)
                 .collect();
@@ -1474,13 +1464,10 @@ fn submit(shared: &Shared, tenant: &str, train: &protocol::WireTrain, cost: usiz
 }
 
 /// This tenant's stats: admission counters plus its job table. A
-/// finished job's status is its recorded outcome; only a dispatched job
-/// without one is looked up in an [`Engine::jobs`] snapshot — the engine
-/// is the single source of truth for running jobs — and that snapshot is
-/// taken at most once, when the first such job is met.
+/// finished job's status is its recorded outcome; a dispatched job
+/// without one reports what its engine handle says.
 fn stats(shared: &Shared, tenant: &str) -> WireStats {
     let lane = shared.admission.stats(tenant);
-    let mut engine_status: Option<HashMap<u64, JobStatus>> = None;
     let mut jobs: Vec<WireJob> = shared
         .jobs
         .lock()
@@ -1489,24 +1476,14 @@ fn stats(shared: &Shared, tenant: &str) -> WireStats {
         .filter(|job| job.tenant == tenant)
         .map(|job| {
             let state = job.state.lock().expect("job state");
-            let status = match (&state.outcome, state.engine_id) {
-                (Some(outcome), _) => terminal_status(&outcome.status),
-                (None, Some(engine_id)) => engine_status
-                    .get_or_insert_with(|| {
-                        shared
-                            .engine
-                            .jobs()
-                            .into_iter()
-                            .map(|info| (info.id, info.status))
-                            .collect()
-                    })
-                    .get(&engine_id)
-                    .map_or("running", |status| status_name(*status)),
+            let status = match (&state.finished, &state.handle) {
+                (Some(finished), _) => finished.status,
+                (None, Some(handle)) => status_name(handle.status()),
                 (None, None) => "queued",
             };
             WireJob {
                 job: job.id,
-                engine_id: state.engine_id,
+                engine_id: state.handle.as_ref().map(JobHandle::id),
                 name: Some(job.name.clone()),
                 status: Cow::Borrowed(status),
             }
@@ -1535,17 +1512,6 @@ fn stats(shared: &Shared, tenant: &str) -> WireStats {
             .map(|snapshot| snapshot.residual_confidence()),
         replans: shared.engine.replans(),
         jobs,
-    }
-}
-
-/// The `'static` spelling of a recorded outcome's status — one of the
-/// three literals [`JobSink::finished`] writes — so a job-table row
-/// borrows it instead of cloning a `String` per row.
-fn terminal_status(status: &str) -> &'static str {
-    match status {
-        "completed" => "completed",
-        "cancelled" => "cancelled",
-        _ => "failed",
     }
 }
 

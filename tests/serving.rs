@@ -407,6 +407,68 @@ fn admission_refuses_over_quota_submissions_with_typed_busy_backpressure() {
     }
 }
 
+#[test]
+fn stats_job_table_walks_queued_running_and_terminal_rows() {
+    let config = ServeConfig {
+        global_in_flight: 1,
+        ..ServeConfig::default()
+    };
+    let server = serve(Engine::new(), config);
+    let mut client = connect(&server, "acme");
+    let row = |client: &mut Client, job: u64| {
+        let stats = client.stats().expect("stats");
+        let jobs: Vec<u64> = stats.jobs.iter().map(|row| row.job).collect();
+        assert!(jobs.is_sorted(), "rows are in submission order: {jobs:?}");
+        stats
+            .jobs
+            .into_iter()
+            .find(|row| row.job == job)
+            .expect("own job is listed")
+    };
+
+    // The hog takes the only slot; the two behind it stay queued.
+    let hog = client.submit(&hog_train("hog")).expect("submit hog");
+    let next = client.submit(&adult_train(5, 0, "next")).expect("submit");
+    let dropped = client
+        .submit(&adult_train(5, 0, "dropped"))
+        .expect("submit");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let hog_engine_id = loop {
+        let hog_row = row(&mut client, hog);
+        if hog_row.status == "running" {
+            break hog_row.engine_id.expect("a running job was dispatched");
+        }
+        // Not yet picked up by a worker: `queued`, with or without an id.
+        assert_eq!(hog_row.status, "queued");
+        assert!(Instant::now() < deadline, "hog never started");
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    for queued in [next, dropped] {
+        let queued_row = row(&mut client, queued);
+        assert_eq!(queued_row.status, "queued");
+        assert_eq!(queued_row.engine_id, None);
+    }
+    assert_eq!(row(&mut client, next).name.as_deref(), Some("next"));
+
+    // Cancelled while queued: terminal without ever reaching the engine.
+    // Cancelled while running: terminal, engine id kept.
+    client.cancel(dropped).expect("cancel queued");
+    client.cancel(hog).expect("cancel hog");
+    assert_eq!(client.join(hog).expect("join hog").status, "cancelled");
+    assert_eq!(client.join(next).expect("join next").status, "completed");
+    assert_eq!(client.join(dropped).expect("join").status, "cancelled");
+
+    let hog_row = row(&mut client, hog);
+    assert_eq!(hog_row.status, "cancelled");
+    assert_eq!(hog_row.engine_id, Some(hog_engine_id));
+    let next_row = row(&mut client, next);
+    assert_eq!(next_row.status, "completed");
+    assert!(next_row.engine_id.expect("dispatched") > hog_engine_id);
+    let dropped_row = row(&mut client, dropped);
+    assert_eq!(dropped_row.status, "cancelled");
+    assert_eq!(dropped_row.engine_id, None);
+}
+
 /// Raw-socket peer: complete the Hello handshake without a
 /// [`Client`] so the test controls every byte on the wire afterwards.
 fn raw_hello(server: &Server, tenant: &str) -> (TcpStream, BufReader<TcpStream>) {
