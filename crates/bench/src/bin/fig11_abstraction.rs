@@ -19,9 +19,7 @@ use ml4all_gd::{GdPlan, GdVariant, TransformPolicy};
 
 /// Dispatch cost per iteration attributed to the operator abstraction
 /// (boxed-trait calls, context lookups): a deliberately generous charge
-/// — a boxed operator call measured ~141 ns against ~155 ns direct
-/// (`BENCH_baseline.json`, `abstraction_dispatch/*`, the bench since
-/// retired).
+/// — a boxed operator call measured ~141 ns against ~155 ns direct.
 const DISPATCH_S_PER_ITER: f64 = 2.0e-4;
 
 fn main() {

@@ -40,14 +40,8 @@ pub fn run_plan(
 struct DenseTailCompute(GradientCompute);
 
 impl ComputeOp for DenseTailCompute {
-    fn compute(&self, point: PointView<'_>, ctx: &Context, acc: &mut ComputeAcc) {
-        self.0.compute(point, ctx, acc);
-    }
-    fn compute4(&self, points: [PointView<'_>; 4], ctx: &Context, acc: &mut ComputeAcc) {
-        self.0.compute4(points, ctx, acc);
-    }
-    fn compute8(&self, points: [PointView<'_>; 8], ctx: &Context, acc: &mut ComputeAcc) {
-        self.0.compute8(points, ctx, acc);
+    fn compute(&self, units: &[PointView<'_>], ctx: &Context, acc: &mut ComputeAcc) {
+        self.0.compute(units, ctx, acc);
     }
 }
 

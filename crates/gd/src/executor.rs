@@ -2,6 +2,14 @@
 //! dataset, genuinely iterating the optimization while charging the
 //! simulated cost ledger (Equations 3–5) for every phase the paper's cost
 //! model accounts for (Equations 7–9).
+//!
+//! [`execute`] is the loop: preparation (`Stage`, eager `Transform`), then
+//! per iteration a wave (`Sample`, `Compute` — fed consecutive slices by
+//! [`Batches`]), a tail (`Update`, `Converge`, tick) and a wave
+//! boundary where checkpoints, cancellation, `Loop`, replan yields and the
+//! wall budget are decided — the same boundary a resumed run starts at.
+//! [`execute_plan`] and [`execute_plan_observed`] run it with the reference
+//! operators.
 
 use std::time::{Duration, Instant};
 
@@ -13,14 +21,10 @@ use ml4all_linalg::{DenseVector, FeatureView, LabeledPoint, PointView};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Placeholder for initializing fixed-size view batches before they are
-/// filled from sampled coordinates.
-const EMPTY_FEATURES: FeatureView<'static> = FeatureView::Dense(&[]);
-
 use crate::context::Context;
-use crate::gradient::{GradientKind, Regularizer};
+use crate::gradient::{Batches, GradientKind, Regularizer};
 use crate::operators::{
-    ComputeAcc, FixedSample, GdOperators, GradientCompute, IdentityTransform, L1Converge, RawUnit,
+    ComputeAcc, FixedSample, GdOperators, GradientCompute, IdentityTransform, L1Converge,
     SampleSize, StepUpdate, Support, ToleranceLoop, UpdateOutcome, ZeroStage,
 };
 use crate::plan::{GdPlan, GdVariant, TransformPolicy};
@@ -237,7 +241,7 @@ pub fn execute_plan_observed(
 ) -> Result<TrainResult, GdError> {
     let dims = data.descriptor().dims;
     let ops = reference_operators(plan, params, dims);
-    execute_with_operators_observed(plan, data, &ops, params, env, hooks)
+    execute(plan, data, &ops, params, env, hooks)
 }
 
 /// Transformed-view storage: either the original columnar partitions or a
@@ -403,68 +407,25 @@ impl WaveSupport {
     }
 }
 
-/// Run the compute operator over every row of a columnar partition,
-/// feeding 8-row batches through [`ComputeOp::compute8`] (the SIMD batch
-/// width of the dense gradient kernels), a final quad through
-/// [`ComputeOp::compute4`], and the remainder one by one. The batch
-/// boundaries depend only on the partition's row count, so the pass is
-/// deterministic and worker-count-independent; batched dense rows are
-/// scored in the fixed blocked order (see [`crate::gradient`]).
-fn compute_over_columns(
-    cols: &ColumnStore,
+/// Run the compute operator over a partition's rows, cut into slices from
+/// its first row — so the pass is deterministic and worker-count-independent.
+fn compute_over<'a>(
+    rows: impl Iterator<Item = PointView<'a>>,
     ops: &GdOperators,
     ctx: &Context,
     acc: &mut ComputeAcc,
 ) {
-    let n = cols.len();
-    let mut oi = 0usize;
-    // Dense slabs build the batch views straight off the raw columns —
-    // one enum match per partition instead of one per row.
-    if let Some((labels, values, dims)) = cols.as_dense() {
-        while oi + 8 <= n {
-            let views = std::array::from_fn(|k| {
-                let i = oi + k;
-                PointView::new(
-                    labels[i],
-                    FeatureView::Dense(&values[i * dims..(i + 1) * dims]),
-                )
-            });
-            ops.compute.compute8(views, ctx, acc);
-            oi += 8;
-        }
-    }
-    while oi + 8 <= n {
-        let views = std::array::from_fn(|k| cols.view(oi + k).expect("row in range"));
-        ops.compute.compute8(views, ctx, acc);
-        oi += 8;
-    }
-    if oi + 4 <= n {
-        let views = std::array::from_fn(|k| cols.view(oi + k).expect("row in range"));
-        ops.compute.compute4(views, ctx, acc);
-        oi += 4;
-    }
-    while oi < n {
-        ops.compute
-            .compute(cols.view(oi).expect("row in range"), ctx, acc);
-        oi += 1;
+    let mut batches = Batches::new(rows);
+    while let Some(units) = batches.next_batch() {
+        ops.compute.compute(units, ctx, acc);
     }
 }
 
 /// Execute a plan with a custom operator bundle — the extension point that
-/// SVRG, line search, and user-defined algorithms plug into.
-pub fn execute_with_operators(
-    plan: &GdPlan,
-    data: &PartitionedDataset,
-    ops: &GdOperators,
-    params: &TrainParams,
-    env: &mut SimEnv,
-) -> Result<TrainResult, GdError> {
-    execute_with_operators_observed(plan, data, ops, params, env, &ExecHooks::default())
-}
-
-/// [`execute_with_operators`] under observation hooks (ticks +
-/// cancellation at wave boundaries).
-pub fn execute_with_operators_observed(
+/// SVRG, line search, and user-defined algorithms plug into — under
+/// observation hooks (ticks, checkpoints, cancellation and replan yields,
+/// all honoured at wave boundaries; [`ExecHooks::default`] for none).
+pub fn execute(
     plan: &GdPlan,
     data: &PartitionedDataset,
     ops: &GdOperators,
@@ -500,6 +461,12 @@ pub fn execute_with_operators_observed(
         )));
     }
 
+    let transform_one = |unit: PointView<'_>, ctx: &Context| {
+        let t = ops.transform.transform(unit, ctx)?;
+        check_transformed_dims(t.dim(), dims)?;
+        Ok::<_, GdError>(t)
+    };
+
     // ---- Preparation phase: eager Transform ----
     let store = if plan.transform == TransformPolicy::Eager {
         env.charge_full_scan_io(&desc, StorageMedium::Disk);
@@ -522,9 +489,7 @@ pub fn execute_with_operators_observed(
                         ColumnarBuilder::new()
                     };
                     for v in part.iter() {
-                        let t = ops.transform.transform(RawUnit::View(v), &ctx)?;
-                        check_transformed_dims(t.dim(), dims)?;
-                        b.push_point(&t);
+                        b.push_point(&transform_one(v, &ctx)?);
                     }
                     Ok(b.finish_with_dims(part_dims))
                 });
@@ -542,6 +507,11 @@ pub fn execute_with_operators_observed(
     let mut sampler = plan.sampling.map(SamplerState::new);
     let mut prev_weights = ctx.weights.clone();
     let mut acc = ComputeAcc::new(dims);
+    let mut error_seq = Vec::new();
+    if params.record_error_seq {
+        error_seq.reserve(params.max_iter.min(8192) as usize);
+    }
+    let mut final_delta = f64::INFINITY;
     // Resume: the deterministic preparation above re-ran from scratch;
     // now jump the mutable loop state to the checkpointed boundary. The
     // restored ledger already contains the original run's preparation
@@ -561,6 +531,10 @@ pub fn execute_with_operators_observed(
             sampler = Some(SamplerState::restore(snap));
         }
         env.ledger.restore(rs.cost, rs.usage.clone());
+        final_delta = rs.final_delta;
+        if params.record_error_seq {
+            error_seq.extend_from_slice(&rs.error_seq);
+        }
     }
     // Reused across every iteration: per-partition wave scratch, the
     // sampled-coordinate and wave-support buffers, the previous-weights
@@ -589,42 +563,58 @@ pub fn execute_with_operators_observed(
         .collect();
     let model_bytes = (dims as u64) * 8;
     let mut coords: Vec<(usize, usize)> = Vec::new();
-    let mut error_seq = Vec::new();
-    if params.record_error_seq {
-        error_seq.reserve(params.max_iter.min(8192) as usize);
-    }
-    let mut final_delta = f64::INFINITY;
-    if let Some(rs) = &hooks.resume {
-        final_delta = rs.final_delta;
-        if params.record_error_seq {
-            error_seq.extend_from_slice(&rs.error_seq);
-        }
-    }
-    // A resumed run re-checks the boundary conditions *before* running a
-    // wave: a cancel latched between restore and the first wave yields the
+    let unit_bytes = desc.unit_bytes().ceil() as u64;
+    let lazy_transform = plan.transform == TransformPolicy::Lazy && !ops.transform.is_identity();
+    // The wave boundary the loop stands at: the delta the last iteration
+    // left to decide on (infinite after an internal-only one) and whether
+    // a durability checkpoint falls due here. A cold start has none before
+    // its first wave; a resumed run starts *at* the checkpointed boundary,
+    // so a cancel latched between restore and the first wave yields the
     // checkpoint's exact prefix, and a checkpoint taken at a stopping
     // condition does not run extra iterations.
-    let mut resume_boundary = hooks.resume.is_some();
+    let mut boundary = hooks.resume.as_ref().map(|rs| (rs.final_delta, false));
     let mut replan_requested = false;
     let mut resume_state: Option<Box<ExecState>> = None;
-    let stop;
-    let unit_bytes = desc.unit_bytes().ceil() as u64;
-    let lazy_parse = plan.transform == TransformPolicy::Lazy && !ops.transform.is_identity();
 
-    loop {
-        if resume_boundary {
-            resume_boundary = false;
-            if hooks.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                stop = StopReason::Cancelled;
-                break;
+    let stop = loop {
+        if let Some((delta, checkpoint_due)) = boundary {
+            // Everything the loop mutates, sufficient to continue from
+            // this boundary bit-identically.
+            let capture = || ExecState {
+                iteration: ctx.iteration,
+                weights: ctx.weights.as_slice().to_vec(),
+                prev_weights: prev_weights.as_slice().to_vec(),
+                final_delta,
+                error_seq: error_seq.clone(),
+                rng_state: rng.state(),
+                sampler: sampler.as_ref().map(SamplerState::snapshot),
+                cost: env.snapshot(),
+                usage: env.ledger.usage().clone(),
+            };
+            if let (true, Some(on_checkpoint)) = (checkpoint_due, hooks.on_checkpoint) {
+                on_checkpoint(capture());
             }
-            if !ops.loop_op.should_continue(final_delta, &ctx) {
-                stop = if final_delta < params.tolerance {
+            // Cooperative cancellation: observed once per iteration, after
+            // the wave in flight completed — never mid-wave — so the result
+            // is the exact prefix of an uninterrupted run.
+            if hooks.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+                break StopReason::Cancelled;
+            }
+            if !ops.loop_op.should_continue(delta, &ctx) {
+                break if delta < params.tolerance {
                     StopReason::Converged
                 } else {
                     StopReason::MaxIterations
                 };
-                break;
+            }
+            // Replan yield: only after cancellation and natural stopping
+            // have had their say — a converged run never replans.
+            if replan_requested {
+                resume_state = Some(Box::new(capture()));
+                break StopReason::Replan;
+            }
+            if params.wall_budget.is_some_and(|b| start.elapsed() >= b) {
+                break StopReason::WallBudget;
             }
         }
         ctx.iteration += 1;
@@ -662,14 +652,14 @@ pub fn execute_with_operators_observed(
                         slot.acc.reset();
                         slot.error = None;
                         let cols = store.columns(pi);
-                        if lazy_parse {
+                        if lazy_transform {
+                            // A lazily transformed unit is a unit of its
+                            // own: `Compute` scores it singly.
                             for v in cols.iter() {
-                                let transformed = ops
-                                    .transform
-                                    .transform(RawUnit::View(v), ctx_ref)
-                                    .and_then(|t| check_transformed_dims(t.dim(), dims).map(|_| t));
-                                match transformed {
-                                    Ok(t) => ops.compute.compute(t.view(), ctx_ref, &mut slot.acc),
+                                match transform_one(v, ctx_ref) {
+                                    Ok(t) => {
+                                        ops.compute.compute(&[t.view()], ctx_ref, &mut slot.acc)
+                                    }
                                     Err(e) => {
                                         slot.error = Some(e);
                                         return;
@@ -677,7 +667,21 @@ pub fn execute_with_operators_observed(
                                 }
                             }
                         } else {
-                            compute_over_columns(cols, ops, ctx_ref, &mut slot.acc);
+                            // Dense slabs hand out rows straight off the
+                            // raw columns: one enum match per partition
+                            // instead of one per row.
+                            match cols.as_dense() {
+                                Some((labels, values, d)) => compute_over(
+                                    (0..labels.len()).map(|i| {
+                                        let row = &values[i * d..(i + 1) * d];
+                                        PointView::new(labels[i], FeatureView::Dense(row))
+                                    }),
+                                    ops,
+                                    ctx_ref,
+                                    &mut slot.acc,
+                                ),
+                                None => compute_over(cols.iter(), ops, ctx_ref, &mut slot.acc),
+                            }
                         }
                     });
                 scratch.merge_into(&mut acc)?;
@@ -714,52 +718,36 @@ pub fn execute_with_operators_observed(
                 }
                 env.meter_cluster_sample(drawn as u64, unit_bytes);
                 env.charge_serial_cpu(drawn as u64, env.spec.cpu_gradient_s(avg_nnz));
-                let lookup = |pi: usize, oi: usize| {
-                    store
-                        .view(pi, oi)
-                        .ok_or(ml4all_dataflow::DataflowError::PartitionOutOfBounds {
+                // Fused sampler→gradient pass: the freshly drawn
+                // coordinates feed straight into `Compute`, cut from the
+                // first draw, with no intermediate materialization. A
+                // coordinate outside the store ends the wave.
+                let mut missing = None;
+                let views = coords.iter().map_while(|&(pi, oi)| {
+                    let view = store.view(pi, oi);
+                    if view.is_none() {
+                        missing = Some(ml4all_dataflow::DataflowError::PartitionOutOfBounds {
                             index: pi,
                             partitions: data.num_partitions(),
-                        })
-                };
-                if lazy_parse {
-                    for &(pi, oi) in &coords {
-                        let t = ops
-                            .transform
-                            .transform(RawUnit::View(lookup(pi, oi)?), &ctx)?;
-                        check_transformed_dims(t.dim(), dims)?;
+                        });
+                    }
+                    view
+                });
+                if lazy_transform {
+                    for v in views {
+                        let t = transform_one(v, &ctx)?;
                         wave_support.note(&[t.view()]);
-                        ops.compute.compute(t.view(), &ctx, &mut acc);
+                        ops.compute.compute(&[t.view()], &ctx, &mut acc);
                     }
                 } else {
-                    // Fused sampler→gradient pass: the freshly drawn
-                    // coordinates feed straight into batched gradient
-                    // accumulation — 8-row SIMD batches, one quad, then
-                    // singles — with no intermediate materialization.
-                    let mut octets = coords.chunks_exact(8);
-                    for oct in octets.by_ref() {
-                        let mut views = [PointView::new(0.0, EMPTY_FEATURES); 8];
-                        for (v, &(pi, oi)) in views.iter_mut().zip(oct) {
-                            *v = lookup(pi, oi)?;
-                        }
-                        wave_support.note(&views);
-                        ops.compute.compute8(views, &ctx, &mut acc);
+                    let mut batches = Batches::new(views);
+                    while let Some(units) = batches.next_batch() {
+                        wave_support.note(units);
+                        ops.compute.compute(units, &ctx, &mut acc);
                     }
-                    let rest = octets.remainder();
-                    let mut quads = rest.chunks_exact(4);
-                    for quad in quads.by_ref() {
-                        let mut views = [PointView::new(0.0, EMPTY_FEATURES); 4];
-                        for (v, &(pi, oi)) in views.iter_mut().zip(quad) {
-                            *v = lookup(pi, oi)?;
-                        }
-                        wave_support.note(&views);
-                        ops.compute.compute4(views, &ctx, &mut acc);
-                    }
-                    for &(pi, oi) in quads.remainder() {
-                        let v = lookup(pi, oi)?;
-                        wave_support.note(&[v]);
-                        ops.compute.compute(v, &ctx, &mut acc);
-                    }
+                }
+                if let Some(e) = missing {
+                    return Err(e.into());
                 }
             }
         }
@@ -781,7 +769,7 @@ pub fn execute_with_operators_observed(
             });
         }
 
-        let delta = match outcome {
+        boundary = Some(match outcome {
             UpdateOutcome::Updated => {
                 let d = ops.converge.converge_on(&prev_weights, &ctx, changed);
                 env.charge_serial_cpu(1, env.spec.cpu_converge_s(dims));
@@ -808,78 +796,21 @@ pub fn execute_with_operators_observed(
                         replan_requested = replan(&tick);
                     }
                 }
-                // Durability checkpoint at the wave boundary: everything
-                // the loop mutates, captured after this iteration's
-                // update, tick, and convergence bookkeeping.
-                if hooks.checkpoint_every > 0
-                    && ctx.iteration.is_multiple_of(hooks.checkpoint_every)
-                {
-                    if let Some(on_checkpoint) = hooks.on_checkpoint {
-                        on_checkpoint(ExecState {
-                            iteration: ctx.iteration,
-                            weights: ctx.weights.as_slice().to_vec(),
-                            prev_weights: prev_weights.as_slice().to_vec(),
-                            final_delta: d,
-                            error_seq: error_seq.clone(),
-                            rng_state: rng.state(),
-                            sampler: sampler.as_ref().map(SamplerState::snapshot),
-                            cost: env.snapshot(),
-                            usage: env.ledger.usage().clone(),
-                        });
-                    }
-                }
-                d
+                // Durability checkpoints fall on converge-checked
+                // iterations, after the update, the convergence
+                // bookkeeping and the tick.
+                let checkpoint_due = hooks.checkpoint_every > 0
+                    && ctx.iteration.is_multiple_of(hooks.checkpoint_every);
+                (d, checkpoint_due)
             }
             // Internal-only iterations (line-search shrinks) skip the
             // convergence check; an infinite delta keeps the loop going.
             UpdateOutcome::InternalOnly => {
                 tail_may_skip &= changed == Support::Indices(&[]);
-                f64::INFINITY
+                (f64::INFINITY, false)
             }
-        };
-
-        // Cooperative cancellation: observed once per iteration, after
-        // the wave in flight completed — never mid-wave — so the result
-        // is the exact prefix of an uninterrupted run.
-        if hooks.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            stop = StopReason::Cancelled;
-            break;
-        }
-
-        if !ops.loop_op.should_continue(delta, &ctx) {
-            stop = if delta < params.tolerance {
-                StopReason::Converged
-            } else {
-                StopReason::MaxIterations
-            };
-            break;
-        }
-        // Replan yield: only after cancellation and natural stopping have
-        // had their say — a converged run never replans. The captured
-        // state is exactly what a durability checkpoint at this boundary
-        // would hold.
-        if replan_requested {
-            resume_state = Some(Box::new(ExecState {
-                iteration: ctx.iteration,
-                weights: ctx.weights.as_slice().to_vec(),
-                prev_weights: prev_weights.as_slice().to_vec(),
-                final_delta,
-                error_seq: error_seq.clone(),
-                rng_state: rng.state(),
-                sampler: sampler.as_ref().map(SamplerState::snapshot),
-                cost: env.snapshot(),
-                usage: env.ledger.usage().clone(),
-            }));
-            stop = StopReason::Replan;
-            break;
-        }
-        if let Some(budget) = params.wall_budget {
-            if start.elapsed() >= budget {
-                stop = StopReason::WallBudget;
-                break;
-            }
-        }
-    }
+        });
+    };
 
     Ok(TrainResult {
         weights: ctx.weights,

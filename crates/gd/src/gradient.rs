@@ -1,6 +1,22 @@
 //! The gradient functions of Table 3 and the regularizers of Equation 1.
+//!
+//! # The batch rule
+//!
+//! The built-in gradients score a slice of rows (`w·x` each) in aligned
+//! octets, then one trailing quad, then singly. An all-dense octet goes
+//! through [`simd::dot8`]; any other octet is two quads. An all-dense quad
+//! goes through [`simd::dot4`], an all-CSR quad through
+//! [`simd::sparse_dot4`], any other quad and every trailing single through
+//! the sequential [`FeatureView::dot`]. The dense batch kernels use the
+//! fixed blocked reduction order of [`simd::dot_blocked`] — identical
+//! across ISAs, but not the sequential single-row order — so *where* a row
+//! stream is cut into batches decides the low bits of every model. The rule
+//! lives in this module and nowhere else: callers hand slices to the
+//! `*_batch` methods of [`Gradient`], and cut a longer stream with
+//! [`Batches`], which only ever cuts at a multiple of
+//! [`SCORE_LANES`].
 
-use ml4all_linalg::{LabeledPoint, PointView};
+use ml4all_linalg::{simd, FeatureView, LabeledPoint, PointView};
 use serde::{Deserialize, Serialize};
 
 /// A per-point (sub)gradient of a convex loss: the `∇f_i(w)` of Section 2.
@@ -31,95 +47,48 @@ pub trait Gradient: Send + Sync {
         self.loss_view(w, point)
     }
 
-    /// Accumulate four points in order. The default performs exactly four
-    /// [`Gradient::accumulate_view`] calls; batched implementations may
-    /// instead score all four dense rows with the fixed blocked reduction
-    /// order of [`ml4all_linalg::simd::dot_blocked`] — deterministic and
-    /// ISA-independent, but rounded differently from the sequential
-    /// single-row dot. Everything after scoring runs in row order.
-    fn accumulate_view4(&self, w: &[f64], points: [PointView<'_>; 4], acc: &mut [f64]) {
-        for p in points {
+    /// Accumulate `points` in order. The default is one
+    /// [`Gradient::accumulate_view`] per point; batched implementations may
+    /// instead score the slice by the [batch rule](crate::gradient) —
+    /// deterministic and ISA-independent, but dense rows scored in a batch
+    /// round differently from the sequential single-row dot. Everything
+    /// after scoring runs in row order.
+    fn accumulate_batch(&self, w: &[f64], points: &[PointView<'_>], acc: &mut [f64]) {
+        for &p in points {
             self.accumulate_view(w, p, acc);
         }
     }
 
-    /// Accumulate eight points in order — the wider sibling of
-    /// [`Gradient::accumulate_view4`], sized for 2×4-lane SIMD
-    /// accumulators, with the same scoring-order caveat.
-    fn accumulate_view8(&self, w: &[f64], points: [PointView<'_>; 8], acc: &mut [f64]) {
-        let [p0, p1, p2, p3, p4, p5, p6, p7] = points;
-        self.accumulate_view4(w, [p0, p1, p2, p3], acc);
-        self.accumulate_view4(w, [p4, p5, p6, p7], acc);
-    }
-
-    /// Sum four point losses into `loss_acc` in order. The accumulator is
-    /// threaded through (rather than returning a batch total) so the
-    /// batched path adds each loss to the running sum in exactly the
-    /// sequential order; per-row scores may use the batched dense order
-    /// (see [`Gradient::accumulate_view4`]).
-    fn loss_view4(&self, w: &[f64], points: [PointView<'_>; 4], loss_acc: &mut f64) {
-        for p in points {
+    /// Add the points' losses to `loss_acc` in order. The accumulator is
+    /// threaded through (rather than returning a batch total) so every
+    /// loss joins the running sum in exactly the sequential order; scores
+    /// follow [`Gradient::accumulate_batch`].
+    fn loss_batch(&self, w: &[f64], points: &[PointView<'_>], loss_acc: &mut f64) {
+        for &p in points {
             *loss_acc += self.loss_view(w, p);
         }
     }
 
-    /// Eight-point sibling of [`Gradient::loss_view4`].
-    fn loss_view8(&self, w: &[f64], points: [PointView<'_>; 8], loss_acc: &mut f64) {
-        let [p0, p1, p2, p3, p4, p5, p6, p7] = points;
-        self.loss_view4(w, [p0, p1, p2, p3], loss_acc);
-        self.loss_view4(w, [p4, p5, p6, p7], loss_acc);
-    }
-
-    /// Fused batched gradient + objective pass over four points: the
-    /// batched analogue of `for p in points { *loss_acc +=
-    /// self.accumulate_with_loss(w, p, acc) }`, where implementations can
-    /// share one batched `w·x` pass between both outputs.
-    fn accumulate_with_loss4(
+    /// Fused [`Gradient::accumulate_batch`] + [`Gradient::loss_batch`]: one
+    /// scoring pass feeds both outputs.
+    fn accumulate_with_loss_batch(
         &self,
         w: &[f64],
-        points: [PointView<'_>; 4],
+        points: &[PointView<'_>],
         acc: &mut [f64],
         loss_acc: &mut f64,
     ) {
-        for p in points {
+        for &p in points {
             *loss_acc += self.accumulate_with_loss(w, p, acc);
         }
     }
 
-    /// Eight-point sibling of [`Gradient::accumulate_with_loss4`].
-    fn accumulate_with_loss8(
-        &self,
-        w: &[f64],
-        points: [PointView<'_>; 8],
-        acc: &mut [f64],
-        loss_acc: &mut f64,
-    ) {
-        let [p0, p1, p2, p3, p4, p5, p6, p7] = points;
-        self.accumulate_with_loss4(w, [p0, p1, p2, p3], acc, loss_acc);
-        self.accumulate_with_loss4(w, [p4, p5, p6, p7], acc, loss_acc);
-    }
-
-    /// Predict labels for four points at once — four
-    /// [`Gradient::predict_view`] calls, except that batched dense scoring
-    /// may round raw regression scores differently (classification signs
-    /// are unaffected for any non-degenerate margin).
-    fn predict_view4(&self, w: &[f64], points: [PointView<'_>; 4]) -> [f64; 4] {
-        let [p0, p1, p2, p3] = points;
-        [
-            self.predict_view(w, p0),
-            self.predict_view(w, p1),
-            self.predict_view(w, p2),
-            self.predict_view(w, p3),
-        ]
-    }
-
-    /// Predict labels for eight points at once — the wider sibling of
-    /// [`Gradient::predict_view4`].
-    fn predict_view8(&self, w: &[f64], points: [PointView<'_>; 8]) -> [f64; 8] {
-        let [p0, p1, p2, p3, p4, p5, p6, p7] = points;
-        let lo = self.predict_view4(w, [p0, p1, p2, p3]);
-        let hi = self.predict_view4(w, [p4, p5, p6, p7]);
-        [lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]]
+    /// Append one [`Gradient::predict_view`] label per point to `out`,
+    /// except that batched dense scoring may round raw regression scores
+    /// differently (classification signs are unaffected for any
+    /// non-degenerate margin).
+    fn predict_batch(&self, w: &[f64], points: &[PointView<'_>], out: &mut Vec<f64>) {
+        out.extend(points.iter().map(|&p| self.predict_view(w, p)));
     }
 
     /// `true` only if every `accumulate_*` method adds to `acc` at the
@@ -144,6 +113,111 @@ pub trait Gradient: Send + Sync {
     /// Owned-point convenience for [`Gradient::predict_view`].
     fn predict(&self, w: &[f64], point: &LabeledPoint) -> f64 {
         self.predict_view(w, point.view())
+    }
+}
+
+/// Rows in the widest scoring batch: a row stream cut only at multiples of
+/// this keeps the [batch rule](self)'s cut points.
+pub const SCORE_LANES: usize = 8;
+
+/// An ordered row stream as consecutive slices off a fixed buffer held by
+/// value (no heap), cut only at multiples of [`SCORE_LANES`]: scoring the
+/// slices one after the other cuts the same octets, quad and singles as
+/// scoring the whole stream at once.
+pub struct Batches<'a, I> {
+    rows: std::iter::Fuse<I>,
+    buf: [PointView<'a>; SCORE_LANES],
+}
+
+impl<'a, I: Iterator<Item = PointView<'a>>> Batches<'a, I> {
+    /// Batch `rows`.
+    pub fn new(rows: I) -> Self {
+        Self {
+            rows: rows.fuse(),
+            buf: [PointView::new(0.0, FeatureView::Dense(&[])); SCORE_LANES],
+        }
+    }
+
+    /// The next slice; `None` once the stream is spent (an empty stream has
+    /// no slices).
+    #[inline]
+    pub fn next_batch(&mut self) -> Option<&[PointView<'a>]> {
+        let mut len = 0;
+        for (slot, row) in self.buf.iter_mut().zip(self.rows.by_ref()) {
+            *slot = row;
+            len += 1;
+        }
+        (len > 0).then(|| &self.buf[..len])
+    }
+}
+
+/// The `N` rows as dense slices of the model's width, if that is what they
+/// all are.
+#[inline]
+fn dense_rows<'a, const N: usize>(rows: &[PointView<'a>], width: usize) -> Option<[&'a [f64]; N]> {
+    let mut out: [&[f64]; N] = [&[]; N];
+    for (slot, row) in out.iter_mut().zip(rows) {
+        match row.features {
+            // Equal-length re-slices let the compiler elide bounds checks
+            // inside the fused kernel loop.
+            FeatureView::Dense(r) if r.len() == width => *slot = &r[..width],
+            _ => return None,
+        }
+    }
+    Some(out)
+}
+
+/// Four scores by the quad arm of the [batch rule](self).
+#[inline]
+fn quad_scores(w: &[f64], quad: &[PointView<'_>]) -> [f64; 4] {
+    if let Some(rows) = dense_rows::<4>(quad, w.len()) {
+        return simd::dot4(rows, w);
+    }
+    let mut indices: [&[u32]; 4] = [&[]; 4];
+    let mut values: [&[f64]; 4] = [&[]; 4];
+    for (k, row) in quad.iter().enumerate() {
+        match row.features {
+            FeatureView::Sparse {
+                dim,
+                indices: i,
+                values: v,
+            } if dim == w.len() => {
+                indices[k] = i;
+                values[k] = v;
+            }
+            // Mixed storage or a shape mismatch: row by row.
+            _ => return std::array::from_fn(|k| quad[k].features.dot(w)),
+        }
+    }
+    simd::sparse_dot4(indices, values, w)
+}
+
+/// The [batch rule](self): score `rows` against `w` and hand `f` each
+/// batch's scores beside its rows, batches in row order.
+#[inline]
+fn for_each_scored<'a>(
+    w: &[f64],
+    rows: &[PointView<'a>],
+    mut f: impl FnMut(&[f64], &[PointView<'a>]),
+) {
+    let mut octets = rows.chunks_exact(SCORE_LANES);
+    for octet in octets.by_ref() {
+        match dense_rows::<SCORE_LANES>(octet, w.len()) {
+            Some(dense) => f(&simd::dot8(dense, w), octet),
+            None => {
+                for quad in octet.chunks_exact(4) {
+                    f(&quad_scores(w, quad), quad);
+                }
+            }
+        }
+    }
+    // Fewer than eight rows are left: at most one quad, then singles.
+    let mut quads = octets.remainder().chunks_exact(4);
+    for quad in quads.by_ref() {
+        f(&quad_scores(w, quad), quad);
+    }
+    for row in quads.remainder() {
+        f(&[row.features.dot(w)], std::slice::from_ref(row));
     }
 }
 
@@ -210,75 +284,6 @@ impl GradientKind {
         }
     }
 
-    /// Batched `w·x` for four rows when a uniform batched kernel applies:
-    /// all-dense rows of matching length go through the runtime-dispatched
-    /// [`ml4all_linalg::simd::dot4`], all-sparse rows of matching
-    /// dimensionality through the lockstep
-    /// [`ml4all_linalg::simd::sparse_dot4`]. `None` means the caller must
-    /// fall back to per-point processing (mixed storage or shape
-    /// mismatch). Dense lanes follow the fixed blocked reduction order of
-    /// [`ml4all_linalg::simd::dot_blocked`] — identical across ISAs, but
-    /// not the sequential single-row order; sparse lanes stay bit-identical
-    /// to the sequential [`ml4all_linalg::FeatureView::dot`].
-    #[inline]
-    fn scores4(w: &[f64], feats: [ml4all_linalg::FeatureView<'_>; 4]) -> Option<[f64; 4]> {
-        use ml4all_linalg::{simd, FeatureView};
-        match feats {
-            [FeatureView::Dense(r0), FeatureView::Dense(r1), FeatureView::Dense(r2), FeatureView::Dense(r3)] =>
-            {
-                let n = w.len();
-                (r0.len() == n && r1.len() == n && r2.len() == n && r3.len() == n)
-                    // Equal-length re-slices let the compiler elide bounds
-                    // checks inside the fused loop.
-                    .then(|| simd::dot4([&r0[..n], &r1[..n], &r2[..n], &r3[..n]], w))
-            }
-            [FeatureView::Sparse {
-                dim: d0,
-                indices: i0,
-                values: v0,
-            }, FeatureView::Sparse {
-                dim: d1,
-                indices: i1,
-                values: v1,
-            }, FeatureView::Sparse {
-                dim: d2,
-                indices: i2,
-                values: v2,
-            }, FeatureView::Sparse {
-                dim: d3,
-                indices: i3,
-                values: v3,
-            }] => {
-                let n = w.len();
-                (d0 == n && d1 == n && d2 == n && d3 == n)
-                    .then(|| simd::sparse_dot4([i0, i1, i2, i3], [v0, v1, v2, v3], w))
-            }
-            _ => None,
-        }
-    }
-
-    /// Eight-row sibling of [`GradientKind::scores4`]: all-dense batches
-    /// use the 2×4-lane [`ml4all_linalg::simd::dot8`] (one pass over `w`
-    /// for all eight rows); anything else composes two four-row batches.
-    #[inline]
-    fn scores8(w: &[f64], feats: [ml4all_linalg::FeatureView<'_>; 8]) -> Option<[f64; 8]> {
-        use ml4all_linalg::{simd, FeatureView};
-        let n = w.len();
-        if feats
-            .iter()
-            .all(|f| matches!(f, FeatureView::Dense(r) if r.len() == n))
-        {
-            let rows: [&[f64]; 8] = std::array::from_fn(|k| match feats[k] {
-                FeatureView::Dense(r) => &r[..n],
-                FeatureView::Sparse { .. } => unreachable!("checked all-dense"),
-            });
-            return Some(simd::dot8(rows, w));
-        }
-        let lo = Self::scores4(w, [feats[0], feats[1], feats[2], feats[3]])?;
-        let hi = Self::scores4(w, [feats[4], feats[5], feats[6], feats[7]])?;
-        Some([lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]])
-    }
-
     /// Predicted label given the precomputed score `w·x`: the score's sign
     /// for classification, the raw score for regression.
     #[inline]
@@ -339,133 +344,41 @@ impl Gradient for GradientKind {
         self.loss_scored(score, point.label)
     }
 
-    /// Four rows share one batched scoring pass (runtime-dispatched SIMD
-    /// for dense, lockstep ILP for CSR); the per-row post-score logic runs
-    /// scalar in row order. Dense scores use the fixed blocked reduction
-    /// order, so the batch is deterministic but rounds differently from
-    /// four unbatched calls.
-    fn accumulate_view4(&self, w: &[f64], points: [PointView<'_>; 4], acc: &mut [f64]) {
-        match Self::scores4(w, std::array::from_fn(|k| points[k].features)) {
-            Some(s) => {
-                for k in 0..4 {
-                    self.accumulate_scored(s[k], points[k], acc);
-                }
+    fn accumulate_batch(&self, w: &[f64], points: &[PointView<'_>], acc: &mut [f64]) {
+        for_each_scored(w, points, |scores, rows| {
+            for (&score, &p) in scores.iter().zip(rows) {
+                self.accumulate_scored(score, p, acc);
             }
-            None => {
-                for p in points {
-                    self.accumulate_view(w, p, acc);
-                }
-            }
-        }
+        });
     }
 
-    /// Eight rows per batched scoring pass — the SIMD sweet spot for the
-    /// dense kernels (two 4-lane accumulators hide the add latency).
-    fn accumulate_view8(&self, w: &[f64], points: [PointView<'_>; 8], acc: &mut [f64]) {
-        match Self::scores8(w, std::array::from_fn(|k| points[k].features)) {
-            Some(s) => {
-                for k in 0..8 {
-                    self.accumulate_scored(s[k], points[k], acc);
-                }
+    fn loss_batch(&self, w: &[f64], points: &[PointView<'_>], loss_acc: &mut f64) {
+        for_each_scored(w, points, |scores, rows| {
+            for (&score, p) in scores.iter().zip(rows) {
+                *loss_acc += self.loss_scored(score, p.label);
             }
-            None => {
-                let [p0, p1, p2, p3, p4, p5, p6, p7] = points;
-                self.accumulate_view4(w, [p0, p1, p2, p3], acc);
-                self.accumulate_view4(w, [p4, p5, p6, p7], acc);
-            }
-        }
+        });
     }
 
-    fn loss_view4(&self, w: &[f64], points: [PointView<'_>; 4], loss_acc: &mut f64) {
-        match Self::scores4(w, std::array::from_fn(|k| points[k].features)) {
-            Some(s) => {
-                for k in 0..4 {
-                    *loss_acc += self.loss_scored(s[k], points[k].label);
-                }
-            }
-            None => {
-                for p in points {
-                    *loss_acc += self.loss_view(w, p);
-                }
-            }
-        }
-    }
-
-    fn loss_view8(&self, w: &[f64], points: [PointView<'_>; 8], loss_acc: &mut f64) {
-        match Self::scores8(w, std::array::from_fn(|k| points[k].features)) {
-            Some(s) => {
-                for k in 0..8 {
-                    *loss_acc += self.loss_scored(s[k], points[k].label);
-                }
-            }
-            None => {
-                let [p0, p1, p2, p3, p4, p5, p6, p7] = points;
-                self.loss_view4(w, [p0, p1, p2, p3], loss_acc);
-                self.loss_view4(w, [p4, p5, p6, p7], loss_acc);
-            }
-        }
-    }
-
-    /// One batched `w·x` pass feeds both the gradient and the loss for
-    /// four rows.
-    fn accumulate_with_loss4(
+    fn accumulate_with_loss_batch(
         &self,
         w: &[f64],
-        points: [PointView<'_>; 4],
+        points: &[PointView<'_>],
         acc: &mut [f64],
         loss_acc: &mut f64,
     ) {
-        match Self::scores4(w, std::array::from_fn(|k| points[k].features)) {
-            Some(s) => {
-                for k in 0..4 {
-                    self.accumulate_scored(s[k], points[k], acc);
-                    *loss_acc += self.loss_scored(s[k], points[k].label);
-                }
+        for_each_scored(w, points, |scores, rows| {
+            for (&score, &p) in scores.iter().zip(rows) {
+                self.accumulate_scored(score, p, acc);
+                *loss_acc += self.loss_scored(score, p.label);
             }
-            None => {
-                for p in points {
-                    *loss_acc += self.accumulate_with_loss(w, p, acc);
-                }
-            }
-        }
+        });
     }
 
-    /// One batched `w·x` pass feeds both the gradient and the loss for
-    /// eight rows.
-    fn accumulate_with_loss8(
-        &self,
-        w: &[f64],
-        points: [PointView<'_>; 8],
-        acc: &mut [f64],
-        loss_acc: &mut f64,
-    ) {
-        match Self::scores8(w, std::array::from_fn(|k| points[k].features)) {
-            Some(s) => {
-                for k in 0..8 {
-                    self.accumulate_scored(s[k], points[k], acc);
-                    *loss_acc += self.loss_scored(s[k], points[k].label);
-                }
-            }
-            None => {
-                let [p0, p1, p2, p3, p4, p5, p6, p7] = points;
-                self.accumulate_with_loss4(w, [p0, p1, p2, p3], acc, loss_acc);
-                self.accumulate_with_loss4(w, [p4, p5, p6, p7], acc, loss_acc);
-            }
-        }
-    }
-
-    fn predict_view4(&self, w: &[f64], points: [PointView<'_>; 4]) -> [f64; 4] {
-        match Self::scores4(w, std::array::from_fn(|k| points[k].features)) {
-            Some(s) => std::array::from_fn(|k| self.score_to_prediction(s[k])),
-            None => std::array::from_fn(|k| self.predict_view(w, points[k])),
-        }
-    }
-
-    fn predict_view8(&self, w: &[f64], points: [PointView<'_>; 8]) -> [f64; 8] {
-        match Self::scores8(w, std::array::from_fn(|k| points[k].features)) {
-            Some(s) => std::array::from_fn(|k| self.score_to_prediction(s[k])),
-            None => std::array::from_fn(|k| self.predict_view(w, points[k])),
-        }
+    fn predict_batch(&self, w: &[f64], points: &[PointView<'_>], out: &mut Vec<f64>) {
+        for_each_scored(w, points, |scores, _| {
+            out.extend(scores.iter().map(|&score| self.score_to_prediction(score)));
+        });
     }
 
     fn predict_view(&self, w: &[f64], point: PointView<'_>) -> f64 {
@@ -613,6 +526,77 @@ mod tests {
                 assert_eq!(loss_sep.to_bits(), loss_fused.to_bits(), "{kind:?}");
             }
         }
+    }
+
+    /// Mixed dense/CSR batches — which no dataset constructor produces, so
+    /// `tests/batch_contract.rs` cannot reach them — score per half: a
+    /// uniform half through its quad kernel, a mixed one row by row.
+    #[test]
+    fn mixed_storage_batches_score_per_half() {
+        use ml4all_linalg::SparseVector;
+        let w: Vec<f64> = (0..11).map(|j| 0.37 * j as f64 - 1.9).collect();
+        let dense = |k: usize| {
+            let xs = (0..11)
+                .map(|j| ((k * 11 + j) as f64 * 0.73).sin())
+                .collect();
+            pt(1.0, xs)
+        };
+        let sparse = |k: usize| {
+            let idx = vec![k as u32 % 3, 4 + k as u32 % 2, 7, 10];
+            let vals = idx
+                .iter()
+                .map(|&i| ((k + i as usize) as f64).cos())
+                .collect();
+            let features = SparseVector::new(11, idx, vals).unwrap();
+            LabeledPoint::new(-1.0, FeatureVec::Sparse(features))
+        };
+        // D D D D | S S S S   D S D D | S S S S   S D S D   D
+        let layout = "DDDDSSSSDSDDSSSSSDSDD";
+        let points: Vec<LabeledPoint> = layout
+            .bytes()
+            .enumerate()
+            .map(|(k, c)| if c == b'D' { dense(k) } else { sparse(k) })
+            .collect();
+        let rows: Vec<PointView<'_>> = points.iter().map(|p| p.view()).collect();
+        let d = |k: usize| match rows[k].features {
+            FeatureView::Dense(r) => r,
+            FeatureView::Sparse { .. } => panic!("row {k} is sparse"),
+        };
+        let s = |k: usize| match rows[k].features {
+            FeatureView::Sparse {
+                indices, values, ..
+            } => (indices, values),
+            FeatureView::Dense(_) => panic!("row {k} is dense"),
+        };
+        let sparse4 = |k: usize| {
+            let (i, v): (Vec<_>, Vec<_>) = (k..k + 4).map(s).unzip();
+            simd::sparse_dot4([i[0], i[1], i[2], i[3]], [v[0], v[1], v[2], v[3]], &w)
+        };
+        let mut want = Vec::new();
+        want.extend(simd::dot4([d(0), d(1), d(2), d(3)], &w));
+        want.extend(sparse4(4));
+        want.extend((8..12).map(|k| rows[k].features.dot(&w)));
+        want.extend(sparse4(12));
+        want.extend((16..21).map(|k| rows[k].features.dot(&w)));
+
+        let mut got = Vec::new();
+        for_each_scored(&w, &rows, |scores, _| got.extend_from_slice(scores));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+
+        // The batch methods are that scoring plus Table 3 in row order.
+        let kind = GradientKind::LogisticRegression;
+        let (mut loss, mut want_loss) = (0.0, 0.0);
+        kind.loss_batch(&w, &rows, &mut loss);
+        for (score, row) in want.iter().zip(&rows) {
+            want_loss += kind.loss_scored(*score, row.label);
+        }
+        assert_eq!(loss.to_bits(), want_loss.to_bits());
+        // Golden: a different cut, kernel or summation order moves these bits.
+        assert_eq!(loss.to_bits(), 0x4035_0fad_647b_9b37);
+        let mut predicted = Vec::new();
+        GradientKind::LinearRegression.predict_batch(&w, &rows, &mut predicted);
+        assert_eq!(bits(&predicted), bits(&want));
     }
 
     #[test]

@@ -19,6 +19,9 @@
 //! eager/lazy × sampling strategy — Figure 5), and an [`executor`] that
 //! wires them together over a [`ml4all_dataflow::PartitionedDataset`],
 //! charging the simulated cost ledger while genuinely iterating the math.
+//! There is one loop, [`execute`]; `Compute` is one method over a slice of
+//! units, and how a slice is scored in SIMD batches — the rule that decides
+//! the low bits of every model — is written once, in [`gradient`].
 //!
 //! Accelerated algorithms are expressed *in the same abstraction*, exactly
 //! as Appendix C shows: [`svrg`] flattens SVRG's nested loop through
@@ -37,14 +40,14 @@ pub mod svrg;
 
 pub use context::{Context, Extra};
 pub use executor::{
-    execute_plan, execute_plan_observed, execute_with_operators, execute_with_operators_observed,
-    ExecHooks, IterationTick, StopReason, TrainParams, TrainResult,
+    execute, execute_plan, execute_plan_observed, ExecHooks, IterationTick, StopReason,
+    TrainParams, TrainResult,
 };
 pub use gradient::{Gradient, GradientKind, Regularizer};
 pub use objective::{dataset_loss, partitioned_loss};
 pub use operators::{
-    ComputeAcc, ComputeOp, ConvergeOp, GdOperators, LoopOp, RawUnit, SampleOp, SampleSize, StageOp,
-    Support, TransformOp, UpdateOp, UpdateOutcome,
+    ComputeAcc, ComputeOp, ConvergeOp, GdOperators, LoopOp, SampleOp, SampleSize, StageOp, Support,
+    TransformOp, UpdateOp, UpdateOutcome,
 };
 pub use plan::{GdPlan, GdVariant, TransformPolicy};
 pub use step::StepSize;
@@ -52,8 +55,6 @@ pub use step::StepSize;
 /// Errors raised while constructing or executing GD plans.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GdError {
-    /// A raw text unit could not be parsed into a data unit.
-    Parse { line: String, reason: String },
     /// The plan combination is outside the Figure 5 search space
     /// (e.g. BGD with sampling, or lazy transformation with Bernoulli).
     InvalidPlan(String),
@@ -69,7 +70,6 @@ pub enum GdError {
 impl std::fmt::Display for GdError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::Parse { line, reason } => write!(f, "cannot parse {line:?}: {reason}"),
             Self::InvalidPlan(msg) => write!(f, "invalid GD plan: {msg}"),
             Self::Diverged { iteration } => {
                 write!(

@@ -11,10 +11,10 @@
 //! shrink-until-acceptable structure).
 
 use ml4all_dataflow::{PartitionedDataset, SimEnv};
-use ml4all_linalg::{DenseVector, LabeledPoint};
+use ml4all_linalg::{DenseVector, LabeledPoint, PointView};
 
 use crate::context::{Context, Extra};
-use crate::executor::{execute_with_operators, TrainParams, TrainResult};
+use crate::executor::{execute, ExecHooks, TrainParams, TrainResult};
 use crate::gradient::{Gradient, GradientKind};
 use crate::operators::{
     ComputeAcc, ComputeOp, FixedSample, GdOperators, IdentityTransform, L1Converge, SampleSize,
@@ -55,7 +55,7 @@ impl StageOp for LineSearchStage {
 /// `Compute` for line-search BGD (Listing 9): gradient + objective in the
 /// gradient phase; probe objective in the step-size phase. The gradient
 /// phase runs the *fused* gradient+objective pass
-/// ([`Gradient::accumulate_with_loss`]), sharing one `w·x` dot product
+/// ([`Gradient::accumulate_with_loss_batch`]), sharing one scoring pass
 /// between the two outputs.
 pub struct LineSearchCompute {
     /// Underlying gradient function.
@@ -63,66 +63,20 @@ pub struct LineSearchCompute {
 }
 
 impl ComputeOp for LineSearchCompute {
-    fn compute(&self, point: ml4all_linalg::PointView<'_>, ctx: &Context, acc: &mut ComputeAcc) {
-        if ctx.flag("isStepSizeIter").unwrap_or(false) {
-            let probe = ctx.vector("ls_w_probe").expect("probe weights staged");
-            acc.scalar += self.gradient.loss_view(probe.as_slice(), point);
-        } else {
-            acc.scalar += self.gradient.accumulate_with_loss(
-                ctx.weights.as_slice(),
-                point,
-                acc.primary.as_mut_slice(),
-            );
-        }
-        acc.count += 1;
-    }
-
-    /// Batched line-search compute: probe iterations evaluate four losses
-    /// per batched `w·x` pass, gradient iterations run the fused batched
-    /// gradient+objective kernel. Bit-identical to four sequential
-    /// [`ComputeOp::compute`] calls.
-    fn compute4(
-        &self,
-        points: [ml4all_linalg::PointView<'_>; 4],
-        ctx: &Context,
-        acc: &mut ComputeAcc,
-    ) {
+    fn compute(&self, units: &[PointView<'_>], ctx: &Context, acc: &mut ComputeAcc) {
         if ctx.flag("isStepSizeIter").unwrap_or(false) {
             let probe = ctx.vector("ls_w_probe").expect("probe weights staged");
             self.gradient
-                .loss_view4(probe.as_slice(), points, &mut acc.scalar);
+                .loss_batch(probe.as_slice(), units, &mut acc.scalar);
         } else {
-            self.gradient.accumulate_with_loss4(
+            self.gradient.accumulate_with_loss_batch(
                 ctx.weights.as_slice(),
-                points,
+                units,
                 acc.primary.as_mut_slice(),
                 &mut acc.scalar,
             );
         }
-        acc.count += 4;
-    }
-
-    /// Eight-row sibling of [`LineSearchCompute::compute4`] — the SIMD
-    /// batch width the executor's full-scan waves feed.
-    fn compute8(
-        &self,
-        points: [ml4all_linalg::PointView<'_>; 8],
-        ctx: &Context,
-        acc: &mut ComputeAcc,
-    ) {
-        if ctx.flag("isStepSizeIter").unwrap_or(false) {
-            let probe = ctx.vector("ls_w_probe").expect("probe weights staged");
-            self.gradient
-                .loss_view8(probe.as_slice(), points, &mut acc.scalar);
-        } else {
-            self.gradient.accumulate_with_loss8(
-                ctx.weights.as_slice(),
-                points,
-                acc.primary.as_mut_slice(),
-                &mut acc.scalar,
-            );
-        }
-        acc.count += 8;
+        acc.count += units.len() as u64;
     }
 }
 
@@ -236,5 +190,12 @@ pub fn execute_line_search_bgd(
         params.tolerance,
         params.max_iter,
     );
-    execute_with_operators(&GdPlan::bgd(), data, &ops, params, env)
+    execute(
+        &GdPlan::bgd(),
+        data,
+        &ops,
+        params,
+        env,
+        &ExecHooks::default(),
+    )
 }

@@ -3,30 +3,21 @@
 //! implementations for all the common use cases; expert users could readily
 //! customize or override them").
 
-use ml4all_linalg::{DenseVector, FeatureVec, LabeledPoint, PointView, SparseVector};
+use ml4all_linalg::{DenseVector, FeatureVec, LabeledPoint, PointView};
 
 use crate::context::{Context, Extra};
 use crate::gradient::{Gradient, GradientKind, Regularizer};
 use crate::step::StepSize;
 use crate::GdError;
 
-/// A raw input data unit, before `Transform`.
-#[derive(Debug, Clone, Copy)]
-pub enum RawUnit<'a> {
-    /// A text line from the input file (CSV or LIBSVM).
-    Text(&'a str),
-    /// An already-materialized point (the in-memory fast path).
-    Point(&'a LabeledPoint),
-    /// A zero-copy row borrowed from columnar storage — the shape the
-    /// executor's lazy-transform paths hand over without materializing a
-    /// point per row.
-    View(PointView<'a>),
-}
-
-/// **Operator 1 — `Transform(U) → U_T`**: parse/normalize one input unit.
+/// **Operator 1 — `Transform(U) → U_T`**: normalize one input unit. Units
+/// arrive parsed: the text-to-unit step of Listing 1 / Figure 3a is the
+/// ingest parser every file goes through (`ml4all_datasets::csv`,
+/// `ml4all_datasets::libsvm`), which fills the columnar storage these
+/// zero-copy rows are borrowed from.
 pub trait TransformOp: Send + Sync {
-    /// Produce a parsed data unit.
-    fn transform(&self, unit: RawUnit<'_>, ctx: &Context) -> Result<LabeledPoint, GdError>;
+    /// Produce a transformed data unit.
+    fn transform(&self, unit: PointView<'_>, ctx: &Context) -> Result<LabeledPoint, GdError>;
 
     /// `true` when `transform` is the identity on already-parsed points,
     /// letting the executor skip materializing a transformed copy.
@@ -171,28 +162,14 @@ impl ComputeAcc {
 /// Units arrive as zero-copy [`PointView`]s borrowed from the columnar
 /// storage — the hot loop never materializes a point.
 pub trait ComputeOp: Send + Sync {
-    /// Accumulate this unit's contribution.
-    fn compute(&self, point: PointView<'_>, ctx: &Context, acc: &mut ComputeAcc);
-
-    /// Accumulate four units in order. The default performs exactly four
-    /// [`ComputeOp::compute`] calls; the executor feeds the hot loop
-    /// through this hook so gradient implementations can overlap the
-    /// units' independent dot products, with the batched dense scoring
-    /// order of [`crate::gradient::Gradient::accumulate_view4`].
-    fn compute4(&self, points: [PointView<'_>; 4], ctx: &Context, acc: &mut ComputeAcc) {
-        for p in points {
-            self.compute(p, ctx, acc);
-        }
-    }
-
-    /// Accumulate eight units in order — the wider sibling of
-    /// [`ComputeOp::compute4`], sized for the 2×4-lane SIMD batch of
-    /// [`crate::gradient::Gradient::accumulate_view8`].
-    fn compute8(&self, points: [PointView<'_>; 8], ctx: &Context, acc: &mut ComputeAcc) {
-        let [p0, p1, p2, p3, p4, p5, p6, p7] = points;
-        self.compute4([p0, p1, p2, p3], ctx, acc);
-        self.compute4([p4, p5, p6, p7], ctx, acc);
-    }
+    /// Accumulate these units' contributions, in order. The executor hands
+    /// over the rows of a partition, or the draws of a sampled wave, as
+    /// consecutive slices cut by [`crate::gradient::Batches`], so an
+    /// op may loop over the units one by one or pass the slice whole to the
+    /// `*_batch` methods of [`Gradient`] and get the
+    /// [batch rule](crate::gradient)'s scoring; a lazily transformed unit
+    /// arrives alone.
+    fn compute(&self, units: &[PointView<'_>], ctx: &Context, acc: &mut ComputeAcc);
 
     /// Opt in to the support-proportional iteration tail (see
     /// [`Support`]). Return `true` only if, for every unit, this op adds to
@@ -311,108 +288,12 @@ pub struct GdOperators {
 pub struct IdentityTransform;
 
 impl TransformOp for IdentityTransform {
-    fn transform(&self, unit: RawUnit<'_>, _ctx: &Context) -> Result<LabeledPoint, GdError> {
-        match unit {
-            RawUnit::Point(p) => Ok(p.clone()),
-            RawUnit::View(v) => Ok(v.to_point()),
-            RawUnit::Text(line) => Err(GdError::Parse {
-                line: line.to_string(),
-                reason: "identity transform cannot parse text".into(),
-            }),
-        }
+    fn transform(&self, unit: PointView<'_>, _ctx: &Context) -> Result<LabeledPoint, GdError> {
+        Ok(unit.to_point())
     }
 
     fn is_identity(&self) -> bool {
         true
-    }
-}
-
-/// CSV transform (Listing 1): `label,x1,x2,…` → dense point.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CsvTransform;
-
-impl TransformOp for CsvTransform {
-    fn transform(&self, unit: RawUnit<'_>, _ctx: &Context) -> Result<LabeledPoint, GdError> {
-        match unit {
-            RawUnit::Point(p) => Ok(p.clone()),
-            RawUnit::View(v) => Ok(v.to_point()),
-            RawUnit::Text(line) => {
-                let mut values = Vec::new();
-                for tok in line.trim().split(',') {
-                    let v: f64 = tok.trim().parse().map_err(|e| GdError::Parse {
-                        line: line.to_string(),
-                        reason: format!("bad float {tok:?}: {e}"),
-                    })?;
-                    values.push(v);
-                }
-                if values.len() < 2 {
-                    return Err(GdError::Parse {
-                        line: line.to_string(),
-                        reason: "need a label and at least one feature".into(),
-                    });
-                }
-                let label = values.remove(0);
-                Ok(LabeledPoint::new(label, FeatureVec::dense(values)))
-            }
-        }
-    }
-}
-
-/// LIBSVM transform (Figure 3a): `±1 idx:val idx:val …` → sparse point.
-/// Indices in the file are 1-based, as in the LIBSVM format.
-#[derive(Debug, Clone, Copy)]
-pub struct LibsvmTransform {
-    /// Feature-space dimensionality of the dataset.
-    pub dims: usize,
-}
-
-impl TransformOp for LibsvmTransform {
-    fn transform(&self, unit: RawUnit<'_>, _ctx: &Context) -> Result<LabeledPoint, GdError> {
-        match unit {
-            RawUnit::Point(p) => Ok(p.clone()),
-            RawUnit::View(v) => Ok(v.to_point()),
-            RawUnit::Text(line) => {
-                let mut parts = line.split_whitespace();
-                let label: f64 = parts
-                    .next()
-                    .ok_or_else(|| GdError::Parse {
-                        line: line.to_string(),
-                        reason: "empty line".into(),
-                    })?
-                    .parse()
-                    .map_err(|e| GdError::Parse {
-                        line: line.to_string(),
-                        reason: format!("bad label: {e}"),
-                    })?;
-                let mut indices = Vec::new();
-                let mut values = Vec::new();
-                for tok in parts {
-                    let (i, v) = tok.split_once(':').ok_or_else(|| GdError::Parse {
-                        line: line.to_string(),
-                        reason: format!("feature {tok:?} is not idx:val"),
-                    })?;
-                    let idx: u32 = i.parse().map_err(|e| GdError::Parse {
-                        line: line.to_string(),
-                        reason: format!("bad index {i:?}: {e}"),
-                    })?;
-                    if idx == 0 {
-                        return Err(GdError::Parse {
-                            line: line.to_string(),
-                            reason: "LIBSVM indices are 1-based".into(),
-                        });
-                    }
-                    let val: f64 = v.parse().map_err(|e| GdError::Parse {
-                        line: line.to_string(),
-                        reason: format!("bad value {v:?}: {e}"),
-                    })?;
-                    indices.push(idx - 1);
-                    values.push(val);
-                }
-                let features =
-                    SparseVector::new(self.dims, indices, values).map_err(GdError::Linalg)?;
-                Ok(LabeledPoint::new(label, FeatureVec::Sparse(features)))
-            }
-        }
     }
 }
 
@@ -426,17 +307,10 @@ impl TransformOp for LibsvmTransform {
 pub struct MeanCenterTransform;
 
 impl TransformOp for MeanCenterTransform {
-    fn transform(&self, unit: RawUnit<'_>, ctx: &Context) -> Result<LabeledPoint, GdError> {
-        // Only the dense output buffer is allocated; borrowed views are
+    fn transform(&self, unit: PointView<'_>, ctx: &Context) -> Result<LabeledPoint, GdError> {
+        // Only the dense output buffer is allocated: the borrowed row is
         // centered without materializing an intermediate point.
-        let (label, mut dense) = match unit {
-            RawUnit::Point(p) => (p.label, p.features.to_dense()),
-            RawUnit::View(v) => (v.label, DenseVector::new(v.features.to_dense_vec())),
-            RawUnit::Text(line) => {
-                let p = CsvTransform.transform(RawUnit::Text(line), ctx)?;
-                (p.label, p.features.to_dense())
-            }
-        };
+        let mut dense = DenseVector::new(unit.features.to_dense_vec());
         let Some(means) = ctx.vector("feature_means") else {
             return Err(GdError::InvalidPlan(
                 "MeanCenterTransform requires a StatsStage to compute feature_means".into(),
@@ -446,7 +320,7 @@ impl TransformOp for MeanCenterTransform {
         for (x, m) in dense.as_mut_slice().iter_mut().zip(means.as_slice()) {
             *x -= m;
         }
-        Ok(LabeledPoint::new(label, FeatureVec::Dense(dense)))
+        Ok(LabeledPoint::new(unit.label, FeatureVec::Dense(dense)))
     }
 }
 
@@ -512,22 +386,10 @@ impl GradientCompute {
 }
 
 impl ComputeOp for GradientCompute {
-    fn compute(&self, point: PointView<'_>, ctx: &Context, acc: &mut ComputeAcc) {
+    fn compute(&self, units: &[PointView<'_>], ctx: &Context, acc: &mut ComputeAcc) {
         self.gradient
-            .accumulate_view(ctx.weights.as_slice(), point, acc.primary.as_mut_slice());
-        acc.count += 1;
-    }
-
-    fn compute4(&self, points: [PointView<'_>; 4], ctx: &Context, acc: &mut ComputeAcc) {
-        self.gradient
-            .accumulate_view4(ctx.weights.as_slice(), points, acc.primary.as_mut_slice());
-        acc.count += 4;
-    }
-
-    fn compute8(&self, points: [PointView<'_>; 8], ctx: &Context, acc: &mut ComputeAcc) {
-        self.gradient
-            .accumulate_view8(ctx.weights.as_slice(), points, acc.primary.as_mut_slice());
-        acc.count += 8;
+            .accumulate_batch(ctx.weights.as_slice(), units, acc.primary.as_mut_slice());
+        acc.count += units.len() as u64;
     }
 
     fn writes_only_stored_indices(&self) -> bool {
@@ -691,48 +553,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_transform_parses_listing1_format() {
-        let t = CsvTransform;
-        let p = t
-            .transform(RawUnit::Text("1.0, 0.5, -2.0"), &ctx(2))
-            .unwrap();
-        assert_eq!(p.label, 1.0);
-        assert_eq!(p.features.dot(&[1.0, 0.0]), 0.5);
-        assert_eq!(p.features.dot(&[0.0, 1.0]), -2.0);
-    }
-
-    #[test]
-    fn csv_transform_rejects_garbage() {
-        let t = CsvTransform;
-        assert!(t.transform(RawUnit::Text("a,b"), &ctx(1)).is_err());
-        assert!(t.transform(RawUnit::Text("1.0"), &ctx(1)).is_err());
-    }
-
-    #[test]
-    fn libsvm_transform_parses_figure3_format() {
-        let t = LibsvmTransform { dims: 10 };
-        let p = t
-            .transform(RawUnit::Text("+1 2:0.1 4:0.4 10:0.3"), &ctx(10))
-            .unwrap();
-        assert_eq!(p.label, 1.0);
-        // 1-based file indices → 0-based storage.
-        assert_eq!(
-            p.features
-                .dot(&[0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
-            0.1
-        );
-        assert_eq!(p.features.nnz(), 3);
-    }
-
-    #[test]
-    fn libsvm_transform_rejects_zero_index_and_bad_pairs() {
-        let t = LibsvmTransform { dims: 4 };
-        assert!(t.transform(RawUnit::Text("1 0:0.5"), &ctx(4)).is_err());
-        assert!(t.transform(RawUnit::Text("1 3"), &ctx(4)).is_err());
-        assert!(t.transform(RawUnit::Text(""), &ctx(4)).is_err());
-    }
-
-    #[test]
     fn zero_stage_initializes_listing4_state() {
         let mut c = Context::new(0);
         ZeroStage { dims: 3 }.stage(&mut c, &[]);
@@ -761,8 +581,8 @@ mod tests {
         let c = ctx(1);
         let mut acc = ComputeAcc::new(1);
         let p = LabeledPoint::new(1.0, FeatureVec::dense(vec![2.0]));
-        compute.compute(p.view(), &c, &mut acc);
-        compute.compute(p.view(), &c, &mut acc);
+        compute.compute(&[p.view()], &c, &mut acc);
+        compute.compute(&[p.view()], &c, &mut acc);
         assert_eq!(acc.count, 2);
         assert_eq!(acc.primary.as_slice(), &[-4.0]); // two hinge subgradients
     }
@@ -867,7 +687,7 @@ mod mean_center_tests {
         let ctx = Context::new(2);
         let p = LabeledPoint::new(1.0, FeatureVec::dense(vec![1.0, 2.0]));
         assert!(matches!(
-            MeanCenterTransform.transform(RawUnit::Point(&p), &ctx),
+            MeanCenterTransform.transform(p.view(), &ctx),
             Err(GdError::InvalidPlan(_))
         ));
     }
@@ -881,22 +701,8 @@ mod mean_center_tests {
         ];
         let mut ctx = Context::new(0);
         stage.stage(&mut ctx, &pts); // means = [3, 20]
-        let out = MeanCenterTransform
-            .transform(RawUnit::Point(&pts[0]), &ctx)
-            .unwrap();
+        let out = MeanCenterTransform.transform(pts[0].view(), &ctx).unwrap();
         assert_eq!(out.features.to_dense().as_slice(), &[-1.0, -10.0]);
         assert!(!MeanCenterTransform.is_identity());
-    }
-
-    #[test]
-    fn mean_center_parses_text_first() {
-        let stage = StatsStage { dims: 2 };
-        let pts = vec![LabeledPoint::new(1.0, FeatureVec::dense(vec![1.0, 1.0]))];
-        let mut ctx = Context::new(0);
-        stage.stage(&mut ctx, &pts); // means = [1, 1]
-        let out = MeanCenterTransform
-            .transform(RawUnit::Text("1.0, 3.0, 5.0"), &ctx)
-            .unwrap();
-        assert_eq!(out.features.to_dense().as_slice(), &[2.0, 4.0]);
     }
 }

@@ -15,10 +15,10 @@
 //!   applies the variance-reduced step `w ← w − α(∇f_i(w) − ∇f_i(w̃) + µ)`.
 
 use ml4all_dataflow::{PartitionedDataset, SamplingMethod, SimEnv};
-use ml4all_linalg::DenseVector;
+use ml4all_linalg::{DenseVector, PointView};
 
 use crate::context::{Context, Extra};
-use crate::executor::{execute_with_operators, TrainParams, TrainResult};
+use crate::executor::{execute, ExecHooks, TrainParams, TrainResult};
 use crate::gradient::{Gradient, GradientKind};
 use crate::operators::{
     ComputeAcc, ComputeOp, GdOperators, IdentityTransform, L1Converge, SampleOp, SampleSize,
@@ -73,22 +73,30 @@ pub struct SvrgCompute {
 }
 
 impl ComputeOp for SvrgCompute {
-    fn compute(&self, point: ml4all_linalg::PointView<'_>, ctx: &Context, acc: &mut ComputeAcc) {
+    /// Row by row through the single-point gradient: SVRG's variance
+    /// reduction subtracts two gradients of the same point, and its bits
+    /// are those of the sequential dot.
+    fn compute(&self, units: &[PointView<'_>], ctx: &Context, acc: &mut ComputeAcc) {
         let m = ctx.int("m").unwrap_or(1).max(1);
-        self.gradient
-            .accumulate_view(ctx.weights.as_slice(), point, acc.primary.as_mut_slice());
         let anchor = (ctx.iteration % m) == 1 || m == 1;
-        if !anchor {
-            let w_bar = ctx
-                .vector("weightsBar")
-                .expect("SvrgStage installs weightsBar");
+        for &point in units {
             self.gradient.accumulate_view(
-                w_bar.as_slice(),
+                ctx.weights.as_slice(),
                 point,
-                acc.secondary_mut().as_mut_slice(),
+                acc.primary.as_mut_slice(),
             );
+            if !anchor {
+                let w_bar = ctx
+                    .vector("weightsBar")
+                    .expect("SvrgStage installs weightsBar");
+                self.gradient.accumulate_view(
+                    w_bar.as_slice(),
+                    point,
+                    acc.secondary_mut().as_mut_slice(),
+                );
+            }
         }
-        acc.count += 1;
+        acc.count += units.len() as u64;
     }
 }
 
@@ -191,5 +199,5 @@ pub fn execute_svrg(
         params.tolerance,
         params.max_iter,
     );
-    execute_with_operators(&plan, data, &ops, params, env)
+    execute(&plan, data, &ops, params, env, &ExecHooks::default())
 }

@@ -174,7 +174,7 @@ fn stats_stage_plus_mean_center_runs_through_the_executor() {
     // The Section 6 global-statistics path end to end: a Stage that
     // demands a full scan, a non-identity Transform consuming its output,
     // materialized eagerly by the executor.
-    use ml4all_gd::executor::execute_with_operators;
+    use ml4all_gd::executor::{execute, ExecHooks};
     use ml4all_gd::operators::{
         FixedSample, GdOperators, GradientCompute, L1Converge, MeanCenterTransform, SampleSize,
         StatsStage, StepUpdate, ToleranceLoop,
@@ -221,7 +221,15 @@ fn stats_stage_plus_mean_center_runs_through_the_executor() {
         }),
     };
     let mut env = SimEnv::new(ClusterSpec::paper_testbed());
-    let result = execute_with_operators(&GdPlan::bgd(), &data, &ops, &params, &mut env).unwrap();
+    let result = execute(
+        &GdPlan::bgd(),
+        &data,
+        &ops,
+        &params,
+        &mut env,
+        &ExecHooks::default(),
+    )
+    .unwrap();
     // After centering, the slope is recoverable.
     assert!(
         (result.weights[0] - 2.0).abs() < 0.05,

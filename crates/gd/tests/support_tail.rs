@@ -12,9 +12,8 @@ use ml4all_dataflow::{
 use ml4all_gd::executor::reference_operators;
 use ml4all_gd::operators::{GradientCompute, L1Converge, L2Converge};
 use ml4all_gd::{
-    execute_with_operators, execute_with_operators_observed, ComputeAcc, ComputeOp, Context,
-    ConvergeOp, ExecHooks, GdError, GdOperators, GdPlan, GradientKind, StageOp, StepSize, Support,
-    TrainParams, TrainResult, TransformPolicy,
+    execute, ComputeAcc, ComputeOp, Context, ConvergeOp, ExecHooks, GdError, GdOperators, GdPlan,
+    GradientKind, StageOp, StepSize, Support, TrainParams, TrainResult, TransformPolicy,
 };
 use ml4all_linalg::{DenseVector, FeatureVec, LabeledPoint, PointView, SparseVector};
 use rand::rngs::StdRng;
@@ -25,14 +24,8 @@ use rand::{Rng, SeedableRng};
 struct NoPromise(GradientCompute);
 
 impl ComputeOp for NoPromise {
-    fn compute(&self, p: PointView<'_>, ctx: &Context, acc: &mut ComputeAcc) {
-        self.0.compute(p, ctx, acc);
-    }
-    fn compute4(&self, p: [PointView<'_>; 4], ctx: &Context, acc: &mut ComputeAcc) {
-        self.0.compute4(p, ctx, acc);
-    }
-    fn compute8(&self, p: [PointView<'_>; 8], ctx: &Context, acc: &mut ComputeAcc) {
-        self.0.compute8(p, ctx, acc);
+    fn compute(&self, units: &[PointView<'_>], ctx: &Context, acc: &mut ComputeAcc) {
+        self.0.compute(units, ctx, acc);
     }
 }
 
@@ -52,17 +45,9 @@ impl ChecksCleanStart {
 }
 
 impl ComputeOp for ChecksCleanStart {
-    fn compute(&self, p: PointView<'_>, ctx: &Context, acc: &mut ComputeAcc) {
+    fn compute(&self, units: &[PointView<'_>], ctx: &Context, acc: &mut ComputeAcc) {
         Self::check(acc);
-        self.0.compute(p, ctx, acc);
-    }
-    fn compute4(&self, p: [PointView<'_>; 4], ctx: &Context, acc: &mut ComputeAcc) {
-        Self::check(acc);
-        self.0.compute4(p, ctx, acc);
-    }
-    fn compute8(&self, p: [PointView<'_>; 8], ctx: &Context, acc: &mut ComputeAcc) {
-        Self::check(acc);
-        self.0.compute8(p, ctx, acc);
+        self.0.compute(units, ctx, acc);
     }
     fn writes_only_stored_indices(&self) -> bool {
         true
@@ -179,7 +164,7 @@ fn run(
         on_all: Arc::clone(&on_all),
     });
     let mut env = SimEnv::new(ClusterSpec::paper_testbed());
-    let result = execute_with_operators(plan, data, &ops, params, &mut env);
+    let result = execute(plan, data, &ops, params, &mut env, &ExecHooks::default());
     let tails = Tails {
         support: on_support.load(Ordering::Relaxed),
         dense: on_all.load(Ordering::Relaxed),
@@ -481,8 +466,7 @@ fn a_resumed_run_starts_from_a_clean_accumulator_and_retraces_the_run() {
             ..Default::default()
         };
         let mut env = SimEnv::new(ClusterSpec::paper_testbed());
-        let result =
-            execute_with_operators_observed(&plan, &data, &ops, &p, &mut env, &hooks).unwrap();
+        let result = execute(&plan, &data, &ops, &p, &mut env, &hooks).unwrap();
         (result, captured.into_inner().unwrap())
     };
     let (full, states) = run(None);

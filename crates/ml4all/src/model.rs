@@ -9,6 +9,7 @@ use std::io::{BufRead, BufReader};
 use std::path::Path;
 
 use ml4all_dataflow::PartitionedDataset;
+use ml4all_gd::gradient::Batches;
 use ml4all_gd::{Gradient, GradientKind};
 use ml4all_linalg::{DenseVector, LabeledPoint, PointView};
 
@@ -72,31 +73,19 @@ impl Model {
     /// Score every row of a partitioned dataset, in the dataset's
     /// original input order (`predictions[i]` corresponds to input row
     /// `i`, whatever the partitioning), straight off the columnar
-    /// storage: no [`LabeledPoint`] is ever materialized. Rows are fed
-    /// through the batched SIMD scoring kernels eight at a time —
-    /// deterministic, though raw regression scores for batched dense rows
-    /// round per the fixed blocked order rather than the per-row
+    /// storage: no [`LabeledPoint`] is ever materialized. Rows go through
+    /// the gradient's [batch rule](ml4all_gd::gradient), cut from the first
+    /// input row — deterministic, though raw regression scores for batched
+    /// dense rows round per the fixed blocked order rather than the per-row
     /// [`Model::predict_view`] order. This is the scoring path behind the
     /// `predict` verb.
     pub fn predict_batch(&self, data: &PartitionedDataset) -> Vec<f64> {
         let w = self.weights.as_slice();
         let mut out = Vec::with_capacity(data.physical_n());
-        let mut buf: Vec<PointView<'_>> = Vec::with_capacity(8);
-        for v in data.iter_views_input_order() {
-            buf.push(v);
-            if buf.len() == 8 {
-                let batch: [PointView<'_>; 8] = std::array::from_fn(|k| buf[k]);
-                out.extend(self.gradient.predict_view8(w, batch));
-                buf.clear();
-            }
+        let mut batches = Batches::new(data.iter_views_input_order());
+        while let Some(rows) = batches.next_batch() {
+            self.gradient.predict_batch(w, rows, &mut out);
         }
-        let mut rest = buf.as_slice();
-        if rest.len() >= 4 {
-            let batch: [PointView<'_>; 4] = std::array::from_fn(|k| rest[k]);
-            out.extend(self.gradient.predict_view4(w, batch));
-            rest = &rest[4..];
-        }
-        out.extend(rest.iter().map(|&v| self.predict_view(v)));
         out
     }
 

@@ -12,7 +12,7 @@
 //! ```
 
 use ml4all_dataflow::{ClusterSpec, PartitionScheme, PartitionedDataset, SimEnv};
-use ml4all_gd::executor::execute_with_operators;
+use ml4all_gd::executor::{execute, ExecHooks};
 use ml4all_gd::operators::{
     ComputeAcc, ComputeOp, ConvergeOp, FixedSample, GdOperators, IdentityTransform, SampleSize,
     StepUpdate, ToleranceLoop, ZeroStage,
@@ -39,19 +39,23 @@ impl HuberCompute {
 }
 
 impl ComputeOp for HuberCompute {
-    fn compute(&self, point: PointView<'_>, ctx: &Context, acc: &mut ComputeAcc) {
-        let r = point.features.dot(ctx.weights.as_slice()) - point.label;
-        // ∇ huber = r·x (|r| ≤ δ) or δ·sign(r)·x (|r| > δ).
-        let factor = if r.abs() <= self.delta {
-            r
-        } else {
-            self.delta * r.signum()
-        };
-        point.features.axpy_into(acc.primary.as_mut_slice(), factor);
-        // Carry the objective value through the scalar channel so the
-        // custom Converge can use it.
-        acc.scalar += self.loss_of_residual(r);
-        acc.count += 1;
+    /// The one method a `Compute` has: the executor hands over consecutive
+    /// slices of a partition's rows (or of a sampled wave's draws).
+    fn compute(&self, units: &[PointView<'_>], ctx: &Context, acc: &mut ComputeAcc) {
+        for point in units {
+            let r = point.features.dot(ctx.weights.as_slice()) - point.label;
+            // ∇ huber = r·x (|r| ≤ δ) or δ·sign(r)·x (|r| > δ).
+            let factor = if r.abs() <= self.delta {
+                r
+            } else {
+                self.delta * r.signum()
+            };
+            point.features.axpy_into(acc.primary.as_mut_slice(), factor);
+            // Carry the objective value through the scalar channel so the
+            // custom Converge can use it.
+            acc.scalar += self.loss_of_residual(r);
+        }
+        acc.count += units.len() as u64;
     }
 }
 
@@ -130,7 +134,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     let mut env = SimEnv::new(cluster);
-    let result = execute_with_operators(&GdPlan::bgd(), &data, &ops, &params, &mut env)?;
+    let result = execute(
+        &GdPlan::bgd(),
+        &data,
+        &ops,
+        &params,
+        &mut env,
+        &ExecHooks::default(),
+    )?;
     println!(
         "huber regression: slope {:.3} (true 3.0), intercept {:.3} (true −1.0) — \
          {} iterations, objective-delta stop",

@@ -14,8 +14,7 @@ use ml4all_dataflow::{
 use ml4all_datasets::registry;
 use ml4all_gd::executor::reference_operators;
 use ml4all_gd::{
-    execute_plan, execute_with_operators, GdPlan, GdVariant, GradientKind, TrainParams,
-    TransformPolicy,
+    execute, execute_plan, ExecHooks, GdPlan, GdVariant, GradientKind, TrainParams, TransformPolicy,
 };
 use ml4all_linalg::{FeatureVec, LabeledPoint, SparseVector};
 use rand::rngs::StdRng;
@@ -347,7 +346,8 @@ fn support_tail_equals_the_dense_tail_bit_for_bit() {
                             let run = |ops| {
                                 let mut env =
                                     SimEnv::with_runtime(cluster.clone(), Arc::clone(runtime));
-                                execute_with_operators(&plan, &data, &ops, &params, &mut env)
+                                let hooks = ExecHooks::default();
+                                execute(&plan, &data, &ops, &params, &mut env, &hooks)
                                     .unwrap_or_else(|e| panic!("{label}: {e}"))
                             };
                             let got = run(reference_operators(&plan, &params, dims));

@@ -24,8 +24,8 @@ use ml4all_core::plancache::PlanCacheKey;
 use ml4all_dataflow::{ClusterSpec, CostBreakdown, ExecState, SimEnv};
 use ml4all_gd::executor::reference_operators;
 use ml4all_gd::{
-    execute_with_operators_observed, ExecHooks, GdOperators, GdPlan, IterationTick, StopReason,
-    TrainParams, TrainResult, TransformPolicy,
+    execute, ExecHooks, GdOperators, GdPlan, IterationTick, StopReason, TrainParams, TrainResult,
+    TransformPolicy,
 };
 
 /// Iteration cap: every run's trajectory has exactly this length because
@@ -485,8 +485,7 @@ fn run_observed(
         ..Default::default()
     };
     let mut env = SimEnv::new(ClusterSpec::paper_testbed());
-    let result =
-        execute_with_operators_observed(plan, data, ops, params, &mut env, &hooks).unwrap();
+    let result = execute(plan, data, ops, params, &mut env, &hooks).unwrap();
     (result, captured.into_inner().unwrap())
 }
 
