@@ -2,12 +2,12 @@
 //! algorithm on each dataset, and the iterations the chosen plan needs to
 //! converge (tolerance 0.001, max 1 000 iterations).
 //!
-//! Driven through the public typed session API: each dataset is registered
-//! in a [`Session`], `explain` dumps the full costed plan table once per
+//! Driven through the public typed engine API: each dataset is registered
+//! in an [`Engine`], `explain` dumps the full costed plan table once per
 //! dataset, and a pinned-algorithm [`TrainRequest`] produces each cell —
 //! the same path any user program takes, instead of a bespoke plan dump.
 
-use ml4all::{DataSource, ExplainRequest, Session, TrainRequest};
+use ml4all::{DataSource, Engine, ExplainRequest, TrainRequest};
 use ml4all_bench::runs::speculation_for;
 use ml4all_bench::{build_dataset, print_table, task_gradient, BenchConfig, ExperimentRecord};
 use ml4all_dataflow::ClusterSpec;
@@ -18,13 +18,13 @@ fn main() {
     let cfg = BenchConfig::from_env();
     let cluster = ClusterSpec::paper_testbed();
     let tolerance = 1e-3;
-    let session = Session::with_cluster(cluster.clone()).with_speculation(speculation_for(&cfg));
+    let engine = Engine::with_cluster(cluster.clone()).with_speculation(speculation_for(&cfg));
     let mut rows = Vec::new();
     let mut json = Vec::new();
 
     for spec in registry::table2() {
         let data = build_dataset(&spec, &cfg, &cluster);
-        session.register_dataset(&spec.name, data);
+        engine.register_dataset(&spec.name, data);
         let request = |variant: Option<GdVariant>| {
             let mut r =
                 TrainRequest::new(task_gradient(spec.task), DataSource::registered(&spec.name))
@@ -43,7 +43,7 @@ fn main() {
 
         // The unrestricted costed plan table (what `explain <query>;`
         // prints), recorded for the appendix JSON.
-        match session.explain(ExplainRequest::new(request(None))) {
+        match engine.explain(ExplainRequest::new(request(None))) {
             Ok(report) => {
                 let table: Vec<serde_json::Value> = report
                     .choices
@@ -73,7 +73,7 @@ fn main() {
             GdVariant::MiniBatch { batch: 1000 },
             GdVariant::Batch,
         ] {
-            match session.train(request(Some(variant))) {
+            match engine.train(request(Some(variant))) {
                 Ok(trained) => {
                     let summary = trained.summary;
                     let plan_label = match variant {

@@ -3,7 +3,7 @@
 //!
 //! The typed [`TrainSpec`] is the real planning input; [`plan_query`] is
 //! the statement front-end that lowers a parsed `run` query onto it via
-//! [`train_spec`]. Programs using the typed session API build a
+//! [`train_spec`]. Programs using the typed engine API build a
 //! `TrainSpec` directly and share every validation rule with the language
 //! path.
 
@@ -154,19 +154,12 @@ pub fn train_spec(run: &RunQuery) -> Result<TrainSpec, OptimizerError> {
     let gradient = match &run.task {
         TaskSpec::Classification => GradientKind::Svm,
         TaskSpec::Regression => GradientKind::LinearRegression,
-        TaskSpec::GradientFunction(name) => match name.as_str() {
-            "hinge" => GradientKind::Svm,
-            "logistic" => GradientKind::LogisticRegression,
-            "squared" => GradientKind::LinearRegression,
-            other => {
-                return Err(OptimizerError::Language {
-                    span: run.task_span,
-                    message: format!(
-                        "unknown gradient function `{other}` (hinge, logistic, squared)"
-                    ),
-                })
-            }
-        },
+        TaskSpec::GradientFunction(name) => {
+            GradientKind::from_function_name(name).ok_or_else(|| OptimizerError::Language {
+                span: run.task_span,
+                message: format!("unknown gradient function `{name}` (hinge, logistic, squared)"),
+            })?
+        }
     };
 
     let algorithm = match &run.using.algorithm {

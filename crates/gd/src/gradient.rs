@@ -245,6 +245,14 @@ impl GradientKind {
         }
     }
 
+    /// Inverse of [`GradientKind::function_name`]: the kind a canonical
+    /// name spells. Front ends keep their own aliases on top.
+    pub fn from_function_name(name: &str) -> Option<Self> {
+        [Self::LinearRegression, Self::LogisticRegression, Self::Svm]
+            .into_iter()
+            .find(|kind| kind.function_name() == name)
+    }
+
     /// `true` for classification tasks (labels in `{−1, +1}`).
     pub fn is_classification(&self) -> bool {
         !matches!(self, Self::LinearRegression)
@@ -622,6 +630,17 @@ mod tests {
     fn function_names_match_language() {
         assert_eq!(GradientKind::Svm.function_name(), "hinge");
         assert_eq!(GradientKind::LogisticRegression.function_name(), "logistic");
+        for kind in [
+            GradientKind::LinearRegression,
+            GradientKind::LogisticRegression,
+            GradientKind::Svm,
+        ] {
+            assert_eq!(
+                GradientKind::from_function_name(kind.function_name()),
+                Some(kind)
+            );
+        }
+        assert_eq!(GradientKind::from_function_name("svm"), None);
         assert_eq!(GradientKind::LinearRegression.function_name(), "squared");
     }
 }

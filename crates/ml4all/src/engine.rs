@@ -1,11 +1,12 @@
-//! The concurrent, job-oriented engine: the system's primary entry point.
+//! The concurrent, job-oriented engine: the system's primary entry point
+//! and its whole typed API.
 //!
 //! An [`Engine`] is cheap to clone and safe to share across threads: every
 //! verb takes `&self`, jobs submitted with [`Engine::submit`] multiplex
 //! onto the shared `ml4all-runtime` worker pool, and all mutable state —
 //! the model registry, the dataset catalog, the plan cache — lives behind
-//! interior locks. [`crate::Session`] is a thin statement-language wrapper
-//! over this type.
+//! interior locks. [`crate::Session`] adds only the statement language on
+//! top.
 //!
 //! Concurrency never perturbs results: each job's execution is
 //! deterministic at any worker count (see `ml4all-runtime`), so N jobs
@@ -21,43 +22,37 @@ use ml4all_calibrate::{profile_path, Calibrator, CalibratorConfig, JobObservatio
 use ml4all_core::calibration::{plan_feature_key, CalibrationSnapshot};
 use ml4all_core::chooser::{
     backend_for, choose_plan, profile_choice, IterationsSource, OptimizerConfig, OptimizerReport,
+    PlanChoice,
 };
 use ml4all_core::estimator::SpeculationConfig;
 use ml4all_core::plancache::{PlanCache, PlanCacheEntry, PlanCacheKey};
 use ml4all_dataflow::checkpoint::{fnv1a64, read_checkpoint, write_checkpoint, Checkpoint};
 use ml4all_dataflow::{
-    atomic_write, CheckpointError, ClusterSpec, ExecState, PartitionedDataset, Runtime, SimEnv,
-    RNG_STREAM_VERSION,
+    atomic_write, Backend, CheckpointError, ClusterSpec, ExecState, PartitionedDataset, Runtime,
+    SimEnv, UsageMeter, RNG_STREAM_VERSION,
 };
 use ml4all_datasets::catalog::{EvictedDataset, SharedResolver};
-use ml4all_gd::{execute_plan_observed, ExecHooks, IterationTick, StopReason};
+use ml4all_gd::{execute_plan_observed, ExecHooks, GdPlan, IterationTick, StopReason, TrainResult};
 
 use crate::job::{JobEvent, JobHandle, JobState, JobStatus};
 use crate::model::Model;
 use crate::request::{ExplainRequest, ModelRef, PredictRequest, TrainRequest};
-use crate::session::{Predictions, TrainSummary, Trained};
 use crate::SessionError;
 
 /// Seed used when materializing Table 2 registry analogs by name.
 pub(crate) const REGISTRY_SEED: u64 = 7;
 
-/// Default progress-tick cadence (iterations per [`JobEvent::Progress`]).
+/// Progress-tick cadence (iterations per [`JobEvent::Progress`]) for jobs
+/// that don't set their own.
 const DEFAULT_TICK_EVERY: u64 = 100;
 
 /// Tenant tag for jobs submitted through plain [`Engine::submit`].
 const LOCAL_TENANT: &str = "local";
 
-/// Environment pin: when set to `1`, [`Engine::with_calibration`] is a
-/// no-op and every decision uses the static Eq. 3–9 cost model — the
-/// escape hatch when a learned profile must be ruled out.
-pub const ML4ALL_NO_CALIBRATION: &str = "ML4ALL_NO_CALIBRATION";
-
 /// The engine's shared interior: everything a job needs, behind one `Arc`.
 struct EngineCore {
     cluster: ClusterSpec,
     speculation: SpeculationConfig,
-    registry_cap: usize,
-    tick_every: u64,
     runtime: Arc<Runtime>,
     resolver: SharedResolver,
     models: Mutex<HashMap<String, Model>>,
@@ -132,8 +127,6 @@ impl Engine {
                 resolver: SharedResolver::new(".", registry_cap, REGISTRY_SEED, cluster.clone()),
                 cluster,
                 speculation: SpeculationConfig::default(),
-                registry_cap,
-                tick_every: DEFAULT_TICK_EVERY,
                 runtime: Runtime::global(),
                 models: Mutex::new(HashMap::new()),
                 plan_cache: PlanCache::new(),
@@ -195,9 +188,7 @@ impl Engine {
     /// Panics if the engine is already shared (see the builder contract
     /// on [`Engine::with_cluster`]).
     pub fn with_registry_cap(mut self, cap: usize) -> Self {
-        let core = self.configure();
-        core.registry_cap = cap;
-        core.resolver.set_registry_cap(cap);
+        self.configure().resolver.set_registry_cap(cap);
         self
     }
 
@@ -211,17 +202,6 @@ impl Engine {
     /// on [`Engine::with_cluster`]).
     pub fn with_catalog_cap(mut self, cap: usize) -> Self {
         self.configure().resolver.set_catalog_cap(cap);
-        self
-    }
-
-    /// Default progress-tick cadence for jobs that don't set their own.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine is already shared (see the builder contract
-    /// on [`Engine::with_cluster`]).
-    pub fn with_tick_every(mut self, every: u64) -> Self {
-        self.configure().tick_every = every;
         self
     }
 
@@ -321,8 +301,7 @@ impl Engine {
     ///
     /// A cold calibrator (zero observations) is exactly the identity:
     /// decisions, keys, and weights are bit-identical to an uncalibrated
-    /// engine. Set `ML4ALL_NO_CALIBRATION=1` to pin the static model —
-    /// this builder becomes a no-op.
+    /// engine.
     ///
     /// # Panics
     ///
@@ -330,9 +309,6 @@ impl Engine {
     /// on [`Engine::with_cluster`]), or if a persisted calibration
     /// profile exists but cannot be parsed.
     pub fn with_calibration(mut self) -> Self {
-        if std::env::var(ML4ALL_NO_CALIBRATION).as_deref() == Ok("1") {
-            return self;
-        }
         let core = self.configure();
         let config = CalibratorConfig::default();
         let calibrator = match &core.state_dir {
@@ -366,12 +342,6 @@ impl Engine {
     /// The cluster this engine simulates.
     pub fn cluster(&self) -> &ClusterSpec {
         &self.core.cluster
-    }
-
-    /// The durability root configured with [`Engine::with_state_dir`], if
-    /// any.
-    pub fn state_dir(&self) -> Option<&std::path::Path> {
-        self.core.state_dir.as_deref()
     }
 
     /// Durability checkpoints written by this engine instance.
@@ -436,21 +406,15 @@ impl Engine {
     /// sequentially. The engine keeps no table of its jobs: the returned
     /// handle is the record (id, status, cancellation, outcome).
     pub fn submit(&self, request: TrainRequest) -> JobHandle {
-        self.submit_tagged(request, LOCAL_TENANT)
-    }
-
-    /// [`Engine::submit`] under a tenant tag: the job is dispatched
-    /// through the runtime's per-tenant fairness lane
-    /// ([`Runtime::spawn_in_lane`]), so one tenant queueing a burst of
-    /// jobs cannot starve another tenant's submission. Results are
-    /// unaffected by the tag — execution is bit-identical either way.
-    pub fn submit_tagged(&self, request: TrainRequest, tenant: &str) -> JobHandle {
         let (state, events) = JobState::with_channel();
-        self.submit_inner(request, tenant, state, events)
+        self.submit_inner(request, LOCAL_TENANT, state, events)
     }
 
-    /// [`Engine::submit_tagged`] with the caller's own push-mode
-    /// [`EventSink`](crate::EventSink) as the job's event consumer:
+    /// [`Engine::submit`] under a tenant tag, with the caller's own
+    /// push-mode [`EventSink`](crate::EventSink) as the job's event
+    /// consumer. The job is dispatched through the runtime's per-tenant
+    /// fairness lane ([`Runtime::spawn_in_lane`]), so one tenant queueing
+    /// a burst of jobs cannot starve another tenant's submission.
     /// `sink.event` fires per event and `sink.finished` once the outcome
     /// is final, both on the worker thread running the job — so a
     /// serving front end can fan events out to any number of observers
@@ -502,19 +466,51 @@ impl Engine {
     /// Train synchronously on the calling thread: the exact code path of
     /// [`Engine::submit`] as a job nobody observes (bit-identical
     /// results), blocking until the model is bound.
+    ///
+    /// ```
+    /// use ml4all::{Engine, GradientKind, TrainRequest};
+    ///
+    /// # fn main() -> Result<(), ml4all::SessionError> {
+    /// let engine = Engine::new();
+    /// let request = TrainRequest::new(GradientKind::LogisticRegression, "adult")
+    ///     .max_iter(25);
+    /// let trained = engine.train(request)?;
+    /// assert!(engine.model(&trained.name).is_some());
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn train(&self, request: TrainRequest) -> Result<Trained, SessionError> {
         run_train(&self.core, &request, &JobState::new(None))
     }
 
     /// Run the cost-based optimizer for a training request and report the
-    /// full costed plan table without executing the winner. Served from
-    /// the plan cache when an identical decision was already made
-    /// ([`OptimizerReport::cache_hit`] marks it).
+    /// full costed plan table — every enumerated plan with modelled cost,
+    /// estimated iterations, and per-operator platform mapping — without
+    /// executing the winner. The best row is exactly the plan
+    /// [`Engine::train`] would execute for the same request (both take
+    /// one decision path), and a repeated request is served from the plan
+    /// cache ([`OptimizerReport::cache_hit`] marks it).
+    ///
+    /// ```
+    /// use ml4all::{Engine, ExplainRequest, GradientKind, TrainRequest};
+    ///
+    /// # fn main() -> Result<(), ml4all::SessionError> {
+    /// let engine = Engine::new();
+    /// let request = TrainRequest::new(GradientKind::LogisticRegression, "adult")
+    ///     .max_iter(25);
+    /// let report = engine.explain(ExplainRequest::new(request))?;
+    /// assert_eq!(report.choices.len(), 11);
+    /// println!("{}", ml4all::render_report(&report));
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn explain(&self, request: ExplainRequest) -> Result<OptimizerReport, SessionError> {
-        let (config, data) = configured(&self.core, &request.train)?;
-        let key = cache_key(&self.core, &request.train, &data, &config);
-        let job = JobState::new(None);
-        let mut report = cached_choose(&self.core, key, &config, &data, &job)?;
+        let Decision {
+            config,
+            data,
+            mut report,
+            ..
+        } = decide(&self.core, &request.train, &JobState::new(None))?;
         if request.measured {
             for choice in &mut report.choices {
                 choice.measured_s = profile_choice(choice, &data, &config, &self.core.cluster)?
@@ -585,6 +581,49 @@ impl Engine {
     }
 }
 
+/// Summary of a completed training run.
+#[derive(Debug, Clone)]
+pub struct TrainSummary {
+    /// The plan the job finished under: the optimizer's choice, or the
+    /// plan a mid-flight replan or an adopted checkpoint switched to.
+    pub plan: GdPlan,
+    /// Iterations executed.
+    pub iterations: u64,
+    /// Whether the tolerance was reached.
+    pub converged: bool,
+    /// Simulated training seconds.
+    pub sim_time_s: f64,
+    /// Simulated optimizer (speculation) overhead.
+    pub speculation_s: f64,
+    /// Backend the plan executed on, chosen from its platform mapping:
+    /// `"simulated-cluster"` when any operator maps to Spark, `"local"`
+    /// otherwise.
+    pub backend: &'static str,
+    /// Physical usage metered by the backend (empty for local runs).
+    pub usage: UsageMeter,
+}
+
+/// A bound training result: what [`Engine::train`] and
+/// [`JobHandle::join`] return.
+#[derive(Debug, Clone)]
+pub struct Trained {
+    /// The bound result name (explicit or generated).
+    pub name: String,
+    /// Run summary.
+    pub summary: TrainSummary,
+}
+
+/// Scores over a test set: what [`Engine::predict`] returns.
+#[derive(Debug, Clone)]
+pub struct Predictions {
+    /// Per-point predictions, in input order.
+    pub predictions: Vec<f64>,
+    /// Mean squared error against the source's labels.
+    pub mse: f64,
+    /// Sign accuracy (classification models only).
+    pub accuracy: Option<f64>,
+}
+
 fn bind_auto_name(core: &EngineCore) -> String {
     format!("Q{}", core.auto_name.fetch_add(1, Ordering::Relaxed) + 1)
 }
@@ -620,32 +659,6 @@ fn unhex_name(stem: &str) -> Option<String> {
     String::from_utf8(bytes?).ok()
 }
 
-/// The one place a request is rendered into its plan-cache key: shared by
-/// the decision path and the checkpoint path, so a checkpoint's identity
-/// is exactly the identity the plan cache uses. The calibration
-/// generation comes from the *config's* snapshot (injected once per job
-/// in [`configured`]), so the key and the pricing always agree even if
-/// another job bumps the calibrator concurrently.
-fn cache_key(
-    core: &EngineCore,
-    request: &TrainRequest,
-    data: &PartitionedDataset,
-    config: &OptimizerConfig,
-) -> PlanCacheKey {
-    PlanCacheKey::new(
-        data.fingerprint(),
-        &request.spec,
-        request.seed,
-        &core.speculation,
-        &core.cluster,
-        config
-            .calibration
-            .as_ref()
-            .map(|snapshot| snapshot.generation)
-            .unwrap_or(0),
-    )
-}
-
 /// The checkpoint's identity hash and where it lives under the state
 /// directory: the key string is unbounded, so the filename is its FNV-1a
 /// hash while the full identity travels inside the checkpoint itself
@@ -671,349 +684,438 @@ fn persist_plan_cache(core: &EngineCore) {
     }
 }
 
-/// Shared `train`/`explain` prologue: validate the request into a
-/// configuration (with the engine's speculation settings when the request
-/// actually speculates — a `max iter`-only request keeps its `Fixed`
-/// path, Section 8.3) and resolve its source through the shared catalog.
-fn configured(
+/// What the decide phase hands on: the job's configuration, its resolved
+/// data, its plan-cache key, and the costed plan table.
+struct Decision {
+    config: OptimizerConfig,
+    data: PartitionedDataset,
+    key: PlanCacheKey,
+    report: OptimizerReport,
+}
+
+/// Decide: configure the request, resolve its source, render its
+/// plan-cache key, and serve the plan decision from the cache — or
+/// optimize cold and populate it. The one decision path of
+/// [`Engine::explain`] and every training job. Emits
+/// [`JobEvent::SpeculationStarted`] only when a cold decision actually
+/// speculates.
+fn decide(
     core: &EngineCore,
     request: &TrainRequest,
-) -> Result<(OptimizerConfig, PartitionedDataset), SessionError> {
+    job: &JobState,
+) -> Result<Decision, SessionError> {
+    // The engine's speculation settings apply only when the request
+    // actually speculates: a `max iter`-only request keeps its `Fixed`
+    // path (Section 8.3).
     let mut config = request.config()?;
     if matches!(config.iterations, IterationsSource::Speculate(_)) {
         config = config.with_speculation(core.speculation.clone());
     }
     config = config.with_runtime(Arc::clone(&core.runtime));
     // Snapshot the calibrator exactly once per job: every use downstream
-    // (cache key, pricing, replanning) sees the same generation.
+    // (cache key, pricing, replanning) sees the same generation even if
+    // another job bumps the calibrator concurrently.
     if let Some(cal) = &core.calibration {
         config = config.with_calibration(cal.lock().expect("calibrator").snapshot());
     }
     let data = core.resolver.resolve(&request.source)?;
-    Ok((config, data))
+    // The one place a request is rendered into its plan-cache key; a
+    // checkpoint's identity derives from the same key.
+    let key = PlanCacheKey::new(
+        data.fingerprint(),
+        &request.spec,
+        request.seed,
+        &core.speculation,
+        &core.cluster,
+        config
+            .calibration
+            .as_ref()
+            .map_or(0, |snapshot| snapshot.generation),
+    );
+    let report = match core.plan_cache.get(&key) {
+        Some(report) => report,
+        None => {
+            if matches!(config.iterations, IterationsSource::Speculate(_)) {
+                job.emit(|| JobEvent::SpeculationStarted);
+            }
+            let report = choose_plan(&data, &config, &core.cluster)?;
+            core.plan_cache.insert(key.clone(), &report);
+            persist_plan_cache(core);
+            report
+        }
+    };
+    Ok(Decision {
+        config,
+        data,
+        key,
+        report,
+    })
 }
 
-/// The single plan-decision path: serve `key` from the cache, or optimize
-/// cold and populate it. Emits [`JobEvent::SpeculationStarted`] only when
-/// a cold decision actually speculates.
-fn cached_choose(
-    core: &EngineCore,
-    key: PlanCacheKey,
-    config: &OptimizerConfig,
-    data: &PartitionedDataset,
-    job: &JobState,
-) -> Result<OptimizerReport, SessionError> {
-    if let Some(report) = core.plan_cache.get(&key) {
-        return Ok(report);
-    }
-    if matches!(config.iterations, IterationsSource::Speculate(_)) {
-        job.emit(|| JobEvent::SpeculationStarted);
-    }
-    let report = choose_plan(data, config, &core.cluster)?;
-    core.plan_cache.insert(key, &report);
-    persist_plan_cache(core);
-    Ok(report)
+/// The plan a job is executing: its row of the job's costed table, the
+/// backend that row maps to, and whether the job has left the chooser's
+/// pick — by adopting a checkpoint's plan or by a mid-flight replan. A
+/// switched job never replans again and never feeds the calibrator: its
+/// run no longer matches one prediction.
+struct RunningPlan<'r> {
+    row: &'r PlanChoice,
+    backend: Backend,
+    switched: bool,
 }
 
-/// One training job, start to finish: resolve, decide (cached), execute
-/// under hooks, bind. The synchronous [`Engine::train`] and submitted
-/// jobs both run exactly this, each under its own [`JobState`], so the
-/// two are bit-identical by construction.
+impl<'r> RunningPlan<'r> {
+    fn at(row: &'r PlanChoice, cluster: &ClusterSpec) -> Self {
+        Self {
+            row,
+            backend: backend_for(&row.mapping, cluster),
+            switched: false,
+        }
+    }
+
+    fn switch_to(&mut self, row: &'r PlanChoice, cluster: &ClusterSpec) {
+        *self = Self {
+            switched: true,
+            ..Self::at(row, cluster)
+        };
+    }
+}
+
+/// One training job's fixed inputs, shared by its phases.
+struct TrainJob<'a> {
+    core: &'a EngineCore,
+    request: &'a TrainRequest,
+    job: &'a JobState,
+    decision: Decision,
+    /// The checkpoint's path and identity hash (engines with a state dir
+    /// only). The hash is the plan-cache key's durable identity; the plan
+    /// and the RNG stream version travel beside it and are re-validated on
+    /// resume, so a checkpoint can never silently seed a different job.
+    durable: Option<(PathBuf, u64)>,
+}
+
+/// One training job, start to finish: decide, restore, execute in
+/// segments, finish. The synchronous [`Engine::train`] and submitted jobs
+/// both run exactly this, each under its own [`JobState`], so the two are
+/// bit-identical by construction.
 fn run_train(
-    core: &Arc<EngineCore>,
+    core: &EngineCore,
     request: &TrainRequest,
     job: &JobState,
 ) -> Result<Trained, SessionError> {
-    let (config, data) = configured(core, request)?;
-    let key = cache_key(core, request, &data, &config);
-    // Durability: a checkpoint's identity is the plan-cache key's durable
-    // identity (as a hash — the key string is unbounded) plus the chosen
-    // plan and the RNG stream version, re-validated on resume so a
-    // checkpoint can never silently seed a different job.
-    let durable = core
-        .state_dir
-        .as_deref()
-        .map(|dir| checkpoint_identity(dir, &key));
-    let report = cached_choose(core, key, &config, &data, job)?;
-    let best = report.best();
-    let mut current_plan = best.plan;
-    let mut backend = backend_for(&best.mapping, &core.cluster);
+    let decision = decide(core, request, job)?;
+    let run = TrainJob {
+        durable: core
+            .state_dir
+            .as_deref()
+            .map(|dir| checkpoint_identity(dir, &decision.key)),
+        core,
+        request,
+        job,
+        decision,
+    };
+    let report = &run.decision.report;
+    let mut running = RunningPlan::at(report.best(), &core.cluster);
     job.emit(|| JobEvent::PlanChosen {
-        plan: current_plan,
-        estimated_iterations: best.estimated_iterations,
-        preparation_s: best.preparation_s,
-        per_iteration_s: best.per_iteration_s,
-        total_s: best.total_s,
+        plan: running.row.plan,
+        estimated_iterations: running.row.estimated_iterations,
+        preparation_s: running.row.preparation_s,
+        per_iteration_s: running.row.per_iteration_s,
+        total_s: running.row.total_s,
         cache_hit: report.cache_hit,
-        backend: backend.name(),
+        backend: running.backend.name(),
     });
+    let resume = run.restore(&mut running)?;
+    let result = run.segments(&mut running, resume)?;
+    run.finish(&running, result)
+}
 
-    let mut plan_string = current_plan.to_string();
-    // True when a resumed checkpoint carried a plan the chooser did not
-    // pick now — the earlier run switched mid-flight. The continuation
-    // honors the switch and never replans again.
-    let mut adopted_plan = false;
-    let mut resume_state: Option<ExecState> = None;
-    if request.resume {
-        if let Some((path, key_hash)) = &durable {
-            match read_checkpoint(path) {
-                Ok(ckpt) => {
-                    // Under replanning a checkpoint may legitimately carry
-                    // a different plan than today's argmin: the earlier
-                    // run switched mid-flight, or a calibration refit
-                    // moved the argmin between runs. Any plan from this
-                    // request's own costed table is acceptable — same
-                    // data, spec, seed, and cluster by construction.
-                    let adopted = if ckpt.plan == plan_string || core.replan.is_none() {
-                        None
-                    } else {
-                        report
-                            .choices
-                            .iter()
-                            .find(|choice| choice.plan.to_string() == ckpt.plan)
-                    };
-                    if ckpt.key_hash != *key_hash
-                        || ckpt.rng_stream_version != RNG_STREAM_VERSION
-                        || (ckpt.plan != plan_string && adopted.is_none())
-                    {
-                        return Err(CheckpointError::Mismatch(format!(
-                            "checkpoint {} was written by a different job \
-                             (key/plan/rng-stream mismatch)",
-                            path.display()
-                        ))
-                        .into());
-                    }
-                    if let Some(row) = adopted {
-                        current_plan = row.plan;
-                        plan_string = ckpt.plan.clone();
-                        backend = backend_for(&row.mapping, &core.cluster);
-                        adopted_plan = true;
-                    }
-                    core.jobs_resumed.fetch_add(1, Ordering::Relaxed);
-                    job.emit(|| JobEvent::Resumed {
-                        iteration: ckpt.state.iteration,
-                    });
-                    resume_state = Some(ckpt.state);
-                }
-                // No checkpoint on disk: a resume request simply starts
-                // cold — restart scripts need no existence probe.
-                Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-    let checkpoint_every = match &durable {
-        Some(_) => request.checkpoint_every.unwrap_or(0),
-        None => 0,
-    };
-
-    let mut params = config.train_params();
-    // A wall limit budgets the segment actually executed: a resumed job
-    // gets the full limit again for its continuation.
-    params.wall_budget = request.wall_limit;
-    let on_tick = |tick: IterationTick| {
-        job.emit(|| JobEvent::Progress {
-            iteration: tick.iteration,
-            delta: tick.delta,
-            sim_time_s: tick.sim_time_s,
-            cost: tick.cost,
-        });
-    };
-
-    // Mid-flight replanning arms only when a policy is installed AND the
-    // winner has a curve fit to diverge from (fixed-iteration jobs have
-    // no estimate, hence nothing to contradict). The trigger is a pure
-    // function of the progress-tick stream — bit-identical at any worker
-    // count and across kill/resume.
-    let fit_a = report
-        .estimate_for(current_plan.variant)
-        .map(|estimate| estimate.fit.a);
-    let mut replan_armed = core.replan.is_some() && fit_a.is_some() && !adopted_plan;
-    let policy = core.replan.unwrap_or_default();
-    let fit_a = fit_a.unwrap_or(0.0);
-    let replan_trigger = move |tick: &IterationTick| policy.should_replan(fit_a, tick);
-
-    let mut did_replan = false;
-    let mut segment_resume = resume_state;
-    let result = loop {
-        let mut env = SimEnv::with_runtime(core.cluster.clone(), Arc::clone(&core.runtime))
-            .with_backend(backend.clone());
-        let on_checkpoint = {
-            let durable = durable.clone();
-            let core = Arc::clone(core);
-            // Captured per segment: a post-switch checkpoint carries the
-            // NEW plan, so resume re-validates against what actually ran.
-            let plan_string = plan_string.clone();
-            move |state: ExecState| {
-                let Some((path, key_hash)) = &durable else {
-                    return;
-                };
-                let ckpt = Checkpoint {
-                    key_hash: *key_hash,
-                    plan: plan_string.clone(),
-                    rng_stream_version: RNG_STREAM_VERSION,
-                    state,
-                };
-                // Best-effort by construction (the wave must not fail on a
-                // full disk); unwritten checkpoints only shorten the resume.
-                if write_checkpoint(path, &ckpt).is_ok() {
-                    core.checkpoints_written.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+impl TrainJob<'_> {
+    /// Restore: when the request resumes and a checkpoint is on disk,
+    /// validate it against this job and adopt the plan it was written
+    /// under. Returns the state to continue from; with no checkpoint on
+    /// disk the job simply starts cold — restart scripts need no
+    /// existence probe.
+    fn restore<'r>(
+        &'r self,
+        running: &mut RunningPlan<'r>,
+    ) -> Result<Option<ExecState>, SessionError> {
+        let Some((path, key_hash)) = self.durable.as_ref().filter(|_| self.request.resume) else {
+            return Ok(None);
         };
-        let hooks = ExecHooks {
-            cancel: Some(job.cancel.clone()),
-            tick_every: request.progress_every.unwrap_or(core.tick_every),
-            on_tick: Some(&on_tick),
-            checkpoint_every,
-            on_checkpoint: if checkpoint_every > 0 {
-                Some(&on_checkpoint)
-            } else {
-                None
-            },
-            resume: segment_resume.take(),
-            replan: if replan_armed {
-                Some(&replan_trigger)
-            } else {
-                None
-            },
+        let ckpt = match read_checkpoint(path) {
+            Ok(ckpt) => ckpt,
+            Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Ok(None)
+            }
+            Err(e) => return Err(e.into()),
         };
-        let result = execute_plan_observed(&current_plan, &data, &params, &mut env, &hooks)?;
-        if result.stop != StopReason::Replan {
-            break result;
-        }
-        // The executor yielded at a wave boundary: re-run the chooser
-        // with freshly calibrated costs and the convergence actually
-        // observed, then continue — possibly under a different plan —
-        // from the carried state. At most one replan per job.
-        replan_armed = false;
-        let mut state = *result
-            .resume_state
-            .expect("a replan yield carries its resume state");
-        let revised =
-            policy.revised_iterations(state.iteration, state.final_delta, params.tolerance);
-        let remaining = revised.saturating_sub(state.iteration).max(1);
-        let mut reconfig = config.clone().with_fixed_iterations(remaining);
-        if let Some(cal) = &core.calibration {
-            reconfig = reconfig.with_calibration(cal.lock().expect("calibrator").snapshot());
-        }
-        // Cache deliberately bypassed: the revised iteration count is
-        // job-local knowledge, not a reusable decision.
-        let revision = choose_plan(&data, &reconfig, &core.cluster)?;
-        let new_best = revision.best();
-        let new_plan = new_best.plan;
-        if new_plan != current_plan {
-            let old_row = revision
-                .choices
-                .iter()
-                .find(|choice| choice.plan == current_plan)
-                .expect("the executing plan is in the revised table");
-            let cost_delta = new_best.ranking_s() - old_row.ranking_s();
-            job.emit(|| JobEvent::Replanned {
-                iteration: state.iteration,
-                from: current_plan,
-                to: new_plan,
-                cost_delta,
+        // Under replanning a checkpoint may legitimately carry a different
+        // plan than today's argmin: the earlier run switched mid-flight,
+        // or a calibration refit moved the argmin between runs. Any plan
+        // from this request's own costed table is acceptable — same data,
+        // spec, seed, and cluster by construction.
+        let written_under = self
+            .decision
+            .report
+            .choices
+            .iter()
+            .find(|choice| choice.plan.to_string() == ckpt.plan)
+            .filter(|row| row.plan == running.row.plan || self.core.replan.is_some())
+            .filter(|_| {
+                ckpt.key_hash == *key_hash && ckpt.rng_stream_version == RNG_STREAM_VERSION
             });
-            core.replans.fetch_add(1, Ordering::Relaxed);
-            did_replan = true;
-            // A different sampling operator cannot adopt the old
-            // sampler's cursor; it starts fresh (deterministically
-            // seeded). Same-sampler switches carry the cursor.
-            if new_plan.sampling != current_plan.sampling {
-                state.sampler = None;
-            }
-            backend = backend_for(&new_best.mapping, &core.cluster);
-            current_plan = new_plan;
-            plan_string = current_plan.to_string();
+        let Some(row) = written_under else {
+            return Err(CheckpointError::Mismatch(format!(
+                "checkpoint {} was written by a different job \
+                 (key/plan/rng-stream mismatch)",
+                path.display()
+            ))
+            .into());
+        };
+        if row.plan != running.row.plan {
+            running.switch_to(row, &self.core.cluster);
         }
-        segment_resume = Some(state);
-    };
-
-    if result.stop == StopReason::Cancelled {
-        // The checkpoint (if any) stays on disk: a cancelled job is
-        // exactly the resumable case.
-        job.emit(|| JobEvent::Cancelled {
-            iterations: result.iterations,
+        self.core.jobs_resumed.fetch_add(1, Ordering::Relaxed);
+        self.job.emit(|| JobEvent::Resumed {
+            iteration: ckpt.state.iteration,
         });
-        return Err(SessionError::Cancelled {
-            iterations: result.iterations,
-        });
+        Ok(Some(ckpt.state))
     }
-    // A finished job's checkpoint is spent; a wall-budget stop keeps its
-    // checkpoint so the remainder can be resumed with a fresh budget.
-    if result.stop != StopReason::WallBudget {
-        if let Some((path, _)) = &durable {
+
+    /// Segments: execute the running plan under the job's hooks. On a
+    /// replan yield, re-choose on the convergence actually observed and
+    /// continue — possibly under another plan — from the carried state.
+    fn segments<'r>(
+        &'r self,
+        running: &mut RunningPlan<'r>,
+        mut resume: Option<ExecState>,
+    ) -> Result<TrainResult, SessionError> {
+        let (core, job) = (self.core, self.job);
+        let Decision {
+            config,
+            data,
+            report,
+            ..
+        } = &self.decision;
+        let mut params = config.train_params();
+        // A wall limit budgets the segment actually executed: a resumed job
+        // gets the full limit again for its continuation.
+        params.wall_budget = self.request.wall_limit;
+        let on_tick = |tick: IterationTick| {
+            job.emit(|| JobEvent::Progress {
+                iteration: tick.iteration,
+                delta: tick.delta,
+                sim_time_s: tick.sim_time_s,
+                cost: tick.cost,
+            });
+        };
+        let checkpoint_every = self
+            .durable
+            .as_ref()
+            .and(self.request.checkpoint_every)
+            .unwrap_or(0);
+        let checkpoint_to = self.durable.as_ref().filter(|_| checkpoint_every > 0);
+
+        // Mid-flight replanning arms only when a policy is installed, the
+        // winner has a curve fit to diverge from (fixed-iteration jobs
+        // have no estimate, hence nothing to contradict), and the job has
+        // not switched plans already. The trigger is a pure function of
+        // the progress-tick stream — bit-identical at any worker count and
+        // across kill/resume.
+        let fit_a = report
+            .estimate_for(running.row.plan.variant)
+            .map(|estimate| estimate.fit.a);
+        let mut replan_armed = core.replan.is_some() && fit_a.is_some() && !running.switched;
+        let policy = core.replan.unwrap_or_default();
+        let fit_a = fit_a.unwrap_or(0.0);
+        let replan_trigger = move |tick: &IterationTick| policy.should_replan(fit_a, tick);
+
+        loop {
+            let plan = running.row.plan;
+            // A post-switch checkpoint carries the NEW plan, so resume
+            // re-validates against what actually ran.
+            let on_checkpoint = checkpoint_to.map(|(path, key_hash)| {
+                move |state: ExecState| {
+                    let ckpt = Checkpoint {
+                        key_hash: *key_hash,
+                        plan: plan.to_string(),
+                        rng_stream_version: RNG_STREAM_VERSION,
+                        state,
+                    };
+                    // Best-effort by construction (the wave must not fail
+                    // on a full disk); unwritten checkpoints only shorten
+                    // the resume.
+                    if write_checkpoint(path, &ckpt).is_ok() {
+                        core.checkpoints_written.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+            let hooks = ExecHooks {
+                cancel: Some(job.cancel.clone()),
+                tick_every: self.request.progress_every.unwrap_or(DEFAULT_TICK_EVERY),
+                on_tick: Some(&on_tick),
+                checkpoint_every,
+                on_checkpoint: on_checkpoint
+                    .as_ref()
+                    .map(|f| f as &(dyn Fn(ExecState) + Sync)),
+                resume: resume.take(),
+                replan: if replan_armed {
+                    Some(&replan_trigger)
+                } else {
+                    None
+                },
+            };
+            let mut env = SimEnv::with_runtime(core.cluster.clone(), Arc::clone(&core.runtime))
+                .with_backend(running.backend.clone());
+            let result = execute_plan_observed(&plan, data, &params, &mut env, &hooks)?;
+            if result.stop != StopReason::Replan {
+                return Ok(result);
+            }
+            // The executor yielded at a wave boundary: re-run the chooser
+            // on the convergence actually observed, under the job's own
+            // calibration snapshot, then continue from the carried state.
+            // At most one replan per job.
+            replan_armed = false;
+            let mut state = *result
+                .resume_state
+                .expect("a replan yield carries its resume state");
+            let revised =
+                policy.revised_iterations(state.iteration, state.final_delta, params.tolerance);
+            let remaining = revised.saturating_sub(state.iteration).max(1);
+            // Cache deliberately bypassed: the revised iteration count is
+            // job-local knowledge, not a reusable decision.
+            let revision = choose_plan(
+                data,
+                &config.clone().with_fixed_iterations(remaining),
+                &core.cluster,
+            )?;
+            let to = revision.best();
+            if to.plan != plan {
+                let from = revision
+                    .choices
+                    .iter()
+                    .find(|choice| choice.plan == plan)
+                    .expect("the executing plan is in the revised table");
+                job.emit(|| JobEvent::Replanned {
+                    iteration: state.iteration,
+                    from: plan,
+                    to: to.plan,
+                    cost_delta: to.ranking_s() - from.ranking_s(),
+                });
+                core.replans.fetch_add(1, Ordering::Relaxed);
+                // A different sampling operator cannot adopt the old
+                // sampler's cursor; it starts fresh (deterministically
+                // seeded). Same-sampler switches carry the cursor.
+                if to.plan.sampling != plan.sampling {
+                    state.sampler = None;
+                }
+                // The revision prices the job's own plans with the same
+                // platform mappings (neither depends on the iteration
+                // count), so the job continues on its own table's row.
+                let row = report
+                    .choices
+                    .iter()
+                    .find(|choice| choice.plan == to.plan)
+                    .expect("the revision re-prices the job's own plans");
+                running.switch_to(row, &core.cluster);
+            }
+            resume = Some(state);
+        }
+    }
+
+    /// Finish: spend the checkpoint, feed calibration, bind the model.
+    fn finish(
+        &self,
+        running: &RunningPlan<'_>,
+        result: TrainResult,
+    ) -> Result<Trained, SessionError> {
+        let (core, job) = (self.core, self.job);
+        if result.stop == StopReason::Cancelled {
+            // The checkpoint (if any) stays on disk: a cancelled job is
+            // exactly the resumable case.
+            job.emit(|| JobEvent::Cancelled {
+                iterations: result.iterations,
+            });
+            return Err(SessionError::Cancelled {
+                iterations: result.iterations,
+            });
+        }
+        // A finished job's checkpoint is spent; a wall-budget stop keeps
+        // its checkpoint so the remainder can be resumed with a fresh
+        // budget.
+        let complete = result.stop != StopReason::WallBudget;
+        if let Some((path, _)) = self.durable.as_ref().filter(|_| complete) {
             let _ = std::fs::remove_file(path);
         }
-    }
 
-    // Close the loop: feed (predicted cost vector, measured ledger) into
-    // the calibrator so the NEXT decision prices plans better. Skipped
-    // when the job replanned (the measured ledger spans two plans) or
-    // stopped on its wall budget (the job is incomplete). Each
-    // observation bumps the calibration generation; persistence is
-    // best-effort, like the plan cache.
-    if !did_replan && !adopted_plan && result.stop != StopReason::WallBudget {
-        if let Some(cal) = &core.calibration {
-            if let Some(row) = report
-                .choices
-                .iter()
-                .find(|choice| choice.plan == current_plan)
-            {
-                if let (Some(prep), Some(iter)) = (&row.prep_cost, &row.iter_cost) {
-                    let iters = result.iterations as f64;
-                    let observation = JobObservation {
-                        key: plan_feature_key(
-                            &format!("{:?}", config.gradient),
-                            &current_plan,
-                            result.backend,
-                            data.descriptor(),
-                        ),
-                        predicted: prep.plus(&iter.times(iters)),
-                        predicted_total_s: row.preparation_s + iters * row.per_iteration_s,
-                        measured: result.cost,
-                        measured_total_s: result.sim_time_s,
-                        usage: result.usage.clone(),
-                    };
-                    let mut guard = cal.lock().expect("calibrator");
-                    guard.observe(&observation);
-                    if let Some(dir) = &core.state_dir {
-                        let _ = guard.save(&profile_path(dir));
-                    }
-                }
+        // Close the loop: feed (predicted cost vector, measured ledger)
+        // into the calibrator so the NEXT decision prices plans better —
+        // only for a job that ran its chosen plan to the end (a switched
+        // job's ledger spans two plans or a plan nobody priced for it; a
+        // wall-budget stop is incomplete). Each observation bumps the
+        // calibration generation; persistence is best-effort, like the
+        // plan cache.
+        let Decision { config, data, .. } = &self.decision;
+        let row = running.row;
+        let feed = core
+            .calibration
+            .as_ref()
+            .filter(|_| complete && !running.switched);
+        if let (Some(cal), Some(prep), Some(iter)) = (feed, &row.prep_cost, &row.iter_cost) {
+            let iters = result.iterations as f64;
+            let observation = JobObservation {
+                key: plan_feature_key(
+                    &format!("{:?}", config.gradient),
+                    &row.plan,
+                    result.backend,
+                    data.descriptor(),
+                ),
+                predicted: prep.plus(&iter.times(iters)),
+                predicted_total_s: row.preparation_s + iters * row.per_iteration_s,
+                measured: result.cost,
+                measured_total_s: result.sim_time_s,
+                usage: result.usage.clone(),
+            };
+            let mut guard = cal.lock().expect("calibrator");
+            guard.observe(&observation);
+            if let Some(dir) = &core.state_dir {
+                let _ = guard.save(&profile_path(dir));
             }
         }
-    }
 
-    let name = request.name.clone().unwrap_or_else(|| bind_auto_name(core));
-    let model = Model::new(config.gradient, result.weights.clone());
-    if let Some(dir) = &core.state_dir {
-        model.save(dir.join("models").join(format!("{}.txt", hex_name(&name))))?;
-    }
-    core.models
-        .lock()
-        .expect("model registry")
-        .insert(name.clone(), model);
-    job.emit(|| JobEvent::Completed {
-        name: name.clone(),
-        iterations: result.iterations,
-        stop: result.stop,
-        converged: result.converged(),
-        sim_time_s: result.sim_time_s,
-    });
-    Ok(Trained {
-        name,
-        summary: TrainSummary {
-            plan: current_plan,
+        let name = self
+            .request
+            .name
+            .clone()
+            .unwrap_or_else(|| bind_auto_name(core));
+        let model = Model::new(config.gradient, result.weights.clone());
+        if let Some(dir) = &core.state_dir {
+            model.save(dir.join("models").join(format!("{}.txt", hex_name(&name))))?;
+        }
+        core.models
+            .lock()
+            .expect("model registry")
+            .insert(name.clone(), model);
+        job.emit(|| JobEvent::Completed {
+            name: name.clone(),
             iterations: result.iterations,
+            stop: result.stop,
             converged: result.converged(),
             sim_time_s: result.sim_time_s,
-            speculation_s: report.speculation_sim_s,
-            backend: result.backend,
-            usage: result.usage,
-        },
-    })
+        });
+        Ok(Trained {
+            name,
+            summary: TrainSummary {
+                plan: row.plan,
+                iterations: result.iterations,
+                converged: result.converged(),
+                sim_time_s: result.sim_time_s,
+                speculation_s: self.decision.report.speculation_sim_s,
+                backend: result.backend,
+                usage: result.usage,
+            },
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1063,6 +1165,8 @@ mod tests {
         let concurrent = quick_engine();
         let serial = quick_engine();
         let handle = concurrent.submit(adult_request().named("J").seed(3));
+        // `wait` reports the terminal state and leaves the outcome to `join`.
+        assert_eq!(handle.wait(), JobStatus::Completed);
         let job = handle.join().unwrap();
         let sync = serial.train(adult_request().named("J").seed(3)).unwrap();
         assert_eq!(job.name, sync.name);
@@ -1387,26 +1491,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn tagged_submission_is_bit_identical_to_untagged() {
-        let tagged = quick_engine();
-        let untagged = quick_engine();
-        let handle = tagged.submit_tagged(adult_request().named("J").seed(3), "tenant-x");
-        // `wait` reports the terminal state and leaves the outcome to `join`.
-        assert_eq!(handle.wait(), JobStatus::Completed);
-        let t = handle.join().unwrap();
-        let u = untagged
-            .submit(adult_request().named("J").seed(3))
-            .join()
-            .unwrap();
-        assert_eq!(t.summary.plan, u.summary.plan);
-        assert_eq!(t.summary.iterations, u.summary.iterations);
-        assert_eq!(
-            tagged.model("J").unwrap().weights,
-            untagged.model("J").unwrap().weights
-        );
-    }
-
     fn state_dir(name: &str) -> std::path::PathBuf {
         let dir =
             std::env::temp_dir().join(format!("ml4all-engine-state-{}-{name}", std::process::id()));
@@ -1627,16 +1711,6 @@ mod tests {
     }
 
     #[test]
-    fn the_no_calibration_pin_disables_the_builder() {
-        std::env::set_var(ML4ALL_NO_CALIBRATION, "1");
-        let pinned = quick_engine().with_calibration();
-        let disabled = pinned.calibration().is_none();
-        std::env::remove_var(ML4ALL_NO_CALIBRATION);
-        assert!(disabled, "ML4ALL_NO_CALIBRATION=1 pins the static model");
-        assert!(quick_engine().with_calibration().calibration().is_some());
-    }
-
-    #[test]
     fn a_plan_cache_without_generations_is_refused_typed() {
         let dir = state_dir("stale-cache");
         let engine = quick_engine().with_state_dir(&dir);
@@ -1681,23 +1755,7 @@ mod tests {
                 .seed(11)
                 .named("R")
         };
-        // Plant a doctored decision: the cache serves the *worst* plan as
-        // the winner, with its variant's curve fit inflated 1000× — the
-        // executed deltas must then fall far outside the divergence band.
-        let doctor = |engine: &Engine| {
-            let (config, data) = configured(&engine.core, &request()).unwrap();
-            let mut report = choose_plan(&data, &config, &engine.core.cluster).unwrap();
-            report.choices.rotate_right(1);
-            let bad = report.choices[0].plan;
-            for est in &mut report.estimates {
-                if std::mem::discriminant(&est.variant) == std::mem::discriminant(&bad.variant) {
-                    est.estimate.fit.a *= 1e3;
-                }
-            }
-            let key = cache_key(&engine.core, &request(), &data, &config);
-            engine.core.plan_cache.insert(key, &report);
-            bad
-        };
+        let doctor = |engine: &Engine| plant_misprediction(engine, &request());
 
         let first = setup();
         let bad = doctor(&first);
@@ -1736,5 +1794,117 @@ mod tests {
             first.model("R").unwrap().weights,
             second.model("R").unwrap().weights
         );
+    }
+
+    /// Plant a doctored decision for `request` in `engine`'s plan cache:
+    /// the *worst* plan is served as the winner, with its variant's curve
+    /// fit inflated 1000× — the executed deltas must then fall far outside
+    /// the divergence band. Returns the planted plan.
+    fn plant_misprediction(engine: &Engine, request: &TrainRequest) -> ml4all_gd::GdPlan {
+        let Decision {
+            key, mut report, ..
+        } = decide(&engine.core, request, &JobState::new(None)).unwrap();
+        report.choices.rotate_right(1);
+        let bad = report.choices[0].plan;
+        for est in &mut report.estimates {
+            if std::mem::discriminant(&est.variant) == std::mem::discriminant(&bad.variant) {
+                est.estimate.fit.a *= 1e3;
+            }
+        }
+        engine.core.plan_cache.insert(key, &report);
+        bad
+    }
+
+    /// Cancels its job at the first tick after a mid-flight switch. It runs
+    /// on the thread executing the job, so the stop lands on the same wave
+    /// boundary every run.
+    #[derive(Default)]
+    struct CancelAfterSwitch {
+        cancel: std::sync::OnceLock<ml4all_dataflow::CancelToken>,
+        switched: std::sync::atomic::AtomicBool,
+    }
+
+    impl crate::EventSink for CancelAfterSwitch {
+        fn event(&self, event: JobEvent) {
+            match event {
+                JobEvent::Replanned { .. } => self.switched.store(true, Ordering::Relaxed),
+                JobEvent::Progress { .. } if self.switched.load(Ordering::Relaxed) => {
+                    self.cancel.get().expect("token installed").cancel();
+                }
+                _ => {}
+            }
+        }
+
+        fn finished(&self, _outcome: &Result<Trained, SessionError>) {}
+    }
+
+    #[test]
+    fn only_jobs_that_ran_their_chosen_plan_to_the_end_feed_calibration() {
+        let setup = |dir: Option<&std::path::Path>| {
+            let mut engine = quick_engine()
+                .with_calibration()
+                .with_replanning(ReplanPolicy::default());
+            if let Some(dir) = dir {
+                engine = engine.with_state_dir(dir);
+            }
+            engine.register_dataset("train", mem(3000, 7));
+            engine
+        };
+        let request = || {
+            TrainRequest::new(GradientKind::LogisticRegression, "train")
+                .epsilon(1e-6)
+                .max_iter(400)
+                .progress_every(4)
+                .seed(11)
+                .named("R")
+        };
+        let generation = |engine: &Engine| engine.calibration().unwrap().generation;
+
+        // A job that switched plans mid-flight: its ledger spans two plans.
+        let switched = setup(None);
+        plant_misprediction(&switched, &request());
+        switched.train(request()).unwrap();
+        assert_eq!(switched.replans(), 1);
+        assert_eq!(generation(&switched), 0, "a switched job feeds nothing");
+
+        // A job stopped right after its switch keeps a checkpoint written
+        // under the new plan; resuming it adopts that plan.
+        let dir = state_dir("calibration-gate");
+        let killed = setup(Some(&dir));
+        let bad = plant_misprediction(&killed, &request());
+        let sink = Arc::new(CancelAfterSwitch::default());
+        let job = JobState::new(Some(sink.clone()));
+        let _ = sink.cancel.set(job.cancel.clone());
+        let err = run_train(&killed.core, &request().checkpoint_every(1), &job).unwrap_err();
+        assert!(matches!(err, SessionError::Cancelled { .. }), "{err:?}");
+        assert_eq!(killed.replans(), 1);
+        assert_eq!(generation(&killed), 0, "a cancelled job feeds nothing");
+        drop(killed);
+        let resumed = setup(Some(&dir));
+        plant_misprediction(&resumed, &request());
+        let trained = resumed
+            .train(request().checkpoint_every(1).resume(true))
+            .unwrap();
+        assert_eq!(resumed.jobs_resumed(), 1);
+        assert_eq!(resumed.replans(), 0, "an adopted plan never replans");
+        assert_ne!(trained.summary.plan, bad, "the post-switch plan is adopted");
+        assert_eq!(generation(&resumed), 0, "an adopting job feeds nothing");
+        drop(resumed);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // A job stopped by its wall budget is incomplete.
+        let stopped = setup(None);
+        let trained = stopped.train(request().wall_limit(Duration::ZERO)).unwrap();
+        assert!(!trained.summary.converged);
+        assert_eq!(generation(&stopped), 0, "a wall-budget stop feeds nothing");
+
+        // A re-choice that reaffirms the executing plan is no switch: the
+        // job ran its chosen plan to the end and feeds the calibrator.
+        let reaffirmed = setup(None);
+        let pinned = || request().algorithm(ml4all_gd::GdVariant::Batch);
+        plant_misprediction(&reaffirmed, &pinned());
+        reaffirmed.train(pinned()).unwrap();
+        assert_eq!(reaffirmed.replans(), 0);
+        assert_eq!(generation(&reaffirmed), 1, "a reaffirmed job feeds once");
     }
 }

@@ -11,7 +11,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use ml4all_dataflow::{CancelToken, CostBreakdown};
 use ml4all_gd::{GdPlan, StopReason};
 
-use crate::session::Trained;
+use crate::engine::Trained;
 use crate::SessionError;
 
 /// A job's lifecycle state, observable via [`JobHandle::status`].
@@ -28,6 +28,20 @@ pub enum JobStatus {
     Cancelled,
     /// Failed; `join` returns the error.
     Failed,
+}
+
+impl JobStatus {
+    /// The status's one spelling, lowercase (`queued`, `running`,
+    /// `completed`, `cancelled`, `failed`) — as the wire reports it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Queued => "queued",
+            Self::Running => "running",
+            Self::Completed => "completed",
+            Self::Cancelled => "cancelled",
+            Self::Failed => "failed",
+        }
+    }
 }
 
 /// One event of a job's progress stream.
@@ -66,14 +80,14 @@ pub enum JobEvent {
     /// Mid-flight replanning: the observed convergence deltas left the
     /// trust band of the speculation fit, the chooser re-ran with
     /// calibrated costs and a revised iteration estimate, and the job
-    /// switched (or recommitted) at a wave boundary. At most one per job.
+    /// switched plans at a wave boundary. At most one per job; a re-choice
+    /// that reaffirms the executing plan emits nothing.
     Replanned {
         /// Wave boundary (iteration) the switch happened at.
         iteration: u64,
         /// Plan the job was executing.
         from: GdPlan,
-        /// Plan the job continues under (may equal `from` when the
-        /// re-choice reaffirms it).
+        /// Plan the job continues under.
         to: GdPlan,
         /// Estimated remaining-cost change of the switch (new minus old,
         /// simulated seconds; negative = projected savings).
@@ -348,11 +362,6 @@ impl JobHandle {
     /// trace).
     pub fn progress(&self) -> impl Iterator<Item = JobEvent> + '_ {
         self.events.iter()
-    }
-
-    /// Drain the events emitted so far without blocking.
-    pub fn drain_events(&self) -> Vec<JobEvent> {
-        self.events.try_iter().collect()
     }
 
     /// Block until the job finishes and return its result. A cancelled

@@ -1,36 +1,37 @@
 //! The ML4all system facade: the paper's end-to-end user experience.
 //!
-//! The typed request API is the real interface — [`Session::train`],
-//! [`Session::predict`], and [`Session::explain`] accept
+//! [`Engine`] is the one typed API: [`Engine::train`] / [`Engine::submit`],
+//! [`Engine::predict`], [`Engine::explain`] and [`Engine::persist`] accept
 //! [`TrainRequest`]/[`PredictRequest`]/[`ExplainRequest`] values over a
 //! first-class [`DataSource`] (registered in-memory data, Table 2 registry
 //! analogs by name, or LIBSVM/CSV files with column selection):
 //!
 //! ```
-//! use ml4all::{DataSource, GradientKind, Session, TrainRequest};
+//! use ml4all::{DataSource, Engine, GradientKind, TrainRequest};
 //!
 //! # fn main() -> Result<(), ml4all::SessionError> {
-//! let session = Session::new();
+//! let engine = Engine::new();
 //! let request = TrainRequest::new(GradientKind::LogisticRegression, "adult")
 //!     .max_iter(25)
 //!     .named("Q1");
-//! let trained = session.train(request)?;
+//! let trained = engine.train(request)?;
 //! assert_eq!(trained.name, "Q1");
 //! assert!(trained.summary.iterations >= 1);
 //! # Ok(())
 //! # }
 //! ```
 //!
-//! The declarative statements of Appendix A are a thin front-end that
-//! lowers onto the same requests — [`Session::execute`] parses, lowers,
-//! and dispatches, including the `explain` verb that reports the
-//! optimizer's full costed plan table instead of executing the winner:
+//! The declarative statements of Appendix A are a thin front end that
+//! lowers onto the same requests — a [`Session`] over an engine parses,
+//! lowers, and dispatches each statement, including the `explain` verb
+//! that reports the optimizer's full costed plan table instead of
+//! executing the winner:
 //!
 //! ```no_run
-//! use ml4all::Session;
+//! use ml4all::{Engine, Session};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let session = Session::new();
+//! let session = Session::new(Engine::new());
 //! session.execute("Q1 = run logistic() on train.txt having epsilon 0.01;")?;
 //! session.execute("persist Q1 on my_model.txt;")?;
 //! let out = session.execute("explain logistic() on train.txt having epsilon 0.01;")?;
@@ -46,12 +47,12 @@ pub mod model;
 pub mod request;
 pub mod session;
 
-pub use engine::Engine;
+pub use engine::{Engine, Predictions, TrainSummary, Trained};
 pub use explain::render_report;
 pub use job::{render_trace, EventSink, JobEvent, JobHandle, JobStatus};
 pub use model::{Model, ModelError};
 pub use request::{ExplainRequest, ModelRef, PredictRequest, TrainRequest};
-pub use session::{Predictions, Session, SessionOutput, TrainSummary, Trained};
+pub use session::{Session, SessionOutput};
 
 // The vocabulary the typed requests are written in, re-exported so facade
 // users need only the `ml4all` crate.
@@ -98,7 +99,8 @@ impl std::fmt::Display for ParseError {
     }
 }
 
-/// Errors surfaced by the session layer, grouped by the stage that failed.
+/// Errors surfaced by the engine and its statement layer, grouped by the
+/// stage that failed.
 #[derive(Debug)]
 pub enum SessionError {
     /// The statement text is malformed ([`ParseError`] points at the
@@ -113,8 +115,8 @@ pub enum SessionError {
     Gd(ml4all_gd::GdError),
     /// Substrate failure.
     Dataflow(ml4all_dataflow::DataflowError),
-    /// A result name the statement references is not bound in this
-    /// session.
+    /// A result name the request references is not bound on this
+    /// engine.
     UnknownName(String),
     /// Model file problems.
     Model(ModelError),
@@ -230,7 +232,7 @@ mod tests {
     #[test]
     fn parse_errors_render_a_caret_under_the_token() {
         let src = "run classification on d.txt having zzz 1;";
-        let session = Session::new();
+        let session = Session::new(Engine::new());
         let err = session.execute(src).unwrap_err();
         let SessionError::Parse(parse) = &err else {
             panic!("expected Parse, got {err:?}");
@@ -248,7 +250,7 @@ mod tests {
 
     #[test]
     fn end_of_input_errors_render_past_the_statement() {
-        let session = Session::new();
+        let session = Session::new(Engine::new());
         let err = session.execute("run classification").unwrap_err();
         let rendered = err.to_string();
         assert!(rendered.contains('^'), "{rendered}");
@@ -256,7 +258,7 @@ mod tests {
 
     #[test]
     fn semantic_errors_stay_typed() {
-        let session = Session::new();
+        let session = Session::new(Engine::new());
         let err = session
             .execute("run classification on adult having epsilon -1;")
             .unwrap_err();

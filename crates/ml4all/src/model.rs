@@ -123,16 +123,9 @@ impl Model {
             .next()
             .transpose()?
             .ok_or_else(|| ModelError::Format("missing gradient line".into()))?;
-        let gradient = match gradient_line.trim_start_matches("gradient:").trim() {
-            "hinge" => GradientKind::Svm,
-            "logistic" => GradientKind::LogisticRegression,
-            "squared" => GradientKind::LinearRegression,
-            other => {
-                return Err(ModelError::Format(format!(
-                    "unknown gradient function {other:?}"
-                )))
-            }
-        };
+        let name = gradient_line.trim_start_matches("gradient:").trim();
+        let gradient = GradientKind::from_function_name(name)
+            .ok_or_else(|| ModelError::Format(format!("unknown gradient function {name:?}")))?;
         let dims_line = lines
             .next()
             .transpose()?

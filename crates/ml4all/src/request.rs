@@ -1,5 +1,5 @@
-//! The typed request layer: the real public API the declarative
-//! statements lower onto.
+//! The typed requests of [`crate::Engine`]'s verbs — and what the
+//! declarative statements of [`crate::Session`] lower onto.
 //!
 //! A [`TrainRequest`] pairs a [`DataSource`] with the typed
 //! [`TrainSpec`] of the planner, so programs state tasks as values
@@ -18,8 +18,8 @@ use ml4all_gd::{GdVariant, GradientKind};
 
 use crate::Model;
 
-/// A typed training request: what `run` statements lower onto and what
-/// [`crate::Engine::submit`] / [`crate::Session::train`] consume directly.
+/// A typed training request: what [`crate::Engine::train`] and
+/// [`crate::Engine::submit`] consume, and what `run` statements lower onto.
 #[derive(Debug, Clone)]
 pub struct TrainRequest {
     /// Where the training data comes from.
@@ -171,7 +171,7 @@ impl TrainRequest {
 /// How a predict request names its model.
 #[derive(Debug, Clone)]
 pub enum ModelRef {
-    /// A name resolved first against the session's trained results, then
+    /// A name resolved first against the engine's trained results, then
     /// as a model file — the `with <model>` interpretation.
     Named(String),
     /// A model file on disk only.

@@ -1,81 +1,31 @@
-//! The interactive session: a thin statement-language wrapper over the
-//! concurrent [`Engine`] — declarative statements in, trained models,
-//! predictions, and plan explanations out.
+//! The statement language: Appendix A's declarative statements in,
+//! trained models, predictions, and plan explanations out.
 //!
-//! Every verb delegates to the engine, so the Appendix A path, the CLI,
-//! and the examples all ride the same concurrent machinery (shared
-//! dataset catalog, plan cache, model registry) as programmatic
-//! [`Engine`] users. Statements execute synchronously; programs that want
-//! concurrency, progress streaming, or cancellation use
-//! [`Session::engine`] / [`Engine::submit`] directly.
+//! A [`Session`] only parses and lowers. Each statement becomes one typed
+//! request on its [`Engine`] — `run` → [`Engine::train`], `explain` →
+//! [`Engine::explain`], `predict` → [`Engine::predict`], `persist` →
+//! [`Engine::persist`] — so statements share the engine's dataset catalog,
+//! plan cache, and model registry with every other holder. Everything
+//! else (configuration, concurrency, progress streaming, cancellation) is
+//! the engine's API.
 
 use std::path::PathBuf;
 
 use ml4all_core::chooser::OptimizerReport;
-use ml4all_core::estimator::SpeculationConfig;
 use ml4all_core::lang::{parse_statement, train_spec, Query, RunQuery};
-use ml4all_dataflow::{ClusterSpec, PartitionedDataset, UsageMeter};
-use ml4all_datasets::catalog::EvictedDataset;
 use ml4all_datasets::csv::CsvColumns;
 use ml4all_datasets::source::DataSource;
-use ml4all_gd::GdPlan;
 
-use crate::engine::Engine;
-use crate::model::Model;
+use crate::engine::{Engine, Predictions, Trained};
 use crate::request::{ExplainRequest, ModelRef, PredictRequest, TrainRequest};
 use crate::SessionError;
-
-/// Summary of a completed training run.
-#[derive(Debug, Clone)]
-pub struct TrainSummary {
-    /// The plan the optimizer chose.
-    pub plan: GdPlan,
-    /// Iterations executed.
-    pub iterations: u64,
-    /// Whether the tolerance was reached.
-    pub converged: bool,
-    /// Simulated training seconds.
-    pub sim_time_s: f64,
-    /// Simulated optimizer (speculation) overhead.
-    pub speculation_s: f64,
-    /// Backend the winning plan executed on, chosen from its platform
-    /// mapping: `"simulated-cluster"` when any operator maps to Spark,
-    /// `"local"` otherwise.
-    pub backend: &'static str,
-    /// Physical usage metered by the backend (empty for local runs).
-    pub usage: UsageMeter,
-}
-
-/// A bound training result: what [`Session::train`] returns.
-#[derive(Debug, Clone)]
-pub struct Trained {
-    /// The bound result name (explicit or generated).
-    pub name: String,
-    /// Run summary.
-    pub summary: TrainSummary,
-}
-
-/// Scores over a test set: what [`Session::predict`] returns.
-#[derive(Debug, Clone)]
-pub struct Predictions {
-    /// Per-point predictions, in input order.
-    pub predictions: Vec<f64>,
-    /// Mean squared error against the source's labels.
-    pub mse: f64,
-    /// Sign accuracy (classification models only).
-    pub accuracy: Option<f64>,
-}
 
 /// What a statement produced.
 #[derive(Debug)]
 pub enum SessionOutput {
-    /// A `run` statement trained a model, bound to `name`.
-    Trained {
-        /// The bound result name (explicit `Q1 =` or generated).
-        name: String,
-        /// Run summary.
-        summary: TrainSummary,
-    },
+    /// A `run` statement trained a model and bound it (explicit `Q1 =` or
+    /// generated name).
+    Trained(Trained),
     /// A `persist` statement wrote a model file.
     Persisted {
         /// Destination path.
@@ -91,187 +41,63 @@ pub enum SessionOutput {
     },
 }
 
-/// An ML4all session: the declarative statement front-end over a private
-/// [`Engine`].
+/// The declarative statement front end over an [`Engine`].
 pub struct Session {
     engine: Engine,
 }
 
-impl Default for Session {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Session {
-    /// A session on the paper's simulated testbed, reading data files
-    /// relative to the current directory.
-    pub fn new() -> Self {
-        Self::with_cluster(ClusterSpec::paper_testbed())
-    }
-
-    /// A session on a custom cluster.
-    pub fn with_cluster(cluster: ClusterSpec) -> Self {
-        Self {
-            engine: Engine::with_cluster(cluster),
-        }
-    }
-
-    /// Wrap an existing engine: statements and typed verbs share its
-    /// catalogs, plan cache, and model registry with every other holder.
-    ///
-    /// Configure the engine *before* wrapping a shared clone: the
-    /// session's `with_*` builders delegate to the engine's and therefore
-    /// panic on an engine that is already shared (see the builder
-    /// contract on [`Engine::with_cluster`]).
-    pub fn over(engine: Engine) -> Self {
+    /// Execute statements on `engine`.
+    pub fn new(engine: Engine) -> Self {
         Self { engine }
     }
 
-    /// The engine behind this session — the concurrent API
-    /// ([`Engine::submit`], progress streaming, cancellation) over the
-    /// same state.
+    /// The engine statements run on.
     pub fn engine(&self) -> &Engine {
         &self.engine
     }
 
-    /// Resolve dataset paths relative to `dir`.
-    pub fn with_data_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.engine = self.engine.with_data_dir(dir);
-        self
-    }
-
-    /// Override the speculation settings used by `run` statements.
-    pub fn with_speculation(mut self, speculation: SpeculationConfig) -> Self {
-        self.engine = self.engine.with_speculation(speculation);
-        self
-    }
-
-    /// Cap the physical rows materialized for registry analogs.
-    pub fn with_registry_cap(mut self, cap: usize) -> Self {
-        self.engine = self.engine.with_registry_cap(cap);
-        self
-    }
-
-    /// Register an in-memory dataset under a name usable in queries.
-    /// Returns the least-recently-used entry this registration evicted,
-    /// if the catalog was at capacity (see [`Engine::register_dataset`]).
-    pub fn register_dataset(
-        &self,
-        name: impl Into<String>,
-        data: PartitionedDataset,
-    ) -> Option<EvictedDataset> {
-        self.engine.register_dataset(name, data)
-    }
-
-    /// A previously-trained model by name.
-    pub fn model(&self, name: &str) -> Option<Model> {
-        self.engine.model(name)
-    }
-
-    /// Execute one declarative statement: parse it and lower onto the
-    /// typed [`train`](Self::train) / [`predict`](Self::predict) /
-    /// [`explain`](Self::explain) / [`persist`](Self::persist) verbs.
+    /// Execute one declarative statement: parse it, lower it onto a typed
+    /// request, and run that on the engine. Language errors keep their
+    /// token spans, so they render with a caret.
     pub fn execute(&self, statement: &str) -> Result<SessionOutput, SessionError> {
-        let parsed =
-            parse_statement(statement).map_err(|e| SessionError::from_parse(statement, e))?;
-        match parsed.query {
+        let parse_error = |e| SessionError::from_parse(statement, e);
+        let parsed = parse_statement(statement).map_err(parse_error)?;
+        Ok(match parsed.query {
             Query::Run(run) => {
-                let request = lower_run(run, parsed.name)
-                    .map_err(|e| SessionError::from_parse(statement, e))?;
-                let trained = self.train(request)?;
-                Ok(SessionOutput::Trained {
-                    name: trained.name,
-                    summary: trained.summary,
-                })
+                let request = lower_run(run, parsed.name).map_err(parse_error)?;
+                SessionOutput::Trained(self.engine.train(request)?)
             }
             Query::Explain(run) => {
-                let request =
-                    lower_run(run, None).map_err(|e| SessionError::from_parse(statement, e))?;
-                let report = self.explain(ExplainRequest::new(request))?;
-                Ok(SessionOutput::Explained { report })
+                let request = lower_run(run, None).map_err(parse_error)?;
+                SessionOutput::Explained {
+                    report: self.engine.explain(ExplainRequest::new(request))?,
+                }
             }
-            Query::Persist { name, path } => {
-                let path = self.persist(&name, &path)?;
-                Ok(SessionOutput::Persisted { path })
-            }
+            Query::Persist { name, path } => SessionOutput::Persisted {
+                path: self.engine.persist(&name, &path)?,
+            },
             Query::Predict { dataset, model } => {
                 let request =
                     PredictRequest::new(DataSource::named(dataset), ModelRef::Named(model));
-                Ok(SessionOutput::Predicted(self.predict(request)?))
+                SessionOutput::Predicted(self.engine.predict(request)?)
             }
-        }
-    }
-
-    /// Train a model: run the cost-based optimizer over the request's
-    /// source, execute the winning plan, and bind the result.
-    ///
-    /// ```
-    /// use ml4all::{GradientKind, Session, TrainRequest};
-    ///
-    /// # fn main() -> Result<(), ml4all::SessionError> {
-    /// let session = Session::new();
-    /// let request = TrainRequest::new(GradientKind::LogisticRegression, "adult")
-    ///     .max_iter(25);
-    /// let trained = session.train(request)?;
-    /// assert!(session.model(&trained.name).is_some());
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn train(&self, request: TrainRequest) -> Result<Trained, SessionError> {
-        self.engine.train(request)
-    }
-
-    /// Run the cost-based optimizer for a training request and report the
-    /// full costed plan table — every enumerated plan with modelled cost,
-    /// estimated iterations, and per-operator platform mapping — without
-    /// executing the winner. The best row is exactly the plan
-    /// [`train`](Self::train) would execute for the same request, and a
-    /// repeated request is served from the engine's plan cache
-    /// ([`OptimizerReport::cache_hit`]).
-    ///
-    /// ```
-    /// use ml4all::{ExplainRequest, GradientKind, Session, TrainRequest};
-    ///
-    /// # fn main() -> Result<(), ml4all::SessionError> {
-    /// let session = Session::new();
-    /// let request = TrainRequest::new(GradientKind::LogisticRegression, "adult")
-    ///     .max_iter(25);
-    /// let report = session.explain(ExplainRequest::new(request))?;
-    /// assert_eq!(report.choices.len(), 11);
-    /// println!("{}", ml4all::render_report(&report));
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn explain(&self, request: ExplainRequest) -> Result<OptimizerReport, SessionError> {
-        self.engine.explain(request)
-    }
-
-    /// Score a dataset with a model.
-    pub fn predict(&self, request: PredictRequest) -> Result<Predictions, SessionError> {
-        self.engine.predict(request)
-    }
-
-    /// Persist the named result to a model file under the data dir.
-    pub fn persist(&self, name: &str, path: &str) -> Result<PathBuf, SessionError> {
-        self.engine.persist(name, path)
+        })
     }
 }
 
-/// Lower a parsed `run` query to a typed [`TrainRequest`]. Language
-/// errors keep their token spans so the caller can render a caret.
+/// Lower a parsed `run` query to a typed [`TrainRequest`].
 fn lower_run(
     run: RunQuery,
     name: Option<String>,
 ) -> Result<TrainRequest, ml4all_core::OptimizerError> {
     let spec = train_spec(&run)?;
-    let columns = run.columns.map(|c| CsvColumns {
-        label: c.label,
-        features: c.features,
-    });
     let mut source = DataSource::named(run.dataset);
-    if let Some(columns) = columns {
-        source = source.with_columns(columns);
+    if let Some(c) = run.columns {
+        source = source.with_columns(CsvColumns {
+            label: c.label,
+            features: c.features,
+        });
     }
     let mut request = TrainRequest::new(spec.gradient, source);
     request.spec = spec;
@@ -283,6 +109,8 @@ fn lower_run(
 mod tests {
     use super::*;
     use crate::{GradientKind, SamplingMethod};
+    use ml4all_core::estimator::SpeculationConfig;
+    use ml4all_dataflow::{ClusterSpec, PartitionedDataset};
     use ml4all_datasets::synth::{dense_classification, DenseClassConfig};
     use ml4all_gd::GdVariant;
     use std::path::Path;
@@ -293,8 +121,8 @@ mod tests {
         dir
     }
 
-    fn quick_session(dir: &Path) -> Session {
-        Session::new()
+    fn quick_engine(dir: &Path) -> Engine {
+        Engine::new()
             .with_data_dir(dir)
             .with_speculation(SpeculationConfig {
                 sample_size: 300,
@@ -302,6 +130,10 @@ mod tests {
                 max_iterations: 2000,
                 ..SpeculationConfig::default()
             })
+    }
+
+    fn quick_session(dir: &Path) -> Session {
+        Session::new(quick_engine(dir))
     }
 
     fn write_csv_dataset(dir: &Path, name: &str, n: usize) -> PathBuf {
@@ -342,7 +174,7 @@ mod tests {
         let out = session
             .execute("Q1 = run logistic() on train.csv having epsilon 0.01, max iter 2000;")
             .unwrap();
-        let SessionOutput::Trained { name, summary } = out else {
+        let SessionOutput::Trained(Trained { name, summary }) = out else {
             panic!("expected Trained");
         };
         assert_eq!(name, "Q1");
@@ -371,7 +203,7 @@ mod tests {
         let out = session
             .execute("run logistic() on adult having max iter 50;")
             .unwrap();
-        let SessionOutput::Trained { name, .. } = out else {
+        let SessionOutput::Trained(Trained { name, .. }) = out else {
             panic!("expected Trained")
         };
         assert_eq!(name, "Q1"); // auto-generated
@@ -415,7 +247,7 @@ mod tests {
         let dir = tmp_dir("predict-registered");
         let session = quick_session(&dir);
         let data = in_memory_dataset(600, &ClusterSpec::paper_testbed());
-        session.register_dataset("mydata", data);
+        session.engine().register_dataset("mydata", data);
         session
             .execute("M = run logistic() on mydata having max iter 300;")
             .unwrap();
@@ -449,7 +281,7 @@ mod tests {
             assert!(!choice.mapping.describe().is_empty());
         }
         let out = session.execute(&format!("run {query};")).unwrap();
-        let SessionOutput::Trained { summary, .. } = out else {
+        let SessionOutput::Trained(Trained { summary, .. }) = out else {
             panic!("expected Trained")
         };
         assert_eq!(summary.plan, report.best().plan);
@@ -476,9 +308,9 @@ mod tests {
     #[test]
     fn cluster_mapped_plans_route_through_the_simulated_backend() {
         let dir = tmp_dir("backend-routing");
-        let session = quick_session(&dir);
+        let engine = quick_engine(&dir);
         // svm1 declares 10 GB logical: every plan maps onto the cluster.
-        let trained = session
+        let trained = engine
             .train(TrainRequest::new(GradientKind::Svm, DataSource::registry("svm1")).max_iter(10))
             .unwrap();
         assert_eq!(trained.summary.backend, "simulated-cluster");
@@ -488,7 +320,7 @@ mod tests {
             trained.summary.usage
         );
         // adult fits one partition: pure-driver mapping stays local.
-        let trained = session
+        let trained = engine
             .train(
                 TrainRequest::new(
                     GradientKind::LogisticRegression,
@@ -505,7 +337,7 @@ mod tests {
     #[test]
     fn measured_explain_profiles_every_plan() {
         let dir = tmp_dir("measured-explain");
-        let session = quick_session(&dir);
+        let engine = quick_engine(&dir);
         let request = || {
             TrainRequest::new(
                 GradientKind::LogisticRegression,
@@ -514,12 +346,12 @@ mod tests {
             .max_iter(15)
         };
         // Plain explain leaves the measured column empty...
-        let report = session.explain(ExplainRequest::new(request())).unwrap();
+        let report = engine.explain(ExplainRequest::new(request())).unwrap();
         assert!(report.choices.iter().all(|c| c.measured_s.is_none()));
         assert!(report.measured_best().is_none());
         // ...and the profiled form fills it for all 11 plans (also on a
         // plan-cache hit: measurement happens per request).
-        let report = session
+        let report = engine
             .explain(ExplainRequest::new(request()).measured(true))
             .unwrap();
         assert!(report.cache_hit);
@@ -531,7 +363,7 @@ mod tests {
         let rendered = crate::render_report(&report);
         assert!(rendered.contains("measured(s)"));
         // The `run` verb still executes the predicted argmin.
-        let trained = session.train(request()).unwrap();
+        let trained = engine.train(request()).unwrap();
         assert_eq!(trained.summary.plan, report.best().plan);
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -541,7 +373,7 @@ mod tests {
         // The Section 8.3 fast path: a pure iteration budget needs no
         // speculative runs, in `train` and `explain` alike.
         let dir = tmp_dir("fixed-iterations");
-        let session = quick_session(&dir);
+        let engine = quick_engine(&dir);
         let request = || {
             TrainRequest::new(
                 GradientKind::LogisticRegression,
@@ -549,9 +381,9 @@ mod tests {
             )
             .max_iter(50)
         };
-        let trained = session.train(request()).unwrap();
+        let trained = engine.train(request()).unwrap();
         assert_eq!(trained.summary.speculation_s, 0.0);
-        let report = session.explain(ExplainRequest::new(request())).unwrap();
+        let report = engine.explain(ExplainRequest::new(request())).unwrap();
         assert!(report.estimates.is_empty());
         assert_eq!(report.speculation_sim_s, 0.0);
         assert!(report.choices.iter().all(|c| c.estimated_iterations <= 50));
@@ -562,13 +394,13 @@ mod tests {
     fn typed_predict_accepts_inline_models_and_sources() {
         let dir = tmp_dir("typed-predict");
         let cluster = ClusterSpec::paper_testbed();
-        let session = quick_session(&dir);
+        let engine = quick_engine(&dir);
         let data = in_memory_dataset(500, &cluster);
-        let trained = session
+        let trained = engine
             .train(TrainRequest::new(GradientKind::LogisticRegression, data.clone()).max_iter(200))
             .unwrap();
-        let model = session.model(&trained.name).unwrap();
-        let p = session.predict(PredictRequest::new(data, model)).unwrap();
+        let model = engine.model(&trained.name).unwrap();
+        let p = engine.predict(PredictRequest::new(data, model)).unwrap();
         assert_eq!(p.predictions.len(), 500);
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -576,8 +408,8 @@ mod tests {
     #[test]
     fn typed_pins_restrict_the_chosen_plan() {
         let dir = tmp_dir("typed-pins");
-        let session = quick_session(&dir);
-        let trained = session
+        let engine = quick_engine(&dir);
+        let trained = engine
             .train(
                 TrainRequest::new(
                     GradientKind::LogisticRegression,
@@ -631,7 +463,7 @@ mod tests {
         let out = session
             .execute("run logistic() on cols.csv:2, cols.csv:4-5 having max iter 500;")
             .unwrap();
-        let SessionOutput::Trained { summary, .. } = out else {
+        let SessionOutput::Trained(Trained { summary, .. }) = out else {
             panic!("expected Trained")
         };
         assert!(summary.iterations >= 1);
@@ -656,7 +488,7 @@ mod tests {
         let out = session
             .execute("run logistic() on train.libsvm having max iter 100;")
             .unwrap();
-        assert!(matches!(out, SessionOutput::Trained { .. }));
+        assert!(matches!(out, SessionOutput::Trained(_)));
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -667,7 +499,7 @@ mod tests {
             max_iterations: 1000,
             ..SpeculationConfig::default()
         });
-        let session = Session::over(engine.clone());
+        let session = Session::new(engine.clone());
         session
             .execute("M = run logistic() on adult having max iter 50;")
             .unwrap();

@@ -25,7 +25,7 @@
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 
-use ml4all::{render_report, Engine, Runtime, Session, SessionOutput, RNG_STREAM_VERSION};
+use ml4all::{render_report, Engine, Runtime, Session, SessionOutput, Trained, RNG_STREAM_VERSION};
 use ml4all_serve::{Client, ServeConfig, Server, TenantQuota, PROTOCOL_VERSION};
 
 fn main() {
@@ -69,7 +69,7 @@ fn main() {
         }
     }
 
-    let session = Session::new().with_data_dir(&data_dir);
+    let session = Session::new(Engine::new().with_data_dir(&data_dir));
 
     if !statements.is_empty() {
         for stmt in statements {
@@ -323,7 +323,7 @@ fn parse_quota(spec: &str) -> Option<(String, TenantQuota)> {
 
 fn run_statement(session: &Session, stmt: &str) -> bool {
     match session.execute(stmt) {
-        Ok(SessionOutput::Trained { name, summary }) => {
+        Ok(SessionOutput::Trained(Trained { name, summary })) => {
             println!(
                 "[{name}] trained with {}: {} iterations, {:.1} simulated s \
                  (converged: {}; optimizer overhead {:.1} s)",
@@ -407,7 +407,7 @@ options:
                          checkpoints persist here and survive restarts
   --calibrate            online cost-model calibration: refit unit costs and
                          residuals from measured jobs (profile persists under
-                         --state-dir; ML4ALL_NO_CALIBRATION=1 pins it off)
+                         --state-dir)
   --replan               deterministic mid-flight replanning when observed
                          convergence diverges from the estimate
   --max-frame BYTES      frame payload cap (default 1 MiB)

@@ -480,16 +480,19 @@ impl WireTrain {
             message,
             retry_after_ms: None,
         };
+        // The wire's own aliases on top of the canonical function names.
         let gradient = match self.gradient.as_str() {
-            "squared" | "linear" => GradientKind::LinearRegression,
-            "logistic" | "classification" => GradientKind::LogisticRegression,
-            "hinge" | "svm" => GradientKind::Svm,
-            other => {
-                return Err(invalid(format!(
-                    "unknown gradient `{other}` (expected `logistic`, `squared`, or `hinge`)"
-                )))
-            }
-        };
+            "linear" => Some(GradientKind::LinearRegression),
+            "classification" => Some(GradientKind::LogisticRegression),
+            "svm" => Some(GradientKind::Svm),
+            name => GradientKind::from_function_name(name),
+        }
+        .ok_or_else(|| {
+            invalid(format!(
+                "unknown gradient `{}` (expected `logistic`, `squared`, or `hinge`)",
+                self.gradient
+            ))
+        })?;
         let mut request = TrainRequest::new(gradient, DataSource::from(&self.source));
         if let Some(epsilon) = self.epsilon {
             request = request.epsilon(epsilon);
@@ -819,7 +822,7 @@ impl WireEvent {
 
 /// A finished job's outcome (the wire analog of
 /// [`Trained`](ml4all::Trained) plus the bound weights).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct WireTrained {
     /// The job.
     pub job: u64,
@@ -1322,5 +1325,164 @@ mod tests {
             unknown.to_request().unwrap_err().code,
             code::INVALID_REQUEST
         );
+    }
+
+    /// Every spelling each front end accepts today, pinned: the wire's
+    /// `WireTrain` fields, the statement planner, and the model-file
+    /// header. The fronts diverge on purpose: on the wire `classification`
+    /// means logistic, in the language it is Table 3's hinge task.
+    #[test]
+    fn front_end_spellings_are_pinned() {
+        use ml4all_core::lang::{parse_statement, train_spec, Query, TrainSpec};
+        use AlgorithmPin::{Batch, MiniBatch, Stochastic};
+        use GradientKind::Svm as Hinge;
+        use GradientKind::{LinearRegression as Squared, LogisticRegression as Logistic};
+        use SamplingMethod::{Bernoulli, RandomPartition as Random, ShuffledPartition as Shuffle};
+        const MGD: AlgorithmPin = MiniBatch { batch: None };
+
+        let wire = |edit: &dyn Fn(&mut WireTrain)| -> Option<TrainSpec> {
+            let mut train = WireTrain::new("logistic", WireSource::Registry("adult".into()));
+            edit(&mut train);
+            train.to_request().ok().map(|request| request.spec)
+        };
+        for (name, kind) in [
+            ("squared", Squared),
+            ("linear", Squared),
+            ("logistic", Logistic),
+            ("classification", Logistic),
+            ("hinge", Hinge),
+            ("svm", Hinge),
+        ] {
+            let spec = wire(&|t| t.gradient = name.into());
+            assert_eq!(spec.map(|s| s.gradient), Some(kind), "wire gradient {name}");
+        }
+        for (name, pin) in [
+            ("bgd", Batch),
+            ("batch", Batch),
+            ("sgd", Stochastic),
+            ("stochastic", Stochastic),
+            ("mgd", MGD),
+            ("minibatch", MGD),
+        ] {
+            let spec = wire(&|t| t.algorithm = Some(name.into()));
+            assert_eq!(
+                spec.and_then(|s| s.algorithm),
+                Some(pin),
+                "wire algorithm {name}"
+            );
+        }
+        for (name, sampler) in [
+            ("bernoulli", Bernoulli),
+            ("random", Random),
+            ("random-partition", Random),
+            ("shuffle", Shuffle),
+            ("shuffled-partition", Shuffle),
+        ] {
+            let spec = wire(&|t| t.sampler = Some(name.into()));
+            assert_eq!(
+                spec.and_then(|s| s.sampler),
+                Some(sampler),
+                "wire sampler {name}"
+            );
+        }
+        for name in ["Logistic", "regression", "hinge()", ""] {
+            assert!(
+                wire(&|t| t.gradient = name.into()).is_none(),
+                "wire gradient {name}"
+            );
+        }
+        for name in ["BGD", "mini-batch"] {
+            let spec = wire(&|t| t.algorithm = Some(name.into()));
+            assert!(spec.is_none(), "wire algorithm {name}");
+        }
+        for name in ["Bernoulli", "shuffled", "random_partition"] {
+            let spec = wire(&|t| t.sampler = Some(name.into()));
+            assert!(spec.is_none(), "wire sampler {name}");
+        }
+
+        let statement = |task: &str, using: &str| -> Option<TrainSpec> {
+            let parsed = parse_statement(&format!("run {task} on d.txt{using};")).ok()?;
+            let Query::Run(run) = parsed.query else {
+                return None;
+            };
+            train_spec(&run).ok()
+        };
+        for (task, kind) in [
+            ("classification", Hinge),
+            ("CLASSIFICATION", Hinge),
+            ("regression", Squared),
+            ("hinge()", Hinge),
+            ("Hinge()", Hinge),
+            ("logistic()", Logistic),
+            ("squared()", Squared),
+        ] {
+            let spec = statement(task, "");
+            assert_eq!(
+                spec.map(|s| s.gradient),
+                Some(kind),
+                "statement task {task}"
+            );
+        }
+        for (name, pin) in [
+            ("BGD", Batch),
+            ("batch", Batch),
+            ("Sgd", Stochastic),
+            ("STOCHASTIC", Stochastic),
+            ("MGD", MGD),
+            ("minibatch", MGD),
+            ("mini-batch", MGD),
+        ] {
+            let spec = statement("hinge()", &format!(" using algorithm {name}"));
+            assert_eq!(
+                spec.and_then(|s| s.algorithm),
+                Some(pin),
+                "statement algorithm {name}"
+            );
+        }
+        for (name, sampler) in [
+            ("bernoulli", Bernoulli),
+            ("random", Random),
+            ("random_partition", Random),
+            ("random-partition", Random),
+            ("shuffled", Shuffle),
+            ("Shuffle", Shuffle),
+            ("shuffled_partition", Shuffle),
+            ("shuffled-partition()", Shuffle),
+        ] {
+            let spec = statement("hinge()", &format!(" using sampler {name}"));
+            assert_eq!(
+                spec.and_then(|s| s.sampler),
+                Some(sampler),
+                "statement sampler {name}"
+            );
+        }
+        for task in ["logistic", "svm()", "linear()", "classification()"] {
+            assert!(statement(task, "").is_none(), "statement task {task}");
+        }
+        assert!(statement("hinge()", " using algorithm gd").is_none());
+        assert!(statement("hinge()", " using sampler reservoir").is_none());
+
+        let dir = std::env::temp_dir().join(format!("ml4all-spellings-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let model = |gradient: &str| {
+            let path = dir.join("model.txt");
+            std::fs::write(
+                &path,
+                format!("ml4all-model v1\ngradient:{gradient}\ndims: 1\n0\n"),
+            )
+            .unwrap();
+            ml4all::Model::load(&path).ok().map(|model| model.gradient)
+        };
+        for (name, kind) in [
+            (" hinge", Hinge),
+            (" logistic", Logistic),
+            (" squared ", Squared),
+        ] {
+            assert_eq!(model(name), Some(kind), "model header {name}");
+        }
+        for name in [" svm", " Logistic", " linear", " classification"] {
+            assert_eq!(model(name), None, "model header {name}");
+        }
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -145,8 +145,8 @@ struct Progress {
 /// A finished job's record: the weights live once, in the encoded
 /// `Joined` frame.
 struct Finished {
-    /// `completed` / `cancelled` / `failed`.
-    status: &'static str,
+    /// `Completed`, `Cancelled` or `Failed`.
+    status: JobStatus,
     /// Pre-framed `Joined(outcome)` response.
     joined: Arc<[u8]>,
     /// Pre-framed `ObserveEnd` response.
@@ -355,74 +355,60 @@ impl EventSink for JobSink {
     }
 
     fn finished(&self, outcome: &Result<Trained, SessionError>) {
-        let blank = blank_outcome(self.job.id);
-        let (status, outcome) = match outcome {
-            Ok(trained) => {
-                let (weights, weights_bits) = self
-                    .shared
-                    .engine
-                    .model(&trained.name)
-                    .map(|model| protocol::encode_weights(model.weights.as_slice()))
-                    .unzip();
-                let outcome = WireTrained {
-                    name: Some(self.job.name.clone()),
-                    plan: Some(trained.summary.plan.to_string()),
-                    iterations: Some(trained.summary.iterations),
-                    converged: Some(trained.summary.converged),
-                    sim_time_s: Some(trained.summary.sim_time_s),
-                    weights,
-                    weights_bits,
-                    ..blank
-                };
-                ("completed", outcome)
-            }
-            Err(SessionError::Cancelled { iterations }) => {
-                let outcome = WireTrained {
-                    iterations: Some(*iterations),
-                    ..blank
-                };
-                ("cancelled", outcome)
-            }
-            Err(other) => {
-                let outcome = WireTrained {
-                    error: Some(other.to_string()),
-                    ..blank
-                };
-                ("failed", outcome)
-            }
-        };
-        finalize(&self.shared, &self.job, status, outcome);
+        finalize(&self.shared, &self.job, outcome);
         self.shared
             .post([Action::JobDirty(Arc::clone(&self.job)), Action::Dispatch]);
     }
 }
 
-/// A terminal record with every optional field empty; [`finalize`] fills
-/// in the status.
-fn blank_outcome(job: u64) -> WireTrained {
-    WireTrained {
-        job,
-        status: String::new(),
-        name: None,
-        plan: None,
-        iterations: None,
-        converged: None,
-        sim_time_s: None,
-        weights: None,
-        weights_bits: None,
-        error: None,
-    }
+/// The one projection of a job's outcome onto the wire: its terminal
+/// status and `Joined` record — bound name, plan and weights on success,
+/// iterations on cancellation, the rendered error on failure.
+fn project_outcome(
+    shared: &Shared,
+    job: &ServedJob,
+    outcome: &Result<Trained, SessionError>,
+) -> (JobStatus, WireTrained) {
+    let mut wire = WireTrained {
+        job: job.id,
+        ..WireTrained::default()
+    };
+    let status = match outcome {
+        Ok(trained) => {
+            (wire.weights, wire.weights_bits) = shared
+                .engine
+                .model(&trained.name)
+                .map(|model| protocol::encode_weights(model.weights.as_slice()))
+                .unzip();
+            wire.name = Some(job.name.clone());
+            wire.plan = Some(trained.summary.plan.to_string());
+            wire.iterations = Some(trained.summary.iterations);
+            wire.converged = Some(trained.summary.converged);
+            wire.sim_time_s = Some(trained.summary.sim_time_s);
+            JobStatus::Completed
+        }
+        Err(SessionError::Cancelled { iterations }) => {
+            wire.iterations = Some(*iterations);
+            JobStatus::Cancelled
+        }
+        Err(other) => {
+            wire.error = Some(other.to_string());
+            JobStatus::Failed
+        }
+    };
+    wire.status = status.name().to_string();
+    (status, wire)
 }
 
-/// Record a job's terminal `status` with its pre-framed `Joined(outcome)`
-/// and `ObserveEnd` responses, then free its admission slot.
-fn finalize(shared: &Shared, job: &ServedJob, status: &'static str, mut outcome: WireTrained) {
+/// Record a job's terminal outcome with its pre-framed `Joined` and
+/// `ObserveEnd` responses, then free its admission slot.
+fn finalize(shared: &Shared, job: &ServedJob, outcome: &Result<Trained, SessionError>) {
+    let (status, outcome) = project_outcome(shared, job, outcome);
     let end = encode_frame(&Response::Ok(Payload::ObserveEnd {
         job: job.id,
-        status: status.to_string(),
+        status: status.name().to_string(),
     }))
     .expect("serialize");
-    outcome.status = status.to_string();
     let joined = encode_frame(&Response::Ok(Payload::Joined(outcome))).expect("serialize");
     job.state.lock().expect("job state").finished = Some(Finished {
         status,
@@ -1178,11 +1164,8 @@ impl Reactor {
                     .into(),
                 );
                 drop(state);
-                let outcome = WireTrained {
-                    iterations: Some(0),
-                    ..blank_outcome(job.id)
-                };
-                finalize(&self.shared, &job, "cancelled", outcome);
+                let cancelled = Err(SessionError::Cancelled { iterations: 0 });
+                finalize(&self.shared, &job, &cancelled);
                 self.deliver_job(&job);
                 continue;
             }
@@ -1478,14 +1461,14 @@ fn stats(shared: &Shared, tenant: &str) -> WireStats {
             let state = job.state.lock().expect("job state");
             let status = match (&state.finished, &state.handle) {
                 (Some(finished), _) => finished.status,
-                (None, Some(handle)) => status_name(handle.status()),
-                (None, None) => "queued",
+                (None, Some(handle)) => handle.status(),
+                (None, None) => JobStatus::Queued,
             };
             WireJob {
                 job: job.id,
                 engine_id: state.handle.as_ref().map(JobHandle::id),
                 name: Some(job.name.clone()),
-                status: Cow::Borrowed(status),
+                status: Cow::Borrowed(status.name()),
             }
         })
         .collect();
@@ -1512,16 +1495,6 @@ fn stats(shared: &Shared, tenant: &str) -> WireStats {
             .map(|snapshot| snapshot.residual_confidence()),
         replans: shared.engine.replans(),
         jobs,
-    }
-}
-
-fn status_name(status: JobStatus) -> &'static str {
-    match status {
-        JobStatus::Queued => "queued",
-        JobStatus::Running => "running",
-        JobStatus::Completed => "completed",
-        JobStatus::Cancelled => "cancelled",
-        JobStatus::Failed => "failed",
     }
 }
 

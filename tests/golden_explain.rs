@@ -7,7 +7,7 @@
 
 use ml4all::{
     render_report, render_trace, DataSource, Engine, ExplainRequest, GradientKind, JobEvent,
-    Session, TrainRequest,
+    TrainRequest,
 };
 use ml4all_bench::golden::assert_golden;
 use ml4all_core::estimator::SpeculationConfig;
@@ -22,8 +22,8 @@ fn request(dataset: &str) -> TrainRequest {
 
 #[test]
 fn explain_table_snapshot_without_measured_column() {
-    let session = Session::new();
-    let report = session
+    let engine = Engine::new();
+    let report = engine
         .explain(ExplainRequest::new(request("adult")))
         .unwrap();
     assert!(report.choices.iter().all(|c| c.measured_s.is_none()));
@@ -32,8 +32,8 @@ fn explain_table_snapshot_without_measured_column() {
 
 #[test]
 fn explain_table_snapshot_with_measured_column() {
-    let session = Session::new();
-    let report = session
+    let engine = Engine::new();
+    let report = engine
         .explain(ExplainRequest::new(request("adult")).measured(true))
         .unwrap();
     assert!(report.choices.iter().all(|c| c.measured_s.is_some()));
@@ -84,8 +84,8 @@ fn job_trace_snapshot_for_a_cold_then_cached_job_pair() {
 fn explain_table_snapshot_for_a_cluster_mapped_dataset() {
     // svm1 declares 10 GB: the table must show Spark placements and the
     // measured column comes from simulated-cluster executions.
-    let session = Session::new();
-    let report = session
+    let engine = Engine::new();
+    let report = engine
         .explain(ExplainRequest::new(request("svm1")).measured(true))
         .unwrap();
     let rendered = render_report(&report);

@@ -3,7 +3,7 @@
 //! same chosen plan, same iteration count, and bit-identical weights for
 //! the same seed.
 
-use ml4all::{DataSource, GradientKind, Session, SessionOutput, TrainRequest, Trained};
+use ml4all::{DataSource, Engine, GradientKind, Session, SessionOutput, TrainRequest, Trained};
 use ml4all_core::estimator::SpeculationConfig;
 use ml4all_core::lang::AlgorithmPin;
 use ml4all_dataflow::{ClusterSpec, PartitionScheme, PartitionedDataset, SamplingMethod};
@@ -26,15 +26,19 @@ fn dataset() -> PartitionedDataset {
     .unwrap()
 }
 
-fn quick_session() -> Session {
-    let session = Session::new().with_speculation(SpeculationConfig {
+fn quick_engine() -> Engine {
+    let engine = Engine::new().with_speculation(SpeculationConfig {
         sample_size: 150,
         budget: std::time::Duration::from_secs(1),
         max_iterations: 400,
         ..SpeculationConfig::default()
     });
-    session.register_dataset("propdata", dataset());
-    session
+    engine.register_dataset("propdata", dataset());
+    engine
+}
+
+fn quick_session() -> Session {
+    Session::new(quick_engine())
 }
 
 /// Format the generated constraint set as an Appendix A statement.
@@ -125,13 +129,13 @@ proptest! {
         let out = parsed_session
             .execute(&stmt)
             .unwrap_or_else(|e| panic!("{stmt}: {e}"));
-        let SessionOutput::Trained { name, summary: parsed } = out else {
+        let SessionOutput::Trained(Trained { name, summary: parsed }) = out else {
             panic!("{stmt}: expected Trained");
         };
         prop_assert_eq!(&name, "M");
 
-        let typed_session = quick_session();
-        let Trained { summary: typed, .. } = typed_session
+        let typed_engine = quick_engine();
+        let Trained { summary: typed, .. } = typed_engine
             .train(typed_request(epsilon, max_iter, algorithm, sampler, step, batch))
             .unwrap_or_else(|e| panic!("typed twin of {stmt}: {e}"));
 
@@ -150,8 +154,8 @@ proptest! {
         );
 
         // Same seed ⇒ bit-identical weights.
-        let parsed_weights = parsed_session.model("M").unwrap().weights.clone();
-        let typed_weights = typed_session.model("M").unwrap().weights.clone();
+        let parsed_weights = parsed_session.engine().model("M").unwrap().weights.clone();
+        let typed_weights = typed_engine.model("M").unwrap().weights.clone();
         prop_assert_eq!(parsed_weights, typed_weights, "{}: weights", stmt);
     }
 }
@@ -173,7 +177,8 @@ fn explain_best_row_matches_run_across_constraint_space() {
         let SessionOutput::Explained { report } = session.execute(&explain_stmt).unwrap() else {
             panic!("{explain_stmt}: expected Explained");
         };
-        let SessionOutput::Trained { summary, .. } = session.execute(&stmt_body).unwrap() else {
+        let SessionOutput::Trained(Trained { summary, .. }) = session.execute(&stmt_body).unwrap()
+        else {
             panic!("{stmt_body}: expected Trained");
         };
         assert_eq!(summary.plan, report.best().plan, "{stmt_body}");
