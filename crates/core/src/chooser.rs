@@ -14,7 +14,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::calibration::{plan_feature_key, CalibrationSnapshot, CalibrationStamp};
 use crate::cost::PlanCostModel;
-use crate::estimator::{estimate_iterations, IterationsEstimate, SpeculationConfig};
+use crate::estimator::{
+    estimate_on_sample, speculation_sample, IterationsEstimate, SpeculationConfig,
+};
 use crate::planspace::enumerate_plans;
 use crate::platform::{map_plan, PlatformMapping};
 use crate::OptimizerError;
@@ -232,7 +234,9 @@ pub struct OptimizerReport {
     pub estimates: Vec<VariantEstimate>,
     /// Total simulated optimizer overhead (speculation runs).
     pub speculation_sim_s: f64,
-    /// Total real wall-clock the optimizer spent speculating.
+    /// Sum of the speculative runs' wall-clock times. The runs may execute
+    /// concurrently on the worker pool, so this can exceed the elapsed
+    /// time the optimizer spent speculating; it measures work, not latency.
     pub speculation_wall: Duration,
     /// `true` when this report was served from a plan cache instead of a
     /// fresh optimization: speculation was skipped and every field (the
@@ -363,14 +367,16 @@ pub fn choose_plan(
                 );
                 speculation_sim_s += collect_env.elapsed_s();
             }
-            // The three speculative runs are independent; dispatch them
-            // through the shared runtime worker pool (each builds its own
-            // environment and seed inside `estimate_iterations`). Results
-            // come back in variant order, independent of the worker count.
+            // The three speculative runs share one sample `D′` and are
+            // otherwise independent; dispatch them through the shared
+            // runtime worker pool (each builds its own environment and seed
+            // inside `estimate_on_sample`). Results come back in variant
+            // order, independent of the worker count.
+            let sample = speculation_sample(data, spec_cfg, cluster)?;
             let results: Vec<Result<IterationsEstimate, OptimizerError>> =
                 config.runtime.map_indexed(&variants, |_, variant| {
-                    estimate_iterations(
-                        data,
+                    estimate_on_sample(
+                        &sample,
                         *variant,
                         &params,
                         config.tolerance,

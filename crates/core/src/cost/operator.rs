@@ -166,8 +166,9 @@ impl<'a> OperatorCosts<'a> {
                 env.charge_wave_cpu(self.desc, env.spec.cpu_sample_test_s());
             }
             SamplingMethod::RandomPartition => {
+                let unit_read_s = env.random_unit_read_s(self.desc, StorageMedium::Auto);
                 for _ in 0..m {
-                    env.charge_random_unit_read(self.desc, StorageMedium::Auto);
+                    env.ledger.charge_io(unit_read_s);
                 }
                 env.charge_serial_cpu(m, env.spec.cpu_sample_test_s());
             }

@@ -12,6 +12,12 @@
 //! The sample size keeps the speculative runs fast, and — the paper's key
 //! observation — the *shape* of the error sequence over a sample matches
 //! the shape over the full data, so the fitted `a` transfers.
+//!
+//! Step 1 depends only on the data and the speculation seed, so the
+//! chooser draws `D′` once ([`speculation_sample`], rows copied straight
+//! into columnar storage) and runs steps 2–4 for BGD, SGD and MGD on that
+//! one sample ([`estimate_on_sample`]); [`estimate_iterations`] is the
+//! one-variant form that draws its own.
 
 use std::time::Duration;
 
@@ -86,26 +92,27 @@ pub struct IterationsEstimate {
 ///
 /// The sample is a single-partition dataset whose descriptor reflects its
 /// own (small) physical size: speculative runs execute at driver scale.
+/// The drawn rows land in columnar storage directly
+/// ([`PartitionedDataset::sample_rows`]); the chooser draws `D′` once and
+/// speculates every variant on it.
 pub fn speculation_sample(
     data: &PartitionedDataset,
     config: &SpeculationConfig,
     cluster: &ClusterSpec,
 ) -> Result<PartitionedDataset, OptimizerError> {
-    let points = data.sample_points(config.sample_size, config.seed);
+    let rows = data.sample_rows(config.sample_size, config.seed);
     let name = format!("{}-speculation", data.descriptor().name);
-    Ok(PartitionedDataset::from_points(
+    Ok(PartitionedDataset::from_owned_columns(
         name,
-        points,
+        rows,
         PartitionScheme::RoundRobin,
         cluster,
     )?)
 }
 
 /// Estimate the iterations a GD variant needs to reach `target_tolerance`
-/// on `data` (Algorithm 1). The speculative plan runs the variant with
-/// eager transformation and random-partition sampling *within the sample*,
-/// mirroring the paper (BGD runs over all of `D′`; MGD and SGD draw from
-/// `D′`).
+/// on `data` (Algorithm 1): [`estimate_on_sample`] over a freshly drawn
+/// [`speculation_sample`].
 pub fn estimate_iterations(
     data: &PartitionedDataset,
     variant: GdVariant,
@@ -114,7 +121,28 @@ pub fn estimate_iterations(
     config: &SpeculationConfig,
     cluster: &ClusterSpec,
 ) -> Result<IterationsEstimate, OptimizerError> {
-    let sample = speculation_sample(data, config, cluster)?;
+    estimate_on_sample(
+        &speculation_sample(data, config, cluster)?,
+        variant,
+        params,
+        target_tolerance,
+        config,
+        cluster,
+    )
+}
+
+/// Algorithm 1, lines 2–4, on an already drawn sample `D′`. The
+/// speculative plan runs the variant with eager transformation and
+/// random-partition sampling *within the sample*, mirroring the paper
+/// (BGD runs over all of `D′`; MGD and SGD draw from `D′`).
+pub fn estimate_on_sample(
+    sample: &PartitionedDataset,
+    variant: GdVariant,
+    params: &TrainParams,
+    target_tolerance: f64,
+    config: &SpeculationConfig,
+    cluster: &ClusterSpec,
+) -> Result<IterationsEstimate, OptimizerError> {
     let plan = speculative_plan(variant);
 
     let mut spec_params = params.clone();
@@ -131,7 +159,7 @@ pub fn estimate_iterations(
     local_spec.job_init_s = 0.0;
     let mut env = SimEnv::new(local_spec);
 
-    let result = execute_plan(&plan, &sample, &spec_params, &mut env)?;
+    let result = execute_plan(&plan, sample, &spec_params, &mut env)?;
     let pairs = running_min_error_seq(&result.error_seq);
     let fit = match CurveFit::fit(&pairs) {
         Some(fit) => fit,

@@ -101,8 +101,7 @@ impl PartitionedDataset {
         spec: &ClusterSpec,
     ) -> Result<Self, DataflowError> {
         let desc = DatasetDescriptor::from_points(name, &points);
-        let rows: ColumnStore = points.into_iter().collect();
-        Self::with_descriptor_columns(desc, &rows, scheme, spec)
+        Self::with_descriptor(desc, points, scheme, spec)
     }
 
     /// Build from columnar rows, deriving the logical descriptor from the
@@ -117,6 +116,20 @@ impl PartitionedDataset {
         Self::with_descriptor_columns(desc, rows, scheme, spec)
     }
 
+    /// [`PartitionedDataset::from_columns`] taking the rows by value: rows
+    /// that fill a single physical partition become it as they are instead
+    /// of being dealt into a copy (the views, and so the fingerprint, are
+    /// the same either way).
+    pub fn from_owned_columns(
+        name: impl Into<String>,
+        rows: ColumnStore,
+        scheme: PartitionScheme,
+        spec: &ClusterSpec,
+    ) -> Result<Self, DataflowError> {
+        let desc = DatasetDescriptor::from_columns(name, &rows);
+        Self::with_descriptor_owned(desc, rows, scheme, spec)
+    }
+
     /// Build from owned points with an explicit (possibly
     /// larger-than-physical) logical descriptor.
     pub fn with_descriptor(
@@ -125,8 +138,32 @@ impl PartitionedDataset {
         scheme: PartitionScheme,
         spec: &ClusterSpec,
     ) -> Result<Self, DataflowError> {
-        let rows: ColumnStore = points.into_iter().collect();
-        Self::with_descriptor_columns(desc, &rows, scheme, spec)
+        Self::with_descriptor_owned(desc, points.into_iter().collect(), scheme, spec)
+    }
+
+    fn with_descriptor_owned(
+        desc: DatasetDescriptor,
+        rows: ColumnStore,
+        scheme: PartitionScheme,
+        spec: &ClusterSpec,
+    ) -> Result<Self, DataflowError> {
+        if rows.is_empty() || Self::physical_partitions(&desc, rows.len(), spec) > 1 {
+            return Self::with_descriptor_columns(desc, &rows, scheme, spec);
+        }
+        Ok(Self {
+            desc,
+            partitions: vec![Partition { columns: rows }].into(),
+            scheme,
+            fingerprint: Arc::new(OnceLock::new()),
+        })
+    }
+
+    /// One physical partition per logical partition, capped; never more
+    /// partitions than rows.
+    fn physical_partitions(desc: &DatasetDescriptor, rows: usize, spec: &ClusterSpec) -> usize {
+        (desc.partitions(spec) as usize)
+            .clamp(1, Self::MAX_PHYSICAL_PARTITIONS)
+            .min(rows)
     }
 
     /// Build from columnar rows with an explicit logical descriptor: rows
@@ -141,13 +178,8 @@ impl PartitionedDataset {
         if rows.is_empty() {
             return Err(DataflowError::EmptyDataset);
         }
-        let logical_p = desc.partitions(spec) as usize;
         let n_phys = rows.len();
-        // One physical partition per logical partition, capped; never more
-        // partitions than points.
-        let p_phys = logical_p
-            .clamp(1, Self::MAX_PHYSICAL_PARTITIONS)
-            .min(n_phys);
+        let p_phys = Self::physical_partitions(&desc, n_phys, spec);
         // Pre-size a dense slab only when the source rows are dense: a
         // dense pre-allocation for CSR rows would survive the builder's
         // layout upgrade and pin dense-equivalent memory for sparse data.
@@ -224,11 +256,8 @@ impl PartitionedDataset {
         if rows.is_empty() {
             return Err(DataflowError::EmptyDataset);
         }
-        let logical_p = desc.partitions(spec) as usize;
         let n_phys = rows.len();
-        let p_phys = logical_p
-            .clamp(1, Self::MAX_PHYSICAL_PARTITIONS)
-            .min(n_phys);
+        let p_phys = Self::physical_partitions(&desc, n_phys, spec);
         let chunk = n_phys.div_ceil(p_phys);
         let partitions: Vec<Partition> = (0..p_phys)
             .map(|i| Partition {
@@ -386,13 +415,24 @@ impl PartitionedDataset {
     }
 
     /// A deterministic uniform sub-sample of `m` physical rows (used by the
-    /// speculation-based iterations estimator, Algorithm 1 line 1). Returns
-    /// all rows if `m >= physical_n`. A partial Fisher–Yates stops after
-    /// the `m` draws instead of shuffling the full index vector.
-    pub fn sample_points(&self, m: usize, seed: u64) -> Vec<LabeledPoint> {
+    /// speculation-based iterations estimator, Algorithm 1 line 1), in
+    /// partition-major order and pushed as views into one pre-sized
+    /// builder — no row is materialized as a point. Returns all rows if
+    /// `m >= physical_n`. A partial Fisher–Yates stops after the `m` draws
+    /// instead of shuffling the full index vector.
+    pub fn sample_rows(&self, m: usize, seed: u64) -> ColumnStore {
         let n = self.physical_n();
+        let first = self.partitions[0].columns();
+        let mut out = if first.as_dense().is_some() {
+            ColumnarBuilder::with_dense_capacity(m.min(n), first.dims())
+        } else {
+            ColumnarBuilder::new()
+        };
         if m >= n {
-            return self.to_points();
+            for v in self.iter_views() {
+                out.push_view(v);
+            }
+            return out.finish();
         }
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut idx: Vec<u32> = (0..n as u32).collect();
@@ -404,7 +444,6 @@ impl PartitionedDataset {
         idx.sort_unstable();
 
         // Walk the sorted global indices against the partition offsets.
-        let mut out = Vec::with_capacity(m);
         let mut pi = 0usize;
         let mut start = 0usize;
         for gi in idx {
@@ -413,14 +452,18 @@ impl PartitionedDataset {
                 start += self.partitions[pi].len();
                 pi += 1;
             }
-            out.push(
+            out.push_view(
                 self.partitions[pi]
                     .view(gi - start)
-                    .expect("global index within partition")
-                    .to_point(),
+                    .expect("global index within partition"),
             );
         }
-        out
+        out.finish()
+    }
+
+    /// [`PartitionedDataset::sample_rows`] as owned points.
+    pub fn sample_points(&self, m: usize, seed: u64) -> Vec<LabeledPoint> {
+        self.sample_rows(m, seed).to_points()
     }
 }
 
@@ -594,6 +637,33 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.len(), 50);
         assert_eq!(ds.sample_points(10_000, 1).len(), 500);
+    }
+
+    #[test]
+    fn owned_rows_partition_like_borrowed_ones() {
+        // One partition (kept as is) and four (dealt): both must read back
+        // exactly as the borrowing constructor deals them.
+        for bytes in [1024, 4 * 128 * 1024 * 1024] {
+            let desc = DatasetDescriptor::new("o", 100, 2, bytes, 1.0);
+            let rows: ColumnStore = points(100).into_iter().collect();
+            let dealt = PartitionedDataset::with_descriptor_columns(
+                desc.clone(),
+                &rows,
+                PartitionScheme::RoundRobin,
+                &spec(),
+            )
+            .unwrap();
+            let owned = PartitionedDataset::with_descriptor_owned(
+                desc,
+                rows,
+                PartitionScheme::RoundRobin,
+                &spec(),
+            )
+            .unwrap();
+            assert_eq!(owned.num_partitions(), dealt.num_partitions());
+            assert_eq!(owned.to_points(), dealt.to_points());
+            assert_eq!(owned.fingerprint(), dealt.fingerprint());
+        }
     }
 
     #[test]

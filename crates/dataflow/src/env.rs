@@ -153,26 +153,24 @@ impl SimEnv {
         self.ledger.charge_io(pages * page_io);
     }
 
-    /// Random page read: a seek plus one page (the random-partition
-    /// sampler's per-draw cost).
-    pub fn charge_random_page_read(&mut self, dataset_bytes: u64, medium: StorageMedium) {
-        let page_io = self.spec.page_io_s(medium, dataset_bytes);
-        let seek = self.spec.seek_io_s(medium, dataset_bytes);
-        self.ledger.charge_io(seek + page_io);
-    }
-
-    /// Random access to one *data unit* of dataset `d`. For datasets that
-    /// fit a single partition the data lives at the driver (ML4all's hybrid
-    /// Java execution, Appendix D) and a draw is a memory access; otherwise
-    /// it is a block access on the cluster: seek plus one page, cache-aware.
-    pub fn charge_random_unit_read(&mut self, d: &DatasetDescriptor, medium: StorageMedium) {
+    /// IO seconds of a random access to one *data unit* of dataset `d` (the
+    /// random-partition sampler's per-draw cost). For datasets that fit a
+    /// single partition the data lives at the driver (ML4all's hybrid Java
+    /// execution, Appendix D) and a draw is a memory access; otherwise it
+    /// is a block access on the cluster: seek plus one page, cache-aware.
+    /// A pure function of `d`, so a caller charging many draws prices one.
+    pub fn random_unit_read_s(&self, d: &DatasetDescriptor, medium: StorageMedium) -> f64 {
         if d.fits_one_partition(&self.spec) {
             let unit_pages = d.unit_bytes() / self.spec.page_bytes as f64;
-            self.ledger
-                .charge_io(self.spec.mem_seek_s + unit_pages * self.spec.mem_page_io_s);
+            self.spec.mem_seek_s + unit_pages * self.spec.mem_page_io_s
         } else {
-            self.charge_random_page_read(d.bytes, medium);
+            self.spec.seek_io_s(medium, d.bytes) + self.spec.page_io_s(medium, d.bytes)
         }
+    }
+
+    /// Charge one [`SimEnv::random_unit_read_s`].
+    pub fn charge_random_unit_read(&mut self, d: &DatasetDescriptor, medium: StorageMedium) {
+        self.ledger.charge_io(self.random_unit_read_s(d, medium));
     }
 
     /// Meter one compute wave on the simulated-cluster backend:
@@ -352,7 +350,11 @@ mod tests {
         let mut seq = env();
         seq.charge_sequential_read(1800, 7 * 1024 * 1024, StorageMedium::Memory);
         let mut rnd = env();
-        rnd.charge_random_page_read(7 * 1024 * 1024, StorageMedium::Memory);
+        // Several partitions: a draw is a block access, not a driver read.
+        rnd.charge_random_unit_read(
+            &desc(1000, 3 * rnd.spec.partition_bytes),
+            StorageMedium::Memory,
+        );
         assert!(seq.ledger.total_s() < rnd.ledger.total_s());
     }
 

@@ -259,10 +259,12 @@ impl SamplerState {
         rng: &mut StdRng,
         out: &mut Vec<(usize, usize)>,
     ) -> Result<(), DataflowError> {
-        let desc = data.descriptor();
+        // Every draw costs the same read: price it once, charge it `m`
+        // times (one add per draw, as before).
+        let unit_read_s = env.random_unit_read_s(data.descriptor(), StorageMedium::Auto);
         out.reserve(m);
         for _ in 0..m {
-            env.charge_random_unit_read(desc, StorageMedium::Auto);
+            env.ledger.charge_io(unit_read_s);
             out.push(random_coordinate(data, rng));
         }
         env.charge_serial_cpu(m as u64, env.spec.cpu_sample_test_s());

@@ -322,7 +322,7 @@ impl SharedResolver {
         Ok(if rows.is_mapped() {
             PartitionedDataset::from_mapped(name, &rows, &self.cluster)?
         } else {
-            PartitionedDataset::from_columns(name, &rows, scheme, &self.cluster)?
+            PartitionedDataset::from_owned_columns(name, rows, scheme, &self.cluster)?
         })
     }
 }

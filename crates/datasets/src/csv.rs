@@ -1,14 +1,34 @@
 //! CSV dense-format reader with the column selection of the declarative
 //! language (`input.txt:2, input.txt:4-20` — Appendix A's Q2: "column 2 is
 //! the label and attributes 4–20 are the features").
+//!
+//! Lines come from the crate's one streaming line scanner (a bounded read
+//! buffer, no whole-file read); a line is trimmed, blank and `#` lines are
+//! skipped, and fields are cut at each `,` by a byte search. Every field
+//! is trimmed as `str::trim` trims it and parsed by `str::parse::<f64>`,
+//! so each value is exactly the float the standard library reads from its
+//! text.
 
-use std::io::{BufRead, BufReader, Read};
+use std::io::Read;
 use std::path::Path;
 
 use ml4all_dataflow::{ColumnStore, ColumnarBuilder};
 use ml4all_linalg::LabeledPoint;
 
+use crate::lines::{find_byte, Lines};
 use crate::DatasetError;
+
+/// `str::trim`, skipped where it is the identity: a field that begins and
+/// ends with printable ASCII has no whitespace to trim at either end (an
+/// ASCII byte is a whole char, and no printable one is whitespace).
+#[inline]
+fn trim(field: &str) -> &str {
+    let bytes = field.as_bytes();
+    match (bytes.first(), bytes.last()) {
+        (Some(first), Some(last)) if first.is_ascii_graphic() && last.is_ascii_graphic() => field,
+        _ => field.trim(),
+    }
+}
 
 /// Column selection: 1-based label column and inclusive 1-based feature
 /// range. `None` means "first column is the label, the rest are features"
@@ -23,35 +43,37 @@ pub struct CsvColumns {
 
 /// Stream CSV rows (`v1,v2,…`, all numeric) into a row sink: each parsed
 /// `(label, features)` row is handed to `sink` from a reusable field
-/// buffer — no per-row allocation, and nothing beyond the current row is
-/// held in memory. This is the primitive both the in-memory reader and
-/// the out-of-core spilling ingester are built on.
+/// buffer — no per-row allocation, and nothing beyond the read buffer and
+/// the current row is held in memory. This is the primitive both the
+/// in-memory reader and the out-of-core spilling ingester are built on.
 pub fn for_each_csv_row<R: Read>(
     reader: R,
     columns: Option<CsvColumns>,
     mut sink: impl FnMut(f64, &[f64]) -> Result<(), DatasetError>,
 ) -> Result<(), DatasetError> {
-    let mut buf = BufReader::new(reader);
-    let mut line = String::new();
-    let mut line_no = 0usize;
+    let mut lines = Lines::new(reader);
     let mut fields: Vec<f64> = Vec::new();
-    loop {
-        line.clear();
-        if buf.read_line(&mut line)? == 0 {
-            break;
-        }
-        line_no += 1;
+    while let Some((line_no, line)) = lines.next_line()? {
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
         fields.clear();
-        for tok in trimmed.split(',') {
-            let v: f64 = tok.trim().parse().map_err(|e| DatasetError::Parse {
+        let mut rest = trimmed;
+        loop {
+            let (tok, next) = match find_byte(b',', rest.as_bytes()) {
+                Some(i) => (&rest[..i], Some(&rest[i + 1..])),
+                None => (rest, None),
+            };
+            let v: f64 = trim(tok).parse().map_err(|e| DatasetError::Parse {
                 line_no,
                 reason: format!("bad number {tok:?}: {e}"),
             })?;
             fields.push(v);
+            match next {
+                Some(next) => rest = next,
+                None => break,
+            }
         }
         match columns {
             None => {

@@ -17,6 +17,7 @@
 pub mod catalog;
 pub mod csv;
 pub mod libsvm;
+mod lines;
 pub mod metrics;
 pub mod registry;
 pub mod source;

@@ -2,14 +2,20 @@
 //!
 //! Format: one point per line, `label idx:val idx:val …` with 1-based,
 //! strictly increasing indices — the input format of the paper's real
-//! datasets (Section 8.1 footnote 3).
+//! datasets (Section 8.1 footnote 3). A row may have no `idx:val` token at
+//! all (an all-zero point), which is how [`write_libsvm`] writes one.
+//!
+//! Lines come from the crate's one streaming line scanner (a bounded read
+//! buffer, no whole-file read); tokens are split on whitespace and every
+//! number is parsed by the standard library.
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 use ml4all_dataflow::{ColumnStore, ColumnarBuilder};
 use ml4all_linalg::{FeatureVec, LabeledPoint};
 
+use crate::lines::Lines;
 use crate::DatasetError;
 
 /// Parse one LIBSVM line into reusable index/value buffers (cleared
@@ -77,17 +83,10 @@ pub fn for_each_libsvm_row<R: Read>(
     reader: R,
     mut sink: impl FnMut(usize, f64, &[u32], &[f64]) -> Result<(), DatasetError>,
 ) -> Result<(), DatasetError> {
-    let mut buf = BufReader::new(reader);
-    let mut line = String::new();
-    let mut line_no = 0usize;
+    let mut lines = Lines::new(reader);
     let mut indices: Vec<u32> = Vec::new();
     let mut values: Vec<f64> = Vec::new();
-    loop {
-        line.clear();
-        if buf.read_line(&mut line)? == 0 {
-            break;
-        }
-        line_no += 1;
+    while let Some((line_no, line)) = lines.next_line()? {
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;

@@ -7,7 +7,6 @@
 //! LIBSVM/CSV files behave identically everywhere.
 
 use std::collections::HashMap;
-use std::io::BufRead;
 use std::path::{Path, PathBuf};
 
 use ml4all_dataflow::slab::{fresh_spill_dir, SlabError, SpillingBuilder};
@@ -16,6 +15,7 @@ use ml4all_linalg::LabeledPoint;
 
 use crate::csv::{for_each_csv_row, read_csv_file_columns, CsvColumns};
 use crate::libsvm::{for_each_libsvm_row, read_libsvm_file_columns};
+use crate::lines::Lines;
 use crate::{registry, DatasetError};
 
 /// Environment variable bounding ingestion memory: when a data file is
@@ -222,9 +222,9 @@ impl SourceResolver<'_> {
                 Ok(if rows.is_mapped() {
                     PartitionedDataset::from_mapped(name, &rows, self.cluster)?
                 } else {
-                    PartitionedDataset::from_columns(
+                    PartitionedDataset::from_owned_columns(
                         name,
-                        &rows,
+                        rows,
                         PartitionScheme::RoundRobin,
                         self.cluster,
                     )?
@@ -425,17 +425,24 @@ fn read_spilled(
     Ok(sb.finish(dims_hint.unwrap_or(0)).map_err(slab_err)?)
 }
 
-/// Sniff the file format: a LIBSVM line has `idx:val` tokens; CSV does not.
+/// Sniff the file format from the first ten lines: a LIBSVM line has
+/// `idx:val` tokens; CSV does not. A label-only line (a LIBSVM point with
+/// no stored feature) decides nothing, so the sniff keeps looking.
 fn looks_like_libsvm(path: &Path) -> Result<bool, std::io::Error> {
-    let file = std::fs::File::open(path)?;
-    let reader = std::io::BufReader::new(file);
-    for line in reader.lines().take(10) {
-        let line = line?;
+    let mut lines = Lines::new(std::fs::File::open(path)?);
+    while let Some((line_no, line)) = lines.next_line()? {
         let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
+        if !trimmed.is_empty() && !trimmed.starts_with('#') {
+            let mut tokens = trimmed.split_whitespace();
+            let label = tokens.next().unwrap_or_default();
+            let mut rest = tokens.peekable();
+            if rest.peek().is_some() || label.parse::<f64>().is_err() {
+                return Ok(rest.any(|t| t.contains(':')));
+            }
         }
-        return Ok(trimmed.split_whitespace().skip(1).any(|t| t.contains(':')));
+        if line_no == 10 {
+            break;
+        }
     }
     Ok(false)
 }
@@ -682,6 +689,39 @@ mod tests {
         .unwrap();
         assert_eq!(mapped.to_points(), owned.to_points());
         assert_eq!(mapped.fingerprint(), owned.fingerprint());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn libsvm_output_with_an_all_zero_first_row_reads_back_through_the_sniff() {
+        let cluster = ClusterSpec::paper_testbed();
+        let dir = tmp_dir("label-only");
+        let mut pts = points(6);
+        pts[0].features = ml4all_linalg::FeatureVec::dense(vec![0.0; 3]);
+        crate::libsvm::write_libsvm(std::fs::File::create(dir.join("z.libsvm")).unwrap(), &pts)
+            .unwrap();
+        let text = std::fs::read_to_string(dir.join("z.libsvm")).unwrap();
+        assert!(!text.lines().next().unwrap().contains(':'), "{text}");
+        let rows =
+            read_data_file(&dir, Path::new("z.libsvm"), FileFormat::Auto, None, Some(3)).unwrap();
+        assert_eq!(rows.as_csr().map(|_| rows.len()), Some(6));
+        let catalog = HashMap::new();
+        let resolved = resolver(&dir, &catalog, &cluster)
+            .resolve_points(&DataSource::file("z.libsvm"), Some(3))
+            .unwrap();
+        let dense = |pts: &[LabeledPoint]| -> Vec<(f64, Vec<f64>)> {
+            pts.iter()
+                .map(|p| (p.label, p.features.to_dense().as_slice().to_vec()))
+                .collect()
+        };
+        assert_eq!(dense(&resolved), dense(&pts));
+        // A single-column CSV still reads as CSV (and is refused as one).
+        std::fs::write(dir.join("one.csv"), "5\n6\n").unwrap();
+        let err = read_data_file(&dir, Path::new("one.csv"), FileFormat::Auto, None, None);
+        assert!(
+            err.unwrap_err().to_string().contains("need a label"),
+            "single-column CSV"
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -15,6 +15,13 @@
 //! `*_batch` methods of [`Gradient`], and cut a longer stream with
 //! [`Batches`], which only ever cuts at a multiple of
 //! [`SCORE_LANES`].
+//!
+//! Accumulation never changes the order of any coordinate's adds: every
+//! row's gradient is `coefficient · x` (zero coefficients skipped), added
+//! in row order. An all-dense octet adds its eight rows in one
+//! [`simd::axpy_rows`] pass, which keeps each 4-lane chunk of the
+//! accumulator in a register across the rows — bit for bit the eight
+//! single-row adds, with one load and store per chunk instead of eight.
 
 use ml4all_linalg::{simd, FeatureView, LabeledPoint, PointView};
 use serde::{Deserialize, Serialize};
@@ -193,20 +200,21 @@ fn quad_scores(w: &[f64], quad: &[PointView<'_>]) -> [f64; 4] {
 }
 
 /// The [batch rule](self): score `rows` against `w` and hand `f` each
-/// batch's scores beside its rows, batches in row order.
+/// batch's scores beside its rows, batches in row order — plus, for an
+/// all-dense octet, its rows as the dense slices they are.
 #[inline]
 fn for_each_scored<'a>(
     w: &[f64],
     rows: &[PointView<'a>],
-    mut f: impl FnMut(&[f64], &[PointView<'a>]),
+    mut f: impl FnMut(&[f64], &[PointView<'a>], Option<&[&'a [f64]; SCORE_LANES]>),
 ) {
     let mut octets = rows.chunks_exact(SCORE_LANES);
     for octet in octets.by_ref() {
         match dense_rows::<SCORE_LANES>(octet, w.len()) {
-            Some(dense) => f(&simd::dot8(dense, w), octet),
+            Some(dense) => f(&simd::dot8(dense, w), octet, Some(&dense)),
             None => {
                 for quad in octet.chunks_exact(4) {
-                    f(&quad_scores(w, quad), quad);
+                    f(&quad_scores(w, quad), quad, None);
                 }
             }
         }
@@ -214,10 +222,10 @@ fn for_each_scored<'a>(
     // Fewer than eight rows are left: at most one quad, then singles.
     let mut quads = octets.remainder().chunks_exact(4);
     for quad in quads.by_ref() {
-        f(&quad_scores(w, quad), quad);
+        f(&quad_scores(w, quad), quad, None);
     }
     for row in quads.remainder() {
-        f(&[row.features.dot(w)], std::slice::from_ref(row));
+        f(&[row.features.dot(w)], std::slice::from_ref(row), None);
     }
 }
 
@@ -260,33 +268,70 @@ impl GradientKind {
 }
 
 impl GradientKind {
-    /// Gradient contribution given the precomputed score `w·x`: the shared
-    /// second half of the plain and fused accumulation paths.
+    /// The point's gradient is `coefficient · x`, given the precomputed
+    /// score `w·x` and the label `y`; a zero coefficient adds nothing and
+    /// its row is skipped. The one place the Table 3 gradients live, for
+    /// the row-by-row and the octet path alike. (Skipping is exact even for
+    /// linear regression's zero, `score == y`: a finite score means finite
+    /// features, so `0 · x` adds a signed zero, which changes no
+    /// accumulator that starts at `+0.0` — one that only gains sums never
+    /// holds `-0.0`.)
     #[inline]
-    fn accumulate_scored(&self, score: f64, point: PointView<'_>, acc: &mut [f64]) {
-        let y = point.label;
+    fn coefficient(&self, score: f64, y: f64) -> f64 {
         match self {
-            Self::LinearRegression => {
-                point.features.axpy_into(acc, 2.0 * (score - y));
-            }
+            Self::LinearRegression => 2.0 * (score - y),
             Self::LogisticRegression => {
                 let margin = y * score;
-                // −y x / (1 + e^{margin}); guard the exponential against
+                // −y / (1 + e^{margin}); guard the exponential against
                 // overflow for strongly-classified points.
-                let factor = if margin > 35.0 {
+                if margin > 35.0 {
                     0.0
                 } else if margin < -35.0 {
                     -y
                 } else {
                     -y / (1.0 + margin.exp())
-                };
-                if factor != 0.0 {
-                    point.features.axpy_into(acc, factor);
                 }
             }
             Self::Svm => {
                 if y * score < 1.0 {
-                    point.features.axpy_into(acc, -y);
+                    -y
+                } else {
+                    0.0
+                }
+            }
+        }
+    }
+
+    /// Gradient contribution given the precomputed score `w·x`: the shared
+    /// second half of the plain and fused accumulation paths.
+    #[inline]
+    fn accumulate_scored(&self, score: f64, point: PointView<'_>, acc: &mut [f64]) {
+        let c = self.coefficient(score, point.label);
+        if c != 0.0 {
+            point.features.axpy_into(acc, c);
+        }
+    }
+
+    /// Add one scored batch's gradients to `acc` in row order: an all-dense
+    /// octet in one [`simd::axpy_rows`] pass, any other batch row by row.
+    #[inline]
+    fn accumulate_scored_batch(
+        &self,
+        scores: &[f64],
+        rows: &[PointView<'_>],
+        dense: Option<&[&[f64]; SCORE_LANES]>,
+        acc: &mut [f64],
+    ) {
+        match dense {
+            Some(dense) => {
+                let coefs: [f64; SCORE_LANES] =
+                    std::array::from_fn(|k| self.coefficient(scores[k], rows[k].label));
+                let width = acc.len().min(dense[0].len());
+                simd::axpy_rows(&mut acc[..width], &coefs, dense);
+            }
+            None => {
+                for (&score, &p) in scores.iter().zip(rows) {
+                    self.accumulate_scored(score, p, acc);
                 }
             }
         }
@@ -353,15 +398,13 @@ impl Gradient for GradientKind {
     }
 
     fn accumulate_batch(&self, w: &[f64], points: &[PointView<'_>], acc: &mut [f64]) {
-        for_each_scored(w, points, |scores, rows| {
-            for (&score, &p) in scores.iter().zip(rows) {
-                self.accumulate_scored(score, p, acc);
-            }
+        for_each_scored(w, points, |scores, rows, dense| {
+            self.accumulate_scored_batch(scores, rows, dense, acc);
         });
     }
 
     fn loss_batch(&self, w: &[f64], points: &[PointView<'_>], loss_acc: &mut f64) {
-        for_each_scored(w, points, |scores, rows| {
+        for_each_scored(w, points, |scores, rows, _| {
             for (&score, p) in scores.iter().zip(rows) {
                 *loss_acc += self.loss_scored(score, p.label);
             }
@@ -375,16 +418,16 @@ impl Gradient for GradientKind {
         acc: &mut [f64],
         loss_acc: &mut f64,
     ) {
-        for_each_scored(w, points, |scores, rows| {
-            for (&score, &p) in scores.iter().zip(rows) {
-                self.accumulate_scored(score, p, acc);
+        for_each_scored(w, points, |scores, rows, dense| {
+            self.accumulate_scored_batch(scores, rows, dense, acc);
+            for (&score, p) in scores.iter().zip(rows) {
                 *loss_acc += self.loss_scored(score, p.label);
             }
         });
     }
 
     fn predict_batch(&self, w: &[f64], points: &[PointView<'_>], out: &mut Vec<f64>) {
-        for_each_scored(w, points, |scores, _| {
+        for_each_scored(w, points, |scores, _, _| {
             out.extend(scores.iter().map(|&score| self.score_to_prediction(score)));
         });
     }
@@ -588,7 +631,7 @@ mod tests {
         want.extend((16..21).map(|k| rows[k].features.dot(&w)));
 
         let mut got = Vec::new();
-        for_each_scored(&w, &rows, |scores, _| got.extend_from_slice(scores));
+        for_each_scored(&w, &rows, |scores, _, _| got.extend_from_slice(scores));
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(&want));
 

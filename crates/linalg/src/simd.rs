@@ -206,6 +206,93 @@ unsafe fn axpy_avx2(acc: &mut [f64], alpha: f64, x: &[f64]) {
     }
 }
 
+/// Rows one [`axpy_rows`] call takes at most (a scoring octet).
+const AXPY_ROWS_MAX: usize = 8;
+
+/// `acc[j] += coefs[k] * rows[k][j]` for `k` in order, skipping every row
+/// whose coefficient is zero — bit for bit the same as one [`axpy`] call
+/// per non-zero-coefficient row, in row order.
+///
+/// Every coordinate sees the same mul/add sequence as under those calls;
+/// what changes is that each 4-lane chunk of `acc` stays in a register
+/// across the rows instead of being loaded and stored once per row. Takes
+/// at most eight rows, each at least as long as `acc` (entries past
+/// `acc.len()` are ignored, as [`axpy`] ignores them).
+pub fn axpy_rows(acc: &mut [f64], coefs: &[f64], rows: &[&[f64]]) {
+    debug_assert!(
+        coefs.len() == rows.len() && rows.len() <= AXPY_ROWS_MAX,
+        "axpy_rows takes one coefficient per row and at most {AXPY_ROWS_MAX} rows"
+    );
+    let n = acc.len();
+    let mut live_coefs = [0.0f64; AXPY_ROWS_MAX];
+    let mut live_rows: [&[f64]; AXPY_ROWS_MAX] = [&[]; AXPY_ROWS_MAX];
+    let mut live = 0;
+    for (&c, &row) in coefs.iter().zip(rows) {
+        if c != 0.0 {
+            live_coefs[live] = c;
+            // The slice panics on a row shorter than `acc`, so both arms
+            // read only inside every row.
+            live_rows[live] = &row[..n];
+            live += 1;
+        }
+    }
+    let (coefs, rows) = (&live_coefs[..live], &live_rows[..live]);
+    #[cfg(target_arch = "x86_64")]
+    if active_isa() == Isa::Avx2 {
+        // SAFETY: `active_isa` reported AVX2 on this CPU, and every row
+        // was sliced to exactly `acc.len()` elements above.
+        unsafe { axpy_rows_avx2(acc, coefs, rows) };
+        return;
+    }
+    axpy_rows_from(0, acc, coefs, rows);
+}
+
+/// The scalar form of [`axpy_rows`] (the rows already filtered to live
+/// ones) over coordinates `start..`.
+#[inline]
+fn axpy_rows_from(start: usize, acc: &mut [f64], coefs: &[f64], rows: &[&[f64]]) {
+    for (j, a) in acc.iter_mut().enumerate().skip(start) {
+        let mut s = *a;
+        for (&c, row) in coefs.iter().zip(rows) {
+            s += c * row[j];
+        }
+        *a = s;
+    }
+}
+
+/// # Safety
+///
+/// The CPU must support AVX2, `coefs` and `rows` must have equal lengths,
+/// and every row must be exactly `acc.len()` elements long.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn axpy_rows_avx2(acc: &mut [f64], coefs: &[f64], rows: &[&[f64]]) {
+    use core::arch::x86_64::*;
+    debug_assert_eq!(coefs.len(), rows.len());
+    debug_assert!(rows.iter().all(|r| r.len() == acc.len()));
+    let n = acc.len();
+    let k = rows.len().min(AXPY_ROWS_MAX);
+    let mut c = [_mm256_setzero_pd(); AXPY_ROWS_MAX];
+    let mut ptrs = [acc.as_ptr(); AXPY_ROWS_MAX];
+    for r in 0..k {
+        c[r] = _mm256_set1_pd(coefs[r]);
+        ptrs[r] = rows[r].as_ptr();
+    }
+    let out = acc.as_mut_ptr();
+    let mut j = 0;
+    while j + 4 <= n {
+        // SAFETY: `j + 4 <= n` and `acc` and every row hold `n` elements,
+        // so each unaligned 4-lane load and the store stay in bounds.
+        let mut a = _mm256_loadu_pd(out.add(j));
+        for r in 0..k {
+            a = _mm256_add_pd(a, _mm256_mul_pd(c[r], _mm256_loadu_pd(ptrs[r].add(j))));
+        }
+        _mm256_storeu_pd(out.add(j), a);
+        j += 4;
+    }
+    axpy_rows_from(j, acc, coefs, rows);
+}
+
 /// Lockstep dot products of four CSR rows against a dense `w`.
 ///
 /// Sparse rows have data-dependent index streams, so there is no profitable
@@ -400,8 +487,13 @@ mod tests {
             .collect()
     }
 
+    /// Held by every test that flips [`force_scalar`], so one test's flip
+    /// back cannot land inside another's scalar section.
+    static DISPATCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn batched_dots_match_blocked_order_bitwise_on_both_paths() {
+        let _dispatch = DISPATCH.lock().expect("no test panics holding it");
         // Cover every remainder class (len % 4), an odd block count, and
         // empty rows; verify the active (possibly vector) path and the
         // forced-scalar path against the canonical blocked order, bitwise.
@@ -427,6 +519,45 @@ mod tests {
             for k in 0..8 {
                 assert_eq!(active8[k].to_bits(), expect[k].to_bits(), "dot8 lane {k}");
                 assert_eq!(scalar8[k].to_bits(), expect[k].to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn axpy_rows_equals_sequential_axpy_calls_bitwise_on_both_paths() {
+        let _dispatch = DISPATCH.lock().expect("no test panics holding it");
+        let lengths = (0usize..=13).chain([50, 64]);
+        for n in lengths {
+            let rows: Vec<Vec<f64>> = (0..8).map(|i| lcg_values(i as u64 + 30, n)).collect();
+            let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
+            // Every third coefficient is a zero (one of them negative) and
+            // must be skipped exactly as the sequential caller skips it.
+            let coefs: Vec<f64> = lcg_values(17, 8)
+                .into_iter()
+                .enumerate()
+                .map(|(k, c)| match k % 3 {
+                    1 if k == 4 => -0.0,
+                    1 => 0.0,
+                    _ => c,
+                })
+                .collect();
+            let start = lcg_values(23, n);
+            for k in 0..=8 {
+                let mut want = start.clone();
+                for (&c, row) in coefs[..k].iter().zip(&refs[..k]) {
+                    if c != 0.0 {
+                        axpy(&mut want, c, row);
+                    }
+                }
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let mut active = start.clone();
+                axpy_rows(&mut active, &coefs[..k], &refs[..k]);
+                force_scalar(true);
+                let mut scalar = start.clone();
+                axpy_rows(&mut scalar, &coefs[..k], &refs[..k]);
+                force_scalar(false);
+                assert_eq!(bits(&active), bits(&want), "active arm, n {n}, k {k}");
+                assert_eq!(bits(&scalar), bits(&want), "scalar arm, n {n}, k {k}");
             }
         }
     }
