@@ -188,8 +188,6 @@ pub fn sweep_with(
             // Feed the executed point to the fitting calibrator exactly as
             // the engine's post-job hook would: the analytical cost vector
             // at the executed iteration count against the run's ledger.
-            let prep = choice.prep_cost.unwrap_or_default();
-            let iter = choice.iter_cost.unwrap_or_default();
             cal.observe(&JobObservation {
                 key: plan_feature_key(
                     &format!("{:?}", config.gradient),
@@ -197,7 +195,7 @@ pub fn sweep_with(
                     result.backend,
                     data.descriptor(),
                 ),
-                predicted: prep.plus(&iter.times(iterations as f64)),
+                predicted: choice.cost_at(iterations).unwrap_or_default(),
                 predicted_total_s: choice.total_s,
                 measured: result.cost,
                 measured_total_s: result.sim_time_s,

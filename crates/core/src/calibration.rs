@@ -15,6 +15,8 @@ use ml4all_dataflow::{CostBreakdown, DatasetDescriptor};
 use ml4all_gd::GdPlan;
 use serde::{Deserialize, Serialize};
 
+use crate::chooser::PlanChoice;
+
 /// Multiplicative unit-cost scales per ledger category, learned from
 /// measured/predicted ratios. `1.0` everywhere = the static paper model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -127,7 +129,7 @@ impl CalibrationSnapshot {
         iterations: u64,
         key: &str,
     ) -> f64 {
-        let combined = prep.plus(&per_iter.times(iterations as f64));
+        let combined = PlanChoice::cost_of(prep, per_iter, iterations);
         let rescaled = total_s
             + combined.io_s * (self.scales.io - 1.0)
             + combined.cpu_s * (self.scales.cpu - 1.0)

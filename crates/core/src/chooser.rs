@@ -18,7 +18,7 @@ use crate::estimator::{
     estimate_on_sample, speculation_sample, IterationsEstimate, SpeculationConfig,
 };
 use crate::planspace::enumerate_plans;
-use crate::platform::{map_plan, PlatformMapping};
+use crate::platform::PlatformMapping;
 use crate::OptimizerError;
 
 /// Where the iteration counts come from.
@@ -214,6 +214,32 @@ impl PlanChoice {
     pub fn ranking_s(&self) -> f64 {
         self.calibrated_s.unwrap_or(self.total_s)
     }
+
+    /// Equations 7–9 at `iterations` iterations — `prep + T × iter` — in
+    /// simulated seconds: [`PlanChoice::total_s`] is this at the estimated
+    /// count, and a finished run is observed at the count it ran.
+    pub fn total_at(&self, iterations: u64) -> f64 {
+        self.preparation_s + iterations as f64 * self.per_iteration_s
+    }
+
+    /// [`PlanChoice::total_at`] per category; present on calibrated
+    /// reports, which keep the cost vectors.
+    pub fn cost_at(&self, iterations: u64) -> Option<CostBreakdown> {
+        Some(Self::cost_of(
+            &self.prep_cost?,
+            &self.iter_cost?,
+            iterations,
+        ))
+    }
+
+    /// `prep + T × iter`, category-wise.
+    pub(crate) fn cost_of(
+        prep: &CostBreakdown,
+        iter: &CostBreakdown,
+        iterations: u64,
+    ) -> CostBreakdown {
+        prep.plus(&iter.times(iterations as f64))
+    }
 }
 
 /// Per-variant speculation outcome.
@@ -346,27 +372,10 @@ pub fn choose_plan(
         IterationsSource::Fixed(t) => variants.iter().map(|v| (*v, *t)).collect(),
         IterationsSource::Speculate(spec_cfg) => {
             // One Spark job collects the sample for all three speculative
-            // runs: job init plus reading a partition's worth of input and
-            // parsing the sampled units (the ~4 s overhead of Section 8.3).
-            {
-                let mut collect_env = ml4all_dataflow::SimEnv::new(cluster.clone());
-                collect_env.charge_job_init();
-                let desc = data.descriptor();
-                let partition_bytes = desc
-                    .bytes
-                    .div_ceil(desc.partitions(cluster))
-                    .min(cluster.partition_bytes);
-                collect_env.charge_sequential_read(
-                    partition_bytes,
-                    desc.bytes,
-                    ml4all_dataflow::StorageMedium::Auto,
-                );
-                collect_env.charge_serial_cpu(
-                    spec_cfg.sample_size as u64,
-                    cluster.cpu_transform_s(desc.avg_nnz()),
-                );
-                speculation_sim_s += collect_env.elapsed_s();
-            }
+            // runs (the ~4 s overhead of Section 8.3).
+            let mut collect_env = SimEnv::new(cluster.clone());
+            collect_env.charge_sample_collection(data.descriptor(), spec_cfg.sample_size as u64);
+            speculation_sim_s += collect_env.elapsed_s();
             // The three speculative runs share one sample `D′` and are
             // otherwise independent; dispatch them through the shared
             // runtime worker pool (each builds its own environment and seed
@@ -419,42 +428,22 @@ pub fn choose_plan(
                 .expect("every plan variant was estimated");
             // The user's iteration cap bounds every plan.
             let t = (*t).min(config.max_iter).max(1);
-            let preparation_s = model.preparation_s(&plan);
-            let per_iteration_s = model.per_iteration_s(&plan);
-            let mapping = map_plan(&plan, desc, cluster);
-            let total_s = preparation_s + t as f64 * per_iteration_s;
+            let mut choice = model.choice(plan, t, config.calibration.is_some());
             // Calibrated pricing: rescale the predicted cost vector by the
-            // learned unit-cost scales, apply the residual factor for this
-            // plan's feature key, and keep the vectors on the choice so
-            // the post-execution observation can compare like with like.
-            let (calibrated_s, prep_cost, iter_cost) = match &config.calibration {
-                Some(snapshot) => {
-                    let prep = model.preparation_cost(&plan);
-                    let iter = model.per_iteration_cost(&plan);
-                    let backend = if mapping.uses_cluster() {
-                        "simulated-cluster"
-                    } else {
-                        "local"
-                    };
-                    let key =
-                        plan_feature_key(&format!("{:?}", config.gradient), &plan, backend, desc);
-                    let calibrated = snapshot.calibrate_total(total_s, &prep, &iter, t, &key);
-                    (Some(calibrated), Some(prep), Some(iter))
-                }
-                None => (None, None, None),
-            };
-            PlanChoice {
-                plan,
-                estimated_iterations: t,
-                preparation_s,
-                per_iteration_s,
-                total_s,
-                mapping,
-                measured_s: None,
-                calibrated_s,
-                prep_cost,
-                iter_cost,
+            // learned unit-cost scales and apply the residual factor for
+            // this plan's feature key — keyed by the backend the mapping
+            // executes on, as the run that feeds the residual is observed.
+            // The vectors stay on the choice so the post-execution
+            // observation can compare like with like.
+            if let (Some(snapshot), Some(prep), Some(iter)) =
+                (&config.calibration, choice.prep_cost, choice.iter_cost)
+            {
+                let backend = Backend::label(choice.mapping.uses_cluster());
+                let key = plan_feature_key(&format!("{:?}", config.gradient), &plan, backend, desc);
+                choice.calibrated_s =
+                    Some(snapshot.calibrate_total(choice.total_s, &prep, &iter, t, &key));
             }
+            choice
         })
         .collect();
     // Rank by the calibrated cost when one was computed; under the
@@ -690,6 +679,56 @@ mod tests {
         assert_ne!(calibrated.best().plan, first, "the mispriced plan loses");
         assert_eq!(calibrated.best().plan, second);
         assert_eq!(calibrated.calibration.unwrap().generation, 7);
+    }
+
+    #[test]
+    fn every_plan_is_priced_under_the_key_its_run_is_observed_under() {
+        // A residual keyed by what a profiled run reports must reprice
+        // exactly that plan: if the chooser spelled the backend
+        // differently, the factor would silently never apply.
+        use crate::calibration::{plan_feature_key, CalibrationSnapshot, ResidualEntry};
+        let cluster = ClusterSpec::paper_testbed();
+        let analogs = [
+            (dataset(1000, 7 * 1024 * 1024), "local"),
+            (dataset(2000, 10 * 1024 * 1024 * 1024), "simulated-cluster"),
+        ];
+        for (data, backend) in analogs {
+            let config =
+                OptimizerConfig::new(GradientKind::LogisticRegression).with_fixed_iterations(3);
+            let report = choose_plan(&data, &config, &cluster).unwrap();
+            assert_eq!(report.choices.len(), 11);
+            for choice in &report.choices {
+                let run = profile_choice(choice, &data, &config, &cluster)
+                    .unwrap()
+                    .expect("three iterations do not diverge");
+                assert_eq!(run.backend, backend, "{}", choice.plan);
+                let mut snapshot = CalibrationSnapshot::identity();
+                snapshot.residuals = vec![ResidualEntry {
+                    key: plan_feature_key(
+                        &format!("{:?}", config.gradient),
+                        &choice.plan,
+                        run.backend,
+                        data.descriptor(),
+                    ),
+                    factor: 2.0,
+                    observations: 10,
+                }];
+                let priced =
+                    choose_plan(&data, &config.clone().with_calibration(snapshot), &cluster)
+                        .unwrap();
+                let row = priced
+                    .choices
+                    .iter()
+                    .find(|c| c.plan == choice.plan)
+                    .expect("same plan space");
+                assert_eq!(
+                    row.calibrated_s.unwrap().to_bits(),
+                    (row.total_s * 2.0).to_bits(),
+                    "{}: priced under a different key than it is observed under",
+                    choice.plan
+                );
+            }
+        }
     }
 
     #[test]

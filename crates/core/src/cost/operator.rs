@@ -1,21 +1,12 @@
-//! Per-operator cost estimation (Section 7.1, Equations 3–6).
+//! Per-operator cost rows (Section 7.1, Equations 3–6).
 //!
-//! Each helper builds a scratch [`SimEnv`], charges the operations the
-//! operator would perform, and reads off the simulated seconds. `Transform`,
-//! `Compute`, `Sample`, `Converge` and `Loop` involve IO and CPU only;
-//! `Update` is the only operator with a network term (the aggregated
-//! compute outputs travel to a single node); `Stage` is CPU-only.
-//!
-//! Every operator is costed twice over: the `*_s` methods return the total
-//! simulated seconds (the quantity Equations 7–9 compose), and the `*_cost`
-//! methods return the full per-category [`CostBreakdown`] the charge left
-//! in the scratch ledger — the vector online calibration rescales. The two
-//! views are the same ledger read (`elapsed_s()` *is* the snapshot total),
-//! so the scalar path is bit-identical with calibration compiled in or out.
+//! Each row is the operator's one call into [`SimEnv`]'s price list — the
+//! call the executor and the samplers make on the live environment — made
+//! on a scratch environment and read off as the per-category
+//! [`CostBreakdown`] it left: the vector online calibration rescales,
+//! whose `total_s()` is the seconds Equations 7–9 compose.
 
-use ml4all_dataflow::{
-    ClusterSpec, CostBreakdown, DatasetDescriptor, SamplingMethod, SimEnv, StorageMedium,
-};
+use ml4all_dataflow::{ClusterSpec, CostBreakdown, DatasetDescriptor, SamplingMethod, SimEnv};
 
 /// Cost calculator for one dataset on one cluster.
 #[derive(Debug, Clone)]
@@ -30,8 +21,9 @@ impl<'a> OperatorCosts<'a> {
         Self { spec, desc }
     }
 
-    fn scratch(&self) -> SimEnv {
-        SimEnv::new(self.spec.clone())
+    /// The cluster this calculator costs on.
+    pub(crate) fn spec(&self) -> &ClusterSpec {
+        self.spec
     }
 
     /// The dataset descriptor this calculator costs against.
@@ -44,180 +36,63 @@ impl<'a> OperatorCosts<'a> {
         !self.desc.fits_one_partition(self.spec)
     }
 
-    /// One-time job initialization.
-    pub fn job_init_s(&self) -> f64 {
-        self.spec.job_init_s
+    /// The cost vector `charge` leaves on a fresh environment.
+    fn row(&self, charge: impl FnOnce(&mut SimEnv)) -> CostBreakdown {
+        let mut env = SimEnv::new(self.spec.clone());
+        charge(&mut env);
+        env.ledger.snapshot()
     }
 
-    /// One-time job initialization as a cost vector (pure overhead).
+    /// One-time job initialization (pure overhead).
     pub fn job_init_cost(&self) -> CostBreakdown {
-        CostBreakdown {
-            overhead_s: self.spec.job_init_s,
-            ..CostBreakdown::default()
-        }
+        self.row(SimEnv::charge_job_init)
     }
 
-    /// `Stage` (`cS`): CPU-only parameter initialization.
+    /// `Stage` (`cS`): [`SimEnv::charge_stage`].
     pub fn stage_cost(&self) -> CostBreakdown {
-        let mut env = self.scratch();
-        env.charge_serial_cpu(1, env.spec.cpu_stage_s(self.desc.dims));
-        env.ledger.snapshot()
+        self.row(|env| env.charge_stage(self.desc))
     }
 
-    /// `Stage` total seconds.
-    pub fn stage_s(&self) -> f64 {
-        self.stage_cost().total_s()
-    }
-
-    /// `Transform` over the full dataset (`cT(D)`): first read comes from
-    /// disk, plus wave-parallel parse CPU.
+    /// `Transform` over the full dataset (`cT(D)`).
     pub fn transform_full_cost(&self) -> CostBreakdown {
-        let mut env = self.scratch();
-        env.charge_full_scan_io(self.desc, StorageMedium::Disk);
-        env.charge_wave_cpu(self.desc, env.spec.cpu_transform_s(self.desc.avg_nnz()));
-        env.ledger.snapshot()
-    }
-
-    /// `Transform` over the full dataset, total seconds.
-    pub fn transform_full_s(&self) -> f64 {
-        self.transform_full_cost().total_s()
+        self.row(|env| env.charge_transform_scan(self.desc))
     }
 
     /// `Transform` over `m` sampled units (`cT(mᵢ)`), driver-side.
     pub fn transform_units_cost(&self, m: u64) -> CostBreakdown {
-        let mut env = self.scratch();
-        env.charge_serial_cpu(m, env.spec.cpu_transform_s(self.desc.avg_nnz()));
-        env.ledger.snapshot()
+        self.row(|env| env.charge_transform_units(self.desc, m))
     }
 
-    /// `Transform` over `m` sampled units, total seconds.
-    pub fn transform_units_s(&self, m: u64) -> f64 {
-        self.transform_units_cost(m).total_s()
-    }
-
-    /// `Compute` over the full dataset (`cC(D)`): a cache-aware scan plus
-    /// wave-parallel gradient CPU.
+    /// `Compute` over the full dataset (`cC(D)`).
     pub fn compute_full_cost(&self) -> CostBreakdown {
-        let mut env = self.scratch();
-        env.charge_full_scan_io(self.desc, StorageMedium::Auto);
-        env.charge_wave_cpu(self.desc, env.spec.cpu_gradient_s(self.desc.avg_nnz()));
-        env.ledger.snapshot()
+        self.row(|env| {
+            env.charge_compute_scan(self.desc, false);
+        })
     }
 
-    /// `Compute` over the full dataset, total seconds.
-    pub fn compute_full_s(&self) -> f64 {
-        self.compute_full_cost().total_s()
-    }
-
-    /// `Compute` over `m` sampled units (`cC(mᵢ)`): the sample is shipped
-    /// to the driver (hybrid execution) and processed serially.
+    /// `Compute` over `m` sampled units at the driver (`cC(mᵢ)`).
     pub fn compute_units_cost(&self, m: u64) -> CostBreakdown {
-        let mut env = self.scratch();
-        if self.distributed() {
-            env.charge_network(self.desc.unit_bytes().ceil() as u64 * m);
-        }
-        env.charge_serial_cpu(m, env.spec.cpu_gradient_s(self.desc.avg_nnz()));
-        env.ledger.snapshot()
+        self.row(|env| env.charge_compute_units(self.desc, m))
     }
 
-    /// `Compute` over `m` sampled units, total seconds.
-    pub fn compute_units_s(&self, m: u64) -> f64 {
-        self.compute_units_cost(m).total_s()
-    }
-
-    /// `Update` (`cU`): the only operator with a network term — every
-    /// active partition ships its partial aggregate (a `d`-vector) to one
-    /// node, which then applies the step.
+    /// `Update` (`cU`), aggregating partials when `batch_aggregation`.
     pub fn update_cost(&self, batch_aggregation: bool) -> CostBreakdown {
-        let mut env = self.scratch();
-        if batch_aggregation && self.distributed() {
-            let active = self.desc.partitions(self.spec);
-            env.charge_network(active * self.desc.dims as u64 * 8);
-        }
-        env.charge_serial_cpu(1, env.spec.cpu_update_s(self.desc.dims));
-        env.ledger.snapshot()
+        self.row(|env| env.charge_update(self.desc, batch_aggregation))
     }
 
-    /// `Update` total seconds.
-    pub fn update_s(&self, batch_aggregation: bool) -> f64 {
-        self.update_cost(batch_aggregation).total_s()
-    }
-
-    /// `Converge` + `Loop` (`cCV + cL`): single-node model-vector pass.
+    /// `Converge` + `Loop` (`cCV + cL`).
     pub fn converge_loop_cost(&self) -> CostBreakdown {
-        let mut env = self.scratch();
-        env.charge_serial_cpu(1, env.spec.cpu_converge_s(self.desc.dims));
-        env.ledger.snapshot()
+        self.row(|env| env.charge_converge(self.desc))
     }
 
-    /// `Converge` + `Loop` total seconds.
-    pub fn converge_loop_s(&self) -> f64 {
-        self.converge_loop_cost().total_s()
-    }
-
-    /// `Sample` (`cSP`): expected per-iteration cost of drawing `m` units
-    /// with the given strategy (Figure 4 semantics).
+    /// `Sample` (`cSP`): one draw of `m` units with `method` (Figure 4).
     pub fn sample_cost(&self, method: SamplingMethod, m: u64) -> CostBreakdown {
-        let mut env = self.scratch();
-        match method {
-            SamplingMethod::Bernoulli => {
-                // Scan everything, test every unit.
-                env.charge_full_scan_io(self.desc, StorageMedium::Auto);
-                env.charge_wave_cpu(self.desc, env.spec.cpu_sample_test_s());
-            }
-            SamplingMethod::RandomPartition => {
-                let unit_read_s = env.random_unit_read_s(self.desc, StorageMedium::Auto);
-                for _ in 0..m {
-                    env.ledger.charge_io(unit_read_s);
-                }
-                env.charge_serial_cpu(m, env.spec.cpu_sample_test_s());
-            }
-            SamplingMethod::ShuffledPartition => {
-                // One partition shuffle (seek + sequential read +
-                // Fisher–Yates over its k units) serves k sequential
-                // draws; amortize it as m/k per iteration — identical to
-                // the charge the sampler itself applies.
-                let k = self.desc.units_per_partition(self.spec).max(1);
-                let mut shuffle_env = self.scratch();
-                shuffle_env.charge_seek(self.desc.bytes, StorageMedium::Auto);
-                let partition_bytes = self
-                    .desc
-                    .bytes
-                    .div_ceil(self.desc.partitions(self.spec))
-                    .min(self.spec.partition_bytes);
-                shuffle_env.charge_sequential_read(
-                    partition_bytes,
-                    self.desc.bytes,
-                    StorageMedium::Auto,
-                );
-                shuffle_env.charge_serial_cpu(k, shuffle_env.spec.cpu_shuffle_unit_s());
-                env.ledger
-                    .charge_io(shuffle_env.elapsed_s() * m as f64 / k as f64);
-
-                let unit_bytes = self.desc.unit_bytes().ceil() as u64;
-                env.charge_sequential_read(unit_bytes * m, self.desc.bytes, StorageMedium::Auto);
-                env.charge_serial_cpu(m, env.spec.cpu_sample_test_s());
-            }
-        }
-        env.ledger.snapshot()
+        self.row(|env| env.charge_sample(method, self.desc, m))
     }
 
-    /// `Sample` total seconds.
-    pub fn sample_s(&self, method: SamplingMethod, m: u64) -> f64 {
-        self.sample_cost(method, m).total_s()
-    }
-
-    /// Per-iteration scheduling overhead: a stage launch on distributed
-    /// data, the driver loop otherwise.
+    /// Per-iteration scheduling overhead.
     pub fn iteration_overhead_cost(&self) -> CostBreakdown {
-        let mut env = self.scratch();
-        env.charge_iteration_overhead(self.distributed());
-        env.ledger.snapshot()
-    }
-
-    /// Per-iteration scheduling overhead, total seconds.
-    pub fn iteration_overhead_s(&self) -> f64 {
-        self.iteration_overhead_cost().total_s()
+        self.row(|env| env.charge_iteration_overhead(self.distributed()))
     }
 }
 
@@ -241,8 +116,8 @@ mod tests {
     fn transform_full_scales_with_dataset() {
         let s = spec();
         let (sd, ld) = (small(), large());
-        let small_cost = OperatorCosts::new(&s, &sd).transform_full_s();
-        let large_cost = OperatorCosts::new(&s, &ld).transform_full_s();
+        let small_cost = OperatorCosts::new(&s, &sd).transform_full_cost().total_s();
+        let large_cost = OperatorCosts::new(&s, &ld).transform_full_cost().total_s();
         assert!(large_cost > 10.0 * small_cost);
     }
 
@@ -251,8 +126,8 @@ mod tests {
         // The SGD promise: per-iteration compute cost is O(1) in n.
         let s = spec();
         let (sd, ld) = (small(), large());
-        let small_cost = OperatorCosts::new(&s, &sd).compute_units_s(1);
-        let large_cost = OperatorCosts::new(&s, &ld).compute_units_s(1);
+        let small_cost = OperatorCosts::new(&s, &sd).compute_units_cost(1).total_s();
+        let large_cost = OperatorCosts::new(&s, &ld).compute_units_cost(1).total_s();
         // Not exactly equal (unit bytes differ → shipping cost) but within
         // two orders of magnitude of each other, vs ~1000× for full scans.
         assert!(large_cost < small_cost * 100.0);
@@ -265,25 +140,34 @@ mod tests {
         let costs = OperatorCosts::new(&s, &d);
         assert_eq!(
             costs.compute_full_cost().total_s().to_bits(),
-            costs.compute_full_s().to_bits()
+            costs.compute_full_cost().total_s().to_bits()
         );
         assert_eq!(
             costs
                 .sample_cost(SamplingMethod::Bernoulli, 10)
                 .total_s()
                 .to_bits(),
-            costs.sample_s(SamplingMethod::Bernoulli, 10).to_bits()
+            costs
+                .sample_cost(SamplingMethod::Bernoulli, 10)
+                .total_s()
+                .to_bits()
         );
         assert_eq!(
             costs.update_cost(true).total_s().to_bits(),
-            costs.update_s(true).to_bits()
+            costs.update_cost(true).total_s().to_bits()
         );
         // The update network term lands in the net category.
         assert!(costs.update_cost(true).net_s > 0.0);
         assert_eq!(costs.update_cost(false).net_s, 0.0);
         // Job init is pure overhead.
-        assert_eq!(costs.job_init_cost().total_s(), costs.job_init_s());
-        assert_eq!(costs.job_init_cost().overhead_s, costs.job_init_s());
+        assert_eq!(
+            costs.job_init_cost().total_s(),
+            costs.job_init_cost().total_s()
+        );
+        assert_eq!(
+            costs.job_init_cost().overhead_s,
+            costs.job_init_cost().total_s()
+        );
     }
 
     #[test]
@@ -291,8 +175,10 @@ mod tests {
         let s = spec();
         let d = large();
         let costs = OperatorCosts::new(&s, &d);
-        let bernoulli = costs.sample_s(SamplingMethod::Bernoulli, 1);
-        let shuffle = costs.sample_s(SamplingMethod::ShuffledPartition, 1);
+        let bernoulli = costs.sample_cost(SamplingMethod::Bernoulli, 1).total_s();
+        let shuffle = costs
+            .sample_cost(SamplingMethod::ShuffledPartition, 1)
+            .total_s();
         assert!(
             bernoulli > 20.0 * shuffle,
             "bernoulli {bernoulli} vs shuffle {shuffle}"
@@ -304,8 +190,12 @@ mod tests {
         let s = spec();
         let d = large();
         let costs = OperatorCosts::new(&s, &d);
-        let random = costs.sample_s(SamplingMethod::RandomPartition, 1000);
-        let shuffle = costs.sample_s(SamplingMethod::ShuffledPartition, 1000);
+        let random = costs
+            .sample_cost(SamplingMethod::RandomPartition, 1000)
+            .total_s();
+        let shuffle = costs
+            .sample_cost(SamplingMethod::ShuffledPartition, 1000)
+            .total_s();
         assert!(shuffle < random, "shuffle {shuffle} vs random {random}");
     }
 
@@ -315,10 +205,14 @@ mod tests {
         let small_desc = small();
         let small_costs = OperatorCosts::new(&s, &small_desc);
         // Single-partition dataset → no network either way.
-        assert!((small_costs.update_s(true) - small_costs.update_s(false)).abs() < 1e-12);
+        assert!(
+            (small_costs.update_cost(true).total_s() - small_costs.update_cost(false).total_s())
+                .abs()
+                < 1e-12
+        );
         let large_desc = large();
         let large_costs = OperatorCosts::new(&s, &large_desc);
-        assert!(large_costs.update_s(true) > large_costs.update_s(false));
+        assert!(large_costs.update_cost(true).total_s() > large_costs.update_cost(false).total_s());
     }
 
     #[test]
@@ -327,9 +221,9 @@ mod tests {
         let lo = DatasetDescriptor::new("lo", 1000, 10, 1024, 1.0);
         let hi = DatasetDescriptor::new("hi", 1000, 100_000, 1024, 1.0);
         assert!(
-            OperatorCosts::new(&s, &hi).converge_loop_s()
-                > OperatorCosts::new(&s, &lo).converge_loop_s()
+            OperatorCosts::new(&s, &hi).converge_loop_cost().total_s()
+                > OperatorCosts::new(&s, &lo).converge_loop_cost().total_s()
         );
-        assert!(OperatorCosts::new(&s, &lo).stage_s() < 1e-3);
+        assert!(OperatorCosts::new(&s, &lo).stage_cost().total_s() < 1e-3);
     }
 }

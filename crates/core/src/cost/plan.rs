@@ -8,16 +8,40 @@
 //!
 //! plus the fixed job-initialization overhead and the per-iteration
 //! scheduling overhead the substrate charges.
+//!
+//! One equation, two folds: each plan's equation is written once, as the
+//! ordered operator rows it pays before the loop and per iteration. The
+//! scalar costs fold the rows' `total_s()` left to right; the cost vectors
+//! online calibration rescales fold the same rows with
+//! [`CostBreakdown::plus`]. `prep + T × iter` is
+//! [`PlanChoice::total_at`](crate::chooser::PlanChoice::total_at).
 
 use ml4all_dataflow::{ClusterSpec, CostBreakdown, DatasetDescriptor};
 use ml4all_gd::{GdPlan, GdVariant, TransformPolicy};
 
 use super::operator::OperatorCosts;
+use crate::chooser::PlanChoice;
+use crate::platform::map_plan;
 
 /// Cost model for all plans over one dataset on one cluster.
 #[derive(Debug, Clone)]
 pub struct PlanCostModel<'a> {
     costs: OperatorCosts<'a>,
+}
+
+/// Scalar fold of a plan's ordered rows (`None`: a row the plan skips):
+/// the rows' totals, summed left to right.
+fn fold_s(rows: &[Option<CostBreakdown>]) -> f64 {
+    rows.iter()
+        .flatten()
+        .fold(0.0, |sum, row| sum + row.total_s())
+}
+
+/// Vector fold of the same rows: summed category-wise, left to right.
+fn fold_cost(rows: &[Option<CostBreakdown>]) -> CostBreakdown {
+    rows.iter()
+        .flatten()
+        .fold(CostBreakdown::default(), |sum, row| sum.plus(row))
 }
 
 impl<'a> PlanCostModel<'a> {
@@ -33,92 +57,95 @@ impl<'a> PlanCostModel<'a> {
         &self.costs
     }
 
+    /// What the plan pays once: job init, `Stage`, an eager `Transform`.
+    fn preparation_rows(&self, plan: &GdPlan) -> [Option<CostBreakdown>; 3] {
+        let eager = plan.transform == TransformPolicy::Eager;
+        [
+            Some(self.costs.job_init_cost()),
+            Some(self.costs.stage_cost()),
+            eager.then(|| self.costs.transform_full_cost()),
+        ]
+    }
+
+    /// What the plan pays per iteration: the scheduling overhead, BGD's
+    /// full `Compute` and aggregating `Update` or a sampled plan's
+    /// `Sample`, `Compute` and driver `Update`, `Converge` + `Loop`, and
+    /// last a lazy plan's per-unit `Transform`.
+    fn iteration_rows(&self, plan: &GdPlan) -> [Option<CostBreakdown>; 6] {
+        let overhead = Some(self.costs.iteration_overhead_cost());
+        let converge = Some(self.costs.converge_loop_cost());
+        match plan.variant {
+            GdVariant::Batch => [
+                overhead,
+                Some(self.costs.compute_full_cost()),
+                Some(self.costs.update_cost(true)),
+                converge,
+                None,
+                None,
+            ],
+            GdVariant::Stochastic | GdVariant::MiniBatch { .. } => {
+                let m = plan.variant.sample_size(self.costs.descriptor().n);
+                let sampling = plan
+                    .sampling
+                    .expect("stochastic plans carry a sampling strategy");
+                let lazy = plan.transform == TransformPolicy::Lazy;
+                [
+                    overhead,
+                    Some(self.costs.sample_cost(sampling, m)),
+                    Some(self.costs.compute_units_cost(m)),
+                    Some(self.costs.update_cost(false)),
+                    converge,
+                    lazy.then(|| self.costs.transform_units_cost(m)),
+                ]
+            }
+        }
+    }
+
     /// One-time preparation cost: job init + `Stage` (+ eager `Transform`).
     pub fn preparation_s(&self, plan: &GdPlan) -> f64 {
-        let mut total = self.costs.job_init_s() + self.costs.stage_s();
-        if plan.transform == TransformPolicy::Eager {
-            total += self.costs.transform_full_s();
-        }
-        total
+        fold_s(&self.preparation_rows(plan))
     }
 
     /// Expected cost of one iteration of the plan.
     pub fn per_iteration_s(&self, plan: &GdPlan) -> f64 {
-        let tail = self.costs.converge_loop_s();
-        match plan.variant {
-            GdVariant::Batch => {
-                self.costs.iteration_overhead_s()
-                    + self.costs.compute_full_s()
-                    + self.costs.update_s(true)
-                    + tail
-            }
-            GdVariant::Stochastic | GdVariant::MiniBatch { .. } => {
-                let m = plan.variant.sample_size(self.costs_desc().n);
-                let sampling = plan
-                    .sampling
-                    .expect("stochastic plans carry a sampling strategy");
-                let mut iter = self.costs.iteration_overhead_s()
-                    + self.costs.sample_s(sampling, m)
-                    + self.costs.compute_units_s(m)
-                    + self.costs.update_s(false)
-                    + tail;
-                if plan.transform == TransformPolicy::Lazy {
-                    iter += self.costs.transform_units_s(m);
-                }
-                iter
-            }
-        }
+        fold_s(&self.iteration_rows(plan))
     }
 
     /// Total plan cost for `iterations` iterations (Equations 7–9).
     pub fn total_s(&self, plan: &GdPlan, iterations: u64) -> f64 {
-        self.preparation_s(plan) + iterations as f64 * self.per_iteration_s(plan)
+        self.choice(*plan, iterations, false).total_s
     }
 
-    /// One-time preparation cost as a per-category vector — the same
-    /// composition as [`PlanCostModel::preparation_s`], kept category-wise
-    /// so online calibration can rescale IO/CPU/net/overhead separately.
+    /// One-time preparation cost as a per-category vector, so online
+    /// calibration can rescale IO/CPU/net/overhead separately.
     pub fn preparation_cost(&self, plan: &GdPlan) -> CostBreakdown {
-        let mut total = self.costs.job_init_cost().plus(&self.costs.stage_cost());
-        if plan.transform == TransformPolicy::Eager {
-            total = total.plus(&self.costs.transform_full_cost());
-        }
-        total
+        fold_cost(&self.preparation_rows(plan))
     }
 
     /// Expected cost of one iteration as a per-category vector.
     pub fn per_iteration_cost(&self, plan: &GdPlan) -> CostBreakdown {
-        let tail = self.costs.converge_loop_cost();
-        match plan.variant {
-            GdVariant::Batch => self
-                .costs
-                .iteration_overhead_cost()
-                .plus(&self.costs.compute_full_cost())
-                .plus(&self.costs.update_cost(true))
-                .plus(&tail),
-            GdVariant::Stochastic | GdVariant::MiniBatch { .. } => {
-                let m = plan.variant.sample_size(self.costs_desc().n);
-                let sampling = plan
-                    .sampling
-                    .expect("stochastic plans carry a sampling strategy");
-                let mut iter = self
-                    .costs
-                    .iteration_overhead_cost()
-                    .plus(&self.costs.sample_cost(sampling, m))
-                    .plus(&self.costs.compute_units_cost(m))
-                    .plus(&self.costs.update_cost(false))
-                    .plus(&tail);
-                if plan.transform == TransformPolicy::Lazy {
-                    iter = iter.plus(&self.costs.transform_units_cost(m));
-                }
-                iter
-            }
-        }
+        fold_cost(&self.iteration_rows(plan))
     }
 
-    fn costs_desc(&self) -> &DatasetDescriptor {
-        // OperatorCosts holds the descriptor; expose it for sample sizing.
-        self.costs.descriptor()
+    /// `plan` costed for `iterations` iterations with its Appendix D
+    /// mapping — a chooser row before calibration. `with_vectors` keeps
+    /// the per-category vectors the calibrated chooser prices with.
+    pub(crate) fn choice(&self, plan: GdPlan, iterations: u64, with_vectors: bool) -> PlanChoice {
+        let (prep, iter) = (self.preparation_rows(&plan), self.iteration_rows(&plan));
+        let mut choice = PlanChoice {
+            plan,
+            estimated_iterations: iterations,
+            preparation_s: fold_s(&prep),
+            per_iteration_s: fold_s(&iter),
+            total_s: 0.0,
+            mapping: map_plan(&plan, self.costs.descriptor(), self.costs.spec()),
+            measured_s: None,
+            calibrated_s: None,
+            prep_cost: with_vectors.then(|| fold_cost(&prep)),
+            iter_cost: with_vectors.then(|| fold_cost(&iter)),
+        };
+        choice.total_s = choice.total_at(iterations);
+        choice
     }
 }
 
@@ -245,10 +272,14 @@ mod tests {
         // shuffled-partition pays an amortized partition read. The fixed
         // per-iteration stage launch dilutes the end-to-end ratio, so the
         // comparison targets the Sample operator (cSP of Equation 8).
-        let bernoulli = model.operators().sample_s(SamplingMethod::Bernoulli, 1);
+        let bernoulli = model
+            .operators()
+            .sample_cost(SamplingMethod::Bernoulli, 1)
+            .total_s();
         let shuffle = model
             .operators()
-            .sample_s(SamplingMethod::ShuffledPartition, 1);
+            .sample_cost(SamplingMethod::ShuffledPartition, 1)
+            .total_s();
         assert!(
             bernoulli > 20.0 * shuffle,
             "bernoulli {bernoulli} vs shuffle {shuffle}"

@@ -6,8 +6,9 @@
 //! The rule the paper describes: an operator runs distributed only when its
 //! input spans more than one data partition; otherwise distributing it
 //! "would just add a processing overhead". This module makes that mapping
-//! explicit and reportable (the executor applies the same logic when it
-//! charges costs).
+//! explicit and reportable; when the executor charges costs it calls the
+//! same functions (`DatasetDescriptor::fits_one_partition`, through
+//! `SimEnv`'s price list).
 
 use ml4all_dataflow::{ClusterSpec, DatasetDescriptor, SamplingMethod};
 use ml4all_gd::{GdPlan, GdVariant, TransformPolicy};

@@ -178,7 +178,8 @@ proptest! {
         let drawn = sampler.draw(&data, n, &mut env, &mut rng).unwrap();
         prop_assert_eq!(drawn.len(), n, "probability 1 includes every unit");
         let modelled = OperatorCosts::new(&spec, data.descriptor())
-            .sample_s(ml4all_dataflow::SamplingMethod::Bernoulli, n as u64);
+            .sample_cost(ml4all_dataflow::SamplingMethod::Bernoulli, n as u64)
+            .total_s();
         let measured = env.elapsed_s();
         prop_assert!(
             (measured - modelled).abs() <= 1e-12 * modelled.max(1.0),

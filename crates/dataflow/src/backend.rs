@@ -182,9 +182,17 @@ impl Backend {
 
     /// Stable backend label used in reports and summaries.
     pub fn name(&self) -> &'static str {
-        match self {
-            Self::Local => "local",
-            Self::SimulatedCluster(_) => "simulated-cluster",
+        Self::label(self.is_cluster())
+    }
+
+    /// The label [`Backend::name`] reports for the local (`false`) or the
+    /// simulated-cluster (`true`) backend, without building one — what a
+    /// prediction keys on before the run it predicts exists.
+    pub fn label(cluster: bool) -> &'static str {
+        if cluster {
+            "simulated-cluster"
+        } else {
+            "local"
         }
     }
 }

@@ -1,5 +1,11 @@
-//! The simulation environment: cluster spec + cost ledger + the charging
-//! primitives that implement Equations 3–5 of the paper.
+//! The simulation environment: cluster spec + cost ledger, the charging
+//! primitives that implement Equations 3–5 of the paper, and the price
+//! list built on them: one `charge_*` method per Section 7.1 operator,
+//! the only code that composes the primitives for ML4all's operators or
+//! reads a `ClusterSpec::cpu_*_s` rate. The executor and the samplers call
+//! it on the live environment, the cost model's operator rows on a scratch
+//! one, so each price is written once. (The baselines model other systems
+//! and compose the primitives themselves.)
 
 use std::sync::Arc;
 
@@ -9,6 +15,7 @@ use crate::backend::Backend;
 use crate::cluster::{ClusterSpec, StorageMedium};
 use crate::descriptor::DatasetDescriptor;
 use crate::ledger::{CostBreakdown, CostLedger};
+use crate::sampling::SamplingMethod;
 
 /// Execution environment handed to operators: charge costs here while the
 /// computation itself runs over the physical rows — which it does through
@@ -71,12 +78,6 @@ impl SimEnv {
         self.ledger.snapshot()
     }
 
-    /// Fixed job-scheduling overhead (Spark job init).
-    pub fn charge_job_init(&mut self) {
-        let s = self.spec.job_init_s;
-        self.ledger.charge_overhead(s);
-    }
-
     /// **Equation 3** — IO cost of scanning dataset `d`: each full wave
     /// costs a seek plus the pages of one partition (partitions within a
     /// wave are read in parallel); the final partial wave costs the pages
@@ -127,13 +128,6 @@ impl SimEnv {
             .charge_net(effective as f64 * self.spec.net_byte_s);
     }
 
-    /// One random-access seek into a dataset of `dataset_bytes`
-    /// (cache-aware).
-    pub fn charge_seek(&mut self, dataset_bytes: u64, medium: StorageMedium) {
-        let s = self.spec.seek_io_s(medium, dataset_bytes);
-        self.ledger.charge_io(s);
-    }
-
     /// Sequential page reads of `bytes` from a dataset of `dataset_bytes`
     /// (cache-aware), without a seek — the shuffled-partition fast path.
     pub fn charge_sequential_read(
@@ -142,35 +136,17 @@ impl SimEnv {
         dataset_bytes: u64,
         medium: StorageMedium,
     ) {
-        if bytes == 0 {
-            return;
-        }
+        self.ledger
+            .charge_io(self.sequential_read_s(bytes, dataset_bytes, medium));
+    }
+
+    fn sequential_read_s(&self, bytes: u64, dataset_bytes: u64, medium: StorageMedium) -> f64 {
         let page_io = self.spec.page_io_s(medium, dataset_bytes);
         // Amortized: sequential cursors touch `bytes / page` pages over
         // time; charge fractionally rather than rounding every 1-unit read
         // up to a full page.
         let pages = bytes as f64 / self.spec.page_bytes as f64;
-        self.ledger.charge_io(pages * page_io);
-    }
-
-    /// IO seconds of a random access to one *data unit* of dataset `d` (the
-    /// random-partition sampler's per-draw cost). For datasets that fit a
-    /// single partition the data lives at the driver (ML4all's hybrid Java
-    /// execution, Appendix D) and a draw is a memory access; otherwise it
-    /// is a block access on the cluster: seek plus one page, cache-aware.
-    /// A pure function of `d`, so a caller charging many draws prices one.
-    pub fn random_unit_read_s(&self, d: &DatasetDescriptor, medium: StorageMedium) -> f64 {
-        if d.fits_one_partition(&self.spec) {
-            let unit_pages = d.unit_bytes() / self.spec.page_bytes as f64;
-            self.spec.mem_seek_s + unit_pages * self.spec.mem_page_io_s
-        } else {
-            self.spec.seek_io_s(medium, d.bytes) + self.spec.page_io_s(medium, d.bytes)
-        }
-    }
-
-    /// Charge one [`SimEnv::random_unit_read_s`].
-    pub fn charge_random_unit_read(&mut self, d: &DatasetDescriptor, medium: StorageMedium) {
-        self.ledger.charge_io(self.random_unit_read_s(d, medium));
+        pages * page_io
     }
 
     /// Meter one compute wave on the simulated-cluster backend:
@@ -238,6 +214,128 @@ impl SimEnv {
         self.ledger.meter_tuples(drawn);
         self.ledger.meter_shuffle_bytes(drawn * unit_bytes);
     }
+}
+
+/// The price list: each method charges what one Section 7.1 operator costs
+/// on `d`'s logical shape (never the physical rows), adding to each ledger
+/// category in one fixed order wherever it is called.
+impl SimEnv {
+    /// Fixed job-scheduling overhead (Spark job init).
+    pub fn charge_job_init(&mut self) {
+        let s = self.spec.job_init_s;
+        self.ledger.charge_overhead(s);
+    }
+
+    /// `Stage` (`cS`): driver-side model and parameter initialization.
+    pub fn charge_stage(&mut self, d: &DatasetDescriptor) {
+        self.charge_serial_cpu(1, self.spec.cpu_stage_s(d.dims));
+    }
+
+    /// `Transform` over the whole dataset (`cT(D)`), also paid by a `Stage`
+    /// that needs a full scan: a cold read from disk plus wave-parallel
+    /// parse CPU.
+    pub fn charge_transform_scan(&mut self, d: &DatasetDescriptor) {
+        self.charge_full_scan_io(d, StorageMedium::Disk);
+        self.charge_wave_cpu(d, self.spec.cpu_transform_s(d.avg_nnz()));
+    }
+
+    /// `Transform` over `units` sampled units at the driver (`cT(mᵢ)`).
+    pub fn charge_transform_units(&mut self, d: &DatasetDescriptor, units: u64) {
+        self.charge_serial_cpu(units, self.spec.cpu_transform_s(d.avg_nnz()));
+    }
+
+    /// `Compute` over the whole dataset (`cC(D)`): a cache-aware scan plus
+    /// wave-parallel gradient CPU, after wave-parallel parse CPU when the
+    /// units are transformed on the fly (`transform`, a lazy plan's batch
+    /// wave). Returns the CPU seconds per unit, what the cluster meter bills.
+    pub fn charge_compute_scan(&mut self, d: &DatasetDescriptor, transform: bool) -> f64 {
+        self.charge_full_scan_io(d, StorageMedium::Auto);
+        let gradient_s = self.spec.cpu_gradient_s(d.avg_nnz());
+        let mut per_unit_s = gradient_s;
+        if transform {
+            let transform_s = self.spec.cpu_transform_s(d.avg_nnz());
+            self.charge_wave_cpu(d, transform_s);
+            per_unit_s += transform_s;
+        }
+        self.charge_wave_cpu(d, gradient_s);
+        per_unit_s
+    }
+
+    /// `Compute` over `units` sampled units (`cC(mᵢ)`): hybrid execution
+    /// (Appendix D) ships a distributed sample to the driver, which
+    /// computes serially.
+    pub fn charge_compute_units(&mut self, d: &DatasetDescriptor, units: u64) {
+        if !d.fits_one_partition(&self.spec) {
+            self.charge_network(d.unit_bytes().ceil() as u64 * units);
+        }
+        self.charge_serial_cpu(units, self.spec.cpu_gradient_s(d.avg_nnz()));
+    }
+
+    /// `Update` (`cU`): with `aggregate`, every partition of distributed
+    /// data ships its partial aggregate (a `d`-vector) to the one node that
+    /// applies the step.
+    pub fn charge_update(&mut self, d: &DatasetDescriptor, aggregate: bool) {
+        if aggregate && !d.fits_one_partition(&self.spec) {
+            self.charge_network(d.partitions(&self.spec) * d.dims as u64 * 8);
+        }
+        self.charge_serial_cpu(1, self.spec.cpu_update_s(d.dims));
+    }
+
+    /// `Converge` + `Loop` (`cCV + cL`): one model-vector pass on one node.
+    pub fn charge_converge(&mut self, d: &DatasetDescriptor) {
+        self.charge_serial_cpu(1, self.spec.cpu_converge_s(d.dims));
+    }
+
+    /// `Sample` (`cSP`): one draw of `m` units with `method` (Figure 4).
+    /// The Bernoulli sampler charges it again for every empty retry.
+    pub fn charge_sample(&mut self, method: SamplingMethod, d: &DatasetDescriptor, m: u64) {
+        match method {
+            SamplingMethod::Bernoulli => {
+                self.charge_full_scan_io(d, StorageMedium::Auto);
+                self.charge_wave_cpu(d, self.spec.cpu_sample_test_s());
+            }
+            SamplingMethod::RandomPartition => {
+                // One random unit read per draw: a memory access when the
+                // data fits one partition and so lives at the driver
+                // (Appendix D), else a cache-aware seek plus one page.
+                let read_s = if d.fits_one_partition(&self.spec) {
+                    let unit_pages = d.unit_bytes() / self.spec.page_bytes as f64;
+                    self.spec.mem_seek_s + unit_pages * self.spec.mem_page_io_s
+                } else {
+                    self.spec.seek_io_s(StorageMedium::Auto, d.bytes)
+                        + self.spec.page_io_s(StorageMedium::Auto, d.bytes)
+                };
+                for _ in 0..m {
+                    self.ledger.charge_io(read_s);
+                }
+                self.charge_serial_cpu(m, self.spec.cpu_sample_test_s());
+            }
+            SamplingMethod::ShuffledPartition => {
+                // One partition shuffle (seek, sequential read, Fisher–Yates
+                // over its k units) serves k draws: charge m/k of it. At
+                // logical scale — per physical reshuffle, the price would
+                // depend on how many rows this process holds.
+                let k = d.units_per_partition(&self.spec).max(1);
+                let bytes = self.partition_read_bytes(d);
+                let read_s = self.spec.seek_io_s(StorageMedium::Auto, d.bytes)
+                    + self.sequential_read_s(bytes, d.bytes, StorageMedium::Auto);
+                let shuffle_s = read_s + k as f64 * self.spec.cpu_shuffle_unit_s();
+                self.ledger.charge_io(shuffle_s * m as f64 / k as f64);
+                let unit_bytes = d.unit_bytes().ceil() as u64;
+                self.charge_sequential_read(unit_bytes * m, d.bytes, StorageMedium::Auto);
+                self.charge_serial_cpu(m, self.spec.cpu_sample_test_s());
+            }
+        }
+    }
+
+    /// The speculation sample's collection job (Algorithm 1): job init, a
+    /// read of one partition's worth of input, and the parse of `units`.
+    pub fn charge_sample_collection(&mut self, d: &DatasetDescriptor, units: u64) {
+        self.charge_job_init();
+        let bytes = self.partition_read_bytes(d);
+        self.charge_sequential_read(bytes, d.bytes, StorageMedium::Auto);
+        self.charge_transform_units(d, units);
+    }
 
     /// Per-iteration scheduling overhead: a distributed stage launch when
     /// the iteration touches multi-partition data, plus the driver loop
@@ -249,6 +347,13 @@ impl SimEnv {
             self.spec.driver_loop_s
         };
         self.ledger.charge_overhead(s);
+    }
+
+    /// Bytes one slot reads to read a whole partition of `d`.
+    fn partition_read_bytes(&self, d: &DatasetDescriptor) -> u64 {
+        d.bytes
+            .div_ceil(d.partitions(&self.spec))
+            .min(self.spec.partition_bytes)
     }
 }
 
@@ -351,9 +456,10 @@ mod tests {
         seq.charge_sequential_read(1800, 7 * 1024 * 1024, StorageMedium::Memory);
         let mut rnd = env();
         // Several partitions: a draw is a block access, not a driver read.
-        rnd.charge_random_unit_read(
+        rnd.charge_sample(
+            SamplingMethod::RandomPartition,
             &desc(1000, 3 * rnd.spec.partition_bytes),
-            StorageMedium::Memory,
+            1,
         );
         assert!(seq.ledger.total_s() < rnd.ledger.total_s());
     }

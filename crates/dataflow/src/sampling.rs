@@ -26,7 +26,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::cluster::StorageMedium;
 use crate::dataset::PartitionedDataset;
 use crate::env::SimEnv;
 use crate::DataflowError;
@@ -214,8 +213,7 @@ impl SamplerState {
             // Every retry is charged as a whole-dataset scan: that is the
             // cost profile that makes Bernoulli a poor fit for small
             // samples.
-            env.charge_full_scan_io(desc, StorageMedium::Auto);
-            env.charge_wave_cpu(desc, env.spec.cpu_sample_test_s());
+            env.charge_sample(SamplingMethod::Bernoulli, desc, m as u64);
             let draw_seed = rng.next_u64();
             for (pi, part) in data.partitions().iter().enumerate() {
                 let mut prng =
@@ -259,15 +257,8 @@ impl SamplerState {
         rng: &mut StdRng,
         out: &mut Vec<(usize, usize)>,
     ) -> Result<(), DataflowError> {
-        // Every draw costs the same read: price it once, charge it `m`
-        // times (one add per draw, as before).
-        let unit_read_s = env.random_unit_read_s(data.descriptor(), StorageMedium::Auto);
-        out.reserve(m);
-        for _ in 0..m {
-            env.ledger.charge_io(unit_read_s);
-            out.push(random_coordinate(data, rng));
-        }
-        env.charge_serial_cpu(m as u64, env.spec.cpu_sample_test_s());
+        env.charge_sample(SamplingMethod::RandomPartition, data.descriptor(), m as u64);
+        out.extend((0..m).map(|_| random_coordinate(data, rng)));
         Ok(())
     }
 
@@ -279,27 +270,13 @@ impl SamplerState {
         rng: &mut StdRng,
         out: &mut Vec<(usize, usize)>,
     ) -> Result<(), DataflowError> {
-        let desc = data.descriptor();
-
-        // Charge the reshuffle *amortized at logical scale*: one partition
-        // shuffle (seek + sequential partition read + Fisher–Yates over its
-        // k units) serves k sequential draws. Charging per *physical*
-        // reshuffle would make the simulated cost depend on how many rows
-        // this process happens to hold in memory, not on the dataset.
-        {
-            let k = desc.units_per_partition(&env.spec).max(1);
-            let mut shuffle_env = SimEnv::new(env.spec.clone());
-            shuffle_env.charge_seek(desc.bytes, StorageMedium::Auto);
-            let partition_bytes = desc
-                .bytes
-                .div_ceil(desc.partitions(&env.spec))
-                .min(env.spec.partition_bytes);
-            shuffle_env.charge_sequential_read(partition_bytes, desc.bytes, StorageMedium::Auto);
-            shuffle_env.charge_serial_cpu(k, shuffle_env.spec.cpu_shuffle_unit_s());
-            env.ledger
-                .charge_io(shuffle_env.elapsed_s() * m as f64 / k as f64);
-        }
-
+        // The reshuffle is priced amortized at logical scale, so the
+        // physical reshuffles below are already paid for.
+        env.charge_sample(
+            SamplingMethod::ShuffledPartition,
+            data.descriptor(),
+            m as u64,
+        );
         out.reserve(m);
         while out.len() < m {
             let need_shuffle = match &self.cursor {
@@ -307,7 +284,7 @@ impl SamplerState {
                 Some(c) => c.pos >= c.order.len(),
             };
             if need_shuffle {
-                // Physical reshuffle (cost already amortized above): pick a
+                // Physical reshuffle (its cost is amortized): pick a
                 // fresh partition and reset the cursor to the identity
                 // order. The permutation itself is produced *incrementally*
                 // below — one forward Fisher–Yates step per served unit —
@@ -340,10 +317,6 @@ impl SamplerState {
                 cursor.pos += 1;
             }
         }
-        // Sequential access to the m units, amortized over pages.
-        let unit_bytes = desc.unit_bytes().ceil() as u64;
-        env.charge_sequential_read(unit_bytes * m as u64, desc.bytes, StorageMedium::Auto);
-        env.charge_serial_cpu(m as u64, env.spec.cpu_sample_test_s());
         Ok(())
     }
 }

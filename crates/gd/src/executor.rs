@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use ml4all_dataflow::{
     CancelToken, ColumnStore, ColumnarBuilder, CostBreakdown, ExecState, PartitionedDataset,
-    SamplerState, SimEnv, StorageMedium, UsageMeter, RNG_STREAM_VERSION,
+    SamplerState, SimEnv, UsageMeter, RNG_STREAM_VERSION,
 };
 use ml4all_linalg::{DenseVector, FeatureView, LabeledPoint, PointView};
 use rand::rngs::StdRng;
@@ -437,7 +437,6 @@ pub fn execute(
     let start = Instant::now();
     let desc = data.descriptor().clone();
     let dims = desc.dims;
-    let avg_nnz = desc.avg_nnz();
     let distributed = !desc.fits_one_partition(&env.spec);
     let mut rng = StdRng::seed_from_u64(params.seed);
 
@@ -446,14 +445,13 @@ pub fn execute(
     // ---- Preparation phase: Stage (+ optional global-stats scan) ----
     let mut ctx = Context::new(dims);
     let staged: Vec<LabeledPoint> = if ops.stage.needs_full_scan() {
-        env.charge_full_scan_io(&desc, StorageMedium::Disk);
-        env.charge_wave_cpu(&desc, env.spec.cpu_transform_s(avg_nnz));
+        env.charge_transform_scan(&desc);
         data.sample_points(4096, params.seed ^ 0x5747_4167)
     } else {
         Vec::new()
     };
     ops.stage.stage(&mut ctx, &staged);
-    env.charge_serial_cpu(1, env.spec.cpu_stage_s(dims));
+    env.charge_stage(&desc);
     if ctx.dims != dims {
         return Err(GdError::InvalidPlan(format!(
             "stage set dims {} but dataset has {}",
@@ -469,8 +467,7 @@ pub fn execute(
 
     // ---- Preparation phase: eager Transform ----
     let store = if plan.transform == TransformPolicy::Eager {
-        env.charge_full_scan_io(&desc, StorageMedium::Disk);
-        env.charge_wave_cpu(&desc, env.spec.cpu_transform_s(avg_nnz));
+        env.charge_transform_scan(&desc);
         if ops.transform.is_identity() {
             Store::Original(data)
         } else {
@@ -619,6 +616,7 @@ pub fn execute(
         }
         ctx.iteration += 1;
         let size = ops.sample.size(&ctx);
+        let aggregate = matches!(size, SampleSize::All);
         // On multi-partition data every iteration drives at least one
         // distributed action (a scan, a sample job, or a block fetch), so
         // it pays a stage launch; single-partition data loops at the
@@ -633,15 +631,10 @@ pub fn execute(
 
         match size {
             SampleSize::All => {
-                // Full scan: IO (cache-aware), wave-parallel gradient CPU,
-                // then per-partition partial aggregates over the network.
-                env.charge_full_scan_io(&desc, StorageMedium::Auto);
-                if plan.transform == TransformPolicy::Lazy {
-                    // Batch iteration under lazy transformation (SVRG's
-                    // anchor iterations): transform on the fly.
-                    env.charge_wave_cpu(&desc, env.spec.cpu_transform_s(avg_nnz));
-                }
-                env.charge_wave_cpu(&desc, env.spec.cpu_gradient_s(avg_nnz));
+                // Full scan: a batch iteration under lazy transformation
+                // (SVRG's anchor iterations) transforms on the fly.
+                let per_unit_s =
+                    env.charge_compute_scan(&desc, plan.transform == TransformPolicy::Lazy);
                 // The gradient wave the CPU charge models, executed for
                 // real: each partition accumulates into its reused scratch
                 // slot on the shared worker pool, and the partials reduce
@@ -685,18 +678,9 @@ pub fn execute(
                         }
                     });
                 scratch.merge_into(&mut acc)?;
-                if distributed {
-                    let active = desc.partitions(&env.spec);
-                    env.charge_network(active * (dims as u64) * 8);
-                }
                 // One broadcast/aggregate wave on the cluster backend:
-                // meter the physical work each node just performed —
-                // including the on-the-fly transform of lazy batch waves,
-                // mirroring the CPU charges above.
-                let mut per_unit_s = env.spec.cpu_gradient_s(avg_nnz);
-                if plan.transform == TransformPolicy::Lazy {
-                    per_unit_s += env.spec.cpu_transform_s(avg_nnz);
-                }
+                // meter the physical work each node just performed at the
+                // per-unit seconds the scan charged.
                 env.meter_cluster_wave(&wave_units, per_unit_s, model_bytes);
             }
             SampleSize::Units(m) => {
@@ -707,17 +691,14 @@ pub fn execute(
                     )
                 })?;
                 sampler.draw_into(data, m, env, &mut rng, &mut coords)?;
-                let drawn = coords.len();
+                let drawn = coords.len() as u64;
                 if plan.transform == TransformPolicy::Lazy {
-                    env.charge_serial_cpu(drawn as u64, env.spec.cpu_transform_s(avg_nnz));
+                    env.charge_transform_units(&desc, drawn);
                 }
                 // Hybrid execution: the (small) sample is shipped to the
                 // driver, computed and updated there (Appendix D).
-                if distributed {
-                    env.charge_network(unit_bytes * drawn as u64);
-                }
-                env.meter_cluster_sample(drawn as u64, unit_bytes);
-                env.charge_serial_cpu(drawn as u64, env.spec.cpu_gradient_s(avg_nnz));
+                env.meter_cluster_sample(drawn, unit_bytes);
+                env.charge_compute_units(&desc, drawn);
                 // Fused sampler→gradient pass: the freshly drawn
                 // coordinates feed straight into `Compute`, cut from the
                 // first draw, with no intermediate materialization. A
@@ -762,7 +743,7 @@ pub fn execute(
         // model is known good.
         let changed = if tail_may_skip { changed } else { Support::All };
         acc.reset_on(written);
-        env.charge_serial_cpu(1, env.spec.cpu_update_s(dims));
+        env.charge_update(&desc, aggregate);
         if changed.any_non_finite(ctx.weights.as_slice()) {
             return Err(GdError::Diverged {
                 iteration: ctx.iteration,
@@ -772,7 +753,7 @@ pub fn execute(
         boundary = Some(match outcome {
             UpdateOutcome::Updated => {
                 let d = ops.converge.converge_on(&prev_weights, &ctx, changed);
-                env.charge_serial_cpu(1, env.spec.cpu_converge_s(dims));
+                env.charge_converge(&desc);
                 changed.copy(&mut prev_weights, &ctx.weights);
                 tail_may_skip = true;
                 final_delta = d;

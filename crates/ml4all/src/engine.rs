@@ -1061,8 +1061,7 @@ impl TrainJob<'_> {
             .calibration
             .as_ref()
             .filter(|_| complete && !running.switched);
-        if let (Some(cal), Some(prep), Some(iter)) = (feed, &row.prep_cost, &row.iter_cost) {
-            let iters = result.iterations as f64;
+        if let (Some(cal), Some(predicted)) = (feed, row.cost_at(result.iterations)) {
             let observation = JobObservation {
                 key: plan_feature_key(
                     &format!("{:?}", config.gradient),
@@ -1070,8 +1069,8 @@ impl TrainJob<'_> {
                     result.backend,
                     data.descriptor(),
                 ),
-                predicted: prep.plus(&iter.times(iters)),
-                predicted_total_s: row.preparation_s + iters * row.per_iteration_s,
+                predicted,
+                predicted_total_s: row.total_at(result.iterations),
                 measured: result.cost,
                 measured_total_s: result.sim_time_s,
                 usage: result.usage.clone(),
