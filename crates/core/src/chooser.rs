@@ -118,12 +118,6 @@ impl OptimizerConfig {
         self
     }
 
-    /// Set the MGD batch size.
-    pub fn with_batch_size(mut self, batch: usize) -> Self {
-        self.batch_size = batch;
-        self
-    }
-
     /// Set a wall training-time budget.
     pub fn with_time_budget(mut self, budget: Duration) -> Self {
         self.time_budget = Some(budget);
@@ -136,12 +130,6 @@ impl OptimizerConfig {
         if let GdVariant::MiniBatch { batch } = variant {
             self.batch_size = batch;
         }
-        self
-    }
-
-    /// Restrict the search to one sampling strategy.
-    pub fn with_pinned_sampling(mut self, sampling: ml4all_dataflow::SamplingMethod) -> Self {
-        self.pinned_sampling = Some(sampling);
         self
     }
 

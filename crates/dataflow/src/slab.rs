@@ -676,12 +676,6 @@ impl SpillingBuilder {
         })
     }
 
-    /// Rows pushed so far (across memory and spilled segments is not
-    /// tracked; this is the *current in-memory* segment's length).
-    pub fn in_memory_rows(&self) -> usize {
-        self.builder.len()
-    }
-
     /// `true` once at least one segment has been flushed to disk.
     pub fn spilled(&self) -> bool {
         !self.segments.is_empty()

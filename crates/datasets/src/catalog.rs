@@ -112,10 +112,11 @@ struct CatalogInner {
     analogs: LruMap,
 }
 
-/// The concurrent dataset resolver every engine verb shares: registered
-/// in-memory datasets, memoized Table 2 registry analogs, and CSV/LIBSVM
-/// files, resolved with the same precedence rules as
-/// [`crate::source::SourceResolver`] but behind `&self`.
+/// The one dataset resolver: every engine verb of every concurrent job
+/// resolves its [`DataSource`] here — registered in-memory datasets,
+/// memoized Table 2 registry analogs, and CSV/LIBSVM files — behind
+/// `&self`. A [`DataSource::Named`] name resolves in precedence order:
+/// registered catalog, then Table 2 registry, then file on disk.
 #[derive(Debug)]
 pub struct SharedResolver {
     data_dir: PathBuf,
@@ -252,9 +253,8 @@ impl SharedResolver {
                 format,
                 columns,
             } => self.resolve_file(path, *format, *columns, dims_hint, file_scheme),
-            // The `Named` precedence rule of `source::SourceResolver`:
-            // registered catalog, then Table 2 registry, then file on
-            // disk. The catalog check *and* lookup happen under one lock
+            // The `Named` precedence rule: registered catalog, then
+            // Table 2 registry, then file on disk. The catalog check *and* lookup happen under one lock
             // acquisition, so a concurrent eviction between them cannot
             // turn a should-fall-through name into a spurious
             // `UnknownRegistered` error.

@@ -142,14 +142,6 @@ pub fn read_csv_file_columns(
     read_csv_columns(std::fs::File::open(path)?, columns)
 }
 
-/// Read a CSV file from disk.
-pub fn read_csv_file(
-    path: impl AsRef<Path>,
-    columns: Option<CsvColumns>,
-) -> Result<Vec<LabeledPoint>, DatasetError> {
-    read_csv(std::fs::File::open(path)?, columns)
-}
-
 /// Write points as dense CSV (`label,f1,f2,…`).
 pub fn write_csv<W: std::io::Write>(
     writer: W,

@@ -27,9 +27,7 @@ pub mod synth;
 pub use catalog::{EvictedDataset, SharedResolver};
 pub use metrics::{accuracy, accuracy_labels, mean_squared_error, mean_squared_error_labels};
 pub use registry::{DatasetSpec, Task};
-pub use source::{
-    parse_memory_budget, DataSource, FileFormat, SourceError, SourceResolver, MEMORY_BUDGET_ENV,
-};
+pub use source::{parse_memory_budget, DataSource, FileFormat, SourceError, MEMORY_BUDGET_ENV};
 pub use split::train_test_split;
 
 /// Errors from dataset IO and construction.

@@ -65,14 +65,6 @@ fn parse_line_into(
     Ok(label)
 }
 
-/// Parse one LIBSVM line. `line_no` is used for error reporting only.
-pub fn parse_line(line: &str, line_no: usize) -> Result<(f64, Vec<u32>, Vec<f64>), DatasetError> {
-    let mut indices = Vec::new();
-    let mut values = Vec::new();
-    let label = parse_line_into(line, line_no, &mut indices, &mut values)?;
-    Ok((label, indices, values))
-}
-
 /// Stream LIBSVM rows into a row sink: each parsed
 /// `(label, indices, values)` row (0-based, strictly increasing indices)
 /// is handed to `sink` from reusable parse buffers — no per-row

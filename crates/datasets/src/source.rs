@@ -2,21 +2,20 @@
 //!
 //! Every front door of the system — typed `TrainRequest`s, `predict`
 //! requests, the `explain` path, and the Appendix A statements — names its
-//! input as a `DataSource` and resolves it through [`SourceResolver`], so
-//! registered in-memory datasets, Table 2 registry analogs, and
-//! LIBSVM/CSV files behave identically everywhere.
+//! input as a `DataSource` and resolves it through
+//! [`SharedResolver`](crate::catalog::SharedResolver), so registered
+//! in-memory datasets, Table 2 registry analogs, and LIBSVM/CSV files
+//! behave identically everywhere.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 use ml4all_dataflow::slab::{fresh_spill_dir, SlabError, SpillingBuilder};
-use ml4all_dataflow::{ClusterSpec, ColumnStore, PartitionScheme, PartitionedDataset};
-use ml4all_linalg::LabeledPoint;
+use ml4all_dataflow::{ColumnStore, PartitionedDataset};
 
 use crate::csv::{for_each_csv_row, read_csv_file_columns, CsvColumns};
 use crate::libsvm::{for_each_libsvm_row, read_libsvm_file_columns};
 use crate::lines::Lines;
-use crate::{registry, DatasetError};
+use crate::DatasetError;
 
 /// Environment variable bounding ingestion memory: when a data file is
 /// larger than this many bytes (suffixes `k`/`m`/`g` accepted), it is
@@ -175,134 +174,6 @@ impl From<ml4all_dataflow::DataflowError> for SourceError {
     }
 }
 
-/// The single resolver every verb shares. Borrows the session's state: the
-/// base directory for relative paths, the registered-dataset catalog, and
-/// the registry materialization settings.
-pub struct SourceResolver<'a> {
-    /// Base directory for relative file paths.
-    pub data_dir: &'a Path,
-    /// Session-registered in-memory datasets.
-    pub catalog: &'a HashMap<String, PartitionedDataset>,
-    /// Physical row cap when materializing registry analogs.
-    pub registry_cap: usize,
-    /// Seed for registry analog generation.
-    pub registry_seed: u64,
-    /// Cluster the resolved dataset partitions onto.
-    pub cluster: &'a ClusterSpec,
-}
-
-impl SourceResolver<'_> {
-    /// Resolve a source to a partitioned dataset (the `run`/`explain`
-    /// input shape).
-    pub fn resolve(&self, source: &DataSource) -> Result<PartitionedDataset, SourceError> {
-        match source {
-            DataSource::InMemory(data) => Ok(data.clone()),
-            DataSource::Registered(name) => self
-                .catalog
-                .get(name)
-                .cloned()
-                .ok_or_else(|| SourceError::UnknownRegistered(name.clone())),
-            DataSource::Registry(name) => {
-                let spec = registry::by_name(name)
-                    .ok_or_else(|| SourceError::UnknownRegistry(name.clone()))?;
-                Ok(spec.build(self.registry_cap, self.registry_seed, self.cluster)?)
-            }
-            DataSource::File {
-                path,
-                format,
-                columns,
-            } => {
-                // Loaders hand back contiguous columnar rows; partitioning
-                // deals them without materializing any point. An over-budget
-                // file comes back memory-mapped and is partitioned into
-                // zero-copy contiguous windows instead of re-dealt (dealing
-                // would copy the whole dataset onto the heap).
-                let rows = self.read_file(path, *format, *columns, None)?;
-                let name = path.display().to_string();
-                Ok(if rows.is_mapped() {
-                    PartitionedDataset::from_mapped(name, &rows, self.cluster)?
-                } else {
-                    PartitionedDataset::from_owned_columns(
-                        name,
-                        rows,
-                        PartitionScheme::RoundRobin,
-                        self.cluster,
-                    )?
-                })
-            }
-            DataSource::Named { name, columns } => {
-                self.resolve(&self.classify_named(name, *columns)?)
-            }
-        }
-    }
-
-    /// Resolve a source to raw labelled points (the `predict` input
-    /// shape). `dims_hint` pads sparse LIBSVM rows to the model width.
-    pub fn resolve_points(
-        &self,
-        source: &DataSource,
-        dims_hint: Option<usize>,
-    ) -> Result<Vec<LabeledPoint>, SourceError> {
-        match source {
-            DataSource::InMemory(data) => Ok(data.to_points()),
-            DataSource::Registered(name) => self
-                .catalog
-                .get(name)
-                .map(|d| d.to_points())
-                .ok_or_else(|| SourceError::UnknownRegistered(name.clone())),
-            DataSource::Registry(name) => {
-                let spec = registry::by_name(name)
-                    .ok_or_else(|| SourceError::UnknownRegistry(name.clone()))?;
-                Ok(spec.generate_points(self.registry_cap, self.registry_seed))
-            }
-            DataSource::File {
-                path,
-                format,
-                columns,
-            } => Ok(self
-                .read_file(path, *format, *columns, dims_hint)?
-                .to_points()),
-            DataSource::Named { name, columns } => {
-                self.resolve_points(&self.classify_named(name, *columns)?, dims_hint)
-            }
-        }
-    }
-
-    /// Resolve a [`DataSource::Named`] reference to its concrete source,
-    /// in precedence order: session-registered catalog, Table 2 registry,
-    /// file on disk. The single place the precedence rule lives.
-    fn classify_named(
-        &self,
-        name: &str,
-        columns: Option<CsvColumns>,
-    ) -> Result<DataSource, SourceError> {
-        if self.catalog.contains_key(name) {
-            return Ok(DataSource::Registered(name.to_string()));
-        }
-        if registry::by_name(name).is_some() {
-            return Ok(DataSource::Registry(name.to_string()));
-        }
-        if !self.data_dir.join(name).is_file() {
-            return Err(SourceError::Unresolved(name.to_string()));
-        }
-        Ok(DataSource::File {
-            path: PathBuf::from(name),
-            format: FileFormat::Auto,
-            columns,
-        })
-    }
-
-    fn read_file(
-        &self,
-        path: &Path,
-        format: FileFormat,
-        columns: Option<CsvColumns>,
-        dims_hint: Option<usize>,
-    ) -> Result<ColumnStore, SourceError> {
-        read_data_file(self.data_dir, path, format, columns, dims_hint)
-    }
-}
-
 /// Parse a memory-budget string: raw bytes, or a number with a
 /// case-insensitive `k`/`m`/`g` suffix (`"512m"` → 512 MiB). Returns
 /// `None` for anything unparseable.
@@ -332,8 +203,8 @@ pub fn memory_budget_from_env() -> Option<u64> {
 /// Read a data file into columnar rows: sniff the format when `Auto`, then
 /// parse CSV (with optional column selection) or LIBSVM (with optional
 /// dimensionality hint, padding sparse rows to a model width). The single
-/// file-ingestion routine shared by [`SourceResolver`] and the concurrent
-/// [`crate::catalog::SharedResolver`]; honours [`MEMORY_BUDGET_ENV`].
+/// file-ingestion routine behind [`crate::catalog::SharedResolver`];
+/// honours [`MEMORY_BUDGET_ENV`].
 pub fn read_data_file(
     data_dir: &Path,
     path: &Path,
@@ -450,7 +321,10 @@ fn looks_like_libsvm(path: &Path) -> Result<bool, std::io::Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::SharedResolver;
     use crate::synth::{dense_classification, DenseClassConfig};
+    use ml4all_dataflow::{ClusterSpec, PartitionScheme};
+    use ml4all_linalg::LabeledPoint;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ml4all-source-{}-{tag}", std::process::id()));
@@ -467,25 +341,15 @@ mod tests {
         })
     }
 
-    fn resolver<'a>(
-        dir: &'a Path,
-        catalog: &'a HashMap<String, PartitionedDataset>,
-        cluster: &'a ClusterSpec,
-    ) -> SourceResolver<'a> {
-        SourceResolver {
-            data_dir: dir,
-            catalog,
-            registry_cap: 500,
-            registry_seed: 7,
-            cluster,
-        }
+    fn resolver(dir: &Path, cluster: &ClusterSpec) -> SharedResolver {
+        SharedResolver::new(dir, 500, 7, cluster.clone())
     }
 
     #[test]
     fn named_resolution_prefers_registered_over_registry() {
         let cluster = ClusterSpec::paper_testbed();
         let dir = tmp_dir("precedence");
-        let mut catalog = HashMap::new();
+        let r = resolver(&dir, &cluster);
         // Shadow the registry name `adult` with a tiny in-memory dataset.
         let mine = PartitionedDataset::from_points(
             "mine",
@@ -494,8 +358,7 @@ mod tests {
             &cluster,
         )
         .unwrap();
-        catalog.insert("adult".to_string(), mine);
-        let r = resolver(&dir, &catalog, &cluster);
+        r.register("adult", mine);
         let got = r.resolve(&DataSource::named("adult")).unwrap();
         assert_eq!(got.physical_n(), 40);
         // The explicit Registry variant bypasses the catalog.
@@ -508,8 +371,7 @@ mod tests {
     fn named_falls_through_to_registry_then_file() {
         let cluster = ClusterSpec::paper_testbed();
         let dir = tmp_dir("fallthrough");
-        let catalog = HashMap::new();
-        let r = resolver(&dir, &catalog, &cluster);
+        let r = resolver(&dir, &cluster);
         // Registry hit.
         let got = r.resolve(&DataSource::named("covtype")).unwrap();
         assert_eq!(got.descriptor().n, 581_012);
@@ -531,7 +393,7 @@ mod tests {
     fn resolve_points_covers_every_variant() {
         let cluster = ClusterSpec::paper_testbed();
         let dir = tmp_dir("points");
-        let mut catalog = HashMap::new();
+        let r = resolver(&dir, &cluster);
         let data = PartitionedDataset::from_points(
             "reg",
             points(30),
@@ -539,35 +401,22 @@ mod tests {
             &cluster,
         )
         .unwrap();
-        catalog.insert("reg".to_string(), data.clone());
-        let r = resolver(&dir, &catalog, &cluster);
+        r.register("reg", data.clone());
+        let scored = |source: &DataSource, dims_hint: Option<usize>| {
+            r.resolve_for_predict(source, dims_hint)
+                .unwrap()
+                .to_points()
+        };
 
-        assert_eq!(
-            r.resolve_points(&DataSource::registered("reg"), None)
-                .unwrap()
-                .len(),
-            30
-        );
-        assert_eq!(
-            r.resolve_points(&DataSource::InMemory(data), None)
-                .unwrap()
-                .len(),
-            30
-        );
-        assert_eq!(
-            r.resolve_points(&DataSource::registry("adult"), None)
-                .unwrap()
-                .len(),
-            500
-        );
+        assert_eq!(scored(&DataSource::registered("reg"), None).len(), 30);
+        assert_eq!(scored(&DataSource::InMemory(data), None).len(), 30);
+        assert_eq!(scored(&DataSource::registry("adult"), None).len(), 500);
         crate::libsvm::write_libsvm(
             std::fs::File::create(dir.join("p.libsvm")).unwrap(),
             &points(12),
         )
         .unwrap();
-        let pts = r
-            .resolve_points(&DataSource::file("p.libsvm"), Some(3))
-            .unwrap();
+        let pts = scored(&DataSource::file("p.libsvm"), Some(3));
         assert_eq!(pts.len(), 12);
         assert_eq!(pts[0].dim(), 3);
         let _ = std::fs::remove_dir_all(dir);
@@ -577,8 +426,7 @@ mod tests {
     fn unknown_names_error_by_variant() {
         let cluster = ClusterSpec::paper_testbed();
         let dir = tmp_dir("unknown");
-        let catalog = HashMap::new();
-        let r = resolver(&dir, &catalog, &cluster);
+        let r = resolver(&dir, &cluster);
         assert!(matches!(
             r.resolve(&DataSource::registered("ghost")).unwrap_err(),
             SourceError::UnknownRegistered(_)
@@ -667,8 +515,7 @@ mod tests {
             &points(300),
         )
         .unwrap();
-        let catalog = HashMap::new();
-        let r = resolver(&dir, &catalog, &cluster);
+        let r = resolver(&dir, &cluster);
         std::env::set_var(MEMORY_BUDGET_ENV, "1k");
         let resolved = r.resolve(&DataSource::named("big.csv"));
         std::env::remove_var(MEMORY_BUDGET_ENV);
@@ -705,10 +552,10 @@ mod tests {
         let rows =
             read_data_file(&dir, Path::new("z.libsvm"), FileFormat::Auto, None, Some(3)).unwrap();
         assert_eq!(rows.as_csr().map(|_| rows.len()), Some(6));
-        let catalog = HashMap::new();
-        let resolved = resolver(&dir, &catalog, &cluster)
-            .resolve_points(&DataSource::file("z.libsvm"), Some(3))
-            .unwrap();
+        let resolved = resolver(&dir, &cluster)
+            .resolve_for_predict(&DataSource::file("z.libsvm"), Some(3))
+            .unwrap()
+            .to_points();
         let dense = |pts: &[LabeledPoint]| -> Vec<(f64, Vec<f64>)> {
             pts.iter()
                 .map(|p| (p.label, p.features.to_dense().as_slice().to_vec()))
@@ -730,13 +577,12 @@ mod tests {
         let cluster = ClusterSpec::paper_testbed();
         let dir = tmp_dir("columns");
         std::fs::write(dir.join("c.csv"), "9,1,7,0.5,0.25\n9,-1,7,0.1,0.9\n").unwrap();
-        let catalog = HashMap::new();
-        let r = resolver(&dir, &catalog, &cluster);
+        let r = resolver(&dir, &cluster);
         let src = DataSource::named("c.csv").with_columns(CsvColumns {
             label: 2,
             features: (4, 5),
         });
-        let pts = r.resolve_points(&src, None).unwrap();
+        let pts = r.resolve_for_predict(&src, None).unwrap().to_points();
         assert_eq!(pts.len(), 2);
         assert_eq!(pts[0].label, 1.0);
         assert_eq!(pts[0].dim(), 2);

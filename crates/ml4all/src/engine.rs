@@ -442,25 +442,47 @@ impl Engine {
     ) -> JobHandle {
         let id = self.core.next_job.fetch_add(1, Ordering::Relaxed) + 1;
         let state = Arc::new(state);
-        let core = Arc::clone(&self.core);
-        let job = Arc::clone(&state);
-        self.core.runtime.spawn_in_lane(tenant, move || {
-            job.set_status(JobStatus::Running);
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_train(&core, &request, &job)
-            }))
-            .unwrap_or_else(|panic| Err(SessionError::JobPanicked(panic_message(&*panic))));
-            if let Err(e) = &outcome {
-                match e {
-                    SessionError::Cancelled { .. } => {}
-                    other => job.emit(|| JobEvent::Failed {
-                        message: other.to_string(),
-                    }),
+        let (running, done) = (Arc::clone(&state), Arc::clone(&state));
+        self.spawn_in_lane(
+            tenant,
+            move |engine| {
+                running.set_status(JobStatus::Running);
+                run_train(&engine.core, &request, &running)
+            },
+            move |outcome| {
+                if let Err(e) = &outcome {
+                    match e {
+                        SessionError::Cancelled { .. } => {}
+                        other => done.emit(|| JobEvent::Failed {
+                            message: other.to_string(),
+                        }),
+                    }
                 }
-            }
-            job.finish(outcome);
-        });
+                done.finish(outcome);
+            },
+        );
         JobHandle { id, state, events }
+    }
+
+    /// Run `work` as a detached job in `tenant`'s fairness lane of the
+    /// engine's runtime ([`Runtime::spawn_in_lane`]) — the lane every
+    /// training job of that tenant runs in — and hand its outcome to
+    /// `done` on the same worker. Jobs run FIFO within a lane and
+    /// round-robin across lanes. A panic inside `work` reaches `done` as
+    /// [`SessionError::JobPanicked`], exactly as a panicking training job
+    /// fails.
+    pub fn spawn_in_lane<R>(
+        &self,
+        tenant: &str,
+        work: impl FnOnce(&Engine) -> Result<R, SessionError> + Send + 'static,
+        done: impl FnOnce(Result<R, SessionError>) + Send + 'static,
+    ) {
+        let engine = self.clone();
+        self.core.runtime.spawn_in_lane(tenant, move || {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(&engine)))
+                .unwrap_or_else(|panic| Err(SessionError::JobPanicked(panic_message(&*panic))));
+            done(outcome);
+        });
     }
 
     /// Train synchronously on the calling thread: the exact code path of
@@ -1178,6 +1200,22 @@ mod tests {
         assert_eq!(
             concurrent.model("J").unwrap().weights,
             serial.model("J").unwrap().weights
+        );
+    }
+
+    #[test]
+    fn a_panicking_lane_job_reports_job_panicked() {
+        let engine = quick_engine();
+        let (tx, rx) = std::sync::mpsc::channel();
+        engine.spawn_in_lane(
+            "acme",
+            |_| -> Result<(), SessionError> { panic!("boom") },
+            move |outcome| tx.send(outcome).unwrap(),
+        );
+        let outcome = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert!(
+            matches!(&outcome, Err(SessionError::JobPanicked(message)) if message == "boom"),
+            "{outcome:?}"
         );
     }
 

@@ -4,8 +4,10 @@
 //! waves of `cap` parallel slots working over partitions. This crate is
 //! the physical counterpart — one worker pool that both the GD executor
 //! (per-partition gradient waves) and the plan chooser (the three
-//! speculative runs of Algorithm 1) dispatch through, instead of each
-//! layer spinning its own ad-hoc threads.
+//! speculative runs of Algorithm 1) dispatch through, and that hosts every
+//! detached job (submitted training jobs, served `Explain`/`Predict`),
+//! instead of each layer spinning its own ad-hoc threads. `Runtime::new`
+//! is the only place the system creates compute threads.
 //!
 //! Design constraints, in order:
 //!
@@ -111,7 +113,8 @@ impl Queues {
         None
     }
 
-    /// Total queued detached jobs (for observability).
+    /// Total queued detached jobs.
+    #[cfg(test)]
     fn detached_len(&self) -> usize {
         self.lanes.iter().map(|(_, q)| q.len()).sum()
     }
@@ -140,8 +143,7 @@ struct Batch {
 /// for the process-wide instance.
 pub struct Runtime {
     workers: usize,
-    /// `None` when `workers == 1`: everything runs inline on the caller.
-    shared: Option<Arc<Shared>>,
+    shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -154,17 +156,11 @@ impl std::fmt::Debug for Runtime {
 }
 
 impl Runtime {
-    /// A pool of `workers` threads (clamped to at least 1). One worker
-    /// means strictly inline execution — no threads are spawned.
+    /// A pool of `workers` threads (clamped to at least 1): the only
+    /// place the system creates compute threads. With one worker, waves
+    /// run inline on the caller and the one thread hosts detached jobs.
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
-        if workers == 1 {
-            return Self {
-                workers,
-                shared: None,
-                handles: Vec::new(),
-            };
-        }
         let shared = Arc::new(Shared {
             queue: Mutex::new(Queues::default()),
             cv: Condvar::new(),
@@ -181,7 +177,7 @@ impl Runtime {
             .collect();
         Self {
             workers,
-            shared: Some(shared),
+            shared,
             handles,
         }
     }
@@ -205,20 +201,9 @@ impl Runtime {
             .clone()
     }
 
-    /// Number of worker slots (1 means inline execution).
+    /// Number of worker threads (1 means waves run inline).
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Detached jobs queued across all lanes and not yet picked up (0 for
-    /// the inline runtime, whose detached jobs start immediately on
-    /// dedicated threads). Snapshot for observability — stale by the time
-    /// the caller reads it.
-    pub fn detached_queued(&self) -> usize {
-        match &self.shared {
-            Some(shared) => shared.queue.lock().expect("runtime queue").detached_len(),
-            None => 0,
-        }
     }
 
     /// Apply `f` to every item of `items`, in parallel, returning results
@@ -277,14 +262,13 @@ impl Runtime {
     where
         F: Fn(usize) + Sync,
     {
-        let run_inline = self.shared.is_none() || n <= 1;
-        if run_inline {
+        if self.workers == 1 || n <= 1 {
             for i in 0..n {
                 f(i);
             }
             return;
         }
-        let shared = self.shared.as_ref().expect("multi-worker path");
+        let shared = &self.shared;
 
         let chunks = self.workers.min(n);
         let batch = Batch {
@@ -354,8 +338,8 @@ impl Runtime {
     }
 
     /// Submit a detached, job-scoped unit of work: `job` runs to
-    /// completion on the pool (or, for the single-worker inline runtime,
-    /// on a dedicated thread) and the call returns immediately.
+    /// completion on one of the pool's workers — at every pool size,
+    /// including the single worker — and the call returns immediately.
     ///
     /// Scheduling rules keep whole jobs from starving fine-grained waves:
     /// detached jobs sit in their own FIFO that only otherwise-idle
@@ -378,24 +362,12 @@ impl Runtime {
     /// single job: the fairness hook a serving front end keys by tenant.
     /// The empty lane name is the default lane [`Runtime::spawn`] uses.
     pub fn spawn_in_lane(&self, lane: &str, job: impl FnOnce() + Send + 'static) {
-        match &self.shared {
-            Some(shared) => {
-                shared
-                    .queue
-                    .lock()
-                    .expect("runtime queue")
-                    .push_detached(lane, Box::new(job));
-                shared.cv.notify_all();
-            }
-            // The inline runtime has no pool threads to host a detached
-            // job; a dedicated thread keeps `spawn` non-blocking.
-            None => {
-                std::thread::Builder::new()
-                    .name("ml4all-detached".into())
-                    .spawn(job)
-                    .expect("spawn detached job thread");
-            }
-        }
+        self.shared
+            .queue
+            .lock()
+            .expect("runtime queue")
+            .push_detached(lane, Box::new(job));
+        self.shared.cv.notify_all();
     }
 
     /// Run `n` indexed tasks in parallel, returning results in index
@@ -407,7 +379,7 @@ impl Runtime {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        if self.shared.is_none() || n <= 1 {
+        if self.workers == 1 || n <= 1 {
             return (0..n).map(f).collect();
         }
         let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
@@ -421,12 +393,16 @@ impl Runtime {
 
 impl Drop for Runtime {
     fn drop(&mut self) {
-        if let Some(shared) = &self.shared {
-            shared.shutdown.store(true, Ordering::Release);
-            shared.cv.notify_all();
-        }
+        self.shared.shutdown.store(true, Ordering::Release);
+        self.shared.cv.notify_all();
+        // A detached job holding the last reference drops the runtime on
+        // one of its own workers; joining itself would panic in `drop`.
+        // That worker exits on the shutdown flag once the job returns.
+        let current = std::thread::current().id();
         for handle in self.handles.drain(..) {
-            let _ = handle.join();
+            if handle.thread().id() != current {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -652,6 +628,20 @@ mod tests {
             expect.sort_unstable();
             assert_eq!(got, expect, "at {workers} workers");
         }
+    }
+
+    #[test]
+    fn one_worker_hosts_every_detached_job_on_its_one_thread() {
+        let rt = Runtime::new(1);
+        let (tx, rx) = std::sync::mpsc::channel();
+        for _ in 0..8 {
+            let tx = tx.clone();
+            rt.spawn(move || tx.send(std::thread::current().id()).unwrap());
+        }
+        drop(tx);
+        let threads: std::collections::HashSet<_> = rx.iter().collect();
+        assert_eq!(threads.len(), 1, "eight jobs, one worker thread");
+        assert!(!threads.contains(&std::thread::current().id()));
     }
 
     #[test]

@@ -4,15 +4,17 @@
 //! The server never drops a request silently. A submit either:
 //!
 //! - **queues** — the tenant's pending queue has byte room; the job
-//!   waits for the dispatcher, or
+//!   waits until [`Admission::try_next`] releases it, or
 //! - **refuses** with [`Busy`] — the tenant's `max_queued_bytes` quota
 //!   is full; the typed error carries a `retry_after_ms` backoff hint.
 //!
-//! The dispatcher drains the per-tenant queues with **deficit round
-//! robin** (Shreedhar & Varghese): each rotation credits a visited
-//! non-empty lane with `quantum` bytes of deficit, and a lane may
-//! dispatch its head job only when its accumulated deficit covers the
-//! job's byte cost. Big-frame tenants therefore get proportionally
+//! The controller never blocks and owns no thread: the server's reactor
+//! calls [`Admission::try_next`] whenever a submit or a job completion
+//! may have made room, and dispatches what it returns. The per-tenant
+//! queues drain with **deficit round robin** (Shreedhar & Varghese):
+//! each rotation credits a visited non-empty lane with `quantum` bytes
+//! of deficit, and a lane may dispatch its head job only when its
+//! accumulated deficit covers the job's byte cost. Big-frame tenants therefore get proportionally
 //! *fewer* dispatches, not proportionally more bytes — a tenant cannot
 //! buy throughput by padding frames. Two gates bound concurrency:
 //! per-tenant `max_in_flight` and a global capacity. Dispatched jobs
@@ -22,7 +24,7 @@
 //! outrank every queued whole job.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 
 /// Per-tenant admission limits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,18 +105,16 @@ struct State<T> {
     lanes: Vec<Lane<T>>,
     cursor: usize,
     global_in_flight: usize,
-    shutdown: bool,
     /// xorshift64 state for the busy-hint jitter.
     rng: u64,
 }
 
 /// The admission controller: thread-safe; producers call
-/// [`Admission::offer`], one or more dispatcher threads call
-/// [`Admission::next`], job-completion paths call
+/// [`Admission::offer`], the dispatching thread polls
+/// [`Admission::try_next`], job-completion paths call
 /// [`Admission::complete`].
 pub struct Admission<T> {
     state: Mutex<State<T>>,
-    changed: Condvar,
     quantum: usize,
     global_capacity: usize,
     default_quota: TenantQuota,
@@ -130,10 +130,8 @@ impl<T> Admission<T> {
                 lanes: Vec::new(),
                 cursor: 0,
                 global_in_flight: 0,
-                shutdown: false,
                 rng: 0x9E37_79B9_7F4A_7C15,
             }),
-            changed: Condvar::new(),
             quantum: quantum.max(1),
             global_capacity: global_capacity.max(1),
             default_quota,
@@ -148,9 +146,9 @@ impl<T> Admission<T> {
         lane_mut(&mut state, tenant, default_quota).quota = quota;
     }
 
-    /// Offer an item costing `cost` bytes for `tenant`. Queues it (and
-    /// wakes the dispatcher) or refuses with typed [`Busy`] backpressure
-    /// when the tenant's byte quota is full.
+    /// Offer an item costing `cost` bytes for `tenant`. Queues it or
+    /// refuses with typed [`Busy`] backpressure when the tenant's byte
+    /// quota is full.
     pub fn offer(&self, tenant: &str, cost: usize, item: T) -> Result<(), Busy> {
         let mut state = self.state.lock().expect("admission state");
         let default_quota = self.default_quota;
@@ -167,44 +165,23 @@ impl<T> Admission<T> {
         }
         lane.queue.push_back((cost, item));
         lane.queued_bytes += cost;
-        self.changed.notify_all();
         Ok(())
     }
 
-    /// Block until an item is dispatchable (per-tenant and global gates
-    /// pass and DRR picks it) or the controller shuts down (`None`).
-    pub fn next(&self) -> Option<Dispatch<T>> {
-        let mut state = self.state.lock().expect("admission state");
-        loop {
-            if state.shutdown {
-                return None;
-            }
-            if let Some(dispatch) = self.drr_pick(&mut state) {
-                return Some(dispatch);
-            }
-            state = self.changed.wait(state).expect("admission wait");
-        }
-    }
-
-    /// [`Admission::next`] without blocking: `None` when nothing is
-    /// dispatchable right now.
+    /// The next dispatchable item — per-tenant and global gates pass and
+    /// DRR picks it — or `None` when nothing is dispatchable right now.
     pub fn try_next(&self) -> Option<Dispatch<T>> {
-        let mut state = self.state.lock().expect("admission state");
-        if state.shutdown {
-            return None;
-        }
-        self.drr_pick(&mut state)
+        self.drr_pick(&mut self.state.lock().expect("admission state"))
     }
 
     /// Record a dispatched job as finished, freeing its per-tenant and
-    /// global in-flight slots and waking the dispatcher.
+    /// global in-flight slots.
     pub fn complete(&self, tenant: &str) {
         let mut state = self.state.lock().expect("admission state");
         if let Some(lane) = state.lanes.iter_mut().find(|l| l.tenant == tenant) {
             lane.in_flight = lane.in_flight.saturating_sub(1);
         }
         state.global_in_flight = state.global_in_flight.saturating_sub(1);
-        self.changed.notify_all();
     }
 
     /// A tenant's counters (creating its lane if this is first contact,
@@ -224,19 +201,11 @@ impl<T> Admission<T> {
         }
     }
 
-    /// Stop dispatching: wakes every [`Admission::next`] with `None`.
-    /// Queued items are dropped with the controller.
-    pub fn shutdown(&self) {
-        self.state.lock().expect("admission state").shutdown = true;
-        self.changed.notify_all();
-    }
-
     /// One DRR pass: rotate lanes from the cursor, crediting visited
     /// non-empty, non-gated lanes with the quantum, until an item's cost
-    /// is covered or no lane can make progress. Repeated rotations (not
-    /// condvar waits) grow deficits, so a head item costing several
-    /// quanta dispatches after several visits — fairness without
-    /// deadlock.
+    /// is covered or no lane can make progress. Repeated rotations within
+    /// one call grow deficits, so a head item costing several quanta
+    /// dispatches after several visits — fairness without deadlock.
     fn drr_pick(&self, state: &mut State<T>) -> Option<Dispatch<T>> {
         loop {
             if state.global_in_flight >= self.global_capacity || state.lanes.is_empty() {
@@ -450,20 +419,5 @@ mod tests {
         assert!(adm.try_next().is_none());
         adm.complete("a");
         assert!(adm.try_next().is_some());
-    }
-
-    #[test]
-    fn shutdown_wakes_blocked_dispatchers() {
-        let adm = std::sync::Arc::new(controller(1));
-        let waiter = {
-            let adm = std::sync::Arc::clone(&adm);
-            std::thread::spawn(move || adm.next())
-        };
-        // Give the dispatcher a moment to block, then shut down.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        adm.shutdown();
-        assert!(waiter.join().unwrap().is_none());
-        assert!(adm.offer("a", 1, 0).is_ok());
-        assert!(adm.try_next().is_none());
     }
 }

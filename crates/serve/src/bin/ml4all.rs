@@ -14,18 +14,18 @@
 //! ml4all> predict on test.csv with model.txt;
 //! [predictions: 600 points, mse 0.583, accuracy 85.3%]
 //!
-//! $ ml4all serve --addr 127.0.0.1:7878 --workers 4
+//! $ ML4ALL_WORKERS=4 ml4all serve --addr 127.0.0.1:7878
 //! ml4all-serve listening on 127.0.0.1:7878 (protocol 1, rng stream 3)
 //! ```
 //!
 //! Options: `-e "<stmt>"` (execute and exit, repeatable),
 //! `--data-dir <dir>` (base for relative paths), `--help`; see
-//! `ml4all serve --help` for the server flags.
+//! `ml4all serve --help` for the server flags. `ML4ALL_WORKERS` sizes the
+//! process's one worker pool, which runs every job and verb.
 
 use std::io::{BufRead, Write};
-use std::sync::Arc;
 
-use ml4all::{render_report, Engine, Runtime, Session, SessionOutput, Trained, RNG_STREAM_VERSION};
+use ml4all::{render_report, Engine, Session, SessionOutput, Trained, RNG_STREAM_VERSION};
 use ml4all_serve::{Client, ServeConfig, Server, TenantQuota, PROTOCOL_VERSION};
 
 fn main() {
@@ -115,7 +115,6 @@ fn main() {
 /// `ml4all serve`: boot a serving front end and block until killed.
 fn serve_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) {
     let mut config = ServeConfig::default();
-    let mut workers: Option<usize> = None;
     let mut data_dir = String::from(".");
     let mut state_dir: Option<String> = None;
     let mut calibrate = false;
@@ -129,10 +128,6 @@ fn serve_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) {
             "--addr" => match args.next() {
                 Some(addr) => config.addr = addr,
                 None => bad("--addr", "host:port"),
-            },
-            "--workers" => match args.next().and_then(|w| w.parse().ok()) {
-                Some(w) => workers = Some(w),
-                None => bad("--workers", "a thread count"),
             },
             "--data-dir" => match args.next() {
                 Some(dir) => data_dir = dir,
@@ -169,10 +164,6 @@ fn serve_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) {
                 Some(v) => config.max_write_buffer = v,
                 None => bad("--max-write-buffer", "a byte count"),
             },
-            "--verb-workers" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => config.verb_workers = v,
-                None => bad("--verb-workers", "a thread count"),
-            },
             "-h" | "--help" => {
                 print_serve_help();
                 return;
@@ -192,9 +183,6 @@ fn serve_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) {
     }
     if let Some(dir) = &state_dir {
         engine = engine.with_state_dir(dir);
-    }
-    if let Some(workers) = workers {
-        engine = engine.with_runtime(Arc::new(Runtime::new(workers)));
     }
     match Server::start(engine, config) {
         Ok(server) => {
@@ -375,7 +363,7 @@ fn print_help() {
     println!(
         "\
 usage: ml4all [--data-dir DIR] [-e STATEMENT]...
-       ml4all serve [--addr HOST:PORT] [--workers N] ...
+       ml4all serve [--addr HOST:PORT] [--state-dir DIR] ...
        ml4all stats [--addr HOST:PORT] [--tenant NAME]
 
 statements (Appendix A of the paper, plus the explain verb):
@@ -399,9 +387,12 @@ fn print_serve_help() {
         "\
 usage: ml4all serve [options]
 
+Training jobs, explain and predict all run on the process's one worker
+pool, in a fairness lane per tenant; ML4ALL_WORKERS=N sizes it (default:
+the machine's available parallelism).
+
 options:
   --addr HOST:PORT       bind address (default 127.0.0.1:0, ephemeral)
-  --workers N            engine worker threads (default: process-wide pool)
   --data-dir DIR         base directory for dataset/model paths
   --state-dir DIR        durability root: plan cache, bound models, and job
                          checkpoints persist here and survive restarts
@@ -417,8 +408,6 @@ options:
   --quota T=N:BYTES      per-tenant override, repeatable
   --max-write-buffer N   per-connection outbound buffer cap before the peer
                          is dropped as a slow consumer (default 4 MiB)
-  --verb-workers N       threads for synchronous verbs (explain/predict)
-                         so they never stall the event loop (default 2)
 "
     );
 }

@@ -8,23 +8,28 @@
 //!  TCP clients ──▶│ reactor thread (epoll or poll, 1 thread)    │
 //!                 │  accept · decode · verbs · admission drain  │
 //!                 │  observer fan-out · bounded write buffers   │
-//!                 └───────┬───────────────▲────────────────────┘
-//!                         │ Explain/Predict│ Action queue + waker
-//!                 ┌───────▼───────┐ ┌──────┴──────────────────┐
-//!                 │ verb pool     │ │ engine worker pool      │
-//!                 │ (2 threads)   │ │ (jobs; EventSink pushes │
-//!                 └───────────────┘ │  pre-framed events)     │
-//!                                   └─────────────────────────┘
+//!                 └───────┬────────────────────▲───────────────┘
+//!      training jobs,     │                    │ Action queue + waker
+//!      Explain, Predict   │                    │
+//!                 ┌───────▼────────────────────┴───────────────┐
+//!                 │ engine runtime: one worker pool, one lane   │
+//!                 │ per tenant (EventSink pushes pre-framed     │
+//!                 │ events; verb answers post Respond)          │
+//!                 └────────────────────────────────────────────┘
 //! ```
 //!
 //! The reactor ([`crate::reactor`]) owns every socket: nonblocking
-//! reads feed an incremental [`FrameDecoder`], verbs that answer from
-//! in-memory state (`Hello`, `Submit`, `Cancel`, `Join`, `Observe`,
-//! `Stats`, `ServerStats`) run inline, and the two verbs that do real
-//! compute (`Explain`, `Predict`) ship to a small verb pool so they
-//! cannot stall the loop. Training jobs run on the engine's worker
-//! pool as before; the worker pushes each [`ml4all::JobEvent`] through
-//! an [`EventSink`] that serializes it **once** into a length-prefixed
+//! reads feed an incremental [`FrameDecoder`], and verbs that answer
+//! from in-memory state (`Hello`, `Submit`, `Cancel`, `Join`, `Observe`,
+//! `Stats`, `ServerStats`) run inline. Everything that computes runs on
+//! the engine's runtime, the process's one worker pool, in the
+//! requesting tenant's lane: admitted training jobs, and the two verbs
+//! that do real work (`Explain`, `Predict`), which stay outside the
+//! admission quotas and answer through the action queue. Within a lane
+//! jobs run FIFO, across lanes round-robin, so one tenant's burst of
+//! cold `Explain`s cannot hold back another tenant's `Predict`. A
+//! training job's worker pushes each [`ml4all::JobEvent`] through an
+//! [`EventSink`] that serializes it **once** into a length-prefixed
 //! frame shared (`Arc<[u8]>`) by every observer — a thousand idle
 //! observers cost file descriptors and buffer space, not threads, and
 //! replay from any sequence number is a buffer copy.
@@ -50,7 +55,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -75,8 +80,6 @@ pub struct ServeConfig {
     pub max_frame: usize,
     /// Max jobs dispatched-and-unfinished across all tenants.
     pub global_in_flight: usize,
-    /// Deficit-round-robin credit per lane visit, in bytes.
-    pub drr_quantum: usize,
     /// Quota for tenants without an explicit entry.
     pub default_quota: TenantQuota,
     /// Per-tenant quota overrides.
@@ -84,9 +87,6 @@ pub struct ServeConfig {
     /// Cap on a connection's buffered outbound bytes; exceeding it is a
     /// `slow_consumer` disconnect (see the module docs).
     pub max_write_buffer: usize,
-    /// Threads in the verb pool running `Explain` and `Predict` off the
-    /// reactor.
-    pub verb_workers: usize,
 }
 
 impl Default for ServeConfig {
@@ -95,14 +95,15 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             max_frame: DEFAULT_MAX_FRAME,
             global_in_flight: 8,
-            drr_quantum: 4096,
             default_quota: TenantQuota::default(),
             tenant_quotas: Vec::new(),
             max_write_buffer: 4 << 20,
-            verb_workers: 2,
         }
     }
 }
+
+/// Deficit-round-robin credit per admission lane visit, in bytes.
+const DRR_QUANTUM: usize = 4096;
 
 /// Served jobs kept for replay after they finish. Terminal jobs beyond
 /// this count are pruned oldest-first on submit (running and queued
@@ -175,7 +176,8 @@ struct Pending {
 
 /// Work other threads hand to the reactor (paired with a waker nudge).
 enum Action {
-    /// A verb-pool result: queue `frame` on connection `token`.
+    /// An `Explain`/`Predict` answer: queue `frame` on connection
+    /// `token`.
     Respond { token: u64, frame: Arc<[u8]> },
     /// The job gained events or finished; fan out to its waiters.
     JobDirty(Arc<ServedJob>),
@@ -219,34 +221,29 @@ impl Shared {
     }
 }
 
-/// A running serving front end. Dropping it shuts the reactor and verb
-/// pool down; jobs already handed to the engine run to completion.
+/// A running serving front end. Dropping it shuts the reactor down;
+/// jobs already handed to the engine run to completion.
 pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
     reactor: Option<JoinHandle<()>>,
-    verb_pool: Vec<JoinHandle<()>>,
 }
 
 impl Server {
     /// Bind `config.addr` and serve `engine` until
-    /// [`Server::shutdown`] or drop.
+    /// [`Server::shutdown`] or drop. Starts one thread, the reactor; all
+    /// compute runs on the engine's runtime.
     pub fn start(engine: Engine, config: ServeConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let mut poller = Poller::new()?;
         poller.register(&listener, LISTENER_TOKEN, Interest::READ)?;
-        let admission = Admission::new(
-            config.drr_quantum,
-            config.global_in_flight,
-            config.default_quota,
-        );
+        let admission = Admission::new(DRR_QUANTUM, config.global_in_flight, config.default_quota);
         for (tenant, quota) in &config.tenant_quotas {
             admission.set_quota(tenant, *quota);
         }
         let waker = poller.waker();
-        let verb_workers = config.verb_workers.max(1);
         let shared = Arc::new(Shared {
             engine,
             config,
@@ -259,15 +256,6 @@ impl Server {
             waker,
             counters: Counters::default(),
         });
-        let (verb_tx, verb_rx) = mpsc::channel::<VerbTask>();
-        let verb_rx = Arc::new(Mutex::new(verb_rx));
-        let verb_pool = (0..verb_workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&verb_rx);
-                std::thread::spawn(move || verb_worker(&shared, &rx))
-            })
-            .collect();
         let reactor = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
@@ -278,7 +266,6 @@ impl Server {
                     conns: HashMap::new(),
                     waiters: HashMap::new(),
                     next_token: FIRST_CONN_TOKEN,
-                    verb_tx,
                 }
                 .run();
             })
@@ -287,7 +274,6 @@ impl Server {
             shared,
             local_addr,
             reactor: Some(reactor),
-            verb_pool,
         })
     }
 
@@ -309,13 +295,9 @@ impl Server {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.shared.admission.shutdown();
         self.shared.waker.wake();
         if let Some(reactor) = self.reactor.take() {
             let _ = reactor.join();
-        }
-        for worker in self.verb_pool.drain(..) {
-            let _ = worker.join();
         }
     }
 }
@@ -420,55 +402,13 @@ fn finalize(shared: &Shared, job: &ServedJob, outcome: &Result<Trained, SessionE
 }
 
 // ---------------------------------------------------------------------
-// The verb pool: Explain/Predict off the reactor thread
+// Explain/Predict: jobs in the tenant's runtime lane
 // ---------------------------------------------------------------------
 
-enum VerbTask {
-    Explain {
-        token: u64,
-        train: Box<protocol::WireTrain>,
-        measured: bool,
-    },
-    Predict {
-        token: u64,
-        tenant: String,
-        model: String,
-        source: protocol::WireSource,
-    },
-}
-
-fn verb_worker(shared: &Shared, rx: &Mutex<mpsc::Receiver<VerbTask>>) {
-    loop {
-        let task = {
-            let rx = rx.lock().expect("verb queue");
-            rx.recv()
-        };
-        let Ok(task) = task else { return };
-        let (token, response) = match task {
-            VerbTask::Explain {
-                token,
-                train,
-                measured,
-            } => (token, explain(shared, &train, measured)),
-            VerbTask::Predict {
-                token,
-                tenant,
-                model,
-                source,
-            } => (token, predict(shared, &tenant, &model, &source)),
-        };
-        let frame: Arc<[u8]> = encode_frame(&response).expect("serialize response").into();
-        shared.post([Action::Respond { token, frame }]);
-    }
-}
-
-fn explain(shared: &Shared, train: &protocol::WireTrain, measured: bool) -> Response {
+fn explain(engine: &Engine, train: &protocol::WireTrain, measured: bool) -> Response {
     match train.to_request() {
         Err(e) => Response::Err(e),
-        Ok(request) => match shared
-            .engine
-            .explain(ExplainRequest::new(request).measured(measured))
-        {
+        Ok(request) => match engine.explain(ExplainRequest::new(request).measured(measured)) {
             Err(e) => Response::Err(WireError::new(code::FAILED, e.to_string())),
             Ok(report) => Response::Ok(Payload::Explained(protocol::WireReport {
                 cache_hit: report.cache_hit,
@@ -491,14 +431,14 @@ fn explain(shared: &Shared, train: &protocol::WireTrain, measured: bool) -> Resp
     }
 }
 
-fn predict(shared: &Shared, tenant: &str, model: &str, source: &protocol::WireSource) -> Response {
+fn predict(engine: &Engine, tenant: &str, model: &str, source: &protocol::WireSource) -> Response {
     // Model names resolve inside the tenant's namespace only.
     let namespaced = format!("{tenant}:{model}");
     let request = PredictRequest::new(
         ml4all::DataSource::from(source),
         ModelRef::Named(namespaced),
     );
-    match shared.engine.predict(request) {
+    match engine.predict(request) {
         Err(e) => Response::Err(WireError::new(code::FAILED, e.to_string())),
         Ok(p) => Response::Ok(Payload::Predicted {
             n: p.predictions.len() as u64,
@@ -526,8 +466,8 @@ enum PendingVerb {
     },
     /// Waiting for the job's outcome.
     Join { job: Arc<ServedJob> },
-    /// Waiting for a verb-pool result.
-    Worker,
+    /// Waiting for an `Explain`/`Predict` job in the tenant's lane.
+    Lane,
 }
 
 impl PendingVerb {
@@ -535,7 +475,7 @@ impl PendingVerb {
     fn job_id(&self) -> Option<u64> {
         match self {
             Self::Observe { job, .. } | Self::Join { job } => Some(job.id),
-            Self::Worker => None,
+            Self::Lane => None,
         }
     }
 }
@@ -543,7 +483,6 @@ impl PendingVerb {
 /// One connection: a readiness-driven state machine.
 struct Conn {
     stream: TcpStream,
-    token: u64,
     tenant: Option<String>,
     decoder: FrameDecoder,
     /// Outbound frames; the head may be partially written.
@@ -563,10 +502,9 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, token: u64, max_frame: usize) -> Self {
+    fn new(stream: TcpStream, max_frame: usize) -> Self {
         Self {
             stream,
-            token,
             tenant: None,
             decoder: FrameDecoder::new(max_frame),
             wbuf: VecDeque::new(),
@@ -600,7 +538,6 @@ struct Reactor {
     /// job id → tokens of connections observing or joining it.
     waiters: HashMap<u64, Vec<u64>>,
     next_token: u64,
-    verb_tx: mpsc::Sender<VerbTask>,
 }
 
 impl Reactor {
@@ -644,16 +581,7 @@ impl Reactor {
                 .pop_front();
             let Some(action) = action else { return };
             match action {
-                Action::Respond { token, frame } => {
-                    let Some(conn) = self.conns.get_mut(&token) else {
-                        continue; // the connection died while the verb ran
-                    };
-                    if matches!(conn.pending, Some(PendingVerb::Worker)) {
-                        conn.pending = None;
-                    }
-                    self.queue_frame(token, frame);
-                    self.service(token);
-                }
+                Action::Respond { token, frame } => self.answer(token, frame),
                 Action::JobDirty(job) => self.deliver_job(&job),
                 Action::Dispatch => self.drain_dispatch(),
             }
@@ -681,10 +609,8 @@ impl Reactor {
                     {
                         continue;
                     }
-                    self.conns.insert(
-                        token,
-                        Conn::new(stream, token, self.shared.config.max_frame),
-                    );
+                    self.conns
+                        .insert(token, Conn::new(stream, self.shared.config.max_frame));
                     self.shared
                         .counters
                         .total_connections
@@ -897,10 +823,7 @@ impl Reactor {
                         state.finished.as_ref().map(|f| Arc::clone(&f.joined))
                     };
                     match ready {
-                        Some(frame) => {
-                            self.queue_frame(token, frame);
-                            self.service(token);
-                        }
+                        Some(frame) => self.answer(token, frame),
                         None => {
                             if let Some(conn) = self.conns.get_mut(&token) {
                                 conn.pending = Some(PendingVerb::Join {
@@ -913,25 +836,16 @@ impl Reactor {
                 }
             },
             Request::Explain { train, measured } => {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.pending = Some(PendingVerb::Worker);
-                    let _ = self.verb_tx.send(VerbTask::Explain {
-                        token,
-                        train: Box::new(train),
-                        measured: measured.unwrap_or(false),
-                    });
-                }
+                let measured = measured.unwrap_or(false);
+                self.run_in_lane(token, tenant, move |engine| {
+                    explain(engine, &train, measured)
+                });
             }
             Request::Predict { model, source } => {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.pending = Some(PendingVerb::Worker);
-                    let _ = self.verb_tx.send(VerbTask::Predict {
-                        token,
-                        tenant: tenant.to_string(),
-                        model,
-                        source,
-                    });
-                }
+                let owner = tenant.to_string();
+                self.run_in_lane(token, tenant, move |engine| {
+                    predict(engine, &owner, &model, &source)
+                });
             }
             Request::Stats => {
                 let response = Response::Ok(Payload::Stats(stats(&self.shared, tenant)));
@@ -952,6 +866,33 @@ impl Reactor {
                 self.respond(token, &response);
             }
         }
+    }
+
+    /// Run a computing verb as a job in `tenant`'s runtime lane; its
+    /// answer — or `failed` with the panic message, if it panics —
+    /// comes back as [`Action::Respond`]. The connection's inbox waits
+    /// meanwhile.
+    fn run_in_lane(
+        &mut self,
+        token: u64,
+        tenant: &str,
+        verb: impl FnOnce(&Engine) -> Response + Send + 'static,
+    ) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        conn.pending = Some(PendingVerb::Lane);
+        let shared = Arc::clone(&self.shared);
+        self.shared.engine.spawn_in_lane(
+            tenant,
+            move |engine| Ok(verb(engine)),
+            move |outcome| {
+                let response = outcome
+                    .unwrap_or_else(|e| Response::Err(WireError::new(code::FAILED, e.to_string())));
+                let frame = encode_frame(&response).expect("serialize response").into();
+                shared.post([Action::Respond { token, frame }]);
+            },
+        );
     }
 
     /// Begin an observe stream: register the connection as an observer
@@ -1033,14 +974,7 @@ impl Reactor {
                     }
                 }
                 Some(PendingVerb::Join { .. }) => match &joined {
-                    Some(frame) => {
-                        let frame = Arc::clone(frame);
-                        if let Some(conn) = self.conns.get_mut(&token) {
-                            conn.pending = None;
-                        }
-                        self.queue_frame(token, frame);
-                        self.service(token);
-                    }
+                    Some(frame) => self.answer(token, Arc::clone(frame)),
                     None => still_waiting.push(token),
                 },
                 _ => continue,
@@ -1128,7 +1062,19 @@ impl Reactor {
         true
     }
 
-    /// Drop one token from a job's waiter list.
+    /// Resolve the connection's pending verb with its one answer frame —
+    /// a `Join` outcome or an `Explain`/`Predict` response — and flush.
+    /// A connection that died meanwhile is skipped.
+    fn answer(&mut self, token: u64, frame: Arc<[u8]>) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        conn.pending = None;
+        self.queue_frame(token, frame);
+        self.service(token);
+    }
+
+    /// Drop one token from a job's waiter list, and the list once empty.
     fn unwait(&mut self, job_id: u64, token: u64) {
         if let Some(waiting) = self.waiters.get_mut(&job_id) {
             waiting.retain(|t| *t != token);
@@ -1242,11 +1188,8 @@ impl Reactor {
         conn.wbuf.push_back(goodbye);
         conn.doomed = true;
         if let Some(job_id) = conn.pending.as_ref().and_then(PendingVerb::job_id) {
-            let token = conn.token;
             conn.pending = None;
-            if let Some(waiting) = self.waiters.get_mut(&job_id) {
-                waiting.retain(|t| *t != token);
-            }
+            self.unwait(job_id, token);
         }
     }
 
@@ -1367,12 +1310,7 @@ impl Reactor {
         };
         let _ = self.poller.deregister(&conn.stream);
         if let Some(job_id) = conn.pending.as_ref().and_then(PendingVerb::job_id) {
-            if let Some(waiting) = self.waiters.get_mut(&job_id) {
-                waiting.retain(|t| *t != token);
-                if waiting.is_empty() {
-                    self.waiters.remove(&job_id);
-                }
-            }
+            self.unwait(job_id, token);
         }
         self.shared
             .counters
@@ -1382,7 +1320,7 @@ impl Reactor {
 }
 
 // ---------------------------------------------------------------------
-// Verb helpers shared with the verb pool
+// Verb helpers
 // ---------------------------------------------------------------------
 
 /// Admit one training job: namespace its name, register it, and queue

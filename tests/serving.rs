@@ -6,11 +6,12 @@
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 mod mutate;
 
-use ml4all::{DataSource, Engine, GradientKind, JobEvent, TrainRequest};
+use ml4all::{DataSource, Engine, GradientKind, JobEvent, Runtime, TrainRequest};
 use ml4all_bench::golden::assert_golden;
 use ml4all_serve::{
     code, f64_to_bits_hex, protocol, Client, ClientError, Request, Response, ServeConfig, Server,
@@ -922,4 +923,64 @@ fn golden_wire_frame_conversation() {
     recv(&mut reader, &mut transcript);
 
     assert_golden("wire_frames.txt", &transcript);
+}
+
+#[test]
+fn a_tenants_predict_overtakes_another_tenants_burst_of_cold_explains() {
+    // Two workers: the engine runtime is the only pool, and `Explain` and
+    // `Predict` run in their tenant's lane of it — FIFO within a lane,
+    // round-robin across lanes.
+    let engine = Engine::new().with_runtime(Arc::new(Runtime::new(2)));
+    let server = serve(engine, ServeConfig::default());
+    let mut beta = connect(&server, "tenant-b");
+    let trained = beta.submit(&adult_train(20, 0, "mine")).expect("submit");
+    assert_eq!(beta.join(trained).expect("join").status, "completed");
+
+    // Tenant A: six connections, six cold measured explains (distinct
+    // seeds, so each one speculates and then profiles every plan).
+    let alphas: Vec<Client> = (0..6).map(|_| connect(&server, "tenant-a")).collect();
+    let frame_len = |request: &Request| serde_json::to_vec(request).expect("serialize").len() + 4;
+    let stats_len = frame_len(&Request::ServerStats);
+    let mut expected_in = beta.server_stats().expect("server stats").bytes_in;
+    let answers: Arc<Mutex<Vec<&'static str>>> = Arc::default();
+    let mut explainers = Vec::new();
+    for (seed, mut alpha) in (100..).zip(alphas) {
+        let mut train = adult_train(500, seed, "cold");
+        train.epsilon = Some(0.01);
+        let request = Request::Explain {
+            train,
+            measured: Some(true),
+        };
+        expected_in += frame_len(&request) as u64;
+        alpha
+            .send_raw(&serde_json::to_vec(&request).expect("serialize"))
+            .expect("send explain");
+        let answers = Arc::clone(&answers);
+        explainers.push(std::thread::spawn(move || {
+            let response = alpha.read_response().expect("explain answer");
+            assert!(matches!(response, Response::Ok(_)), "{response:?}");
+            answers.lock().unwrap().push("a");
+        }));
+    }
+    // B asks only once the reactor has read all six explains, so they
+    // are already queued in A's lane.
+    loop {
+        expected_in += stats_len as u64;
+        if beta.server_stats().expect("server stats").bytes_in >= expected_in {
+            break;
+        }
+    }
+    beta.predict("mine", &WireSource::Registry("adult".into()))
+        .expect("predict");
+    answers.lock().unwrap().push("b");
+    for explainer in explainers {
+        explainer.join().expect("explainer");
+    }
+
+    let answers = answers.lock().unwrap();
+    let before_b = answers.iter().take_while(|who| **who == "a").count();
+    assert!(
+        before_b < 3,
+        "B's predict must not wait behind A's backlog: answer order {answers:?}"
+    );
 }
