@@ -125,11 +125,9 @@ impl BismarckRunner {
             match variant {
                 GdVariant::Batch => {
                     for v in data.iter_views() {
-                        params.gradient.accumulate_view(
-                            weights.as_slice(),
-                            v,
-                            grad_acc.as_mut_slice(),
-                        );
+                        params
+                            .gradient
+                            .accumulate(weights.as_slice(), v, grad_acc.as_mut_slice());
                         count += 1;
                     }
                 }
@@ -137,11 +135,9 @@ impl BismarckRunner {
                     let all: Vec<_> = data.iter_views().collect();
                     for _ in 0..m_phys.max(1) {
                         let v = all[rng.gen_range(0..all.len())];
-                        params.gradient.accumulate_view(
-                            weights.as_slice(),
-                            v,
-                            grad_acc.as_mut_slice(),
-                        );
+                        params
+                            .gradient
+                            .accumulate(weights.as_slice(), v, grad_acc.as_mut_slice());
                         count += 1;
                     }
                 }
@@ -213,23 +209,25 @@ impl BismarckRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ml4all_dataflow::{ClusterSpec, DatasetDescriptor, PartitionScheme};
+    use ml4all_dataflow::{ClusterSpec, ColumnStore, DatasetDescriptor, PartitionScheme};
     use ml4all_gd::GradientKind;
-    use ml4all_linalg::{FeatureVec, LabeledPoint};
 
-    fn dataset(n: usize, dims_logical: usize, logical_bytes: u64) -> PartitionedDataset {
+    fn rows(n: usize) -> ColumnStore {
         let mut rng = StdRng::seed_from_u64(6);
-        let points: Vec<LabeledPoint> = (0..n)
+        (0..n)
             .map(|_| {
                 let x: f64 = rng.gen_range(-1.0..1.0);
                 let label = if x > 0.0 { 1.0 } else { -1.0 };
-                LabeledPoint::new(label, FeatureVec::dense(vec![x, 1.0]))
+                (label, [x, 1.0])
             })
-            .collect();
+            .collect()
+    }
+
+    fn dataset(n: usize, dims_logical: usize, logical_bytes: u64) -> PartitionedDataset {
         let desc = DatasetDescriptor::new("bis-test", n as u64, dims_logical, logical_bytes, 1.0);
         PartitionedDataset::with_descriptor(
             desc,
-            points,
+            &rows(n),
             PartitionScheme::RoundRobin,
             &ClusterSpec::paper_testbed(),
         )
@@ -251,7 +249,7 @@ mod tests {
         // logical n by rebuilding with the wide descriptor.
         let wide = PartitionedDataset::with_descriptor(
             DatasetDescriptor::new("rcv1", 677_399, 47_236, 1024 * 1024 * 1024, 1.0),
-            data.to_points(),
+            &rows(1000),
             PartitionScheme::RoundRobin,
             &ClusterSpec::paper_testbed(),
         )

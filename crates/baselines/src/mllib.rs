@@ -115,7 +115,7 @@ impl MllibRunner {
                 if fraction >= 1.0 || rng.gen::<f64>() < phys_fraction {
                     params
                         .gradient
-                        .accumulate_view(weights.as_slice(), v, grad_acc.as_mut_slice());
+                        .accumulate(weights.as_slice(), v, grad_acc.as_mut_slice());
                     count += 1;
                 }
             }
@@ -188,23 +188,22 @@ mod tests {
     use super::*;
     use ml4all_dataflow::{ClusterSpec, PartitionScheme};
     use ml4all_gd::{execute_plan, GdPlan, GradientKind};
-    use ml4all_linalg::{FeatureVec, LabeledPoint};
 
     fn dataset(n: usize, logical_bytes: u64) -> PartitionedDataset {
         let mut rng = StdRng::seed_from_u64(9);
-        let points: Vec<LabeledPoint> = (0..n)
+        let points = (0..n)
             .map(|_| {
                 let x0: f64 = rng.gen_range(-1.0..1.0);
                 let x1: f64 = rng.gen_range(-1.0..1.0);
                 let label = if x0 - x1 > 0.0 { 1.0 } else { -1.0 };
-                LabeledPoint::new(label, FeatureVec::dense(vec![x0, x1, 1.0]))
+                (label, [x0, x1, 1.0])
             })
             .collect();
         let desc =
             ml4all_dataflow::DatasetDescriptor::new("mllib-test", n as u64, 3, logical_bytes, 1.0);
         PartitionedDataset::with_descriptor(
             desc,
-            points,
+            &points,
             PartitionScheme::RoundRobin,
             &ClusterSpec::paper_testbed(),
         )

@@ -181,11 +181,9 @@ impl SystemmlRunner {
             match variant {
                 GdVariant::Batch => {
                     for v in data.iter_views() {
-                        params.gradient.accumulate_view(
-                            weights.as_slice(),
-                            v,
-                            grad_acc.as_mut_slice(),
-                        );
+                        params
+                            .gradient
+                            .accumulate(weights.as_slice(), v, grad_acc.as_mut_slice());
                         count += 1;
                     }
                 }
@@ -193,11 +191,9 @@ impl SystemmlRunner {
                     let all: Vec<_> = data.iter_views().collect();
                     for _ in 0..m_phys.max(1) {
                         let v = all[rng.gen_range(0..all.len())];
-                        params.gradient.accumulate_view(
-                            weights.as_slice(),
-                            v,
-                            grad_acc.as_mut_slice(),
-                        );
+                        params
+                            .gradient
+                            .accumulate(weights.as_slice(), v, grad_acc.as_mut_slice());
                         count += 1;
                     }
                 }
@@ -272,23 +268,25 @@ impl SystemmlRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ml4all_dataflow::{ClusterSpec, DatasetDescriptor, PartitionScheme};
+    use ml4all_dataflow::{ClusterSpec, ColumnStore, DatasetDescriptor, PartitionScheme};
     use ml4all_gd::GradientKind;
-    use ml4all_linalg::{FeatureVec, LabeledPoint};
 
-    fn dataset(n: usize, dims: usize, logical_bytes: u64, density: f64) -> PartitionedDataset {
+    fn rows(n: usize, dims: usize) -> ColumnStore {
         let mut rng = StdRng::seed_from_u64(4);
-        let points: Vec<LabeledPoint> = (0..n)
+        (0..n)
             .map(|_| {
                 let xs: Vec<f64> = (0..dims).map(|_| rng.gen_range(-1.0..1.0)).collect();
                 let label = if xs[0] > 0.0 { 1.0 } else { -1.0 };
-                LabeledPoint::new(label, FeatureVec::dense(xs))
+                (label, xs)
             })
-            .collect();
+            .collect()
+    }
+
+    fn dataset(n: usize, dims: usize, logical_bytes: u64, density: f64) -> PartitionedDataset {
         let desc = DatasetDescriptor::new("sysml-test", n as u64, dims, logical_bytes, density);
         PartitionedDataset::with_descriptor(
             desc,
-            points,
+            &rows(n, dims),
             PartitionScheme::RoundRobin,
             &ClusterSpec::paper_testbed(),
         )
@@ -307,7 +305,7 @@ mod tests {
         let desc = DatasetDescriptor::new("svm1", 5_516_800, 100, 10 * 1024 * 1024 * 1024, 1.0);
         let data = PartitionedDataset::with_descriptor(
             desc,
-            data.to_points(),
+            &rows(1000, 100),
             PartitionScheme::RoundRobin,
             &ClusterSpec::paper_testbed(),
         )
@@ -365,7 +363,6 @@ mod tests {
 
         // higgs-like: 11M × 28 dense ≈ 2.5 GB binary → distributed.
         // Physical rows must match the declared 28 dims for the math.
-        let physical_28d = dataset(1000, 28, 1024, 0.92);
         let desc = DatasetDescriptor::new(
             "higgs",
             11_000_000,
@@ -376,7 +373,7 @@ mod tests {
         assert!(!runner.runs_locally(&desc));
         let big = PartitionedDataset::with_descriptor(
             desc,
-            physical_28d.to_points(),
+            &rows(1000, 28),
             PartitionScheme::RoundRobin,
             &ClusterSpec::paper_testbed(),
         )

@@ -11,7 +11,7 @@ use ml4all_baselines::{MllibRunner, SystemmlRunner};
 use ml4all_bench::runs::{best_plan_for_variant, params_for};
 use ml4all_bench::{print_table, BenchConfig, ExperimentRecord};
 use ml4all_dataflow::{ClusterSpec, PartitionScheme, PartitionedDataset, SimEnv};
-use ml4all_datasets::{mean_squared_error, metrics::predict_all, registry, train_test_split};
+use ml4all_datasets::{mean_squared_error, registry, train_test_split};
 use ml4all_gd::{GdVariant, Gradient};
 
 fn main() {
@@ -29,8 +29,8 @@ fn main() {
             // Generate at physical scale, split 80/20, rebuild the train
             // partitioned set with the same logical descriptor scaled by
             // 0.8 (the paper trains on the 80% split).
-            let points = spec.generate_points(cfg.physical_cap(&spec), cfg.seed);
-            let (train, test) = train_test_split(points, 0.8, cfg.seed ^ 0xACC);
+            let all = spec.generate_columns(cfg.physical_cap(&spec), cfg.seed);
+            let (train, test) = train_test_split(&all, 0.8, cfg.seed ^ 0xACC);
             let scheme = if spec.skewed {
                 PartitionScheme::Contiguous
             } else {
@@ -39,13 +39,15 @@ fn main() {
             let mut desc = spec.descriptor();
             desc.n = (desc.n as f64 * 0.8) as u64;
             desc.bytes = (desc.bytes as f64 * 0.8) as u64;
-            let data = PartitionedDataset::with_descriptor(desc, train, scheme, &cluster)
+            let data = PartitionedDataset::with_descriptor(desc, &train, scheme, &cluster)
                 .expect("train split is non-empty");
             let params = params_for(&spec, &cfg, tolerance);
             let gradient = params.gradient;
             let mse_of = |weights: &ml4all_linalg::DenseVector| {
-                let preds = predict_all(&test, |p| gradient.predict(weights.as_slice(), p));
-                mean_squared_error(&preds, &test)
+                let preds: Vec<f64> = (test.iter())
+                    .map(|p| gradient.predict(weights.as_slice(), p))
+                    .collect();
+                mean_squared_error(&preds, test.labels())
             };
 
             let mut env = SimEnv::new(cluster.clone());

@@ -475,18 +475,17 @@ pub fn choose_plan(
 mod tests {
     use super::*;
     use ml4all_dataflow::PartitionScheme;
-    use ml4all_linalg::{FeatureVec, LabeledPoint};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     fn dataset(n: usize, logical_bytes: u64) -> PartitionedDataset {
         let mut rng = StdRng::seed_from_u64(3);
-        let points: Vec<LabeledPoint> = (0..n)
+        let points = (0..n)
             .map(|_| {
                 let x0: f64 = rng.gen_range(-1.0..1.0);
                 let x1: f64 = rng.gen_range(-1.0..1.0);
                 let label = if x0 + x1 > 0.0 { 1.0 } else { -1.0 };
-                LabeledPoint::new(label, FeatureVec::dense(vec![x0, x1]))
+                (label, [x0, x1])
             })
             .collect();
         let desc = ml4all_dataflow::DatasetDescriptor::new(
@@ -498,7 +497,7 @@ mod tests {
         );
         PartitionedDataset::with_descriptor(
             desc,
-            points,
+            &points,
             PartitionScheme::RoundRobin,
             &ClusterSpec::paper_testbed(),
         )

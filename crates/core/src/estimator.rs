@@ -209,21 +209,20 @@ fn speculative_plan(variant: GdVariant) -> GdPlan {
 mod tests {
     use super::*;
     use ml4all_gd::GradientKind;
-    use ml4all_linalg::{FeatureVec, LabeledPoint};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     fn dataset(n: usize) -> PartitionedDataset {
         let mut rng = StdRng::seed_from_u64(3);
-        let points: Vec<LabeledPoint> = (0..n)
+        let points = (0..n)
             .map(|_| {
                 let x0: f64 = rng.gen_range(-1.0..1.0);
                 let x1: f64 = rng.gen_range(-1.0..1.0);
                 let label = if x0 + x1 > 0.0 { 1.0 } else { -1.0 };
-                LabeledPoint::new(label, FeatureVec::dense(vec![x0, x1]))
+                (label, [x0, x1])
             })
             .collect();
-        PartitionedDataset::from_points(
+        PartitionedDataset::from_owned_columns(
             "est",
             points,
             PartitionScheme::RoundRobin,

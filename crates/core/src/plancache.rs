@@ -233,19 +233,15 @@ mod tests {
     use crate::chooser::{choose_plan, OptimizerConfig};
     use ml4all_dataflow::{PartitionScheme, PartitionedDataset};
     use ml4all_gd::GradientKind;
-    use ml4all_linalg::{FeatureVec, LabeledPoint};
 
     fn dataset(n: usize) -> PartitionedDataset {
-        let points: Vec<LabeledPoint> = (0..n)
+        let points = (0..n)
             .map(|i| {
                 let x = (i as f64 / n as f64) * 2.0 - 1.0;
-                LabeledPoint::new(
-                    if x > 0.0 { 1.0 } else { -1.0 },
-                    FeatureVec::dense(vec![x, 1.0]),
-                )
+                (if x > 0.0 { 1.0 } else { -1.0 }, [x, 1.0])
             })
             .collect();
-        PartitionedDataset::from_points(
+        PartitionedDataset::from_owned_columns(
             "cache-test",
             points,
             PartitionScheme::RoundRobin,

@@ -155,12 +155,11 @@ proptest! {
         // inclusion probability at 1, so exactly one scan happens.
         use ml4all_core::cost::OperatorCosts;
         use ml4all_dataflow::{PartitionScheme, PartitionedDataset, SamplerState, SimEnv};
-        use ml4all_linalg::{FeatureVec, LabeledPoint};
         use rand::SeedableRng;
 
         let spec = ClusterSpec::paper_testbed();
-        let points: Vec<LabeledPoint> = (0..n)
-            .map(|i| LabeledPoint::new(1.0, FeatureVec::dense(vec![i as f64])))
+        let points = (0..n)
+            .map(|i| (1.0, [i as f64]))
             .collect();
         let desc = DatasetDescriptor::new(
             "prop",
@@ -170,7 +169,7 @@ proptest! {
             1.0,
         );
         let data =
-            PartitionedDataset::with_descriptor(desc, points, PartitionScheme::RoundRobin, &spec)
+            PartitionedDataset::with_descriptor(desc, &points, PartitionScheme::RoundRobin, &spec)
                 .unwrap();
         let mut env = SimEnv::new(spec.clone());
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);

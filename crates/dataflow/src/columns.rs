@@ -22,7 +22,9 @@
 use std::ops::{Deref, Range};
 use std::sync::Arc;
 
-use ml4all_linalg::{FeatureView, LabeledPoint, LinalgError, PointView};
+use ml4all_linalg::{
+    FeatureView, LinalgError, PointView, DENSE_ENTRY_BYTES, LABEL_BYTES, SPARSE_ENTRY_BYTES,
+};
 
 use crate::slab::MappedSlab;
 
@@ -309,12 +311,17 @@ impl ColumnStore {
         }
     }
 
-    /// Approximate storage footprint in bytes, matching the sum of
-    /// [`LabeledPoint::approx_bytes`] over the materialized rows.
+    /// Approximate storage footprint in bytes (Table 1's `|D|_b`
+    /// bookkeeping): 8 per label, 8 per dense entry, 12 per stored sparse
+    /// entry (index and value).
     pub fn approx_bytes(&self) -> u64 {
         match self {
-            Self::Dense(d) => (8 * d.labels.len() + 8 * d.values.len()) as u64,
-            Self::Csr(c) => 8 * c.labels.len() as u64 + 12 * self.total_nnz(),
+            Self::Dense(d) => {
+                (LABEL_BYTES * d.labels.len() + DENSE_ENTRY_BYTES * d.values.len()) as u64
+            }
+            Self::Csr(c) => {
+                (LABEL_BYTES * c.labels.len()) as u64 + SPARSE_ENTRY_BYTES as u64 * self.total_nnz()
+            }
         }
     }
 
@@ -392,10 +399,10 @@ impl ColumnStore {
         })
     }
 
-    /// Materialize every row as an owned [`LabeledPoint`] (ingestion/API
-    /// boundary only — never on the hot path).
-    pub fn to_points(&self) -> Vec<LabeledPoint> {
-        self.iter().map(|v| v.to_point()).collect()
+    /// Every row as a [`PointView`] borrowing this store, in row order —
+    /// for writers and comparisons; nothing is copied.
+    pub fn to_points(&self) -> Vec<PointView<'_>> {
+        self.iter().collect()
     }
 }
 
@@ -495,10 +502,12 @@ impl ColumnarBuilder {
     pub fn approx_bytes(&self) -> u64 {
         match &self.repr {
             Repr::Empty => 0,
-            Repr::Dense { labels, values, .. } => (8 * labels.len() + 8 * values.len()) as u64,
+            Repr::Dense { labels, values, .. } => {
+                (LABEL_BYTES * labels.len() + DENSE_ENTRY_BYTES * values.len()) as u64
+            }
             Repr::Csr {
                 labels, indices, ..
-            } => (8 * labels.len() + 12 * indices.len()) as u64,
+            } => (LABEL_BYTES * labels.len() + SPARSE_ENTRY_BYTES * indices.len()) as u64,
         }
     }
 
@@ -587,13 +596,8 @@ impl ColumnarBuilder {
         Ok(())
     }
 
-    /// Append an already-validated owned point.
-    pub fn push_point(&mut self, point: &LabeledPoint) {
-        self.push_view(point.view());
-    }
-
     /// Append a borrowed row (the partition-dealing path: rows move from
-    /// one store into per-partition builders without materializing points).
+    /// one store into per-partition builders as views).
     pub fn push_view(&mut self, view: PointView<'_>) {
         match view.features {
             FeatureView::Dense(row) => self.push_dense(view.label, row),
@@ -703,31 +707,21 @@ impl ColumnarBuilder {
     }
 }
 
-/// Build a store from owned points (the compatibility ingestion path).
-impl FromIterator<LabeledPoint> for ColumnStore {
-    fn from_iter<I: IntoIterator<Item = LabeledPoint>>(iter: I) -> Self {
+/// Build a store from `(label, dense row)` pairs through
+/// [`ColumnarBuilder::push_dense`].
+impl<R: AsRef<[f64]>> FromIterator<(f64, R)> for ColumnStore {
+    fn from_iter<I: IntoIterator<Item = (f64, R)>>(iter: I) -> Self {
         let mut b = ColumnarBuilder::new();
-        let mut dim = 0usize;
-        for p in iter {
-            dim = dim.max(p.dim());
-            b.push_point(&p);
+        for (label, row) in iter {
+            b.push_dense(label, row.as_ref());
         }
-        b.finish_with_dims(dim)
-    }
-}
-
-impl From<&LabeledPoint> for ColumnStore {
-    fn from(p: &LabeledPoint) -> Self {
-        let mut b = ColumnarBuilder::new();
-        b.push_point(p);
-        b.finish_with_dims(p.dim())
+        b.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ml4all_linalg::{FeatureVec, SparseVector};
 
     #[test]
     fn dense_rows_land_in_one_slab() {
@@ -789,36 +783,58 @@ mod tests {
 
     #[test]
     fn to_points_round_trips_both_layouts() {
-        let pts = vec![
-            LabeledPoint::new(1.0, FeatureVec::dense(vec![1.0, 2.0])),
-            LabeledPoint::new(-1.0, FeatureVec::dense(vec![3.0, 4.0])),
-        ];
-        let store: ColumnStore = pts.clone().into_iter().collect();
-        assert_eq!(store.to_points(), pts);
+        let store: ColumnStore = [(1.0, [1.0, 2.0]), (-1.0, [3.0, 4.0])]
+            .into_iter()
+            .collect();
+        let points = store.to_points();
+        assert_eq!(
+            points,
+            [
+                PointView::new(1.0, FeatureView::Dense(&[1.0, 2.0])),
+                PointView::new(-1.0, FeatureView::Dense(&[3.0, 4.0])),
+            ]
+        );
+        // Views borrow the slab itself: the second row starts two values
+        // into the one contiguous buffer.
+        let (_, values, _) = store.as_dense().unwrap();
+        let FeatureView::Dense(row) = points[1].features else {
+            panic!("a dense store hands out dense rows");
+        };
+        assert!(std::ptr::eq(row.as_ptr(), values[2..].as_ptr()));
 
-        let sparse = vec![
-            LabeledPoint::new(
-                1.0,
-                FeatureVec::Sparse(SparseVector::new(5, vec![0, 4], vec![1.0, 2.0]).unwrap()),
-            ),
-            LabeledPoint::new(
-                -1.0,
-                FeatureVec::Sparse(SparseVector::new(5, vec![2], vec![3.0]).unwrap()),
-            ),
-        ];
-        let store: ColumnStore = sparse.clone().into_iter().collect();
-        assert_eq!(store.to_points(), sparse);
+        let mut b = ColumnarBuilder::new();
+        b.push_sparse(1.0, &[0, 4], &[1.0, 2.0]).unwrap();
+        b.push_sparse(-1.0, &[2], &[3.0]).unwrap();
+        let store = b.finish_with_dims(5);
+        let sparse = |label, indices, values| {
+            PointView::new(
+                label,
+                FeatureView::Sparse {
+                    dim: 5,
+                    indices,
+                    values,
+                },
+            )
+        };
+        assert_eq!(
+            store.to_points(),
+            [
+                sparse(1.0, &[0, 4], &[1.0, 2.0]),
+                sparse(-1.0, &[2], &[3.0])
+            ]
+        );
     }
 
     #[test]
     fn approx_bytes_matches_point_accounting() {
-        let pts = vec![
-            LabeledPoint::new(1.0, FeatureVec::dense(vec![0.0; 10])),
-            LabeledPoint::new(-1.0, FeatureVec::dense(vec![0.0; 10])),
-        ];
-        let expect: u64 = pts.iter().map(|p| p.approx_bytes() as u64).sum();
-        let store: ColumnStore = pts.into_iter().collect();
-        assert_eq!(store.approx_bytes(), expect);
+        // 8 bytes per label plus 8 per dense or 12 per sparse entry.
+        let dense: ColumnStore = [(1.0, [0.0; 10]), (-1.0, [0.0; 10])].into_iter().collect();
+        assert_eq!(dense.approx_bytes(), 2 * (8 + 8 * 10));
+        let mut b = ColumnarBuilder::new();
+        b.push_sparse(1.0, &[3], &[1.0]).unwrap();
+        b.push_sparse(1.0, &[0, 999], &[1.0, 2.0]).unwrap();
+        assert_eq!(b.approx_bytes(), (8 + 12) + (8 + 2 * 12));
+        assert_eq!(b.finish().approx_bytes(), (8 + 12) + (8 + 2 * 12));
     }
 
     #[test]
@@ -857,7 +873,7 @@ mod tests {
         assert_eq!(w.dims(), 2);
         assert_eq!(w.labels(), &[3.0, 4.0, 5.0, 6.0]);
         for (k, v) in w.iter().enumerate() {
-            assert_eq!(v.to_point(), store.view(3 + k).unwrap().to_point());
+            assert_eq!(v, store.view(3 + k).unwrap());
         }
     }
 
@@ -876,7 +892,7 @@ mod tests {
         let (_, indptr, ..) = w.as_csr().unwrap();
         assert_eq!(indptr, &[4, 6, 8, 10]);
         for (k, v) in w.iter().enumerate() {
-            assert_eq!(v.to_point(), store.view(2 + k).unwrap().to_point());
+            assert_eq!(v, store.view(2 + k).unwrap());
         }
     }
 

@@ -12,7 +12,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use ml4all_linalg::{LabeledPoint, PointView};
+use ml4all_linalg::PointView;
 use rand::{Rng, SeedableRng};
 
 use crate::cluster::ClusterSpec;
@@ -90,20 +90,6 @@ impl PartitionedDataset {
     /// descriptor may declare thousands of partitions.
     pub const MAX_PHYSICAL_PARTITIONS: usize = 64;
 
-    /// Build from owned points, deriving the logical descriptor from the
-    /// physical rows (full-scale dataset). Ingestion-compatibility path;
-    /// loaders that already hold columnar rows use
-    /// [`PartitionedDataset::from_columns`].
-    pub fn from_points(
-        name: impl Into<String>,
-        points: Vec<LabeledPoint>,
-        scheme: PartitionScheme,
-        spec: &ClusterSpec,
-    ) -> Result<Self, DataflowError> {
-        let desc = DatasetDescriptor::from_points(name, &points);
-        Self::with_descriptor(desc, points, scheme, spec)
-    }
-
     /// Build from columnar rows, deriving the logical descriptor from the
     /// physical rows (full-scale dataset).
     pub fn from_columns(
@@ -113,7 +99,7 @@ impl PartitionedDataset {
         spec: &ClusterSpec,
     ) -> Result<Self, DataflowError> {
         let desc = DatasetDescriptor::from_columns(name, rows);
-        Self::with_descriptor_columns(desc, rows, scheme, spec)
+        Self::with_descriptor(desc, rows, scheme, spec)
     }
 
     /// [`PartitionedDataset::from_columns`] taking the rows by value: rows
@@ -130,17 +116,6 @@ impl PartitionedDataset {
         Self::with_descriptor_owned(desc, rows, scheme, spec)
     }
 
-    /// Build from owned points with an explicit (possibly
-    /// larger-than-physical) logical descriptor.
-    pub fn with_descriptor(
-        desc: DatasetDescriptor,
-        points: Vec<LabeledPoint>,
-        scheme: PartitionScheme,
-        spec: &ClusterSpec,
-    ) -> Result<Self, DataflowError> {
-        Self::with_descriptor_owned(desc, points.into_iter().collect(), scheme, spec)
-    }
-
     fn with_descriptor_owned(
         desc: DatasetDescriptor,
         rows: ColumnStore,
@@ -148,7 +123,7 @@ impl PartitionedDataset {
         spec: &ClusterSpec,
     ) -> Result<Self, DataflowError> {
         if rows.is_empty() || Self::physical_partitions(&desc, rows.len(), spec) > 1 {
-            return Self::with_descriptor_columns(desc, &rows, scheme, spec);
+            return Self::with_descriptor(desc, &rows, scheme, spec);
         }
         Ok(Self {
             desc,
@@ -166,10 +141,10 @@ impl PartitionedDataset {
             .min(rows)
     }
 
-    /// Build from columnar rows with an explicit logical descriptor: rows
-    /// are dealt into per-partition slabs without materializing any
-    /// [`LabeledPoint`].
-    pub fn with_descriptor_columns(
+    /// Build from columnar rows with an explicit (possibly
+    /// larger-than-physical) logical descriptor: rows are dealt into
+    /// per-partition slabs as borrowed views.
+    pub fn with_descriptor(
         desc: DatasetDescriptor,
         rows: &ColumnStore,
         scheme: PartitionScheme,
@@ -326,7 +301,7 @@ impl PartitionedDataset {
     pub fn iter_views_input_order(&self) -> impl Iterator<Item = PointView<'_>> {
         let p = self.partitions.len();
         let n = self.physical_n();
-        // Mirrors the dealing rules of `with_descriptor_columns`: row `g`
+        // Mirrors the dealing rules of `with_descriptor`: row `g`
         // went to (g % p, g / p) under round-robin, and to chunk
         // `(g / chunk).min(p - 1)` under contiguous dealing.
         let chunk = n.div_ceil(p);
@@ -347,17 +322,6 @@ impl PartitionedDataset {
     #[inline]
     pub fn view(&self, partition: usize, offset: usize) -> Option<PointView<'_>> {
         self.partitions.get(partition)?.view(offset)
-    }
-
-    /// Materialize a row by `(partition, offset)` coordinates (API
-    /// boundary only — the hot loop uses [`PartitionedDataset::view`]).
-    pub fn point(&self, partition: usize, offset: usize) -> Option<LabeledPoint> {
-        Some(self.view(partition, offset)?.to_point())
-    }
-
-    /// Materialize every physical row (partition-major order).
-    pub fn to_points(&self) -> Vec<LabeledPoint> {
-        self.iter_views().map(|v| v.to_point()).collect()
     }
 
     /// A deterministic content fingerprint of this dataset: the logical
@@ -417,9 +381,9 @@ impl PartitionedDataset {
     /// A deterministic uniform sub-sample of `m` physical rows (used by the
     /// speculation-based iterations estimator, Algorithm 1 line 1), in
     /// partition-major order and pushed as views into one pre-sized
-    /// builder — no row is materialized as a point. Returns all rows if
-    /// `m >= physical_n`. A partial Fisher–Yates stops after the `m` draws
-    /// instead of shuffling the full index vector.
+    /// builder. Returns all rows if `m >= physical_n`. A partial
+    /// Fisher–Yates stops after the `m` draws instead of shuffling the
+    /// full index vector.
     pub fn sample_rows(&self, m: usize, seed: u64) -> ColumnStore {
         let n = self.physical_n();
         let first = self.partitions[0].columns();
@@ -460,11 +424,6 @@ impl PartitionedDataset {
         }
         out.finish()
     }
-
-    /// [`PartitionedDataset::sample_rows`] as owned points.
-    pub fn sample_points(&self, m: usize, seed: u64) -> Vec<LabeledPoint> {
-        self.sample_rows(m, seed).to_points()
-    }
 }
 
 /// FNV-1a, widened to mix 8 bytes per step: dependency-free, deterministic
@@ -499,17 +458,15 @@ impl Fnv64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ml4all_linalg::FeatureVec;
 
-    fn points(n: usize) -> Vec<LabeledPoint> {
+    fn points(n: usize) -> ColumnStore {
         (0..n)
-            .map(|i| {
-                LabeledPoint::new(
-                    if i % 2 == 0 { 1.0 } else { -1.0 },
-                    FeatureVec::dense(vec![i as f64, 1.0]),
-                )
-            })
+            .map(|i| (if i % 2 == 0 { 1.0 } else { -1.0 }, [i as f64, 1.0]))
             .collect()
+    }
+
+    fn views(ds: &PartitionedDataset) -> Vec<PointView<'_>> {
+        ds.iter_views().collect()
     }
 
     fn spec() -> ClusterSpec {
@@ -518,17 +475,25 @@ mod tests {
 
     #[test]
     fn empty_dataset_is_rejected() {
-        let err =
-            PartitionedDataset::from_points("e", vec![], PartitionScheme::RoundRobin, &spec())
-                .unwrap_err();
+        let err = PartitionedDataset::from_owned_columns(
+            "e",
+            ColumnStore::empty(),
+            PartitionScheme::RoundRobin,
+            &spec(),
+        )
+        .unwrap_err();
         assert_eq!(err, DataflowError::EmptyDataset);
     }
 
     #[test]
     fn small_dataset_lands_in_one_partition() {
-        let ds =
-            PartitionedDataset::from_points("s", points(100), PartitionScheme::RoundRobin, &spec())
-                .unwrap();
+        let ds = PartitionedDataset::from_owned_columns(
+            "s",
+            points(100),
+            PartitionScheme::RoundRobin,
+            &spec(),
+        )
+        .unwrap();
         assert_eq!(ds.num_partitions(), 1);
         assert_eq!(ds.physical_n(), 100);
         assert!((ds.physical_scale() - 1.0).abs() < 1e-12);
@@ -541,7 +506,7 @@ mod tests {
         let desc = DatasetDescriptor::new("big", 1_000_000, 2, 2 * 1024 * 1024 * 1024, 1.0);
         let ds = PartitionedDataset::with_descriptor(
             desc,
-            points(1000),
+            &points(1000),
             PartitionScheme::RoundRobin,
             &spec(),
         )
@@ -557,7 +522,7 @@ mod tests {
         let desc = DatasetDescriptor::new("huge", 88_268_800, 100, 160 * 1024 * 1024 * 1024, 1.0);
         let ds = PartitionedDataset::with_descriptor(
             desc,
-            points(10_000),
+            &points(10_000),
             PartitionScheme::RoundRobin,
             &spec(),
         )
@@ -573,7 +538,7 @@ mod tests {
         let desc = DatasetDescriptor::new("c", 100, 2, 4 * 128 * 1024 * 1024, 1.0);
         let ds = PartitionedDataset::with_descriptor(
             desc,
-            points(100),
+            &points(100),
             PartitionScheme::Contiguous,
             &spec(),
         )
@@ -590,7 +555,7 @@ mod tests {
         let desc = DatasetDescriptor::new("r", 100, 2, 4 * 128 * 1024 * 1024, 1.0);
         let ds = PartitionedDataset::with_descriptor(
             desc,
-            points(100),
+            &points(100),
             PartitionScheme::RoundRobin,
             &spec(),
         )
@@ -607,7 +572,7 @@ mod tests {
         let desc = DatasetDescriptor::new("c", 10, 2, 4 * 128 * 1024 * 1024, 1.0);
         let ds = PartitionedDataset::with_descriptor(
             desc,
-            points(10),
+            &points(10),
             PartitionScheme::Contiguous,
             &spec(),
         )
@@ -618,9 +583,13 @@ mod tests {
 
     #[test]
     fn dense_points_build_contiguous_slabs() {
-        let ds =
-            PartitionedDataset::from_points("d", points(10), PartitionScheme::RoundRobin, &spec())
-                .unwrap();
+        let ds = PartitionedDataset::from_owned_columns(
+            "d",
+            points(10),
+            PartitionScheme::RoundRobin,
+            &spec(),
+        )
+        .unwrap();
         let (labels, values, dims) = ds.partition(0).unwrap().columns().as_dense().unwrap();
         assert_eq!(labels.len(), 10);
         assert_eq!(dims, 2);
@@ -629,14 +598,18 @@ mod tests {
 
     #[test]
     fn sample_points_is_deterministic_and_sized() {
-        let ds =
-            PartitionedDataset::from_points("s", points(500), PartitionScheme::RoundRobin, &spec())
-                .unwrap();
-        let a = ds.sample_points(50, 42);
-        let b = ds.sample_points(50, 42);
+        let ds = PartitionedDataset::from_owned_columns(
+            "s",
+            points(500),
+            PartitionScheme::RoundRobin,
+            &spec(),
+        )
+        .unwrap();
+        let a = ds.sample_rows(50, 42);
+        let b = ds.sample_rows(50, 42);
         assert_eq!(a, b);
         assert_eq!(a.len(), 50);
-        assert_eq!(ds.sample_points(10_000, 1).len(), 500);
+        assert_eq!(ds.sample_rows(10_000, 1).len(), 500);
     }
 
     #[test]
@@ -645,8 +618,8 @@ mod tests {
         // exactly as the borrowing constructor deals them.
         for bytes in [1024, 4 * 128 * 1024 * 1024] {
             let desc = DatasetDescriptor::new("o", 100, 2, bytes, 1.0);
-            let rows: ColumnStore = points(100).into_iter().collect();
-            let dealt = PartitionedDataset::with_descriptor_columns(
+            let rows = points(100);
+            let dealt = PartitionedDataset::with_descriptor(
                 desc.clone(),
                 &rows,
                 PartitionScheme::RoundRobin,
@@ -661,17 +634,21 @@ mod tests {
             )
             .unwrap();
             assert_eq!(owned.num_partitions(), dealt.num_partitions());
-            assert_eq!(owned.to_points(), dealt.to_points());
+            assert_eq!(views(&owned), views(&dealt));
             assert_eq!(owned.fingerprint(), dealt.fingerprint());
         }
     }
 
     #[test]
     fn sample_points_draws_distinct_rows() {
-        let ds =
-            PartitionedDataset::from_points("u", points(200), PartitionScheme::RoundRobin, &spec())
-                .unwrap();
-        let sample = ds.sample_points(80, 7);
+        let ds = PartitionedDataset::from_owned_columns(
+            "u",
+            points(200),
+            PartitionScheme::RoundRobin,
+            &spec(),
+        )
+        .unwrap();
+        let sample = ds.sample_rows(80, 7);
         let mut xs: Vec<f64> = sample.iter().map(|p| p.features.dot(&[1.0, 0.0])).collect();
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         xs.dedup();
@@ -685,7 +662,7 @@ mod tests {
             for n in [10usize, 100] {
                 let desc = DatasetDescriptor::new("o", n as u64, 2, 4 * 128 * 1024 * 1024, 1.0);
                 let ds =
-                    PartitionedDataset::with_descriptor(desc, points(n), scheme, &spec()).unwrap();
+                    PartitionedDataset::with_descriptor(desc, &points(n), scheme, &spec()).unwrap();
                 assert!(ds.num_partitions() > 1);
                 assert_eq!(ds.scheme(), scheme);
                 let order: Vec<f64> = ds
@@ -700,13 +677,21 @@ mod tests {
 
     #[test]
     fn fingerprint_is_content_based_and_shared_by_clones() {
-        let a =
-            PartitionedDataset::from_points("f", points(200), PartitionScheme::RoundRobin, &spec())
-                .unwrap();
+        let a = PartitionedDataset::from_owned_columns(
+            "f",
+            points(200),
+            PartitionScheme::RoundRobin,
+            &spec(),
+        )
+        .unwrap();
         // An independently built, identical dataset fingerprints equal...
-        let b =
-            PartitionedDataset::from_points("f", points(200), PartitionScheme::RoundRobin, &spec())
-                .unwrap();
+        let b = PartitionedDataset::from_owned_columns(
+            "f",
+            points(200),
+            PartitionScheme::RoundRobin,
+            &spec(),
+        )
+        .unwrap();
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_ne!(a.storage_id(), b.storage_id());
         // ...a clone shares both the storage and the cached fingerprint...
@@ -714,13 +699,21 @@ mod tests {
         assert_eq!(a.fingerprint(), c.fingerprint());
         assert_eq!(a.storage_id(), c.storage_id());
         // ...and any content difference (rows or name) changes the value.
-        let fewer =
-            PartitionedDataset::from_points("f", points(199), PartitionScheme::RoundRobin, &spec())
-                .unwrap();
+        let fewer = PartitionedDataset::from_owned_columns(
+            "f",
+            points(199),
+            PartitionScheme::RoundRobin,
+            &spec(),
+        )
+        .unwrap();
         assert_ne!(a.fingerprint(), fewer.fingerprint());
-        let renamed =
-            PartitionedDataset::from_points("g", points(200), PartitionScheme::RoundRobin, &spec())
-                .unwrap();
+        let renamed = PartitionedDataset::from_owned_columns(
+            "g",
+            points(200),
+            PartitionScheme::RoundRobin,
+            &spec(),
+        )
+        .unwrap();
         assert_ne!(a.fingerprint(), renamed.fingerprint());
     }
 
@@ -730,10 +723,10 @@ mod tests {
         // every observable: lengths, row content, and fingerprint (so the
         // plan cache hits across the two ingestion paths).
         let desc = || DatasetDescriptor::new("w", 10, 2, 4 * 128 * 1024 * 1024, 1.0);
-        let rows: ColumnStore = points(10).into_iter().collect();
+        let rows = points(10);
         let dealt = PartitionedDataset::with_descriptor(
             desc(),
-            points(10),
+            &rows,
             PartitionScheme::Contiguous,
             &spec(),
         )
@@ -745,7 +738,7 @@ mod tests {
         };
         assert_eq!(lens(&windowed), lens(&dealt));
         assert_eq!(lens(&windowed), vec![3, 3, 3, 1]);
-        assert_eq!(windowed.to_points(), dealt.to_points());
+        assert_eq!(views(&windowed), views(&dealt));
         assert_eq!(windowed.fingerprint(), dealt.fingerprint());
         let in_order: Vec<f64> = windowed
             .iter_views_input_order()
@@ -756,13 +749,18 @@ mod tests {
 
     #[test]
     fn point_lookup_round_trips() {
-        let ds =
-            PartitionedDataset::from_points("p", points(10), PartitionScheme::RoundRobin, &spec())
-                .unwrap();
+        let ds = PartitionedDataset::from_owned_columns(
+            "p",
+            points(10),
+            PartitionScheme::RoundRobin,
+            &spec(),
+        )
+        .unwrap();
         assert!(ds.view(0, 0).is_some());
         assert!(ds.view(9, 0).is_none());
         assert!(ds.partition(3).is_err());
-        let p = ds.point(0, 0).unwrap();
+        let p = ds.view(0, 0).unwrap();
         assert_eq!(p.label, 1.0);
+        assert_eq!(p.features.dot(&[1.0, 0.0]), 0.0);
     }
 }

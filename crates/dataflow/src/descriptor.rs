@@ -47,28 +47,11 @@ impl DatasetDescriptor {
         }
     }
 
-    /// Derive a descriptor from physical points: sums their approximate
-    /// byte footprint.
-    pub fn from_points(name: impl Into<String>, points: &[ml4all_linalg::LabeledPoint]) -> Self {
-        let bytes: u64 = points.iter().map(|p| p.approx_bytes() as u64).sum();
-        let dims = points.iter().map(|p| p.dim()).max().unwrap_or(0);
-        let nnz: u64 = points.iter().map(|p| p.features.nnz() as u64).sum();
-        let denom = (points.len() as u64 * dims as u64).max(1);
-        Self::new(
-            name,
-            points.len() as u64,
-            dims,
-            bytes.max(1),
-            nnz as f64 / denom as f64,
-        )
-    }
-
-    /// Derive a descriptor from columnar rows: the zero-copy counterpart
-    /// of [`DatasetDescriptor::from_points`].
+    /// Derive a descriptor from physical rows (full scale): their count,
+    /// width, approximate byte footprint and density.
     pub fn from_columns(name: impl Into<String>, rows: &crate::columns::ColumnStore) -> Self {
-        // Labels cost 8 bytes each; dense entries 8, sparse entries 12 —
-        // matching the sum of `LabeledPoint::approx_bytes` for homogeneous
-        // input. Mixed-input rows upgraded to CSR are charged at their CSR
+        // Labels cost 8 bytes each; dense entries 8, sparse entries 12.
+        // Mixed-input rows upgraded to CSR are charged at their CSR
         // footprint (explicit zeros included): costs follow the layout the
         // rows are actually stored in.
         let bytes = rows.approx_bytes();
@@ -239,12 +222,8 @@ mod tests {
 
     #[test]
     fn from_points_sums_bytes() {
-        use ml4all_linalg::{FeatureVec, LabeledPoint};
-        let pts = vec![
-            LabeledPoint::new(1.0, FeatureVec::dense(vec![0.0; 4])),
-            LabeledPoint::new(-1.0, FeatureVec::dense(vec![0.0; 4])),
-        ];
-        let d = DatasetDescriptor::from_points("p", &pts);
+        let rows = [(1.0, [0.0; 4]), (-1.0, [0.0; 4])].into_iter().collect();
+        let d = DatasetDescriptor::from_columns("p", &rows);
         assert_eq!(d.n, 2);
         assert_eq!(d.dims, 4);
         assert_eq!(d.bytes, 2 * (8 + 32));

@@ -337,16 +337,13 @@ mod tests {
     use crate::cluster::ClusterSpec;
     use crate::dataset::PartitionScheme;
     use crate::descriptor::DatasetDescriptor;
-    use ml4all_linalg::{FeatureVec, LabeledPoint};
     use rand::SeedableRng;
 
     fn dataset(n: usize, partitions: u64) -> PartitionedDataset {
-        let points: Vec<LabeledPoint> = (0..n)
-            .map(|i| LabeledPoint::new(1.0, FeatureVec::dense(vec![i as f64])))
-            .collect();
+        let rows = (0..n).map(|i| (1.0, [i as f64])).collect();
         let spec = ClusterSpec::paper_testbed();
         let desc = DatasetDescriptor::new("s", n as u64, 1, partitions * spec.partition_bytes, 1.0);
-        PartitionedDataset::with_descriptor(desc, points, PartitionScheme::RoundRobin, &spec)
+        PartitionedDataset::with_descriptor(desc, &rows, PartitionScheme::RoundRobin, &spec)
             .unwrap()
     }
 

@@ -5,7 +5,6 @@ use ml4all_dataflow::{
     ClusterSpec, DatasetDescriptor, PartitionScheme, PartitionedDataset, SamplerState,
     SamplingMethod, SimEnv, StorageMedium,
 };
-use ml4all_linalg::{FeatureVec, LabeledPoint};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -114,12 +113,10 @@ proptest! {
 }
 
 fn tiny_dataset(n: usize, partitions: u64) -> PartitionedDataset {
-    let points: Vec<LabeledPoint> = (0..n)
-        .map(|i| LabeledPoint::new(1.0, FeatureVec::dense(vec![i as f64])))
-        .collect();
+    let rows = (0..n).map(|i| (1.0, [i as f64])).collect();
     let s = spec();
     let desc = DatasetDescriptor::new("t", n as u64, 1, partitions * s.partition_bytes, 1.0);
-    PartitionedDataset::with_descriptor(desc, points, PartitionScheme::RoundRobin, &s).unwrap()
+    PartitionedDataset::with_descriptor(desc, &rows, PartitionScheme::RoundRobin, &s).unwrap()
 }
 
 proptest! {
@@ -150,7 +147,7 @@ proptest! {
             prop_assert!(!coords.is_empty());
         }
         for (pi, oi) in coords {
-            prop_assert!(data.point(pi, oi).is_some());
+            prop_assert!(data.view(pi, oi).is_some());
         }
         // Every draw charges something.
         prop_assert!(env.elapsed_s() > 0.0);
@@ -163,13 +160,11 @@ proptest! {
         scheme_ix in 0usize..2,
     ) {
         let scheme = [PartitionScheme::RoundRobin, PartitionScheme::Contiguous][scheme_ix];
-        let points: Vec<LabeledPoint> = (0..n)
-            .map(|i| LabeledPoint::new(i as f64, FeatureVec::dense(vec![i as f64])))
-            .collect();
+        let rows = (0..n).map(|i| (i as f64, [i as f64])).collect();
         let s = spec();
         let desc = DatasetDescriptor::new("t", n as u64, 1, parts * s.partition_bytes, 1.0);
         let data =
-            PartitionedDataset::with_descriptor(desc, points, scheme, &s).unwrap();
+            PartitionedDataset::with_descriptor(desc, &rows, scheme, &s).unwrap();
         prop_assert_eq!(data.physical_n(), n);
         let mut labels: Vec<f64> = data.iter_views().map(|v| v.label).collect();
         labels.sort_by(|a, b| a.partial_cmp(b).unwrap());

@@ -330,11 +330,10 @@ impl SharedResolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synth::{dense_classification, DenseClassConfig};
-    use ml4all_linalg::LabeledPoint;
+    use crate::synth::{dense_classification_columns, DenseClassConfig};
 
-    fn points(n: usize, seed: u64) -> Vec<LabeledPoint> {
-        dense_classification(&DenseClassConfig {
+    fn points(n: usize, seed: u64) -> ml4all_dataflow::ColumnStore {
+        dense_classification_columns(&DenseClassConfig {
             n,
             dims: 3,
             noise: 0.05,
@@ -343,7 +342,7 @@ mod tests {
     }
 
     fn mem(n: usize, seed: u64) -> PartitionedDataset {
-        PartitionedDataset::from_points(
+        PartitionedDataset::from_owned_columns(
             format!("mem-{seed}"),
             points(n, seed),
             PartitionScheme::RoundRobin,

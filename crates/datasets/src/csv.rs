@@ -13,7 +13,7 @@ use std::io::Read;
 use std::path::Path;
 
 use ml4all_dataflow::{ColumnStore, ColumnarBuilder};
-use ml4all_linalg::LabeledPoint;
+use ml4all_linalg::PointView;
 
 use crate::lines::{find_byte, Lines};
 use crate::DatasetError;
@@ -125,15 +125,6 @@ pub fn read_csv_columns<R: Read>(
     Ok(b.finish())
 }
 
-/// Read CSV rows into owned labelled points (API-boundary convenience
-/// over [`read_csv_columns`]).
-pub fn read_csv<R: Read>(
-    reader: R,
-    columns: Option<CsvColumns>,
-) -> Result<Vec<LabeledPoint>, DatasetError> {
-    Ok(read_csv_columns(reader, columns)?.to_points())
-}
-
 /// Read a CSV file from disk into columnar storage.
 pub fn read_csv_file_columns(
     path: impl AsRef<Path>,
@@ -142,17 +133,18 @@ pub fn read_csv_file_columns(
     read_csv_columns(std::fs::File::open(path)?, columns)
 }
 
-/// Write points as dense CSV (`label,f1,f2,…`).
+/// Write rows as dense CSV (`label,f1,f2,…`).
 pub fn write_csv<W: std::io::Write>(
     writer: W,
-    points: &[LabeledPoint],
+    points: &[PointView<'_>],
 ) -> Result<(), DatasetError> {
     use std::io::Write as _;
     let mut out = std::io::BufWriter::new(writer);
+    let mut dense = Vec::new();
     for p in points {
         write!(out, "{}", p.label)?;
-        let dense = p.features.to_dense();
-        for v in dense.as_slice() {
+        p.features.write_dense(&mut dense);
+        for v in &dense {
             write!(out, ",{v}")?;
         }
         writeln!(out)?;
@@ -167,7 +159,8 @@ mod tests {
 
     #[test]
     fn default_columns_take_label_first() {
-        let pts = read_csv("1.0,2.0,3.0\n-1.0,0.5,0.25\n".as_bytes(), None).unwrap();
+        let rows = read_csv_columns("1.0,2.0,3.0\n-1.0,0.5,0.25\n".as_bytes(), None).unwrap();
+        let pts = rows.to_points();
         assert_eq!(pts.len(), 2);
         assert_eq!(pts[0].label, 1.0);
         assert_eq!(pts[0].features.dot(&[1.0, 0.0]), 2.0);
@@ -181,7 +174,8 @@ mod tests {
             label: 2,
             features: (4, 5),
         };
-        let pts = read_csv("9,1,8,10,20\n9,-1,8,30,40\n".as_bytes(), Some(cols)).unwrap();
+        let rows = read_csv_columns("9,1,8,10,20\n9,-1,8,30,40\n".as_bytes(), Some(cols)).unwrap();
+        let pts = rows.to_points();
         assert_eq!(pts[0].label, 1.0);
         assert_eq!(pts[0].dim(), 2);
         assert_eq!(pts[0].features.dot(&[1.0, 0.0]), 10.0);
@@ -194,17 +188,17 @@ mod tests {
             label: 2,
             features: (4, 9),
         };
-        assert!(read_csv("1,2,3,4,5\n".as_bytes(), Some(cols)).is_err());
+        assert!(read_csv_columns("1,2,3,4,5\n".as_bytes(), Some(cols)).is_err());
         let zero = CsvColumns {
             label: 0,
             features: (1, 2),
         };
-        assert!(read_csv("1,2,3\n".as_bytes(), Some(zero)).is_err());
+        assert!(read_csv_columns("1,2,3\n".as_bytes(), Some(zero)).is_err());
     }
 
     #[test]
     fn bad_numbers_error_with_line() {
-        let err = read_csv("1,2\nx,3\n".as_bytes(), None).unwrap_err();
+        let err = read_csv_columns("1,2\nx,3\n".as_bytes(), None).unwrap_err();
         match err {
             DatasetError::Parse { line_no, .. } => assert_eq!(line_no, 2),
             other => panic!("{other:?}"),
@@ -213,16 +207,16 @@ mod tests {
 
     #[test]
     fn skips_comments_and_blanks() {
-        let pts = read_csv("# header\n\n1,2\n".as_bytes(), None).unwrap();
-        assert_eq!(pts.len(), 1);
+        let rows = read_csv_columns("# header\n\n1,2\n".as_bytes(), None).unwrap();
+        assert_eq!(rows.len(), 1);
     }
 
     #[test]
     fn round_trip() {
-        let pts = read_csv("1,2,0\n-1,0,4\n".as_bytes(), None).unwrap();
+        let rows = read_csv_columns("1,2,0\n-1,0,4\n".as_bytes(), None).unwrap();
         let mut buf = Vec::new();
-        write_csv(&mut buf, &pts).unwrap();
-        let again = read_csv(buf.as_slice(), None).unwrap();
-        assert_eq!(pts, again);
+        write_csv(&mut buf, &rows.to_points()).unwrap();
+        let again = read_csv_columns(buf.as_slice(), None).unwrap();
+        assert_eq!(rows, again);
     }
 }

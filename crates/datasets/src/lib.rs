@@ -25,7 +25,7 @@ pub mod split;
 pub mod synth;
 
 pub use catalog::{EvictedDataset, SharedResolver};
-pub use metrics::{accuracy, accuracy_labels, mean_squared_error, mean_squared_error_labels};
+pub use metrics::{accuracy, mean_squared_error};
 pub use registry::{DatasetSpec, Task};
 pub use source::{parse_memory_budget, DataSource, FileFormat, SourceError, MEMORY_BUDGET_ENV};
 pub use split::train_test_split;

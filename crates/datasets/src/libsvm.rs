@@ -13,7 +13,7 @@ use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 use ml4all_dataflow::{ColumnStore, ColumnarBuilder};
-use ml4all_linalg::{FeatureVec, LabeledPoint};
+use ml4all_linalg::{FeatureView, PointView};
 
 use crate::lines::Lines;
 use crate::DatasetError;
@@ -109,15 +109,6 @@ pub fn read_libsvm_columns<R: Read>(
     Ok(b.finish_with_dims(dims.unwrap_or(0)))
 }
 
-/// Read LIBSVM data into owned labelled points (API-boundary convenience
-/// over [`read_libsvm_columns`]).
-pub fn read_libsvm<R: Read>(
-    reader: R,
-    dims: Option<usize>,
-) -> Result<Vec<LabeledPoint>, DatasetError> {
-    Ok(read_libsvm_columns(reader, dims)?.to_points())
-}
-
 /// Read a LIBSVM file from disk into CSR columnar storage.
 pub fn read_libsvm_file_columns(
     path: impl AsRef<Path>,
@@ -126,28 +117,22 @@ pub fn read_libsvm_file_columns(
     read_libsvm_columns(std::fs::File::open(path)?, dims)
 }
 
-/// Read a LIBSVM file from disk.
-pub fn read_libsvm_file(
-    path: impl AsRef<Path>,
-    dims: Option<usize>,
-) -> Result<Vec<LabeledPoint>, DatasetError> {
-    read_libsvm(std::fs::File::open(path)?, dims)
-}
-
-/// Write points in LIBSVM format (sparse layout regardless of storage;
+/// Write rows in LIBSVM format (sparse layout regardless of storage;
 /// zero-valued dense components are skipped).
-pub fn write_libsvm<W: Write>(writer: W, points: &[LabeledPoint]) -> Result<(), DatasetError> {
+pub fn write_libsvm<W: Write>(writer: W, points: &[PointView<'_>]) -> Result<(), DatasetError> {
     let mut out = BufWriter::new(writer);
     for p in points {
         write!(out, "{}", p.label)?;
-        match &p.features {
-            FeatureVec::Sparse(sv) => {
-                for (i, v) in sv.iter() {
+        match p.features {
+            FeatureView::Sparse {
+                indices, values, ..
+            } => {
+                for (i, v) in indices.iter().zip(values) {
                     write!(out, " {}:{}", i + 1, v)?;
                 }
             }
-            FeatureVec::Dense(dv) => {
-                for (i, v) in dv.as_slice().iter().enumerate() {
+            FeatureView::Dense(row) => {
+                for (i, v) in row.iter().enumerate() {
                     if *v != 0.0 {
                         write!(out, " {}:{}", i + 1, v)?;
                     }
@@ -167,7 +152,8 @@ mod tests {
     #[test]
     fn parses_basic_file() {
         let text = "+1 2:0.1 4:0.4 10:0.3\n-1 3:0.3 4:0.5 9:0.5\n";
-        let pts = read_libsvm(text.as_bytes(), None).unwrap();
+        let rows = read_libsvm_columns(text.as_bytes(), None).unwrap();
+        let pts = rows.to_points();
         assert_eq!(pts.len(), 2);
         assert_eq!(pts[0].label, 1.0);
         assert_eq!(pts[0].dim(), 10);
@@ -177,48 +163,45 @@ mod tests {
     #[test]
     fn skips_comments_and_blank_lines() {
         let text = "# header\n\n+1 1:1\n";
-        let pts = read_libsvm(text.as_bytes(), None).unwrap();
-        assert_eq!(pts.len(), 1);
+        let rows = read_libsvm_columns(text.as_bytes(), None).unwrap();
+        assert_eq!(rows.len(), 1);
     }
 
     #[test]
     fn explicit_dims_overrides_inference() {
-        let pts = read_libsvm("1 1:1\n".as_bytes(), Some(100)).unwrap();
-        assert_eq!(pts[0].dim(), 100);
+        let rows = read_libsvm_columns("1 1:1\n".as_bytes(), Some(100)).unwrap();
+        assert_eq!(rows.view(0).unwrap().dim(), 100);
         // But never shrinks below the observed maximum.
-        let pts = read_libsvm("1 50:1\n".as_bytes(), Some(10)).unwrap();
-        assert_eq!(pts[0].dim(), 50);
+        let rows = read_libsvm_columns("1 50:1\n".as_bytes(), Some(10)).unwrap();
+        assert_eq!(rows.view(0).unwrap().dim(), 50);
     }
 
     #[test]
     fn rejects_zero_index() {
-        let err = read_libsvm("1 0:5\n".as_bytes(), None).unwrap_err();
+        let err = read_libsvm_columns("1 0:5\n".as_bytes(), None).unwrap_err();
         assert!(matches!(err, DatasetError::Parse { line_no: 1, .. }));
     }
 
     #[test]
     fn rejects_malformed_tokens() {
-        assert!(read_libsvm("1 abc\n".as_bytes(), None).is_err());
-        assert!(read_libsvm("x 1:1\n".as_bytes(), None).is_err());
-        assert!(read_libsvm("1 1:zz\n".as_bytes(), None).is_err());
+        assert!(read_libsvm_columns("1 abc\n".as_bytes(), None).is_err());
+        assert!(read_libsvm_columns("x 1:1\n".as_bytes(), None).is_err());
+        assert!(read_libsvm_columns("1 1:zz\n".as_bytes(), None).is_err());
     }
 
     #[test]
     fn round_trip_preserves_points() {
         let text = "1 2:0.25 4:0.5\n-1 1:1\n";
-        let pts = read_libsvm(text.as_bytes(), Some(4)).unwrap();
+        let rows = read_libsvm_columns(text.as_bytes(), Some(4)).unwrap();
         let mut buf = Vec::new();
-        write_libsvm(&mut buf, &pts).unwrap();
-        let again = read_libsvm(buf.as_slice(), Some(4)).unwrap();
-        assert_eq!(pts, again);
+        write_libsvm(&mut buf, &rows.to_points()).unwrap();
+        let again = read_libsvm_columns(buf.as_slice(), Some(4)).unwrap();
+        assert_eq!(rows, again);
     }
 
     #[test]
     fn dense_points_serialize_sparsely() {
-        let pts = vec![LabeledPoint::new(
-            1.0,
-            FeatureVec::dense(vec![0.0, 2.0, 0.0]),
-        )];
+        let pts = [PointView::new(1.0, FeatureView::Dense(&[0.0, 2.0, 0.0]))];
         let mut buf = Vec::new();
         write_libsvm(&mut buf, &pts).unwrap();
         assert_eq!(String::from_utf8(buf).unwrap(), "1 2:2\n");

@@ -1,12 +1,12 @@
 //! Test-set metrics: the paper reports the mean squared error of predicted
-//! labels against ground truth (Section 8.5, Figure 12).
+//! labels against ground truth (Section 8.5, Figure 12). Both take the
+//! labels column as a slice, so scoring a [`ml4all_dataflow::ColumnStore`]
+//! hands its `labels()` straight through.
 
-use ml4all_linalg::LabeledPoint;
-
-/// Mean squared error between per-point predictions and true labels, as
-/// raw slices — the columnar scoring path hands the labels column straight
-/// through without materializing any [`LabeledPoint`].
-pub fn mean_squared_error_labels(predictions: &[f64], labels: &[f64]) -> f64 {
+/// Mean squared error between per-point predictions and true labels.
+/// For ±1 classification labels this equals 4 × misclassification rate
+/// when predictions are themselves ±1 — the metric of Figure 12.
+pub fn mean_squared_error(predictions: &[f64], labels: &[f64]) -> f64 {
     assert_eq!(
         predictions.len(),
         labels.len(),
@@ -26,8 +26,8 @@ pub fn mean_squared_error_labels(predictions: &[f64], labels: &[f64]) -> f64 {
         / labels.len() as f64
 }
 
-/// Fraction of sign-correct predictions for ±1 labels, as raw slices.
-pub fn accuracy_labels(predictions: &[f64], labels: &[f64]) -> f64 {
+/// Fraction of sign-correct predictions for ±1 labels.
+pub fn accuracy(predictions: &[f64], labels: &[f64]) -> f64 {
     assert_eq!(predictions.len(), labels.len());
     if labels.is_empty() {
         return 0.0;
@@ -40,55 +40,24 @@ pub fn accuracy_labels(predictions: &[f64], labels: &[f64]) -> f64 {
     correct as f64 / labels.len() as f64
 }
 
-/// Mean squared error between per-point predictions and true labels.
-/// For ±1 classification labels this equals 4 × misclassification rate
-/// when predictions are themselves ±1 — the metric of Figure 12.
-pub fn mean_squared_error(predictions: &[f64], points: &[LabeledPoint]) -> f64 {
-    let labels: Vec<f64> = points.iter().map(|p| p.label).collect();
-    mean_squared_error_labels(predictions, &labels)
-}
-
-/// Fraction of sign-correct predictions for ±1 labels.
-pub fn accuracy(predictions: &[f64], points: &[LabeledPoint]) -> f64 {
-    let labels: Vec<f64> = points.iter().map(|p| p.label).collect();
-    accuracy_labels(predictions, &labels)
-}
-
-/// Apply a model to every test point with a prediction function (typically
-/// `Gradient::predict`).
-pub fn predict_all(
-    points: &[LabeledPoint],
-    mut predict: impl FnMut(&LabeledPoint) -> f64,
-) -> Vec<f64> {
-    points.iter().map(&mut predict).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ml4all_linalg::FeatureVec;
-
-    fn pts(labels: &[f64]) -> Vec<LabeledPoint> {
-        labels
-            .iter()
-            .map(|&l| LabeledPoint::new(l, FeatureVec::dense(vec![0.0])))
-            .collect()
-    }
 
     #[test]
     fn perfect_predictions_have_zero_mse() {
-        let points = pts(&[1.0, -1.0, 1.0]);
-        assert_eq!(mean_squared_error(&[1.0, -1.0, 1.0], &points), 0.0);
-        assert_eq!(accuracy(&[1.0, -1.0, 1.0], &points), 1.0);
+        let labels = [1.0, -1.0, 1.0];
+        assert_eq!(mean_squared_error(&[1.0, -1.0, 1.0], &labels), 0.0);
+        assert_eq!(accuracy(&[1.0, -1.0, 1.0], &labels), 1.0);
     }
 
     #[test]
     fn one_sign_error_in_four_is_mse_one() {
         // (±1 labels) one wrong of four: (2² + 0 + 0 + 0) / 4 = 1.
-        let points = pts(&[1.0, 1.0, -1.0, -1.0]);
-        let mse = mean_squared_error(&[-1.0, 1.0, -1.0, -1.0], &points);
+        let labels = [1.0, 1.0, -1.0, -1.0];
+        let mse = mean_squared_error(&[-1.0, 1.0, -1.0, -1.0], &labels);
         assert!((mse - 1.0).abs() < 1e-12);
-        assert!((accuracy(&[-1.0, 1.0, -1.0, -1.0], &points) - 0.75).abs() < 1e-12);
+        assert!((accuracy(&[-1.0, 1.0, -1.0, -1.0], &labels) - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -98,15 +67,8 @@ mod tests {
     }
 
     #[test]
-    fn predict_all_applies_model() {
-        let points = pts(&[1.0, -1.0]);
-        let preds = predict_all(&points, |p| p.label * 2.0);
-        assert_eq!(preds, vec![2.0, -2.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "one prediction per test point")]
     fn mismatched_lengths_panic() {
-        mean_squared_error(&[1.0], &pts(&[1.0, 2.0]));
+        mean_squared_error(&[1.0], &[1.0, 2.0]);
     }
 }

@@ -75,8 +75,7 @@ impl DatasetSpec {
     }
 
     /// Generate physical rows for this spec (at most `max_physical`) in
-    /// contiguous columnar form — the layout the partitioner deals from
-    /// without materializing any point.
+    /// contiguous columnar form — the layout the partitioner deals from.
     pub fn generate_columns(&self, max_physical: usize, seed: u64) -> ColumnStore {
         let n_phys = (self.n as usize).min(max_physical).max(2);
         match self.task {
@@ -114,15 +113,6 @@ impl DatasetSpec {
         }
     }
 
-    /// Generate physical points for this spec (at most `max_physical`).
-    pub fn generate_points(
-        &self,
-        max_physical: usize,
-        seed: u64,
-    ) -> Vec<ml4all_linalg::LabeledPoint> {
-        self.generate_columns(max_physical, seed).to_points()
-    }
-
     /// Build the partitioned dataset: logical descriptor at Table 2 scale,
     /// physical rows capped at `max_physical`.
     pub fn build(
@@ -137,7 +127,7 @@ impl DatasetSpec {
         } else {
             PartitionScheme::RoundRobin
         };
-        Ok(PartitionedDataset::with_descriptor_columns(
+        Ok(PartitionedDataset::with_descriptor(
             self.descriptor(),
             &rows,
             scheme,
@@ -399,14 +389,14 @@ mod tests {
     #[test]
     fn generated_task_shapes_match_spec() {
         let y = yearpred();
-        let pts = y.generate_points(100, 3);
-        assert_eq!(pts.len(), 100);
-        assert_eq!(pts[0].dim(), 90);
+        let rows = y.generate_columns(100, 3);
+        assert_eq!(rows.len(), 100);
+        assert_eq!(rows.dims(), 90);
         // Regression labels are continuous, not ±1.
-        assert!(pts.iter().any(|p| p.label.abs() != 1.0));
+        assert!(rows.labels().iter().any(|l| l.abs() != 1.0));
 
         let h = higgs();
-        let pts = h.generate_points(100, 3);
-        assert!(pts.iter().all(|p| p.label.abs() == 1.0));
+        let rows = h.generate_columns(100, 3);
+        assert!(rows.labels().iter().all(|l| l.abs() == 1.0));
     }
 }

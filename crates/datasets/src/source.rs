@@ -322,9 +322,9 @@ fn looks_like_libsvm(path: &Path) -> Result<bool, std::io::Error> {
 mod tests {
     use super::*;
     use crate::catalog::SharedResolver;
-    use crate::synth::{dense_classification, DenseClassConfig};
-    use ml4all_dataflow::{ClusterSpec, PartitionScheme};
-    use ml4all_linalg::LabeledPoint;
+    use crate::synth::{dense_classification_columns, DenseClassConfig};
+    use ml4all_dataflow::{ClusterSpec, ColumnStore, ColumnarBuilder, PartitionScheme};
+    use ml4all_linalg::PointView;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ml4all-source-{}-{tag}", std::process::id()));
@@ -332,8 +332,8 @@ mod tests {
         dir
     }
 
-    fn points(n: usize) -> Vec<LabeledPoint> {
-        dense_classification(&DenseClassConfig {
+    fn points(n: usize) -> ColumnStore {
+        dense_classification_columns(&DenseClassConfig {
             n,
             dims: 3,
             noise: 0.05,
@@ -351,7 +351,7 @@ mod tests {
         let dir = tmp_dir("precedence");
         let r = resolver(&dir, &cluster);
         // Shadow the registry name `adult` with a tiny in-memory dataset.
-        let mine = PartitionedDataset::from_points(
+        let mine = PartitionedDataset::from_owned_columns(
             "mine",
             points(40),
             PartitionScheme::RoundRobin,
@@ -378,7 +378,7 @@ mod tests {
         // File hit.
         crate::csv::write_csv(
             std::fs::File::create(dir.join("f.csv")).unwrap(),
-            &points(25),
+            &points(25).to_points(),
         )
         .unwrap();
         let got = r.resolve(&DataSource::named("f.csv")).unwrap();
@@ -394,7 +394,7 @@ mod tests {
         let cluster = ClusterSpec::paper_testbed();
         let dir = tmp_dir("points");
         let r = resolver(&dir, &cluster);
-        let data = PartitionedDataset::from_points(
+        let data = PartitionedDataset::from_owned_columns(
             "reg",
             points(30),
             PartitionScheme::RoundRobin,
@@ -403,22 +403,26 @@ mod tests {
         .unwrap();
         r.register("reg", data.clone());
         let scored = |source: &DataSource, dims_hint: Option<usize>| {
-            r.resolve_for_predict(source, dims_hint)
-                .unwrap()
-                .to_points()
+            r.resolve_for_predict(source, dims_hint).unwrap()
         };
 
-        assert_eq!(scored(&DataSource::registered("reg"), None).len(), 30);
-        assert_eq!(scored(&DataSource::InMemory(data), None).len(), 30);
-        assert_eq!(scored(&DataSource::registry("adult"), None).len(), 500);
+        assert_eq!(
+            scored(&DataSource::registered("reg"), None).physical_n(),
+            30
+        );
+        assert_eq!(scored(&DataSource::InMemory(data), None).physical_n(), 30);
+        assert_eq!(
+            scored(&DataSource::registry("adult"), None).physical_n(),
+            500
+        );
         crate::libsvm::write_libsvm(
             std::fs::File::create(dir.join("p.libsvm")).unwrap(),
-            &points(12),
+            &points(12).to_points(),
         )
         .unwrap();
         let pts = scored(&DataSource::file("p.libsvm"), Some(3));
-        assert_eq!(pts.len(), 12);
-        assert_eq!(pts[0].dim(), 3);
+        assert_eq!(pts.physical_n(), 12);
+        assert_eq!(pts.view(0, 0).unwrap().dim(), 3);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -453,7 +457,8 @@ mod tests {
     #[test]
     fn over_budget_files_come_back_mapped_with_identical_rows() {
         let dir = tmp_dir("budget-read");
-        let pts = points(400);
+        let rows = points(400);
+        let pts = rows.to_points();
         crate::csv::write_csv(std::fs::File::create(dir.join("big.csv")).unwrap(), &pts).unwrap();
         crate::libsvm::write_libsvm(std::fs::File::create(dir.join("big.libsvm")).unwrap(), &pts)
             .unwrap();
@@ -489,7 +494,7 @@ mod tests {
         let dir = tmp_dir("budget-small");
         crate::csv::write_csv(
             std::fs::File::create(dir.join("small.csv")).unwrap(),
-            &points(10),
+            &points(10).to_points(),
         )
         .unwrap();
         let rows = read_data_file_with_budget(
@@ -512,7 +517,7 @@ mod tests {
         let dir = tmp_dir("budget-resolve");
         crate::csv::write_csv(
             std::fs::File::create(dir.join("big.csv")).unwrap(),
-            &points(300),
+            &points(300).to_points(),
         )
         .unwrap();
         let r = resolver(&dir, &cluster);
@@ -534,7 +539,7 @@ mod tests {
             &cluster,
         )
         .unwrap();
-        assert_eq!(mapped.to_points(), owned.to_points());
+        assert!(mapped.iter_views().eq(owned.iter_views()));
         assert_eq!(mapped.fingerprint(), owned.fingerprint());
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -543,10 +548,18 @@ mod tests {
     fn libsvm_output_with_an_all_zero_first_row_reads_back_through_the_sniff() {
         let cluster = ClusterSpec::paper_testbed();
         let dir = tmp_dir("label-only");
-        let mut pts = points(6);
-        pts[0].features = ml4all_linalg::FeatureVec::dense(vec![0.0; 3]);
-        crate::libsvm::write_libsvm(std::fs::File::create(dir.join("z.libsvm")).unwrap(), &pts)
-            .unwrap();
+        let src = points(6);
+        let (labels, values, _) = src.as_dense().unwrap();
+        let mut b = ColumnarBuilder::new();
+        for (i, (&label, row)) in labels.iter().zip(values.chunks(3)).enumerate() {
+            b.push_dense(label, if i == 0 { &[0.0; 3] } else { row });
+        }
+        let pts = b.finish();
+        crate::libsvm::write_libsvm(
+            std::fs::File::create(dir.join("z.libsvm")).unwrap(),
+            &pts.to_points(),
+        )
+        .unwrap();
         let text = std::fs::read_to_string(dir.join("z.libsvm")).unwrap();
         assert!(!text.lines().next().unwrap().contains(':'), "{text}");
         let rows =
@@ -554,14 +567,16 @@ mod tests {
         assert_eq!(rows.as_csr().map(|_| rows.len()), Some(6));
         let resolved = resolver(&dir, &cluster)
             .resolve_for_predict(&DataSource::file("z.libsvm"), Some(3))
-            .unwrap()
-            .to_points();
-        let dense = |pts: &[LabeledPoint]| -> Vec<(f64, Vec<f64>)> {
-            pts.iter()
-                .map(|p| (p.label, p.features.to_dense().as_slice().to_vec()))
-                .collect()
+            .unwrap();
+        let dense = |p: PointView<'_>| {
+            let mut values = Vec::new();
+            p.features.write_dense(&mut values);
+            (p.label, values)
         };
-        assert_eq!(dense(&resolved), dense(&pts));
+        assert!(resolved
+            .iter_views_input_order()
+            .map(dense)
+            .eq(pts.iter().map(dense)));
         // A single-column CSV still reads as CSV (and is refused as one).
         std::fs::write(dir.join("one.csv"), "5\n6\n").unwrap();
         let err = read_data_file(&dir, Path::new("one.csv"), FileFormat::Auto, None, None);
@@ -582,10 +597,11 @@ mod tests {
             label: 2,
             features: (4, 5),
         });
-        let pts = r.resolve_for_predict(&src, None).unwrap().to_points();
-        assert_eq!(pts.len(), 2);
-        assert_eq!(pts[0].label, 1.0);
-        assert_eq!(pts[0].dim(), 2);
+        let pts = r.resolve_for_predict(&src, None).unwrap();
+        assert_eq!(pts.physical_n(), 2);
+        let first = pts.iter_views_input_order().next().unwrap();
+        assert_eq!(first.label, 1.0);
+        assert_eq!(first.dim(), 2);
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -8,7 +8,6 @@
 //! and dense linear-regression data (yearpred analog).
 
 use ml4all_dataflow::{ColumnStore, ColumnarBuilder};
-use ml4all_linalg::LabeledPoint;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -47,11 +46,6 @@ pub fn dense_classification_columns(cfg: &DenseClassConfig) -> ColumnStore {
         b.push_dense(label, &x);
     }
     b.finish()
-}
-
-/// Owned-point convenience over [`dense_classification_columns`].
-pub fn dense_classification(cfg: &DenseClassConfig) -> Vec<LabeledPoint> {
-    dense_classification_columns(cfg).to_points()
 }
 
 /// Parameters for sparse classification data.
@@ -137,11 +131,6 @@ pub fn sparse_classification_columns(cfg: &SparseClassConfig) -> ColumnStore {
     b.finish_with_dims(cfg.dims)
 }
 
-/// Owned-point convenience over [`sparse_classification_columns`].
-pub fn sparse_classification(cfg: &SparseClassConfig) -> Vec<LabeledPoint> {
-    sparse_classification_columns(cfg).to_points()
-}
-
 /// Parameters for dense regression data.
 #[derive(Debug, Clone)]
 pub struct RegressionConfig {
@@ -177,11 +166,6 @@ pub fn dense_regression_columns(cfg: &RegressionConfig) -> ColumnStore {
     b.finish()
 }
 
-/// Owned-point convenience over [`dense_regression_columns`].
-pub fn dense_regression(cfg: &RegressionConfig) -> Vec<LabeledPoint> {
-    dense_regression_columns(cfg).to_points()
-}
-
 fn random_unit_vector(dims: usize, rng: &mut StdRng) -> Vec<f64> {
     let mut v: Vec<f64> = (0..dims).map(|_| rng.gen_range(-1.0..1.0)).collect();
     let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
@@ -207,31 +191,30 @@ mod tests {
             noise: 0.0,
             seed: 42,
         };
-        let a = dense_classification(&cfg);
-        let b = dense_classification(&cfg);
+        let a = dense_classification_columns(&cfg);
+        let b = dense_classification_columns(&cfg);
         assert_eq!(a, b);
-        let pos = a.iter().filter(|p| p.label > 0.0).count();
+        let pos = a.labels().iter().filter(|&&l| l > 0.0).count();
         assert!(pos > 700 && pos < 1300, "positives {pos}");
     }
 
     #[test]
     fn noise_flips_labels() {
-        let clean = dense_classification(&DenseClassConfig {
+        let clean = dense_classification_columns(&DenseClassConfig {
             n: 1000,
             dims: 5,
             noise: 0.0,
             seed: 1,
         });
-        let noisy = dense_classification(&DenseClassConfig {
+        let noisy = dense_classification_columns(&DenseClassConfig {
             n: 1000,
             dims: 5,
             noise: 0.3,
             seed: 1,
         });
-        let flipped = clean
-            .iter()
-            .zip(&noisy)
-            .filter(|(a, b)| a.label != b.label)
+        let flipped = (clean.labels().iter())
+            .zip(noisy.labels())
+            .filter(|(a, b)| a != b)
             .count();
         assert!(flipped > 200 && flipped < 400, "flipped {flipped}");
     }
@@ -246,11 +229,10 @@ mod tests {
             skewed: false,
             seed: 3,
         };
-        let pts = sparse_classification(&cfg);
-        let avg_nnz: f64 =
-            pts.iter().map(|p| p.features.nnz() as f64).sum::<f64>() / pts.len() as f64;
+        let rows = sparse_classification_columns(&cfg);
+        let avg_nnz = rows.total_nnz() as f64 / rows.len() as f64;
         assert!((avg_nnz - 15.0).abs() < 1.0, "avg nnz {avg_nnz}");
-        assert!(pts.iter().all(|p| p.dim() == 10_000));
+        assert!(rows.iter().all(|p| p.dim() == 10_000));
     }
 
     #[test]
@@ -263,13 +245,14 @@ mod tests {
             skewed: true,
             seed: 7,
         };
-        let pts = sparse_classification(&cfg);
-        let first_pos = pts.iter().position(|p| p.label > 0.0).unwrap();
+        let rows = sparse_classification_columns(&cfg);
+        let labels = rows.labels();
+        let first_pos = labels.iter().position(|&l| l > 0.0).unwrap();
         assert!(
-            pts[first_pos..].iter().all(|p| p.label > 0.0),
+            labels[first_pos..].iter().all(|&l| l > 0.0),
             "labels must be sorted"
         );
-        assert!(pts[..first_pos].iter().all(|p| p.label < 0.0));
+        assert!(labels[..first_pos].iter().all(|&l| l < 0.0));
     }
 
     #[test]
@@ -280,22 +263,22 @@ mod tests {
             noise: 1e-9,
             seed: 5,
         };
-        let pts = dense_regression(&cfg);
+        let rows = dense_regression_columns(&cfg);
         // Noise-free targets must be bounded by ‖x‖·‖w*‖ ≤ √d.
-        for p in &pts {
-            assert!(p.label.abs() <= (cfg.dims as f64).sqrt() + 1e-6);
+        for label in rows.labels() {
+            assert!(label.abs() <= (cfg.dims as f64).sqrt() + 1e-6);
         }
     }
 
     #[test]
     fn generators_differ_across_seeds() {
-        let a = dense_classification(&DenseClassConfig {
+        let a = dense_classification_columns(&DenseClassConfig {
             n: 10,
             dims: 3,
             noise: 0.0,
             seed: 1,
         });
-        let b = dense_classification(&DenseClassConfig {
+        let b = dense_classification_columns(&DenseClassConfig {
             n: 10,
             dims: 3,
             noise: 0.0,

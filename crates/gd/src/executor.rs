@@ -17,7 +17,7 @@ use ml4all_dataflow::{
     CancelToken, ColumnStore, ColumnarBuilder, CostBreakdown, ExecState, PartitionedDataset,
     SamplerState, SimEnv, UsageMeter, RNG_STREAM_VERSION,
 };
-use ml4all_linalg::{DenseVector, FeatureView, LabeledPoint, PointView};
+use ml4all_linalg::{DenseVector, FeatureView, PointView};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -277,10 +277,12 @@ impl Store<'_> {
     }
 }
 
-/// One partition's reusable compute state: the partial aggregate plus an
-/// error slot for transforms that fail mid-wave.
+/// One partition's reusable compute state: the partial aggregate, the
+/// buffer a lazily transformed unit is written to, and an error slot for
+/// transforms that fail mid-wave.
 struct PartialSlot {
     acc: ComputeAcc,
+    unit: Vec<f64>,
     error: Option<GdError>,
 }
 
@@ -298,6 +300,7 @@ impl WaveScratch {
             slots: (0..partitions)
                 .map(|_| PartialSlot {
                     acc: ComputeAcc::new(dims),
+                    unit: Vec::new(),
                     error: None,
                 })
                 .collect(),
@@ -323,16 +326,25 @@ impl WaveScratch {
     }
 }
 
-/// Transforms must preserve the dataset's declared dimensionality: the
-/// model vector is sized from the descriptor, so a wider unit would index
-/// past the weights (and a narrower one silently drop features).
-fn check_transformed_dims(unit_dims: usize, dims: usize) -> Result<(), GdError> {
-    if unit_dims != dims {
+/// Run `Transform` on one unit, writing into `scratch` if it must. The
+/// result must keep the dataset's declared dimensionality: the model
+/// vector is sized from the descriptor, so a wider unit would index past
+/// the weights (and a narrower one silently drop features).
+fn transform_unit<'a>(
+    ops: &GdOperators,
+    unit: PointView<'a>,
+    ctx: &Context,
+    dims: usize,
+    scratch: &'a mut Vec<f64>,
+) -> Result<PointView<'a>, GdError> {
+    let t = ops.transform.transform(unit, ctx, scratch)?;
+    if t.dim() != dims {
         return Err(GdError::InvalidPlan(format!(
-            "transform produced a {unit_dims}-dimensional unit but the dataset declares {dims}"
+            "transform produced a {}-dimensional unit but the dataset declares {dims}",
+            t.dim()
         )));
     }
-    Ok(())
+    Ok(t)
 }
 
 /// A sampled wave must read this many times fewer stored entries than the
@@ -444,11 +456,11 @@ pub fn execute(
 
     // ---- Preparation phase: Stage (+ optional global-stats scan) ----
     let mut ctx = Context::new(dims);
-    let staged: Vec<LabeledPoint> = if ops.stage.needs_full_scan() {
+    let staged = if ops.stage.needs_full_scan() {
         env.charge_transform_scan(&desc);
-        data.sample_points(4096, params.seed ^ 0x5747_4167)
+        data.sample_rows(4096, params.seed ^ 0x5747_4167)
     } else {
-        Vec::new()
+        ColumnStore::empty()
     };
     ops.stage.stage(&mut ctx, &staged);
     env.charge_stage(&desc);
@@ -458,12 +470,6 @@ pub fn execute(
             ctx.dims, dims
         )));
     }
-
-    let transform_one = |unit: PointView<'_>, ctx: &Context| {
-        let t = ops.transform.transform(unit, ctx)?;
-        check_transformed_dims(t.dim(), dims)?;
-        Ok::<_, GdError>(t)
-    };
 
     // ---- Preparation phase: eager Transform ----
     let store = if plan.transform == TransformPolicy::Eager {
@@ -485,8 +491,9 @@ pub fn execute(
                     } else {
                         ColumnarBuilder::new()
                     };
+                    let mut unit = Vec::new();
                     for v in part.iter() {
-                        b.push_point(&transform_one(v, &ctx)?);
+                        b.push_view(transform_unit(ops, v, &ctx, dims, &mut unit)?);
                     }
                     Ok(b.finish_with_dims(part_dims))
                 });
@@ -562,6 +569,8 @@ pub fn execute(
     let mut coords: Vec<(usize, usize)> = Vec::new();
     let unit_bytes = desc.unit_bytes().ceil() as u64;
     let lazy_transform = plan.transform == TransformPolicy::Lazy && !ops.transform.is_identity();
+    // A lazily transformed sampled unit's buffer, reused across waves.
+    let mut driver_unit = Vec::new();
     // The wave boundary the loop stands at: the delta the last iteration
     // left to decide on (infinite after an internal-only one) and whether
     // a durability checkpoint falls due here. A cold start has none before
@@ -649,10 +658,8 @@ pub fn execute(
                             // A lazily transformed unit is a unit of its
                             // own: `Compute` scores it singly.
                             for v in cols.iter() {
-                                match transform_one(v, ctx_ref) {
-                                    Ok(t) => {
-                                        ops.compute.compute(&[t.view()], ctx_ref, &mut slot.acc)
-                                    }
+                                match transform_unit(ops, v, ctx_ref, dims, &mut slot.unit) {
+                                    Ok(t) => ops.compute.compute(&[t], ctx_ref, &mut slot.acc),
                                     Err(e) => {
                                         slot.error = Some(e);
                                         return;
@@ -716,9 +723,9 @@ pub fn execute(
                 });
                 if lazy_transform {
                     for v in views {
-                        let t = transform_one(v, &ctx)?;
-                        wave_support.note(&[t.view()]);
-                        ops.compute.compute(&[t.view()], &ctx, &mut acc);
+                        let t = transform_unit(ops, v, &ctx, dims, &mut driver_unit)?;
+                        wave_support.note(&[t]);
+                        ops.compute.compute(&[t], &ctx, &mut acc);
                     }
                 } else {
                     let mut batches = Batches::new(views);
@@ -891,25 +898,24 @@ mod scratch_tests {
 mod tests {
     use super::*;
     use ml4all_dataflow::{ClusterSpec, PartitionScheme, SamplingMethod};
-    use ml4all_linalg::FeatureVec;
     use rand::Rng;
 
     /// Linearly separable 2-D classification points around the separator
     /// x0 - x1 = 0, with an always-on bias feature.
-    fn separable_points(n: usize, seed: u64) -> Vec<LabeledPoint> {
+    fn separable_points(n: usize, seed: u64) -> ColumnStore {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
             .map(|_| {
                 let x0: f64 = rng.gen_range(-1.0..1.0);
                 let x1: f64 = rng.gen_range(-1.0..1.0);
                 let label = if x0 - x1 > 0.0 { 1.0 } else { -1.0 };
-                LabeledPoint::new(label, FeatureVec::dense(vec![x0, x1, 1.0]))
+                (label, [x0, x1, 1.0])
             })
             .collect()
     }
 
     fn dataset(n: usize) -> PartitionedDataset {
-        PartitionedDataset::from_points(
+        PartitionedDataset::from_owned_columns(
             "separable",
             separable_points(n, 7),
             PartitionScheme::RoundRobin,
@@ -922,7 +928,7 @@ mod tests {
         SimEnv::new(ClusterSpec::paper_testbed())
     }
 
-    fn accuracy(weights: &DenseVector, points: &[LabeledPoint]) -> f64 {
+    fn accuracy(weights: &DenseVector, points: &ColumnStore) -> f64 {
         let correct = points
             .iter()
             .filter(|p| {
@@ -1017,14 +1023,14 @@ mod tests {
     fn linear_regression_fits_a_line() {
         // y = 3 x + 1 with slight noise.
         let mut rng = StdRng::seed_from_u64(11);
-        let points: Vec<LabeledPoint> = (0..500)
+        let points = (0..500)
             .map(|_| {
                 let x: f64 = rng.gen_range(-1.0..1.0);
                 let y = 3.0 * x + 1.0 + rng.gen_range(-0.01..0.01);
-                LabeledPoint::new(y, FeatureVec::dense(vec![x, 1.0]))
+                (y, [x, 1.0])
             })
             .collect();
-        let data = PartitionedDataset::from_points(
+        let data = PartitionedDataset::from_owned_columns(
             "line",
             points,
             PartitionScheme::RoundRobin,
@@ -1387,7 +1393,7 @@ mod tests {
         );
         let data = PartitionedDataset::with_descriptor(
             desc,
-            separable_points(5000, 3),
+            &separable_points(5000, 3),
             PartitionScheme::RoundRobin,
             &spec,
         )
@@ -1426,7 +1432,7 @@ mod tests {
         );
         let data = PartitionedDataset::with_descriptor(
             desc,
-            separable_points(1000, 3),
+            &separable_points(1000, 3),
             PartitionScheme::RoundRobin,
             &spec,
         )
@@ -1473,7 +1479,7 @@ mod tests {
         );
         let data = PartitionedDataset::with_descriptor(
             desc,
-            separable_points(1000, 3),
+            &separable_points(1000, 3),
             PartitionScheme::RoundRobin,
             &spec,
         )
@@ -1515,14 +1521,14 @@ mod tests {
 
         let small = PartitionedDataset::with_descriptor(
             small_desc,
-            points.clone(),
+            &points,
             PartitionScheme::RoundRobin,
             &spec,
         )
         .unwrap();
         let big = PartitionedDataset::with_descriptor(
             big_desc,
-            points,
+            &points,
             PartitionScheme::RoundRobin,
             &spec,
         )

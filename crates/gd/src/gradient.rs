@@ -23,26 +23,25 @@
 //! accumulator in a register across the rows — bit for bit the eight
 //! single-row adds, with one load and store per chunk instead of eight.
 
-use ml4all_linalg::{simd, FeatureView, LabeledPoint, PointView};
+use ml4all_linalg::{simd, FeatureView, PointView};
 use serde::{Deserialize, Serialize};
 
 /// A per-point (sub)gradient of a convex loss: the `∇f_i(w)` of Section 2.
 ///
-/// The required methods take zero-copy [`PointView`]s — the shape the
-/// columnar hot loop hands out — and accumulate `∇f_i(w)` into `acc`
-/// instead of allocating a vector per point. Owned-[`LabeledPoint`]
-/// conveniences are provided for API-boundary callers.
+/// Every method takes zero-copy [`PointView`]s — the one shape a row has —
+/// and accumulates `∇f_i(w)` into `acc` instead of allocating a vector per
+/// point.
 pub trait Gradient: Send + Sync {
     /// Accumulate the gradient of the point's loss at `w` into `acc`.
-    fn accumulate_view(&self, w: &[f64], point: PointView<'_>, acc: &mut [f64]);
+    fn accumulate(&self, w: &[f64], point: PointView<'_>, acc: &mut [f64]);
 
     /// The point's loss at `w` (used by line search, the objective-value
     /// diagnostics, and test-error reporting).
-    fn loss_view(&self, w: &[f64], point: PointView<'_>) -> f64;
+    fn loss(&self, w: &[f64], point: PointView<'_>) -> f64;
 
     /// Predict a label for a feature vector (for test-error measurement):
     /// the raw score for regression, its sign for classification.
-    fn predict_view(&self, w: &[f64], point: PointView<'_>) -> f64;
+    fn predict(&self, w: &[f64], point: PointView<'_>) -> f64;
 
     /// Fused gradient + objective pass: accumulate the gradient into `acc`
     /// and return the point's loss. Implementations that share the
@@ -50,19 +49,19 @@ pub trait Gradient: Send + Sync {
     /// to halve the hot-loop memory traffic; the default performs the two
     /// passes separately.
     fn accumulate_with_loss(&self, w: &[f64], point: PointView<'_>, acc: &mut [f64]) -> f64 {
-        self.accumulate_view(w, point, acc);
-        self.loss_view(w, point)
+        self.accumulate(w, point, acc);
+        self.loss(w, point)
     }
 
     /// Accumulate `points` in order. The default is one
-    /// [`Gradient::accumulate_view`] per point; batched implementations may
+    /// [`Gradient::accumulate`] per point; batched implementations may
     /// instead score the slice by the [batch rule](crate::gradient) —
     /// deterministic and ISA-independent, but dense rows scored in a batch
     /// round differently from the sequential single-row dot. Everything
     /// after scoring runs in row order.
     fn accumulate_batch(&self, w: &[f64], points: &[PointView<'_>], acc: &mut [f64]) {
         for &p in points {
-            self.accumulate_view(w, p, acc);
+            self.accumulate(w, p, acc);
         }
     }
 
@@ -72,7 +71,7 @@ pub trait Gradient: Send + Sync {
     /// follow [`Gradient::accumulate_batch`].
     fn loss_batch(&self, w: &[f64], points: &[PointView<'_>], loss_acc: &mut f64) {
         for &p in points {
-            *loss_acc += self.loss_view(w, p);
+            *loss_acc += self.loss(w, p);
         }
     }
 
@@ -90,12 +89,12 @@ pub trait Gradient: Send + Sync {
         }
     }
 
-    /// Append one [`Gradient::predict_view`] label per point to `out`,
+    /// Append one [`Gradient::predict`] label per point to `out`,
     /// except that batched dense scoring may round raw regression scores
     /// differently (classification signs are unaffected for any
     /// non-degenerate margin).
     fn predict_batch(&self, w: &[f64], points: &[PointView<'_>], out: &mut Vec<f64>) {
-        out.extend(points.iter().map(|&p| self.predict_view(w, p)));
+        out.extend(points.iter().map(|&p| self.predict(w, p)));
     }
 
     /// `true` only if every `accumulate_*` method adds to `acc` at the
@@ -105,21 +104,6 @@ pub trait Gradient: Send + Sync {
     /// [`GradientKind`]s make it; the default, `false`, is always safe.
     fn writes_only_stored_indices(&self) -> bool {
         false
-    }
-
-    /// Owned-point convenience for [`Gradient::accumulate_view`].
-    fn accumulate(&self, w: &[f64], point: &LabeledPoint, acc: &mut [f64]) {
-        self.accumulate_view(w, point.view(), acc);
-    }
-
-    /// Owned-point convenience for [`Gradient::loss_view`].
-    fn loss(&self, w: &[f64], point: &LabeledPoint) -> f64 {
-        self.loss_view(w, point.view())
-    }
-
-    /// Owned-point convenience for [`Gradient::predict_view`].
-    fn predict(&self, w: &[f64], point: &LabeledPoint) -> f64 {
-        self.predict_view(w, point.view())
     }
 }
 
@@ -376,7 +360,7 @@ impl GradientKind {
 }
 
 impl Gradient for GradientKind {
-    fn accumulate_view(&self, w: &[f64], point: PointView<'_>, acc: &mut [f64]) {
+    fn accumulate(&self, w: &[f64], point: PointView<'_>, acc: &mut [f64]) {
         let score = point.features.dot(w);
         self.accumulate_scored(score, point, acc);
     }
@@ -386,7 +370,7 @@ impl Gradient for GradientKind {
         true
     }
 
-    fn loss_view(&self, w: &[f64], point: PointView<'_>) -> f64 {
+    fn loss(&self, w: &[f64], point: PointView<'_>) -> f64 {
         self.loss_scored(point.features.dot(w), point.label)
     }
 
@@ -432,7 +416,7 @@ impl Gradient for GradientKind {
         });
     }
 
-    fn predict_view(&self, w: &[f64], point: PointView<'_>) -> f64 {
+    fn predict(&self, w: &[f64], point: PointView<'_>) -> f64 {
         self.score_to_prediction(point.features.dot(w))
     }
 }
@@ -469,59 +453,58 @@ impl Regularizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ml4all_linalg::FeatureVec;
 
-    fn pt(label: f64, xs: Vec<f64>) -> LabeledPoint {
-        LabeledPoint::new(label, FeatureVec::dense(xs))
+    fn pt(label: f64, xs: &[f64]) -> PointView<'_> {
+        PointView::new(label, FeatureView::Dense(xs))
     }
 
     #[test]
     fn linreg_gradient_is_residual_scaled_features() {
         let g = GradientKind::LinearRegression;
-        let p = pt(3.0, vec![1.0, 2.0]);
+        let p = pt(3.0, &[1.0, 2.0]);
         let w = [1.0, 0.0]; // pred = 1, residual = -2
         let mut acc = vec![0.0; 2];
-        g.accumulate(&w, &p, &mut acc);
+        g.accumulate(&w, p, &mut acc);
         assert_eq!(acc, vec![-4.0, -8.0]);
-        assert_eq!(g.loss(&w, &p), 4.0);
+        assert_eq!(g.loss(&w, p), 4.0);
     }
 
     #[test]
     fn svm_gradient_is_zero_outside_margin() {
         let g = GradientKind::Svm;
-        let p = pt(1.0, vec![2.0]);
+        let p = pt(1.0, &[2.0]);
         let mut acc = vec![0.0];
-        g.accumulate(&[1.0], &p, &mut acc); // margin = 2 ≥ 1 → no gradient
+        g.accumulate(&[1.0], p, &mut acc); // margin = 2 ≥ 1 → no gradient
         assert_eq!(acc, vec![0.0]);
-        assert_eq!(g.loss(&[1.0], &p), 0.0);
-        g.accumulate(&[0.0], &p, &mut acc); // margin = 0 < 1 → −y x
+        assert_eq!(g.loss(&[1.0], p), 0.0);
+        g.accumulate(&[0.0], p, &mut acc); // margin = 0 < 1 → −y x
         assert_eq!(acc, vec![-2.0]);
-        assert_eq!(g.loss(&[0.0], &p), 1.0);
+        assert_eq!(g.loss(&[0.0], p), 1.0);
     }
 
     #[test]
     fn logistic_gradient_has_correct_sign_and_magnitude() {
         let g = GradientKind::LogisticRegression;
-        let p = pt(1.0, vec![1.0]);
+        let p = pt(1.0, &[1.0]);
         let mut acc = vec![0.0];
-        g.accumulate(&[0.0], &p, &mut acc); // factor = −1/2
+        g.accumulate(&[0.0], p, &mut acc); // factor = −1/2
         assert!((acc[0] + 0.5).abs() < 1e-12);
         // Strongly correct classification → vanishing gradient, zero loss.
         let mut acc2 = vec![0.0];
-        g.accumulate(&[100.0], &p, &mut acc2);
+        g.accumulate(&[100.0], p, &mut acc2);
         assert_eq!(acc2[0], 0.0);
-        assert_eq!(g.loss(&[100.0], &p), 0.0);
+        assert_eq!(g.loss(&[100.0], p), 0.0);
         // Strongly wrong classification → gradient −y x, loss ≈ |margin|.
         let mut acc3 = vec![0.0];
-        g.accumulate(&[-100.0], &p, &mut acc3);
+        g.accumulate(&[-100.0], p, &mut acc3);
         assert_eq!(acc3[0], -1.0);
-        assert_eq!(g.loss(&[-100.0], &p), 100.0);
+        assert_eq!(g.loss(&[-100.0], p), 100.0);
     }
 
     #[test]
     fn logistic_loss_matches_gradient_numerically() {
         let g = GradientKind::LogisticRegression;
-        let p = pt(-1.0, vec![0.7, -0.3]);
+        let p = pt(-1.0, &[0.7, -0.3]);
         let w = [0.2, 0.4];
         let eps = 1e-6;
         for j in 0..2 {
@@ -529,9 +512,9 @@ mod tests {
             wp[j] += eps;
             let mut wm = w;
             wm[j] -= eps;
-            let numeric = (g.loss(&wp, &p) - g.loss(&wm, &p)) / (2.0 * eps);
+            let numeric = (g.loss(&wp, p) - g.loss(&wm, p)) / (2.0 * eps);
             let mut acc = vec![0.0; 2];
-            g.accumulate(&w, &p, &mut acc);
+            g.accumulate(&w, p, &mut acc);
             assert!(
                 (numeric - acc[j]).abs() < 1e-5,
                 "dim {j}: numeric {numeric} vs analytic {}",
@@ -543,7 +526,7 @@ mod tests {
     #[test]
     fn linreg_loss_matches_gradient_numerically() {
         let g = GradientKind::LinearRegression;
-        let p = pt(2.5, vec![1.5, -0.5]);
+        let p = pt(2.5, &[1.5, -0.5]);
         let w = [0.3, 0.9];
         let eps = 1e-6;
         for j in 0..2 {
@@ -551,9 +534,9 @@ mod tests {
             wp[j] += eps;
             let mut wm = w;
             wm[j] -= eps;
-            let numeric = (g.loss(&wp, &p) - g.loss(&wm, &p)) / (2.0 * eps);
+            let numeric = (g.loss(&wp, p) - g.loss(&wm, p)) / (2.0 * eps);
             let mut acc = vec![0.0; 2];
-            g.accumulate(&w, &p, &mut acc);
+            g.accumulate(&w, p, &mut acc);
             assert!((numeric - acc[j]).abs() < 1e-4);
         }
     }
@@ -567,12 +550,12 @@ mod tests {
             GradientKind::Svm,
         ] {
             for label in [1.0, -1.0] {
-                let p = pt(label, vec![0.4, 1.2]);
+                let p = pt(label, &[0.4, 1.2]);
                 let mut acc_sep = vec![0.0; 2];
-                kind.accumulate(&w, &p, &mut acc_sep);
-                let loss_sep = kind.loss(&w, &p);
+                kind.accumulate(&w, p, &mut acc_sep);
+                let loss_sep = kind.loss(&w, p);
                 let mut acc_fused = vec![0.0; 2];
-                let loss_fused = kind.accumulate_with_loss(&w, p.view(), &mut acc_fused);
+                let loss_fused = kind.accumulate_with_loss(&w, p, &mut acc_fused);
                 assert_eq!(acc_sep, acc_fused, "{kind:?}");
                 assert_eq!(loss_sep.to_bits(), loss_fused.to_bits(), "{kind:?}");
             }
@@ -584,31 +567,39 @@ mod tests {
     /// uniform half through its quad kernel, a mixed one row by row.
     #[test]
     fn mixed_storage_batches_score_per_half() {
-        use ml4all_linalg::SparseVector;
         let w: Vec<f64> = (0..11).map(|j| 0.37 * j as f64 - 1.9).collect();
-        let dense = |k: usize| {
-            let xs = (0..11)
-                .map(|j| ((k * 11 + j) as f64 * 0.73).sin())
-                .collect();
-            pt(1.0, xs)
-        };
-        let sparse = |k: usize| {
+        // Dense rows (label 1) store values only; CSR rows (label -1)
+        // store four indices into an 11-wide space.
+        let stored = |k: usize, dense: bool| -> (Vec<u32>, Vec<f64>) {
+            if dense {
+                let xs = (0..11).map(|j| ((k * 11 + j) as f64 * 0.73).sin());
+                return (Vec::new(), xs.collect());
+            }
             let idx = vec![k as u32 % 3, 4 + k as u32 % 2, 7, 10];
             let vals = idx
                 .iter()
                 .map(|&i| ((k + i as usize) as f64).cos())
                 .collect();
-            let features = SparseVector::new(11, idx, vals).unwrap();
-            LabeledPoint::new(-1.0, FeatureVec::Sparse(features))
+            (idx, vals)
         };
         // D D D D | S S S S   D S D D | S S S S   S D S D   D
         let layout = "DDDDSSSSDSDDSSSSSDSDD";
-        let points: Vec<LabeledPoint> = layout
-            .bytes()
-            .enumerate()
-            .map(|(k, c)| if c == b'D' { dense(k) } else { sparse(k) })
+        let storage: Vec<_> = (layout.bytes().enumerate())
+            .map(|(k, c)| stored(k, c == b'D'))
             .collect();
-        let rows: Vec<PointView<'_>> = points.iter().map(|p| p.view()).collect();
+        let rows: Vec<PointView<'_>> = (layout.bytes().zip(&storage))
+            .map(|(c, (indices, values))| match c {
+                b'D' => pt(1.0, values),
+                _ => PointView::new(
+                    -1.0,
+                    FeatureView::Sparse {
+                        dim: 11,
+                        indices,
+                        values,
+                    },
+                ),
+            })
+            .collect();
         let d = |k: usize| match rows[k].features {
             FeatureView::Dense(r) => r,
             FeatureView::Sparse { .. } => panic!("row {k} is sparse"),
@@ -652,10 +643,10 @@ mod tests {
 
     #[test]
     fn classification_predicts_sign_regression_predicts_score() {
-        let p = pt(1.0, vec![2.0]);
-        assert_eq!(GradientKind::Svm.predict(&[-1.0], &p), -1.0);
-        assert_eq!(GradientKind::LogisticRegression.predict(&[1.0], &p), 1.0);
-        assert_eq!(GradientKind::LinearRegression.predict(&[1.5], &p), 3.0);
+        let p = pt(1.0, &[2.0]);
+        assert_eq!(GradientKind::Svm.predict(&[-1.0], p), -1.0);
+        assert_eq!(GradientKind::LogisticRegression.predict(&[1.0], p), 1.0);
+        assert_eq!(GradientKind::LinearRegression.predict(&[1.5], p), 3.0);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub use executor::{
     TrainParams, TrainResult,
 };
 pub use gradient::{Gradient, GradientKind, Regularizer};
-pub use objective::{dataset_loss, partitioned_loss};
+pub use objective::{partitioned_loss, stream_loss};
 pub use operators::{
     ComputeAcc, ComputeOp, ConvergeOp, GdOperators, LoopOp, SampleOp, SampleSize, StageOp, Support,
     TransformOp, UpdateOp, UpdateOutcome,

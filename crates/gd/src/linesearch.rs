@@ -10,8 +10,8 @@
 //! `f(w) − f(w − αg) ≥ c·α·‖g‖²` (the paper's listing sketches the same
 //! shrink-until-acceptable structure).
 
-use ml4all_dataflow::{PartitionedDataset, SimEnv};
-use ml4all_linalg::{DenseVector, LabeledPoint, PointView};
+use ml4all_dataflow::{ColumnStore, PartitionedDataset, SimEnv};
+use ml4all_linalg::{DenseVector, PointView};
 
 use crate::context::{Context, Extra};
 use crate::executor::{execute, ExecHooks, TrainParams, TrainResult};
@@ -41,7 +41,7 @@ pub struct LineSearchStage {
 }
 
 impl StageOp for LineSearchStage {
-    fn stage(&self, ctx: &mut Context, _staged: &[LabeledPoint]) {
+    fn stage(&self, ctx: &mut Context, _staged: &ColumnStore) {
         ctx.dims = self.dims;
         ctx.weights = DenseVector::zeros(self.dims);
         ctx.iteration = 0;

@@ -3,22 +3,11 @@
 //! reporting.
 
 use ml4all_dataflow::PartitionedDataset;
-use ml4all_linalg::{LabeledPoint, PointView};
+use ml4all_linalg::PointView;
 
 use crate::gradient::{Gradient, Regularizer};
 
-/// Mean loss over a point slice plus the regularizer penalty.
-pub fn dataset_loss(
-    gradient: &dyn Gradient,
-    regularizer: &Regularizer,
-    w: &[f64],
-    points: &[LabeledPoint],
-) -> f64 {
-    stream_loss(gradient, regularizer, w, points.iter().map(|p| p.view()))
-}
-
-/// Mean loss over an iterator of zero-copy views (streamed, for
-/// partitioned/columnar data).
+/// Mean loss over a stream of rows plus the regularizer penalty.
 pub fn stream_loss<'a>(
     gradient: &dyn Gradient,
     regularizer: &Regularizer,
@@ -28,7 +17,7 @@ pub fn stream_loss<'a>(
     let mut sum = 0.0;
     let mut n = 0u64;
     for v in points {
-        sum += gradient.loss_view(w, v);
+        sum += gradient.loss(w, v);
         n += 1;
     }
     if n == 0 {
@@ -53,59 +42,65 @@ pub fn partitioned_loss(
 mod tests {
     use super::*;
     use crate::gradient::GradientKind;
-    use ml4all_linalg::FeatureVec;
+    use ml4all_dataflow::ColumnStore;
+    use ml4all_linalg::FeatureView;
 
-    fn pts() -> Vec<LabeledPoint> {
-        vec![
-            LabeledPoint::new(1.0, FeatureVec::dense(vec![1.0])),
-            LabeledPoint::new(-1.0, FeatureVec::dense(vec![1.0])),
-        ]
+    fn pts() -> ColumnStore {
+        [(1.0, [1.0]), (-1.0, [1.0])].into_iter().collect()
     }
 
     #[test]
     fn svm_loss_at_zero_weights_is_one() {
         // hinge(0) = 1 for every point.
-        let loss = dataset_loss(&GradientKind::Svm, &Regularizer::None, &[0.0], &pts());
+        let loss = stream_loss(&GradientKind::Svm, &Regularizer::None, &[0.0], pts().iter());
         assert!((loss - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_dataset_yields_penalty_only() {
         let reg = Regularizer::L2 { lambda: 2.0 };
-        let loss = dataset_loss(&GradientKind::Svm, &reg, &[3.0], &[]);
+        let loss = stream_loss(&GradientKind::Svm, &reg, &[3.0], std::iter::empty());
         assert!((loss - 9.0).abs() < 1e-12);
     }
 
     #[test]
     fn stream_and_slice_agree() {
+        // Rows read off a store and rows borrowed from loose slices.
         let points = pts();
-        let a = dataset_loss(
-            &GradientKind::LogisticRegression,
-            &Regularizer::None,
-            &[0.5],
-            &points,
-        );
-        let b = stream_loss(
-            &GradientKind::LogisticRegression,
-            &Regularizer::None,
-            &[0.5],
-            points.iter().map(|p| p.view()),
-        );
-        assert!((a - b).abs() < 1e-12);
+        let loose = [
+            PointView::new(1.0, FeatureView::Dense(&[1.0])),
+            PointView::new(-1.0, FeatureView::Dense(&[1.0])),
+        ];
+        let loss = |rows: &mut dyn Iterator<Item = PointView<'_>>| {
+            stream_loss(
+                &GradientKind::LogisticRegression,
+                &Regularizer::None,
+                &[0.5],
+                rows,
+            )
+        };
+        let a = loss(&mut points.iter());
+        let b = loss(&mut loose.into_iter());
+        assert_eq!(a.to_bits(), b.to_bits());
     }
 
     #[test]
     fn partitioned_loss_matches_materialized_loss() {
         use ml4all_dataflow::{ClusterSpec, PartitionScheme};
         let points = pts();
-        let data = PartitionedDataset::from_points(
+        let data = PartitionedDataset::from_columns(
             "obj",
-            points.clone(),
+            &points,
             PartitionScheme::RoundRobin,
             &ClusterSpec::paper_testbed(),
         )
         .unwrap();
-        let a = dataset_loss(&GradientKind::Svm, &Regularizer::None, &[0.25], &points);
+        let a = stream_loss(
+            &GradientKind::Svm,
+            &Regularizer::None,
+            &[0.25],
+            points.iter(),
+        );
         let b = partitioned_loss(&GradientKind::Svm, &Regularizer::None, &[0.25], &data);
         assert_eq!(a.to_bits(), b.to_bits());
     }

@@ -3,7 +3,8 @@
 //! implementations for all the common use cases; expert users could readily
 //! customize or override them").
 
-use ml4all_linalg::{DenseVector, FeatureVec, LabeledPoint, PointView};
+use ml4all_dataflow::ColumnStore;
+use ml4all_linalg::{DenseVector, FeatureView, PointView};
 
 use crate::context::{Context, Extra};
 use crate::gradient::{Gradient, GradientKind, Regularizer};
@@ -16,11 +17,19 @@ use crate::GdError;
 /// `ml4all_datasets::libsvm`), which fills the columnar storage these
 /// zero-copy rows are borrowed from.
 pub trait TransformOp: Send + Sync {
-    /// Produce a transformed data unit.
-    fn transform(&self, unit: PointView<'_>, ctx: &Context) -> Result<LabeledPoint, GdError>;
+    /// Produce a transformed data unit: `unit` itself, or a row written to
+    /// `scratch` — a buffer the executor reuses from unit to unit, so a
+    /// transform allocates nothing per unit. The written row is dense, or
+    /// sparse over `unit`'s own indices with `scratch` as its values.
+    fn transform<'a>(
+        &self,
+        unit: PointView<'a>,
+        ctx: &Context,
+        scratch: &'a mut Vec<f64>,
+    ) -> Result<PointView<'a>, GdError>;
 
-    /// `true` when `transform` is the identity on already-parsed points,
-    /// letting the executor skip materializing a transformed copy.
+    /// `true` when `transform` returns every unit unchanged, letting the
+    /// executor skip building a transformed copy.
     fn is_identity(&self) -> bool {
         false
     }
@@ -31,7 +40,7 @@ pub trait TransformOp: Send + Sync {
 /// for initialization or global statistics (Figure 3b).
 pub trait StageOp: Send + Sync {
     /// Initialize the context.
-    fn stage(&self, ctx: &mut Context, staged: &[LabeledPoint]);
+    fn stage(&self, ctx: &mut Context, staged: &ColumnStore);
 
     /// `true` if this operator needs a pass over the full dataset for
     /// global statistics (forces the executor to charge a scan even under
@@ -160,7 +169,7 @@ impl ComputeAcc {
 
 /// **Operator 3 — `Compute(U_T) → U_C`**: the core per-unit computation.
 /// Units arrive as zero-copy [`PointView`]s borrowed from the columnar
-/// storage — the hot loop never materializes a point.
+/// storage (or from a `Transform`'s reused buffer).
 pub trait ComputeOp: Send + Sync {
     /// Accumulate these units' contributions, in order. The executor hands
     /// over the rows of a partition, or the draws of a sampled wave, as
@@ -288,8 +297,13 @@ pub struct GdOperators {
 pub struct IdentityTransform;
 
 impl TransformOp for IdentityTransform {
-    fn transform(&self, unit: PointView<'_>, _ctx: &Context) -> Result<LabeledPoint, GdError> {
-        Ok(unit.to_point())
+    fn transform<'a>(
+        &self,
+        unit: PointView<'a>,
+        _ctx: &Context,
+        _scratch: &'a mut Vec<f64>,
+    ) -> Result<PointView<'a>, GdError> {
+        Ok(unit)
     }
 
     fn is_identity(&self) -> bool {
@@ -307,20 +321,23 @@ impl TransformOp for IdentityTransform {
 pub struct MeanCenterTransform;
 
 impl TransformOp for MeanCenterTransform {
-    fn transform(&self, unit: PointView<'_>, ctx: &Context) -> Result<LabeledPoint, GdError> {
-        // Only the dense output buffer is allocated: the borrowed row is
-        // centered without materializing an intermediate point.
-        let mut dense = DenseVector::new(unit.features.to_dense_vec());
+    fn transform<'a>(
+        &self,
+        unit: PointView<'a>,
+        ctx: &Context,
+        scratch: &'a mut Vec<f64>,
+    ) -> Result<PointView<'a>, GdError> {
         let Some(means) = ctx.vector("feature_means") else {
             return Err(GdError::InvalidPlan(
                 "MeanCenterTransform requires a StatsStage to compute feature_means".into(),
             ));
         };
-        debug_assert_eq!(dense.dim(), means.dim());
-        for (x, m) in dense.as_mut_slice().iter_mut().zip(means.as_slice()) {
+        unit.features.write_dense(scratch);
+        debug_assert_eq!(scratch.len(), means.dim());
+        for (x, m) in scratch.iter_mut().zip(means.as_slice()) {
             *x -= m;
         }
-        Ok(LabeledPoint::new(unit.label, FeatureVec::Dense(dense)))
+        Ok(PointView::new(unit.label, FeatureView::Dense(scratch)))
     }
 }
 
@@ -332,7 +349,7 @@ pub struct ZeroStage {
 }
 
 impl StageOp for ZeroStage {
-    fn stage(&self, ctx: &mut Context, _staged: &[LabeledPoint]) {
+    fn stage(&self, ctx: &mut Context, _staged: &ColumnStore) {
         ctx.dims = self.dims;
         ctx.weights = DenseVector::zeros(self.dims);
         ctx.iteration = 0;
@@ -350,14 +367,14 @@ pub struct StatsStage {
 }
 
 impl StageOp for StatsStage {
-    fn stage(&self, ctx: &mut Context, staged: &[LabeledPoint]) {
+    fn stage(&self, ctx: &mut Context, staged: &ColumnStore) {
         ctx.dims = self.dims;
         ctx.weights = DenseVector::zeros(self.dims);
         ctx.iteration = 0;
         ctx.put("step", Extra::Scalar(1.0));
         let mut means = DenseVector::zeros(self.dims);
         if !staged.is_empty() {
-            for p in staged {
+            for p in staged.iter() {
                 p.features.axpy_into(means.as_mut_slice(), 1.0);
             }
             means.scale(1.0 / staged.len() as f64);
@@ -548,14 +565,14 @@ mod tests {
 
     fn ctx(dims: usize) -> Context {
         let mut c = Context::new(dims);
-        ZeroStage { dims }.stage(&mut c, &[]);
+        ZeroStage { dims }.stage(&mut c, &ColumnStore::empty());
         c
     }
 
     #[test]
     fn zero_stage_initializes_listing4_state() {
         let mut c = Context::new(0);
-        ZeroStage { dims: 3 }.stage(&mut c, &[]);
+        ZeroStage { dims: 3 }.stage(&mut c, &ColumnStore::empty());
         assert_eq!(c.weights.dim(), 3);
         assert_eq!(c.scalar("step"), Some(1.0));
         assert_eq!(c.iteration, 0);
@@ -565,10 +582,7 @@ mod tests {
     fn stats_stage_computes_means_and_demands_scan() {
         let s = StatsStage { dims: 2 };
         assert!(s.needs_full_scan());
-        let pts = vec![
-            LabeledPoint::new(1.0, FeatureVec::dense(vec![2.0, 0.0])),
-            LabeledPoint::new(1.0, FeatureVec::dense(vec![4.0, 2.0])),
-        ];
+        let pts = [(1.0, [2.0, 0.0]), (1.0, [4.0, 2.0])].into_iter().collect();
         let mut c = Context::new(0);
         s.stage(&mut c, &pts);
         let means = c.vector("feature_means").unwrap();
@@ -580,9 +594,9 @@ mod tests {
         let compute = GradientCompute::of(GradientKind::Svm);
         let c = ctx(1);
         let mut acc = ComputeAcc::new(1);
-        let p = LabeledPoint::new(1.0, FeatureVec::dense(vec![2.0]));
-        compute.compute(&[p.view()], &c, &mut acc);
-        compute.compute(&[p.view()], &c, &mut acc);
+        let p = PointView::new(1.0, FeatureView::Dense(&[2.0]));
+        compute.compute(&[p], &c, &mut acc);
+        compute.compute(&[p], &c, &mut acc);
         assert_eq!(acc.count, 2);
         assert_eq!(acc.primary.as_slice(), &[-4.0]); // two hinge subgradients
     }
@@ -685,9 +699,9 @@ mod mean_center_tests {
     #[test]
     fn mean_center_requires_stats_stage() {
         let ctx = Context::new(2);
-        let p = LabeledPoint::new(1.0, FeatureVec::dense(vec![1.0, 2.0]));
+        let p = PointView::new(1.0, FeatureView::Dense(&[1.0, 2.0]));
         assert!(matches!(
-            MeanCenterTransform.transform(p.view(), &ctx),
+            MeanCenterTransform.transform(p, &ctx, &mut Vec::new()),
             Err(GdError::InvalidPlan(_))
         ));
     }
@@ -695,14 +709,15 @@ mod mean_center_tests {
     #[test]
     fn mean_center_subtracts_global_means() {
         let stage = StatsStage { dims: 2 };
-        let pts = vec![
-            LabeledPoint::new(1.0, FeatureVec::dense(vec![2.0, 10.0])),
-            LabeledPoint::new(-1.0, FeatureVec::dense(vec![4.0, 30.0])),
-        ];
+        let pts = [(1.0, [2.0, 10.0]), (-1.0, [4.0, 30.0])]
+            .into_iter()
+            .collect();
         let mut ctx = Context::new(0);
         stage.stage(&mut ctx, &pts); // means = [3, 20]
-        let out = MeanCenterTransform.transform(pts[0].view(), &ctx).unwrap();
-        assert_eq!(out.features.to_dense().as_slice(), &[-1.0, -10.0]);
+        let mut scratch = Vec::new();
+        let out =
+            (MeanCenterTransform.transform(pts.view(0).unwrap(), &ctx, &mut scratch)).unwrap();
+        assert_eq!(out, PointView::new(1.0, FeatureView::Dense(&[-1.0, -10.0])));
         assert!(!MeanCenterTransform.is_identity());
     }
 }

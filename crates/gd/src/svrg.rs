@@ -14,7 +14,7 @@
 //! - `Update` either refreshes the anchor `w̃` and full gradient `µ`, or
 //!   applies the variance-reduced step `w ← w − α(∇f_i(w) − ∇f_i(w̃) + µ)`.
 
-use ml4all_dataflow::{PartitionedDataset, SamplingMethod, SimEnv};
+use ml4all_dataflow::{ColumnStore, PartitionedDataset, SamplingMethod, SimEnv};
 use ml4all_linalg::{DenseVector, PointView};
 
 use crate::context::{Context, Extra};
@@ -39,7 +39,7 @@ pub struct SvrgStage {
 }
 
 impl StageOp for SvrgStage {
-    fn stage(&self, ctx: &mut Context, _staged: &[ml4all_linalg::LabeledPoint]) {
+    fn stage(&self, ctx: &mut Context, _staged: &ColumnStore) {
         ctx.dims = self.dims;
         ctx.weights = DenseVector::zeros(self.dims);
         ctx.iteration = 0;
@@ -80,16 +80,13 @@ impl ComputeOp for SvrgCompute {
         let m = ctx.int("m").unwrap_or(1).max(1);
         let anchor = (ctx.iteration % m) == 1 || m == 1;
         for &point in units {
-            self.gradient.accumulate_view(
-                ctx.weights.as_slice(),
-                point,
-                acc.primary.as_mut_slice(),
-            );
+            self.gradient
+                .accumulate(ctx.weights.as_slice(), point, acc.primary.as_mut_slice());
             if !anchor {
                 let w_bar = ctx
                     .vector("weightsBar")
                     .expect("SvrgStage installs weightsBar");
-                self.gradient.accumulate_view(
+                self.gradient.accumulate(
                     w_bar.as_slice(),
                     point,
                     acc.secondary_mut().as_mut_slice(),

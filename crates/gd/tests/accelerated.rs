@@ -2,15 +2,16 @@
 //! and BGD with backtracking line search, both expressed through the same
 //! seven-operator abstraction and executor as the plain plans.
 
-use ml4all_dataflow::{ClusterSpec, PartitionScheme, PartitionedDataset, SamplingMethod, SimEnv};
+use ml4all_dataflow::{
+    ClusterSpec, ColumnStore, PartitionScheme, PartitionedDataset, SamplingMethod, SimEnv,
+};
 use ml4all_gd::linesearch::execute_line_search_bgd;
 use ml4all_gd::svrg::execute_svrg;
 use ml4all_gd::{partitioned_loss, GradientKind, Regularizer, StepSize, TrainParams};
-use ml4all_linalg::{FeatureVec, LabeledPoint};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn regression_points(n: usize, seed: u64) -> Vec<LabeledPoint> {
+fn regression_points(n: usize, seed: u64) -> ColumnStore {
     // y = 2 x0 − x1 + 0.5 with small noise.
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
@@ -18,13 +19,13 @@ fn regression_points(n: usize, seed: u64) -> Vec<LabeledPoint> {
             let x0: f64 = rng.gen_range(-1.0..1.0);
             let x1: f64 = rng.gen_range(-1.0..1.0);
             let y = 2.0 * x0 - x1 + 0.5 + rng.gen_range(-0.02..0.02);
-            LabeledPoint::new(y, FeatureVec::dense(vec![x0, x1, 1.0]))
+            (y, [x0, x1, 1.0])
         })
         .collect()
 }
 
 fn dataset(n: usize, seed: u64) -> PartitionedDataset {
-    PartitionedDataset::from_points(
+    PartitionedDataset::from_owned_columns(
         "reg",
         regression_points(n, seed),
         PartitionScheme::RoundRobin,
@@ -184,14 +185,14 @@ fn stats_stage_plus_mean_center_runs_through_the_executor() {
     // Features with a strong offset: centering makes the intercept-free
     // regression solvable.
     let mut rng = StdRng::seed_from_u64(77);
-    let points: Vec<LabeledPoint> = (0..800)
+    let points = (0..800)
         .map(|_| {
             let x: f64 = rng.gen_range(-1.0..1.0);
             // offset feature = x + 100; y = 2x
-            LabeledPoint::new(2.0 * x, FeatureVec::dense(vec![x + 100.0]))
+            (2.0 * x, [x + 100.0])
         })
         .collect();
-    let data = PartitionedDataset::from_points(
+    let data = PartitionedDataset::from_owned_columns(
         "offset",
         points,
         PartitionScheme::RoundRobin,

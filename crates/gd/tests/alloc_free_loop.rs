@@ -1,7 +1,8 @@
 //! The steady-state training loop allocates nothing per iteration: under a
 //! counting global allocator, doubling `max_iter` adds no request the size
 //! of a model vector on any runtime, and no request at all on the inline
-//! (one-worker) runtime.
+//! (one-worker) runtime — lazily transformed units included, which are
+//! written to one reused buffer.
 //!
 //! One `#[test]` only: the counters are process-wide, and the harness runs
 //! tests of one binary on parallel threads.
@@ -11,10 +12,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ml4all_dataflow::{
-    ClusterSpec, PartitionScheme, PartitionedDataset, Runtime, SamplingMethod, SimEnv,
+    ClusterSpec, ColumnarBuilder, PartitionScheme, PartitionedDataset, Runtime, SamplingMethod,
+    SimEnv,
 };
-use ml4all_gd::{execute_plan, GdPlan, GradientKind, TrainParams, TransformPolicy};
-use ml4all_linalg::{FeatureVec, LabeledPoint, SparseVector};
+use ml4all_gd::executor::{execute, reference_operators, ExecHooks};
+use ml4all_gd::operators::{MeanCenterTransform, StatsStage};
+use ml4all_gd::{GdPlan, GradientKind, TrainParams, TransformPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -68,28 +71,27 @@ const CSR_DIMS: usize = 4096;
 
 fn dataset(dims: usize, sparse: bool) -> PartitionedDataset {
     let mut rng = StdRng::seed_from_u64(1);
-    let points: Vec<LabeledPoint> = (0..ROWS)
-        .map(|_| {
-            let label = if rng.gen_range(0.0..1.0) < 0.5 {
-                -1.0
-            } else {
-                1.0
-            };
-            let features = if sparse {
-                let mut idx: Vec<u32> = (0..6).map(|_| rng.gen_range(0..dims as u32)).collect();
-                idx.sort_unstable();
-                idx.dedup();
-                let vals = idx.iter().map(|_| rng.gen_range(-1.0..1.0)).collect();
-                FeatureVec::Sparse(SparseVector::new(dims, idx, vals).unwrap())
-            } else {
-                FeatureVec::dense((0..dims).map(|_| rng.gen_range(-1.0..1.0)).collect())
-            };
-            LabeledPoint::new(label, features)
-        })
-        .collect();
-    PartitionedDataset::from_points(
+    let mut rows = ColumnarBuilder::new();
+    for _ in 0..ROWS {
+        let label = if rng.gen_range(0.0..1.0) < 0.5 {
+            -1.0
+        } else {
+            1.0
+        };
+        if sparse {
+            let mut idx: Vec<u32> = (0..6).map(|_| rng.gen_range(0..dims as u32)).collect();
+            idx.sort_unstable();
+            idx.dedup();
+            let vals: Vec<f64> = idx.iter().map(|_| rng.gen_range(-1.0..1.0)).collect();
+            rows.push_sparse(label, &idx, &vals).unwrap();
+        } else {
+            let xs: Vec<f64> = (0..dims).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            rows.push_dense(label, &xs);
+        }
+    }
+    PartitionedDataset::from_owned_columns(
         "alloc",
-        points,
+        rows.finish_with_dims(dims),
         PartitionScheme::RoundRobin,
         &ClusterSpec::paper_testbed(),
     )
@@ -101,7 +103,7 @@ fn dataset(dims: usize, sparse: bool) -> PartitionedDataset {
 /// own threads allocate now and then. A stray request only ever adds; an
 /// allocation per iteration is in all three.
 fn requests(
-    plan: &GdPlan,
+    plan: &Plan,
     data: &PartitionedDataset,
     runtime: &Arc<Runtime>,
     max_iter: u64,
@@ -113,8 +115,13 @@ fn requests(
     )
 }
 
+/// A plan, and whether its units are mean-centered: a lazy `Transform`
+/// (after a `Stage` that scans for the means) rewrites every unit it
+/// hands to `Compute`.
+type Plan = (GdPlan, bool);
+
 fn requests_once(
-    plan: &GdPlan,
+    (plan, centered): &Plan,
     data: &PartitionedDataset,
     runtime: &Arc<Runtime>,
     max_iter: u64,
@@ -123,12 +130,18 @@ fn requests_once(
     params.tolerance = 0.0;
     params.max_iter = max_iter;
     params.record_error_seq = false;
+    let dims = data.descriptor().dims;
+    let mut ops = reference_operators(plan, &params, dims);
+    if *centered {
+        ops.transform = Box::new(MeanCenterTransform);
+        ops.stage = Box::new(StatsStage { dims });
+    }
     let mut env = SimEnv::with_runtime(ClusterSpec::paper_testbed(), Arc::clone(runtime));
     let before = (
         REQUESTS.load(Ordering::Relaxed),
         LARGE_REQUESTS.load(Ordering::Relaxed),
     );
-    let result = execute_plan(plan, data, &params, &mut env).unwrap();
+    let result = execute(plan, data, &ops, &params, &mut env, &ExecHooks::default()).unwrap();
     let after = (
         REQUESTS.load(Ordering::Relaxed),
         LARGE_REQUESTS.load(Ordering::Relaxed),
@@ -142,29 +155,35 @@ fn doubling_the_iterations_adds_no_allocation() {
     // Shuffled sampling serves all runs below from the one partition's
     // first shuffle (at most 32 × 40 of its 2 048 rows), so no reshuffle —
     // the loop's one documented allocation site — falls inside a run.
-    let plans = [
-        ("bgd", GdPlan::bgd()),
+    let shuffled = SamplingMethod::ShuffledPartition;
+    let lazy_sgd = GdPlan::sgd(TransformPolicy::Lazy, shuffled).unwrap();
+    let lazy_mgd = GdPlan::mgd(32, TransformPolicy::Lazy, shuffled).unwrap();
+    let plans: [(&str, Plan); 7] = [
+        ("bgd", (GdPlan::bgd(), false)),
         (
             "mgd-32",
-            GdPlan::mgd(
-                32,
-                TransformPolicy::Eager,
-                SamplingMethod::ShuffledPartition,
-            )
-            .unwrap(),
+            (
+                GdPlan::mgd(32, TransformPolicy::Eager, shuffled).unwrap(),
+                false,
+            ),
         ),
         (
             "mgd-32-bernoulli",
-            GdPlan::mgd(32, TransformPolicy::Eager, SamplingMethod::Bernoulli).unwrap(),
+            (
+                GdPlan::mgd(32, TransformPolicy::Eager, SamplingMethod::Bernoulli).unwrap(),
+                false,
+            ),
         ),
-        (
-            "sgd",
-            GdPlan::sgd(TransformPolicy::Lazy, SamplingMethod::ShuffledPartition).unwrap(),
-        ),
+        ("sgd", (lazy_sgd, false)),
         (
             "sgd-random",
-            GdPlan::sgd(TransformPolicy::Eager, SamplingMethod::RandomPartition).unwrap(),
+            (
+                GdPlan::sgd(TransformPolicy::Eager, SamplingMethod::RandomPartition).unwrap(),
+                false,
+            ),
         ),
+        ("sgd-centered", (lazy_sgd, true)),
+        ("mgd-32-centered", (lazy_mgd, true)),
     ];
     for (store, dims, sparse) in [("dense", DENSE_DIMS, false), ("csr", CSR_DIMS, true)] {
         let data = dataset(dims, sparse);

@@ -14,15 +14,13 @@
 
 use ml4all::Model;
 use ml4all_dataflow::{
-    ClusterSpec, DatasetDescriptor, PartitionScheme, PartitionedDataset, SamplerState,
-    SamplingMethod, SimEnv,
+    ClusterSpec, ColumnStore, ColumnarBuilder, DatasetDescriptor, PartitionScheme,
+    PartitionedDataset, SamplerState, SamplingMethod, SimEnv,
 };
 use ml4all_gd::linesearch::execute_line_search_bgd;
 use ml4all_gd::svrg::execute_svrg;
 use ml4all_gd::{execute_plan, GdPlan, GradientKind, TrainParams, TransformPolicy};
-use ml4all_linalg::{
-    simd, DenseVector, FeatureVec, FeatureView, LabeledPoint, PointView, SparseVector,
-};
+use ml4all_linalg::{simd, DenseVector, FeatureView, PointView};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -69,11 +67,12 @@ impl Gen {
     }
 }
 
-fn rows(n: usize, layout: Layout, seed: u64) -> Vec<LabeledPoint> {
+fn rows(n: usize, layout: Layout, seed: u64) -> ColumnStore {
     let mut gen = Gen(seed);
     let dims = layout.dims();
-    (0..n)
-        .map(|_| match layout {
+    let mut b = ColumnarBuilder::new();
+    for _ in 0..n {
+        match layout {
             Layout::Dense => {
                 let xs: Vec<f64> = (0..dims).map(|_| gen.unit()).collect();
                 let label = if xs.iter().sum::<f64>() > 0.0 {
@@ -81,7 +80,7 @@ fn rows(n: usize, layout: Layout, seed: u64) -> Vec<LabeledPoint> {
                 } else {
                     -1.0
                 };
-                LabeledPoint::new(label, FeatureVec::dense(xs))
+                b.push_dense(label, &xs);
             }
             Layout::Csr => {
                 let nnz = 1 + (gen.next() % 6) as usize;
@@ -94,11 +93,11 @@ fn rows(n: usize, layout: Layout, seed: u64) -> Vec<LabeledPoint> {
                 } else {
                     -1.0
                 };
-                let features = SparseVector::new(dims, idx, vals).unwrap();
-                LabeledPoint::new(label, FeatureVec::Sparse(features))
+                b.push_sparse(label, &idx, &vals).unwrap();
             }
-        })
-        .collect()
+        }
+    }
+    b.finish_with_dims(dims)
 }
 
 fn cluster() -> ClusterSpec {
@@ -106,7 +105,7 @@ fn cluster() -> ClusterSpec {
 }
 
 /// `points` dealt round-robin into `partitions` physical partitions.
-fn dataset(points: Vec<LabeledPoint>, layout: Layout, partitions: u64) -> PartitionedDataset {
+fn dataset(points: ColumnStore, layout: Layout, partitions: u64) -> PartitionedDataset {
     let spec = cluster();
     let desc = DatasetDescriptor::new(
         "batch-contract",
@@ -115,7 +114,7 @@ fn dataset(points: Vec<LabeledPoint>, layout: Layout, partitions: u64) -> Partit
         partitions * spec.partition_bytes,
         1.0,
     );
-    PartitionedDataset::with_descriptor(desc, points, PartitionScheme::RoundRobin, &spec).unwrap()
+    PartitionedDataset::with_descriptor(desc, &points, PartitionScheme::RoundRobin, &spec).unwrap()
 }
 
 fn params(kind: GradientKind, max_iter: u64) -> TrainParams {
@@ -385,9 +384,9 @@ fn run(plan: &GdPlan, data: &PartitionedDataset, p: &TrainParams) -> Vec<f64> {
 
 #[test]
 fn an_empty_row_set_is_refused_before_any_batch_is_cut() {
-    assert!(PartitionedDataset::from_points(
+    assert!(PartitionedDataset::from_owned_columns(
         "empty",
-        Vec::new(),
+        ColumnStore::empty(),
         PartitionScheme::RoundRobin,
         &cluster()
     )

@@ -1,20 +1,27 @@
 //! Property-based tests for the GD layer: gradient correctness against
 //! numerical differentiation, executor determinism, and descent behaviour.
 
-use ml4all_dataflow::{ClusterSpec, PartitionScheme, PartitionedDataset, SamplingMethod, SimEnv};
+use ml4all_dataflow::{
+    ClusterSpec, ColumnarBuilder, PartitionScheme, PartitionedDataset, SamplingMethod, SimEnv,
+};
 use ml4all_gd::{
     execute_plan, partitioned_loss, GdPlan, Gradient, GradientKind, Regularizer, StepSize,
     TrainParams, TransformPolicy,
 };
-use ml4all_linalg::{FeatureVec, LabeledPoint};
+use ml4all_linalg::{FeatureView, PointView};
 use proptest::prelude::*;
 
-fn arb_point(dims: usize) -> impl Strategy<Value = LabeledPoint> {
+/// A `(label, dense row)` pair, viewed with [`view`].
+fn arb_point(dims: usize) -> impl Strategy<Value = (f64, Vec<f64>)> {
     (
         prop::collection::vec(-2.0f64..2.0, dims),
         prop_oneof![Just(-1.0f64), Just(1.0f64)],
     )
-        .prop_map(|(xs, label)| LabeledPoint::new(label, FeatureVec::dense(xs)))
+        .prop_map(|(xs, label)| (label, xs))
+}
+
+fn view((label, xs): &(f64, Vec<f64>)) -> PointView<'_> {
+    PointView::new(*label, FeatureView::Dense(xs))
 }
 
 proptest! {
@@ -30,13 +37,13 @@ proptest! {
         let kind = [GradientKind::LinearRegression, GradientKind::LogisticRegression][kind_ix];
         let eps = 1e-6;
         let mut analytic = vec![0.0; 4];
-        kind.accumulate(&w, &point, &mut analytic);
+        kind.accumulate(&w, view(&point), &mut analytic);
         for j in 0..4 {
             let mut wp = w.clone();
             wp[j] += eps;
             let mut wm = w.clone();
             wm[j] -= eps;
-            let numeric = (kind.loss(&wp, &point) - kind.loss(&wm, &point)) / (2.0 * eps);
+            let numeric = (kind.loss(&wp, view(&point)) - kind.loss(&wm, view(&point))) / (2.0 * eps);
             prop_assert!(
                 (numeric - analytic[j]).abs() < 1e-4 * (1.0 + analytic[j].abs()),
                 "{kind:?} dim {j}: numeric {numeric} vs analytic {}",
@@ -53,11 +60,11 @@ proptest! {
         // Subgradient inequality: ℓ(v) ≥ ℓ(w) + g·(v − w) for hinge.
         let kind = GradientKind::Svm;
         let mut g = vec![0.0; 3];
-        kind.accumulate(&w, &point, &mut g);
-        let lw = kind.loss(&w, &point);
+        kind.accumulate(&w, view(&point), &mut g);
+        let lw = kind.loss(&w, view(&point));
         for dv in [-0.5, 0.3, 1.0] {
             let v: Vec<f64> = w.iter().map(|x| x + dv).collect();
-            let lv = kind.loss(&v, &point);
+            let lv = kind.loss(&v, view(&point));
             let linear: f64 = g.iter().map(|gi| gi * dv).sum();
             prop_assert!(lv + 1e-9 >= lw + linear);
         }
@@ -68,15 +75,15 @@ fn dataset(n: usize, seed: u64) -> PartitionedDataset {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(seed);
-    let points: Vec<LabeledPoint> = (0..n)
+    let points = (0..n)
         .map(|_| {
             let x0: f64 = rng.gen_range(-1.0..1.0);
             let x1: f64 = rng.gen_range(-1.0..1.0);
             let label = if x0 + 0.5 * x1 > 0.0 { 1.0 } else { -1.0 };
-            LabeledPoint::new(label, FeatureVec::dense(vec![x0, x1, 1.0]))
+            (label, [x0, x1, 1.0])
         })
         .collect();
-    PartitionedDataset::from_points(
+    PartitionedDataset::from_owned_columns(
         "prop",
         points,
         PartitionScheme::RoundRobin,
@@ -163,14 +170,13 @@ proptest! {
 /// valued real sums differently. The layouts must still agree to within
 /// rounding noise, and must run the same number of iterations.
 fn check_dense_slab_vs_csr(seed: u64, sampler_ix: usize, iters: u64) {
-    use ml4all_linalg::SparseVector;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     let mut rng = StdRng::seed_from_u64(seed);
     let dims = 6usize;
     let mut dense_pts = Vec::new();
-    let mut sparse_pts = Vec::new();
+    let mut sparse_pts = ColumnarBuilder::new();
     for _ in 0..240 {
         // Roughly half the entries are exact zeros, so the CSR rows
         // genuinely skip storage the dense slab materializes.
@@ -194,19 +200,20 @@ fn check_dense_slab_vs_csr(seed: u64, sampler_ix: usize, iters: u64) {
             .filter(|(_, v)| **v != 0.0)
             .map(|(i, v)| (i as u32, *v))
             .unzip();
-        dense_pts.push(LabeledPoint::new(label, FeatureVec::dense(xs)));
-        sparse_pts.push(LabeledPoint::new(
-            label,
-            FeatureVec::Sparse(SparseVector::new(dims, idx, val).unwrap()),
-        ));
+        dense_pts.push((label, xs));
+        sparse_pts.push_sparse(label, &idx, &val).unwrap();
     }
     let cluster = ClusterSpec::paper_testbed();
-    let dense_ds =
-        PartitionedDataset::from_points("dense", dense_pts, PartitionScheme::RoundRobin, &cluster)
-            .unwrap();
-    let sparse_ds = PartitionedDataset::from_points(
+    let dense_ds = PartitionedDataset::from_owned_columns(
+        "dense",
+        dense_pts.into_iter().collect(),
+        PartitionScheme::RoundRobin,
+        &cluster,
+    )
+    .unwrap();
+    let sparse_ds = PartitionedDataset::from_owned_columns(
         "sparse",
-        sparse_pts,
+        sparse_pts.finish_with_dims(dims),
         PartitionScheme::RoundRobin,
         &cluster,
     )
@@ -270,12 +277,11 @@ impl Drop for ScalarGuard {
 
 /// Two small datasets with the same rows in dense and CSR storage.
 fn paired_datasets(n: usize, dims: usize, seed: u64) -> (PartitionedDataset, PartitionedDataset) {
-    use ml4all_linalg::SparseVector;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(seed);
     let mut dense_pts = Vec::with_capacity(n);
-    let mut sparse_pts = Vec::with_capacity(n);
+    let mut sparse_pts = ColumnarBuilder::new();
     for _ in 0..n {
         let xs: Vec<f64> = (0..dims)
             .map(|_| {
@@ -297,19 +303,24 @@ fn paired_datasets(n: usize, dims: usize, seed: u64) -> (PartitionedDataset, Par
             .filter(|(_, v)| **v != 0.0)
             .map(|(i, v)| (i as u32, *v))
             .unzip();
-        dense_pts.push(LabeledPoint::new(label, FeatureVec::dense(xs)));
-        sparse_pts.push(LabeledPoint::new(
-            label,
-            FeatureVec::Sparse(SparseVector::new(dims, idx, val).unwrap()),
-        ));
+        dense_pts.push((label, xs));
+        sparse_pts.push_sparse(label, &idx, &val).unwrap();
     }
     let cluster = ClusterSpec::paper_testbed();
-    let dense =
-        PartitionedDataset::from_points("d", dense_pts, PartitionScheme::RoundRobin, &cluster)
-            .unwrap();
-    let sparse =
-        PartitionedDataset::from_points("s", sparse_pts, PartitionScheme::RoundRobin, &cluster)
-            .unwrap();
+    let dense = PartitionedDataset::from_owned_columns(
+        "d",
+        dense_pts.into_iter().collect(),
+        PartitionScheme::RoundRobin,
+        &cluster,
+    )
+    .unwrap();
+    let sparse = PartitionedDataset::from_owned_columns(
+        "s",
+        sparse_pts.finish_with_dims(dims),
+        PartitionScheme::RoundRobin,
+        &cluster,
+    )
+    .unwrap();
     (dense, sparse)
 }
 

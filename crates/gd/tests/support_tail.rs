@@ -7,7 +7,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ml4all_dataflow::{
-    ClusterSpec, ExecState, PartitionScheme, PartitionedDataset, SamplingMethod, SimEnv,
+    ClusterSpec, ColumnStore, ColumnarBuilder, ExecState, PartitionScheme, PartitionedDataset,
+    SamplingMethod, SimEnv,
 };
 use ml4all_gd::executor::reference_operators;
 use ml4all_gd::operators::{GradientCompute, L1Converge, L2Converge};
@@ -15,7 +16,7 @@ use ml4all_gd::{
     execute, ComputeAcc, ComputeOp, Context, ConvergeOp, ExecHooks, GdError, GdOperators, GdPlan,
     GradientKind, StageOp, StepSize, Support, TrainParams, TrainResult, TransformPolicy,
 };
-use ml4all_linalg::{DenseVector, FeatureVec, LabeledPoint, PointView, SparseVector};
+use ml4all_linalg::{DenseVector, PointView};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -79,24 +80,24 @@ impl ConvergeOp for Spy {
 struct StartAt(Vec<f64>);
 
 impl StageOp for StartAt {
-    fn stage(&self, ctx: &mut Context, _staged: &[LabeledPoint]) {
+    fn stage(&self, ctx: &mut Context, _staged: &ColumnStore) {
         ctx.dims = self.0.len();
         ctx.weights = DenseVector::new(self.0.clone());
         ctx.iteration = 0;
     }
 }
 
-fn sparse_point(label: f64, dims: usize, indices: Vec<u32>, values: Vec<f64>) -> LabeledPoint {
-    LabeledPoint::new(
-        label,
-        FeatureVec::Sparse(SparseVector::new(dims, indices, values).unwrap()),
-    )
+/// A CSR row of a `dims`-wide space: `(dims, label, indices, values)`.
+type CsrRow = (usize, f64, Vec<u32>, Vec<f64>);
+
+fn sparse_point(label: f64, dims: usize, indices: Vec<u32>, values: Vec<f64>) -> CsrRow {
+    (dims, label, indices, values)
 }
 
 /// `n` CSR rows over `dims` columns, each storing up to `max_nnz` entries
 /// drawn from the first `pool` columns (a small pool forces rows of one
 /// mini-batch to share indices).
-fn csr_points(n: usize, dims: usize, max_nnz: usize, pool: usize, seed: u64) -> Vec<LabeledPoint> {
+fn csr_points(n: usize, dims: usize, max_nnz: usize, pool: usize, seed: u64) -> Vec<CsrRow> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
         .map(|_| {
@@ -115,10 +116,16 @@ fn csr_points(n: usize, dims: usize, max_nnz: usize, pool: usize, seed: u64) -> 
         .collect()
 }
 
-fn dataset(points: Vec<LabeledPoint>) -> PartitionedDataset {
-    PartitionedDataset::from_points(
+fn dataset(points: Vec<CsrRow>) -> PartitionedDataset {
+    let mut rows = ColumnarBuilder::new();
+    let mut dims = 0;
+    for (d, label, indices, values) in &points {
+        dims = dims.max(*d);
+        rows.push_sparse(*label, indices, values).unwrap();
+    }
+    PartitionedDataset::from_owned_columns(
         "support-tail",
-        points,
+        rows.finish_with_dims(dims),
         PartitionScheme::RoundRobin,
         &ClusterSpec::paper_testbed(),
     )
@@ -232,7 +239,7 @@ fn rows_with_no_stored_entries_update_nothing_and_read_a_positive_zero_delta() {
     // as the dense sum of `+0.0` terms does.
     let mut points = csr_points(300, 400, 12, 400, 3);
     for p in points.iter_mut().step_by(3) {
-        *p = sparse_point(p.label, 400, vec![], vec![]);
+        *p = sparse_point(p.1, 400, vec![], vec![]);
     }
     let data = dataset(points);
     for gradient in [
@@ -263,7 +270,7 @@ fn a_wave_whose_every_factor_is_zero_keeps_the_model_and_both_tails_agree() {
     // support is non-empty, the gradient on it all `+0.0`.
     let dims = 320;
     let mut rng = StdRng::seed_from_u64(5);
-    let points: Vec<LabeledPoint> = (0..200)
+    let points = (0..200)
         .map(|i| {
             let label = if i % 2 == 0 { 1.0 } else { -1.0 };
             let mut idx: Vec<u32> = (0..6).map(|_| rng.gen_range(0..dims as u32)).collect();
@@ -321,7 +328,7 @@ fn indices_shared_by_the_rows_of_a_mini_batch_are_updated_once() {
 fn a_one_dimensional_model_is_handled_by_whichever_tail_applies() {
     // d = 1 leaves room for no stored entry under the crossover: only
     // empty rows take the support tail (with an empty support).
-    let points: Vec<LabeledPoint> = (0..64)
+    let points = (0..64)
         .map(|i| {
             let label = if i % 2 == 0 { 1.0 } else { -1.0 };
             if i % 4 == 3 {

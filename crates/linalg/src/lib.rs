@@ -4,21 +4,24 @@
 //! The gradient-descent operators of the paper (Section 4) work over *data
 //! units*: labelled feature vectors that may be dense (e.g. the synthetic
 //! `svm1`–`svm3` datasets of Table 2) or sparse (e.g. `rcv1` with density
-//! `1.5e-3`). This crate provides the two storage layouts behind a common
-//! [`FeatureVec`] interface plus the handful of kernels every GD iteration
-//! needs: dot products against a dense weight vector, scaled accumulation
-//! (`axpy`), and the norms used by the `Converge` operator.
+//! `1.5e-3`). This crate provides the borrowed row type both layouts are
+//! read through, [`PointView`] over a [`FeatureView`], plus the handful of
+//! kernels every GD iteration needs: dot products against a dense weight
+//! vector, scaled accumulation (`axpy`), and the norms used by the
+//! `Converge` operator.
 //!
 //! # Example
 //!
 //! ```
-//! use ml4all_linalg::{DenseVector, FeatureVec, LabeledPoint, SparseVector};
+//! use ml4all_linalg::{DenseVector, FeatureView, PointView};
 //!
-//! let w = DenseVector::zeros(4);
-//! let dense = LabeledPoint::new(1.0, FeatureVec::dense(vec![1.0, 0.0, 2.0, 0.0]));
-//! let sparse = LabeledPoint::new(-1.0, FeatureVec::Sparse(
-//!     SparseVector::new(4, vec![0, 2], vec![1.0, 2.0]).unwrap(),
-//! ));
+//! let w = DenseVector::new(vec![1.0, 10.0, 100.0, 1000.0]);
+//! let dense = PointView::new(1.0, FeatureView::Dense(&[1.0, 0.0, 2.0, 0.0]));
+//! let sparse = PointView::new(-1.0, FeatureView::Sparse {
+//!     dim: 4,
+//!     indices: &[0, 2],
+//!     values: &[1.0, 2.0],
+//! });
 //! assert_eq!(dense.features.dot(w.as_slice()), sparse.features.dot(w.as_slice()));
 //! ```
 
@@ -29,10 +32,10 @@ pub mod sparse;
 pub mod view;
 
 pub use dense::DenseVector;
-pub use point::{FeatureVec, LabeledPoint};
+pub use point::{PointView, LABEL_BYTES};
 pub use simd::Isa;
 pub use sparse::SparseVector;
-pub use view::{FeatureView, PointView};
+pub use view::{FeatureView, DENSE_ENTRY_BYTES, SPARSE_ENTRY_BYTES};
 
 /// Error type for shape/validity violations when constructing vectors.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,117 +1,44 @@
 //! Labelled data points — the *data units* flowing through GD plans.
+//!
+//! A point is always borrowed: the columnar storage layer (contiguous
+//! dense slabs and CSR) hands out [`PointView`]s, a label plus a borrowed
+//! [`FeatureView`], so no stage of a plan allocates per point or chases
+//! pointers. Rows enter that storage through its builder, never as owned
+//! points.
 
-use serde::{Deserialize, Serialize};
+use crate::FeatureView;
 
-use crate::{DenseVector, FeatureView, PointView, SparseVector};
+/// Bytes one stored label takes: its `f64` value.
+pub const LABEL_BYTES: usize = 8;
 
-/// A feature vector in either dense or sparse storage.
-///
-/// The `Transform` operator of the paper parses raw text into exactly this
-/// shape: dense rows for comma-separated numeric files (Listing 1) and
-/// `label [indices] [values]` units for LIBSVM input (Figure 3a).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum FeatureVec {
-    /// Contiguous values, one per dimension.
-    Dense(DenseVector),
-    /// Sorted `(index, value)` pairs.
-    Sparse(SparseVector),
-}
-
-impl FeatureVec {
-    /// Convenience constructor for dense features.
-    pub fn dense(values: Vec<f64>) -> Self {
-        Self::Dense(DenseVector::new(values))
-    }
-
-    /// Dimensionality of the feature space.
-    pub fn dim(&self) -> usize {
-        match self {
-            Self::Dense(v) => v.dim(),
-            Self::Sparse(v) => v.dim(),
-        }
-    }
-
-    /// Number of materialized (possibly non-zero) entries.
-    pub fn nnz(&self) -> usize {
-        match self {
-            Self::Dense(v) => v.dim(),
-            Self::Sparse(v) => v.nnz(),
-        }
-    }
-
-    /// Dot product against a dense weight slice.
-    #[inline]
-    pub fn dot(&self, weights: &[f64]) -> f64 {
-        match self {
-            Self::Dense(v) => crate::dense::dot(v.as_slice(), weights),
-            Self::Sparse(v) => v.dot(weights),
-        }
-    }
-
-    /// `acc += alpha * self` into a dense accumulator.
-    #[inline]
-    pub fn axpy_into(&self, acc: &mut [f64], alpha: f64) {
-        match self {
-            Self::Dense(v) => crate::dense::axpy(acc, alpha, v.as_slice()),
-            Self::Sparse(v) => v.axpy_into(acc, alpha),
-        }
-    }
-
-    /// Materialize as dense storage.
-    pub fn to_dense(&self) -> DenseVector {
-        match self {
-            Self::Dense(v) => v.clone(),
-            Self::Sparse(v) => DenseVector::new(v.to_dense()),
-        }
-    }
-
-    /// Borrow as a zero-copy [`FeatureView`].
-    #[inline]
-    pub fn view(&self) -> FeatureView<'_> {
-        match self {
-            Self::Dense(v) => FeatureView::Dense(v.as_slice()),
-            Self::Sparse(v) => FeatureView::Sparse {
-                dim: v.dim(),
-                indices: v.indices(),
-                values: v.values(),
-            },
-        }
-    }
-}
-
-/// A labelled data point: the unit the `Compute` operator consumes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LabeledPoint {
+/// A borrowed labelled data point: the unit the `Compute` operator
+/// consumes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PointView<'a> {
     /// Class label (`±1` for classification) or regression target.
     pub label: f64,
-    /// Feature vector.
-    pub features: FeatureVec,
+    /// Borrowed feature vector.
+    pub features: FeatureView<'a>,
 }
 
-impl LabeledPoint {
-    /// Construct a point.
-    pub fn new(label: f64, features: FeatureVec) -> Self {
+impl<'a> PointView<'a> {
+    /// Construct a view.
+    #[inline]
+    pub fn new(label: f64, features: FeatureView<'a>) -> Self {
         Self { label, features }
     }
 
     /// Dimensionality of the feature space.
+    #[inline]
     pub fn dim(&self) -> usize {
         self.features.dim()
     }
 
-    /// Approximate in-memory/storage footprint in bytes, used by the cost
-    /// model to size data units (Table 1's `|D|_b` bookkeeping).
-    pub fn approx_bytes(&self) -> usize {
-        match &self.features {
-            FeatureVec::Dense(v) => 8 + 8 * v.dim(),
-            FeatureVec::Sparse(v) => 8 + 12 * v.nnz(),
-        }
-    }
-
-    /// Borrow as a zero-copy [`PointView`].
+    /// Approximate storage footprint in bytes (Table 1's `|D|_b`
+    /// bookkeeping): the label plus the stored feature entries.
     #[inline]
-    pub fn view(&self) -> PointView<'_> {
-        PointView::new(self.label, self.features.view())
+    pub fn approx_bytes(&self) -> usize {
+        LABEL_BYTES + self.features.approx_bytes()
     }
 }
 
@@ -119,25 +46,33 @@ impl LabeledPoint {
 mod tests {
     use super::*;
 
-    fn sparse(dim: usize, idx: Vec<u32>, val: Vec<f64>) -> FeatureVec {
-        FeatureVec::Sparse(SparseVector::new(dim, idx, val).unwrap())
+    const IDX: [u32; 2] = [1, 3];
+
+    fn sparse<'a>(dim: usize, indices: &'a [u32], values: &'a [f64]) -> FeatureView<'a> {
+        FeatureView::Sparse {
+            dim,
+            indices,
+            values,
+        }
     }
 
     #[test]
     fn dense_and_sparse_dot_agree() {
         let w = [1.0, 2.0, 3.0, 4.0];
-        let d = FeatureVec::dense(vec![0.0, 5.0, 0.0, 1.0]);
-        let s = sparse(4, vec![1, 3], vec![5.0, 1.0]);
+        let d = FeatureView::Dense(&[0.0, 5.0, 0.0, 1.0]);
+        let s = sparse(4, &IDX, &[5.0, 1.0]);
         assert_eq!(d.dot(&w), s.dot(&w));
         assert_eq!(d.dot(&w), 14.0);
+        assert_eq!((d.dim(), s.dim()), (4, 4));
+        assert_eq!((d.nnz(), s.nnz()), (4, 2));
     }
 
     #[test]
     fn dense_and_sparse_axpy_agree() {
         let mut acc_d = vec![0.0; 3];
         let mut acc_s = vec![0.0; 3];
-        let d = FeatureVec::dense(vec![1.0, 0.0, -2.0]);
-        let s = sparse(3, vec![0, 2], vec![1.0, -2.0]);
+        let d = FeatureView::Dense(&[1.0, 0.0, -2.0]);
+        let s = sparse(3, &[0, 2], &[1.0, -2.0]);
         d.axpy_into(&mut acc_d, 3.0);
         s.axpy_into(&mut acc_s, 3.0);
         assert_eq!(acc_d, acc_s);
@@ -145,16 +80,21 @@ mod tests {
     }
 
     #[test]
-    fn approx_bytes_tracks_storage() {
-        let d = LabeledPoint::new(1.0, FeatureVec::dense(vec![0.0; 10]));
-        let s = LabeledPoint::new(1.0, sparse(1000, vec![3], vec![1.0]));
-        assert_eq!(d.approx_bytes(), 8 + 80);
-        assert_eq!(s.approx_bytes(), 8 + 12);
+    fn to_dense_round_trips() {
+        let mut out = vec![9.0; 7];
+        sparse(4, &[0, 2], &[1.5, 2.5]).write_dense(&mut out);
+        assert_eq!(out, [1.5, 0.0, 2.5, 0.0]);
+        FeatureView::Dense(&[3.0, 4.0]).write_dense(&mut out);
+        assert_eq!(out, [3.0, 4.0]);
+        let p = PointView::new(-1.0, FeatureView::Dense(&out));
+        assert_eq!((p.label, p.dim()), (-1.0, 2));
     }
 
     #[test]
-    fn to_dense_round_trips() {
-        let s = sparse(4, vec![0, 2], vec![1.5, 2.5]);
-        assert_eq!(s.to_dense().as_slice(), &[1.5, 0.0, 2.5, 0.0]);
+    fn approx_bytes_tracks_storage() {
+        let d = PointView::new(1.0, FeatureView::Dense(&[0.0; 10]));
+        assert_eq!(d.approx_bytes(), 8 + 80);
+        let s = PointView::new(1.0, sparse(1000, &[3], &[1.0]));
+        assert_eq!(s.approx_bytes(), 8 + 12);
     }
 }

@@ -1,13 +1,19 @@
-//! Borrowed, zero-copy views over labelled data.
+//! Borrowed, zero-copy feature vectors.
 //!
 //! The columnar storage layer (contiguous dense slabs and CSR) hands the
-//! gradient hot loop [`PointView`]s: a label plus borrowed feature slices,
-//! no per-point allocation or pointer chasing. [`LabeledPoint`] remains the
-//! owned ingestion/API type; `view()` bridges the two.
+//! gradient hot loop [`FeatureView`]s: borrowed feature slices, no
+//! per-point allocation or pointer chasing.
 
-use crate::{DenseVector, FeatureVec, LabeledPoint, SparseVector};
+/// Bytes one stored dense entry takes: its `f64` value.
+pub const DENSE_ENTRY_BYTES: usize = 8;
+/// Bytes one stored sparse entry takes: a `u32` index and an `f64` value.
+pub const SPARSE_ENTRY_BYTES: usize = 12;
 
-/// A borrowed feature vector: the zero-copy counterpart of [`FeatureVec`].
+/// A borrowed feature vector in either dense or sparse storage.
+///
+/// The `Transform` operator of the paper parses raw text into exactly this
+/// shape: dense rows for comma-separated numeric files (Listing 1) and
+/// `label [indices] [values]` units for LIBSVM input (Figure 3a).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FeatureView<'a> {
     /// A dense row borrowed from a contiguous slab.
@@ -73,93 +79,48 @@ impl FeatureView<'_> {
         }
     }
 
-    /// Materialize as a dense value vector.
-    pub fn to_dense_vec(&self) -> Vec<f64> {
+    /// Overwrite `out` with the row's `dim()` dense values, reusing its
+    /// allocation.
+    pub fn write_dense(&self, out: &mut Vec<f64>) {
+        out.clear();
         match self {
-            Self::Dense(v) => v.to_vec(),
+            Self::Dense(v) => out.extend_from_slice(v),
             Self::Sparse {
                 dim,
                 indices,
                 values,
             } => {
-                let mut out = vec![0.0; *dim];
+                out.resize(*dim, 0.0);
                 for (&i, &v) in indices.iter().zip(values.iter()) {
                     out[i as usize] = v;
                 }
-                out
             }
         }
     }
 
-    /// Materialize an owned [`FeatureVec`] with the same storage kind.
-    pub fn to_feature_vec(&self) -> FeatureVec {
+    /// Approximate storage footprint of the stored entries in bytes.
+    #[inline]
+    pub fn approx_bytes(&self) -> usize {
         match self {
-            Self::Dense(v) => FeatureVec::Dense(DenseVector::new(v.to_vec())),
-            Self::Sparse {
-                dim,
-                indices,
-                values,
-            } => FeatureVec::Sparse(
-                SparseVector::new(*dim, indices.to_vec(), values.to_vec())
-                    .expect("a view borrows already-validated storage"),
-            ),
+            Self::Dense(v) => DENSE_ENTRY_BYTES * v.len(),
+            Self::Sparse { indices, .. } => SPARSE_ENTRY_BYTES * indices.len(),
         }
-    }
-
-    /// Approximate storage footprint in bytes (mirrors
-    /// [`LabeledPoint::approx_bytes`]'s accounting for the feature part).
-    #[inline]
-    pub fn approx_feature_bytes(&self) -> usize {
-        match self {
-            Self::Dense(v) => 8 * v.len(),
-            Self::Sparse { indices, .. } => 12 * indices.len(),
-        }
-    }
-}
-
-/// A borrowed labelled data point: what the `Compute` operator consumes on
-/// the hot path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PointView<'a> {
-    /// Class label (`±1` for classification) or regression target.
-    pub label: f64,
-    /// Borrowed feature vector.
-    pub features: FeatureView<'a>,
-}
-
-impl<'a> PointView<'a> {
-    /// Construct a view.
-    #[inline]
-    pub fn new(label: f64, features: FeatureView<'a>) -> Self {
-        Self { label, features }
-    }
-
-    /// Dimensionality of the feature space.
-    #[inline]
-    pub fn dim(&self) -> usize {
-        self.features.dim()
-    }
-
-    /// Materialize an owned [`LabeledPoint`].
-    pub fn to_point(&self) -> LabeledPoint {
-        LabeledPoint::new(self.label, self.features.to_feature_vec())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PointView;
 
     #[test]
     fn dense_and_sparse_views_agree_on_kernels() {
         let w = [1.0, 2.0, 3.0, 4.0];
         let dense = FeatureView::Dense(&[0.0, 5.0, 0.0, 1.0]);
-        let idx = [1u32, 3];
-        let val = [5.0, 1.0];
         let sparse = FeatureView::Sparse {
             dim: 4,
-            indices: &idx,
-            values: &val,
+            indices: &[1, 3],
+            values: &[5.0, 1.0],
         };
         assert_eq!(dense.dot(&w), sparse.dot(&w));
         assert_eq!(dense.dot(&w), 14.0);
@@ -176,26 +137,38 @@ mod tests {
 
     #[test]
     fn views_round_trip_through_owned_points() {
-        let p = LabeledPoint::new(-1.0, FeatureVec::dense(vec![1.5, 0.0, 2.5]));
-        let v = p.view();
-        assert_eq!(v.label, -1.0);
-        assert_eq!(v.to_point(), p);
+        // A row's owned form is its dense value buffer; viewing that buffer
+        // again gives back an equal row.
+        let mut owned = Vec::new();
+        let d = PointView::new(-1.0, FeatureView::Dense(&[1.5, 0.0, 2.5]));
+        d.features.write_dense(&mut owned);
+        assert_eq!(PointView::new(d.label, FeatureView::Dense(&owned)), d);
 
-        let s = LabeledPoint::new(
-            1.0,
-            FeatureVec::Sparse(SparseVector::new(5, vec![0, 4], vec![1.0, 2.0]).unwrap()),
-        );
-        assert_eq!(s.view().to_point(), s);
+        let s = FeatureView::Sparse {
+            dim: 5,
+            indices: &[0, 4],
+            values: &[1.0, 2.0],
+        };
+        s.write_dense(&mut owned);
+        assert_eq!(owned, [1.0, 0.0, 0.0, 0.0, 2.0]);
+        let w = [1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(FeatureView::Dense(&owned).dot(&w), s.dot(&w));
     }
 
     #[test]
     fn approx_feature_bytes_matches_point_accounting() {
-        let d = LabeledPoint::new(1.0, FeatureVec::dense(vec![0.0; 10]));
-        assert_eq!(8 + d.view().features.approx_feature_bytes(), 8 + 80);
-        let s = LabeledPoint::new(
+        let d = PointView::new(1.0, FeatureView::Dense(&[0.0; 10]));
+        assert_eq!(d.features.approx_bytes(), 80);
+        assert_eq!(d.approx_bytes(), 8 + d.features.approx_bytes());
+        let s = PointView::new(
             1.0,
-            FeatureVec::Sparse(SparseVector::new(1000, vec![3], vec![1.0]).unwrap()),
+            FeatureView::Sparse {
+                dim: 1000,
+                indices: &[3],
+                values: &[1.0],
+            },
         );
-        assert_eq!(8 + s.view().features.approx_feature_bytes(), 8 + 12);
+        assert_eq!(s.features.approx_bytes(), 12);
+        assert_eq!(s.approx_bytes(), 8 + s.features.approx_bytes());
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the linear-algebra kernels: algebraic laws that
 //! must hold for any input, plus dense/sparse agreement.
 
-use ml4all_linalg::{DenseVector, FeatureVec, SparseVector};
+use ml4all_linalg::{DenseVector, FeatureView, SparseVector};
 use proptest::prelude::*;
 
 const DIM: usize = 16;
@@ -81,8 +81,9 @@ proptest! {
 
     #[test]
     fn featurevec_dot_agrees_between_layouts(s in sparse_vec(), w in finite_vec(DIM)) {
-        let fs = FeatureVec::Sparse(s.clone());
-        let fd = FeatureVec::dense(s.to_dense());
+        let dense = s.to_dense();
+        let fs = FeatureView::Sparse { dim: s.dim(), indices: s.indices(), values: s.values() };
+        let fd = FeatureView::Dense(&dense);
         let a = fs.dot(&w);
         let b = fd.dot(&w);
         prop_assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()));

@@ -579,9 +579,9 @@ impl Engine {
         }
         let predictions = model.predict_batch(&data);
         let labels: Vec<f64> = data.iter_views_input_order().map(|v| v.label).collect();
-        let mse = ml4all_datasets::mean_squared_error_labels(&predictions, &labels);
+        let mse = ml4all_datasets::mean_squared_error(&predictions, &labels);
         let accuracy = if model.gradient.is_classification() {
-            Some(ml4all_datasets::accuracy_labels(&predictions, &labels))
+            Some(ml4all_datasets::accuracy(&predictions, &labels))
         } else {
             None
         };
@@ -1143,7 +1143,7 @@ impl TrainJob<'_> {
 mod tests {
     use super::*;
     use crate::GradientKind;
-    use ml4all_datasets::synth::{dense_classification, DenseClassConfig};
+    use ml4all_datasets::synth::{dense_classification_columns, DenseClassConfig};
     use std::time::Duration;
 
     fn quick_engine() -> Engine {
@@ -1158,13 +1158,13 @@ mod tests {
     }
 
     fn mem(n: usize, seed: u64) -> PartitionedDataset {
-        let points = dense_classification(&DenseClassConfig {
+        let points = dense_classification_columns(&DenseClassConfig {
             n,
             dims: 4,
             noise: 0.05,
             seed,
         });
-        PartitionedDataset::from_points(
+        PartitionedDataset::from_owned_columns(
             format!("mem-{seed}"),
             points,
             ml4all_dataflow::PartitionScheme::RoundRobin,
@@ -1410,7 +1410,7 @@ mod tests {
         // rows held in memory with the same (contiguous) partitioning.
         let dir = std::env::temp_dir().join(format!("ml4all-engine-ooc-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let points = dense_classification(&DenseClassConfig {
+        let rows = dense_classification_columns(&DenseClassConfig {
             n: 2000,
             dims: 4,
             noise: 0.05,
@@ -1418,7 +1418,7 @@ mod tests {
         });
         ml4all_datasets::csv::write_csv(
             std::fs::File::create(dir.join("big.csv")).unwrap(),
-            &points,
+            &rows.to_points(),
         )
         .unwrap();
         let file_len = std::fs::metadata(dir.join("big.csv")).unwrap().len();
@@ -1439,7 +1439,6 @@ mod tests {
         // The same rows in memory, partitioned with the same scheme and
         // logical name as the mapped dataset (window partitioning matches
         // contiguous dealing row for row).
-        let rows: ml4all_dataflow::ColumnStore = points.into_iter().collect();
         let owned = PartitionedDataset::from_columns(
             "big.csv",
             &rows,

@@ -11,7 +11,7 @@ use std::path::Path;
 use ml4all_dataflow::PartitionedDataset;
 use ml4all_gd::gradient::Batches;
 use ml4all_gd::{Gradient, GradientKind};
-use ml4all_linalg::{DenseVector, LabeledPoint, PointView};
+use ml4all_linalg::{DenseVector, PointView};
 
 const MAGIC: &str = "ml4all-model v1";
 
@@ -57,27 +57,21 @@ impl Model {
         Self { gradient, weights }
     }
 
-    /// Predict a label for a point (sign for classification, raw score
-    /// for regression).
-    pub fn predict(&self, point: &LabeledPoint) -> f64 {
-        self.gradient.predict(self.weights.as_slice(), point)
-    }
-
-    /// Predict a label for a borrowed columnar row — the zero-copy
-    /// counterpart of [`Model::predict`].
+    /// Predict a label for a row (sign for classification, raw score for
+    /// regression).
     #[inline]
-    pub fn predict_view(&self, point: PointView<'_>) -> f64 {
-        self.gradient.predict_view(self.weights.as_slice(), point)
+    pub fn predict(&self, point: PointView<'_>) -> f64 {
+        self.gradient.predict(self.weights.as_slice(), point)
     }
 
     /// Score every row of a partitioned dataset, in the dataset's
     /// original input order (`predictions[i]` corresponds to input row
     /// `i`, whatever the partitioning), straight off the columnar
-    /// storage: no [`LabeledPoint`] is ever materialized. Rows go through
+    /// storage. Rows go through
     /// the gradient's [batch rule](ml4all_gd::gradient), cut from the first
     /// input row — deterministic, though raw regression scores for batched
     /// dense rows round per the fixed blocked order rather than the per-row
-    /// [`Model::predict_view`] order. This is the scoring path behind the
+    /// [`Model::predict`] order. This is the scoring path behind the
     /// `predict` verb.
     pub fn predict_batch(&self, data: &PartitionedDataset) -> Vec<f64> {
         let w = self.weights.as_slice();
@@ -214,30 +208,26 @@ mod tests {
 
     #[test]
     fn predicts_with_the_right_task_semantics() {
-        use ml4all_linalg::FeatureVec;
-        let p = LabeledPoint::new(0.0, FeatureVec::dense(vec![2.0]));
+        use ml4all_linalg::FeatureView;
+        let p = PointView::new(0.0, FeatureView::Dense(&[2.0]));
         let svm = Model::new(GradientKind::Svm, DenseVector::new(vec![-1.0]));
-        assert_eq!(svm.predict(&p), -1.0);
+        assert_eq!(svm.predict(p), -1.0);
         let reg = Model::new(GradientKind::LinearRegression, DenseVector::new(vec![1.5]));
-        assert_eq!(reg.predict(&p), 3.0);
+        assert_eq!(reg.predict(p), 3.0);
     }
 
     #[test]
     fn predict_batch_matches_per_point_predictions() {
         use ml4all_dataflow::{ClusterSpec, PartitionScheme};
-        use ml4all_linalg::FeatureVec;
-        let points: Vec<LabeledPoint> = (0..64)
+        let points = (0..64)
             .map(|i| {
                 let x = i as f64 / 32.0 - 1.0;
-                LabeledPoint::new(
-                    if x > 0.0 { 1.0 } else { -1.0 },
-                    FeatureVec::dense(vec![x, 1.0]),
-                )
+                (if x > 0.0 { 1.0 } else { -1.0 }, [x, 1.0])
             })
             .collect();
-        let data = PartitionedDataset::from_points(
+        let data = PartitionedDataset::from_owned_columns(
             "pb",
-            points.clone(),
+            points,
             PartitionScheme::RoundRobin,
             &ClusterSpec::paper_testbed(),
         )
@@ -247,10 +237,7 @@ mod tests {
             DenseVector::new(vec![2.0, -0.5]),
         );
         let batched = model.predict_batch(&data);
-        let one_by_one: Vec<f64> = data
-            .iter_views()
-            .map(|v| model.predict(&v.to_point()))
-            .collect();
+        let one_by_one: Vec<f64> = data.iter_views().map(|v| model.predict(v)).collect();
         assert_eq!(batched, one_by_one);
         assert_eq!(batched.len(), 64);
     }

@@ -111,7 +111,7 @@ mod tests {
     use crate::{GradientKind, SamplingMethod};
     use ml4all_core::estimator::SpeculationConfig;
     use ml4all_dataflow::{ClusterSpec, PartitionedDataset};
-    use ml4all_datasets::synth::{dense_classification, DenseClassConfig};
+    use ml4all_datasets::synth::{dense_classification_columns, DenseClassConfig};
     use ml4all_gd::GdVariant;
     use std::path::Path;
 
@@ -137,25 +137,26 @@ mod tests {
     }
 
     fn write_csv_dataset(dir: &Path, name: &str, n: usize) -> PathBuf {
-        let points = dense_classification(&DenseClassConfig {
+        let points = dense_classification_columns(&DenseClassConfig {
             n,
             dims: 4,
             noise: 0.05,
             seed: 5,
         });
         let path = dir.join(name);
-        ml4all_datasets::csv::write_csv(std::fs::File::create(&path).unwrap(), &points).unwrap();
+        ml4all_datasets::csv::write_csv(std::fs::File::create(&path).unwrap(), &points.to_points())
+            .unwrap();
         path
     }
 
     fn in_memory_dataset(n: usize, cluster: &ClusterSpec) -> PartitionedDataset {
-        let points = dense_classification(&DenseClassConfig {
+        let points = dense_classification_columns(&DenseClassConfig {
             n,
             dims: 4,
             noise: 0.05,
             seed: 5,
         });
-        PartitionedDataset::from_points(
+        PartitionedDataset::from_owned_columns(
             "mem",
             points,
             ml4all_dataflow::PartitionScheme::RoundRobin,
@@ -473,7 +474,7 @@ mod tests {
     #[test]
     fn libsvm_files_are_sniffed() {
         let dir = tmp_dir("sniff");
-        let points = dense_classification(&DenseClassConfig {
+        let points = dense_classification_columns(&DenseClassConfig {
             n: 500,
             dims: 6,
             noise: 0.05,
@@ -481,7 +482,7 @@ mod tests {
         });
         ml4all_datasets::libsvm::write_libsvm(
             std::fs::File::create(dir.join("train.libsvm")).unwrap(),
-            &points,
+            &points.to_points(),
         )
         .unwrap();
         let session = quick_session(&dir);

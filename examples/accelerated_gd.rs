@@ -7,34 +7,34 @@
 //! ```
 
 use ml4all_dataflow::{ClusterSpec, PartitionScheme, PartitionedDataset, SamplingMethod, SimEnv};
-use ml4all_datasets::synth::{dense_regression, RegressionConfig};
+use ml4all_datasets::synth::{dense_regression_columns, RegressionConfig};
 use ml4all_gd::linesearch::execute_line_search_bgd;
 use ml4all_gd::svrg::execute_svrg;
 use ml4all_gd::{
-    dataset_loss, execute_plan, GdPlan, GradientKind, Regularizer, StepSize, TrainParams,
+    execute_plan, stream_loss, GdPlan, GradientKind, Regularizer, StepSize, TrainParams,
     TransformPolicy,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cluster = ClusterSpec::paper_testbed();
-    let points = dense_regression(&RegressionConfig {
+    let points = dense_regression_columns(&RegressionConfig {
         n: 4000,
         dims: 20,
         noise: 0.01,
         seed: 17,
     });
-    let data = PartitionedDataset::from_points(
+    let data = PartitionedDataset::from_columns(
         "regression",
-        points.clone(),
+        &points,
         PartitionScheme::RoundRobin,
         &cluster,
     )?;
     let loss_of = |w: &ml4all_linalg::DenseVector| {
-        dataset_loss(
+        stream_loss(
             &GradientKind::LinearRegression,
             &Regularizer::None,
             w.as_slice(),
-            &points,
+            points.iter(),
         )
     };
 

@@ -18,7 +18,7 @@ use ml4all_gd::operators::{
     StepUpdate, ToleranceLoop, ZeroStage,
 };
 use ml4all_gd::{Context, GdPlan, GradientKind, Regularizer, StepSize, TrainParams};
-use ml4all_linalg::{DenseVector, FeatureVec, LabeledPoint, PointView};
+use ml4all_linalg::{DenseVector, PointView};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -95,18 +95,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // y = 3x − 1 with 10% gross outliers.
     let mut rng = StdRng::seed_from_u64(99);
-    let points: Vec<LabeledPoint> = (0..3000)
+    let points = (0..3000)
         .map(|_| {
             let x: f64 = rng.gen_range(-1.0..1.0);
             let mut y = 3.0 * x - 1.0 + rng.gen_range(-0.05..0.05);
             if rng.gen::<f64>() < 0.10 {
                 y += rng.gen_range(-20.0..20.0); // outlier
             }
-            LabeledPoint::new(y, FeatureVec::dense(vec![x, 1.0]))
+            (y, [x, 1.0])
         })
         .collect();
-    let data =
-        PartitionedDataset::from_points("huber", points, PartitionScheme::RoundRobin, &cluster)?;
+    let data = PartitionedDataset::from_owned_columns(
+        "huber",
+        points,
+        PartitionScheme::RoundRobin,
+        &cluster,
+    )?;
 
     let mut params = TrainParams::paper_defaults(GradientKind::LinearRegression);
     params.tolerance = 1e-9;

@@ -8,7 +8,7 @@
 use ml4all_core::lang::{parse_query, plan_query, Query};
 use ml4all_dataflow::{ClusterSpec, PartitionScheme, PartitionedDataset, SimEnv};
 use ml4all_datasets::libsvm;
-use ml4all_datasets::{metrics::predict_all, registry, train_test_split};
+use ml4all_datasets::{accuracy, registry, train_test_split};
 use ml4all_gd::{execute_plan, Gradient};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -19,10 +19,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Materialize a small LIBSVM training file so the query refers to a
     // real path, exactly as a user would.
     let spec = registry::adult();
-    let points = spec.generate_points(3000, 42);
-    let (train, test) = train_test_split(points, 0.8, 42);
+    let rows = spec.generate_columns(3000, 42);
+    let (train, test) = train_test_split(&rows, 0.8, 42);
     let train_path = workdir.join("training_data.txt");
-    libsvm::write_libsvm(std::fs::File::create(&train_path)?, &train)?;
+    libsvm::write_libsvm(std::fs::File::create(&train_path)?, &train.to_points())?;
     println!(
         "wrote {} training points to {}",
         train.len(),
@@ -50,8 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Load the dataset the query names and hand it to the optimizer.
-    let loaded = libsvm::read_libsvm_file(&train_path, Some(spec.dims))?;
-    let data = PartitionedDataset::from_points(
+    let loaded = libsvm::read_libsvm_file_columns(&train_path, Some(spec.dims))?;
+    let data = PartitionedDataset::from_owned_columns(
         "training_data.txt",
         loaded,
         PartitionScheme::RoundRobin,
@@ -84,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- result = predict on test_data with my_model.txt ------------
     let test_path = workdir.join("test_data.txt");
-    libsvm::write_libsvm(std::fs::File::create(&test_path)?, &test)?;
+    libsvm::write_libsvm(std::fs::File::create(&test_path)?, &test.to_points())?;
     let predict = parse_query(&format!(
         "result = predict on {} with {};",
         test_path.display(),
@@ -95,17 +95,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .lines()
             .map(|l| l.parse())
             .collect::<Result<_, _>>()?;
-        let test_points = libsvm::read_libsvm_file(dataset, Some(spec.dims))?;
+        let test_points = libsvm::read_libsvm_file_columns(dataset, Some(spec.dims))?;
         let gradient = config.gradient;
-        let predictions = predict_all(&test_points, |p| gradient.predict(&weights, p));
-        let correct = predictions
-            .iter()
-            .zip(&test_points)
-            .filter(|(pred, p)| (**pred >= 0.0) == (p.label >= 0.0))
-            .count();
+        let predictions: Vec<f64> = (test_points.iter())
+            .map(|p| gradient.predict(&weights, p))
+            .collect();
         println!(
             "prediction accuracy: {:.1}% over {} points",
-            100.0 * correct as f64 / test_points.len() as f64,
+            100.0 * accuracy(&predictions, test_points.labels()),
             test_points.len()
         );
     }

@@ -11,7 +11,7 @@
 use ml4all_core::chooser::{choose_plan, OptimizerConfig};
 use ml4all_core::estimator::SpeculationConfig;
 use ml4all_dataflow::{ClusterSpec, PartitionScheme, PartitionedDataset, SimEnv};
-use ml4all_datasets::{mean_squared_error, metrics::predict_all, registry, train_test_split};
+use ml4all_datasets::{mean_squared_error, registry, train_test_split};
 use ml4all_gd::{execute_plan, Gradient, GradientKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -20,13 +20,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Data: a laptop-scale analog of covtype with Table 2's logical
     //    shape (581 012 × 54, 68 MB). Swap in a real LIBSVM file with
-    //    `ml4all_datasets::libsvm::read_libsvm_file` if you have one.
+    //    `ml4all_datasets::libsvm::read_libsvm_file_columns` if you have one.
     let spec = registry::covtype();
-    let points = spec.generate_points(6000, 7);
-    let (train, test) = train_test_split(points, 0.8, 7);
+    let rows = spec.generate_columns(6000, 7);
+    let (train, test) = train_test_split(&rows, 0.8, 7);
     let data = PartitionedDataset::with_descriptor(
         spec.descriptor(),
-        train,
+        &train,
         PartitionScheme::RoundRobin,
         &cluster,
     )?;
@@ -64,10 +64,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. Evaluate.
     let gradient = GradientKind::LogisticRegression;
-    let predictions = predict_all(&test, |p| gradient.predict(result.weights.as_slice(), p));
+    let predictions: Vec<f64> = (test.iter())
+        .map(|p| gradient.predict(result.weights.as_slice(), p))
+        .collect();
     println!(
         "test MSE: {:.3} over {} held-out points",
-        mean_squared_error(&predictions, &test),
+        mean_squared_error(&predictions, test.labels()),
         test.len()
     );
     Ok(())

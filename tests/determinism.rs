@@ -8,15 +8,14 @@ use ml4all_baselines::MllibRunner;
 use ml4all_core::chooser::{choose_plan, OptimizerConfig};
 use ml4all_core::estimator::SpeculationConfig;
 use ml4all_dataflow::{
-    Backend, ClusterSpec, PartitionScheme, PartitionedDataset, Runtime, SamplingMethod, SimEnv,
-    RNG_STREAM_VERSION,
+    Backend, ClusterSpec, ColumnarBuilder, PartitionScheme, PartitionedDataset, Runtime,
+    SamplingMethod, SimEnv, RNG_STREAM_VERSION,
 };
 use ml4all_datasets::registry;
 use ml4all_gd::executor::reference_operators;
 use ml4all_gd::{
     execute, execute_plan, ExecHooks, GdPlan, GdVariant, GradientKind, TrainParams, TransformPolicy,
 };
-use ml4all_linalg::{FeatureVec, LabeledPoint, SparseVector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -58,8 +57,8 @@ fn dataset_generation_is_deterministic_per_seed() {
     let cluster = ClusterSpec::paper_testbed();
     let a = registry::rcv1().build(500, 9, &cluster).unwrap();
     let b = registry::rcv1().build(500, 9, &cluster).unwrap();
-    let pa = a.to_points();
-    let pb = b.to_points();
+    let pa: Vec<_> = a.iter_views().collect();
+    let pb: Vec<_> = b.iter_views().collect();
     assert_eq!(pa, pb);
 }
 
@@ -270,27 +269,23 @@ fn baselines_are_deterministic_per_seed() {
 /// Random CSR rows: 0 to 40 stored entries each, over `dims` columns.
 fn random_csr(rows: usize, dims: usize, seed: u64) -> PartitionedDataset {
     let mut rng = StdRng::seed_from_u64(seed);
-    let points: Vec<LabeledPoint> = (0..rows)
-        .map(|_| {
-            let nnz = rng.gen_range(0..=40usize);
-            let mut idx: Vec<u32> = (0..nnz).map(|_| rng.gen_range(0..dims as u32)).collect();
-            idx.sort_unstable();
-            idx.dedup();
-            let vals = idx.iter().map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let label = if rng.gen_range(0.0..1.0) < 0.5 {
-                -1.0
-            } else {
-                1.0
-            };
-            LabeledPoint::new(
-                label,
-                FeatureVec::Sparse(SparseVector::new(dims, idx, vals).unwrap()),
-            )
-        })
-        .collect();
-    PartitionedDataset::from_points(
+    let mut points = ColumnarBuilder::new();
+    for _ in 0..rows {
+        let nnz = rng.gen_range(0..=40usize);
+        let mut idx: Vec<u32> = (0..nnz).map(|_| rng.gen_range(0..dims as u32)).collect();
+        idx.sort_unstable();
+        idx.dedup();
+        let vals: Vec<f64> = idx.iter().map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let label = if rng.gen_range(0.0..1.0) < 0.5 {
+            -1.0
+        } else {
+            1.0
+        };
+        points.push_sparse(label, &idx, &vals).unwrap();
+    }
+    PartitionedDataset::from_owned_columns(
         "random-csr",
-        points,
+        points.finish_with_dims(dims),
         PartitionScheme::RoundRobin,
         &ClusterSpec::paper_testbed(),
     )

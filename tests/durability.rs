@@ -668,18 +668,17 @@ fn damaged_checkpoints_are_rejected_typed_and_never_resumed() {
 /// is mapped.
 #[test]
 fn truncated_slabs_are_rejected_typed() {
-    use ml4all_dataflow::{open_slab, write_slab, ColumnStore, SlabError};
-    use ml4all_datasets::synth::{dense_classification, DenseClassConfig};
+    use ml4all_dataflow::{open_slab, write_slab, SlabError};
+    use ml4all_datasets::synth::{dense_classification_columns, DenseClassConfig};
 
     let dir = state_dir("damaged-slab");
     std::fs::create_dir_all(&dir).unwrap();
-    let points = dense_classification(&DenseClassConfig {
+    let store = dense_classification_columns(&DenseClassConfig {
         n: 200,
         dims: 4,
         noise: 0.05,
         seed: 11,
     });
-    let store: ColumnStore = points.into_iter().collect();
     let slab = dir.join("data.slab");
     write_slab(&slab, &store).unwrap();
     let intact = open_slab(&slab).unwrap();

@@ -5,7 +5,7 @@ use ml4all_core::chooser::{choose_plan, OptimizerConfig};
 use ml4all_core::estimator::SpeculationConfig;
 use ml4all_core::lang::{parse_query, plan_query, Query};
 use ml4all_dataflow::{ClusterSpec, PartitionScheme, PartitionedDataset, SimEnv};
-use ml4all_datasets::{metrics::predict_all, registry, train_test_split};
+use ml4all_datasets::{registry, train_test_split};
 use ml4all_gd::{execute_plan, Gradient, GradientKind};
 
 fn quick_speculation() -> SpeculationConfig {
@@ -29,11 +29,11 @@ fn declarative_query_trains_a_usable_model() {
     config = config.with_speculation(quick_speculation());
 
     let spec = registry::adult();
-    let points = spec.generate_points(2500, 11);
-    let (train, test) = train_test_split(points, 0.8, 11);
+    let rows = spec.generate_columns(2500, 11);
+    let (train, test) = train_test_split(&rows, 0.8, 11);
     let data = PartitionedDataset::with_descriptor(
         spec.descriptor(),
-        train,
+        &train,
         PartitionScheme::RoundRobin,
         &cluster,
     )
@@ -47,8 +47,11 @@ fn declarative_query_trains_a_usable_model() {
 
     let gradient = config.gradient;
     assert_eq!(gradient, GradientKind::LogisticRegression);
-    let preds = predict_all(&test, |p| gradient.predict(result.weights.as_slice(), p));
-    let accuracy = ml4all_datasets::accuracy(&preds, &test);
+    let preds: Vec<f64> = test
+        .iter()
+        .map(|p| gradient.predict(result.weights.as_slice(), p))
+        .collect();
+    let accuracy = ml4all_datasets::accuracy(&preds, test.labels());
     assert!(accuracy > 0.7, "accuracy {accuracy}");
 }
 
@@ -124,11 +127,11 @@ fn skewed_dataset_with_shuffle_sampling_hurts_test_error() {
     // label-sorted (contiguously partitioned) dataset biases the model.
     let cluster = ClusterSpec::paper_testbed();
     let spec = registry::rcv1();
-    let points = spec.generate_points(2400, 3);
-    let (train, test) = train_test_split(points, 0.8, 3);
+    let rows = spec.generate_columns(2400, 3);
+    let (train, test) = train_test_split(&rows, 0.8, 3);
     let data = PartitionedDataset::with_descriptor(
         spec.descriptor(),
-        train,
+        &train,
         PartitionScheme::Contiguous,
         &cluster,
     )
@@ -150,8 +153,11 @@ fn skewed_dataset_with_shuffle_sampling_hurts_test_error() {
             sampling: Some(sampling),
         };
         let r = ml4all_bench::runs::run_plan(&plan, &data, &params, &cluster).expect("runs");
-        let preds = predict_all(&test, |p| gradient.predict(r.weights.as_slice(), p));
-        ml4all_datasets::mean_squared_error(&preds, &test)
+        let preds: Vec<f64> = test
+            .iter()
+            .map(|p| gradient.predict(r.weights.as_slice(), p))
+            .collect();
+        ml4all_datasets::mean_squared_error(&preds, test.labels())
     };
 
     let shuffle_mse = mse_for(ml4all_dataflow::SamplingMethod::ShuffledPartition);

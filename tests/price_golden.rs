@@ -12,8 +12,8 @@ use ml4all_bench::golden::assert_golden;
 use ml4all_core::cost::{OperatorCosts, PlanCostModel};
 use ml4all_core::enumerate_plans;
 use ml4all_dataflow::{
-    Backend, ClusterSpec, CostBreakdown, DatasetDescriptor, FaultSchedule, PartitionScheme,
-    PartitionedDataset, SamplingMethod, SimEnv,
+    Backend, ClusterSpec, ColumnStore, CostBreakdown, DatasetDescriptor, FaultSchedule,
+    PartitionScheme, PartitionedDataset, SamplingMethod, SimEnv,
 };
 use ml4all_gd::linesearch::line_search_operators;
 use ml4all_gd::operators::{
@@ -25,7 +25,6 @@ use ml4all_gd::{
     execute, ExecHooks, GdOperators, GdPlan, GradientKind, SampleSize, TrainParams, TrainResult,
     TransformPolicy,
 };
-use ml4all_linalg::{FeatureVec, LabeledPoint};
 
 const MB: u64 = 1024 * 1024;
 const GB: u64 = 1024 * MB;
@@ -129,7 +128,7 @@ const DIMS: usize = 5;
 
 /// 64 rows of a noisy linear separator with a bias feature, from a
 /// fixed LCG (no crate RNG, so the rows cannot move with one).
-fn points() -> Vec<LabeledPoint> {
+fn points() -> ColumnStore {
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
     let mut unit = || {
         state = state
@@ -142,7 +141,7 @@ fn points() -> Vec<LabeledPoint> {
             let mut x: Vec<f64> = (0..DIMS - 1).map(|_| unit()).collect();
             let score = x[0] - 0.5 * x[1] + 0.25 * x[2] + 0.1 * unit();
             x.push(1.0);
-            LabeledPoint::new(if score >= 0.0 { 1.0 } else { -1.0 }, FeatureVec::dense(x))
+            (if score >= 0.0 { 1.0 } else { -1.0 }, x)
         })
         .collect()
 }
@@ -157,7 +156,7 @@ fn dataset(name: &str, n: u64, bytes: u64) -> PartitionedDataset {
         ..ClusterSpec::paper_testbed()
     };
     let data =
-        PartitionedDataset::with_descriptor(desc, points(), PartitionScheme::RoundRobin, &dealing)
+        PartitionedDataset::with_descriptor(desc, &points(), PartitionScheme::RoundRobin, &dealing)
             .expect("64 rows build");
     assert_eq!(data.num_partitions(), 4);
     data

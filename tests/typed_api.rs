@@ -7,17 +7,17 @@ use ml4all::{DataSource, Engine, GradientKind, Session, SessionOutput, TrainRequ
 use ml4all_core::estimator::SpeculationConfig;
 use ml4all_core::lang::AlgorithmPin;
 use ml4all_dataflow::{ClusterSpec, PartitionScheme, PartitionedDataset, SamplingMethod};
-use ml4all_datasets::synth::{dense_classification, DenseClassConfig};
+use ml4all_datasets::synth::{dense_classification_columns, DenseClassConfig};
 use proptest::prelude::*;
 
 fn dataset() -> PartitionedDataset {
-    let points = dense_classification(&DenseClassConfig {
+    let points = dense_classification_columns(&DenseClassConfig {
         n: 350,
         dims: 4,
         noise: 0.1,
         seed: 11,
     });
-    PartitionedDataset::from_points(
+    PartitionedDataset::from_owned_columns(
         "propdata",
         points,
         PartitionScheme::RoundRobin,
