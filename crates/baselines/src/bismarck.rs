@@ -18,13 +18,11 @@
 //!   and MGD(10k) on rcv1, BGD on svm1).
 
 use ml4all_dataflow::{PartitionedDataset, SimEnv, StorageMedium};
-use ml4all_gd::executor::StopReason;
-use ml4all_gd::{GdVariant, Gradient, TrainParams, TrainResult};
-use ml4all_linalg::DenseVector;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ml4all_gd::{GdVariant, TrainParams, TrainResult};
 
-use crate::BaselineError;
+use crate::{descend, BaselineError, Draw};
+#[cfg(test)]
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// The Bismarck-abstraction runner.
 #[derive(Debug, Clone)]
@@ -63,7 +61,6 @@ impl BismarckRunner {
     ) -> Result<TrainResult, BaselineError> {
         let start = std::time::Instant::now();
         let desc = data.descriptor().clone();
-        let dims = desc.dims;
         let avg_nnz = desc.avg_nnz();
         let m = variant.sample_size(desc.n);
         let required = self.driver_bytes(&desc, m);
@@ -79,20 +76,10 @@ impl BismarckRunner {
         env.charge_full_scan_io(&desc, StorageMedium::Disk);
         env.charge_wave_cpu(&desc, env.spec.cpu_transform_s(avg_nnz));
 
-        let n_phys = data.physical_n();
-        let m_phys = variant.sample_size(n_phys as u64) as usize;
-        let mut rng = StdRng::seed_from_u64(params.seed ^ 0x4249_534D);
-
-        let mut weights = DenseVector::zeros(dims);
-        let mut prev = weights.clone();
-        let mut error_seq = Vec::new();
-        let mut iteration = 0u64;
-        let mut final_delta;
-        let stop;
+        let draw = Draw::with_replacement(variant, data.physical_n());
         let distributed = !desc.fits_one_partition(&env.spec);
 
-        loop {
-            iteration += 1;
+        descend(data, params, env, start, draw, 0x4249_534D, |env| {
             env.charge_iteration_overhead(distributed);
 
             // Gather this iteration's units at the single fused node.
@@ -117,91 +104,6 @@ impl BismarckRunner {
                     env.charge_serial_cpu(m, env.spec.cpu_gradient_s(avg_nnz));
                 }
             }
-            env.charge_serial_cpu(1, env.spec.cpu_update_s(dims));
-
-            // ---- Real math: identical gradient/step semantics.
-            let mut grad_acc = DenseVector::zeros(dims);
-            let mut count = 0u64;
-            match variant {
-                GdVariant::Batch => {
-                    for v in data.iter_views() {
-                        params
-                            .gradient
-                            .accumulate(weights.as_slice(), v, grad_acc.as_mut_slice());
-                        count += 1;
-                    }
-                }
-                _ => {
-                    let all: Vec<_> = data.iter_views().collect();
-                    for _ in 0..m_phys.max(1) {
-                        let v = all[rng.gen_range(0..all.len())];
-                        params
-                            .gradient
-                            .accumulate(weights.as_slice(), v, grad_acc.as_mut_slice());
-                        count += 1;
-                    }
-                }
-            }
-            if count > 0 {
-                let alpha = params.step.at(iteration);
-                let scale = -alpha / count as f64;
-                let mut reg = vec![0.0; dims];
-                params.regularizer.accumulate(weights.as_slice(), &mut reg);
-                for ((wi, gi), ri) in weights
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(grad_acc.as_slice())
-                    .zip(&reg)
-                {
-                    *wi += scale * gi - alpha * ri;
-                }
-            }
-            if weights.as_slice().iter().any(|w| !w.is_finite()) {
-                return Err(BaselineError::Gd(ml4all_gd::GdError::Diverged {
-                    iteration,
-                }));
-            }
-
-            let delta = weights
-                .l1_distance(&prev)
-                .expect("dimensions fixed per run");
-            env.charge_serial_cpu(1, env.spec.cpu_converge_s(dims));
-            prev.clone_from(&weights);
-            final_delta = delta;
-            if params.record_error_seq {
-                error_seq.push((iteration, delta));
-            }
-
-            if delta < params.tolerance {
-                stop = StopReason::Converged;
-                break;
-            }
-            if iteration >= params.max_iter {
-                stop = StopReason::MaxIterations;
-                break;
-            }
-            if let Some(budget) = params.wall_budget {
-                if start.elapsed() >= budget {
-                    stop = StopReason::WallBudget;
-                    break;
-                }
-            }
-        }
-
-        Ok(TrainResult {
-            weights,
-            iterations: iteration,
-            stop,
-            final_delta,
-            cost: env.snapshot(),
-            sim_time_s: env.elapsed_s(),
-            wall_time: start.elapsed(),
-            error_seq,
-            sampler_shuffles: 0,
-            usage: env.ledger.usage().clone(),
-            backend: env.backend().name(),
-            rng_stream_version: ml4all_dataflow::RNG_STREAM_VERSION,
-            resume_state: None,
         })
     }
 }

@@ -18,13 +18,11 @@
 //!   (the svm3 behaviour: "MLlib incurred disk IOs in each iteration").
 
 use ml4all_dataflow::{PartitionedDataset, SimEnv, StorageMedium};
-use ml4all_gd::executor::StopReason;
-use ml4all_gd::{GdVariant, Gradient, TrainParams, TrainResult};
-use ml4all_linalg::DenseVector;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ml4all_gd::{GdVariant, TrainParams, TrainResult};
 
-use crate::BaselineError;
+use crate::{descend, BaselineError, Draw};
+#[cfg(test)]
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// The MLlib-like runner.
 #[derive(Debug, Clone)]
@@ -60,36 +58,29 @@ impl MllibRunner {
         let start = std::time::Instant::now();
         let desc = data.descriptor().clone();
         let dims = desc.dims;
-        let n_phys = data.physical_n();
         let avg_nnz = desc.avg_nnz();
-        let mut rng = StdRng::seed_from_u64(params.seed ^ 0x4D4C_4C49);
 
         env.charge_job_init();
         // Eager parse of the input RDD (textFile → LabeledPoint), cached.
         env.charge_full_scan_io(&desc, StorageMedium::Disk);
         env.charge_wave_cpu(&desc, env.spec.cpu_transform_s(avg_nnz) * self.cpu_factor);
 
-        let fraction = match variant {
-            GdVariant::Batch => 1.0,
-            GdVariant::Stochastic => (self.sgd_fraction_inflation / desc.n as f64).min(1.0),
-            GdVariant::MiniBatch { batch } => (batch as f64 / desc.n as f64).min(1.0),
+        // `miniBatchFraction`: the expected sample over `n` units, capped
+        // at the whole dataset.
+        let units = match variant {
+            GdVariant::Batch => None,
+            GdVariant::Stochastic => Some(self.sgd_fraction_inflation),
+            GdVariant::MiniBatch { batch } => Some(batch as f64),
         };
-        let phys_fraction = match variant {
-            GdVariant::Batch => 1.0,
-            GdVariant::Stochastic => (self.sgd_fraction_inflation / n_phys as f64).min(1.0),
-            GdVariant::MiniBatch { batch } => (batch as f64 / n_phys as f64).min(1.0),
+        let fraction_of = |n: f64| units.map_or(1.0, |u| (u / n).min(1.0));
+        let fraction = fraction_of(desc.n as f64);
+        let draw = if fraction >= 1.0 {
+            Draw::All
+        } else {
+            Draw::Bernoulli(fraction_of(data.physical_n() as f64))
         };
 
-        let mut weights = DenseVector::zeros(dims);
-        let mut prev = weights.clone();
-        let mut grad_acc = DenseVector::zeros(dims);
-        let mut error_seq = Vec::new();
-        let mut iteration = 0u64;
-        let mut final_delta;
-        let stop;
-
-        loop {
-            iteration += 1;
+        descend(data, params, env, start, draw, 0x4D4C_4C49, |env| {
             // One Spark job per iteration + the extra treeAggregate level.
             env.charge_iteration_overhead(true);
             env.ledger
@@ -107,78 +98,6 @@ impl MllibRunner {
             // intermediate level ships again.
             let partials = desc.partitions(&env.spec) * self.tree_depth;
             env.charge_network(partials * dims as u64 * 8);
-            env.charge_serial_cpu(1, env.spec.cpu_update_s(dims));
-
-            grad_acc.fill_zero();
-            let mut count = 0u64;
-            for v in data.iter_views() {
-                if fraction >= 1.0 || rng.gen::<f64>() < phys_fraction {
-                    params
-                        .gradient
-                        .accumulate(weights.as_slice(), v, grad_acc.as_mut_slice());
-                    count += 1;
-                }
-            }
-            if count > 0 {
-                let alpha = params.step.at(iteration);
-                let scale = -alpha / count as f64;
-                let mut reg = vec![0.0; dims];
-                params.regularizer.accumulate(weights.as_slice(), &mut reg);
-                for ((wi, gi), ri) in weights
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(grad_acc.as_slice())
-                    .zip(&reg)
-                {
-                    *wi += scale * gi - alpha * ri;
-                }
-            }
-            if weights.as_slice().iter().any(|w| !w.is_finite()) {
-                return Err(BaselineError::Gd(ml4all_gd::GdError::Diverged {
-                    iteration,
-                }));
-            }
-
-            let delta = weights
-                .l1_distance(&prev)
-                .expect("dimensions fixed per run");
-            env.charge_serial_cpu(1, env.spec.cpu_converge_s(dims));
-            prev.clone_from(&weights);
-            final_delta = delta;
-            if params.record_error_seq {
-                error_seq.push((iteration, delta));
-            }
-
-            if delta < params.tolerance {
-                stop = StopReason::Converged;
-                break;
-            }
-            if iteration >= params.max_iter {
-                stop = StopReason::MaxIterations;
-                break;
-            }
-            if let Some(budget) = params.wall_budget {
-                if start.elapsed() >= budget {
-                    stop = StopReason::WallBudget;
-                    break;
-                }
-            }
-        }
-
-        Ok(TrainResult {
-            weights,
-            iterations: iteration,
-            stop,
-            final_delta,
-            cost: env.snapshot(),
-            sim_time_s: env.elapsed_s(),
-            wall_time: start.elapsed(),
-            error_seq,
-            sampler_shuffles: 0,
-            usage: env.ledger.usage().clone(),
-            backend: env.backend().name(),
-            rng_stream_version: ml4all_dataflow::RNG_STREAM_VERSION,
-            resume_state: None,
         })
     }
 }

@@ -15,6 +15,7 @@ use std::sync::{Arc, OnceLock};
 use ml4all_linalg::PointView;
 use rand::{Rng, SeedableRng};
 
+use crate::checkpoint::Fnv64;
 use crate::cluster::ClusterSpec;
 use crate::columns::{ColumnStore, ColumnarBuilder};
 use crate::descriptor::DatasetDescriptor;
@@ -335,7 +336,9 @@ impl PartitionedDataset {
     pub fn fingerprint(&self) -> u64 {
         *self.fingerprint.get_or_init(|| {
             let mut h = Fnv64::new();
-            h.write_str(&self.desc.name);
+            // Length-prefixed, so the name cannot alias the fields after it.
+            h.write_u64(self.desc.name.len() as u64);
+            h.write(self.desc.name.as_bytes());
             h.write_u64(self.desc.n);
             h.write_u64(self.desc.dims as u64);
             h.write_u64(self.desc.bytes);
@@ -423,35 +426,6 @@ impl PartitionedDataset {
             );
         }
         out.finish()
-    }
-}
-
-/// FNV-1a, widened to mix 8 bytes per step: dependency-free, deterministic
-/// across platforms, and fast enough for a one-time pass over the rows.
-struct Fnv64(u64);
-
-impl Fnv64 {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
-        for byte in s.as_bytes() {
-            self.0 ^= u64::from(*byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

@@ -28,22 +28,18 @@
 pub mod dense;
 pub mod point;
 pub mod simd;
-pub mod sparse;
 pub mod view;
 
 pub use dense::DenseVector;
 pub use point::{PointView, LABEL_BYTES};
 pub use simd::Isa;
-pub use sparse::SparseVector;
 pub use view::{FeatureView, DENSE_ENTRY_BYTES, SPARSE_ENTRY_BYTES};
 
-/// Error type for shape/validity violations when constructing vectors.
+/// Error type for shape/validity violations of vectors and sparse rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LinalgError {
     /// Parallel index/value arrays of a sparse vector differ in length.
     IndexValueLengthMismatch { indices: usize, values: usize },
-    /// A sparse index is out of range for the declared dimensionality.
-    IndexOutOfBounds { index: u32, dim: usize },
     /// Sparse indices must be strictly increasing.
     UnsortedIndices,
     /// Two operands disagree on dimensionality.
@@ -55,9 +51,6 @@ impl std::fmt::Display for LinalgError {
         match self {
             Self::IndexValueLengthMismatch { indices, values } => {
                 write!(f, "sparse vector has {indices} indices but {values} values")
-            }
-            Self::IndexOutOfBounds { index, dim } => {
-                write!(f, "sparse index {index} out of bounds for dimension {dim}")
             }
             Self::UnsortedIndices => write!(f, "sparse indices must be strictly increasing"),
             Self::DimensionMismatch { left, right } => {

@@ -1,7 +1,7 @@
 //! Property-based tests for the linear-algebra kernels: algebraic laws that
 //! must hold for any input, plus dense/sparse agreement.
 
-use ml4all_linalg::{DenseVector, FeatureView, SparseVector};
+use ml4all_linalg::{DenseVector, FeatureView};
 use proptest::prelude::*;
 
 const DIM: usize = 16;
@@ -10,16 +10,21 @@ fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e3..1e3f64, len)
 }
 
-/// A random sparse vector over a fixed dimension: choose a subset of indices
-/// and matching values.
-fn sparse_vec() -> impl Strategy<Value = SparseVector> {
-    prop::collection::btree_set(0u32..DIM as u32, 0..DIM)
-        .prop_flat_map(|idx_set| {
-            let indices: Vec<u32> = idx_set.into_iter().collect();
-            let n = indices.len();
-            (Just(indices), prop::collection::vec(-1e3..1e3f64, n))
-        })
-        .prop_map(|(indices, values)| SparseVector::new(DIM, indices, values).unwrap())
+/// A random CSR row over a fixed dimension: a subset of indices (empty
+/// included) and matching values.
+fn sparse_row() -> impl Strategy<Value = (Vec<u32>, Vec<f64>)> {
+    prop::collection::btree_set(0u32..DIM as u32, 0..DIM).prop_flat_map(|idx_set| {
+        let indices: Vec<u32> = idx_set.into_iter().collect();
+        let n = indices.len();
+        (Just(indices), prop::collection::vec(-1e3..1e3f64, n))
+    })
+}
+
+/// The row's dense materialization.
+fn dense_of(row: &FeatureView<'_>) -> Vec<f64> {
+    let mut out = Vec::new();
+    row.write_dense(&mut out);
+    out
 }
 
 proptest! {
@@ -59,20 +64,22 @@ proptest! {
     }
 
     #[test]
-    fn sparse_dot_matches_dense(s in sparse_vec(), w in finite_vec(DIM)) {
-        let dense = DenseVector::new(s.to_dense());
+    fn sparse_dot_matches_dense(row in sparse_row(), w in finite_vec(DIM)) {
+        let s = FeatureView::Sparse { dim: DIM, indices: &row.0, values: &row.1 };
+        let dense = DenseVector::new(dense_of(&s));
         let dw = DenseVector::new(w.clone());
         let expect = dense.dot(&dw).unwrap();
         prop_assert!((s.dot(&w) - expect).abs() <= 1e-9 * (1.0 + expect.abs()));
     }
 
     #[test]
-    fn sparse_axpy_matches_dense(s in sparse_vec(), acc0 in finite_vec(DIM), alpha in -10.0..10.0f64) {
+    fn sparse_axpy_matches_dense(row in sparse_row(), acc0 in finite_vec(DIM), alpha in -10.0..10.0f64) {
+        let s = FeatureView::Sparse { dim: DIM, indices: &row.0, values: &row.1 };
         let mut sparse_acc = acc0.clone();
         s.axpy_into(&mut sparse_acc, alpha);
 
         let mut dense_acc = DenseVector::new(acc0);
-        dense_acc.axpy(alpha, &DenseVector::new(s.to_dense()));
+        dense_acc.axpy(alpha, &DenseVector::new(dense_of(&s)));
 
         for (x, y) in sparse_acc.iter().zip(dense_acc.as_slice()) {
             prop_assert!((x - y).abs() <= 1e-9 * (1.0 + y.abs()));
@@ -80,9 +87,9 @@ proptest! {
     }
 
     #[test]
-    fn featurevec_dot_agrees_between_layouts(s in sparse_vec(), w in finite_vec(DIM)) {
-        let dense = s.to_dense();
-        let fs = FeatureView::Sparse { dim: s.dim(), indices: s.indices(), values: s.values() };
+    fn featurevec_dot_agrees_between_layouts(row in sparse_row(), w in finite_vec(DIM)) {
+        let fs = FeatureView::Sparse { dim: DIM, indices: &row.0, values: &row.1 };
+        let dense = dense_of(&fs);
         let fd = FeatureView::Dense(&dense);
         let a = fs.dot(&w);
         let b = fd.dot(&w);

@@ -78,11 +78,18 @@ fn csr_rows() -> ColumnStore {
         indices.push(CSR_DIMS as u32 - 1);
         let values: Vec<f64> = indices
             .iter()
-            .map(|&i| if i as usize == CSR_DIMS - 1 { 1.0 } else { unit() })
+            .map(|&i| {
+                if i as usize == CSR_DIMS - 1 {
+                    1.0
+                } else {
+                    unit()
+                }
+            })
             .collect();
         let score: f64 = values.iter().take(values.len() - 1).sum::<f64>() + 0.1 * unit();
         let label = if score >= 0.0 { 1.0 } else { -1.0 };
-        rows.push_sparse(label, &indices, &values).expect("valid CSR row");
+        rows.push_sparse(label, &indices, &values)
+            .expect("valid CSR row");
     }
     rows.finish_with_dims(CSR_DIMS)
 }

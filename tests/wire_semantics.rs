@@ -139,7 +139,7 @@ fn checkpoint(d: usize) -> Checkpoint {
     prev_weights[0] = -0.0;
     if d > 2 {
         prev_weights[1] = f64::NAN;
-        prev_weights[2] = 2.0f64.powi(-1074);
+        prev_weights[2] = f64::from_bits(1);
     }
     Checkpoint {
         key_hash: 0xdead_beef_cafe_f00d,
@@ -958,7 +958,7 @@ fn decode_and_encode_semantics_match_the_golden() {
             1e16,
             1e-7,
             1.5e-300,
-            2.0f64.powi(-1074),
+            f64::from_bits(1),
             f64::MAX,
             f64::MIN_POSITIVE,
             f64::NAN,
