@@ -1,71 +1,14 @@
 //! **Figure 17(a/b), Appendix E** — sampling effect in SGD under (a)
 //! eager and (b) lazy transformation, across the adult…svm2 datasets.
 
-use ml4all_bench::harness::fmt_s;
-use ml4all_bench::runs::{in_depth_cell, in_depth_datasets};
-use ml4all_bench::{print_table, BenchConfig, ExperimentRecord};
-use ml4all_dataflow::{ClusterSpec, SamplingMethod};
-use ml4all_gd::{GdVariant, TransformPolicy};
+use ml4all_gd::GdVariant;
 
 fn main() {
-    let cfg = BenchConfig::from_env();
-    let cluster = ClusterSpec::paper_testbed();
-    let variant = GdVariant::Stochastic;
-    let mut json = Vec::new();
-
-    for (panel, transform, samplers) in [
-        (
-            "a/eager",
-            TransformPolicy::Eager,
-            vec![
-                SamplingMethod::Bernoulli,
-                SamplingMethod::RandomPartition,
-                SamplingMethod::ShuffledPartition,
-            ],
-        ),
-        (
-            "b/lazy",
-            TransformPolicy::Lazy,
-            vec![
-                SamplingMethod::RandomPartition,
-                SamplingMethod::ShuffledPartition,
-            ],
-        ),
-    ] {
-        let mut rows = Vec::new();
-        for spec in in_depth_datasets() {
-            let mut row = vec![spec.name.clone()];
-            for &sampling in &samplers {
-                let cell = in_depth_cell(variant, transform, sampling, &spec, &cfg, &cluster, 1e-3);
-                let (text, value) = match cell {
-                    Some(Ok(r)) => (fmt_s(r.sim_time_s), Some(r.sim_time_s)),
-                    Some(Err(e)) => (format!("fail: {e}"), None),
-                    None => ("—".into(), None),
-                };
-                json.push(serde_json::json!({
-                    "panel": panel,
-                    "dataset": spec.name,
-                    "sampling": sampling.label(),
-                    "time_s": value,
-                }));
-                row.push(text);
-            }
-            rows.push(row);
-        }
-        let headers: Vec<&str> = std::iter::once("dataset")
-            .chain(samplers.iter().map(|s| s.label()))
-            .collect();
-        print_table(
-            &format!("Figure 17({panel}): sampling effect in SGD"),
-            &headers,
-            &rows,
-        );
-    }
-
-    ExperimentRecord::new(
+    ml4all_bench::runs::sampling_figure(
+        GdVariant::Stochastic,
         "fig17",
+        "Figure 17",
+        "sampling effect in SGD",
         "Figure 17 (Appendix E): SGD sampling effect, eager and lazy",
-        serde_json::Value::Array(json),
-    )
-    .write();
+    );
 }

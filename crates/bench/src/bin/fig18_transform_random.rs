@@ -2,53 +2,19 @@
 //! sampling fixed to random-partition: eager vs lazy for (a) MGD(1k) and
 //! (b) SGD.
 
-use ml4all_bench::harness::fmt_s;
-use ml4all_bench::runs::{in_depth_cell, in_depth_datasets};
-use ml4all_bench::{print_table, BenchConfig, ExperimentRecord};
-use ml4all_dataflow::{ClusterSpec, SamplingMethod};
-use ml4all_gd::{GdVariant, TransformPolicy};
+use ml4all_dataflow::SamplingMethod;
+use ml4all_gd::GdVariant;
 
 fn main() {
-    let cfg = BenchConfig::from_env();
-    let cluster = ClusterSpec::paper_testbed();
-    let sampling = SamplingMethod::RandomPartition;
-    let mut json = Vec::new();
-
-    for (panel, variant) in [
-        ("a/MGD", GdVariant::MiniBatch { batch: 1000 }),
-        ("b/SGD", GdVariant::Stochastic),
-    ] {
-        let mut rows = Vec::new();
-        for spec in in_depth_datasets() {
-            let mut row = vec![spec.name.clone()];
-            for transform in [TransformPolicy::Eager, TransformPolicy::Lazy] {
-                let cell = in_depth_cell(variant, transform, sampling, &spec, &cfg, &cluster, 1e-3);
-                let (text, value) = match cell {
-                    Some(Ok(r)) => (fmt_s(r.sim_time_s), Some(r.sim_time_s)),
-                    Some(Err(e)) => (format!("fail: {e}"), None),
-                    None => ("—".into(), None),
-                };
-                json.push(serde_json::json!({
-                    "panel": panel,
-                    "dataset": spec.name,
-                    "transform": transform.label(),
-                    "time_s": value,
-                }));
-                row.push(text);
-            }
-            rows.push(row);
-        }
-        print_table(
-            &format!("Figure 18({panel}): transformation effect (random-partition)"),
-            &["dataset", "eager", "lazy"],
-            &rows,
-        );
-    }
-
-    ExperimentRecord::new(
+    ml4all_bench::runs::transform_figure(
+        SamplingMethod::RandomPartition,
+        [
+            ("a/MGD", GdVariant::MiniBatch { batch: 1000 }),
+            ("b/SGD", GdVariant::Stochastic),
+        ],
         "fig18",
+        "Figure 18",
+        "transformation effect (random-partition)",
         "Figure 18 (Appendix E): transformation effect with random-partition sampling",
-        serde_json::Value::Array(json),
-    )
-    .write();
+    );
 }

@@ -2,17 +2,18 @@
 
 use ml4all_core::chooser::{choose_plan, OptimizerConfig};
 use ml4all_core::estimator::SpeculationConfig;
-use ml4all_dataflow::{ClusterSpec, PartitionedDataset, SimEnv};
+use ml4all_dataflow::{ClusterSpec, PartitionedDataset, SamplingMethod, SimEnv};
 use ml4all_datasets::registry::DatasetSpec;
 use ml4all_gd::executor::reference_operators;
 use ml4all_gd::operators::GradientCompute;
 use ml4all_gd::{
     execute_plan, ComputeAcc, ComputeOp, Context, GdError, GdOperators, GdPlan, GdVariant,
-    TrainParams, TrainResult,
+    TrainParams, TrainResult, TransformPolicy,
 };
 use ml4all_linalg::PointView;
 
-use crate::harness::{task_gradient, BenchConfig};
+use crate::harness::{fmt_s, print_table, task_gradient, BenchConfig};
+use crate::report::ExperimentRecord;
 
 /// Paper-default training parameters for a registry dataset.
 pub fn params_for(spec: &DatasetSpec, cfg: &BenchConfig, tolerance: f64) -> TrainParams {
@@ -121,10 +122,10 @@ pub fn paper_variants() -> [GdVariant; 3] {
 /// One cell of the Section 8.6 in-depth sweeps: run `variant` with a fixed
 /// transformation/sampling combination on a registry dataset; `None` when
 /// the plan is outside the search space (lazy + Bernoulli).
-pub fn in_depth_cell(
-    variant: ml4all_gd::GdVariant,
-    transform: ml4all_gd::TransformPolicy,
-    sampling: ml4all_dataflow::SamplingMethod,
+fn in_depth_cell(
+    variant: GdVariant,
+    transform: TransformPolicy,
+    sampling: SamplingMethod,
     spec: &DatasetSpec,
     cfg: &BenchConfig,
     cluster: &ClusterSpec,
@@ -135,9 +136,7 @@ pub fn in_depth_cell(
         transform,
         sampling: Some(sampling),
     };
-    if transform == ml4all_gd::TransformPolicy::Lazy
-        && sampling == ml4all_dataflow::SamplingMethod::Bernoulli
-    {
+    if transform == TransformPolicy::Lazy && sampling == SamplingMethod::Bernoulli {
         return None;
     }
     let data = crate::harness::build_dataset(spec, cfg, cluster);
@@ -146,11 +145,98 @@ pub fn in_depth_cell(
 }
 
 /// The seven datasets of the Section 8.6 sweeps (adult … svm2).
-pub fn in_depth_datasets() -> Vec<DatasetSpec> {
+fn in_depth_datasets() -> Vec<DatasetSpec> {
     ml4all_datasets::registry::table2()
         .into_iter()
         .take(7)
         .collect()
+}
+
+/// Figures 13 and 17 (Sections 8.6.1 and Appendix E): the sampling effect
+/// in `variant` under (a) eager and (b) lazy transformation, one column
+/// per sampler. Each panel prints as `{figure}({panel}): {caption}`; the
+/// cells are written as the `id` record titled `title`.
+pub fn sampling_figure(variant: GdVariant, id: &str, figure: &str, caption: &str, title: &str) {
+    use SamplingMethod::{Bernoulli, RandomPartition, ShuffledPartition};
+    let mut json = Vec::new();
+    for (panel, transform, samplers) in [
+        (
+            "a/eager",
+            TransformPolicy::Eager,
+            &[Bernoulli, RandomPartition, ShuffledPartition][..],
+        ),
+        (
+            "b/lazy",
+            TransformPolicy::Lazy,
+            &[RandomPartition, ShuffledPartition][..],
+        ),
+    ] {
+        let columns: Vec<_> = samplers
+            .iter()
+            .map(|&s| (s.label(), variant, transform, s))
+            .collect();
+        let title = format!("{figure}({panel}): {caption}");
+        in_depth_panel(&title, panel, "sampling", &columns, &mut json);
+    }
+    ExperimentRecord::new(id, title, serde_json::Value::Array(json)).write();
+}
+
+/// Figures 14 and 18 (Sections 8.6.2 and Appendix E): the transformation
+/// effect, eager vs lazy, with the sampling fixed to `sampling`, one panel
+/// per `(panel, variant)`. Prints and records like [`sampling_figure`].
+pub fn transform_figure(
+    sampling: SamplingMethod,
+    panels: [(&str, GdVariant); 2],
+    id: &str,
+    figure: &str,
+    caption: &str,
+    title: &str,
+) {
+    let mut json = Vec::new();
+    for (panel, variant) in panels {
+        let columns = [TransformPolicy::Eager, TransformPolicy::Lazy]
+            .map(|t| (t.label(), variant, t, sampling));
+        let title = format!("{figure}({panel}): {caption}");
+        in_depth_panel(&title, panel, "transform", &columns, &mut json);
+    }
+    ExperimentRecord::new(id, title, serde_json::Value::Array(json)).write();
+}
+
+/// One panel of a Section 8.6 sweep: a row per in-depth dataset and a cell
+/// per `(label, variant, transform, sampling)` column. Prints the table and
+/// appends each cell to `json`, with the column label under `key`.
+fn in_depth_panel(
+    title: &str,
+    panel: &str,
+    key: &str,
+    columns: &[(&str, GdVariant, TransformPolicy, SamplingMethod)],
+    json: &mut Vec<serde_json::Value>,
+) {
+    let (cfg, cluster) = (BenchConfig::from_env(), ClusterSpec::paper_testbed());
+    let mut rows = Vec::new();
+    for spec in in_depth_datasets() {
+        let mut row = vec![spec.name.clone()];
+        for &(label, variant, transform, sampling) in columns {
+            let cell = in_depth_cell(variant, transform, sampling, &spec, &cfg, &cluster, 1e-3);
+            let (text, value) = match cell {
+                Some(Ok(r)) => (fmt_s(r.sim_time_s), Some(r.sim_time_s)),
+                Some(Err(e)) => (format!("fail: {e}"), None),
+                None => ("—".into(), None),
+            };
+            let mut record = serde_json::Map::new();
+            record.insert("panel".into(), serde_json::json!(panel));
+            record.insert("dataset".into(), serde_json::json!(spec.name));
+            record.insert(key.into(), serde_json::json!(label));
+            record.insert("time_s".into(), serde_json::json!(value));
+            json.push(serde_json::Value::Object(record));
+            row.push(text);
+        }
+        rows.push(row);
+    }
+    let headers: Vec<&str> = std::iter::once("dataset")
+        .chain(columns.iter().map(|c| c.0))
+        .collect();
+    print_table(title, &headers, &rows);
 }
 
 #[cfg(test)]

@@ -95,7 +95,7 @@ pub fn checkpoint(d: usize) -> Checkpoint {
     let mut prev_weights = weights(d);
     for (slot, awkward) in prev_weights
         .iter_mut()
-        .zip([-0.0, f64::NAN, 2.0f64.powi(-1074)])
+        .zip([-0.0, f64::NAN, f64::from_bits(1)])
     {
         *slot = awkward;
     }

@@ -102,9 +102,9 @@ pub fn speculation_sample(
 ) -> Result<PartitionedDataset, OptimizerError> {
     let rows = data.sample_rows(config.sample_size, config.seed);
     let name = format!("{}-speculation", data.descriptor().name);
-    Ok(PartitionedDataset::from_owned_columns(
+    Ok(PartitionedDataset::from_columns(
         name,
-        rows,
+        &rows,
         PartitionScheme::RoundRobin,
         cluster,
     )?)
@@ -222,9 +222,9 @@ mod tests {
                 (label, [x0, x1])
             })
             .collect();
-        PartitionedDataset::from_owned_columns(
+        PartitionedDataset::from_columns(
             "est",
-            points,
+            &points,
             PartitionScheme::RoundRobin,
             &ClusterSpec::paper_testbed(),
         )

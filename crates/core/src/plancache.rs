@@ -241,9 +241,9 @@ mod tests {
                 (if x > 0.0 { 1.0 } else { -1.0 }, [x, 1.0])
             })
             .collect();
-        PartitionedDataset::from_owned_columns(
+        PartitionedDataset::from_columns(
             "cache-test",
-            points,
+            &points,
             PartitionScheme::RoundRobin,
             &ClusterSpec::paper_testbed(),
         )

@@ -406,7 +406,7 @@ mod tests {
             rng_stream_version: 3,
             state: ExecState {
                 iteration: 42,
-                weights: vec![1.5, -0.0, f64::NAN, 2.0f64.powi(-1074)],
+                weights: vec![1.5, -0.0, f64::NAN, f64::from_bits(1)],
                 prev_weights: vec![1.0, 2.0, 3.0, 4.0],
                 final_delta: 1e-9,
                 error_seq: vec![(1, 0.5), (2, 0.25), (3, 0.125)],

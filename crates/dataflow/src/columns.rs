@@ -1,5 +1,5 @@
 //! Contiguous columnar row storage: the physical layout behind every
-//! [`crate::dataset::Partition`].
+//! partition of a [`crate::dataset::PartitionedDataset`].
 //!
 //! The paper's Section 4.1 data units — "a label, a set of indices, and a
 //! set of values" — map directly onto two slab layouts:
@@ -10,10 +10,11 @@
 //! - **CSR**: `indptr`/`indices`/`values` compressed sparse rows plus the
 //!   `labels` column, for LIBSVM-shaped data like `rcv1`.
 //!
-//! Each column lives in a `SlabBuf`: either an owned `Vec` or a
-//! zero-copy window into a memory-mapped slab file (see [`crate::slab`]).
-//! The gradient executor reads both through identical slices, so
-//! out-of-core datasets run the same hot loop as in-memory ones.
+//! Each column lives in a `SlabBuf`: a shared window into either an owned
+//! `Vec` or a memory-mapped slab file (see [`crate::slab`]), so cloning a
+//! store or cutting it into row windows copies nothing. The gradient
+//! executor reads both through identical slices, so out-of-core datasets
+//! run the same hot loop as in-memory ones.
 //!
 //! [`ColumnarBuilder`] ingests rows in either shape and upgrades a dense
 //! slab to CSR transparently when sparse or ragged rows arrive, so loaders
@@ -39,85 +40,98 @@ impl SlabElem for f64 {}
 impl SlabElem for u64 {}
 impl SlabElem for u32 {}
 
-/// A column buffer: an owned `Vec<T>` or a typed window into a shared
-/// memory-mapped slab file. Both read as plain slices (via `Deref`), so
+/// A column buffer: a window of elements in shared storage — an owned
+/// heap `Vec<T>` or a memory-mapped slab file, either behind an `Arc`.
+/// Cloning and windowing bump a reference count and copy nothing, so every
+/// partition cut from a store shares its columns, heap or mapped. Both
+/// read as plain slices (via `Deref`) with no branch on the storage, so
 /// everything downstream of the builder is storage-agnostic.
+#[derive(Clone)]
 pub(crate) struct SlabBuf<T: SlabElem> {
-    inner: Inner<T>,
+    /// The window. `'static` stands for "while `owner` is held": the slice
+    /// only leaves the buffer re-borrowed for `&self` (see `as_slice`).
+    elems: &'static [T],
+    owner: Owner<T>,
 }
 
-enum Inner<T> {
-    Owned(Vec<T>),
-    Mapped {
-        map: Arc<MappedSlab>,
-        byte_offset: usize,
-        len: usize,
-    },
+/// What keeps a buffer's storage alive.
+#[derive(Clone)]
+enum Owner<T> {
+    /// No storage: an empty buffer, built without allocating.
+    Empty,
+    Heap(Arc<Vec<T>>),
+    Mapped(Arc<MappedSlab>),
 }
 
 impl<T: SlabElem> SlabBuf<T> {
     fn new() -> Self {
         Self {
-            inner: Inner::Owned(Vec::new()),
+            elems: &[],
+            owner: Owner::Empty,
         }
     }
 
     /// A window of `len` elements at `byte_offset` into a mapping. The
-    /// offset must be aligned for `T` and the window must lie inside the
-    /// mapping — both hold by construction for slab-file sections, which
-    /// start on page boundaries.
+    /// section must be aligned for `T` and lie inside the mapping — both
+    /// hold by construction for slab-file sections, which start on page
+    /// boundaries.
     pub(crate) fn mapped(map: Arc<MappedSlab>, byte_offset: usize, len: usize) -> Self {
+        let size = std::mem::size_of::<T>();
         assert_eq!(
-            byte_offset % std::mem::align_of::<T>(),
+            byte_offset % size,
             0,
             "slab section offset must be aligned for its element type"
         );
-        assert!(
-            byte_offset + len * std::mem::size_of::<T>() <= map.len(),
-            "slab section must lie inside the mapping"
-        );
-        Self {
-            inner: Inner::Mapped {
-                map,
-                byte_offset,
-                len,
-            },
-        }
+        Self::share(Owner::Mapped(map), byte_offset / size, len)
+    }
+
+    /// Elements `start..start + len` of `owner`'s storage (for a mapping,
+    /// counted in `T`-sized steps from its first byte), held for as long
+    /// as the returned buffer holds `owner`.
+    fn share(owner: Owner<T>, start: usize, len: usize) -> Self {
+        let size = std::mem::size_of::<T>();
+        let ptr: *const T = match &owner {
+            Owner::Empty => return Self::new(),
+            Owner::Heap(v) => v[start..start + len].as_ptr(),
+            Owner::Mapped(map) => {
+                let bytes = map
+                    .bytes()
+                    .get(start * size..(start + len) * size)
+                    .expect("slab section must lie inside the mapping");
+                assert!(
+                    bytes.as_ptr().cast::<T>().is_aligned(),
+                    "slab section offset must be aligned for its element type"
+                );
+                bytes.as_ptr().cast()
+            }
+        };
+        // SAFETY: `ptr` starts `len` elements inside `owner`'s storage,
+        // bounds-checked above, and is aligned: a `Vec`'s own elements, or
+        // a mapped section checked above. Mapped bytes are initialised and
+        // `T` is plain numeric data (`SlabElem`), valid for every bit
+        // pattern. The storage stays alive and unwritten while `owner` is
+        // held: a `Vec` frozen behind its `Arc`, or a read-only mapping.
+        // The `'static` borrow never outlives `owner`: it is only handed
+        // out re-borrowed for `&self`.
+        let elems = unsafe { std::slice::from_raw_parts(ptr, len) };
+        Self { elems, owner }
     }
 
     #[inline]
     fn as_slice(&self) -> &[T] {
-        match &self.inner {
-            Inner::Owned(v) => v,
-            Inner::Mapped {
-                map,
-                byte_offset,
-                len,
-            } => unsafe {
-                std::slice::from_raw_parts(map.bytes().as_ptr().add(*byte_offset) as *const T, *len)
-            },
-        }
+        self.elems
     }
 
-    /// A sub-buffer over `range`. Zero-copy (an `Arc` bump) when mapped;
-    /// an owned copy otherwise.
+    /// A sub-buffer over `range`, sharing this one's storage.
     fn window(&self, range: Range<usize>) -> Self {
-        match &self.inner {
-            Inner::Owned(v) => Self {
-                inner: Inner::Owned(v[range].to_vec()),
-            },
-            Inner::Mapped {
-                map, byte_offset, ..
-            } => Self::mapped(
-                Arc::clone(map),
-                byte_offset + range.start * std::mem::size_of::<T>(),
-                range.len(),
-            ),
+        Self {
+            elems: &self.elems[range],
+            owner: self.owner.clone(),
         }
     }
 
     fn is_mapped(&self) -> bool {
-        matches!(self.inner, Inner::Mapped { .. })
+        matches!(self.owner, Owner::Mapped(_))
     }
 }
 
@@ -132,30 +146,12 @@ impl<T: SlabElem> Deref for SlabBuf<T> {
 
 impl<T: SlabElem> From<Vec<T>> for SlabBuf<T> {
     fn from(v: Vec<T>) -> Self {
-        Self {
-            inner: Inner::Owned(v),
+        if v.is_empty() {
+            return Self::new();
         }
-    }
-}
-
-impl<T: SlabElem> Clone for SlabBuf<T> {
-    fn clone(&self) -> Self {
-        match &self.inner {
-            Inner::Owned(v) => Self {
-                inner: Inner::Owned(v.clone()),
-            },
-            Inner::Mapped {
-                map,
-                byte_offset,
-                len,
-            } => Self {
-                inner: Inner::Mapped {
-                    map: Arc::clone(map),
-                    byte_offset: *byte_offset,
-                    len: *len,
-                },
-            },
-        }
+        // Moving the `Vec` into its `Arc` leaves its elements in place.
+        let len = v.len();
+        Self::share(Owner::Heap(Arc::new(v)), 0, len)
     }
 }
 
@@ -185,10 +181,9 @@ pub struct DenseColumns {
 /// CSR storage: labels + compressed sparse rows over a shared dimension.
 ///
 /// `indptr` offsets are **absolute** positions into `indices`/`values`. A
-/// full store has `indptr[0] == 0`; a [`ColumnStore::window`] keeps the
-/// complete `indices`/`values` buffers (shared zero-copy when mapped) and
-/// narrows only `labels` and `indptr`, so its first offset is generally
-/// non-zero.
+/// full store has `indptr[0] == 0`; a [`ColumnStore::window`] shares the
+/// complete `indices`/`values` buffers and narrows only `labels` and
+/// `indptr`, so its first offset is generally non-zero.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrColumns {
     dim: usize,
@@ -334,13 +329,9 @@ impl ColumnStore {
         }
     }
 
-    /// Rows `start..end` as a store sharing this one's storage. For a
-    /// mapped store this is zero-copy (the window borrows the same
-    /// mapping), which is how partitions of an out-of-core dataset avoid
-    /// duplicating data; for an owned dense store the rows are copied, and
-    /// an owned CSR store additionally clones its full `indices`/`values`
-    /// buffers — partitioning owned stores should keep using the builder
-    /// dealing path instead.
+    /// Rows `start..end` as a store sharing this one's storage, heap or
+    /// mapped: O(1), nothing is copied. Contiguous partitions are cut this
+    /// way, so a dataset larger than RAM is never duplicated.
     pub fn window(&self, start: usize, end: usize) -> ColumnStore {
         assert!(
             start <= end && end <= self.len(),

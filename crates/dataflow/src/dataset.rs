@@ -33,40 +33,6 @@ pub enum PartitionScheme {
     Contiguous,
 }
 
-/// One physical partition (an HDFS block's worth of rows) in columnar form.
-#[derive(Debug, Clone)]
-pub struct Partition {
-    columns: ColumnStore,
-}
-
-impl Partition {
-    /// The columnar storage behind this partition.
-    pub fn columns(&self) -> &ColumnStore {
-        &self.columns
-    }
-
-    /// Borrow row `oi` as a zero-copy view.
-    #[inline]
-    pub fn view(&self, oi: usize) -> Option<PointView<'_>> {
-        self.columns.view(oi)
-    }
-
-    /// Iterate over the partition's rows as views.
-    pub fn iter(&self) -> crate::columns::ColumnIter<'_> {
-        self.columns.iter()
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// `true` if the partition holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.columns.is_empty()
-    }
-}
-
 /// A dataset partitioned across the simulated cluster.
 ///
 /// Partitions are immutable after construction and shared behind an
@@ -76,7 +42,7 @@ impl Partition {
 #[derive(Debug, Clone)]
 pub struct PartitionedDataset {
     desc: DatasetDescriptor,
-    partitions: Arc<[Partition]>,
+    partitions: Arc<[ColumnStore]>,
     /// How the input rows were dealt into partitions — recorded so
     /// [`PartitionedDataset::iter_views_input_order`] can walk them back
     /// in their original order.
@@ -103,37 +69,6 @@ impl PartitionedDataset {
         Self::with_descriptor(desc, rows, scheme, spec)
     }
 
-    /// [`PartitionedDataset::from_columns`] taking the rows by value: rows
-    /// that fill a single physical partition become it as they are instead
-    /// of being dealt into a copy (the views, and so the fingerprint, are
-    /// the same either way).
-    pub fn from_owned_columns(
-        name: impl Into<String>,
-        rows: ColumnStore,
-        scheme: PartitionScheme,
-        spec: &ClusterSpec,
-    ) -> Result<Self, DataflowError> {
-        let desc = DatasetDescriptor::from_columns(name, &rows);
-        Self::with_descriptor_owned(desc, rows, scheme, spec)
-    }
-
-    fn with_descriptor_owned(
-        desc: DatasetDescriptor,
-        rows: ColumnStore,
-        scheme: PartitionScheme,
-        spec: &ClusterSpec,
-    ) -> Result<Self, DataflowError> {
-        if rows.is_empty() || Self::physical_partitions(&desc, rows.len(), spec) > 1 {
-            return Self::with_descriptor(desc, &rows, scheme, spec);
-        }
-        Ok(Self {
-            desc,
-            partitions: vec![Partition { columns: rows }].into(),
-            scheme,
-            fingerprint: Arc::new(OnceLock::new()),
-        })
-    }
-
     /// One physical partition per logical partition, capped; never more
     /// partitions than rows.
     fn physical_partitions(desc: &DatasetDescriptor, rows: usize, spec: &ClusterSpec) -> usize {
@@ -143,8 +78,14 @@ impl PartitionedDataset {
     }
 
     /// Build from columnar rows with an explicit (possibly
-    /// larger-than-physical) logical descriptor: rows are dealt into
-    /// per-partition slabs as borrowed views.
+    /// larger-than-physical) logical descriptor.
+    ///
+    /// [`PartitionScheme::Contiguous`] partitions are row windows of
+    /// `rows`, sharing its storage whether it lives on the heap or in a
+    /// memory-mapped slab file (see [`crate::slab`]), so an out-of-core
+    /// dataset is never copied. [`PartitionScheme::RoundRobin`] deals the
+    /// rows into per-partition copies; a single partition is `rows` itself
+    /// either way.
     pub fn with_descriptor(
         desc: DatasetDescriptor,
         rows: &ColumnStore,
@@ -154,96 +95,43 @@ impl PartitionedDataset {
         if rows.is_empty() {
             return Err(DataflowError::EmptyDataset);
         }
-        let n_phys = rows.len();
-        let p_phys = Self::physical_partitions(&desc, n_phys, spec);
-        // Pre-size a dense slab only when the source rows are dense: a
-        // dense pre-allocation for CSR rows would survive the builder's
-        // layout upgrade and pin dense-equivalent memory for sparse data.
-        // Row counts follow the scheme: round-robin deals evenly, while
-        // contiguous dealing fills ceil(n/p)-sized chunks front to back.
-        let chunk = n_phys.div_ceil(p_phys);
-        let mut builders: Vec<ColumnarBuilder> = (0..p_phys)
-            .map(|i| {
-                let rows_here = match scheme {
-                    PartitionScheme::RoundRobin => {
-                        n_phys / p_phys + usize::from(i < n_phys % p_phys)
-                    }
-                    PartitionScheme::Contiguous => chunk.min(n_phys - (i * chunk).min(n_phys)),
-                };
-                if rows.as_dense().is_some() {
-                    ColumnarBuilder::with_dense_capacity(rows_here, rows.dims())
-                } else {
-                    ColumnarBuilder::new()
-                }
-            })
-            .collect();
-        match scheme {
-            PartitionScheme::RoundRobin => {
+        let n = rows.len();
+        let p = Self::physical_partitions(&desc, n, spec);
+        let partitions: Vec<ColumnStore> = match scheme {
+            PartitionScheme::RoundRobin if p > 1 => {
+                // Pre-size a dense slab only when the source rows are
+                // dense: a dense pre-allocation for CSR rows would survive
+                // the builder's layout upgrade and pin dense-equivalent
+                // memory for sparse data.
+                let mut builders: Vec<ColumnarBuilder> = (0..p)
+                    .map(|i| match rows.as_dense() {
+                        Some(_) => ColumnarBuilder::with_dense_capacity(
+                            n / p + usize::from(i < n % p),
+                            rows.dims(),
+                        ),
+                        None => ColumnarBuilder::new(),
+                    })
+                    .collect();
                 for (i, v) in rows.iter().enumerate() {
-                    builders[i % p_phys].push_view(v);
+                    builders[i % p].push_view(v);
                 }
+                builders
+                    .into_iter()
+                    .map(|b| b.finish_with_dims(rows.dims()))
+                    .collect()
             }
-            PartitionScheme::Contiguous => {
-                for (i, v) in rows.iter().enumerate() {
-                    builders[(i / chunk).min(p_phys - 1)].push_view(v);
-                }
+            // Contiguous windows; a single partition is the whole store.
+            _ => {
+                let chunk = contiguous_chunk(n, p);
+                (0..p)
+                    .map(|i| rows.window((i * chunk).min(n), ((i + 1) * chunk).min(n)))
+                    .collect()
             }
-        }
-        Ok(Self {
-            desc,
-            partitions: builders
-                .into_iter()
-                .map(|b| Partition {
-                    columns: b.finish_with_dims(rows.dims()),
-                })
-                .collect::<Vec<_>>()
-                .into(),
-            scheme,
-            fingerprint: Arc::new(OnceLock::new()),
-        })
-    }
-
-    /// Build from columnar rows **without re-dealing them**: partitions
-    /// are contiguous row windows sharing the source storage. This is the
-    /// out-of-core ingestion path — for a memory-mapped [`ColumnStore`]
-    /// (see [`crate::slab`]) every partition borrows the same mapping
-    /// zero-copy, so a dataset larger than RAM is never duplicated into
-    /// per-partition slabs. The windowing reproduces
-    /// [`PartitionScheme::Contiguous`] dealing exactly (`ceil(n/p)`-sized
-    /// chunks, front-filled), so the result is row-for-row identical to
-    /// [`PartitionedDataset::from_columns`] with the contiguous scheme —
-    /// same views, same iteration order, same fingerprint.
-    pub fn from_mapped(
-        name: impl Into<String>,
-        rows: &ColumnStore,
-        spec: &ClusterSpec,
-    ) -> Result<Self, DataflowError> {
-        let desc = DatasetDescriptor::from_columns(name, rows);
-        Self::with_descriptor_mapped(desc, rows, spec)
-    }
-
-    /// [`PartitionedDataset::from_mapped`] with an explicit logical
-    /// descriptor.
-    pub fn with_descriptor_mapped(
-        desc: DatasetDescriptor,
-        rows: &ColumnStore,
-        spec: &ClusterSpec,
-    ) -> Result<Self, DataflowError> {
-        if rows.is_empty() {
-            return Err(DataflowError::EmptyDataset);
-        }
-        let n_phys = rows.len();
-        let p_phys = Self::physical_partitions(&desc, n_phys, spec);
-        let chunk = n_phys.div_ceil(p_phys);
-        let partitions: Vec<Partition> = (0..p_phys)
-            .map(|i| Partition {
-                columns: rows.window((i * chunk).min(n_phys), ((i + 1) * chunk).min(n_phys)),
-            })
-            .collect();
+        };
         Ok(Self {
             desc,
             partitions: partitions.into(),
-            scheme: PartitionScheme::Contiguous,
+            scheme,
             fingerprint: Arc::new(OnceLock::new()),
         })
     }
@@ -254,7 +142,7 @@ impl PartitionedDataset {
     }
 
     /// Physical partitions.
-    pub fn partitions(&self) -> &[Partition] {
+    pub fn partitions(&self) -> &[ColumnStore] {
         &self.partitions
     }
 
@@ -264,7 +152,7 @@ impl PartitionedDataset {
     }
 
     /// A specific partition.
-    pub fn partition(&self, index: usize) -> Result<&Partition, DataflowError> {
+    pub fn partition(&self, index: usize) -> Result<&ColumnStore, DataflowError> {
         self.partitions
             .get(index)
             .ok_or(DataflowError::PartitionOutOfBounds {
@@ -275,7 +163,7 @@ impl PartitionedDataset {
 
     /// Total physical rows in memory.
     pub fn physical_n(&self) -> usize {
-        self.partitions.iter().map(Partition::len).sum()
+        self.partitions.iter().map(ColumnStore::len).sum()
     }
 
     /// `physical rows / logical n` — 1.0 for full-scale datasets.
@@ -302,18 +190,15 @@ impl PartitionedDataset {
     pub fn iter_views_input_order(&self) -> impl Iterator<Item = PointView<'_>> {
         let p = self.partitions.len();
         let n = self.physical_n();
-        // Mirrors the dealing rules of `with_descriptor`: row `g`
-        // went to (g % p, g / p) under round-robin, and to chunk
-        // `(g / chunk).min(p - 1)` under contiguous dealing.
-        let chunk = n.div_ceil(p);
+        // Mirrors the layout rules of `with_descriptor`: row `g` went to
+        // (g % p, g / p) under round-robin, and to (g / chunk, g % chunk)
+        // under contiguous windowing (one partition is the same under both).
+        let chunk = contiguous_chunk(n, p);
         let scheme = self.scheme;
         (0..n).map(move |g| {
             let (pi, oi) = match scheme {
                 PartitionScheme::RoundRobin => (g % p, g / p),
-                PartitionScheme::Contiguous => {
-                    let q = (g / chunk).min(p - 1);
-                    (q, g - q * chunk)
-                }
+                PartitionScheme::Contiguous => (g / chunk, g % chunk),
             };
             self.view(pi, oi).expect("row in range")
         })
@@ -378,7 +263,7 @@ impl PartitionedDataset {
     /// equal. Lets tests assert that concurrent jobs read the *same*
     /// resolved storage instead of cloning it.
     pub fn storage_id(&self) -> usize {
-        Arc::as_ptr(&self.partitions) as *const Partition as usize
+        Arc::as_ptr(&self.partitions) as *const ColumnStore as usize
     }
 
     /// A deterministic uniform sub-sample of `m` physical rows (used by the
@@ -389,7 +274,7 @@ impl PartitionedDataset {
     /// full index vector.
     pub fn sample_rows(&self, m: usize, seed: u64) -> ColumnStore {
         let n = self.physical_n();
-        let first = self.partitions[0].columns();
+        let first = &self.partitions[0];
         let mut out = if first.as_dense().is_some() {
             ColumnarBuilder::with_dense_capacity(m.min(n), first.dims())
         } else {
@@ -429,6 +314,12 @@ impl PartitionedDataset {
     }
 }
 
+/// Rows per contiguous partition of `n` rows over `p`: `ceil(n/p)`-sized
+/// chunks, front-filled, so trailing partitions may be short or empty.
+fn contiguous_chunk(n: usize, p: usize) -> usize {
+    n.div_ceil(p)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,6 +328,31 @@ mod tests {
         (0..n)
             .map(|i| (if i % 2 == 0 { 1.0 } else { -1.0 }, [i as f64, 1.0]))
             .collect()
+    }
+
+    /// Ragged sparse rows; row `g` carries `g` at index 0, as in `points`.
+    fn sparse_points(n: usize) -> ColumnStore {
+        let mut b = ColumnarBuilder::new();
+        for g in 0..n {
+            let (indices, values): (&[u32], &[f64]) = if g % 2 == 0 {
+                (&[0, 1], &[g as f64, 1.0])
+            } else {
+                (&[0], &[g as f64])
+            };
+            b.push_sparse(if g % 2 == 0 { 1.0 } else { -1.0 }, indices, values)
+                .unwrap();
+        }
+        b.finish_with_dims(2)
+    }
+
+    type Rows = fn(usize) -> ColumnStore;
+
+    /// Both row layouts, each carrying row `g`'s index in its first feature.
+    const LAYOUTS: [(&str, Rows); 2] = [("dense", points), ("csr", sparse_points)];
+
+    /// A 4-partition logical descriptor over `n` physical rows.
+    fn four_partitions(n: usize) -> DatasetDescriptor {
+        DatasetDescriptor::new("four", n as u64, 2, 4 * 128 * 1024 * 1024, 1.0)
     }
 
     fn views(ds: &PartitionedDataset) -> Vec<PointView<'_>> {
@@ -449,9 +365,9 @@ mod tests {
 
     #[test]
     fn empty_dataset_is_rejected() {
-        let err = PartitionedDataset::from_owned_columns(
+        let err = PartitionedDataset::from_columns(
             "e",
-            ColumnStore::empty(),
+            &ColumnStore::empty(),
             PartitionScheme::RoundRobin,
             &spec(),
         )
@@ -461,9 +377,9 @@ mod tests {
 
     #[test]
     fn small_dataset_lands_in_one_partition() {
-        let ds = PartitionedDataset::from_owned_columns(
+        let ds = PartitionedDataset::from_columns(
             "s",
-            points(100),
+            &points(100),
             PartitionScheme::RoundRobin,
             &spec(),
         )
@@ -551,20 +467,20 @@ mod tests {
             &spec(),
         )
         .unwrap();
-        let lens: Vec<usize> = ds.partitions().iter().map(Partition::len).collect();
+        let lens: Vec<usize> = ds.partitions().iter().map(ColumnStore::len).collect();
         assert_eq!(lens, vec![3, 3, 3, 1]);
     }
 
     #[test]
     fn dense_points_build_contiguous_slabs() {
-        let ds = PartitionedDataset::from_owned_columns(
+        let ds = PartitionedDataset::from_columns(
             "d",
-            points(10),
+            &points(10),
             PartitionScheme::RoundRobin,
             &spec(),
         )
         .unwrap();
-        let (labels, values, dims) = ds.partition(0).unwrap().columns().as_dense().unwrap();
+        let (labels, values, dims) = ds.partition(0).unwrap().as_dense().unwrap();
         assert_eq!(labels.len(), 10);
         assert_eq!(dims, 2);
         assert_eq!(values.len(), 20);
@@ -572,9 +488,9 @@ mod tests {
 
     #[test]
     fn sample_points_is_deterministic_and_sized() {
-        let ds = PartitionedDataset::from_owned_columns(
+        let ds = PartitionedDataset::from_columns(
             "s",
-            points(500),
+            &points(500),
             PartitionScheme::RoundRobin,
             &spec(),
         )
@@ -587,37 +503,10 @@ mod tests {
     }
 
     #[test]
-    fn owned_rows_partition_like_borrowed_ones() {
-        // One partition (kept as is) and four (dealt): both must read back
-        // exactly as the borrowing constructor deals them.
-        for bytes in [1024, 4 * 128 * 1024 * 1024] {
-            let desc = DatasetDescriptor::new("o", 100, 2, bytes, 1.0);
-            let rows = points(100);
-            let dealt = PartitionedDataset::with_descriptor(
-                desc.clone(),
-                &rows,
-                PartitionScheme::RoundRobin,
-                &spec(),
-            )
-            .unwrap();
-            let owned = PartitionedDataset::with_descriptor_owned(
-                desc,
-                rows,
-                PartitionScheme::RoundRobin,
-                &spec(),
-            )
-            .unwrap();
-            assert_eq!(owned.num_partitions(), dealt.num_partitions());
-            assert_eq!(views(&owned), views(&dealt));
-            assert_eq!(owned.fingerprint(), dealt.fingerprint());
-        }
-    }
-
-    #[test]
     fn sample_points_draws_distinct_rows() {
-        let ds = PartitionedDataset::from_owned_columns(
+        let ds = PartitionedDataset::from_columns(
             "u",
-            points(200),
+            &points(200),
             PartitionScheme::RoundRobin,
             &spec(),
         )
@@ -630,38 +519,18 @@ mod tests {
     }
 
     #[test]
-    fn input_order_iteration_undoes_both_dealing_schemes() {
-        // Row g carries g as its first feature, so order is observable.
-        for scheme in [PartitionScheme::RoundRobin, PartitionScheme::Contiguous] {
-            for n in [10usize, 100] {
-                let desc = DatasetDescriptor::new("o", n as u64, 2, 4 * 128 * 1024 * 1024, 1.0);
-                let ds =
-                    PartitionedDataset::with_descriptor(desc, &points(n), scheme, &spec()).unwrap();
-                assert!(ds.num_partitions() > 1);
-                assert_eq!(ds.scheme(), scheme);
-                let order: Vec<f64> = ds
-                    .iter_views_input_order()
-                    .map(|v| v.features.dot(&[1.0, 0.0]))
-                    .collect();
-                let expect: Vec<f64> = (0..n).map(|i| i as f64).collect();
-                assert_eq!(order, expect, "{scheme:?} n={n}");
-            }
-        }
-    }
-
-    #[test]
     fn fingerprint_is_content_based_and_shared_by_clones() {
-        let a = PartitionedDataset::from_owned_columns(
+        let a = PartitionedDataset::from_columns(
             "f",
-            points(200),
+            &points(200),
             PartitionScheme::RoundRobin,
             &spec(),
         )
         .unwrap();
         // An independently built, identical dataset fingerprints equal...
-        let b = PartitionedDataset::from_owned_columns(
+        let b = PartitionedDataset::from_columns(
             "f",
-            points(200),
+            &points(200),
             PartitionScheme::RoundRobin,
             &spec(),
         )
@@ -673,17 +542,17 @@ mod tests {
         assert_eq!(a.fingerprint(), c.fingerprint());
         assert_eq!(a.storage_id(), c.storage_id());
         // ...and any content difference (rows or name) changes the value.
-        let fewer = PartitionedDataset::from_owned_columns(
+        let fewer = PartitionedDataset::from_columns(
             "f",
-            points(199),
+            &points(199),
             PartitionScheme::RoundRobin,
             &spec(),
         )
         .unwrap();
         assert_ne!(a.fingerprint(), fewer.fingerprint());
-        let renamed = PartitionedDataset::from_owned_columns(
+        let renamed = PartitionedDataset::from_columns(
             "g",
-            points(200),
+            &points(200),
             PartitionScheme::RoundRobin,
             &spec(),
         )
@@ -692,40 +561,130 @@ mod tests {
     }
 
     #[test]
-    fn window_partitioning_matches_contiguous_dealing() {
-        // The zero-copy mapped path must agree with builder dealing in
-        // every observable: lengths, row content, and fingerprint (so the
-        // plan cache hits across the two ingestion paths).
-        let desc = || DatasetDescriptor::new("w", 10, 2, 4 * 128 * 1024 * 1024, 1.0);
-        let rows = points(10);
-        let dealt = PartitionedDataset::with_descriptor(
-            desc(),
-            &rows,
+    fn contiguous_partitions_share_the_source_buffers() {
+        let dense = points(10);
+        let (_, values, dims) = dense.as_dense().unwrap();
+        let ds = PartitionedDataset::with_descriptor(
+            four_partitions(10),
+            &dense,
             PartitionScheme::Contiguous,
             &spec(),
         )
         .unwrap();
-        let windowed = PartitionedDataset::with_descriptor_mapped(desc(), &rows, &spec()).unwrap();
-        assert_eq!(windowed.scheme(), PartitionScheme::Contiguous);
-        let lens = |ds: &PartitionedDataset| -> Vec<usize> {
-            ds.partitions().iter().map(Partition::len).collect()
-        };
-        assert_eq!(lens(&windowed), lens(&dealt));
-        assert_eq!(lens(&windowed), vec![3, 3, 3, 1]);
-        assert_eq!(views(&windowed), views(&dealt));
-        assert_eq!(windowed.fingerprint(), dealt.fingerprint());
-        let in_order: Vec<f64> = windowed
-            .iter_views_input_order()
-            .map(|v| v.features.dot(&[1.0, 0.0]))
-            .collect();
-        assert_eq!(in_order, (0..10).map(|i| i as f64).collect::<Vec<_>>());
+        let mut row = 0;
+        for part in ds.partitions() {
+            let part_values = part.as_dense().unwrap().1;
+            assert_eq!(part_values.as_ptr(), values[row * dims..].as_ptr());
+            row += part.len();
+        }
+
+        let sparse = sparse_points(10);
+        let (_, indptr, indices, values, _) = sparse.as_csr().unwrap();
+        let ds = PartitionedDataset::with_descriptor(
+            four_partitions(10),
+            &sparse,
+            PartitionScheme::Contiguous,
+            &spec(),
+        )
+        .unwrap();
+        let mut row = 0;
+        for part in ds.partitions() {
+            let (_, part_indptr, part_indices, part_values, _) = part.as_csr().unwrap();
+            assert_eq!(part_indptr.as_ptr(), indptr[row..].as_ptr());
+            assert_eq!(part_indices.as_ptr(), indices.as_ptr());
+            assert_eq!(part_values.as_ptr(), values.as_ptr());
+            row += part.len();
+        }
+
+        // A single round-robin partition is the source itself.
+        for rows in [&dense, &sparse] {
+            let one =
+                PartitionedDataset::from_columns("one", rows, PartitionScheme::RoundRobin, &spec())
+                    .unwrap();
+            assert_eq!(one.num_partitions(), 1);
+            let part = one.partition(0).unwrap();
+            match (part.as_dense(), rows.as_dense()) {
+                (Some(a), Some(b)) => assert_eq!(a.1.as_ptr(), b.1.as_ptr()),
+                _ => {
+                    let (a, b) = (part.as_csr().unwrap(), rows.as_csr().unwrap());
+                    assert_eq!(a.1.as_ptr(), b.1.as_ptr());
+                    assert_eq!(a.2.as_ptr(), b.2.as_ptr());
+                    assert_eq!(a.3.as_ptr(), b.3.as_ptr());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn input_order_iteration_undoes_both_dealing_schemes() {
+        for scheme in [PartitionScheme::RoundRobin, PartitionScheme::Contiguous] {
+            for (layout, rows) in LAYOUTS {
+                for n in [9usize, 10, 100] {
+                    let ds = PartitionedDataset::with_descriptor(
+                        four_partitions(n),
+                        &rows(n),
+                        scheme,
+                        &spec(),
+                    )
+                    .unwrap();
+                    assert_eq!(ds.num_partitions(), 4);
+                    assert_eq!(ds.scheme(), scheme);
+                    let order: Vec<f64> = ds
+                        .iter_views_input_order()
+                        .map(|v| v.features.dot(&[1.0, 0.0]))
+                        .collect();
+                    let expect: Vec<f64> = (0..n).map(|g| g as f64).collect();
+                    assert_eq!(order, expect, "{scheme:?} {layout} n={n}");
+                }
+            }
+        }
+        // n = 9 over 4 contiguous partitions: chunks of 3 and an empty tail.
+        let ds = PartitionedDataset::with_descriptor(
+            four_partitions(9),
+            &sparse_points(9),
+            PartitionScheme::Contiguous,
+            &spec(),
+        )
+        .unwrap();
+        let lens: Vec<usize> = ds.partitions().iter().map(ColumnStore::len).collect();
+        assert_eq!(lens, vec![3, 3, 3, 0]);
+    }
+
+    #[test]
+    fn heap_and_mapped_stores_partition_identically() {
+        let dir = std::env::temp_dir().join(format!("ml4all-dataset-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (layout, rows) in LAYOUTS {
+            let heap = rows(9);
+            let path = dir.join(format!("{layout}.slab"));
+            crate::slab::write_slab(&path, &heap).unwrap();
+            let mapped = crate::slab::open_slab(&path).unwrap();
+            assert!(mapped.is_mapped());
+            for scheme in [PartitionScheme::RoundRobin, PartitionScheme::Contiguous] {
+                let build = |rows: &ColumnStore| {
+                    PartitionedDataset::with_descriptor(four_partitions(9), rows, scheme, &spec())
+                        .unwrap()
+                };
+                let (a, b) = (build(&heap), build(&mapped));
+                let lens = |ds: &PartitionedDataset| -> Vec<usize> {
+                    ds.partitions().iter().map(ColumnStore::len).collect()
+                };
+                assert_eq!(lens(&a), lens(&b), "{scheme:?} {layout}");
+                assert_eq!(views(&a), views(&b), "{scheme:?} {layout}");
+                assert_eq!(a.fingerprint(), b.fingerprint(), "{scheme:?} {layout}");
+                if scheme == PartitionScheme::Contiguous {
+                    assert!(b.partitions().iter().all(ColumnStore::is_mapped));
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
     fn point_lookup_round_trips() {
-        let ds = PartitionedDataset::from_owned_columns(
+        let ds = PartitionedDataset::from_columns(
             "p",
-            points(10),
+            &points(10),
             PartitionScheme::RoundRobin,
             &spec(),
         )

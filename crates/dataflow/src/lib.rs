@@ -55,7 +55,7 @@ pub use checkpoint::{
 };
 pub use cluster::{ClusterSpec, StorageMedium};
 pub use columns::{ColumnStore, ColumnarBuilder};
-pub use dataset::{Partition, PartitionScheme, PartitionedDataset};
+pub use dataset::{PartitionScheme, PartitionedDataset};
 pub use descriptor::DatasetDescriptor;
 pub use env::SimEnv;
 pub use ledger::{CostBreakdown, CostLedger, UsageMeter};

@@ -135,8 +135,11 @@ pub struct MappedSlab {
     len: usize,
 }
 
-// The mapping is read-only for its entire lifetime.
+// SAFETY: the mapping is read-only for its entire lifetime and owned by
+// this value alone, so moving it to or sharing it with another thread
+// cannot race.
 unsafe impl Send for MappedSlab {}
+// SAFETY: as for `Send`: every access is a read of immutable pages.
 unsafe impl Sync for MappedSlab {}
 
 impl MappedSlab {
@@ -161,6 +164,8 @@ impl MappedSlab {
                     len: 0,
                 });
             }
+            // SAFETY: a fresh read-only private mapping of `len > 0` bytes
+            // of an open file; the result is checked against MAP_FAILED.
             let ptr = unsafe {
                 sys::mmap(
                     std::ptr::null_mut(),
@@ -184,6 +189,8 @@ impl MappedSlab {
             use std::io::Seek;
             file.seek(std::io::SeekFrom::Start(0))?;
             let mut buf = vec![0u64; len.div_ceil(8)];
+            // SAFETY: `buf` owns `8 * ceil(len / 8) >= len` initialised
+            // bytes, and any byte pattern is a valid `u64`.
             let bytes = unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr() as *mut u8, len) };
             file.read_exact(bytes)?;
             Ok(Self { buf, len })
@@ -193,10 +200,13 @@ impl MappedSlab {
     /// The mapped bytes.
     #[inline]
     pub fn bytes(&self) -> &[u8] {
+        // SAFETY: `ptr` maps `len` readable bytes (or dangles with
+        // `len == 0`) until `drop`, which needs `&mut self`.
         #[cfg(unix)]
         unsafe {
             std::slice::from_raw_parts(self.ptr, self.len)
         }
+        // SAFETY: `buf` owns at least `len` initialised bytes.
         #[cfg(not(unix))]
         unsafe {
             std::slice::from_raw_parts(self.buf.as_ptr() as *const u8, self.len)
@@ -218,6 +228,8 @@ impl MappedSlab {
 impl Drop for MappedSlab {
     fn drop(&mut self) {
         if self.len > 0 {
+            // SAFETY: unmaps exactly the region `from_file` mapped; no
+            // borrow of it can outlive `self`.
             unsafe {
                 sys::munmap(self.ptr as *mut core::ffi::c_void, self.len);
             }
@@ -364,6 +376,8 @@ impl Drop for SectionWriter {
 
 /// Reinterpret a plain-data slice as native-endian bytes.
 fn as_bytes<T: Copy>(s: &[T]) -> &[u8] {
+    // SAFETY: the bytes of an initialised slice of padding-free numbers
+    // (`f64`/`u64`/`u32` here), read for the slice's own lifetime.
     unsafe { std::slice::from_raw_parts(s.as_ptr() as *const u8, std::mem::size_of_val(s)) }
 }
 

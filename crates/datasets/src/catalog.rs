@@ -310,7 +310,7 @@ impl SharedResolver {
         format: FileFormat,
         columns: Option<CsvColumns>,
         dims_hint: Option<usize>,
-        scheme: PartitionScheme,
+        mut scheme: PartitionScheme,
     ) -> Result<PartitionedDataset, SourceError> {
         let rows = read_data_file(&self.data_dir, path, format, columns, dims_hint)?;
         let name = path.display().to_string();
@@ -319,11 +319,15 @@ impl SharedResolver {
         // instead of re-dealing, which would copy it onto the heap. Mapped
         // datasets are therefore always contiguous — identical to the
         // predict scheme, and row-order-preserving either way.
-        Ok(if rows.is_mapped() {
-            PartitionedDataset::from_mapped(name, &rows, &self.cluster)?
-        } else {
-            PartitionedDataset::from_owned_columns(name, rows, scheme, &self.cluster)?
-        })
+        if rows.is_mapped() {
+            scheme = PartitionScheme::Contiguous;
+        }
+        Ok(PartitionedDataset::from_columns(
+            name,
+            &rows,
+            scheme,
+            &self.cluster,
+        )?)
     }
 }
 
@@ -342,9 +346,9 @@ mod tests {
     }
 
     fn mem(n: usize, seed: u64) -> PartitionedDataset {
-        PartitionedDataset::from_owned_columns(
+        PartitionedDataset::from_columns(
             format!("mem-{seed}"),
-            points(n, seed),
+            &points(n, seed),
             PartitionScheme::RoundRobin,
             &ClusterSpec::paper_testbed(),
         )

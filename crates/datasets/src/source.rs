@@ -351,9 +351,9 @@ mod tests {
         let dir = tmp_dir("precedence");
         let r = resolver(&dir, &cluster);
         // Shadow the registry name `adult` with a tiny in-memory dataset.
-        let mine = PartitionedDataset::from_owned_columns(
+        let mine = PartitionedDataset::from_columns(
             "mine",
-            points(40),
+            &points(40),
             PartitionScheme::RoundRobin,
             &cluster,
         )
@@ -394,9 +394,9 @@ mod tests {
         let cluster = ClusterSpec::paper_testbed();
         let dir = tmp_dir("points");
         let r = resolver(&dir, &cluster);
-        let data = PartitionedDataset::from_owned_columns(
+        let data = PartitionedDataset::from_columns(
             "reg",
-            points(30),
+            &points(30),
             PartitionScheme::RoundRobin,
             &cluster,
         )
@@ -525,7 +525,7 @@ mod tests {
         let resolved = r.resolve(&DataSource::named("big.csv"));
         std::env::remove_var(MEMORY_BUDGET_ENV);
         let mapped = resolved.unwrap();
-        assert!(mapped.partitions().iter().all(|p| p.columns().is_mapped()));
+        assert!(mapped.partitions().iter().all(ColumnStore::is_mapped));
         assert_eq!(mapped.scheme(), PartitionScheme::Contiguous);
         // Row-for-row identical (content and fingerprint) to an owned
         // contiguously-partitioned dataset over the same file.

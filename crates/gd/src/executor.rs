@@ -244,39 +244,6 @@ pub fn execute_plan_observed(
     execute(plan, data, &ops, params, env, hooks)
 }
 
-/// Transformed-view storage: either the original columnar partitions or a
-/// materialized transformed copy (also columnar) with the same
-/// `(partition, offset)` coordinates.
-enum Store<'a> {
-    Original(&'a PartitionedDataset),
-    Transformed { parts: Vec<ColumnStore> },
-}
-
-impl Store<'_> {
-    #[inline]
-    fn view(&self, pi: usize, oi: usize) -> Option<PointView<'_>> {
-        match self {
-            Store::Original(d) => d.view(pi, oi),
-            Store::Transformed { parts } => parts.get(pi)?.view(oi),
-        }
-    }
-
-    fn num_partitions(&self) -> usize {
-        match self {
-            Store::Original(d) => d.num_partitions(),
-            Store::Transformed { parts } => parts.len(),
-        }
-    }
-
-    #[inline]
-    fn columns(&self, pi: usize) -> &ColumnStore {
-        match self {
-            Store::Original(d) => d.partitions()[pi].columns(),
-            Store::Transformed { parts } => &parts[pi],
-        }
-    }
-}
-
 /// One partition's reusable compute state: the partial aggregate, the
 /// buffer a lazily transformed unit is written to, and an error slot for
 /// transforms that fail mid-wave.
@@ -472,21 +439,25 @@ pub fn execute(
     }
 
     // ---- Preparation phase: eager Transform ----
-    let store = if plan.transform == TransformPolicy::Eager {
+    // The partitions the waves read: the dataset's own, or a materialized
+    // transformed copy (also columnar) with the same `(partition, offset)`
+    // coordinates.
+    if plan.transform == TransformPolicy::Eager {
         env.charge_transform_scan(&desc);
-        if ops.transform.is_identity() {
-            Store::Original(data)
-        } else {
+    }
+    let mut transformed: Vec<ColumnStore>;
+    let parts: &[ColumnStore] =
+        if plan.transform == TransformPolicy::Eager && !ops.transform.is_identity() {
             // The transform pass is a wave over the partitions (the CPU
             // charge above models exactly that); materialize each
             // partition's transformed copy — in columnar form — on the
             // shared worker pool.
-            let transformed: Vec<Result<ColumnStore, GdError>> =
+            let results: Vec<Result<ColumnStore, GdError>> =
                 env.runtime().map_indexed(data.partitions(), |_pi, part| {
-                    let part_dims = part.columns().dims();
+                    let part_dims = part.dims();
                     // Dense pre-sizing only for dense sources: a dense
                     // pre-allocation would outlive a CSR layout upgrade.
-                    let mut b = if part.columns().as_dense().is_some() {
+                    let mut b = if part.as_dense().is_some() {
                         ColumnarBuilder::with_dense_capacity(part.len(), part_dims)
                     } else {
                         ColumnarBuilder::new()
@@ -497,15 +468,14 @@ pub fn execute(
                     }
                     Ok(b.finish_with_dims(part_dims))
                 });
-            let mut parts = Vec::with_capacity(transformed.len());
-            for partition in transformed {
-                parts.push(partition?);
+            transformed = Vec::with_capacity(results.len());
+            for partition in results {
+                transformed.push(partition?);
             }
-            Store::Transformed { parts }
-        }
-    } else {
-        Store::Original(data)
-    };
+            &transformed
+        } else {
+            data.partitions()
+        };
 
     // ---- Iterative phases: processing + convergence ----
     let mut sampler = plan.sampling.map(SamplerState::new);
@@ -547,7 +517,7 @@ pub fn execute(
     // busy worker when a batch wave crosses a multi-worker pool, and the
     // shuffled-partition sampler's order buffer growing when a reshuffle
     // lands on a larger partition).
-    let mut scratch = WaveScratch::new(store.num_partitions(), dims);
+    let mut scratch = WaveScratch::new(parts.len(), dims);
     let mut wave_support = WaveSupport::new(dims);
     let compute_writes_only_stored_indices = ops.compute.writes_only_stored_indices();
     // What lets a tail skip coordinates the wave did not touch: off the
@@ -562,9 +532,7 @@ pub fn execute(
     // Physical rows per partition, fixed for the whole run: the
     // simulated-cluster backend meters each batch wave against this
     // placement (computed once — the loop stays allocation-free).
-    let wave_units: Vec<u64> = (0..store.num_partitions())
-        .map(|pi| store.columns(pi).len() as u64)
-        .collect();
+    let wave_units: Vec<u64> = parts.iter().map(|p| p.len() as u64).collect();
     let model_bytes = (dims as u64) * 8;
     let mut coords: Vec<(usize, usize)> = Vec::new();
     let unit_bytes = desc.unit_bytes().ceil() as u64;
@@ -653,7 +621,7 @@ pub fn execute(
                     .scatter_indexed(scratch.slots_mut(), |pi, slot| {
                         slot.acc.reset();
                         slot.error = None;
-                        let cols = store.columns(pi);
+                        let cols = &parts[pi];
                         if lazy_transform {
                             // A lazily transformed unit is a unit of its
                             // own: `Compute` scores it singly.
@@ -712,7 +680,7 @@ pub fn execute(
                 // coordinate outside the store ends the wave.
                 let mut missing = None;
                 let views = coords.iter().map_while(|&(pi, oi)| {
-                    let view = store.view(pi, oi);
+                    let view = parts.get(pi).and_then(|p| p.view(oi));
                     if view.is_none() {
                         missing = Some(ml4all_dataflow::DataflowError::PartitionOutOfBounds {
                             index: pi,
@@ -915,9 +883,9 @@ mod tests {
     }
 
     fn dataset(n: usize) -> PartitionedDataset {
-        PartitionedDataset::from_owned_columns(
+        PartitionedDataset::from_columns(
             "separable",
-            separable_points(n, 7),
+            &separable_points(n, 7),
             PartitionScheme::RoundRobin,
             &ClusterSpec::paper_testbed(),
         )
@@ -1030,9 +998,9 @@ mod tests {
                 (y, [x, 1.0])
             })
             .collect();
-        let data = PartitionedDataset::from_owned_columns(
+        let data = PartitionedDataset::from_columns(
             "line",
-            points,
+            &points,
             PartitionScheme::RoundRobin,
             &ClusterSpec::paper_testbed(),
         )

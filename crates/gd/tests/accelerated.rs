@@ -25,9 +25,9 @@ fn regression_points(n: usize, seed: u64) -> ColumnStore {
 }
 
 fn dataset(n: usize, seed: u64) -> PartitionedDataset {
-    PartitionedDataset::from_owned_columns(
+    PartitionedDataset::from_columns(
         "reg",
-        regression_points(n, seed),
+        &regression_points(n, seed),
         PartitionScheme::RoundRobin,
         &ClusterSpec::paper_testbed(),
     )
@@ -192,9 +192,9 @@ fn stats_stage_plus_mean_center_runs_through_the_executor() {
             (2.0 * x, [x + 100.0])
         })
         .collect();
-    let data = PartitionedDataset::from_owned_columns(
+    let data = PartitionedDataset::from_columns(
         "offset",
-        points,
+        &points,
         PartitionScheme::RoundRobin,
         &ClusterSpec::paper_testbed(),
     )

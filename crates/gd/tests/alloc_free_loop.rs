@@ -89,9 +89,9 @@ fn dataset(dims: usize, sparse: bool) -> PartitionedDataset {
             rows.push_dense(label, &xs);
         }
     }
-    PartitionedDataset::from_owned_columns(
+    PartitionedDataset::from_columns(
         "alloc",
-        rows.finish_with_dims(dims),
+        &rows.finish_with_dims(dims),
         PartitionScheme::RoundRobin,
         &ClusterSpec::paper_testbed(),
     )

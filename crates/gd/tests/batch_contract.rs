@@ -384,9 +384,9 @@ fn run(plan: &GdPlan, data: &PartitionedDataset, p: &TrainParams) -> Vec<f64> {
 
 #[test]
 fn an_empty_row_set_is_refused_before_any_batch_is_cut() {
-    assert!(PartitionedDataset::from_owned_columns(
+    assert!(PartitionedDataset::from_columns(
         "empty",
-        ColumnStore::empty(),
+        &ColumnStore::empty(),
         PartitionScheme::RoundRobin,
         &cluster()
     )

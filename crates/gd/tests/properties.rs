@@ -83,9 +83,9 @@ fn dataset(n: usize, seed: u64) -> PartitionedDataset {
             (label, [x0, x1, 1.0])
         })
         .collect();
-    PartitionedDataset::from_owned_columns(
+    PartitionedDataset::from_columns(
         "prop",
-        points,
+        &points,
         PartitionScheme::RoundRobin,
         &ClusterSpec::paper_testbed(),
     )
@@ -204,16 +204,16 @@ fn check_dense_slab_vs_csr(seed: u64, sampler_ix: usize, iters: u64) {
         sparse_pts.push_sparse(label, &idx, &val).unwrap();
     }
     let cluster = ClusterSpec::paper_testbed();
-    let dense_ds = PartitionedDataset::from_owned_columns(
+    let dense_ds = PartitionedDataset::from_columns(
         "dense",
-        dense_pts.into_iter().collect(),
+        &dense_pts.into_iter().collect(),
         PartitionScheme::RoundRobin,
         &cluster,
     )
     .unwrap();
-    let sparse_ds = PartitionedDataset::from_owned_columns(
+    let sparse_ds = PartitionedDataset::from_columns(
         "sparse",
-        sparse_pts.finish_with_dims(dims),
+        &sparse_pts.finish_with_dims(dims),
         PartitionScheme::RoundRobin,
         &cluster,
     )
@@ -307,16 +307,16 @@ fn paired_datasets(n: usize, dims: usize, seed: u64) -> (PartitionedDataset, Par
         sparse_pts.push_sparse(label, &idx, &val).unwrap();
     }
     let cluster = ClusterSpec::paper_testbed();
-    let dense = PartitionedDataset::from_owned_columns(
+    let dense = PartitionedDataset::from_columns(
         "d",
-        dense_pts.into_iter().collect(),
+        &dense_pts.into_iter().collect(),
         PartitionScheme::RoundRobin,
         &cluster,
     )
     .unwrap();
-    let sparse = PartitionedDataset::from_owned_columns(
+    let sparse = PartitionedDataset::from_columns(
         "s",
-        sparse_pts.finish_with_dims(dims),
+        &sparse_pts.finish_with_dims(dims),
         PartitionScheme::RoundRobin,
         &cluster,
     )
@@ -412,7 +412,13 @@ fn mapped_slab_training_matches_in_memory() {
     let in_mem =
         PartitionedDataset::from_columns("slab-prop", &rows, PartitionScheme::Contiguous, &cluster)
             .unwrap();
-    let on_disk = PartitionedDataset::from_mapped("slab-prop", &mapped, &cluster).unwrap();
+    let on_disk = PartitionedDataset::from_columns(
+        "slab-prop",
+        &mapped,
+        PartitionScheme::Contiguous,
+        &cluster,
+    )
+    .unwrap();
     assert_eq!(in_mem.fingerprint(), on_disk.fingerprint());
 
     for sampling in [SamplingMethod::Bernoulli, SamplingMethod::ShuffledPartition] {

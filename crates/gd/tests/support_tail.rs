@@ -123,9 +123,9 @@ fn dataset(points: Vec<CsrRow>) -> PartitionedDataset {
         dims = dims.max(*d);
         rows.push_sparse(*label, indices, values).unwrap();
     }
-    PartitionedDataset::from_owned_columns(
+    PartitionedDataset::from_columns(
         "support-tail",
-        rows.finish_with_dims(dims),
+        &rows.finish_with_dims(dims),
         PartitionScheme::RoundRobin,
         &ClusterSpec::paper_testbed(),
     )

@@ -1164,9 +1164,9 @@ mod tests {
             noise: 0.05,
             seed,
         });
-        PartitionedDataset::from_owned_columns(
+        PartitionedDataset::from_columns(
             format!("mem-{seed}"),
-            points,
+            &points,
             ml4all_dataflow::PartitionScheme::RoundRobin,
             &ClusterSpec::paper_testbed(),
         )

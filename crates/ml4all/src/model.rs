@@ -225,9 +225,9 @@ mod tests {
                 (if x > 0.0 { 1.0 } else { -1.0 }, [x, 1.0])
             })
             .collect();
-        let data = PartitionedDataset::from_owned_columns(
+        let data = PartitionedDataset::from_columns(
             "pb",
-            points,
+            &points,
             PartitionScheme::RoundRobin,
             &ClusterSpec::paper_testbed(),
         )

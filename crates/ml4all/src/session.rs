@@ -156,9 +156,9 @@ mod tests {
             noise: 0.05,
             seed: 5,
         });
-        PartitionedDataset::from_owned_columns(
+        PartitionedDataset::from_columns(
             "mem",
-            points,
+            &points,
             ml4all_dataflow::PartitionScheme::RoundRobin,
             cluster,
         )

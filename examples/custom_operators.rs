@@ -105,12 +105,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             (y, [x, 1.0])
         })
         .collect();
-    let data = PartitionedDataset::from_owned_columns(
-        "huber",
-        points,
-        PartitionScheme::RoundRobin,
-        &cluster,
-    )?;
+    let data =
+        PartitionedDataset::from_columns("huber", &points, PartitionScheme::RoundRobin, &cluster)?;
 
     let mut params = TrainParams::paper_defaults(GradientKind::LinearRegression);
     params.tolerance = 1e-9;

@@ -51,9 +51,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Load the dataset the query names and hand it to the optimizer.
     let loaded = libsvm::read_libsvm_file_columns(&train_path, Some(spec.dims))?;
-    let data = PartitionedDataset::from_owned_columns(
+    let data = PartitionedDataset::from_columns(
         "training_data.txt",
-        loaded,
+        &loaded,
         PartitionScheme::RoundRobin,
         &cluster,
     )?;

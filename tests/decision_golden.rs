@@ -114,12 +114,12 @@ fn csv_dataset(
         read_data_file_with_budget(dir, Path::new(file), FileFormat::Auto, None, None, budget)
             .expect("read csv");
     assert_eq!(rows.is_mapped(), budget.is_some());
-    if rows.is_mapped() {
-        PartitionedDataset::from_mapped(file, &rows, cluster).expect("mapped partitions")
+    let scheme = if rows.is_mapped() {
+        PartitionScheme::Contiguous
     } else {
-        PartitionedDataset::from_columns(file, &rows, PartitionScheme::RoundRobin, cluster)
-            .expect("dealt partitions")
-    }
+        PartitionScheme::RoundRobin
+    };
+    PartitionedDataset::from_columns(file, &rows, scheme, cluster).expect("partitions")
 }
 
 #[test]

@@ -283,9 +283,9 @@ fn random_csr(rows: usize, dims: usize, seed: u64) -> PartitionedDataset {
         };
         points.push_sparse(label, &idx, &vals).unwrap();
     }
-    PartitionedDataset::from_owned_columns(
+    PartitionedDataset::from_columns(
         "random-csr",
-        points.finish_with_dims(dims),
+        &points.finish_with_dims(dims),
         PartitionScheme::RoundRobin,
         &ClusterSpec::paper_testbed(),
     )

@@ -17,9 +17,9 @@ fn dataset() -> PartitionedDataset {
         noise: 0.1,
         seed: 11,
     });
-    PartitionedDataset::from_owned_columns(
+    PartitionedDataset::from_columns(
         "propdata",
-        points,
+        &points,
         PartitionScheme::RoundRobin,
         &ClusterSpec::paper_testbed(),
     )
