@@ -231,10 +231,7 @@ impl Calibrator {
 
     /// Persist the profile crash-safely (temp + fsync + rename) as JSON.
     pub fn save(&self, path: &Path) -> Result<(), CalibrateError> {
-        let json = serde_json::to_string(&self.snapshot())
-            .map_err(|e| CalibrateError::Format(e.to_string()))?;
-        atomic_write(path, json.as_bytes())?;
-        Ok(())
+        save_snapshot(&self.snapshot(), path)
     }
 
     /// Load a persisted profile; `Ok(None)` when none exists yet.
@@ -256,6 +253,15 @@ pub const PROFILE_FILE: &str = "calibration.json";
 /// The profile path for a state directory.
 pub fn profile_path(state_dir: &Path) -> PathBuf {
     state_dir.join(PROFILE_FILE)
+}
+
+/// [`Calibrator::save`] for a snapshot taken earlier, so a writer can
+/// serialize and fsync the profile without holding the calibrator.
+pub fn save_snapshot(snapshot: &CalibrationSnapshot, path: &Path) -> Result<(), CalibrateError> {
+    let json =
+        serde_json::to_string(snapshot).map_err(|e| CalibrateError::Format(e.to_string()))?;
+    atomic_write(path, json.as_bytes())?;
+    Ok(())
 }
 
 /// Calibration persistence errors.

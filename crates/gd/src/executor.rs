@@ -130,7 +130,10 @@ pub struct ExecHooks<'a> {
     /// wave boundaries, after the iteration's update and tick.
     pub checkpoint_every: u64,
     /// Durability-checkpoint callback: receives the full executor state at
-    /// the boundary, sufficient to resume the run bit-identically.
+    /// the boundary, sufficient to resume the run bit-identically. The
+    /// hook owns the state: it may hand it off to be persisted later (or
+    /// dropped, once a newer one supersedes it) rather than persist it
+    /// inline, so the wave need not wait on storage.
     pub on_checkpoint: Option<&'a (dyn Fn(ExecState) + Sync)>,
     /// Resume from a previously captured [`ExecState`] instead of starting
     /// at iteration 0. The preparation phase (stage/transform) re-runs —

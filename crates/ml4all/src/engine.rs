@@ -18,22 +18,24 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use ml4all_calibrate::{profile_path, Calibrator, CalibratorConfig, JobObservation, ReplanPolicy};
+use ml4all_calibrate::{Calibrator, CalibratorConfig, JobObservation, ReplanPolicy};
 use ml4all_core::calibration::{plan_feature_key, CalibrationSnapshot};
 use ml4all_core::chooser::{
     backend_for, choose_plan, profile_choice, IterationsSource, OptimizerConfig, OptimizerReport,
     PlanChoice,
 };
 use ml4all_core::estimator::SpeculationConfig;
-use ml4all_core::plancache::{PlanCache, PlanCacheEntry, PlanCacheKey};
-use ml4all_dataflow::checkpoint::{fnv1a64, read_checkpoint, write_checkpoint, Checkpoint};
+use ml4all_core::plancache::{PlanCache, PlanCacheKey};
 use ml4all_dataflow::{
-    atomic_write, Backend, CheckpointError, ClusterSpec, ExecState, PartitionedDataset, Runtime,
-    SimEnv, UsageMeter, RNG_STREAM_VERSION,
+    Backend, CheckpointError, ClusterSpec, ExecState, PartitionedDataset, Runtime, SimEnv,
+    UsageMeter, RNG_STREAM_VERSION,
 };
 use ml4all_datasets::catalog::{EvictedDataset, SharedResolver};
 use ml4all_gd::{execute_plan_observed, ExecHooks, GdPlan, IterationTick, StopReason, TrainResult};
 
+#[cfg(test)]
+use crate::durable::{hex_name, unhex_name};
+use crate::durable::{JobCheckpoint, StateWriter};
 use crate::job::{JobEvent, JobHandle, JobState, JobStatus};
 use crate::model::Model;
 use crate::request::{ExplainRequest, ModelRef, PredictRequest, TrainRequest};
@@ -59,11 +61,11 @@ struct EngineCore {
     plan_cache: PlanCache,
     auto_name: AtomicU64,
     next_job: AtomicU64,
-    /// Durability root ([`Engine::with_state_dir`]): plan cache, model
-    /// registry, and job checkpoints persist under it. `None` keeps the
-    /// engine fully in-memory.
-    state_dir: Option<PathBuf>,
-    checkpoints_written: AtomicU64,
+    /// Durability root ([`Engine::with_state_dir`]) and its one writer:
+    /// plan cache, calibration profile, model registry, and job
+    /// checkpoints persist under it. `None` keeps the engine fully
+    /// in-memory.
+    state: Option<StateWriter>,
     jobs_resumed: AtomicU64,
     /// Online cost-model calibrator ([`Engine::with_calibration`]).
     /// `None` keeps every estimate exactly as the static Eq. 3–9 model
@@ -132,8 +134,7 @@ impl Engine {
                 plan_cache: PlanCache::new(),
                 auto_name: AtomicU64::new(0),
                 next_job: AtomicU64::new(0),
-                state_dir: None,
-                checkpoints_written: AtomicU64::new(0),
+                state: None,
                 jobs_resumed: AtomicU64::new(0),
                 calibration: None,
                 replan: None,
@@ -249,44 +250,18 @@ impl Engine {
     /// malformed-JSON problems stay panics: they mean the directory is
     /// not a state dir at all).
     pub fn try_with_state_dir(mut self, dir: impl Into<PathBuf>) -> Result<Self, SessionError> {
-        let dir = dir.into();
-        std::fs::create_dir_all(dir.join("checkpoints")).expect("create state dir");
-        std::fs::create_dir_all(dir.join("models")).expect("create state dir");
+        let state = StateWriter::open(dir.into());
         let core = self.configure();
-        // Rehydrate the plan cache: any persisted decision is served as a
-        // hit by this engine, bit-identical to the engine that made it.
-        let cache_path = dir.join("plancache.json");
-        if let Ok(text) = std::fs::read_to_string(&cache_path) {
-            let entries: Vec<PlanCacheEntry> =
-                serde_json::from_str(&text).expect("corrupt plancache.json in state dir");
-            core.plan_cache.import(entries)?;
-        }
-        // Rehydrate the model registry from `models/<hex-of-name>.txt`.
-        let mut models = HashMap::new();
-        for entry in std::fs::read_dir(dir.join("models")).expect("read state dir") {
-            let path = entry.expect("read state dir").path();
-            let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
-                continue;
-            };
-            let Some(name) = unhex_name(stem) else {
-                continue;
-            };
-            models.insert(
-                name,
-                Model::load(&path).expect("corrupt model in state dir"),
-            );
-        }
-        *core.models.get_mut().expect("model registry") = models;
+        state.load_plan_cache(&core.plan_cache)?;
+        *core.models.get_mut().expect("model registry") = state.load_models();
         // A calibrator installed before the state dir reloads its
         // persisted profile now (the builders compose in any order).
         if let Some(cal) = &mut core.calibration {
-            if let Some(loaded) = Calibrator::load(&profile_path(&dir), CalibratorConfig::default())
-                .expect("corrupt calibration profile in state dir")
-            {
+            if let Some(loaded) = state.load_calibrator(CalibratorConfig::default()) {
                 *cal.get_mut().expect("calibrator") = loaded;
             }
         }
-        core.state_dir = Some(dir);
+        core.state = Some(state);
         Ok(self)
     }
 
@@ -311,12 +286,11 @@ impl Engine {
     pub fn with_calibration(mut self) -> Self {
         let core = self.configure();
         let config = CalibratorConfig::default();
-        let calibrator = match &core.state_dir {
-            Some(dir) => Calibrator::load(&profile_path(dir), config)
-                .expect("corrupt calibration profile in state dir")
-                .unwrap_or_else(|| Calibrator::new(config)),
-            None => Calibrator::new(config),
-        };
+        let calibrator = core
+            .state
+            .as_ref()
+            .and_then(|state| state.load_calibrator(config))
+            .unwrap_or_else(|| Calibrator::new(config));
         core.calibration = Some(Mutex::new(calibrator));
         self
     }
@@ -346,7 +320,38 @@ impl Engine {
 
     /// Durability checkpoints written by this engine instance.
     pub fn checkpoints_written(&self) -> u64 {
-        self.core.checkpoints_written.load(Ordering::Relaxed)
+        self.core
+            .state
+            .as_ref()
+            .map_or(0, StateWriter::checkpoints_written)
+    }
+
+    /// Offered durability checkpoints that never reached disk: a newer
+    /// one replaced them before they were written, or their job completed
+    /// first and spent them. Offered checkpoints are written, superseded,
+    /// or counted in [`Engine::state_write_failures`].
+    pub fn checkpoints_superseded(&self) -> u64 {
+        self.core
+            .state
+            .as_ref()
+            .map_or(0, StateWriter::checkpoints_superseded)
+    }
+
+    /// State-dir writes that failed: a checkpoint, the plan cache, the
+    /// calibration profile, or the removal of a spent checkpoint. None of
+    /// them fails a job; each is counted here.
+    pub fn state_write_failures(&self) -> u64 {
+        self.core.state.as_ref().map_or(0, StateWriter::failures)
+    }
+
+    /// Block until every state-dir write offered so far — checkpoints,
+    /// `plancache.json`, `calibration.json` — has reached disk or failed
+    /// (failures are counted in [`Engine::state_write_failures`]). The
+    /// engine's last drop does the same. A no-op without a state dir.
+    pub fn sync(&self) {
+        if let Some(state) = &self.core.state {
+            state.sync();
+        }
     }
 
     /// Jobs this engine instance restored from a persisted checkpoint.
@@ -481,6 +486,10 @@ impl Engine {
         self.core.runtime.spawn_in_lane(tenant, move || {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(&engine)))
                 .unwrap_or_else(|panic| Err(SessionError::JobPanicked(panic_message(&*panic))));
+            // Released before `done` reports: when this was the engine's
+            // last clone, its state dir is synced before anyone waiting
+            // on the outcome moves on.
+            drop(engine);
             done(outcome);
         });
     }
@@ -660,52 +669,6 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Filename-safe encoding of a model name: lowercase hex of its UTF-8
-/// bytes, so arbitrary result names (`Q1`, `训练`, `a/b`) map to flat
-/// files under `models/`.
-fn hex_name(name: &str) -> String {
-    name.bytes().map(|b| format!("{b:02x}")).collect()
-}
-
-/// Inverse of [`hex_name`]; `None` for file stems that are not an
-/// even-length hex rendering of valid UTF-8 (foreign files are skipped,
-/// not fatal).
-fn unhex_name(stem: &str) -> Option<String> {
-    if !stem.len().is_multiple_of(2) {
-        return None;
-    }
-    let bytes: Option<Vec<u8>> = (0..stem.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&stem[i..i + 2], 16).ok())
-        .collect();
-    String::from_utf8(bytes?).ok()
-}
-
-/// The checkpoint's identity hash and where it lives under the state
-/// directory: the key string is unbounded, so the filename is its FNV-1a
-/// hash while the full identity travels inside the checkpoint itself
-/// (`key_hash`, plan, RNG stream version) and is re-validated on resume.
-/// The hash covers only the key's *durable identity* — the
-/// generation-independent prefix — so a calibration refit between a
-/// crash and its restart never orphans an in-flight checkpoint.
-fn checkpoint_identity(state_dir: &std::path::Path, key: &PlanCacheKey) -> (PathBuf, u64) {
-    let key_hash = fnv1a64(key.durable_identity().as_bytes());
-    let file = format!("{key_hash:016x}.ckpt");
-    (state_dir.join("checkpoints").join(file), key_hash)
-}
-
-/// Best-effort persistence of the plan cache after a cold decision.
-/// Failure to persist never fails the job — the decision is still correct,
-/// merely not durable.
-fn persist_plan_cache(core: &EngineCore) {
-    let Some(dir) = &core.state_dir else {
-        return;
-    };
-    if let Ok(json) = serde_json::to_string_pretty(&core.plan_cache.export()) {
-        let _ = atomic_write(dir.join("plancache.json"), json.as_bytes());
-    }
-}
-
 /// What the decide phase hands on: the job's configuration, its resolved
 /// data, its plan-cache key, and the costed plan table.
 struct Decision {
@@ -762,7 +725,9 @@ fn decide(
             }
             let report = choose_plan(&data, &config, &core.cluster)?;
             core.plan_cache.insert(key.clone(), &report);
-            persist_plan_cache(core);
+            if let Some(state) = &core.state {
+                state.offer_plan_cache(&core.plan_cache, &core.runtime);
+            }
             report
         }
     };
@@ -808,11 +773,8 @@ struct TrainJob<'a> {
     request: &'a TrainRequest,
     job: &'a JobState,
     decision: Decision,
-    /// The checkpoint's path and identity hash (engines with a state dir
-    /// only). The hash is the plan-cache key's durable identity; the plan
-    /// and the RNG stream version travel beside it and are re-validated on
-    /// resume, so a checkpoint can never silently seed a different job.
-    durable: Option<(PathBuf, u64)>,
+    /// The job's checkpoint file (engines with a state dir only).
+    durable: Option<JobCheckpoint<'a>>,
 }
 
 /// One training job, start to finish: decide, restore, execute in
@@ -827,9 +789,9 @@ fn run_train(
     let decision = decide(core, request, job)?;
     let run = TrainJob {
         durable: core
-            .state_dir
-            .as_deref()
-            .map(|dir| checkpoint_identity(dir, &decision.key)),
+            .state
+            .as_ref()
+            .map(|state| state.checkpoint(&decision.key, decision.config.max_iter, &core.runtime)),
         core,
         request,
         job,
@@ -861,15 +823,11 @@ impl TrainJob<'_> {
         &'r self,
         running: &mut RunningPlan<'r>,
     ) -> Result<Option<ExecState>, SessionError> {
-        let Some((path, key_hash)) = self.durable.as_ref().filter(|_| self.request.resume) else {
+        let Some(durable) = self.durable.as_ref().filter(|_| self.request.resume) else {
             return Ok(None);
         };
-        let ckpt = match read_checkpoint(path) {
-            Ok(ckpt) => ckpt,
-            Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(None)
-            }
-            Err(e) => return Err(e.into()),
+        let Some(ckpt) = durable.read()? else {
+            return Ok(None);
         };
         // Under replanning a checkpoint may legitimately carry a different
         // plan than today's argmin: the earlier run switched mid-flight,
@@ -884,13 +842,13 @@ impl TrainJob<'_> {
             .find(|choice| choice.plan.to_string() == ckpt.plan)
             .filter(|row| row.plan == running.row.plan || self.core.replan.is_some())
             .filter(|_| {
-                ckpt.key_hash == *key_hash && ckpt.rng_stream_version == RNG_STREAM_VERSION
+                ckpt.key_hash == durable.key_hash && ckpt.rng_stream_version == RNG_STREAM_VERSION
             });
         let Some(row) = written_under else {
             return Err(CheckpointError::Mismatch(format!(
                 "checkpoint {} was written by a different job \
                  (key/plan/rng-stream mismatch)",
-                path.display()
+                durable.path().display()
             ))
             .into());
         };
@@ -954,24 +912,8 @@ impl TrainJob<'_> {
 
         loop {
             let plan = running.row.plan;
-            // A post-switch checkpoint carries the NEW plan, so resume
-            // re-validates against what actually ran.
-            let on_checkpoint = checkpoint_to.map(|(path, key_hash)| {
-                move |state: ExecState| {
-                    let ckpt = Checkpoint {
-                        key_hash: *key_hash,
-                        plan: plan.to_string(),
-                        rng_stream_version: RNG_STREAM_VERSION,
-                        state,
-                    };
-                    // Best-effort by construction (the wave must not fail
-                    // on a full disk); unwritten checkpoints only shorten
-                    // the resume.
-                    if write_checkpoint(path, &ckpt).is_ok() {
-                        core.checkpoints_written.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
+            let on_checkpoint =
+                checkpoint_to.map(|durable| move |state: ExecState| durable.offer(plan, state));
             let hooks = ExecHooks {
                 cancel: Some(job.cancel.clone()),
                 tick_every: self.request.progress_every.unwrap_or(DEFAULT_TICK_EVERY),
@@ -1052,9 +994,18 @@ impl TrainJob<'_> {
         result: TrainResult,
     ) -> Result<Trained, SessionError> {
         let (core, job) = (self.core, self.job);
+        // A finished job's checkpoint is spent. A cancelled or
+        // wall-budget stop keeps its latest one on disk: that is exactly
+        // the resumable case, and a resumed segment gets a fresh budget.
+        let complete = !matches!(result.stop, StopReason::Cancelled | StopReason::WallBudget);
+        if let Some(durable) = &self.durable {
+            if complete {
+                durable.spend();
+            } else {
+                durable.keep();
+            }
+        }
         if result.stop == StopReason::Cancelled {
-            // The checkpoint (if any) stays on disk: a cancelled job is
-            // exactly the resumable case.
             job.emit(|| JobEvent::Cancelled {
                 iterations: result.iterations,
             });
@@ -1062,28 +1013,21 @@ impl TrainJob<'_> {
                 iterations: result.iterations,
             });
         }
-        // A finished job's checkpoint is spent; a wall-budget stop keeps
-        // its checkpoint so the remainder can be resumed with a fresh
-        // budget.
-        let complete = result.stop != StopReason::WallBudget;
-        if let Some((path, _)) = self.durable.as_ref().filter(|_| complete) {
-            let _ = std::fs::remove_file(path);
-        }
-
         // Close the loop: feed (predicted cost vector, measured ledger)
         // into the calibrator so the NEXT decision prices plans better —
         // only for a job that ran its chosen plan to the end (a switched
         // job's ledger spans two plans or a plan nobody priced for it; a
         // wall-budget stop is incomplete). Each observation bumps the
-        // calibration generation; persistence is best-effort, like the
-        // plan cache.
+        // calibration generation; the state writer persists the profile
+        // while the model is written below.
         let Decision { config, data, .. } = &self.decision;
         let row = running.row;
         let feed = core
             .calibration
             .as_ref()
             .filter(|_| complete && !running.switched);
-        if let (Some(cal), Some(predicted)) = (feed, row.cost_at(result.iterations)) {
+        let observed = feed.zip(row.cost_at(result.iterations));
+        if let Some((cal, predicted)) = observed {
             let observation = JobObservation {
                 key: plan_feature_key(
                     &format!("{:?}", config.gradient),
@@ -1099,8 +1043,8 @@ impl TrainJob<'_> {
             };
             let mut guard = cal.lock().expect("calibrator");
             guard.observe(&observation);
-            if let Some(dir) = &core.state_dir {
-                let _ = guard.save(&profile_path(dir));
+            if let Some(state) = &core.state {
+                state.offer_calibration(guard.snapshot(), &core.runtime);
             }
         }
 
@@ -1110,8 +1054,13 @@ impl TrainJob<'_> {
             .clone()
             .unwrap_or_else(|| bind_auto_name(core));
         let model = Model::new(config.gradient, result.weights.clone());
-        if let Some(dir) = &core.state_dir {
-            model.save(dir.join("models").join(format!("{}.txt", hex_name(&name))))?;
+        if let Some(state) = &core.state {
+            model.save(state.model_path(&name))?;
+            // The profile this job refit is on disk when it returns; its
+            // write overlapped the model's.
+            if observed.is_some() {
+                state.settle_calibration();
+            }
         }
         core.models
             .lock()

@@ -40,6 +40,7 @@
 //! # }
 //! ```
 
+mod durable;
 pub mod engine;
 pub mod explain;
 pub mod job;
