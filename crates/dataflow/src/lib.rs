@@ -37,6 +37,8 @@
 //! - [`slab`] — out-of-core columnar slab files: memory-mapped storage and
 //!   a budget-bounded spilling builder for datasets larger than RAM.
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod backend;
 pub mod checkpoint;
 pub mod cluster;

@@ -25,6 +25,8 @@
 //! assert_eq!(dense.features.dot(w.as_slice()), sparse.features.dot(w.as_slice()));
 //! ```
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod dense;
 pub mod point;
 pub mod simd;

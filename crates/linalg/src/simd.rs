@@ -149,14 +149,22 @@ pub fn dot_blocked(r: &[f64], w: &[f64]) -> f64 {
 /// Dot products of four equal-length dense rows against `w`.
 ///
 /// Lane `k` of the result is bit-identical to
-/// [`dot_blocked`]`(rows[k], w)` on every dispatch arm.
+/// [`dot_blocked`]`(rows[k], w)` on every dispatch arm. Panics unless
+/// every row is exactly `w.len()` long.
 #[inline]
 pub fn dot4(rows: [&[f64]; 4], w: &[f64]) -> [f64; 4] {
-    debug_assert!(rows.iter().all(|r| r.len() == w.len()));
+    assert!(
+        rows.iter().all(|r| r.len() == w.len()),
+        "row length != w.len()"
+    );
     match active_isa() {
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: `active_isa` reported AVX2 on this CPU, and every row is
+        // exactly `w.len()` long (asserted above).
         Isa::Avx2 => unsafe { dot4_avx2(rows, w) },
         #[cfg(target_arch = "aarch64")]
+        // SAFETY: `active_isa` reported NEON on this CPU, and every row is
+        // exactly `w.len()` long (asserted above).
         Isa::Neon => unsafe { dot4_neon(rows, w) },
         _ => rows.map(|r| dot_blocked(r, w)),
     }
@@ -165,14 +173,22 @@ pub fn dot4(rows: [&[f64]; 4], w: &[f64]) -> [f64; 4] {
 /// Dot products of eight equal-length dense rows against `w`.
 ///
 /// Lane `k` of the result is bit-identical to
-/// [`dot_blocked`]`(rows[k], w)` on every dispatch arm.
+/// [`dot_blocked`]`(rows[k], w)` on every dispatch arm. Panics unless
+/// every row is exactly `w.len()` long.
 #[inline]
 pub fn dot8(rows: [&[f64]; 8], w: &[f64]) -> [f64; 8] {
-    debug_assert!(rows.iter().all(|r| r.len() == w.len()));
+    assert!(
+        rows.iter().all(|r| r.len() == w.len()),
+        "row length != w.len()"
+    );
     match active_isa() {
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: `active_isa` reported AVX2 on this CPU, and every row is
+        // exactly `w.len()` long (asserted above).
         Isa::Avx2 => unsafe { dot8_avx2(rows, w) },
         #[cfg(target_arch = "aarch64")]
+        // SAFETY: `active_isa` reported NEON on this CPU, and every row is
+        // exactly `w.len()` long (asserted above).
         Isa::Neon => unsafe { dot8_neon(rows, w) },
         _ => rows.map(|r| dot_blocked(r, w)),
     }
@@ -188,6 +204,8 @@ pub fn dot8(rows: [&[f64]; 8], w: &[f64]) -> [f64; 8] {
 pub fn axpy(acc: &mut [f64], alpha: f64, x: &[f64]) {
     #[cfg(target_arch = "x86_64")]
     if active_isa() == Isa::Avx2 {
+        // SAFETY: `active_isa` reported AVX2 on this CPU; the body is
+        // safe, bounds-checked Rust.
         unsafe { axpy_avx2(acc, alpha, x) };
         return;
     }
@@ -602,5 +620,13 @@ mod tests {
     #[test]
     fn isa_reports_a_known_name() {
         assert!(["scalar", "avx2", "neon"].contains(&active_isa().name()));
+    }
+
+    #[test]
+    #[should_panic(expected = "row length != w.len()")]
+    fn a_short_row_panics_instead_of_reading_past_its_end() {
+        let w = lcg_values(3, 8);
+        let short = lcg_values(4, 4);
+        dot4([&w, &w, &w, &short], &w);
     }
 }

@@ -481,16 +481,24 @@ pub(crate) fn hex_name(name: &str) -> String {
     name.bytes().map(|b| format!("{b:02x}")).collect()
 }
 
-/// Inverse of [`hex_name`]; `None` for file stems that are not an
-/// even-length hex rendering of valid UTF-8 (foreign files are skipped,
-/// not fatal).
+/// Inverse of [`hex_name`]; `None` for file stems that are not exactly
+/// its spelling — even-length lowercase hex of valid UTF-8 — so foreign
+/// files are skipped, not fatal, and no two files name one model.
 pub(crate) fn unhex_name(stem: &str) -> Option<String> {
-    if !stem.len().is_multiple_of(2) {
-        return None;
+    fn nibble(b: u8) -> Option<u8> {
+        match b {
+            b'0'..=b'9' => Some(b - b'0'),
+            b'a'..=b'f' => Some(b - b'a' + 10),
+            _ => None,
+        }
     }
-    let bytes: Option<Vec<u8>> = (0..stem.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&stem[i..i + 2], 16).ok())
+    let bytes: Option<Vec<u8>> = stem
+        .as_bytes()
+        .chunks(2)
+        .map(|pair| match *pair {
+            [hi, lo] => Some((nibble(hi)? << 4) | nibble(lo)?),
+            _ => None,
+        })
         .collect();
     String::from_utf8(bytes?).ok()
 }

@@ -1517,9 +1517,37 @@ mod tests {
         for name in ["Q1", "weird name/with:stuff", "训练", ""] {
             assert_eq!(unhex_name(&hex_name(name)).as_deref(), Some(name));
         }
-        // Foreign stems are skipped, not fatal.
-        assert_eq!(unhex_name("odd"), None);
-        assert_eq!(unhex_name("zz"), None);
+        // Foreign stems are skipped, not fatal: anything but `hex_name`'s
+        // own lowercase spelling, including a non-ASCII stem and the signs
+        // and capitals `from_str_radix` would accept.
+        for stem in ["odd", "zz", "ab€c", "+f", "4A"] {
+            assert_eq!(unhex_name(stem), None, "{stem}");
+        }
+        assert_eq!(unhex_name("4a").as_deref(), Some("J"));
+    }
+
+    #[test]
+    fn foreign_model_files_are_skipped_at_engine_start() {
+        let dir = state_dir("foreign");
+        let models = dir.join("models");
+        std::fs::create_dir_all(&models).unwrap();
+        let model = |w: f64| {
+            Model::new(
+                GradientKind::LogisticRegression,
+                ml4all_linalg::DenseVector::new(vec![w]),
+            )
+        };
+        for stem in ["ab€c", "+f", "4A"] {
+            model(2.0).save(models.join(format!("{stem}.txt"))).unwrap();
+        }
+        model(1.0)
+            .save(models.join(format!("{}.txt", hex_name("J"))))
+            .unwrap();
+
+        let engine = quick_engine().with_state_dir(&dir);
+        assert_eq!(engine.model("J"), Some(model(1.0)), "only `4a.txt` is J");
+        assert_eq!(engine.core.models.lock().unwrap().len(), 1);
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

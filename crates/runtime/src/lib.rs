@@ -26,6 +26,8 @@
 //!    payload is captured and re-thrown on the submitting thread after
 //!    the whole batch completes.
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -240,6 +242,8 @@ impl Runtime {
         // (each task owns exactly one slot) while `slots` is exclusively
         // borrowed by this call.
         unsafe impl<T: Send> Send for SendPtr<T> {}
+        // SAFETY: as for `Send`: tasks share the pointer only to reach
+        // their own distinct slot.
         unsafe impl<T: Send> Sync for SendPtr<T> {}
 
         let base = SendPtr(slots.as_mut_ptr());

@@ -11,15 +11,14 @@
 //! tests.
 //!
 //! Connection handling is a single-threaded [`reactor`]: nonblocking
-//! sockets multiplexed over raw syscall wrappers — `epoll` on Linux,
-//! `poll(2)` on every other Unix (the workspace is offline-vendored, so
-//! no `mio`) — an incremental frame decoder, and push-mode event
-//! fan-out — a thousand idle observers cost file descriptors, not
-//! threads. The engine's worker pool still does the heavy lifting; see
-//! [`server`] for the architecture sketch.
+//! sockets multiplexed over raw `epoll` syscall wrappers (the workspace
+//! is offline-vendored, so no `mio`), an incremental frame decoder, and
+//! push-mode event fan-out — a thousand idle observers cost file
+//! descriptors, not threads. The engine's worker pool still does the
+//! heavy lifting; see [`server`] for the architecture sketch.
 //!
-//! **Unix only**: the reactor registers raw file descriptors, and there
-//! is no non-Unix readiness backend.
+//! **Linux only**, the `ml4all` CLI binary included: `epoll` is the one
+//! readiness backend.
 //!
 //! ```no_run
 //! use ml4all::Engine;
@@ -38,8 +37,10 @@
 //! # }
 //! ```
 
-#[cfg(not(unix))]
-compile_error!("ml4all-serve is Unix-only: its reactor polls raw file descriptors");
+#![warn(clippy::undocumented_unsafe_blocks)]
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("ml4all-serve is Linux-only: its reactor is built on epoll");
 
 pub mod admission;
 pub mod client;

@@ -924,8 +924,7 @@ pub struct WireStats {
 /// All counters are monotone except `active_connections`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WireServerStats {
-    /// The readiness backend compiled in: `epoll` (Linux) or `poll`
-    /// (every other Unix).
+    /// The readiness backend: always `epoll` (the crate is Linux-only).
     pub backend: String,
     /// Connections currently registered with the reactor (including the
     /// one asking).

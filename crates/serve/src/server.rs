@@ -5,7 +5,7 @@
 //!
 //! ```text
 //!                 ┌────────────────────────────────────────────┐
-//!  TCP clients ──▶│ reactor thread (epoll or poll, 1 thread)    │
+//!  TCP clients ──▶│ reactor thread (epoll, 1 thread)            │
 //!                 │  accept · decode · verbs · admission drain  │
 //!                 │  observer fan-out · bounded write buffers   │
 //!                 └───────┬────────────────────▲───────────────┘
