@@ -267,7 +267,7 @@ impl StateWriter {
 
     /// The model registry persisted under `models/`; foreign file names
     /// are skipped.
-    pub(crate) fn load_models(&self) -> HashMap<String, Model> {
+    pub(crate) fn load_models(&self) -> HashMap<String, Arc<Model>> {
         let mut models = HashMap::new();
         let dir = self.shared.dir.join("models");
         for entry in std::fs::read_dir(dir).expect("read state dir") {
@@ -280,7 +280,7 @@ impl StateWriter {
                 continue;
             };
             let model = Model::load(&path).expect("corrupt model in state dir");
-            models.insert(name, model);
+            models.insert(name, Arc::new(model));
         }
         models
     }

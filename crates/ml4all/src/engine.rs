@@ -57,7 +57,8 @@ struct EngineCore {
     speculation: SpeculationConfig,
     runtime: Arc<Runtime>,
     resolver: SharedResolver,
-    models: Mutex<HashMap<String, Model>>,
+    /// Bound models by name, shared with the [`Trained`] that bound each.
+    models: Mutex<HashMap<String, Arc<Model>>>,
     plan_cache: PlanCache,
     auto_name: AtomicU64,
     next_job: AtomicU64,
@@ -401,7 +402,7 @@ impl Engine {
             .lock()
             .expect("model registry")
             .get(name)
-            .cloned()
+            .map(|model| Model::clone(model))
     }
 
     /// Submit a training job: returns immediately with a [`JobHandle`]
@@ -642,6 +643,9 @@ pub struct Trained {
     pub name: String,
     /// Run summary.
     pub summary: TrainSummary,
+    /// The model this job bound under `name`, shared with the registry:
+    /// its own weights, whatever a later job binds under the same name.
+    pub model: Arc<Model>,
 }
 
 /// Scores over a test set: what [`Engine::predict`] returns.
@@ -1053,7 +1057,8 @@ impl TrainJob<'_> {
             .name
             .clone()
             .unwrap_or_else(|| bind_auto_name(core));
-        let model = Model::new(config.gradient, result.weights.clone());
+        let converged = result.converged();
+        let model = Arc::new(Model::new(config.gradient, result.weights));
         if let Some(state) = &core.state {
             model.save(state.model_path(&name))?;
             // The profile this job refit is on disk when it returns; its
@@ -1065,12 +1070,12 @@ impl TrainJob<'_> {
         core.models
             .lock()
             .expect("model registry")
-            .insert(name.clone(), model);
+            .insert(name.clone(), Arc::clone(&model));
         job.emit(|| JobEvent::Completed {
             name: name.clone(),
             iterations: result.iterations,
             stop: result.stop,
-            converged: result.converged(),
+            converged,
             sim_time_s: result.sim_time_s,
         });
         Ok(Trained {
@@ -1078,12 +1083,13 @@ impl TrainJob<'_> {
             summary: TrainSummary {
                 plan: row.plan,
                 iterations: result.iterations,
-                converged: result.converged(),
+                converged,
                 sim_time_s: result.sim_time_s,
                 speculation_s: self.decision.report.speculation_sim_s,
                 backend: result.backend,
                 usage: result.usage,
             },
+            model,
         })
     }
 }

@@ -175,7 +175,7 @@ mod tests {
         let out = session
             .execute("Q1 = run logistic() on train.csv having epsilon 0.01, max iter 2000;")
             .unwrap();
-        let SessionOutput::Trained(Trained { name, summary }) = out else {
+        let SessionOutput::Trained(Trained { name, summary, .. }) = out else {
             panic!("expected Trained");
         };
         assert_eq!(name, "Q1");

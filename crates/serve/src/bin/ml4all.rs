@@ -311,7 +311,7 @@ fn parse_quota(spec: &str) -> Option<(String, TenantQuota)> {
 
 fn run_statement(session: &Session, stmt: &str) -> bool {
     match session.execute(stmt) {
-        Ok(SessionOutput::Trained(Trained { name, summary })) => {
+        Ok(SessionOutput::Trained(Trained { name, summary, .. })) => {
             println!(
                 "[{name}] trained with {}: {} iterations, {:.1} simulated s \
                  (converged: {}; optimizer overhead {:.1} s)",

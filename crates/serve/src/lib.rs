@@ -51,8 +51,8 @@ pub mod server;
 pub use admission::{Admission, Busy, TenantQuota};
 pub use client::{Client, ClientError, HelloInfo, PredictInfo};
 pub use protocol::{
-    code, f64_from_bits_hex, f64_to_bits_hex, Payload, Request, Response, WireError, WireEvent,
-    WireJob, WireReport, WireServerStats, WireSource, WireStats, WireTrain, WireTrained,
+    code, f64_from_bits_hex, f64_to_bits_hex, JoinedReply, Payload, Request, Response, WireError,
+    WireEvent, WireJob, WireReport, WireServerStats, WireSource, WireStats, WireTrain, WireTrained,
     DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
 pub use server::{ServeConfig, Server};

@@ -15,9 +15,13 @@
 //! reserves the four header bytes in the output buffer, has the typed
 //! serializer write the payload directly behind them, and patches the
 //! length in afterwards. There is no intermediate `String`, `Value` tree
-//! or payload copy; [`encode_frame`] (an owned frame, what the reactor
-//! shares between observers) and [`write_message`] (a blocking writer)
-//! are thin wrappers over it.
+//! or payload copy. Every frame the server queues comes from
+//! [`encode_shared_frame`]: one encode into a reused per-thread scratch
+//! buffer, one copy into an exact-size `Arc<[u8]>` that every observer
+//! shares — one allocation per frame. The `Joined` answer is written from
+//! borrowed parts by [`JoinedReply`], both weight arrays straight off the
+//! bound weight slice. [`encode_frame`] remains for owned frames (clients,
+//! tools), and [`write_message`] is the blocking writer over it.
 //!
 //! **Reading.** [`FrameDecoder`] (push-driven, what the reactor feeds
 //! from nonblocking sockets) cuts the byte stream into payloads, and
@@ -47,12 +51,15 @@
 //! authoritative values for bit-exactness checks.
 
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::io::{self, BufRead, Write};
+use std::sync::Arc;
 use std::time::Duration;
 
 use ml4all::{
     AlgorithmPin, DataSource, GdVariant, GradientKind, JobEvent, SamplingMethod, TrainRequest,
 };
+use serde::ser::Serializer;
 use serde::{Deserialize, Serialize};
 
 /// Version of this wire protocol. `Hello` reports it; a client asking for
@@ -164,8 +171,7 @@ pub fn write_message(writer: &mut impl Write, message: &impl Serialize) -> io::R
 }
 
 /// Serialize a value into a complete frame (header + payload) as owned
-/// bytes. This is what the reactor shares between observers: one event
-/// serialized once, the identical bytes fanned out to every stream.
+/// bytes.
 pub fn encode_frame(message: &impl Serialize) -> io::Result<Vec<u8>> {
     let mut frame = Vec::new();
     encode_frame_into(&mut frame, message)?;
@@ -195,6 +201,32 @@ pub fn encode_frame_into(buf: &mut Vec<u8>, message: &impl Serialize) -> io::Res
             Err(e)
         }
     }
+}
+
+/// A thread's scratch buffer survives a frame up to this size; a larger
+/// frame drops it after use, so one wide `Joined` does not pin its size
+/// on the thread.
+const SCRATCH_KEEP: usize = 64 << 10;
+
+thread_local! {
+    static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Serialize a value into a complete frame shared as `Arc<[u8]>`, in one
+/// allocation: the frame is encoded into this thread's reused scratch
+/// buffer, then copied once into an exact-size `Arc<[u8]>`. This is every
+/// frame the server queues — an event fanned out to all its observers, a
+/// verb's answer, a goodbye.
+pub fn encode_shared_frame(message: &impl Serialize) -> io::Result<Arc<[u8]>> {
+    SCRATCH.with(|scratch| {
+        let mut buf = scratch.borrow_mut();
+        buf.clear();
+        let frame = encode_frame_into(&mut buf, message).map(|()| Arc::from(buf.as_slice()));
+        if buf.capacity() > SCRATCH_KEEP {
+            *buf = Vec::new();
+        }
+        frame
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -847,6 +879,79 @@ pub struct WireTrained {
     pub error: Option<String>,
 }
 
+/// The server's `Joined` answer written from borrowed parts: it
+/// serializes as the whole `Response::Ok(Payload::Joined(..))`, byte for
+/// byte what the derived [`WireTrained`] with the same fields encodes
+/// to (`tests/wire_semantics.rs` holds the two together), but writes
+/// both weight arrays straight from the bound weight slice — no copied
+/// vector and no `String` per weight.
+#[derive(Debug, Default)]
+pub struct JoinedReply<'a> {
+    /// The job.
+    pub job: u64,
+    /// Terminal status: `completed` / `cancelled` / `failed`.
+    pub status: &'a str,
+    /// Bound result name (tenant-visible), on success.
+    pub name: Option<&'a str>,
+    /// Rendered winning plan, on success.
+    pub plan: Option<String>,
+    /// Iterations executed (success or cancellation).
+    pub iterations: Option<u64>,
+    /// Whether the tolerance was reached, on success.
+    pub converged: Option<bool>,
+    /// Simulated training seconds, on success.
+    pub sim_time_s: Option<f64>,
+    /// The bound model weights, on success: written as `weights` and as
+    /// `weights_bits`.
+    pub weights: Option<&'a [f64]>,
+    /// Rendered error, on failure.
+    pub error: Option<String>,
+}
+
+/// Frame bytes a typical weight takes in both arrays: up to 24 digits
+/// and a comma, 18 quoted hex digits and a comma. Longer spellings
+/// (tiny or huge magnitudes) only cost the buffer another doubling.
+const JOINED_BYTES_PER_WEIGHT: usize = 44;
+
+impl Serialize for JoinedReply<'_> {
+    fn serialize(&self, out: &mut Serializer<'_>) {
+        if let Some(weights) = self.weights {
+            out.reserve(weights.len() * JOINED_BYTES_PER_WEIGHT);
+        }
+        let mut response = out.begin_object();
+        out.key(&mut response, "Ok");
+        let mut payload = out.begin_object();
+        out.key(&mut payload, "Joined");
+        let mut fields = out.begin_object();
+        out.field(&mut fields, "job", &self.job);
+        out.field(&mut fields, "status", self.status);
+        out.field(&mut fields, "name", &self.name);
+        out.field(&mut fields, "plan", &self.plan);
+        out.field(&mut fields, "iterations", &self.iterations);
+        out.field(&mut fields, "converged", &self.converged);
+        out.field(&mut fields, "sim_time_s", &self.sim_time_s);
+        out.field(&mut fields, "weights", &self.weights);
+        out.field(&mut fields, "weights_bits", &self.weights.map(WeightBits));
+        out.field(&mut fields, "error", &self.error);
+        out.end_object(fields);
+        out.end_object(payload);
+        out.end_object(response);
+    }
+}
+
+/// A weight slice as its array of bit patterns.
+struct WeightBits<'a>(&'a [f64]);
+
+impl Serialize for WeightBits<'_> {
+    fn serialize(&self, out: &mut Serializer<'_>) {
+        let mut array = out.begin_array();
+        for &weight in self.0 {
+            out.element(&mut array, &BitsHex::new(weight));
+        }
+        out.end_array(array);
+    }
+}
+
 /// The optimizer's costed plan table (the wire analog of
 /// [`OptimizerReport`](ml4all::OptimizerReport)).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -964,14 +1069,36 @@ pub struct WireJob {
 // Bit-exact float transport
 // ---------------------------------------------------------------------
 
+/// An `f64`'s bit pattern as 16 lowercase hex digits, on the stack: the
+/// one nibble writer behind [`f64_to_bits_hex`] and `Joined`'s
+/// `weights_bits`.
+struct BitsHex([u8; 16]);
+
+impl BitsHex {
+    fn new(x: f64) -> Self {
+        let bits = x.to_bits();
+        let mut digits = [0; 16];
+        for (i, digit) in digits.iter_mut().enumerate() {
+            *digit = b"0123456789abcdef"[(bits >> (60 - 4 * i)) as usize & 0xf];
+        }
+        Self(digits)
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.0).expect("hex digits are ASCII")
+    }
+}
+
+impl Serialize for BitsHex {
+    fn serialize(&self, out: &mut Serializer<'_>) {
+        out.ident(self.as_str());
+    }
+}
+
 /// The authoritative wire form of an `f64`: its IEEE-754 bit pattern as
 /// 16 lowercase hex digits.
 pub fn f64_to_bits_hex(x: f64) -> String {
-    let bits = x.to_bits();
-    (0..16)
-        .rev()
-        .map(|nibble| char::from(b"0123456789abcdef"[(bits >> (4 * nibble)) as usize & 0xf]))
-        .collect()
+    BitsHex::new(x).as_str().to_owned()
 }
 
 /// Parse [`f64_to_bits_hex`]'s output back to the identical float.

@@ -64,8 +64,8 @@ use ml4all::{ExplainRequest, SessionError, TrainRequest, Trained, RNG_STREAM_VER
 
 use crate::admission::{Admission, TenantQuota};
 use crate::protocol::{
-    self, code, encode_frame, Decoded, FrameDecoder, Payload, Request, Response, WireError,
-    WireEvent, WireJob, WireServerStats, WireStats, WireTrained, DEFAULT_MAX_FRAME,
+    self, code, encode_shared_frame, Decoded, FrameDecoder, JoinedReply, Payload, Request,
+    Response, WireError, WireEvent, WireJob, WireServerStats, WireStats, DEFAULT_MAX_FRAME,
     PROTOCOL_VERSION,
 };
 use crate::reactor::{Event, Interest, Poller, Waker};
@@ -131,10 +131,14 @@ const FIRST_CONN_TOKEN: u64 = 2;
 /// serialized exactly once, shared by every observer, indexed by
 /// sequence number.
 struct Progress {
-    /// The engine's handle once dispatched: the job's engine id, status
-    /// and cancellation. `None` while queued, and for a job cancelled
-    /// before its turn came.
+    /// The engine's handle while the job runs: its status and
+    /// cancellation. `None` while queued, for a job cancelled before its
+    /// turn came, and once finished — dropping it frees the engine's copy
+    /// of the outcome, bound weights included, which the history of
+    /// finished jobs would otherwise keep.
     handle: Option<JobHandle>,
+    /// The engine's id for the job, once dispatched.
+    engine_id: Option<u64>,
     cancel_requested: bool,
     /// `frames[seq]` is the complete `Event{seq, …}` response frame.
     frames: Vec<Arc<[u8]>>,
@@ -166,6 +170,24 @@ struct ServedJob {
     /// when it flips this false→true; the reactor clears it before
     /// reading the frame buffer.
     dirty: AtomicBool,
+}
+
+impl ServedJob {
+    fn new(id: u64, tenant: &str, name: String) -> Self {
+        Self {
+            id,
+            tenant: tenant.to_string(),
+            name,
+            state: Mutex::new(Progress {
+                handle: None,
+                engine_id: None,
+                cancel_requested: false,
+                frames: Vec::new(),
+                finished: None,
+            }),
+            dirty: AtomicBool::new(false),
+        }
+    }
 }
 
 /// A queued, admitted job waiting for dispatch.
@@ -211,6 +233,25 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(engine: Engine, config: ServeConfig, waker: Waker) -> Self {
+        let admission = Admission::new(DRR_QUANTUM, config.global_in_flight, config.default_quota);
+        for (tenant, quota) in &config.tenant_quotas {
+            admission.set_quota(tenant, *quota);
+        }
+        Self {
+            engine,
+            config,
+            admission,
+            jobs: Mutex::new(BTreeMap::new()),
+            next_job: AtomicU64::new(0),
+            protocol_errors: AtomicU64::new(0),
+            shutdown: AtomicBool::new(false),
+            actions: Mutex::new(VecDeque::new()),
+            waker,
+            counters: Counters::default(),
+        }
+    }
+
     /// Queue actions for the reactor and nudge it awake (one wake per
     /// batch; wakes coalesce in the poller).
     fn post(&self, actions: impl IntoIterator<Item = Action>) {
@@ -239,23 +280,7 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let mut poller = Poller::new()?;
         poller.register(&listener, LISTENER_TOKEN, Interest::READ)?;
-        let admission = Admission::new(DRR_QUANTUM, config.global_in_flight, config.default_quota);
-        for (tenant, quota) in &config.tenant_quotas {
-            admission.set_quota(tenant, *quota);
-        }
-        let waker = poller.waker();
-        let shared = Arc::new(Shared {
-            engine,
-            config,
-            admission,
-            jobs: Mutex::new(BTreeMap::new()),
-            next_job: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            actions: Mutex::new(VecDeque::new()),
-            waker,
-            counters: Counters::default(),
-        });
+        let shared = Arc::new(Shared::new(engine, config, poller.waker()));
         let reactor = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
@@ -327,9 +352,9 @@ impl EventSink for JobSink {
         let wire = WireEvent::from_job_event(&event, &self.prefix);
         let mut state = self.job.state.lock().expect("job state");
         let seq = state.frames.len() as u64;
-        let frame = encode_frame(&Response::Ok(Payload::Event { seq, event: wire }))
+        let frame = encode_shared_frame(&Response::Ok(Payload::Event { seq, event: wire }))
             .expect("serialize event");
-        state.frames.push(frame.into());
+        state.frames.push(frame);
         drop(state);
         if !self.job.dirty.swap(true, Ordering::AcqRel) {
             self.shared.post([Action::JobDirty(Arc::clone(&self.job))]);
@@ -344,59 +369,58 @@ impl EventSink for JobSink {
 }
 
 /// The one projection of a job's outcome onto the wire: its terminal
-/// status and `Joined` record — bound name, plan and weights on success,
-/// iterations on cancellation, the rendered error on failure.
-fn project_outcome(
-    shared: &Shared,
-    job: &ServedJob,
-    outcome: &Result<Trained, SessionError>,
-) -> (JobStatus, WireTrained) {
-    let mut wire = WireTrained {
+/// status and `Joined` answer — bound name, plan and the weights this job
+/// bound on success, iterations on cancellation, the rendered error on
+/// failure.
+fn project_outcome<'a>(
+    job: &'a ServedJob,
+    outcome: &'a Result<Trained, SessionError>,
+) -> (JobStatus, JoinedReply<'a>) {
+    let mut reply = JoinedReply {
         job: job.id,
-        ..WireTrained::default()
+        ..JoinedReply::default()
     };
     let status = match outcome {
         Ok(trained) => {
-            (wire.weights, wire.weights_bits) = shared
-                .engine
-                .model(&trained.name)
-                .map(|model| protocol::encode_weights(model.weights.as_slice()))
-                .unzip();
-            wire.name = Some(job.name.clone());
-            wire.plan = Some(trained.summary.plan.to_string());
-            wire.iterations = Some(trained.summary.iterations);
-            wire.converged = Some(trained.summary.converged);
-            wire.sim_time_s = Some(trained.summary.sim_time_s);
+            reply.name = Some(&job.name);
+            reply.plan = Some(trained.summary.plan.to_string());
+            reply.iterations = Some(trained.summary.iterations);
+            reply.converged = Some(trained.summary.converged);
+            reply.sim_time_s = Some(trained.summary.sim_time_s);
+            reply.weights = Some(trained.model.weights.as_slice());
             JobStatus::Completed
         }
         Err(SessionError::Cancelled { iterations }) => {
-            wire.iterations = Some(*iterations);
+            reply.iterations = Some(*iterations);
             JobStatus::Cancelled
         }
         Err(other) => {
-            wire.error = Some(other.to_string());
+            reply.error = Some(other.to_string());
             JobStatus::Failed
         }
     };
-    wire.status = status.name().to_string();
-    (status, wire)
+    reply.status = status.name();
+    (status, reply)
 }
 
 /// Record a job's terminal outcome with its pre-framed `Joined` and
 /// `ObserveEnd` responses, then free its admission slot.
 fn finalize(shared: &Shared, job: &ServedJob, outcome: &Result<Trained, SessionError>) {
-    let (status, outcome) = project_outcome(shared, job, outcome);
-    let end = encode_frame(&Response::Ok(Payload::ObserveEnd {
+    let (status, reply) = project_outcome(job, outcome);
+    let end = encode_shared_frame(&Response::Ok(Payload::ObserveEnd {
         job: job.id,
         status: status.name().to_string(),
     }))
     .expect("serialize");
-    let joined = encode_frame(&Response::Ok(Payload::Joined(outcome))).expect("serialize");
-    job.state.lock().expect("job state").finished = Some(Finished {
+    let joined = encode_shared_frame(&reply).expect("serialize");
+    let mut state = job.state.lock().expect("job state");
+    state.handle = None;
+    state.finished = Some(Finished {
         status,
-        joined: joined.into(),
-        end: end.into(),
+        joined,
+        end,
     });
+    drop(state);
     job.dirty.store(true, Ordering::Release);
     shared.admission.complete(&job.tenant);
 }
@@ -889,7 +913,7 @@ impl Reactor {
             move |outcome| {
                 let response = outcome
                     .unwrap_or_else(|e| Response::Err(WireError::new(code::FAILED, e.to_string())));
-                let frame = encode_frame(&response).expect("serialize response").into();
+                let frame = encode_shared_frame(&response).expect("serialize response");
                 shared.post([Action::Respond { token, frame }]);
             },
         );
@@ -1102,12 +1126,11 @@ impl Reactor {
             if state.cancel_requested {
                 let seq = state.frames.len() as u64;
                 state.frames.push(
-                    encode_frame(&Response::Ok(Payload::Event {
+                    encode_shared_frame(&Response::Ok(Payload::Event {
                         seq,
                         event: WireEvent::Cancelled { iterations: 0 },
                     }))
-                    .expect("serialize")
-                    .into(),
+                    .expect("serialize"),
                 );
                 drop(state);
                 let cancelled = Err(SessionError::Cancelled { iterations: 0 });
@@ -1115,11 +1138,12 @@ impl Reactor {
                 self.deliver_job(&job);
                 continue;
             }
-            state.handle = Some(
-                self.shared
-                    .engine
-                    .submit_with_sink(request, &job.tenant, sink),
-            );
+            let handle = self
+                .shared
+                .engine
+                .submit_with_sink(request, &job.tenant, sink);
+            state.engine_id = Some(handle.id());
+            state.handle = Some(handle);
         }
     }
 
@@ -1127,7 +1151,7 @@ impl Reactor {
 
     /// Serialize, queue, and flush one response frame.
     fn respond(&mut self, token: u64, response: &Response) {
-        let frame: Arc<[u8]> = encode_frame(response).expect("serialize response").into();
+        let frame = encode_shared_frame(response).expect("serialize response");
         self.queue_frame(token, frame);
         self.service(token);
     }
@@ -1178,12 +1202,11 @@ impl Reactor {
             conn.wbuf.clear();
             conn.wbuf_bytes = 0;
         }
-        let goodbye: Arc<[u8]> = encode_frame(&Response::Err(WireError::new(
+        let goodbye = encode_shared_frame(&Response::Err(WireError::new(
             code::SLOW_CONSUMER,
             format!("outbound buffer exceeded {max} bytes; undelivered frames dropped"),
         )))
-        .expect("serialize")
-        .into();
+        .expect("serialize");
         conn.wbuf_bytes += goodbye.len();
         conn.wbuf.push_back(goodbye);
         conn.doomed = true;
@@ -1335,18 +1358,7 @@ fn submit(shared: &Shared, tenant: &str, train: &protocol::WireTrain, cost: usiz
     // tenants cannot observe (or shadow) each other's models.
     let visible = request.name.clone().unwrap_or_else(|| format!("j{id}"));
     request = request.named(format!("{tenant}:{visible}"));
-    let job = Arc::new(ServedJob {
-        id,
-        tenant: tenant.to_string(),
-        name: visible,
-        state: Mutex::new(Progress {
-            handle: None,
-            cancel_requested: false,
-            frames: Vec::new(),
-            finished: None,
-        }),
-        dirty: AtomicBool::new(false),
-    });
+    let job = Arc::new(ServedJob::new(id, tenant, visible));
     {
         let mut jobs = shared.jobs.lock().expect("job table");
         jobs.insert(id, Arc::clone(&job));
@@ -1404,7 +1416,7 @@ fn stats(shared: &Shared, tenant: &str) -> WireStats {
             };
             WireJob {
                 job: job.id,
-                engine_id: state.handle.as_ref().map(JobHandle::id),
+                engine_id: state.engine_id,
                 name: Some(job.name.clone()),
                 status: Cow::Borrowed(status.name()),
             }
@@ -1450,4 +1462,49 @@ fn owned_job(shared: &Shared, tenant: &str, id: u64) -> Result<Arc<ServedJob>, W
         ));
     }
     Ok(Arc::clone(job))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ml4all::{DataSource, GradientKind};
+
+    /// Two same-named jobs of one tenant may run at once; whichever binds
+    /// the name last, each job's `Joined` carries the weights it trained.
+    #[test]
+    fn joined_carries_its_own_jobs_weights() {
+        let poller = Poller::new().expect("poller");
+        let engine = Engine::new().with_registry_cap(1000);
+        let shared = Shared::new(engine, ServeConfig::default(), poller.waker());
+        let request = |max_iter| {
+            TrainRequest::new(
+                GradientKind::LogisticRegression,
+                DataSource::registry("adult"),
+            )
+            .max_iter(max_iter)
+            .named("acme:m")
+        };
+        let a = shared.engine.train(request(3)).expect("train A");
+        let a_weights = shared.engine.model("acme:m").expect("A bound").weights;
+        shared.engine.train(request(6)).expect("train B");
+        let b_weights = shared.engine.model("acme:m").expect("B bound").weights;
+        assert_ne!(a_weights, b_weights, "the two runs must differ to tell");
+
+        let job = ServedJob::new(1, "acme", "m".to_string());
+        finalize(&shared, &job, &Ok(a));
+        let state = job.state.lock().expect("job state");
+        let joined = &state.finished.as_ref().expect("finished").joined;
+        let Response::Ok(Payload::Joined(wire)) =
+            serde_json::from_slice(&joined[4..]).expect("decode Joined")
+        else {
+            panic!("not a Joined answer");
+        };
+        let expected: Vec<String> = a_weights
+            .as_slice()
+            .iter()
+            .copied()
+            .map(protocol::f64_to_bits_hex)
+            .collect();
+        assert_eq!(wire.weights_bits, Some(expected));
+    }
 }

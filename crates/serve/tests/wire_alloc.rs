@@ -6,14 +6,20 @@
 //! goes through a `Value` tree makes several requests per node and fails
 //! both halves by an order of magnitude.
 //!
+//! The server side: a frame the server queues is one request, the
+//! `Arc<[u8]>` it is shared as, and building and encoding a `Joined`
+//! answer costs the same requests at d = 20 000 as at d = 123.
+//!
 //! One `#[test]` only: the counters are process-wide, and the harness runs
 //! tests of one binary on parallel threads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ml4all_bench::wire_samples::{joined, stats};
-use ml4all_serve::protocol::{encode_frame_into, Response};
+use ml4all_bench::wire_samples::{joined, progress, stats, weights};
+use ml4all_serve::protocol::{
+    encode_frame_into, encode_shared_frame, JoinedReply, Payload, Response,
+};
 
 /// Every allocation request (`alloc`, `alloc_zeroed`, `realloc`).
 static REQUESTS: AtomicU64 = AtomicU64::new(0);
@@ -114,4 +120,85 @@ fn the_codec_allocates_for_its_output_only() {
         encode_frame_into(&mut again, &decoded).expect("re-encode");
         assert_eq!(again, warm, "{label}: decode then encode is the identity");
     }
+
+    shared_frames_cost_one_request();
+    joined_costs_no_request_per_weight();
+}
+
+/// Past the first frame on a thread, which grows its scratch buffer,
+/// every frame the server queues is exactly one allocation request.
+fn shared_frames_cost_one_request() {
+    let cases = [
+        ("Event", progress()),
+        ("Submitted", Response::Ok(Payload::Submitted { job: 9 })),
+        (
+            "ObserveEnd",
+            Response::Ok(Payload::ObserveEnd {
+                job: 9,
+                status: "completed".into(),
+            }),
+        ),
+    ];
+    for (label, message) in &cases {
+        let warm = encode_shared_frame(message).expect("encode");
+        let (made, frame) = requests(|| encode_shared_frame(message).expect("encode"));
+        assert_eq!(frame, warm, "{label}: the encoding is deterministic");
+        assert_eq!(made, 1, "{label}: a shared frame is one allocation");
+    }
+}
+
+/// `Joined` is written from the weight slice: nothing is allocated per
+/// weight, so a wide answer costs what a narrow one does.
+fn joined_costs_no_request_per_weight() {
+    let build_and_encode = |weights: &[f64]| {
+        requests(|| {
+            let reply = JoinedReply {
+                job: 1,
+                status: "completed",
+                name: Some("hot"),
+                plan: Some("SGD-lazy-shuffle".to_string()),
+                iterations: Some(5),
+                converged: Some(false),
+                sim_time_s: Some(4.010036191371873),
+                weights: Some(weights),
+                error: None,
+            };
+            encode_shared_frame(&reply).expect("encode").len()
+        })
+        .0
+    };
+    let (narrow, wide) = (weights(123), weights(20_000));
+    // A wide frame drops the thread's scratch buffer after use, so each
+    // measurement below starts from an empty one.
+    build_and_encode(&wide);
+    let narrow_requests = build_and_encode(&narrow);
+    build_and_encode(&wide);
+    let wide_requests = build_and_encode(&wide);
+    assert_eq!(
+        wide_requests, narrow_requests,
+        "Joined at d = 20000 made {wide_requests} allocation requests, at d = 123 \
+         {narrow_requests}"
+    );
+    // The plan text, the scratch buffer's first bytes and its one
+    // reservation, the shared frame.
+    assert!(
+        narrow_requests <= 4,
+        "Joined made {narrow_requests} allocation requests"
+    );
+
+    // Into a warm reused buffer the wide answer allocates nothing.
+    let reply = JoinedReply {
+        job: 1,
+        status: "completed",
+        weights: Some(&wide),
+        ..JoinedReply::default()
+    };
+    let mut frame = Vec::new();
+    encode_frame_into(&mut frame, &reply).expect("encode");
+    frame.clear();
+    let (made, ()) = requests(|| encode_frame_into(&mut frame, &reply).expect("encode"));
+    assert_eq!(
+        made, 0,
+        "encoding Joined into a warm buffer must not allocate"
+    );
 }

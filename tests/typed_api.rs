@@ -129,7 +129,7 @@ proptest! {
         let out = parsed_session
             .execute(&stmt)
             .unwrap_or_else(|e| panic!("{stmt}: {e}"));
-        let SessionOutput::Trained(Trained { name, summary: parsed }) = out else {
+        let SessionOutput::Trained(Trained { name, summary: parsed, .. }) = out else {
             panic!("{stmt}: expected Trained");
         };
         prop_assert_eq!(&name, "M");

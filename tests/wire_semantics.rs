@@ -16,6 +16,7 @@
 use std::fmt::Debug;
 
 use ml4all_bench::golden::assert_golden;
+use ml4all_bench::wire_samples::weights;
 use ml4all_core::{CalibrationSnapshot, PlanCacheEntry};
 use ml4all_dataflow::checkpoint::encode_checkpoint;
 use ml4all_dataflow::{
@@ -23,8 +24,9 @@ use ml4all_dataflow::{
     SamplingMethod, UsageMeter,
 };
 use ml4all_serve::protocol::{
-    encode_weights, f64_to_bits_hex, Payload, Request, Response, WireError, WireEvent, WireJob,
-    WireSource, WireStats, WireTrain, WireTrained,
+    encode_frame, encode_shared_frame, encode_weights, f64_to_bits_hex, JoinedReply, Payload,
+    Request, Response, WireError, WireEvent, WireJob, WireSource, WireStats, WireTrain,
+    WireTrained,
 };
 use proptest::prelude::*;
 use serde_json::Value;
@@ -63,6 +65,31 @@ fn joined(weights: &[f64]) -> Response {
         error: None,
     }))
 }
+
+/// Floats whose spellings are awkward: signed zeros, whole values on
+/// both sides of 1e15, subnormals, the extremes, NaN and the infinities.
+const AWKWARD_FLOATS: [f64; 20] = [
+    0.5,
+    -0.0,
+    0.0,
+    1.0,
+    -3.0,
+    1e15,
+    999_999_999_999_999.0,
+    -1e15,
+    1e16,
+    1e-7,
+    1.5e-300,
+    f64::from_bits(1),
+    f64::MAX,
+    f64::MIN_POSITIVE,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    0.1 + 0.2,
+    123_456_789.25,
+    6.02214076e23,
+];
 
 fn stats(rows: u64) -> WireStats {
     WireStats {
@@ -944,31 +971,7 @@ fn decode_and_encode_semantics_match_the_golden() {
             retry_after_ms: Some(17),
         }),
     );
-    t.encode(
-        "Joined with awkward floats",
-        &joined(&[
-            0.5,
-            -0.0,
-            0.0,
-            1.0,
-            -3.0,
-            1e15,
-            999_999_999_999_999.0,
-            -1e15,
-            1e16,
-            1e-7,
-            1.5e-300,
-            f64::from_bits(1),
-            f64::MAX,
-            f64::MIN_POSITIVE,
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            0.1 + 0.2,
-            123_456_789.25,
-            6.02214076e23,
-        ]),
-    );
+    t.encode("Joined with awkward floats", &joined(&AWKWARD_FLOATS));
     t.encode(
         "Joined failed",
         &Response::Ok(Payload::Joined(WireTrained {
@@ -1010,6 +1013,94 @@ fn decode_and_encode_semantics_match_the_golden() {
     t.encode("Value", &value);
 
     assert_golden("wire_semantics.txt", &t.out);
+}
+
+// ---------------------------------------------------------------------
+// The server's borrowed `Joined` is the derived `WireTrained`, byte for byte
+// ---------------------------------------------------------------------
+
+/// The completed [`joined`] fixture as the server writes it: from the
+/// weight slice, with no owned copy.
+fn joined_reply(weights: &[f64]) -> JoinedReply<'_> {
+    JoinedReply {
+        job: 7,
+        status: "completed",
+        name: Some("g"),
+        plan: Some("SGD-lazy-shuffle".into()),
+        iterations: Some(4),
+        converged: Some(false),
+        sim_time_s: Some(4.008030283097498),
+        weights: Some(weights),
+        error: None,
+    }
+}
+
+/// The frame the server queues for `reply` equals the derived frame of
+/// `derived`; the pretty text agrees too.
+fn assert_same_joined(label: &str, reply: &JoinedReply, derived: &Response) {
+    let shared = encode_shared_frame(reply).expect("encode reply");
+    assert!(
+        shared[..] == encode_frame(derived).expect("encode derived")[..],
+        "{label}: the server's Joined bytes differ from the derived encoding"
+    );
+    assert_eq!(
+        serde_json::to_string_pretty(reply),
+        serde_json::to_string_pretty(derived),
+        "{label}"
+    );
+}
+
+#[test]
+fn joined_reply_bytes_equal_the_derived_wire_trained() {
+    assert_same_joined(
+        "awkward floats",
+        &joined_reply(&AWKWARD_FLOATS),
+        &joined(&AWKWARD_FLOATS),
+    );
+    for d in [0, 1, 20_000] {
+        let w = weights(d);
+        assert_same_joined(&format!("d = {d}"), &joined_reply(&w), &joined(&w));
+    }
+    let failed = JoinedReply {
+        job: 8,
+        status: "failed",
+        error: Some("no such dataset".into()),
+        ..JoinedReply::default()
+    };
+    let derived = Response::Ok(Payload::Joined(WireTrained {
+        job: 8,
+        status: "failed".into(),
+        error: Some("no such dataset".into()),
+        ..WireTrained::default()
+    }));
+    assert_same_joined("failed", &failed, &derived);
+    let cancelled = JoinedReply {
+        job: 9,
+        status: "cancelled",
+        iterations: Some(3),
+        ..JoinedReply::default()
+    };
+    let derived = Response::Ok(Payload::Joined(WireTrained {
+        job: 9,
+        status: "cancelled".into(),
+        iterations: Some(3),
+        ..WireTrained::default()
+    }));
+    assert_same_joined("cancelled", &cancelled, &derived);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn joined_reply_bytes_equal_the_derived_for_any_bits(
+        bits in prop::collection::vec(0u64..u64::MAX, 0..40),
+    ) {
+        let w: Vec<f64> = bits.iter().map(|b| f64::from_bits(*b)).collect();
+        let reply = encode_shared_frame(&joined_reply(&w)).expect("encode reply");
+        let derived = encode_frame(&joined(&w)).expect("encode derived");
+        prop_assert!(reply[..] == derived[..]);
+    }
 }
 
 // ---------------------------------------------------------------------
