@@ -397,7 +397,19 @@ impl Runtime {
 
 impl Drop for Runtime {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Raise the flag under the queue lock: an idle worker checks it
+        // under that lock before it waits, so it either sees the flag or
+        // is already waiting when the notify comes. Raised without the
+        // lock, the notify could fall between a worker's check and its
+        // wait, and the join below would wait for it forever.
+        {
+            let _queue = self
+                .shared
+                .queue
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.cv.notify_all();
         // A detached job holding the last reference drops the runtime on
         // one of its own workers; joining itself would panic in `drop`.
@@ -517,6 +529,25 @@ mod tests {
         let r8 = reduce(&Runtime::new(8));
         assert_eq!(r1.to_bits(), r2.to_bits());
         assert_eq!(r1.to_bits(), r8.to_bits());
+    }
+
+    /// Dropping a runtime whose workers are still going idle joins every
+    /// one of them: the shutdown cannot slip between a worker's flag
+    /// check and its wait. The drops run on a helper thread so a stranded
+    /// worker fails the test instead of hanging it.
+    #[test]
+    fn dropping_a_fresh_runtime_joins_every_worker() {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..8000 {
+                drop(Runtime::new(8));
+            }
+            let _ = done.send(());
+        });
+        assert!(
+            finished.recv_timeout(Duration::from_secs(60)).is_ok(),
+            "a dropped runtime waited on a worker that missed its shutdown"
+        );
     }
 
     #[test]
