@@ -35,9 +35,15 @@
 //! replay from any sequence number is a buffer copy.
 //!
 //! Outbound data sits in a per-connection write buffer capped at
-//! [`ServeConfig::max_write_buffer`] bytes. A peer that stops reading
-//! while the server produces (a stalled observer, typically) has its
-//! undelivered whole frames dropped, receives a final typed
+//! [`ServeConfig::max_write_buffer`] bytes, under one rule: a frame fits
+//! if it stays under the cap, or if it is larger than the whole cap and
+//! the buffer is empty. A connection waiting on a job (`Observe`, `Join`)
+//! is paced by that rule — its events, then its terminal frame, are
+//! topped up as the socket drains — so a large backlog or a large
+//! `Joined` is lag, never an offence. A one-shot answer that does not fit
+//! a non-empty buffer, or an observer whose socket absorbs nothing while
+//! its stream keeps producing, makes the peer a slow consumer: its
+//! undelivered whole frames are dropped, it receives a final typed
 //! `slow_consumer` error frame, and is disconnected once that drains —
 //! the partially-written head frame is always completed first so the
 //! stream stays frame-aligned to the end.
@@ -84,8 +90,10 @@ pub struct ServeConfig {
     pub default_quota: TenantQuota,
     /// Per-tenant quota overrides.
     pub tenant_quotas: Vec<(String, TenantQuota)>,
-    /// Cap on a connection's buffered outbound bytes; exceeding it is a
-    /// `slow_consumer` disconnect (see the module docs).
+    /// Cap on a connection's buffered outbound bytes. `Observe` and
+    /// `Join` are paced through it; a one-shot answer may overshoot it
+    /// only into an empty buffer, and one that overflows a non-empty
+    /// buffer is a `slow_consumer` disconnect (see the module docs).
     pub max_write_buffer: usize,
 }
 
@@ -479,17 +487,17 @@ fn predict(engine: &Engine, tenant: &str, model: &str, source: &protocol::WireSo
 /// What a connection is waiting on (strict request/response sequencing:
 /// further parsed requests sit in the inbox until this resolves).
 enum PendingVerb {
-    /// Streaming a job's events until `ObserveEnd`.
-    Observe {
+    /// Waiting on a job: its events from `cursor` (`Observe`; `None` for
+    /// a `Join`, which streams none), then its terminal frame —
+    /// `ObserveEnd`, or `Joined` for a join.
+    Job {
         job: Arc<ServedJob>,
-        cursor: usize,
+        cursor: Option<usize>,
         /// Consecutive event deliveries that moved `cursor` by nothing
         /// because the write buffer stayed saturated (see
         /// [`OBSERVER_STALL_STRIKES`]).
         stalls: u32,
     },
-    /// Waiting for the job's outcome.
-    Join { job: Arc<ServedJob> },
     /// Waiting for an `Explain`/`Predict` job in the tenant's lane.
     Lane,
 }
@@ -498,7 +506,7 @@ impl PendingVerb {
     /// The job this verb waits on, if any (for waiter cleanup).
     fn job_id(&self) -> Option<u64> {
         match self {
-            Self::Observe { job, .. } | Self::Join { job } => Some(job.id),
+            Self::Job { job, .. } => Some(job.id),
             Self::Lane => None,
         }
     }
@@ -547,6 +555,19 @@ impl Conn {
             read: !self.doomed && self.inbox.len() < INBOX_PAUSE,
             write: !self.wbuf.is_empty(),
         }
+    }
+
+    /// Queue `frame` if it fits the write cap `max`: under it, or — a
+    /// single frame larger than the whole cap — into an empty buffer,
+    /// where progress beats a livelock and the overshoot is one frame
+    /// deep. Returns whether it was queued.
+    fn queue(&mut self, frame: &Arc<[u8]>, max: usize) -> bool {
+        let fits = self.wbuf.is_empty() || self.wbuf_bytes + frame.len() <= max;
+        if fits {
+            self.wbuf_bytes += frame.len();
+            self.wbuf.push_back(Arc::clone(frame));
+        }
+        fits
     }
 }
 
@@ -605,7 +626,14 @@ impl Reactor {
                 .pop_front();
             let Some(action) = action else { return };
             match action {
-                Action::Respond { token, frame } => self.answer(token, frame),
+                // A lane verb's one answer resolves the connection's
+                // pending verb; a connection that died meanwhile is skipped.
+                Action::Respond { token, frame } => {
+                    if let Some(conn) = self.conns.get_mut(&token) {
+                        conn.pending = None;
+                        self.send(token, &frame);
+                    }
+                }
                 Action::JobDirty(job) => self.deliver_job(&job),
                 Action::Dispatch => self.drain_dispatch(),
             }
@@ -752,132 +780,83 @@ impl Reactor {
 
     // -- verb handling ------------------------------------------------
 
-    /// Dispatch one parsed request. Only called when nothing is
-    /// pending on the connection.
+    /// Answer one parsed request. Only called when nothing is pending on
+    /// the connection; every verb but `Hello` needs the tenant it names.
     fn handle_request(&mut self, token: u64, request: Request, cost: usize) {
-        let tenant = {
-            let Some(conn) = self.conns.get(&token) else {
-                return;
-            };
-            conn.tenant.clone()
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
         };
-        match request {
-            Request::Hello {
-                tenant: who,
-                protocol,
-            } => {
-                if let Some(asked) = protocol {
-                    if asked != PROTOCOL_VERSION {
-                        self.respond(
-                            token,
-                            &Response::Err(WireError::new(
-                                code::UNSUPPORTED_PROTOCOL,
-                                format!("server speaks protocol {PROTOCOL_VERSION}, not {asked}"),
-                            )),
-                        );
-                        return;
-                    }
-                }
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.tenant = Some(who);
-                }
-                let max_frame = self.shared.config.max_frame as u64;
-                self.respond(
-                    token,
-                    &Response::Ok(Payload::Hello {
+        let response = match (request, conn.tenant.clone()) {
+            (Request::Hello { tenant, protocol }, _) => match protocol {
+                Some(asked) if asked != PROTOCOL_VERSION => Response::Err(WireError::new(
+                    code::UNSUPPORTED_PROTOCOL,
+                    format!("server speaks protocol {PROTOCOL_VERSION}, not {asked}"),
+                )),
+                _ => {
+                    conn.tenant = Some(tenant);
+                    Response::Ok(Payload::Hello {
                         server: concat!("ml4all-serve ", env!("CARGO_PKG_VERSION")).to_string(),
                         protocol: PROTOCOL_VERSION,
                         rng_stream_version: RNG_STREAM_VERSION,
-                        max_frame,
-                    }),
-                );
-            }
-            other => {
-                let Some(tenant) = tenant else {
-                    self.respond(
-                        token,
-                        &Response::Err(WireError::new(
-                            code::HELLO_REQUIRED,
-                            "send Hello with your tenant id first",
-                        )),
-                    );
-                    return;
-                };
-                self.handle_verb(token, &tenant, other, cost);
-            }
-        }
-    }
-
-    fn handle_verb(&mut self, token: u64, tenant: &str, request: Request, cost: usize) {
-        match request {
-            Request::Hello { .. } => unreachable!("handled by handle_request"),
-            Request::Submit { train } => {
-                let response = submit(&self.shared, tenant, &train, cost);
-                let admitted = matches!(response, Response::Ok(_));
-                self.respond(token, &response);
-                if admitted {
-                    self.drain_dispatch();
+                        max_frame: self.shared.config.max_frame as u64,
+                    })
                 }
-            }
-            Request::Observe { job, from } => match owned_job(&self.shared, tenant, job) {
-                Err(e) => self.respond(token, &Response::Err(e)),
-                Ok(job) => self.start_observe(token, job, from.unwrap_or(0)),
             },
-            Request::Cancel { job } => match owned_job(&self.shared, tenant, job) {
-                Err(e) => self.respond(token, &Response::Err(e)),
-                Ok(job) => {
-                    let mut state = job.state.lock().expect("job state");
-                    if state.finished.is_none() {
-                        match &state.handle {
-                            Some(handle) => handle.cancel(),
-                            // Still queued: dispatch finalizes it as
-                            // cancelled when its turn comes.
-                            None => state.cancel_requested = true,
-                        }
+            (_, None) => Response::Err(WireError::new(
+                code::HELLO_REQUIRED,
+                "send Hello with your tenant id first",
+            )),
+            (Request::Submit { train }, Some(tenant)) => {
+                submit(&self.shared, &tenant, &train, cost)
+            }
+            (Request::Observe { job, from }, Some(tenant)) => {
+                match owned_job(&self.shared, &tenant, job) {
+                    Err(e) => Response::Err(e),
+                    Ok(job) => {
+                        let cursor = usize::try_from(from.unwrap_or(0)).unwrap_or(usize::MAX);
+                        return self.wait_on(token, job, Some(cursor));
                     }
-                    drop(state);
-                    self.respond(token, &Response::Ok(Payload::Cancelled { job: job.id }));
                 }
+            }
+            (Request::Join { job }, Some(tenant)) => match owned_job(&self.shared, &tenant, job) {
+                Err(e) => Response::Err(e),
+                Ok(job) => return self.wait_on(token, job, None),
             },
-            Request::Join { job } => match owned_job(&self.shared, tenant, job) {
-                Err(e) => self.respond(token, &Response::Err(e)),
-                Ok(job) => {
-                    let ready = {
-                        let state = job.state.lock().expect("job state");
-                        state.finished.as_ref().map(|f| Arc::clone(&f.joined))
-                    };
-                    match ready {
-                        Some(frame) => self.answer(token, frame),
-                        None => {
-                            if let Some(conn) = self.conns.get_mut(&token) {
-                                conn.pending = Some(PendingVerb::Join {
-                                    job: Arc::clone(&job),
-                                });
-                                self.waiters.entry(job.id).or_default().push(token);
+            (Request::Cancel { job }, Some(tenant)) => {
+                match owned_job(&self.shared, &tenant, job) {
+                    Err(e) => Response::Err(e),
+                    Ok(job) => {
+                        let mut state = job.state.lock().expect("job state");
+                        if state.finished.is_none() {
+                            match &state.handle {
+                                Some(handle) => handle.cancel(),
+                                // Still queued: dispatch finishes it as
+                                // cancelled when its turn comes.
+                                None => state.cancel_requested = true,
                             }
                         }
+                        Response::Ok(Payload::Cancelled { job: job.id })
                     }
                 }
-            },
-            Request::Explain { train, measured } => {
+            }
+            (Request::Explain { train, measured }, Some(tenant)) => {
                 let measured = measured.unwrap_or(false);
-                self.run_in_lane(token, tenant, move |engine| {
+                return self.run_in_lane(token, &tenant, move |engine| {
                     explain(engine, &train, measured)
                 });
             }
-            Request::Predict { model, source } => {
-                let owner = tenant.to_string();
-                self.run_in_lane(token, tenant, move |engine| {
+            (Request::Predict { model, source }, Some(tenant)) => {
+                let owner = tenant.clone();
+                return self.run_in_lane(token, &tenant, move |engine| {
                     predict(engine, &owner, &model, &source)
                 });
             }
-            Request::Stats => {
-                let response = Response::Ok(Payload::Stats(stats(&self.shared, tenant)));
-                self.respond(token, &response);
+            (Request::Stats, Some(tenant)) => {
+                Response::Ok(Payload::Stats(stats(&self.shared, &tenant)))
             }
-            Request::ServerStats => {
+            (Request::ServerStats, Some(_)) => {
                 let c = &self.shared.counters;
-                let response = Response::Ok(Payload::ServerStats(WireServerStats {
+                Response::Ok(Payload::ServerStats(WireServerStats {
                     backend: Poller::BACKEND.to_string(),
                     active_connections: c.active_connections.load(Ordering::Relaxed),
                     total_connections: c.total_connections.load(Ordering::Relaxed),
@@ -886,9 +865,13 @@ impl Reactor {
                     bytes_out: c.bytes_out.load(Ordering::Relaxed),
                     partial_writes: c.partial_writes.load(Ordering::Relaxed),
                     slow_consumer_disconnects: c.slow_consumer_disconnects.load(Ordering::Relaxed),
-                }));
-                self.respond(token, &response);
+                }))
             }
+        };
+        let admitted = matches!(response, Response::Ok(Payload::Submitted { .. }));
+        self.respond(token, &response);
+        if admitted {
+            self.drain_dispatch();
         }
     }
 
@@ -919,183 +902,117 @@ impl Reactor {
         );
     }
 
-    /// Begin an observe stream: register the connection as an observer
-    /// at cursor `from` and let the paced top-up in [`Reactor::service`]
-    /// replay what the write cap allows now. A backlog larger than the
-    /// cap drains incrementally as the socket accepts it — attaching
-    /// late to a large stream is lag, not a protocol violation.
-    fn start_observe(&mut self, token: u64, job: Arc<ServedJob>, from: u64) {
-        let cursor = usize::try_from(from).unwrap_or(usize::MAX);
-        {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            if conn.doomed {
-                return;
-            }
-            conn.pending = Some(PendingVerb::Observe {
-                job: Arc::clone(&job),
-                cursor,
-                stalls: 0,
-            });
+    /// Wait on `job`: its events from `cursor` (`Observe`; `None` for a
+    /// `Join`), then its terminal frame, fed by the paced top-up in
+    /// [`Reactor::service`]. A backlog or a `Joined` larger than the
+    /// write cap drains as the socket accepts it — lag, not a protocol
+    /// violation. A wait the first top-up cannot finish joins the job's
+    /// waiters, to be fed as the job produces.
+    fn wait_on(&mut self, token: u64, job: Arc<ServedJob>, cursor: Option<usize>) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        if conn.doomed {
+            return;
         }
-        self.waiters.entry(job.id).or_default().push(token);
-        // Replays what fits, flushes, and — if the job was already
-        // terminal and the whole stream fit — completes the verb.
+        let id = job.id;
+        conn.pending = Some(PendingVerb::Job {
+            job,
+            cursor,
+            stalls: 0,
+        });
+        self.top_up(token);
+        if self.conns[&token].pending.is_some() {
+            self.waiters.entry(id).or_default().push(token);
+        }
         self.service(token);
     }
 
     // -- job fan-out --------------------------------------------------
 
-    /// Push a dirty job's new frames to its observers and resolve its
-    /// joiners if terminal.
+    /// Top up every connection waiting on a dirty job. An event stream
+    /// that sits out [`OBSERVER_STALL_STRIKES`] deliveries in a row is
+    /// disconnected as a slow consumer; a join only waits for its frame.
     fn deliver_job(&mut self, job: &Arc<ServedJob>) {
         // Clear before snapshotting: a concurrent event after the
         // snapshot re-marks and re-posts.
         job.dirty.store(false, Ordering::Release);
-        let Some(tokens) = self.waiters.remove(&job.id) else {
+        let Some(mut tokens) = self.waiters.remove(&job.id) else {
             return;
         };
-        let joined = {
-            let state = job.state.lock().expect("job state");
-            state.finished.as_ref().map(|f| Arc::clone(&f.joined))
-        };
-        let mut still_waiting = Vec::new();
-        for token in tokens {
-            let Some(conn) = self.conns.get(&token) else {
-                continue;
+        tokens.retain(|&token| {
+            let before = match self.conns.get(&token).and_then(|c| c.pending.as_ref()) {
+                Some(PendingVerb::Job { cursor, .. }) => *cursor,
+                _ => return false,
             };
-            match &conn.pending {
-                Some(PendingVerb::Observe { cursor, .. }) => {
-                    let before = *cursor;
-                    // service() runs the paced top-up/flush loop; it may
-                    // complete the stream, block on the socket, or close
-                    // the connection outright.
-                    self.service(token);
-                    let Some(conn) = self.conns.get_mut(&token) else {
-                        continue;
-                    };
-                    let strike_out = match &mut conn.pending {
-                        Some(PendingVerb::Observe { cursor, stalls, .. }) if !conn.doomed => {
-                            if *cursor > before {
-                                *stalls = 0;
-                                false
-                            } else {
-                                // Saturated and absorbing nothing while
-                                // the stream keeps producing.
-                                *stalls += 1;
-                                *stalls >= OBSERVER_STALL_STRIKES
-                            }
-                        }
-                        // Stream completed (or verb already torn down).
-                        _ => continue,
-                    };
-                    if strike_out {
-                        self.doom_slow_consumer(token);
-                        self.service(token);
-                    } else {
-                        still_waiting.push(token);
-                    }
-                }
-                Some(PendingVerb::Join { .. }) => match &joined {
-                    Some(frame) => self.answer(token, Arc::clone(frame)),
-                    None => still_waiting.push(token),
-                },
-                _ => continue,
+            // service() runs the paced top-up/flush loop; it may finish
+            // the wait, block on the socket, or close the connection.
+            self.service(token);
+            let Some(PendingVerb::Job { cursor, stalls, .. }) =
+                self.conns.get_mut(&token).and_then(|c| c.pending.as_mut())
+            else {
+                return false;
+            };
+            // An event stream saturated and absorbing nothing while the
+            // job keeps producing.
+            *stalls = if cursor.is_some() && *cursor == before {
+                *stalls + 1
+            } else {
+                0
+            };
+            if *stalls < OBSERVER_STALL_STRIKES {
+                return true;
             }
-        }
-        if !still_waiting.is_empty() {
-            self.waiters
-                .entry(job.id)
-                .or_default()
-                .extend(still_waiting);
+            self.doom_slow_consumer(token);
+            self.service(token);
+            false
+        });
+        if !tokens.is_empty() {
+            let waiting = self.waiters.entry(job.id).or_default();
+            // A wait finished above may have handed its connection to a
+            // new wait on this job, already listed.
+            tokens.retain(|token| !waiting.contains(token));
+            waiting.append(&mut tokens);
         }
     }
 
-    /// Feed an observer connection from its job's frame buffer, pacing
-    /// by write-buffer occupancy: frames are queued only while the
-    /// buffer stays under the cap, so a reader catching up on a large
-    /// backlog is drip-fed at the rate its socket drains instead of
-    /// tripping the slow-consumer cap on attach. Completes the verb
-    /// (queues `ObserveEnd`, unregisters the waiter) once a terminal
-    /// stream is fully delivered. Returns whether anything was queued.
-    fn top_up_observer(&mut self, token: u64) -> bool {
+    /// Feed a connection waiting on a job from the job's frame buffer,
+    /// paced by the write cap ([`Conn::queue`]): the events from its
+    /// cursor, then — once the job is terminal and every event went out
+    /// — the terminal frame, which finishes the wait. A reader catching
+    /// up on a large backlog is drip-fed at the rate its socket drains
+    /// instead of tripping the cap. Returns whether anything was queued.
+    fn top_up(&mut self, token: u64) -> bool {
         let max = self.shared.config.max_write_buffer;
-        let (job, cursor_now, wbuf_bytes, wbuf_empty) = {
-            let Some(conn) = self.conns.get(&token) else {
-                return false;
-            };
-            if conn.doomed {
-                return false;
-            }
-            let Some(PendingVerb::Observe { job, cursor, .. }) = &conn.pending else {
-                return false;
-            };
-            (
-                Arc::clone(job),
-                *cursor,
-                conn.wbuf_bytes,
-                conn.wbuf.is_empty(),
-            )
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return false;
         };
-        let (batch, end_frame, head) = {
-            let state = job.state.lock().expect("job state");
-            let head = state.frames.len();
-            let mut budget = max.saturating_sub(wbuf_bytes);
-            let mut batch: Vec<Arc<[u8]>> = Vec::new();
-            let mut at = cursor_now;
-            while at < head {
-                let frame = &state.frames[at];
-                // A single frame larger than the whole cap still goes
-                // out when the buffer is empty: progress beats a
-                // livelock, and the overshoot is one frame deep.
-                if frame.len() > budget && !(batch.is_empty() && wbuf_empty) {
-                    break;
-                }
-                budget = budget.saturating_sub(frame.len());
-                batch.push(Arc::clone(frame));
-                at += 1;
-            }
-            let end_frame = state.finished.as_ref().map(|f| Arc::clone(&f.end));
-            (batch, end_frame, head)
+        let Some(PendingVerb::Job { job, cursor, .. }) = &conn.pending else {
+            return false;
         };
-        let new_cursor = cursor_now + batch.len();
+        let (job, mut cursor) = (Arc::clone(job), *cursor);
+        let queued = conn.wbuf.len();
+        let state = job.state.lock().expect("job state");
+        if let Some(at) = cursor.as_mut() {
+            while state.frames.get(*at).is_some_and(|f| conn.queue(f, max)) {
+                *at += 1;
+            }
+        }
         // Frames are never appended after a job turns terminal, so the
-        // snapshot's head is final once the end frame exists.
-        let finished = end_frame.is_some() && new_cursor >= head;
-        if batch.is_empty() && !finished {
-            return false;
-        }
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return false;
-        };
-        for frame in batch {
-            conn.wbuf_bytes += frame.len();
-            conn.wbuf.push_back(frame);
-        }
-        if finished {
+        // stream is complete once it is.
+        let done = state.finished.as_ref().is_some_and(|f| match cursor {
+            Some(at) => at >= state.frames.len() && conn.queue(&f.end, max),
+            None => conn.queue(&f.joined, max),
+        });
+        drop(state);
+        let queued = conn.wbuf.len() > queued;
+        if done {
             conn.pending = None;
-            if let Some(end) = end_frame {
-                conn.wbuf_bytes += end.len();
-                conn.wbuf.push_back(end);
-            }
             self.unwait(job.id, token);
-        } else if let Some(PendingVerb::Observe { cursor, .. }) = &mut conn.pending {
-            *cursor = new_cursor;
+        } else if let Some(PendingVerb::Job { cursor: at, .. }) = &mut conn.pending {
+            *at = cursor;
         }
-        true
-    }
-
-    /// Resolve the connection's pending verb with its one answer frame —
-    /// a `Join` outcome or an `Explain`/`Predict` response — and flush.
-    /// A connection that died meanwhile is skipped.
-    fn answer(&mut self, token: u64, frame: Arc<[u8]>) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        conn.pending = None;
-        self.queue_frame(token, frame);
-        self.service(token);
+        queued
     }
 
     /// Drop one token from a job's waiter list, and the list once empty.
@@ -1124,18 +1041,11 @@ impl Reactor {
             // token after.
             let mut state = job.state.lock().expect("job state");
             if state.cancel_requested {
-                let seq = state.frames.len() as u64;
-                state.frames.push(
-                    encode_shared_frame(&Response::Ok(Payload::Event {
-                        seq,
-                        event: WireEvent::Cancelled { iterations: 0 },
-                    }))
-                    .expect("serialize"),
-                );
+                // Cancelled before its turn: it finishes through its own
+                // sink, exactly as a run cancelled at iteration 0 would.
                 drop(state);
-                let cancelled = Err(SessionError::Cancelled { iterations: 0 });
-                finalize(&self.shared, &job, &cancelled);
-                self.deliver_job(&job);
+                sink.event(JobEvent::Cancelled { iterations: 0 });
+                sink.finished(&Err(SessionError::Cancelled { iterations: 0 }));
                 continue;
             }
             let handle = self
@@ -1151,28 +1061,24 @@ impl Reactor {
 
     /// Serialize, queue, and flush one response frame.
     fn respond(&mut self, token: u64, response: &Response) {
-        let frame = encode_shared_frame(response).expect("serialize response");
-        self.queue_frame(token, frame);
-        self.service(token);
+        self.send(
+            token,
+            &encode_shared_frame(response).expect("serialize response"),
+        );
     }
 
-    /// Queue `frame` on the connection, enforcing the write cap. Does
-    /// not flush — callers batch frames, then [`Reactor::service`]
-    /// flushes them in one vectored write.
-    fn queue_frame(&mut self, token: u64, frame: Arc<[u8]>) {
+    /// Queue one answer frame under the write cap ([`Conn::queue`]) and
+    /// flush. A frame that does not fit a non-empty buffer makes the
+    /// connection a slow consumer.
+    fn send(&mut self, token: u64, frame: &Arc<[u8]>) {
         let max = self.shared.config.max_write_buffer;
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        if conn.doomed {
-            return;
-        }
-        if conn.wbuf_bytes + frame.len() > max {
+        if !conn.doomed && !conn.queue(frame, max) {
             self.doom_slow_consumer(token);
-        } else {
-            conn.wbuf_bytes += frame.len();
-            conn.wbuf.push_back(frame);
         }
+        self.service(token);
     }
 
     /// Declare a connection a slow consumer: drop every frame not yet
@@ -1233,7 +1139,7 @@ impl Reactor {
                 return;
             };
             let saturated = conn.wbuf_bytes >= self.shared.config.max_write_buffer;
-            if (!first && !flushed) || saturated || !self.top_up_observer(token) {
+            if (!first && !flushed) || saturated || !self.top_up(token) {
                 break;
             }
             first = false;

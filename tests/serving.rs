@@ -829,6 +829,141 @@ fn late_observer_drains_a_backlog_larger_than_the_write_cap() {
 }
 
 #[test]
+fn join_pipelined_behind_a_paced_observe_is_answered_after_the_stream() {
+    // The late observer's setup, with a `Join` pipelined behind the
+    // `Observe` in one write: the join waits for the paced stream to end,
+    // then answers with the job's own weights.
+    let config = ServeConfig {
+        max_write_buffer: 16 << 10,
+        ..ServeConfig::default()
+    };
+    let server = serve(Engine::new(), config);
+    let mut control = connect(&server, "archive");
+    let mut chatty = adult_train(2_000, 0, "archived");
+    chatty.epsilon = Some(1e-12);
+    chatty.progress_every = Some(1);
+    let job = control.submit(&chatty).expect("submit");
+    let direct = control.join(job).expect("join");
+    assert_eq!(direct.status, "completed");
+
+    let (mut stream, mut reader) = raw_hello(&server, "archive");
+    let mut pipelined =
+        protocol::encode_frame(&Request::Observe { job, from: Some(0) }).expect("encode");
+    pipelined.extend_from_slice(&protocol::encode_frame(&Request::Join { job }).expect("encode"));
+    stream.write_all(&pipelined).expect("pipelined write");
+
+    let mut next_seq = 0u64;
+    let joined = loop {
+        let response = match protocol::read_frame(&mut reader, 1 << 20).expect("frame") {
+            protocol::FrameIn::Frame(payload) => {
+                serde_json::from_slice::<Response>(&payload).expect("parse")
+            }
+            other => panic!("unexpected: {other:?}"),
+        };
+        match response {
+            Response::Ok(ml4all_serve::Payload::Event { seq, .. }) => {
+                assert_eq!(seq, next_seq, "replay must be gapless");
+                next_seq += 1;
+            }
+            Response::Ok(ml4all_serve::Payload::ObserveEnd { status, .. }) => {
+                assert_eq!(status, "completed");
+                assert!(next_seq >= 2_000, "full backlog before ObserveEnd");
+                match protocol::read_frame(&mut reader, 1 << 20).expect("frame") {
+                    protocol::FrameIn::Frame(payload) => break payload,
+                    other => panic!("expected the Joined frame, got {other:?}"),
+                }
+            }
+            other => panic!("unexpected frame: {other:?}"),
+        }
+    };
+    match serde_json::from_slice::<Response>(&joined).expect("parse") {
+        Response::Ok(ml4all_serve::Payload::Joined(outcome)) => {
+            assert_eq!(outcome.status, "completed");
+            assert!(outcome.weights_bits.is_some());
+            assert_eq!(outcome.weights_bits, direct.weights_bits);
+        }
+        other => panic!("expected Joined, got {other:?}"),
+    }
+    assert_eq!(
+        control
+            .server_stats()
+            .expect("stats")
+            .slow_consumer_disconnects,
+        0
+    );
+}
+
+#[test]
+fn a_join_larger_than_the_write_cap_is_answered() {
+    // adult has d = 123, so its `Joined` frame is ≈ 5 KB: over a 4 KiB
+    // cap it is paced into the empty buffer, not refused.
+    let config = ServeConfig {
+        max_write_buffer: 4 << 10,
+        ..ServeConfig::default()
+    };
+    let server = serve(Engine::new(), config);
+    let mut client = connect(&server, "wide");
+    let job = client.submit(&adult_train(50, 0, "wide")).expect("submit");
+    let outcome = client.join(job).expect("join");
+    assert_eq!(outcome.status, "completed");
+    assert_eq!(outcome.weights.expect("weights").len(), 123);
+    let stats = client.server_stats().expect("stats");
+    assert_eq!(stats.slow_consumer_disconnects, 0);
+}
+
+#[test]
+fn a_one_shot_answer_larger_than_the_write_cap_goes_out_into_an_empty_buffer() {
+    let config = ServeConfig {
+        max_write_buffer: 1 << 10,
+        ..ServeConfig::default()
+    };
+    let server = serve(Engine::new(), config);
+    let mut client = connect(&server, "narrow");
+    let report = client
+        .explain(&adult_train(50, 0, "narrow"), false)
+        .expect("explain");
+    assert_eq!(report.choices.len(), 11);
+    let stats = client.server_stats().expect("stats");
+    assert_eq!(stats.slow_consumer_disconnects, 0);
+}
+
+#[test]
+fn a_job_cancelled_while_queued_streams_one_cancelled_event() {
+    let config = ServeConfig {
+        global_in_flight: 1,
+        ..ServeConfig::default()
+    };
+    let server = serve(Engine::new(), config);
+    let mut client = connect(&server, "acme");
+
+    // The hog takes the only slot, so the next job stays queued until
+    // the hog ends; it is cancelled before its turn comes.
+    let hog = client.submit(&hog_train("hog")).expect("submit hog");
+    let queued = client.submit(&adult_train(5, 0, "queued")).expect("submit");
+    client.cancel(queued).expect("cancel queued");
+    client.cancel(hog).expect("cancel hog");
+
+    let mut events = Vec::new();
+    let status = client
+        .observe(queued, 0, |seq, event| events.push((seq, event.clone())))
+        .expect("observe");
+    assert!(
+        matches!(events[..], [(0, WireEvent::Cancelled { iterations: 0 })]),
+        "exactly one Cancelled event at seq 0, got {events:?}"
+    );
+    assert_eq!(status, "cancelled");
+
+    let outcome = client.join(queued).expect("join");
+    assert_eq!(outcome.status, "cancelled");
+    assert_eq!(outcome.iterations, Some(0));
+    assert!(outcome.weights.is_none() && outcome.weights_bits.is_none());
+
+    assert_eq!(client.join(hog).expect("join hog").status, "cancelled");
+    let stats = client.stats().expect("stats");
+    assert_eq!((stats.in_flight, stats.queued), (0, 0));
+}
+
+#[test]
 fn golden_wire_frame_conversation() {
     let server = serve(Engine::new(), ServeConfig::default());
     let mut transcript = String::new();
