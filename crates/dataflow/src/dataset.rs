@@ -204,6 +204,37 @@ impl PartitionedDataset {
         })
     }
 
+    /// Every physical row's label in the **original input order**, as
+    /// [`Self::iter_views_input_order`] visits the rows, read straight off
+    /// the partitions' label columns into one exact-size vector.
+    pub fn labels_input_order(&self) -> Vec<f64> {
+        let p = self.partitions.len();
+        let mut labels = Vec::with_capacity(self.physical_n());
+        match self.scheme {
+            // Row `g` went to `(g % p, g / p)`: offset `o` of every
+            // partition, in partition order, is the input run `o·p ..`;
+            // only the front partitions reach the last offset.
+            PartitionScheme::RoundRobin if p > 1 => {
+                let rounds = self.partitions.first().map_or(0, ColumnStore::len);
+                for offset in 0..rounds {
+                    labels.extend(
+                        self.partitions
+                            .iter()
+                            .filter_map(|part| part.labels().get(offset)),
+                    );
+                }
+            }
+            // Contiguous windows (one partition under either scheme) are
+            // partition-major already.
+            _ => {
+                for part in self.partitions.iter() {
+                    labels.extend_from_slice(part.labels());
+                }
+            }
+        }
+        labels
+    }
+
     /// Borrow a row by `(partition, offset)` coordinates.
     #[inline]
     pub fn view(&self, partition: usize, offset: usize) -> Option<PointView<'_>> {
@@ -648,6 +679,53 @@ mod tests {
         .unwrap();
         let lens: Vec<usize> = ds.partitions().iter().map(ColumnStore::len).collect();
         assert_eq!(lens, vec![3, 3, 3, 0]);
+    }
+
+    #[test]
+    fn input_order_labels_equal_the_view_walk() {
+        // Row `g` labelled `g`, so any order slip shows.
+        fn dense(n: usize) -> ColumnStore {
+            (0..n).map(|g| (g as f64, [g as f64, 1.0])).collect()
+        }
+        fn csr(n: usize) -> ColumnStore {
+            let mut b = ColumnarBuilder::new();
+            for g in 0..n {
+                b.push_sparse(g as f64, &[0], &[g as f64]).unwrap();
+            }
+            b.finish_with_dims(2)
+        }
+        for scheme in [PartitionScheme::RoundRobin, PartitionScheme::Contiguous] {
+            for (layout, rows) in [("dense", dense as Rows), ("csr", csr)] {
+                for p in [1usize, 3, 4] {
+                    for n in [0usize, 1, 10] {
+                        let ds = if n == 0 {
+                            // No constructor takes an empty store: build
+                            // the degenerate case, p empty partitions.
+                            PartitionedDataset {
+                                desc: DatasetDescriptor::new("e", 1, 2, 1, 1.0),
+                                partitions: vec![ColumnStore::empty(); p].into(),
+                                scheme,
+                                fingerprint: Arc::new(OnceLock::new()),
+                            }
+                        } else {
+                            let bytes = p as u64 * 128 * 1024 * 1024;
+                            let desc = DatasetDescriptor::new("l", n as u64, 2, bytes, 1.0);
+                            PartitionedDataset::with_descriptor(desc, &rows(n), scheme, &spec())
+                                .unwrap()
+                        };
+                        let case = format!("{scheme:?} {layout} p={p} n={n}");
+                        let expected_p = if n == 0 { p } else { p.min(n) };
+                        assert_eq!(ds.num_partitions(), expected_p, "{case}");
+                        let walked: Vec<f64> =
+                            ds.iter_views_input_order().map(|v| v.label).collect();
+                        let labels = ds.labels_input_order();
+                        assert_eq!(labels, walked, "{case}");
+                        assert_eq!(labels, (0..n).map(|g| g as f64).collect::<Vec<_>>());
+                        assert_eq!(labels.capacity(), n, "{case}: one exact-size allocation");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

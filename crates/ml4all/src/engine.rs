@@ -588,7 +588,7 @@ impl Engine {
             });
         }
         let predictions = model.predict_batch(&data);
-        let labels: Vec<f64> = data.iter_views_input_order().map(|v| v.label).collect();
+        let labels = data.labels_input_order();
         let mse = ml4all_datasets::mean_squared_error(&predictions, &labels);
         let accuracy = if model.gradient.is_classification() {
             Some(ml4all_datasets::accuracy(&predictions, &labels))

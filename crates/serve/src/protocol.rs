@@ -20,7 +20,9 @@
 //! buffer, one copy into an exact-size `Arc<[u8]>` that every observer
 //! shares — one allocation per frame. The `Joined` answer is written from
 //! borrowed parts by [`JoinedReply`], both weight arrays straight off the
-//! bound weight slice. [`encode_frame`] remains for owned frames (clients,
+//! bound weight slice, and the `Stats` answer by [`StatsReply`], which
+//! copies each finished job's row as it was encoded once
+//! ([`EncodedRow`]). [`encode_frame`] remains for owned frames (clients,
 //! tools), and [`write_message`] is the blocking writer over it.
 //!
 //! **Reading.** [`FrameDecoder`] (push-driven, what the reactor feeds
@@ -28,7 +30,8 @@
 //! [`read_frame`] is the same decoder pulled through a blocking
 //! `BufRead`; a payload is then decoded straight into its typed message by
 //! `serde_json::from_slice`, which validates UTF-8 once and reads the
-//! fields off a byte cursor. What that decoder accepts — missing keys
+//! fields off a byte cursor (a `Stats` row's status borrows its literal,
+//! see [`WireJob`]). What that decoder accepts — missing keys
 //! read as `null`, unknown keys are skipped, the last duplicate wins, an
 //! enum object's first key is its tag, 128 levels of nesting at most — is
 //! specified in the vendored `serde` crate docs and pinned by
@@ -57,9 +60,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ml4all::{
-    AlgorithmPin, DataSource, GdVariant, GradientKind, JobEvent, SamplingMethod, TrainRequest,
+    AlgorithmPin, DataSource, GdVariant, GradientKind, JobEvent, JobStatus, SamplingMethod,
+    TrainRequest,
 };
-use serde::ser::Serializer;
+use serde::de::{self, Deserializer, Slot};
+use serde::ser::{Compound, Serializer};
 use serde::{Deserialize, Serialize};
 
 /// Version of this wire protocol. `Hello` reports it; a client asking for
@@ -183,22 +188,26 @@ pub fn encode_frame(message: &impl Serialize) -> io::Result<Vec<u8>> {
 /// encoded exactly once and never copied. With a reused `buf` of enough
 /// capacity this allocates nothing. On error `buf` is left as it was.
 pub fn encode_frame_into(buf: &mut Vec<u8>, message: &impl Serialize) -> io::Result<()> {
+    frame_into(buf, |out| message.serialize(&mut Serializer::compact(out)))
+}
+
+/// Append one frame whose payload `write` appends to the buffer it is
+/// handed: the header is reserved in front and patched in afterwards.
+fn frame_into(buf: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
     let start = buf.len();
     buf.extend_from_slice(&[0; 4]);
-    let encoded = serde_json::to_writer(buf, message)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-        .and_then(|()| {
-            u32::try_from(buf.len() - start - 4)
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large for u32"))
-        });
-    match encoded {
+    write(buf);
+    match u32::try_from(buf.len() - start - 4) {
         Ok(len) => {
             buf[start..start + 4].copy_from_slice(&len.to_be_bytes());
             Ok(())
         }
-        Err(e) => {
+        Err(_) => {
             buf.truncate(start);
-            Err(e)
+            Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "frame too large for u32",
+            ))
         }
     }
 }
@@ -218,14 +227,20 @@ thread_local! {
 /// frame the server queues — an event fanned out to all its observers, a
 /// verb's answer, a goodbye.
 pub fn encode_shared_frame(message: &impl Serialize) -> io::Result<Arc<[u8]>> {
+    with_scratch(|buf| encode_frame_into(buf, message).map(|()| Arc::from(buf.as_slice())))
+}
+
+/// Run `encode` on this thread's scratch buffer, emptied; the buffer is
+/// dropped afterwards if it grew past [`SCRATCH_KEEP`].
+fn with_scratch<T>(encode: impl FnOnce(&mut Vec<u8>) -> T) -> T {
     SCRATCH.with(|scratch| {
         let mut buf = scratch.borrow_mut();
         buf.clear();
-        let frame = encode_frame_into(&mut buf, message).map(|()| Arc::from(buf.as_slice()));
+        let encoded = encode(&mut buf);
         if buf.capacity() > SCRATCH_KEEP {
             *buf = Vec::new();
         }
-        frame
+        encoded
     })
 }
 
@@ -1052,7 +1067,12 @@ pub struct WireServerStats {
 }
 
 /// One row of a tenant's job table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Its decoder is the derived one's rules and error texts — a missing key
+/// reads as `null`, the last duplicate wins — except that a `status`
+/// spelling one of the five [`JobStatus::name`] literals borrows that
+/// literal: decoding a row allocates for its name only.
+#[derive(Debug, Clone, Serialize)]
 pub struct WireJob {
     /// Server-assigned job id.
     pub job: u64,
@@ -1060,9 +1080,239 @@ pub struct WireJob {
     pub engine_id: Option<u64>,
     /// Requested result name (tenant-visible).
     pub name: Option<String>,
-    /// `queued` / `running` / `completed` / `cancelled` / `failed` — the
-    /// server lends one of its five literals, a decoded row owns its text.
+    /// `queued` / `running` / `completed` / `cancelled` / `failed` — one
+    /// of the five literals, borrowed; any other text is owned.
     pub status: Cow<'static, str>,
+}
+
+impl Deserialize for WireJob {
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, de::Error> {
+        let (mut job, mut engine_id, mut name) = (Slot::Missing, Slot::Missing, Slot::Missing);
+        let mut status = Slot::Missing;
+        de.object_fields("expected object for WireJob", |key, de| match key {
+            "job" => job.read(de),
+            "engine_id" => engine_id.read(de),
+            "name" => name.read(de),
+            "status" => status.read_with(de, status_literal),
+            _ => de.skip_value(),
+        })?;
+        Ok(Self {
+            job: job.finish()?,
+            engine_id: engine_id.finish()?,
+            name: name.finish()?,
+            status: status.finish()?,
+        })
+    }
+}
+
+/// A row's status text: the [`JobStatus::name`] literal it spells,
+/// borrowed, or an owned copy of anything else.
+fn status_literal(de: &mut Deserializer<'_>) -> Result<Cow<'static, str>, de::Error> {
+    const STATUSES: [JobStatus; 5] = [
+        JobStatus::Queued,
+        JobStatus::Running,
+        JobStatus::Completed,
+        JobStatus::Cancelled,
+        JobStatus::Failed,
+    ];
+    if de.begin_value()? != b'"' {
+        return Err(de::Error::custom("expected string"));
+    }
+    let text = de.parse_str()?;
+    let literal = STATUSES
+        .map(JobStatus::name)
+        .into_iter()
+        .find(|s| *s == text);
+    Ok(literal.map_or_else(|| Cow::Owned(text.into_owned()), Cow::Borrowed))
+}
+
+/// One row of a tenant's job table written from borrowed parts: it
+/// serializes byte for byte as the derived [`WireJob`] with the same
+/// fields, without owning the name.
+#[derive(Debug, Clone, Copy)]
+pub struct JobRow<'a> {
+    /// Server-assigned job id.
+    pub job: u64,
+    /// Engine-assigned id once dispatched (`null` while queued).
+    pub engine_id: Option<u64>,
+    /// Requested result name (tenant-visible).
+    pub name: Option<&'a str>,
+    /// `queued` / `running` / `completed` / `cancelled` / `failed`.
+    pub status: &'a str,
+}
+
+impl JobRow<'_> {
+    /// This row as compact JSON in an exact-size buffer, one allocation:
+    /// a finished job's row, encoded once and copied into every `Stats`
+    /// answer from then on ([`StatsRows::encoded`]).
+    pub fn encode(&self) -> EncodedRow {
+        with_scratch(|buf| {
+            self.serialize(&mut Serializer::compact(buf));
+            EncodedRow(buf.as_slice().into())
+        })
+    }
+}
+
+impl Serialize for JobRow<'_> {
+    fn serialize(&self, out: &mut Serializer<'_>) {
+        let mut fields = out.begin_object();
+        out.field(&mut fields, "job", &self.job);
+        out.field(&mut fields, "engine_id", &self.engine_id);
+        out.field(&mut fields, "name", &self.name);
+        out.field(&mut fields, "status", self.status);
+        out.end_object(fields);
+    }
+}
+
+/// A [`JobRow`] as compact JSON ([`JobRow::encode`]) — the only text
+/// [`StatsRows::encoded`] splices into a frame.
+#[derive(Debug, Clone)]
+pub struct EncodedRow(Box<[u8]>);
+
+/// The server's `Stats` answer written from borrowed parts: the fields of
+/// [`WireStats`] but its rows, which the caller feeds through
+/// [`StatsRows`] — each a [`JobRow`] encoded on the spot or an
+/// [`EncodedRow`] copied in. The frame is byte for byte what the derived
+/// `WireStats` with the same fields and rows encodes to
+/// (`tests/wire_semantics.rs` holds the two together). It has one writer,
+/// the compact frame of [`StatsReply::encode_shared`], and is no
+/// [`Serialize`] value: copied rows are compact text that a pretty writer
+/// could not lay out.
+#[derive(Debug, Default)]
+pub struct StatsReply<'a> {
+    /// The tenant these stats are for.
+    pub tenant: &'a str,
+    /// This tenant's jobs currently dispatched and unfinished.
+    pub in_flight: u64,
+    /// This tenant's jobs waiting in the admission queue.
+    pub queued: u64,
+    /// Bytes of queued request frames counted against the byte quota.
+    pub queued_bytes: u64,
+    /// Quota: max dispatched-and-unfinished jobs.
+    pub quota_max_in_flight: u64,
+    /// Quota: max queued request bytes before `busy`.
+    pub quota_max_queued_bytes: u64,
+    /// Dispatched-and-unfinished jobs across all tenants.
+    pub global_in_flight: u64,
+    /// The server's global in-flight cap.
+    pub global_capacity: u64,
+    /// Engine plan-cache hits since boot (shared across tenants).
+    pub plan_cache_hits: u64,
+    /// Engine plan-cache misses since boot.
+    pub plan_cache_misses: u64,
+    /// Engine plan-cache entries.
+    pub plan_cache_len: u64,
+    /// Durability checkpoints written by the engine since boot.
+    pub checkpoints_written: u64,
+    /// Jobs the engine restored from a persisted checkpoint since boot.
+    pub jobs_resumed: u64,
+    /// Current cost-model calibration generation (`None` when off).
+    pub calibration_generation: Option<u64>,
+    /// Residual-model confidence at the current generation (`None` when
+    /// off).
+    pub calibration_confidence: Option<f64>,
+    /// Mid-flight plan switches performed by the engine since boot.
+    pub replans: u64,
+}
+
+/// Frame bytes a `Stats` answer reserves up front for its header fields.
+const STATS_HEADER_BYTES: usize = 512;
+
+/// … and per row: a row of short name and ids takes about 64, separator
+/// included. Longer rows only cost the buffer another doubling.
+const STATS_BYTES_PER_ROW: usize = 72;
+
+impl StatsReply<'_> {
+    /// Encode the whole `Response::Ok(Payload::Stats(..))` frame, shared
+    /// as `Arc<[u8]>` in one allocation as [`encode_shared_frame`] does.
+    /// `rows` writes the job table, in order; `rows_hint`, how many rows
+    /// it writes at most, sizes the buffer once up front.
+    pub fn encode_shared(
+        &self,
+        rows_hint: usize,
+        rows: impl FnOnce(&mut StatsRows<'_>),
+    ) -> io::Result<Arc<[u8]>> {
+        with_scratch(|buf| {
+            buf.reserve(STATS_HEADER_BYTES + rows_hint * STATS_BYTES_PER_ROW);
+            frame_into(buf, |buf| self.write(buf, rows)).map(|()| Arc::from(buf.as_slice()))
+        })
+    }
+
+    fn write(&self, buf: &mut Vec<u8>, rows: impl FnOnce(&mut StatsRows<'_>)) {
+        let mut out = Serializer::compact(buf);
+        let mut response = out.begin_object();
+        out.key(&mut response, "Ok");
+        let mut payload = out.begin_object();
+        out.key(&mut payload, "Stats");
+        let mut fields = out.begin_object();
+        out.field(&mut fields, "tenant", self.tenant);
+        out.field(&mut fields, "in_flight", &self.in_flight);
+        out.field(&mut fields, "queued", &self.queued);
+        out.field(&mut fields, "queued_bytes", &self.queued_bytes);
+        out.field(
+            &mut fields,
+            "quota_max_in_flight",
+            &self.quota_max_in_flight,
+        );
+        out.field(
+            &mut fields,
+            "quota_max_queued_bytes",
+            &self.quota_max_queued_bytes,
+        );
+        out.field(&mut fields, "global_in_flight", &self.global_in_flight);
+        out.field(&mut fields, "global_capacity", &self.global_capacity);
+        out.field(&mut fields, "plan_cache_hits", &self.plan_cache_hits);
+        out.field(&mut fields, "plan_cache_misses", &self.plan_cache_misses);
+        out.field(&mut fields, "plan_cache_len", &self.plan_cache_len);
+        out.field(
+            &mut fields,
+            "checkpoints_written",
+            &self.checkpoints_written,
+        );
+        out.field(&mut fields, "jobs_resumed", &self.jobs_resumed);
+        out.field(
+            &mut fields,
+            "calibration_generation",
+            &self.calibration_generation,
+        );
+        out.field(
+            &mut fields,
+            "calibration_confidence",
+            &self.calibration_confidence,
+        );
+        out.field(&mut fields, "replans", &self.replans);
+        out.key(&mut fields, "jobs");
+        let jobs = out.begin_array();
+        let mut table = StatsRows { out, jobs };
+        rows(&mut table);
+        let StatsRows { mut out, jobs } = table;
+        out.end_array(jobs);
+        out.end_object(fields);
+        out.end_object(payload);
+        out.end_object(response);
+    }
+}
+
+/// The job table of a [`StatsReply`] being written: rows go out in the
+/// order they are handed in.
+#[derive(Debug)]
+pub struct StatsRows<'b> {
+    out: Serializer<'b>,
+    jobs: Compound,
+}
+
+impl StatsRows<'_> {
+    /// A row encoded on the spot: a queued or running job, whose status
+    /// still moves.
+    pub fn row(&mut self, row: &JobRow<'_>) {
+        self.out.element(&mut self.jobs, row);
+    }
+
+    /// A row encoded earlier, copied as it is: a finished job, whose row
+    /// no longer changes.
+    pub fn encoded(&mut self, row: &EncodedRow) {
+        self.out.raw_element(&mut self.jobs, &row.0);
+    }
 }
 
 // ---------------------------------------------------------------------

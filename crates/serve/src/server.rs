@@ -32,7 +32,10 @@
 //! [`EventSink`] that serializes it **once** into a length-prefixed
 //! frame shared (`Arc<[u8]>`) by every observer — a thousand idle
 //! observers cost file descriptors and buffer space, not threads, and
-//! replay from any sequence number is a buffer copy.
+//! replay from any sequence number is a buffer copy. The worker that
+//! finishes a job encodes its terminal frames there too, and its `Stats`
+//! row: the reactor answers `Stats` by copying a finished job's row into
+//! the frame and encodes only the queued and running rows afresh.
 //!
 //! Outbound data sits in a per-connection write buffer capped at
 //! [`ServeConfig::max_write_buffer`] bytes, under one rule: a frame fits
@@ -56,7 +59,6 @@
 //! are nondeterministic and therefore live in the separate
 //! `ServerStats` verb, never in `Stats`.
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -70,9 +72,9 @@ use ml4all::{ExplainRequest, SessionError, TrainRequest, Trained, RNG_STREAM_VER
 
 use crate::admission::{Admission, TenantQuota};
 use crate::protocol::{
-    self, code, encode_shared_frame, Decoded, FrameDecoder, JoinedReply, Payload, Request,
-    Response, WireError, WireEvent, WireJob, WireServerStats, WireStats, DEFAULT_MAX_FRAME,
-    PROTOCOL_VERSION,
+    self, code, encode_shared_frame, Decoded, EncodedRow, FrameDecoder, JobRow, JoinedReply,
+    Payload, Request, Response, StatsReply, WireError, WireEvent, WireServerStats,
+    DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
 use crate::reactor::{Event, Interest, Poller, Waker};
 
@@ -158,8 +160,9 @@ struct Progress {
 /// A finished job's record: the weights live once, in the encoded
 /// `Joined` frame.
 struct Finished {
-    /// `Completed`, `Cancelled` or `Failed`.
-    status: JobStatus,
+    /// The job's `Stats` row, final — status `completed`, `cancelled` or
+    /// `failed` — and encoded once.
+    row: EncodedRow,
     /// Pre-framed `Joined(outcome)` response.
     joined: Arc<[u8]>,
     /// Pre-framed `ObserveEnd` response.
@@ -194,6 +197,16 @@ impl ServedJob {
                 finished: None,
             }),
             dirty: AtomicBool::new(false),
+        }
+    }
+
+    /// The job's `Stats` row under `status`.
+    fn row(&self, engine_id: Option<u64>, status: JobStatus) -> JobRow<'_> {
+        JobRow {
+            job: self.id,
+            engine_id,
+            name: Some(&self.name),
+            status: status.name(),
         }
     }
 }
@@ -412,22 +425,25 @@ fn project_outcome<'a>(
 }
 
 /// Record a job's terminal outcome with its pre-framed `Joined` and
-/// `ObserveEnd` responses, then free its admission slot.
+/// `ObserveEnd` responses and its encoded `Stats` row, then free its
+/// admission slot.
 fn finalize(shared: &Shared, job: &ServedJob, outcome: &Result<Trained, SessionError>) {
+    // Dispatch sets the engine id under the job lock before the job can
+    // run, so it is final here.
+    let engine_id = job.state.lock().expect("job state").engine_id;
     let (status, reply) = project_outcome(job, outcome);
     let end = encode_shared_frame(&Response::Ok(Payload::ObserveEnd {
         job: job.id,
         status: status.name().to_string(),
     }))
     .expect("serialize");
+    // Before `Joined`, whose frame may be large enough to drop the
+    // thread's scratch buffer: the row reuses the one `end` just warmed.
+    let row = job.row(engine_id, status).encode();
     let joined = encode_shared_frame(&reply).expect("serialize");
     let mut state = job.state.lock().expect("job state");
     state.handle = None;
-    state.finished = Some(Finished {
-        status,
-        joined,
-        end,
-    });
+    state.finished = Some(Finished { row, joined, end });
     drop(state);
     job.dirty.store(true, Ordering::Release);
     shared.admission.complete(&job.tenant);
@@ -635,7 +651,7 @@ impl Reactor {
                     }
                 }
                 Action::JobDirty(job) => self.deliver_job(&job),
-                Action::Dispatch => self.drain_dispatch(),
+                Action::Dispatch => dispatch(&self.shared),
             }
         }
     }
@@ -852,7 +868,7 @@ impl Reactor {
                 });
             }
             (Request::Stats, Some(tenant)) => {
-                Response::Ok(Payload::Stats(stats(&self.shared, &tenant)))
+                return self.send(token, &stats(&self.shared, &tenant))
             }
             (Request::ServerStats, Some(_)) => {
                 let c = &self.shared.counters;
@@ -871,7 +887,7 @@ impl Reactor {
         let admitted = matches!(response, Response::Ok(Payload::Submitted { .. }));
         self.respond(token, &response);
         if admitted {
-            self.drain_dispatch();
+            dispatch(&self.shared);
         }
     }
 
@@ -1022,38 +1038,6 @@ impl Reactor {
             if waiting.is_empty() {
                 self.waiters.remove(&job_id);
             }
-        }
-    }
-
-    // -- dispatch -----------------------------------------------------
-
-    /// Hand every currently-dispatchable admitted job to the engine.
-    fn drain_dispatch(&mut self) {
-        while let Some(dispatched) = self.shared.admission.try_next() {
-            let Pending { job, request } = dispatched.item;
-            let sink = Arc::new(JobSink {
-                shared: Arc::clone(&self.shared),
-                job: Arc::clone(&job),
-                prefix: format!("{}:", job.tenant),
-            });
-            // Submit under the job lock so a concurrent `Cancel` either
-            // sets `cancel_requested` before this check or finds the
-            // token after.
-            let mut state = job.state.lock().expect("job state");
-            if state.cancel_requested {
-                // Cancelled before its turn: it finishes through its own
-                // sink, exactly as a run cancelled at iteration 0 would.
-                drop(state);
-                sink.event(JobEvent::Cancelled { iterations: 0 });
-                sink.finished(&Err(SessionError::Cancelled { iterations: 0 }));
-                continue;
-            }
-            let handle = self
-                .shared
-                .engine
-                .submit_with_sink(request, &job.tenant, sink);
-            state.engine_id = Some(handle.id());
-            state.handle = Some(handle);
         }
     }
 
@@ -1302,37 +1286,44 @@ fn submit(shared: &Shared, tenant: &str, train: &protocol::WireTrain, cost: usiz
     }
 }
 
-/// This tenant's stats: admission counters plus its job table. A
-/// finished job's status is its recorded outcome; a dispatched job
-/// without one reports what its engine handle says.
-fn stats(shared: &Shared, tenant: &str) -> WireStats {
+/// Hand every currently-dispatchable admitted job to the engine.
+fn dispatch(shared: &Arc<Shared>) {
+    while let Some(dispatched) = shared.admission.try_next() {
+        let Pending { job, request } = dispatched.item;
+        let sink = Arc::new(JobSink {
+            shared: Arc::clone(shared),
+            job: Arc::clone(&job),
+            prefix: format!("{}:", job.tenant),
+        });
+        // Submit under the job lock so a concurrent `Cancel` either
+        // sets `cancel_requested` before this check or finds the
+        // token after.
+        let mut state = job.state.lock().expect("job state");
+        if state.cancel_requested {
+            // Cancelled before its turn: it finishes through its own
+            // sink, exactly as a run cancelled at iteration 0 would.
+            drop(state);
+            sink.event(JobEvent::Cancelled { iterations: 0 });
+            sink.finished(&Err(SessionError::Cancelled { iterations: 0 }));
+            continue;
+        }
+        let handle = shared.engine.submit_with_sink(request, &job.tenant, sink);
+        state.engine_id = Some(handle.id());
+        state.handle = Some(handle);
+    }
+}
+
+/// This tenant's `Stats` answer frame: admission counters plus its job
+/// table in submission order (the table's id order). A finished job's
+/// row was encoded once, at finalize, and is copied; a queued or
+/// dispatched job's row is encoded from its live state, the status its
+/// engine handle reports.
+fn stats(shared: &Shared, tenant: &str) -> Arc<[u8]> {
     let lane = shared.admission.stats(tenant);
-    let mut jobs: Vec<WireJob> = shared
-        .jobs
-        .lock()
-        .expect("job table")
-        .values()
-        .filter(|job| job.tenant == tenant)
-        .map(|job| {
-            let state = job.state.lock().expect("job state");
-            let status = match (&state.finished, &state.handle) {
-                (Some(finished), _) => finished.status,
-                (None, Some(handle)) => handle.status(),
-                (None, None) => JobStatus::Queued,
-            };
-            WireJob {
-                job: job.id,
-                engine_id: state.engine_id,
-                name: Some(job.name.clone()),
-                status: Cow::Borrowed(status.name()),
-            }
-        })
-        .collect();
-    jobs.sort_by_key(|j| j.job);
     let cache = shared.engine.plan_cache();
     let calibration = shared.engine.calibration();
-    WireStats {
-        tenant: tenant.to_string(),
+    let reply = StatsReply {
+        tenant,
         in_flight: lane.in_flight as u64,
         queued: lane.queued as u64,
         queued_bytes: lane.queued_bytes as u64,
@@ -1350,8 +1341,23 @@ fn stats(shared: &Shared, tenant: &str) -> WireStats {
             .as_ref()
             .map(|snapshot| snapshot.residual_confidence()),
         replans: shared.engine.replans(),
-        jobs,
-    }
+    };
+    let jobs = shared.jobs.lock().expect("job table");
+    reply
+        .encode_shared(jobs.len(), |rows| {
+            for job in jobs.values().filter(|job| job.tenant == tenant) {
+                let state = job.state.lock().expect("job state");
+                match &state.finished {
+                    Some(finished) => rows.encoded(&finished.row),
+                    None => {
+                        let handle = state.handle.as_ref();
+                        let status = handle.map_or(JobStatus::Queued, JobHandle::status);
+                        rows.row(&job.row(state.engine_id, status));
+                    }
+                }
+            }
+        })
+        .expect("serialize")
 }
 
 /// Look a job up and enforce tenant ownership.
@@ -1373,7 +1379,189 @@ fn owned_job(shared: &Shared, tenant: &str, id: u64) -> Result<Arc<ServedJob>, W
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{WireJob, WireSource, WireStats, WireTrain};
     use ml4all::{DataSource, GradientKind};
+
+    /// The rows `stats` built per call before finished rows were encoded
+    /// once: every job of `tenant` in the table, sorted by id, its status
+    /// the recorded outcome (`outcome(id)` here) or else what its engine
+    /// handle says.
+    fn rows_built_per_call(
+        shared: &Shared,
+        tenant: &str,
+        outcome: &dyn Fn(u64) -> JobStatus,
+    ) -> Vec<WireJob> {
+        let jobs = shared.jobs.lock().expect("job table");
+        let mut rows: Vec<WireJob> = jobs
+            .values()
+            .filter(|job| job.tenant == tenant)
+            .map(|job| {
+                let state = job.state.lock().expect("job state");
+                let status = match (&state.finished, &state.handle) {
+                    (Some(_), _) => outcome(job.id),
+                    (None, Some(handle)) => handle.status(),
+                    (None, None) => JobStatus::Queued,
+                };
+                let row = serde_json::json!({
+                    "job": job.id,
+                    "engine_id": state.engine_id,
+                    "name": job.name,
+                    "status": status.name(),
+                });
+                serde_json::from_value::<WireJob>(&row).expect("a job row")
+            })
+            .collect();
+        rows.sort_by_key(|row| row.job);
+        rows
+    }
+
+    /// `tenant`'s `Stats` frame, checked against the derived encoding of
+    /// the rows built per call; returns the job ids it lists.
+    fn stats_ids(shared: &Shared, tenant: &str, outcome: &dyn Fn(u64) -> JobStatus) -> Vec<u64> {
+        let frame = stats(shared, tenant);
+        let Ok(Response::Ok(Payload::Stats(decoded))) = serde_json::from_slice(&frame[4..]) else {
+            panic!("not a Stats answer");
+        };
+        let ids = decoded.jobs.iter().map(|row| row.job).collect();
+        let derived = WireStats {
+            jobs: rows_built_per_call(shared, tenant, outcome),
+            ..decoded
+        };
+        let derived = encode_shared_frame(&Response::Ok(Payload::Stats(derived))).expect("encode");
+        assert!(
+            frame[..] == derived[..],
+            "tenant {tenant}: Stats bytes differ from the derived encoding"
+        );
+        ids
+    }
+
+    /// Wait (bounded) until `done` holds for `job`'s state.
+    fn wait_for(job: &ServedJob, done: impl Fn(&Progress) -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        while !done(&job.state.lock().expect("job state")) {
+            assert!(std::time::Instant::now() < deadline, "job {} stuck", job.id);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Past the history cap, each tenant's `Stats` lists exactly its own
+    /// retained rows in submission order, in the bytes the derived encoding
+    /// of the per-call rows gives; and a live row turns into its terminal
+    /// row as its job is finalized, so a copied row is never stale.
+    #[test]
+    fn stats_lists_each_tenants_retained_rows_and_never_goes_stale() {
+        let poller = Poller::new().expect("poller");
+        let engine = Engine::new().with_registry_cap(1000);
+        let shared = Arc::new(Shared::new(engine, ServeConfig::default(), poller.waker()));
+        let trained = shared
+            .engine
+            .train(
+                TrainRequest::new(
+                    GradientKind::LogisticRegression,
+                    DataSource::registry("adult"),
+                )
+                .max_iter(3),
+            )
+            .expect("train");
+        let tenant = |id: u64| if id.is_multiple_of(2) { "a" } else { "b" };
+        let terminal = SERVED_HISTORY_CAP as u64 + 50;
+        for id in 1..=terminal {
+            let job = Arc::new(ServedJob::new(id, tenant(id), format!("j{id}")));
+            job.state.lock().expect("job state").engine_id = (id % 5 != 0).then_some(id + 7);
+            shared
+                .jobs
+                .lock()
+                .expect("job table")
+                .insert(id, Arc::clone(&job));
+            let outcome = match id % 3 {
+                0 => Ok(trained.clone()),
+                1 => Err(SessionError::Cancelled { iterations: id }),
+                _ => Err(SessionError::UnknownName(format!("m{id}"))),
+            };
+            finalize(&shared, &job, &outcome);
+        }
+        // The statuses those outcomes record; the two live jobs below end
+        // cancelled.
+        let outcome = |id: u64| match id % 3 {
+            _ if id > terminal => JobStatus::Cancelled,
+            0 => JobStatus::Completed,
+            1 => JobStatus::Cancelled,
+            _ => JobStatus::Failed,
+        };
+        shared.next_job.store(terminal, Ordering::Relaxed);
+
+        // One long job of `a` dispatched and running, one job of `b` left
+        // queued; each submit prunes the oldest terminal jobs to the cap.
+        // A tolerance no run reaches: the job stays running until cancelled.
+        let mut train = WireTrain::new("logistic", WireSource::Registry("adult".into()));
+        train.epsilon = Some(f64::MIN_POSITIVE);
+        train.max_iter = Some(u64::MAX >> 8);
+        let submitted = |tenant: &str| {
+            let Response::Ok(Payload::Submitted { job }) = submit(&shared, tenant, &train, 100)
+            else {
+                panic!("submit refused");
+            };
+            owned_job(&shared, tenant, job).expect("submitted job")
+        };
+        let running = submitted("a");
+        dispatch(&shared);
+        let queued = submitted("b");
+        wait_for(&running, |state| {
+            state
+                .handle
+                .as_ref()
+                .is_some_and(|h| h.status() == JobStatus::Running)
+        });
+        assert_eq!(
+            shared.jobs.lock().expect("job table").len(),
+            SERVED_HISTORY_CAP,
+            "two submits past the cap prune back to it"
+        );
+        // 52 terminal jobs were pruned, oldest first: ids 1..=52.
+        let retained =
+            |t: &str| -> Vec<u64> { (53..=terminal).filter(|&id| tenant(id) == t).collect() };
+        let with = |mut ids: Vec<u64>, live: &ServedJob| {
+            ids.push(live.id);
+            ids
+        };
+        assert_eq!(
+            stats_ids(&shared, "a", &outcome),
+            with(retained("a"), &running)
+        );
+        assert_eq!(
+            stats_ids(&shared, "b", &outcome),
+            with(retained("b"), &queued)
+        );
+
+        // Both live jobs finish; their rows turn terminal on the next call.
+        running
+            .state
+            .lock()
+            .expect("job state")
+            .handle
+            .as_ref()
+            .expect("dispatched")
+            .cancel();
+        queued.state.lock().expect("job state").cancel_requested = true;
+        dispatch(&shared);
+        for job in [&running, &queued] {
+            wait_for(job, |state| state.finished.is_some());
+        }
+        assert_eq!(
+            stats_ids(&shared, "a", &outcome),
+            with(retained("a"), &running)
+        );
+        assert_eq!(
+            stats_ids(&shared, "b", &outcome),
+            with(retained("b"), &queued)
+        );
+        let frame = stats(&shared, "b");
+        let text = std::str::from_utf8(&frame[4..]).expect("utf-8");
+        assert!(text.ends_with(&format!(
+            r#"{{"job":{},"engine_id":null,"name":"j{}","status":"cancelled"}}]}}}}}}"#,
+            queued.id, queued.id
+        )));
+    }
 
     /// Two same-named jobs of one tenant may run at once; whichever binds
     /// the name last, each job's `Joined` carries the weights it trained.

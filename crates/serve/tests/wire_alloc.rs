@@ -7,8 +7,10 @@
 //! both halves by an order of magnitude.
 //!
 //! The server side: a frame the server queues is one request, the
-//! `Arc<[u8]>` it is shared as, and building and encoding a `Joined`
-//! answer costs the same requests at d = 20 000 as at d = 123.
+//! `Arc<[u8]>` it is shared as, building and encoding a `Joined` answer
+//! costs the same requests at d = 20 000 as at d = 123, and a `Stats`
+//! answer from encoded rows the same at 2 048 rows as at 16. A decoded
+//! `Stats` row costs its name only: its status borrows a literal.
 //!
 //! One `#[test]` only: the counters are process-wide, and the harness runs
 //! tests of one binary on parallel threads.
@@ -18,7 +20,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use ml4all_bench::wire_samples::{joined, progress, stats, weights};
 use ml4all_serve::protocol::{
-    encode_frame_into, encode_shared_frame, JoinedReply, Payload, Response,
+    encode_frame_into, encode_shared_frame, EncodedRow, JobRow, JoinedReply, Payload, Response,
+    StatsReply,
 };
 
 /// Every allocation request (`alloc`, `alloc_zeroed`, `realloc`).
@@ -123,6 +126,7 @@ fn the_codec_allocates_for_its_output_only() {
 
     shared_frames_cost_one_request();
     joined_costs_no_request_per_weight();
+    stats_costs_no_request_per_row();
 }
 
 /// Past the first frame on a thread, which grows its scratch buffer,
@@ -200,5 +204,72 @@ fn joined_costs_no_request_per_weight() {
     assert_eq!(
         made, 0,
         "encoding Joined into a warm buffer must not allocate"
+    );
+}
+
+/// `Stats` is written from rows encoded once: building and encoding the
+/// answer costs the same requests at 2 048 rows as at 16, and decoding it
+/// makes one request per row, its name, and none per status.
+fn stats_costs_no_request_per_row() {
+    let rows = |n: u64| -> Vec<EncodedRow> {
+        (1..=n)
+            .map(|job| {
+                JobRow {
+                    job,
+                    engine_id: Some(job),
+                    name: Some("hot"),
+                    status: "completed",
+                }
+                .encode()
+            })
+            .collect()
+    };
+    let build_and_encode = |rows: &[EncodedRow]| {
+        requests(|| {
+            let reply = StatsReply {
+                tenant: "t0",
+                quota_max_in_flight: 4,
+                global_capacity: 8,
+                ..StatsReply::default()
+            };
+            reply
+                .encode_shared(rows.len(), |table| {
+                    for row in rows {
+                        table.encoded(row);
+                    }
+                })
+                .expect("encode")
+                .len()
+        })
+        .0
+    };
+    let (narrow, wide) = (rows(16), rows(2048));
+    // A 2 048-row frame drops the thread's scratch buffer after use, so
+    // each measurement below starts from an empty one.
+    build_and_encode(&wide);
+    let narrow_requests = build_and_encode(&narrow);
+    build_and_encode(&wide);
+    let wide_requests = build_and_encode(&wide);
+    assert_eq!(
+        wide_requests, narrow_requests,
+        "Stats with 2048 rows made {wide_requests} allocation requests, with 16 \
+         {narrow_requests}"
+    );
+    // The scratch buffer's one reservation, the shared frame.
+    assert!(
+        narrow_requests <= 2,
+        "Stats made {narrow_requests} allocation requests"
+    );
+
+    let mut frame = Vec::new();
+    encode_frame_into(&mut frame, &stats(2048)).expect("encode");
+    let (decode_requests, _) =
+        requests(|| serde_json::from_slice::<Response>(&frame[4..]).expect("decode"));
+    // The tenant, then a name per row; the rows' Vec.
+    let bound = 1 + 2048 + vec_growth(2048) + CONSTANT;
+    assert!(
+        decode_requests <= bound,
+        "decoding Stats with 2048 rows made {decode_requests} allocation requests, \
+         its names account for at most {bound}"
     );
 }

@@ -13,7 +13,9 @@
 //! error texts and byte offsets. Regenerating it with `UPDATE_GOLDEN=1`
 //! is only legitimate when a decode rule is changed on purpose.
 
+use std::borrow::Cow;
 use std::fmt::Debug;
+use std::sync::Arc;
 
 use ml4all_bench::golden::assert_golden;
 use ml4all_bench::wire_samples::weights;
@@ -24,9 +26,9 @@ use ml4all_dataflow::{
     SamplingMethod, UsageMeter,
 };
 use ml4all_serve::protocol::{
-    encode_frame, encode_shared_frame, encode_weights, f64_to_bits_hex, JoinedReply, Payload,
-    Request, Response, WireError, WireEvent, WireJob, WireSource, WireStats, WireTrain,
-    WireTrained,
+    encode_frame, encode_shared_frame, encode_weights, f64_to_bits_hex, EncodedRow, JobRow,
+    JoinedReply, Payload, Request, Response, StatsReply, WireError, WireEvent, WireJob, WireSource,
+    WireStats, WireTrain, WireTrained,
 };
 use proptest::prelude::*;
 use serde_json::Value;
@@ -1100,6 +1102,173 @@ proptest! {
         let reply = encode_shared_frame(&joined_reply(&w)).expect("encode reply");
         let derived = encode_frame(&joined(&w)).expect("encode derived");
         prop_assert!(reply[..] == derived[..]);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The server's `Stats` from encoded rows is the derived `WireStats`
+// ---------------------------------------------------------------------
+
+/// One job-table row: id, engine id, name, status.
+type Row = (u64, Option<u64>, Option<String>, String);
+
+fn job_row((job, engine_id, name, status): &Row) -> JobRow<'_> {
+    JobRow {
+        job: *job,
+        engine_id: *engine_id,
+        name: name.as_deref(),
+        status,
+    }
+}
+
+/// The server's `Stats` frame for `header`'s fields and `rows`: a row
+/// with a terminal status is copied as encoded once, the others are
+/// encoded on the spot.
+fn stats_reply_frame(header: &WireStats, rows: &[Row]) -> Arc<[u8]> {
+    let terminal = |status: &str| matches!(status, "completed" | "cancelled" | "failed");
+    let encoded: Vec<Option<EncodedRow>> = rows
+        .iter()
+        .map(|row| terminal(&row.3).then(|| job_row(row).encode()))
+        .collect();
+    let reply = StatsReply {
+        tenant: &header.tenant,
+        in_flight: header.in_flight,
+        queued: header.queued,
+        queued_bytes: header.queued_bytes,
+        quota_max_in_flight: header.quota_max_in_flight,
+        quota_max_queued_bytes: header.quota_max_queued_bytes,
+        global_in_flight: header.global_in_flight,
+        global_capacity: header.global_capacity,
+        plan_cache_hits: header.plan_cache_hits,
+        plan_cache_misses: header.plan_cache_misses,
+        plan_cache_len: header.plan_cache_len,
+        checkpoints_written: header.checkpoints_written,
+        jobs_resumed: header.jobs_resumed,
+        calibration_generation: header.calibration_generation,
+        calibration_confidence: header.calibration_confidence,
+        replans: header.replans,
+    };
+    reply
+        .encode_shared(rows.len(), |table| {
+            for (row, encoded) in rows.iter().zip(&encoded) {
+                match encoded {
+                    Some(encoded) => table.encoded(encoded),
+                    None => table.row(&job_row(row)),
+                }
+            }
+        })
+        .expect("encode reply")
+}
+
+/// The derived frame of `header` with `rows` as its job table.
+fn derived_stats_frame(header: &WireStats, rows: &[Row]) -> Vec<u8> {
+    let mut stats = header.clone();
+    stats.jobs = rows
+        .iter()
+        .map(|(job, engine_id, name, status)| WireJob {
+            job: *job,
+            engine_id: *engine_id,
+            name: name.clone(),
+            status: status.clone().into(),
+        })
+        .collect();
+    encode_frame(&Response::Ok(Payload::Stats(stats))).expect("encode derived")
+}
+
+fn row(job: u64, engine_id: Option<u64>, name: Option<&str>, status: &str) -> Row {
+    (job, engine_id, name.map(str::to_string), status.to_string())
+}
+
+#[test]
+fn stats_reply_bytes_equal_the_derived_wire_stats() {
+    let mixed = vec![
+        row(1, None, Some("waiting"), "queued"),
+        row(2, Some(7), Some("m2"), "running"),
+        row(3, Some(8), Some("m3"), "completed"),
+        row(4, Some(9), Some("m4"), "cancelled"),
+        row(5, None, Some("m5"), "cancelled"),
+        row(6, Some(10), Some("m6"), "failed"),
+        row(7, Some(11), Some("say \"hi\""), "completed"),
+        row(8, Some(12), Some("back\\slash"), "completed"),
+        row(9, Some(13), Some("bell\u{7}\ttab\u{1f}"), "failed"),
+        row(10, Some(14), Some("naïve 中 😀"), "running"),
+        row(11, Some(u64::MAX), None, "completed"),
+    ];
+    let full: Vec<Row> = (1..=2048)
+        .map(|job| row(job, Some(job + 100), Some(&format!("j{job}")), "completed"))
+        .collect();
+    let calibrated = stats(0);
+    let mut uncalibrated = stats(0);
+    uncalibrated.calibration_generation = None;
+    uncalibrated.calibration_confidence = None;
+    for header in [&calibrated, &uncalibrated] {
+        for (label, rows) in [
+            ("0 rows", &[][..]),
+            ("1 row", &mixed[2..3]),
+            ("every status and escape", &mixed[..]),
+            ("2048 rows", &full[..]),
+        ] {
+            let reply = stats_reply_frame(header, rows);
+            assert!(
+                reply[..] == derived_stats_frame(header, rows)[..],
+                "{label}, calibration {:?}: the server's Stats bytes differ from the derived \
+                 encoding",
+                header.calibration_generation
+            );
+        }
+    }
+
+    // A decoded row borrows its status when it is one of the five
+    // literals, and owns any other text.
+    let frame = derived_stats_frame(
+        &calibrated,
+        &[
+            row(1, None, None, "queued"),
+            row(2, None, None, "failed"),
+            row(3, None, None, "paused"),
+        ],
+    );
+    let Ok(Response::Ok(Payload::Stats(decoded))) = serde_json::from_slice(&frame[4..]) else {
+        panic!("not a Stats answer");
+    };
+    let borrowed: Vec<bool> = decoded
+        .jobs
+        .iter()
+        .map(|job| matches!(job.status, Cow::Borrowed(_)))
+        .collect();
+    assert_eq!(borrowed, [true, true, false]);
+    assert_eq!(decoded.jobs[2].status, "paused");
+}
+
+fn status() -> BoxedStrategy<String> {
+    prop_oneof![
+        Just("queued".to_string()),
+        Just("running".to_string()),
+        Just("completed".to_string()),
+        Just("cancelled".to_string()),
+        Just("failed".to_string()),
+        text(),
+    ]
+    .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn stats_reply_bytes_equal_the_derived_for_any_rows(
+        rows in prop::collection::vec(
+            (0u64..u64::MAX, opt(0u64..u64::MAX), opt(text()), status()),
+            0..24,
+        ),
+        generation in opt(0u64..u64::MAX),
+        confidence in opt(finite_f64()),
+    ) {
+        let mut header = stats(0);
+        header.calibration_generation = generation;
+        header.calibration_confidence = confidence;
+        let reply = stats_reply_frame(&header, &rows);
+        prop_assert!(reply[..] == derived_stats_frame(&header, &rows)[..]);
     }
 }
 
