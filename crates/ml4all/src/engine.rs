@@ -1172,6 +1172,19 @@ mod tests {
             matches!(&outcome, Err(SessionError::JobPanicked(message)) if message == "boom"),
             "{outcome:?}"
         );
+        // The panic poisoned nothing: another tenant's training job on the
+        // same engine runs to completion.
+        let request = TrainRequest::new(
+            GradientKind::LogisticRegression,
+            crate::DataSource::registry("adult"),
+        )
+        .max_iter(20)
+        .named("healthy");
+        let (state, events) = JobState::with_channel();
+        let healthy = engine.submit_inner(request, "globex", state, events);
+        assert_eq!(healthy.wait(), JobStatus::Completed);
+        let trained = healthy.join().expect("a healthy job after the panic");
+        assert_eq!(trained.name, "healthy");
     }
 
     #[test]

@@ -7,14 +7,15 @@
 //!                 ┌────────────────────────────────────────────┐
 //!  TCP clients ──▶│ reactor thread (epoll, 1 thread)            │
 //!                 │  accept · decode · verbs · admission drain  │
+//!                 │  owns the job table and every job's frames  │
 //!                 │  observer fan-out · bounded write buffers   │
 //!                 └───────┬────────────────────▲───────────────┘
 //!      training jobs,     │                    │ Action queue + waker
-//!      Explain, Predict   │                    │
+//!      Explain, Predict   │                    │ (Event, Finished, Respond)
 //!                 ┌───────▼────────────────────┴───────────────┐
 //!                 │ engine runtime: one worker pool, one lane   │
-//!                 │ per tenant (EventSink pushes pre-framed     │
-//!                 │ events; verb answers post Respond)          │
+//!                 │ per tenant (EventSink encodes each event    │
+//!                 │ and the terminal frames, then posts them)   │
 //!                 └────────────────────────────────────────────┘
 //! ```
 //!
@@ -27,15 +28,15 @@
 //! that do real work (`Explain`, `Predict`), which stay outside the
 //! admission quotas and answer through the action queue. Within a lane
 //! jobs run FIFO, across lanes round-robin, so one tenant's burst of
-//! cold `Explain`s cannot hold back another tenant's `Predict`. A
-//! training job's worker pushes each [`ml4all::JobEvent`] through an
-//! [`EventSink`] that serializes it **once** into a length-prefixed
-//! frame shared (`Arc<[u8]>`) by every observer — a thousand idle
-//! observers cost file descriptors and buffer space, not threads, and
-//! replay from any sequence number is a buffer copy. The worker that
-//! finishes a job encodes its terminal frames there too, and its `Stats`
-//! row: the reactor answers `Stats` by copying a finished job's row into
-//! the frame and encodes only the queued and running rows afresh.
+//! cold `Explain`s cannot hold back another tenant's `Predict`. The
+//! reactor alone owns the job table and every job's frames, unlocked: a
+//! training job's worker serializes each [`ml4all::JobEvent`] **once**
+//! into a length-prefixed frame shared (`Arc<[u8]>`) by every observer
+//! and posts it as an `Event`, then its terminal frames as `Finished`.
+//! So a thousand idle observers cost file descriptors and buffer space,
+//! not threads, and replay from any sequence number is a buffer copy.
+//! Applying `Finished`, the reactor encodes the job's `Stats` row once,
+//! and answers `Stats` by copying finished rows into the frame.
 //!
 //! Outbound data sits in a per-connection write buffer capped at
 //! [`ServeConfig::max_write_buffer`] bytes, under one rule: a frame fits
@@ -116,8 +117,8 @@ impl Default for ServeConfig {
 const DRR_QUANTUM: usize = 4096;
 
 /// Served jobs kept for replay after they finish. Terminal jobs beyond
-/// this count are pruned oldest-first on submit (running and queued
-/// jobs are never pruned).
+/// this count are pruned on submit, each the oldest of the tenant holding
+/// the most ([`Jobs::prune`]).
 const SERVED_HISTORY_CAP: usize = 4096;
 
 /// Parsed requests a connection may queue while a verb is pending;
@@ -137,26 +138,6 @@ const OBSERVER_STALL_STRIKES: u32 = 4;
 const LISTENER_TOKEN: u64 = 0;
 const FIRST_CONN_TOKEN: u64 = 2;
 
-/// A job's server-side progress record. Events are stored pre-framed —
-/// serialized exactly once, shared by every observer, indexed by
-/// sequence number.
-struct Progress {
-    /// The engine's handle while the job runs: its status and
-    /// cancellation. `None` while queued, for a job cancelled before its
-    /// turn came, and once finished — dropping it frees the engine's copy
-    /// of the outcome, bound weights included, which the history of
-    /// finished jobs would otherwise keep.
-    handle: Option<JobHandle>,
-    /// The engine's id for the job, once dispatched.
-    engine_id: Option<u64>,
-    cancel_requested: bool,
-    /// `frames[seq]` is the complete `Event{seq, …}` response frame.
-    frames: Vec<Arc<[u8]>>,
-    /// Set *after* the last event frame, so `Some` implies `frames` is
-    /// complete.
-    finished: Option<Finished>,
-}
-
 /// A finished job's record: the weights live once, in the encoded
 /// `Joined` frame.
 struct Finished {
@@ -169,88 +150,89 @@ struct Finished {
     end: Arc<[u8]>,
 }
 
-/// One wire-submitted job.
+/// One wire-submitted job and its progress, owned by the reactor. Events
+/// are stored pre-framed — serialized exactly once by the job's worker,
+/// shared by every observer, indexed by sequence number.
+#[derive(Default)]
 struct ServedJob {
     id: u64,
     tenant: String,
     /// Tenant-visible result name (always set; the engine sees it
     /// prefixed with `tenant:`).
     name: String,
-    state: Mutex<Progress>,
-    /// Coalesces [`Action::JobDirty`] postings: the sink only enqueues
-    /// when it flips this false→true; the reactor clears it before
-    /// reading the frame buffer.
-    dirty: AtomicBool,
+    /// The engine's handle while the job runs: its status and
+    /// cancellation. `None` while queued, for a job cancelled before its
+    /// turn came, and once finished — dropping it frees the engine's copy
+    /// of the outcome, bound weights included, which the history of
+    /// finished jobs would otherwise keep.
+    handle: Option<JobHandle>,
+    /// The engine's id for the job, once dispatched.
+    engine_id: Option<u64>,
+    cancel_requested: bool,
+    /// `frames[seq]` is the complete `Event{seq, …}` response frame.
+    frames: Vec<Arc<[u8]>>,
+    /// Set by the job's last action, after its last event frame, so
+    /// `Some` implies `frames` is complete.
+    finished: Option<Finished>,
+    /// Tokens of the connections observing or joining the job; a job
+    /// with waiters is never pruned.
+    waiters: Vec<u64>,
 }
 
 impl ServedJob {
     fn new(id: u64, tenant: &str, name: String) -> Self {
+        let tenant = tenant.to_string();
         Self {
             id,
-            tenant: tenant.to_string(),
+            tenant,
             name,
-            state: Mutex::new(Progress {
-                handle: None,
-                engine_id: None,
-                cancel_requested: false,
-                frames: Vec::new(),
-                finished: None,
-            }),
-            dirty: AtomicBool::new(false),
+            ..Self::default()
         }
     }
 
     /// The job's `Stats` row under `status`.
-    fn row(&self, engine_id: Option<u64>, status: JobStatus) -> JobRow<'_> {
+    fn row(&self, status: JobStatus) -> JobRow<'_> {
         JobRow {
             job: self.id,
-            engine_id,
+            engine_id: self.engine_id,
             name: Some(&self.name),
             status: status.name(),
         }
     }
 }
 
-/// A queued, admitted job waiting for dispatch.
-struct Pending {
-    job: Arc<ServedJob>,
-    request: TrainRequest,
-}
-
-/// Work other threads hand to the reactor (paired with a waker nudge).
+/// Work pool workers hand to the reactor through [`Shared::post`]. A
+/// worker only encodes; the reactor, the one owner of the job table,
+/// applies what it is posted.
 enum Action {
     /// An `Explain`/`Predict` answer: queue `frame` on connection
     /// `token`.
     Respond { token: u64, frame: Arc<[u8]> },
-    /// The job gained events or finished; fan out to its waiters.
-    JobDirty(Arc<ServedJob>),
-    /// Admission capacity may have freed; drain dispatchable jobs.
-    Dispatch,
-}
-
-/// Transport counters behind the `ServerStats` verb.
-#[derive(Default)]
-struct Counters {
-    active_connections: AtomicU64,
-    total_connections: AtomicU64,
-    wakeups: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-    partial_writes: AtomicU64,
-    slow_consumer_disconnects: AtomicU64,
+    /// Job `job`'s event `seq`, pre-framed, to append to its frames.
+    Event {
+        job: u64,
+        seq: u64,
+        frame: Arc<[u8]>,
+    },
+    /// Job `job` ended under `status`, after its last event, with its
+    /// pre-framed `Joined` and `ObserveEnd` answers.
+    Finished {
+        job: u64,
+        status: JobStatus,
+        joined: Arc<[u8]>,
+        end: Arc<[u8]>,
+    },
 }
 
 struct Shared {
     engine: Engine,
     config: ServeConfig,
-    admission: Admission<Pending>,
-    jobs: Mutex<BTreeMap<u64, Arc<ServedJob>>>,
-    next_job: AtomicU64,
+    /// Admitted jobs waiting for dispatch: job id and engine request.
+    admission: Admission<(u64, TrainRequest)>,
     protocol_errors: AtomicU64,
     shutdown: AtomicBool,
     actions: Mutex<VecDeque<Action>>,
     waker: Waker,
-    counters: Counters,
 }
 
 impl Shared {
@@ -263,23 +245,30 @@ impl Shared {
             engine,
             config,
             admission,
-            jobs: Mutex::new(BTreeMap::new()),
-            next_job: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             actions: Mutex::new(VecDeque::new()),
             waker,
-            counters: Counters::default(),
         }
     }
 
-    /// Queue actions for the reactor and nudge it awake (one wake per
-    /// batch; wakes coalesce in the poller).
-    fn post(&self, actions: impl IntoIterator<Item = Action>) {
+    /// Hand `action` to the reactor. Only the push that makes the queue
+    /// non-empty writes the wake pipe: the reactor pops until the queue is
+    /// empty on every wake-up, so a push onto a non-empty queue is already
+    /// covered by the wake before it.
+    fn post(&self, action: Action) {
         let mut queue = self.actions.lock().expect("action queue");
-        queue.extend(actions);
+        queue.push_back(action);
+        let first = queue.len() == 1;
         drop(queue);
-        self.waker.wake();
+        if first {
+            self.waker.wake();
+        }
+    }
+
+    /// The reactor's next action, in posting order.
+    fn next_action(&self) -> Option<Action> {
+        self.actions.lock().expect("action queue").pop_front()
     }
 }
 
@@ -310,7 +299,19 @@ impl Server {
                     poller,
                     listener,
                     conns: HashMap::new(),
-                    waiters: HashMap::new(),
+                    counters: WireServerStats {
+                        backend: Poller::BACKEND.to_string(),
+                        active_connections: 0,
+                        total_connections: 0,
+                        wakeups: 0,
+                        bytes_in: 0,
+                        bytes_out: 0,
+                        partial_writes: 0,
+                        slow_consumer_disconnects: 0,
+                    },
+                    jobs: Jobs::default(),
+                    touched: Vec::new(),
+                    tokens: Vec::new(),
                     next_token: FIRST_CONN_TOKEN,
                 }
                 .run();
@@ -358,34 +359,62 @@ impl Drop for Server {
 // The event sink: engine worker → pre-framed event buffer → reactor
 // ---------------------------------------------------------------------
 
-/// Runs on the engine worker executing the job: serializes each event
-/// into the job's shared frame buffer and nudges the reactor. No pump
-/// thread exists per job — this *is* the push path.
+/// Runs on the engine worker executing the job: serializes each event,
+/// and at the end the terminal frames, and posts them to the reactor,
+/// which owns the job's frame buffer. No pump thread exists per job —
+/// this *is* the push path.
 struct JobSink {
     shared: Arc<Shared>,
-    job: Arc<ServedJob>,
-    /// `"{tenant}:"`, stripped from bound names on the wire.
-    prefix: String,
+    job: u64,
+    /// `"{tenant}:{name}"`: the prefix stripped from bound names on the
+    /// wire, then the job's visible name.
+    qualified: String,
+    /// Where the prefix ends in `qualified`.
+    split: usize,
+    /// The next event's sequence number (a job emits its events one
+    /// after another).
+    seq: AtomicU64,
+}
+
+impl JobSink {
+    fn new(shared: &Arc<Shared>, job: &ServedJob) -> Self {
+        Self {
+            shared: Arc::clone(shared),
+            job: job.id,
+            qualified: format!("{}:{}", job.tenant, job.name),
+            split: job.tenant.len() + 1,
+            seq: AtomicU64::new(0),
+        }
+    }
 }
 
 impl EventSink for JobSink {
     fn event(&self, event: JobEvent) {
-        let wire = WireEvent::from_job_event(&event, &self.prefix);
-        let mut state = self.job.state.lock().expect("job state");
-        let seq = state.frames.len() as u64;
+        let wire = WireEvent::from_job_event(&event, &self.qualified[..self.split]);
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let frame = encode_shared_frame(&Response::Ok(Payload::Event { seq, event: wire }))
             .expect("serialize event");
-        state.frames.push(frame);
-        drop(state);
-        if !self.job.dirty.swap(true, Ordering::AcqRel) {
-            self.shared.post([Action::JobDirty(Arc::clone(&self.job))]);
-        }
+        self.shared.post(Action::Event {
+            job: self.job,
+            seq,
+            frame,
+        });
     }
 
     fn finished(&self, outcome: &Result<Trained, SessionError>) {
-        finalize(&self.shared, &self.job, outcome);
-        self.shared
-            .post([Action::JobDirty(Arc::clone(&self.job)), Action::Dispatch]);
+        let (status, reply) = project_outcome(self.job, &self.qualified[self.split..], outcome);
+        let end = encode_shared_frame(&Response::Ok(Payload::ObserveEnd {
+            job: self.job,
+            status: status.name().to_string(),
+        }))
+        .expect("serialize");
+        let joined = encode_shared_frame(&reply).expect("serialize");
+        self.shared.post(Action::Finished {
+            job: self.job,
+            status,
+            joined,
+            end,
+        });
     }
 }
 
@@ -394,16 +423,17 @@ impl EventSink for JobSink {
 /// bound on success, iterations on cancellation, the rendered error on
 /// failure.
 fn project_outcome<'a>(
-    job: &'a ServedJob,
+    job: u64,
+    name: &'a str,
     outcome: &'a Result<Trained, SessionError>,
 ) -> (JobStatus, JoinedReply<'a>) {
     let mut reply = JoinedReply {
-        job: job.id,
+        job,
         ..JoinedReply::default()
     };
     let status = match outcome {
         Ok(trained) => {
-            reply.name = Some(&job.name);
+            reply.name = Some(name);
             reply.plan = Some(trained.summary.plan.to_string());
             reply.iterations = Some(trained.summary.iterations);
             reply.converged = Some(trained.summary.converged);
@@ -422,31 +452,6 @@ fn project_outcome<'a>(
     };
     reply.status = status.name();
     (status, reply)
-}
-
-/// Record a job's terminal outcome with its pre-framed `Joined` and
-/// `ObserveEnd` responses and its encoded `Stats` row, then free its
-/// admission slot.
-fn finalize(shared: &Shared, job: &ServedJob, outcome: &Result<Trained, SessionError>) {
-    // Dispatch sets the engine id under the job lock before the job can
-    // run, so it is final here.
-    let engine_id = job.state.lock().expect("job state").engine_id;
-    let (status, reply) = project_outcome(job, outcome);
-    let end = encode_shared_frame(&Response::Ok(Payload::ObserveEnd {
-        job: job.id,
-        status: status.name().to_string(),
-    }))
-    .expect("serialize");
-    // Before `Joined`, whose frame may be large enough to drop the
-    // thread's scratch buffer: the row reuses the one `end` just warmed.
-    let row = job.row(engine_id, status).encode();
-    let joined = encode_shared_frame(&reply).expect("serialize");
-    let mut state = job.state.lock().expect("job state");
-    state.handle = None;
-    state.finished = Some(Finished { row, joined, end });
-    drop(state);
-    job.dirty.store(true, Ordering::Release);
-    shared.admission.complete(&job.tenant);
 }
 
 // ---------------------------------------------------------------------
@@ -507,7 +512,7 @@ enum PendingVerb {
     /// a `Join`, which streams none), then its terminal frame —
     /// `ObserveEnd`, or `Joined` for a join.
     Job {
-        job: Arc<ServedJob>,
+        job: u64,
         cursor: Option<usize>,
         /// Consecutive event deliveries that moved `cursor` by nothing
         /// because the write buffer stayed saturated (see
@@ -516,16 +521,6 @@ enum PendingVerb {
     },
     /// Waiting for an `Explain`/`Predict` job in the tenant's lane.
     Lane,
-}
-
-impl PendingVerb {
-    /// The job this verb waits on, if any (for waiter cleanup).
-    fn job_id(&self) -> Option<u64> {
-        match self {
-            Self::Job { job, .. } => Some(job.id),
-            Self::Lane => None,
-        }
-    }
 }
 
 /// One connection: a readiness-driven state machine.
@@ -596,8 +591,13 @@ struct Reactor {
     poller: Poller,
     listener: TcpListener,
     conns: HashMap<u64, Conn>,
-    /// job id → tokens of connections observing or joining it.
-    waiters: HashMap<u64, Vec<u64>>,
+    /// The transport counters the `ServerStats` verb reports.
+    counters: WireServerStats,
+    jobs: Jobs,
+    /// Jobs the actions of the current drain touched, each once.
+    touched: Vec<u64>,
+    /// The waiters a delivery walks, copied out of their job's list.
+    tokens: Vec<u64>,
     next_token: u64,
 }
 
@@ -617,7 +617,7 @@ impl Reactor {
             {
                 return;
             }
-            self.shared.counters.wakeups.fetch_add(1, Ordering::Relaxed);
+            self.counters.wakeups += 1;
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 return;
             }
@@ -632,15 +632,12 @@ impl Reactor {
         }
     }
 
+    /// Apply every queued action — actions posted meanwhile, such as a
+    /// queued cancel finishing through its sink, included — then top up
+    /// each touched job's waiters once: one delivery per job per drain,
+    /// the cadence [`OBSERVER_STALL_STRIKES`] counts.
     fn drain_actions(&mut self) {
-        loop {
-            let action = self
-                .shared
-                .actions
-                .lock()
-                .expect("action queue")
-                .pop_front();
-            let Some(action) = action else { return };
+        while let Some(action) = self.shared.next_action() {
             match action {
                 // A lane verb's one answer resolves the connection's
                 // pending verb; a connection that died meanwhile is skipped.
@@ -650,9 +647,16 @@ impl Reactor {
                         self.send(token, &frame);
                     }
                 }
-                Action::JobDirty(job) => self.deliver_job(&job),
-                Action::Dispatch => dispatch(&self.shared),
+                action => {
+                    let job = self.jobs.apply(&self.shared, action);
+                    if !self.touched.contains(&job) {
+                        self.touched.push(job);
+                    }
+                }
             }
+        }
+        while let Some(job) = self.touched.pop() {
+            self.deliver_job(job);
         }
     }
 
@@ -679,14 +683,8 @@ impl Reactor {
                     }
                     self.conns
                         .insert(token, Conn::new(stream, self.shared.config.max_frame));
-                    self.shared
-                        .counters
-                        .total_connections
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.shared
-                        .counters
-                        .active_connections
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.counters.total_connections += 1;
+                    self.counters.active_connections += 1;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -712,40 +710,31 @@ impl Reactor {
         let mut scratch = [0u8; 16 * 1024];
         let mut items: Vec<Decoded> = Vec::new();
         let mut closed = false;
-        {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            'reads: for _ in 0..8 {
-                match conn.stream.read(&mut scratch) {
-                    // EOF (including a peer's half-close) ends the
-                    // conversation; buffered responses are abandoned
-                    // with the socket.
-                    Ok(0) => {
-                        closed = true;
-                        break 'reads;
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        for _ in 0..8 {
+            match conn.stream.read(&mut scratch) {
+                Ok(n) if n > 0 => {
+                    self.counters.bytes_in += n as u64;
+                    let mut offset = 0;
+                    while offset < n {
+                        let (used, item) = conn.decoder.advance(&scratch[offset..n]);
+                        offset += used;
+                        items.extend(item);
                     }
-                    Ok(n) => {
-                        self.shared
-                            .counters
-                            .bytes_in
-                            .fetch_add(n as u64, Ordering::Relaxed);
-                        let mut offset = 0;
-                        while offset < n {
-                            let (used, item) = conn.decoder.advance(&scratch[offset..n]);
-                            offset += used;
-                            items.extend(item);
-                        }
-                        if n < scratch.len() {
-                            break 'reads;
-                        }
+                    if n < scratch.len() {
+                        break;
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break 'reads,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        closed = true;
-                        break 'reads;
-                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                // EOF (including a peer's half-close) or a failed read ends
+                // the conversation; buffered responses are abandoned with
+                // the socket.
+                _ => {
+                    closed = true;
+                    break;
                 }
             }
         }
@@ -823,38 +812,33 @@ impl Reactor {
                 "send Hello with your tenant id first",
             )),
             (Request::Submit { train }, Some(tenant)) => {
-                submit(&self.shared, &tenant, &train, cost)
+                self.jobs.submit(&self.shared, &tenant, &train, cost)
             }
-            (Request::Observe { job, from }, Some(tenant)) => {
-                match owned_job(&self.shared, &tenant, job) {
-                    Err(e) => Response::Err(e),
-                    Ok(job) => {
-                        let cursor = usize::try_from(from.unwrap_or(0)).unwrap_or(usize::MAX);
-                        return self.wait_on(token, job, Some(cursor));
-                    }
-                }
-            }
-            (Request::Join { job }, Some(tenant)) => match owned_job(&self.shared, &tenant, job) {
+            (Request::Observe { job, from }, Some(tenant)) => match self.jobs.owned(&tenant, job) {
                 Err(e) => Response::Err(e),
-                Ok(job) => return self.wait_on(token, job, None),
-            },
-            (Request::Cancel { job }, Some(tenant)) => {
-                match owned_job(&self.shared, &tenant, job) {
-                    Err(e) => Response::Err(e),
-                    Ok(job) => {
-                        let mut state = job.state.lock().expect("job state");
-                        if state.finished.is_none() {
-                            match &state.handle {
-                                Some(handle) => handle.cancel(),
-                                // Still queued: dispatch finishes it as
-                                // cancelled when its turn comes.
-                                None => state.cancel_requested = true,
-                            }
-                        }
-                        Response::Ok(Payload::Cancelled { job: job.id })
-                    }
+                Ok(_) => {
+                    let cursor = usize::try_from(from.unwrap_or(0)).unwrap_or(usize::MAX);
+                    return self.wait_on(token, job, Some(cursor));
                 }
-            }
+            },
+            (Request::Join { job }, Some(tenant)) => match self.jobs.owned(&tenant, job) {
+                Err(e) => Response::Err(e),
+                Ok(_) => return self.wait_on(token, job, None),
+            },
+            (Request::Cancel { job }, Some(tenant)) => match self.jobs.owned(&tenant, job) {
+                Err(e) => Response::Err(e),
+                Ok(served) => {
+                    if served.finished.is_none() {
+                        match &served.handle {
+                            Some(handle) => handle.cancel(),
+                            // Still queued: dispatch finishes it as
+                            // cancelled when its turn comes.
+                            None => served.cancel_requested = true,
+                        }
+                    }
+                    Response::Ok(Payload::Cancelled { job })
+                }
+            },
             (Request::Explain { train, measured }, Some(tenant)) => {
                 let measured = measured.unwrap_or(false);
                 return self.run_in_lane(token, &tenant, move |engine| {
@@ -868,26 +852,17 @@ impl Reactor {
                 });
             }
             (Request::Stats, Some(tenant)) => {
-                return self.send(token, &stats(&self.shared, &tenant))
+                let frame = self.jobs.stats(&self.shared, &tenant);
+                return self.send(token, &frame);
             }
             (Request::ServerStats, Some(_)) => {
-                let c = &self.shared.counters;
-                Response::Ok(Payload::ServerStats(WireServerStats {
-                    backend: Poller::BACKEND.to_string(),
-                    active_connections: c.active_connections.load(Ordering::Relaxed),
-                    total_connections: c.total_connections.load(Ordering::Relaxed),
-                    wakeups: c.wakeups.load(Ordering::Relaxed),
-                    bytes_in: c.bytes_in.load(Ordering::Relaxed),
-                    bytes_out: c.bytes_out.load(Ordering::Relaxed),
-                    partial_writes: c.partial_writes.load(Ordering::Relaxed),
-                    slow_consumer_disconnects: c.slow_consumer_disconnects.load(Ordering::Relaxed),
-                }))
+                Response::Ok(Payload::ServerStats(self.counters.clone()))
             }
         };
         let admitted = matches!(response, Response::Ok(Payload::Submitted { .. }));
         self.respond(token, &response);
         if admitted {
-            dispatch(&self.shared);
+            self.jobs.dispatch(&self.shared);
         }
     }
 
@@ -913,7 +888,7 @@ impl Reactor {
                 let response = outcome
                     .unwrap_or_else(|e| Response::Err(WireError::new(code::FAILED, e.to_string())));
                 let frame = encode_shared_frame(&response).expect("serialize response");
-                shared.post([Action::Respond { token, frame }]);
+                shared.post(Action::Respond { token, frame });
             },
         );
     }
@@ -924,72 +899,61 @@ impl Reactor {
     /// write cap drains as the socket accepts it — lag, not a protocol
     /// violation. A wait the first top-up cannot finish joins the job's
     /// waiters, to be fed as the job produces.
-    fn wait_on(&mut self, token: u64, job: Arc<ServedJob>, cursor: Option<usize>) {
+    fn wait_on(&mut self, token: u64, job: u64, cursor: Option<usize>) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
         if conn.doomed {
             return;
         }
-        let id = job.id;
         conn.pending = Some(PendingVerb::Job {
             job,
             cursor,
             stalls: 0,
         });
         self.top_up(token);
-        if self.conns[&token].pending.is_some() {
-            self.waiters.entry(id).or_default().push(token);
+        let waiting = self.conns[&token].pending.is_some();
+        if let Some(job) = self.jobs.table.get_mut(&job).filter(|_| waiting) {
+            job.waiters.push(token);
         }
         self.service(token);
     }
 
     // -- job fan-out --------------------------------------------------
 
-    /// Top up every connection waiting on a dirty job. An event stream
-    /// that sits out [`OBSERVER_STALL_STRIKES`] deliveries in a row is
+    /// Top up every connection waiting on job `id`. An event stream that
+    /// sits out [`OBSERVER_STALL_STRIKES`] deliveries in a row is
     /// disconnected as a slow consumer; a join only waits for its frame.
-    fn deliver_job(&mut self, job: &Arc<ServedJob>) {
-        // Clear before snapshotting: a concurrent event after the
-        // snapshot re-marks and re-posts.
-        job.dirty.store(false, Ordering::Release);
-        let Some(mut tokens) = self.waiters.remove(&job.id) else {
+    fn deliver_job(&mut self, id: u64) {
+        let Some(job) = self.jobs.table.get(&id) else {
             return;
         };
-        tokens.retain(|&token| {
+        // Walk a copy: servicing a waiter may end its wait, or start a
+        // new one on this job, either of which edits the job's list.
+        let mut tokens = std::mem::take(&mut self.tokens);
+        tokens.clone_from(&job.waiters);
+        for &token in &tokens {
             let before = match self.conns.get(&token).and_then(|c| c.pending.as_ref()) {
-                Some(PendingVerb::Job { cursor, .. }) => *cursor,
-                _ => return false,
+                Some(PendingVerb::Job { job, cursor, .. }) if *job == id => *cursor,
+                _ => continue,
             };
             // service() runs the paced top-up/flush loop; it may finish
             // the wait, block on the socket, or close the connection.
             self.service(token);
-            let Some(PendingVerb::Job { cursor, stalls, .. }) =
-                self.conns.get_mut(&token).and_then(|c| c.pending.as_mut())
-            else {
-                return false;
+            let waiting = self.conns.get_mut(&token).and_then(|c| c.pending.as_mut());
+            let Some(PendingVerb::Job { cursor, stalls, .. }) = waiting else {
+                continue;
             };
             // An event stream saturated and absorbing nothing while the
             // job keeps producing.
-            *stalls = if cursor.is_some() && *cursor == before {
-                *stalls + 1
-            } else {
-                0
-            };
-            if *stalls < OBSERVER_STALL_STRIKES {
-                return true;
+            let stalled = cursor.is_some() && *cursor == before;
+            *stalls = if stalled { *stalls + 1 } else { 0 };
+            if *stalls >= OBSERVER_STALL_STRIKES {
+                self.doom_slow_consumer(token);
+                self.service(token);
             }
-            self.doom_slow_consumer(token);
-            self.service(token);
-            false
-        });
-        if !tokens.is_empty() {
-            let waiting = self.waiters.entry(job.id).or_default();
-            // A wait finished above may have handed its connection to a
-            // new wait on this job, already listed.
-            tokens.retain(|token| !waiting.contains(token));
-            waiting.append(&mut tokens);
         }
+        self.tokens = tokens;
     }
 
     /// Feed a connection waiting on a job from the job's frame buffer,
@@ -1003,41 +967,39 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&token) else {
             return false;
         };
-        let Some(PendingVerb::Job { job, cursor, .. }) = &conn.pending else {
+        let Some(PendingVerb::Job { job, cursor, .. }) = conn.pending else {
             return false;
         };
-        let (job, mut cursor) = (Arc::clone(job), *cursor);
-        let queued = conn.wbuf.len();
-        let state = job.state.lock().expect("job state");
+        // A waited-on job is never pruned.
+        let Some(job) = self.jobs.table.get_mut(&job) else {
+            return false;
+        };
+        let (queued, mut cursor) = (conn.wbuf.len(), cursor);
         if let Some(at) = cursor.as_mut() {
-            while state.frames.get(*at).is_some_and(|f| conn.queue(f, max)) {
+            while job.frames.get(*at).is_some_and(|f| conn.queue(f, max)) {
                 *at += 1;
             }
         }
         // Frames are never appended after a job turns terminal, so the
         // stream is complete once it is.
-        let done = state.finished.as_ref().is_some_and(|f| match cursor {
-            Some(at) => at >= state.frames.len() && conn.queue(&f.end, max),
+        let done = job.finished.as_ref().is_some_and(|f| match cursor {
+            Some(at) => at >= job.frames.len() && conn.queue(&f.end, max),
             None => conn.queue(&f.joined, max),
         });
-        drop(state);
         let queued = conn.wbuf.len() > queued;
         if done {
             conn.pending = None;
-            self.unwait(job.id, token);
+            job.waiters.retain(|&t| t != token);
         } else if let Some(PendingVerb::Job { cursor: at, .. }) = &mut conn.pending {
             *at = cursor;
         }
         queued
     }
 
-    /// Drop one token from a job's waiter list, and the list once empty.
+    /// Drop one token from a job's waiter list.
     fn unwait(&mut self, job_id: u64, token: u64) {
-        if let Some(waiting) = self.waiters.get_mut(&job_id) {
-            waiting.retain(|t| *t != token);
-            if waiting.is_empty() {
-                self.waiters.remove(&job_id);
-            }
+        if let Some(job) = self.jobs.table.get_mut(&job_id) {
+            job.waiters.retain(|&t| t != token);
         }
     }
 
@@ -1077,21 +1039,12 @@ impl Reactor {
         if conn.doomed {
             return;
         }
-        self.shared
-            .counters
-            .slow_consumer_disconnects
-            .fetch_add(1, Ordering::Relaxed);
-        if conn.wbuf_off > 0 {
-            let head = conn.wbuf.front().cloned();
-            conn.wbuf.clear();
-            if let Some(head) = head {
-                conn.wbuf_bytes = head.len() - conn.wbuf_off;
-                conn.wbuf.push_back(head);
-            }
-        } else {
-            conn.wbuf.clear();
-            conn.wbuf_bytes = 0;
-        }
+        self.counters.slow_consumer_disconnects += 1;
+        conn.wbuf.truncate(usize::from(conn.wbuf_off > 0));
+        conn.wbuf_bytes = conn
+            .wbuf
+            .front()
+            .map_or(0, |head| head.len() - conn.wbuf_off);
         let goodbye = encode_shared_frame(&Response::Err(WireError::new(
             code::SLOW_CONSUMER,
             format!("outbound buffer exceeded {max} bytes; undelivered frames dropped"),
@@ -1100,9 +1053,9 @@ impl Reactor {
         conn.wbuf_bytes += goodbye.len();
         conn.wbuf.push_back(goodbye);
         conn.doomed = true;
-        if let Some(job_id) = conn.pending.as_ref().and_then(PendingVerb::job_id) {
+        if let Some(PendingVerb::Job { job, .. }) = conn.pending {
             conn.pending = None;
-            self.unwait(job_id, token);
+            self.unwait(job, token);
         }
     }
 
@@ -1129,18 +1082,12 @@ impl Reactor {
             first = false;
         }
         // A resolved verb unblocks the inbox.
-        while self
+        while let Some((request, cost)) = self
             .conns
-            .get(&token)
-            .is_some_and(|c| c.pending.is_none() && !c.doomed && !c.inbox.is_empty())
+            .get_mut(&token)
+            .filter(|c| c.pending.is_none() && !c.doomed)
+            .and_then(|c| c.inbox.pop_front())
         {
-            let (request, cost) = self
-                .conns
-                .get_mut(&token)
-                .expect("checked")
-                .inbox
-                .pop_front()
-                .expect("checked");
             self.handle_request(token, request, cost);
         }
         let Some(conn) = self.conns.get_mut(&token) else {
@@ -1176,30 +1123,19 @@ impl Reactor {
                 }
                 Ok(mut n) => {
                     wrote = true;
-                    self.shared
-                        .counters
-                        .bytes_out
-                        .fetch_add(n as u64, Ordering::Relaxed);
-                    while n > 0 {
-                        let head_left =
-                            conn.wbuf.front().expect("non-empty wbuf").len() - conn.wbuf_off;
-                        if n >= head_left {
-                            n -= head_left;
-                            conn.wbuf_bytes -= head_left;
-                            conn.wbuf.pop_front();
-                            conn.wbuf_off = 0;
-                        } else {
-                            conn.wbuf_off += n;
-                            conn.wbuf_bytes -= n;
-                            n = 0;
-                        }
+                    self.counters.bytes_out += n as u64;
+                    // Retire the frames written whole; what is left of
+                    // `n`, counted from the head's start, is the new offset.
+                    conn.wbuf_bytes -= n;
+                    n += conn.wbuf_off;
+                    while let Some(head) = conn.wbuf.front().filter(|head| head.len() <= n) {
+                        n -= head.len();
+                        conn.wbuf.pop_front();
                     }
+                    conn.wbuf_off = n;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.shared
-                        .counters
-                        .partial_writes
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.counters.partial_writes += 1;
                     break 'flush;
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -1222,158 +1158,211 @@ impl Reactor {
             return;
         };
         let _ = self.poller.deregister(&conn.stream);
-        if let Some(job_id) = conn.pending.as_ref().and_then(PendingVerb::job_id) {
-            self.unwait(job_id, token);
+        if let Some(PendingVerb::Job { job, .. }) = conn.pending {
+            self.unwait(job, token);
         }
-        self.shared
-            .counters
-            .active_connections
-            .fetch_sub(1, Ordering::Relaxed);
+        self.counters.active_connections -= 1;
     }
 }
 
 // ---------------------------------------------------------------------
-// Verb helpers
+// The job table
 // ---------------------------------------------------------------------
 
-/// Admit one training job: namespace its name, register it, and queue
-/// it (or refuse with typed `busy` backpressure).
-fn submit(shared: &Shared, tenant: &str, train: &protocol::WireTrain, cost: usize) -> Response {
-    let mut request = match train.to_request() {
-        Ok(request) => request,
-        Err(e) => return Response::Err(e),
-    };
-    let id = shared.next_job.fetch_add(1, Ordering::Relaxed) + 1;
-    // Every wire job gets an explicit, tenant-prefixed result name so
-    // tenants cannot observe (or shadow) each other's models.
-    let visible = request.name.clone().unwrap_or_else(|| format!("j{id}"));
-    request = request.named(format!("{tenant}:{visible}"));
-    let job = Arc::new(ServedJob::new(id, tenant, visible));
-    {
-        let mut jobs = shared.jobs.lock().expect("job table");
-        jobs.insert(id, Arc::clone(&job));
-        // Bounded history: prune the oldest *terminal* jobs beyond the
-        // cap (a running or queued job is never pruned, so an observer
-        // of a live job cannot lose it).
-        if jobs.len() > SERVED_HISTORY_CAP {
-            let excess = jobs.len() - SERVED_HISTORY_CAP;
-            let prunable: Vec<u64> = jobs
-                .iter()
-                .filter(|(_, j)| j.state.lock().expect("job state").finished.is_some())
-                .map(|(id, _)| *id)
-                .take(excess)
-                .collect();
-            for id in prunable {
-                jobs.remove(&id);
+/// Every wire-submitted job, live or retained for replay, by id (which is
+/// submission order). The reactor owns it: workers reach it only through
+/// the [`Action`]s it applies, so nothing here takes a lock.
+#[derive(Default)]
+struct Jobs {
+    table: BTreeMap<u64, ServedJob>,
+    /// The last job id handed out.
+    last_id: u64,
+    /// How many of each tenant's jobs in `table` are terminal.
+    terminal: HashMap<String, usize>,
+}
+
+impl Jobs {
+    /// Admit one training job: namespace its name, register it, and queue
+    /// it (or refuse with typed `busy` backpressure).
+    fn submit(
+        &mut self,
+        shared: &Shared,
+        tenant: &str,
+        train: &protocol::WireTrain,
+        cost: usize,
+    ) -> Response {
+        let mut request = match train.to_request() {
+            Ok(request) => request,
+            Err(e) => return Response::Err(e),
+        };
+        self.last_id += 1;
+        let id = self.last_id;
+        // Every wire job gets an explicit, tenant-prefixed result name so
+        // tenants cannot observe (or shadow) each other's models.
+        let visible = request.name.clone().unwrap_or_else(|| format!("j{id}"));
+        request = request.named(format!("{tenant}:{visible}"));
+        self.table.insert(id, ServedJob::new(id, tenant, visible));
+        self.prune();
+        match shared.admission.offer(tenant, cost, (id, request)) {
+            Ok(()) => Response::Ok(Payload::Submitted { job: id }),
+            Err(busy) => {
+                // Refused at the door: forget the job id again.
+                self.table.remove(&id);
+                Response::Err(WireError {
+                    code: code::BUSY.to_string(),
+                    message: format!("tenant `{tenant}` queued-byte quota is full"),
+                    retry_after_ms: Some(busy.retry_after_ms),
+                })
             }
         }
     }
-    let pending = Pending {
-        job: Arc::clone(&job),
-        request,
-    };
-    match shared.admission.offer(tenant, cost, pending) {
-        Ok(()) => Response::Ok(Payload::Submitted { job: id }),
-        Err(busy) => {
-            // Refused at the door: forget the job id again.
-            shared.jobs.lock().expect("job table").remove(&id);
-            Response::Err(WireError {
-                code: code::BUSY.to_string(),
-                message: format!("tenant `{tenant}` queued-byte quota is full"),
-                retry_after_ms: Some(busy.retry_after_ms),
-            })
+
+    /// Bound the history at [`SERVED_HISTORY_CAP`] jobs by pruning
+    /// terminal ones, each the oldest of the tenant holding the most (on a
+    /// tie, the tenant whose oldest is older): one tenant's burst evicts
+    /// its own history, not another's. A running or queued job, or one a
+    /// connection still waits on, is never pruned.
+    fn prune(&mut self) {
+        while self.table.len() > SERVED_HISTORY_CAP {
+            let most = self.terminal.values().max();
+            let victim = self.table.values().find(|job| {
+                job.finished.is_some()
+                    && job.waiters.is_empty()
+                    && self.terminal.get(&job.tenant) == most
+            });
+            let Some(id) = victim.map(|job| job.id) else {
+                return;
+            };
+            let job = self.table.remove(&id).expect("found above");
+            if let Some(count) = self.terminal.get_mut(&job.tenant) {
+                *count -= 1;
+            }
         }
     }
-}
 
-/// Hand every currently-dispatchable admitted job to the engine.
-fn dispatch(shared: &Arc<Shared>) {
-    while let Some(dispatched) = shared.admission.try_next() {
-        let Pending { job, request } = dispatched.item;
-        let sink = Arc::new(JobSink {
-            shared: Arc::clone(shared),
-            job: Arc::clone(&job),
-            prefix: format!("{}:", job.tenant),
-        });
-        // Submit under the job lock so a concurrent `Cancel` either
-        // sets `cancel_requested` before this check or finds the
-        // token after.
-        let mut state = job.state.lock().expect("job state");
-        if state.cancel_requested {
-            // Cancelled before its turn: it finishes through its own
-            // sink, exactly as a run cancelled at iteration 0 would.
-            drop(state);
-            sink.event(JobEvent::Cancelled { iterations: 0 });
-            sink.finished(&Err(SessionError::Cancelled { iterations: 0 }));
-            continue;
+    /// Hand every currently-dispatchable admitted job to the engine.
+    fn dispatch(&mut self, shared: &Arc<Shared>) {
+        while let Some(dispatched) = shared.admission.try_next() {
+            let (job, request) = dispatched.item;
+            // An admitted job is live, so never pruned.
+            let Some(job) = self.table.get_mut(&job) else {
+                continue;
+            };
+            let sink = Arc::new(JobSink::new(shared, job));
+            if job.cancel_requested {
+                // Cancelled before its turn: it finishes through its own
+                // sink, exactly as a run cancelled at iteration 0 would;
+                // the reactor applies both actions on its next pop.
+                sink.event(JobEvent::Cancelled { iterations: 0 });
+                sink.finished(&Err(SessionError::Cancelled { iterations: 0 }));
+                continue;
+            }
+            let handle = shared.engine.submit_with_sink(request, &job.tenant, sink);
+            job.engine_id = Some(handle.id());
+            job.handle = Some(handle);
         }
-        let handle = shared.engine.submit_with_sink(request, &job.tenant, sink);
-        state.engine_id = Some(handle.id());
-        state.handle = Some(handle);
     }
-}
 
-/// This tenant's `Stats` answer frame: admission counters plus its job
-/// table in submission order (the table's id order). A finished job's
-/// row was encoded once, at finalize, and is copied; a queued or
-/// dispatched job's row is encoded from its live state, the status its
-/// engine handle reports.
-fn stats(shared: &Shared, tenant: &str) -> Arc<[u8]> {
-    let lane = shared.admission.stats(tenant);
-    let cache = shared.engine.plan_cache();
-    let calibration = shared.engine.calibration();
-    let reply = StatsReply {
-        tenant,
-        in_flight: lane.in_flight as u64,
-        queued: lane.queued as u64,
-        queued_bytes: lane.queued_bytes as u64,
-        quota_max_in_flight: lane.quota.max_in_flight as u64,
-        quota_max_queued_bytes: lane.quota.max_queued_bytes as u64,
-        global_in_flight: lane.global_in_flight as u64,
-        global_capacity: lane.global_capacity as u64,
-        plan_cache_hits: cache.hits(),
-        plan_cache_misses: cache.misses(),
-        plan_cache_len: cache.len() as u64,
-        checkpoints_written: shared.engine.checkpoints_written(),
-        jobs_resumed: shared.engine.jobs_resumed(),
-        calibration_generation: calibration.as_ref().map(|snapshot| snapshot.generation),
-        calibration_confidence: calibration
-            .as_ref()
-            .map(|snapshot| snapshot.residual_confidence()),
-        replans: shared.engine.replans(),
-    };
-    let jobs = shared.jobs.lock().expect("job table");
-    reply
-        .encode_shared(jobs.len(), |rows| {
-            for job in jobs.values().filter(|job| job.tenant == tenant) {
-                let state = job.state.lock().expect("job state");
-                match &state.finished {
-                    Some(finished) => rows.encoded(&finished.row),
-                    None => {
-                        let handle = state.handle.as_ref();
-                        let status = handle.map_or(JobStatus::Queued, JobHandle::status);
-                        rows.row(&job.row(state.engine_id, status));
+    /// Apply an action a job's worker posted; returns the job. An event
+    /// frame is appended. A finish drops the engine handle, encodes the
+    /// `Stats` row once from the engine id stored at dispatch, frees the
+    /// admission slot, and dispatches what that made room for.
+    fn apply(&mut self, shared: &Arc<Shared>, action: Action) -> u64 {
+        match action {
+            Action::Event {
+                job: id,
+                seq,
+                frame,
+            } => {
+                if let Some(job) = self.table.get_mut(&id) {
+                    debug_assert_eq!(seq, job.frames.len() as u64, "job {id}'s events in order");
+                    job.frames.push(frame);
+                }
+                id
+            }
+            Action::Finished {
+                job: id,
+                status,
+                joined,
+                end,
+            } => {
+                if let Some(job) = self.table.get_mut(&id) {
+                    job.handle = None;
+                    let row = job.row(status).encode();
+                    job.finished = Some(Finished { row, joined, end });
+                    match self.terminal.get_mut(&job.tenant) {
+                        Some(count) => *count += 1,
+                        None => drop(self.terminal.insert(job.tenant.clone(), 1)),
+                    }
+                    shared.admission.complete(&job.tenant);
+                }
+                self.dispatch(shared);
+                id
+            }
+            Action::Respond { .. } => unreachable!("the reactor answers connections"),
+        }
+    }
+
+    /// This tenant's `Stats` answer frame: admission counters plus its
+    /// jobs in submission order (the table's id order). A finished job's
+    /// row was encoded once, when it finished, and is copied; a queued or
+    /// dispatched job's row is encoded from its live state, the status its
+    /// engine handle reports.
+    fn stats(&self, shared: &Shared, tenant: &str) -> Arc<[u8]> {
+        let lane = shared.admission.stats(tenant);
+        let cache = shared.engine.plan_cache();
+        let calibration = shared.engine.calibration();
+        let reply = StatsReply {
+            tenant,
+            in_flight: lane.in_flight as u64,
+            queued: lane.queued as u64,
+            queued_bytes: lane.queued_bytes as u64,
+            quota_max_in_flight: lane.quota.max_in_flight as u64,
+            quota_max_queued_bytes: lane.quota.max_queued_bytes as u64,
+            global_in_flight: lane.global_in_flight as u64,
+            global_capacity: lane.global_capacity as u64,
+            plan_cache_hits: cache.hits(),
+            plan_cache_misses: cache.misses(),
+            plan_cache_len: cache.len() as u64,
+            checkpoints_written: shared.engine.checkpoints_written(),
+            jobs_resumed: shared.engine.jobs_resumed(),
+            calibration_generation: calibration.as_ref().map(|snapshot| snapshot.generation),
+            calibration_confidence: calibration
+                .as_ref()
+                .map(|snapshot| snapshot.residual_confidence()),
+            replans: shared.engine.replans(),
+        };
+        reply
+            .encode_shared(self.table.len(), |rows| {
+                for job in self.table.values().filter(|job| job.tenant == tenant) {
+                    match &job.finished {
+                        Some(finished) => rows.encoded(&finished.row),
+                        None => {
+                            let handle = job.handle.as_ref();
+                            rows.row(&job.row(handle.map_or(JobStatus::Queued, JobHandle::status)));
+                        }
                     }
                 }
-            }
-        })
-        .expect("serialize")
-}
-
-/// Look a job up and enforce tenant ownership.
-fn owned_job(shared: &Shared, tenant: &str, id: u64) -> Result<Arc<ServedJob>, WireError> {
-    let jobs = shared.jobs.lock().expect("job table");
-    let job = jobs
-        .get(&id)
-        .ok_or_else(|| WireError::new(code::UNKNOWN_JOB, format!("no job {id}")))?;
-    if job.tenant != tenant {
-        // Jobs are tenant-private: existence is not confirmed either.
-        return Err(WireError::new(
-            code::FORBIDDEN,
-            format!("job {id} is not owned by tenant `{tenant}`"),
-        ));
+            })
+            .expect("serialize")
     }
-    Ok(Arc::clone(job))
+
+    /// Look job `id` up for `tenant`. Jobs are tenant-private but their
+    /// ids are not secret: another tenant's job is refused as `forbidden`,
+    /// an id that names no job as `unknown_job`.
+    fn owned(&mut self, tenant: &str, id: u64) -> Result<&mut ServedJob, WireError> {
+        let job = self
+            .table
+            .get_mut(&id)
+            .ok_or_else(|| WireError::new(code::UNKNOWN_JOB, format!("no job {id}")))?;
+        if job.tenant != tenant {
+            return Err(WireError::new(
+                code::FORBIDDEN,
+                format!("job {id} is not owned by tenant `{tenant}`"),
+            ));
+        }
+        Ok(job)
+    }
 }
 
 #[cfg(test)]
@@ -1382,29 +1371,67 @@ mod tests {
     use crate::protocol::{WireJob, WireSource, WireStats, WireTrain};
     use ml4all::{DataSource, GradientKind};
 
+    fn shared() -> Arc<Shared> {
+        let poller = Poller::new().expect("poller");
+        let engine = Engine::new().with_registry_cap(1000);
+        Arc::new(Shared::new(engine, ServeConfig::default(), poller.waker()))
+    }
+
+    /// Apply every action the jobs' sinks posted, as the reactor's drain
+    /// does.
+    fn settle(jobs: &mut Jobs, shared: &Arc<Shared>) {
+        while let Some(action) = shared.next_action() {
+            jobs.apply(shared, action);
+        }
+    }
+
+    /// Register job `id` of `tenant` (dispatched as engine job
+    /// `engine_id`) and finish it with `outcome` through its sink.
+    fn finish_job(
+        jobs: &mut Jobs,
+        shared: &Arc<Shared>,
+        (id, tenant, engine_id): (u64, &str, Option<u64>),
+        outcome: &Result<Trained, SessionError>,
+    ) {
+        let mut job = ServedJob::new(id, tenant, format!("j{id}"));
+        job.engine_id = engine_id;
+        let sink = JobSink::new(shared, &job);
+        jobs.table.insert(id, job);
+        sink.finished(outcome);
+        settle(jobs, shared);
+    }
+
+    /// Submit `train` as `tenant`; the new job's id.
+    fn submitted(jobs: &mut Jobs, shared: &Shared, tenant: &str, train: &WireTrain) -> u64 {
+        let Response::Ok(Payload::Submitted { job }) = jobs.submit(shared, tenant, train, 100)
+        else {
+            panic!("submit refused");
+        };
+        jobs.owned(tenant, job).expect("submitted job").id
+    }
+
     /// The rows `stats` built per call before finished rows were encoded
     /// once: every job of `tenant` in the table, sorted by id, its status
     /// the recorded outcome (`outcome(id)` here) or else what its engine
     /// handle says.
     fn rows_built_per_call(
-        shared: &Shared,
+        jobs: &Jobs,
         tenant: &str,
         outcome: &dyn Fn(u64) -> JobStatus,
     ) -> Vec<WireJob> {
-        let jobs = shared.jobs.lock().expect("job table");
         let mut rows: Vec<WireJob> = jobs
+            .table
             .values()
             .filter(|job| job.tenant == tenant)
             .map(|job| {
-                let state = job.state.lock().expect("job state");
-                let status = match (&state.finished, &state.handle) {
+                let status = match (&job.finished, &job.handle) {
                     (Some(_), _) => outcome(job.id),
                     (None, Some(handle)) => handle.status(),
                     (None, None) => JobStatus::Queued,
                 };
                 let row = serde_json::json!({
                     "job": job.id,
-                    "engine_id": state.engine_id,
+                    "engine_id": job.engine_id,
                     "name": job.name,
                     "status": status.name(),
                 });
@@ -1417,14 +1444,19 @@ mod tests {
 
     /// `tenant`'s `Stats` frame, checked against the derived encoding of
     /// the rows built per call; returns the job ids it lists.
-    fn stats_ids(shared: &Shared, tenant: &str, outcome: &dyn Fn(u64) -> JobStatus) -> Vec<u64> {
-        let frame = stats(shared, tenant);
+    fn stats_ids(
+        jobs: &Jobs,
+        shared: &Shared,
+        tenant: &str,
+        outcome: &dyn Fn(u64) -> JobStatus,
+    ) -> Vec<u64> {
+        let frame = jobs.stats(shared, tenant);
         let Ok(Response::Ok(Payload::Stats(decoded))) = serde_json::from_slice(&frame[4..]) else {
             panic!("not a Stats answer");
         };
         let ids = decoded.jobs.iter().map(|row| row.job).collect();
         let derived = WireStats {
-            jobs: rows_built_per_call(shared, tenant, outcome),
+            jobs: rows_built_per_call(jobs, tenant, outcome),
             ..decoded
         };
         let derived = encode_shared_frame(&Response::Ok(Payload::Stats(derived))).expect("encode");
@@ -1435,24 +1467,36 @@ mod tests {
         ids
     }
 
-    /// Wait (bounded) until `done` holds for `job`'s state.
-    fn wait_for(job: &ServedJob, done: impl Fn(&Progress) -> bool) {
+    /// Apply posted actions until `done` holds for job `id` (bounded).
+    fn wait_for(jobs: &mut Jobs, shared: &Arc<Shared>, id: u64, done: impl Fn(&ServedJob) -> bool) {
         let deadline = std::time::Instant::now() + Duration::from_secs(60);
-        while !done(&job.state.lock().expect("job state")) {
-            assert!(std::time::Instant::now() < deadline, "job {} stuck", job.id);
+        loop {
+            settle(jobs, shared);
+            if done(&jobs.table[&id]) {
+                return;
+            }
+            assert!(std::time::Instant::now() < deadline, "job {id} stuck");
             std::thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    /// A training request no run finishes: it stays running until
+    /// cancelled.
+    fn endless() -> WireTrain {
+        let mut train = WireTrain::new("logistic", WireSource::Registry("adult".into()));
+        train.epsilon = Some(f64::MIN_POSITIVE);
+        train.max_iter = Some(u64::MAX >> 8);
+        train
     }
 
     /// Past the history cap, each tenant's `Stats` lists exactly its own
     /// retained rows in submission order, in the bytes the derived encoding
     /// of the per-call rows gives; and a live row turns into its terminal
-    /// row as its job is finalized, so a copied row is never stale.
+    /// row as its job finishes, so a copied row is never stale.
     #[test]
     fn stats_lists_each_tenants_retained_rows_and_never_goes_stale() {
-        let poller = Poller::new().expect("poller");
-        let engine = Engine::new().with_registry_cap(1000);
-        let shared = Arc::new(Shared::new(engine, ServeConfig::default(), poller.waker()));
+        let shared = shared();
+        let mut jobs = Jobs::default();
         let trained = shared
             .engine
             .train(
@@ -1466,19 +1510,13 @@ mod tests {
         let tenant = |id: u64| if id.is_multiple_of(2) { "a" } else { "b" };
         let terminal = SERVED_HISTORY_CAP as u64 + 50;
         for id in 1..=terminal {
-            let job = Arc::new(ServedJob::new(id, tenant(id), format!("j{id}")));
-            job.state.lock().expect("job state").engine_id = (id % 5 != 0).then_some(id + 7);
-            shared
-                .jobs
-                .lock()
-                .expect("job table")
-                .insert(id, Arc::clone(&job));
             let outcome = match id % 3 {
                 0 => Ok(trained.clone()),
                 1 => Err(SessionError::Cancelled { iterations: id }),
                 _ => Err(SessionError::UnknownName(format!("m{id}"))),
             };
-            finalize(&shared, &job, &outcome);
+            let engine_id = (id % 5 != 0).then_some(id + 7);
+            finish_job(&mut jobs, &shared, (id, tenant(id), engine_id), &outcome);
         }
         // The statuses those outcomes record; the two live jobs below end
         // cancelled.
@@ -1488,88 +1526,103 @@ mod tests {
             1 => JobStatus::Cancelled,
             _ => JobStatus::Failed,
         };
-        shared.next_job.store(terminal, Ordering::Relaxed);
+        jobs.last_id = terminal;
 
         // One long job of `a` dispatched and running, one job of `b` left
         // queued; each submit prunes the oldest terminal jobs to the cap.
-        // A tolerance no run reaches: the job stays running until cancelled.
-        let mut train = WireTrain::new("logistic", WireSource::Registry("adult".into()));
-        train.epsilon = Some(f64::MIN_POSITIVE);
-        train.max_iter = Some(u64::MAX >> 8);
-        let submitted = |tenant: &str| {
-            let Response::Ok(Payload::Submitted { job }) = submit(&shared, tenant, &train, 100)
-            else {
-                panic!("submit refused");
-            };
-            owned_job(&shared, tenant, job).expect("submitted job")
-        };
-        let running = submitted("a");
-        dispatch(&shared);
-        let queued = submitted("b");
-        wait_for(&running, |state| {
-            state
-                .handle
+        let train = endless();
+        let running = submitted(&mut jobs, &shared, "a", &train);
+        jobs.dispatch(&shared);
+        let queued = submitted(&mut jobs, &shared, "b", &train);
+        wait_for(&mut jobs, &shared, running, |job| {
+            job.handle
                 .as_ref()
                 .is_some_and(|h| h.status() == JobStatus::Running)
         });
         assert_eq!(
-            shared.jobs.lock().expect("job table").len(),
+            jobs.table.len(),
             SERVED_HISTORY_CAP,
             "two submits past the cap prune back to it"
         );
         // 52 terminal jobs were pruned, oldest first: ids 1..=52.
         let retained =
             |t: &str| -> Vec<u64> { (53..=terminal).filter(|&id| tenant(id) == t).collect() };
-        let with = |mut ids: Vec<u64>, live: &ServedJob| {
-            ids.push(live.id);
+        let with = |mut ids: Vec<u64>, live: u64| {
+            ids.push(live);
             ids
         };
         assert_eq!(
-            stats_ids(&shared, "a", &outcome),
-            with(retained("a"), &running)
+            stats_ids(&jobs, &shared, "a", &outcome),
+            with(retained("a"), running)
         );
         assert_eq!(
-            stats_ids(&shared, "b", &outcome),
-            with(retained("b"), &queued)
+            stats_ids(&jobs, &shared, "b", &outcome),
+            with(retained("b"), queued)
         );
 
         // Both live jobs finish; their rows turn terminal on the next call.
-        running
-            .state
-            .lock()
-            .expect("job state")
+        jobs.table[&running]
             .handle
             .as_ref()
             .expect("dispatched")
             .cancel();
-        queued.state.lock().expect("job state").cancel_requested = true;
-        dispatch(&shared);
-        for job in [&running, &queued] {
-            wait_for(job, |state| state.finished.is_some());
+        jobs.owned("b", queued).expect("queued").cancel_requested = true;
+        jobs.dispatch(&shared);
+        for job in [running, queued] {
+            wait_for(&mut jobs, &shared, job, |job| job.finished.is_some());
         }
         assert_eq!(
-            stats_ids(&shared, "a", &outcome),
-            with(retained("a"), &running)
+            stats_ids(&jobs, &shared, "a", &outcome),
+            with(retained("a"), running)
         );
         assert_eq!(
-            stats_ids(&shared, "b", &outcome),
-            with(retained("b"), &queued)
+            stats_ids(&jobs, &shared, "b", &outcome),
+            with(retained("b"), queued)
         );
-        let frame = stats(&shared, "b");
+        let frame = jobs.stats(&shared, "b");
         let text = std::str::from_utf8(&frame[4..]).expect("utf-8");
         assert!(text.ends_with(&format!(
             r#"{{"job":{},"engine_id":null,"name":"j{}","status":"cancelled"}}]}}}}}}"#,
-            queued.id, queued.id
+            queued, queued
         )));
+    }
+
+    /// Past the history cap, the prune takes from the tenant holding the
+    /// most terminal jobs: a hog's burst of submits leaves a quiet tenant's
+    /// finished jobs in its `Stats`.
+    #[test]
+    fn a_hogs_burst_prunes_its_own_history_not_a_quiet_tenants() {
+        let shared = shared();
+        let mut jobs = Jobs::default();
+        let cancelled = Err(SessionError::Cancelled { iterations: 0 });
+        let terminal = SERVED_HISTORY_CAP as u64 + 10;
+        for id in 1..=terminal {
+            let tenant = if id <= 10 { "quiet" } else { "hog" };
+            finish_job(&mut jobs, &shared, (id, tenant, Some(id)), &cancelled);
+        }
+        jobs.last_id = terminal;
+        let train = endless();
+        let burst: Vec<u64> = (0..3)
+            .map(|_| submitted(&mut jobs, &shared, "hog", &train))
+            .collect();
+        assert_eq!(jobs.table.len(), SERVED_HISTORY_CAP);
+        let cancelled = |_| JobStatus::Cancelled;
+        assert_eq!(
+            stats_ids(&jobs, &shared, "quiet", &cancelled),
+            (1..=10).collect::<Vec<u64>>(),
+            "the quiet tenant keeps every finished job"
+        );
+        // The hog lost its 13 oldest finished jobs, ids 11..=23.
+        let mut hog: Vec<u64> = (24..=terminal).collect();
+        hog.extend(&burst);
+        assert_eq!(stats_ids(&jobs, &shared, "hog", &cancelled), hog);
     }
 
     /// Two same-named jobs of one tenant may run at once; whichever binds
     /// the name last, each job's `Joined` carries the weights it trained.
     #[test]
     fn joined_carries_its_own_jobs_weights() {
-        let poller = Poller::new().expect("poller");
-        let engine = Engine::new().with_registry_cap(1000);
-        let shared = Shared::new(engine, ServeConfig::default(), poller.waker());
+        let shared = shared();
         let request = |max_iter| {
             TrainRequest::new(
                 GradientKind::LogisticRegression,
@@ -1585,9 +1638,10 @@ mod tests {
         assert_ne!(a_weights, b_weights, "the two runs must differ to tell");
 
         let job = ServedJob::new(1, "acme", "m".to_string());
-        finalize(&shared, &job, &Ok(a));
-        let state = job.state.lock().expect("job state");
-        let joined = &state.finished.as_ref().expect("finished").joined;
+        JobSink::new(&shared, &job).finished(&Ok(a));
+        let Some(Action::Finished { joined, .. }) = shared.next_action() else {
+            panic!("the sink posts the finished job");
+        };
         let Response::Ok(Payload::Joined(wire)) =
             serde_json::from_slice(&joined[4..]).expect("decode Joined")
         else {
