@@ -59,7 +59,6 @@ impl BismarckRunner {
         params: &TrainParams,
         env: &mut SimEnv,
     ) -> Result<TrainResult, BaselineError> {
-        let start = std::time::Instant::now();
         let desc = data.descriptor().clone();
         let avg_nnz = desc.avg_nnz();
         let m = variant.sample_size(desc.n);
@@ -79,7 +78,7 @@ impl BismarckRunner {
         let draw = Draw::with_replacement(variant, data.physical_n());
         let distributed = !desc.fits_one_partition(&env.spec);
 
-        descend(data, params, env, start, draw, 0x4249_534D, |env| {
+        descend(data, params, env, draw, 0x4249_534D, |env| {
             env.charge_iteration_overhead(distributed);
 
             // Gather this iteration's units at the single fused node.

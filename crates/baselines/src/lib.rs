@@ -116,13 +116,11 @@ impl Draw {
 /// The gradient-descent loop every baseline runs. Each iteration calls
 /// `charge_iteration` (the system's own per-iteration prices), charges the
 /// update, draws its units, steps, checks divergence, and charges the L1
-/// convergence test. `salt` seeds the system's RNG stream; `start` is when
-/// the run began, for the wall budget.
+/// convergence test. `salt` seeds the system's RNG stream.
 fn descend(
     data: &PartitionedDataset,
     params: &TrainParams,
     env: &mut SimEnv,
-    start: Instant,
     draw: Draw,
     salt: u64,
     mut charge_iteration: impl FnMut(&mut SimEnv),
@@ -136,6 +134,7 @@ fn descend(
     let mut reg = vec![0.0; dims];
     let mut error_seq = Vec::new();
     let mut iteration = 0u64;
+    let wall = params.wall_budget.map(|budget| (Instant::now(), budget));
     let (stop, final_delta) = loop {
         iteration += 1;
         charge_iteration(env);
@@ -197,7 +196,7 @@ fn descend(
         if iteration >= params.max_iter {
             break (StopReason::MaxIterations, delta);
         }
-        if params.wall_budget.is_some_and(|b| start.elapsed() >= b) {
+        if wall.is_some_and(|(start, budget)| start.elapsed() >= budget) {
             break (StopReason::WallBudget, delta);
         }
     };
@@ -209,7 +208,6 @@ fn descend(
         final_delta,
         cost: env.snapshot(),
         sim_time_s: env.elapsed_s(),
-        wall_time: start.elapsed(),
         error_seq,
         sampler_shuffles: 0,
         usage: env.ledger.usage().clone(),

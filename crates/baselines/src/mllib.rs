@@ -55,7 +55,6 @@ impl MllibRunner {
         params: &TrainParams,
         env: &mut SimEnv,
     ) -> Result<TrainResult, BaselineError> {
-        let start = std::time::Instant::now();
         let desc = data.descriptor().clone();
         let dims = desc.dims;
         let avg_nnz = desc.avg_nnz();
@@ -80,7 +79,7 @@ impl MllibRunner {
             Draw::Bernoulli(fraction_of(data.physical_n() as f64))
         };
 
-        descend(data, params, env, start, draw, 0x4D4C_4C49, |env| {
+        descend(data, params, env, draw, 0x4D4C_4C49, |env| {
             // One Spark job per iteration + the extra treeAggregate level.
             env.charge_iteration_overhead(true);
             env.ledger

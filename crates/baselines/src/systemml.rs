@@ -87,7 +87,6 @@ impl SystemmlRunner {
         params: &TrainParams,
         env: &mut SimEnv,
     ) -> Result<SystemmlOutcome, BaselineError> {
-        let start = std::time::Instant::now();
         let desc = data.descriptor().clone();
         let dims = desc.dims;
         let avg_nnz = desc.avg_nnz();
@@ -119,7 +118,7 @@ impl SystemmlRunner {
         let m = variant.sample_size(desc.n);
         let draw = Draw::with_replacement(variant, data.physical_n());
 
-        let result = descend(data, params, env, start, draw, 0x5953_4D4C, |env| {
+        let result = descend(data, params, env, draw, 0x5953_4D4C, |env| {
             match variant {
                 GdVariant::Batch => {
                     if local {

@@ -40,7 +40,6 @@ fn main() {
             spec_params.tolerance = spec_cfg.tolerance;
             spec_params.max_iter = spec_cfg.max_iterations;
             spec_params.record_error_seq = true;
-            spec_params.wall_budget = Some(spec_cfg.budget);
             let mut env = SimEnv::new(cluster.clone());
             let spec_run = execute_plan(&GdPlan::bgd(), &sample, &spec_params, &mut env)
                 .expect("speculation runs");

@@ -3,8 +3,9 @@
 //! and {0.1, 0.01} on rcv1 (the paper skips rcv1 at 0.001: nothing
 //! converged within three hours).
 //!
-//! Speculation settings per Section 8.2: tolerance 0.1, 10 s budget,
-//! 1 000-point sample.
+//! Speculation settings per Section 8.2: tolerance 0.1, 1 000-point
+//! sample, and the iteration cap of [`speculation_for`] in place of the
+//! 10 s budget.
 
 use ml4all_bench::runs::{paper_variants, params_for, run_plan, speculation_for};
 use ml4all_bench::{build_dataset, print_table, BenchConfig, ExperimentRecord};

@@ -56,7 +56,6 @@ fn main() {
         let spec_cfg = SpeculationConfig {
             sample_size: 1000,
             tolerance: 0.05,
-            budget: std::time::Duration::from_secs(if cfg.quick { 2 } else { 10 }),
             max_iterations: if cfg.quick { 20_000 } else { 200_000 },
             seed: cfg.seed,
         };

@@ -51,8 +51,10 @@ pub struct OptimizerConfig {
     pub batch_size: usize,
     /// Iteration-count source.
     pub iterations: IterationsSource,
-    /// Optional training-time budget (`having time …`): if even the best
-    /// plan exceeds it, the optimizer reports the constraint to revisit.
+    /// Optional training-time constraint (`having time …`): checked once,
+    /// at choose time, against the best plan's predicted cost in simulated
+    /// seconds ([`PlanChoice::ranking_s`]); if even that plan exceeds it,
+    /// the optimizer reports the constraint to revisit. No clock is read.
     pub time_budget: Option<Duration>,
     /// Restrict the search to one GD algorithm (`using algorithm SGD`) —
     /// the optimizer then only picks sampling/transformation, as in the
@@ -118,7 +120,8 @@ impl OptimizerConfig {
         self
     }
 
-    /// Set a wall training-time budget.
+    /// Set the `having time …` constraint on the best plan's predicted
+    /// (simulated) training time.
     pub fn with_time_budget(mut self, budget: Duration) -> Self {
         self.time_budget = Some(budget);
         self
@@ -248,10 +251,6 @@ pub struct OptimizerReport {
     pub estimates: Vec<VariantEstimate>,
     /// Total simulated optimizer overhead (speculation runs).
     pub speculation_sim_s: f64,
-    /// Sum of the speculative runs' wall-clock times. The runs may execute
-    /// concurrently on the worker pool, so this can exceed the elapsed
-    /// time the optimizer spent speculating; it measures work, not latency.
-    pub speculation_wall: Duration,
     /// `true` when this report was served from a plan cache instead of a
     /// fresh optimization: speculation was skipped and every field (the
     /// speculation costs included) is the cached cold run's value.
@@ -354,7 +353,6 @@ pub fn choose_plan(
     let params = config.train_params();
     let mut estimates = Vec::new();
     let mut speculation_sim_s = 0.0;
-    let mut speculation_wall = Duration::ZERO;
 
     let variant_iterations: Vec<(GdVariant, u64)> = match &config.iterations {
         IterationsSource::Fixed(t) => variants.iter().map(|v| (*v, *t)).collect(),
@@ -386,7 +384,6 @@ pub fn choose_plan(
             for (variant, result) in variants.iter().zip(results) {
                 let estimate = result?;
                 speculation_sim_s += estimate.speculation_sim_s;
-                speculation_wall += estimate.speculation_wall;
                 out.push((*variant, estimate.iterations));
                 estimates.push(VariantEstimate {
                     variant: *variant,
@@ -465,7 +462,6 @@ pub fn choose_plan(
         choices,
         estimates,
         speculation_sim_s,
-        speculation_wall,
         cache_hit: false,
         calibration,
     })

@@ -5,7 +5,9 @@
 //!
 //! 1. take a small sample `D′` of `D` (default 1 000 points);
 //! 2. run the algorithm on `D′` until it reaches the (large) speculation
-//!    tolerance `ε_s` (default 0.05) or the time budget `B` runs out;
+//!    tolerance `ε_s` (default 0.05) or the iteration cap
+//!    `max_iterations` — the deterministic stand-in for the paper's time
+//!    budget `B`, so the estimate is a pure function of the run;
 //! 3. collect the error sequence `{(i, εᵢ)}`;
 //! 4. fit `T(ε) = a/ε` and return `T(ε_d) = a/ε_d`.
 //!
@@ -18,8 +20,6 @@
 //! into columnar storage) and runs steps 2–4 for BGD, SGD and MGD on that
 //! one sample ([`estimate_on_sample`]); [`estimate_iterations`] is the
 //! one-variant form that draws its own.
-
-use std::time::Duration;
 
 use ml4all_dataflow::{ClusterSpec, PartitionScheme, PartitionedDataset, SamplingMethod, SimEnv};
 use ml4all_gd::{execute_plan, GdPlan, GdVariant, TrainParams, TransformPolicy};
@@ -36,11 +36,9 @@ pub struct SpeculationConfig {
     /// Speculation tolerance `ε_s` (paper default: 0.05; the experiments
     /// of Section 8.2 use 0.1).
     pub tolerance: f64,
-    /// Wall-clock time budget `B` (paper default: 1 min; the experiments
-    /// use 10 s).
-    pub budget: Duration,
-    /// Cap on speculative iterations, so unit tests stay bounded even when
-    /// the budget is generous.
+    /// Cap on speculative iterations: the run stops here when `ε_s` is out
+    /// of reach. It stands in for the paper's wall-clock budget `B`, so no
+    /// timer can change an estimate.
     pub max_iterations: u64,
     /// RNG seed for the sample draw and the speculative run.
     pub seed: u64,
@@ -51,7 +49,6 @@ impl Default for SpeculationConfig {
         Self {
             sample_size: 1000,
             tolerance: 0.05,
-            budget: Duration::from_secs(60),
             max_iterations: 100_000,
             seed: 0x5EED,
         }
@@ -59,12 +56,10 @@ impl Default for SpeculationConfig {
 }
 
 impl SpeculationConfig {
-    /// The Section 8.2 experiment settings: tolerance 0.1, budget 10 s,
-    /// sample 1 000.
+    /// The Section 8.2 experiment settings: tolerance 0.1, sample 1 000.
     pub fn paper_experiments() -> Self {
         Self {
             tolerance: 0.1,
-            budget: Duration::from_secs(10),
             ..Self::default()
         }
     }
@@ -84,8 +79,6 @@ pub struct IterationsEstimate {
     /// Simulated cost of the speculative run (sample collection + local
     /// GD) — the optimizer overhead visible in Figure 8.
     pub speculation_sim_s: f64,
-    /// Real wall-clock of the speculative run on this machine.
-    pub speculation_wall: Duration,
 }
 
 /// Build the in-memory sample dataset `D′` (Algorithm 1, line 1).
@@ -149,7 +142,8 @@ pub fn estimate_on_sample(
     spec_params.tolerance = config.tolerance;
     spec_params.max_iter = config.max_iterations;
     spec_params.record_error_seq = true;
-    spec_params.wall_budget = Some(config.budget);
+    // The run stops on `ε_s` or the cap alone, never on a clock.
+    spec_params.wall_budget = None;
     spec_params.seed = config.seed;
 
     // Speculative runs execute locally on the already-collected sample:
@@ -190,7 +184,6 @@ pub fn estimate_on_sample(
         speculation_iterations: result.iterations,
         pairs,
         speculation_sim_s: env.elapsed_s(),
-        speculation_wall: result.wall_time,
     })
 }
 
@@ -253,7 +246,6 @@ mod tests {
         let cfg = SpeculationConfig {
             sample_size: 500,
             tolerance: 0.05,
-            budget: Duration::from_secs(5),
             max_iterations: 5_000,
             seed: 1,
         };
@@ -315,24 +307,27 @@ mod tests {
     }
 
     #[test]
-    fn wall_budget_bounds_speculation() {
+    fn iteration_cap_bounds_speculation() {
         let data = dataset(2000);
         let cfg = SpeculationConfig {
             sample_size: 500,
-            tolerance: 1e-12, // unreachable → budget is the only stop
-            budget: Duration::from_millis(100),
-            max_iterations: u64::MAX / 2,
+            tolerance: 1e-12, // unreachable → the cap is the only stop
+            max_iterations: 300,
             seed: 5,
         };
-        let est = estimate_iterations(
-            &data,
-            GdVariant::Batch,
-            &params(),
-            1e-3,
-            &cfg,
-            &ClusterSpec::paper_testbed(),
-        )
-        .unwrap();
-        assert!(est.speculation_wall < Duration::from_secs(10));
+        let estimate = || {
+            estimate_iterations(
+                &data,
+                GdVariant::Batch,
+                &params(),
+                1e-3,
+                &cfg,
+                &ClusterSpec::paper_testbed(),
+            )
+            .unwrap()
+        };
+        let est = estimate();
+        assert_eq!(est.speculation_iterations, cfg.max_iterations);
+        assert_eq!(format!("{est:?}"), format!("{:?}", estimate()));
     }
 }

@@ -43,7 +43,8 @@ pub enum TaskSpec {
 /// `having` constraints (all optional and independent).
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Constraints {
-    /// `time 1h30m` — wall training-time budget.
+    /// `time 1h30m` — bound on the chosen plan's predicted training time
+    /// in simulated seconds, checked once when the plan is chosen.
     pub time: Option<Duration>,
     /// `epsilon 0.01` — tolerance.
     pub epsilon: Option<f64>,

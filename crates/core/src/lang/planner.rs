@@ -50,7 +50,8 @@ pub struct TrainSpec {
     /// `having max iter …` — iteration cap. Without an epsilon this fixes
     /// the iteration count and skips speculation (Section 8.3).
     pub max_iter: Option<u64>,
-    /// `having time …` — wall training-time budget.
+    /// `having time …` — bound on the chosen plan's predicted training
+    /// time in simulated seconds, checked once when the plan is chosen.
     pub time_budget: Option<Duration>,
     /// `using step …` — β for the `β/√i` schedule.
     pub step: Option<f64>,

@@ -6,7 +6,7 @@
 //!
 //! 1. **estimates the number of iterations** each GD algorithm needs to
 //!    reach the requested tolerance, by *speculation*: run the algorithm on
-//!    a small sample under a time budget, record the error sequence, fit
+//!    a small sample under an iteration cap, record the error sequence, fit
 //!    `T(ε) = a/ε`, extrapolate ([`estimator`], Algorithm 1);
 //! 2. **enumerates the plan space** of Figure 5 — {BGD} ∪ {SGD, MGD} ×
 //!    {eager, lazy} × {Bernoulli, random-partition, shuffled-partition},

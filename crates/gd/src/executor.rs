@@ -49,8 +49,10 @@ pub struct TrainParams {
     /// Record the `(iteration, delta)` error sequence (needed by the
     /// iterations estimator; costs memory on long runs).
     pub record_error_seq: bool,
-    /// Optional real wall-clock budget: the speculation stage of
-    /// Algorithm 1 stops the run when this is exhausted.
+    /// Optional real wall-clock limit, set only from a request's
+    /// `wall_limit`: the run stops at the first wave boundary after it
+    /// expires. `None` — every optimizer decision, speculation included —
+    /// reads no clock.
     pub wall_budget: Option<Duration>,
 }
 
@@ -78,7 +80,8 @@ pub enum StopReason {
     Converged,
     /// The iteration cap was reached.
     MaxIterations,
-    /// The wall-clock speculation budget ran out.
+    /// The request's wall-clock limit ([`TrainParams::wall_budget`]) ran
+    /// out.
     WallBudget,
     /// A cooperative cancellation request ([`ExecHooks::cancel`]) was
     /// observed at a wave boundary. The result carries the state as of
@@ -169,8 +172,6 @@ pub struct TrainResult {
     pub cost: CostBreakdown,
     /// Total simulated seconds (the paper's "training time").
     pub sim_time_s: f64,
-    /// Real wall-clock the run took on this machine.
-    pub wall_time: Duration,
     /// `(iteration, delta)` pairs (empty unless requested).
     pub error_seq: Vec<(u64, f64)>,
     /// Partition shuffles triggered by the shuffled-partition sampler.
@@ -416,7 +417,7 @@ pub fn execute(
     hooks: &ExecHooks<'_>,
 ) -> Result<TrainResult, GdError> {
     validate(plan)?;
-    let start = Instant::now();
+    let wall = params.wall_budget.map(|budget| (Instant::now(), budget));
     let desc = data.descriptor().clone();
     let dims = desc.dims;
     let distributed = !desc.fits_one_partition(&env.spec);
@@ -590,7 +591,7 @@ pub fn execute(
                 resume_state = Some(Box::new(capture()));
                 break StopReason::Replan;
             }
-            if params.wall_budget.is_some_and(|b| start.elapsed() >= b) {
+            if wall.is_some_and(|(start, budget)| start.elapsed() >= budget) {
                 break StopReason::WallBudget;
             }
         }
@@ -778,7 +779,6 @@ pub fn execute(
         final_delta,
         cost: env.snapshot(),
         sim_time_s: env.elapsed_s(),
-        wall_time: start.elapsed(),
         error_seq,
         sampler_shuffles: sampler.map(|s| s.shuffles()).unwrap_or(0),
         usage: env.ledger.usage().clone(),
@@ -1347,7 +1347,6 @@ mod tests {
         let mut env = env();
         let result = execute_plan(&GdPlan::bgd(), &data, &params, &mut env).unwrap();
         assert_eq!(result.stop, StopReason::WallBudget);
-        assert!(result.wall_time >= Duration::from_millis(50));
     }
 
     #[test]

@@ -506,7 +506,6 @@ pub(crate) fn unhex_name(stem: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
-    use std::time::Duration;
 
     use ml4all_core::estimator::SpeculationConfig;
     use ml4all_dataflow::{ClusterSpec, PartitionScheme, PartitionedDataset, Runtime};
@@ -519,7 +518,6 @@ mod tests {
             .with_registry_cap(1000)
             .with_speculation(SpeculationConfig {
                 sample_size: 300,
-                budget: Duration::from_secs(1),
                 max_iterations: 2000,
                 ..SpeculationConfig::default()
             })

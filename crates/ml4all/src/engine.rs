@@ -1106,7 +1106,6 @@ mod tests {
             .with_registry_cap(1000)
             .with_speculation(SpeculationConfig {
                 sample_size: 300,
-                budget: Duration::from_secs(1),
                 max_iterations: 2000,
                 ..SpeculationConfig::default()
             })

@@ -78,7 +78,9 @@ impl TrainRequest {
         self
     }
 
-    /// `having time …` — wall training-time budget.
+    /// `having time …` — bound on the chosen plan's predicted training
+    /// time in simulated seconds, checked once when the plan is chosen
+    /// (a real-time limit on the run is [`TrainRequest::wall_limit`]).
     pub fn time_budget(mut self, budget: Duration) -> Self {
         self.spec.time_budget = Some(budget);
         self

@@ -126,7 +126,6 @@ mod tests {
             .with_data_dir(dir)
             .with_speculation(SpeculationConfig {
                 sample_size: 300,
-                budget: std::time::Duration::from_secs(1),
                 max_iterations: 2000,
                 ..SpeculationConfig::default()
             })

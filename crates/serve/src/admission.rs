@@ -23,8 +23,8 @@
 //! end: once at the runtime, batch wave tasks of *running* jobs still
 //! outrank every queued whole job.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
 /// Per-tenant admission limits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,12 +109,13 @@ struct State<T> {
     rng: u64,
 }
 
-/// The admission controller: thread-safe; producers call
-/// [`Admission::offer`], the dispatching thread polls
-/// [`Admission::try_next`], job-completion paths call
-/// [`Admission::complete`].
+/// The admission controller, driven from one thread: in the server, the
+/// reactor offers submits, polls [`Admission::try_next`] and records
+/// finished jobs with [`Admission::complete`]. Its state therefore takes
+/// no lock; the controller is not `Sync`, and every call is a plain
+/// borrow.
 pub struct Admission<T> {
-    state: Mutex<State<T>>,
+    state: RefCell<State<T>>,
     quantum: usize,
     global_capacity: usize,
     default_quota: TenantQuota,
@@ -126,7 +127,7 @@ impl<T> Admission<T> {
     /// tenants without an explicit one.
     pub fn new(quantum: usize, global_capacity: usize, default_quota: TenantQuota) -> Self {
         Self {
-            state: Mutex::new(State {
+            state: RefCell::new(State {
                 lanes: Vec::new(),
                 cursor: 0,
                 global_in_flight: 0,
@@ -141,7 +142,7 @@ impl<T> Admission<T> {
     /// Pin `tenant` to a non-default quota. Applies to subsequent offers
     /// (idempotent on an existing lane).
     pub fn set_quota(&self, tenant: &str, quota: TenantQuota) {
-        let mut state = self.state.lock().expect("admission state");
+        let mut state = self.state.borrow_mut();
         let default_quota = self.default_quota;
         lane_mut(&mut state, tenant, default_quota).quota = quota;
     }
@@ -150,7 +151,7 @@ impl<T> Admission<T> {
     /// refuses with typed [`Busy`] backpressure when the tenant's byte
     /// quota is full.
     pub fn offer(&self, tenant: &str, cost: usize, item: T) -> Result<(), Busy> {
-        let mut state = self.state.lock().expect("admission state");
+        let mut state = self.state.borrow_mut();
         let default_quota = self.default_quota;
         let lane = lane_mut(&mut state, tenant, default_quota);
         if lane.queued_bytes + cost > lane.quota.max_queued_bytes {
@@ -171,13 +172,13 @@ impl<T> Admission<T> {
     /// The next dispatchable item — per-tenant and global gates pass and
     /// DRR picks it — or `None` when nothing is dispatchable right now.
     pub fn try_next(&self) -> Option<Dispatch<T>> {
-        self.drr_pick(&mut self.state.lock().expect("admission state"))
+        self.drr_pick(&mut self.state.borrow_mut())
     }
 
     /// Record a dispatched job as finished, freeing its per-tenant and
     /// global in-flight slots.
     pub fn complete(&self, tenant: &str) {
-        let mut state = self.state.lock().expect("admission state");
+        let mut state = self.state.borrow_mut();
         if let Some(lane) = state.lanes.iter_mut().find(|l| l.tenant == tenant) {
             lane.in_flight = lane.in_flight.saturating_sub(1);
         }
@@ -187,7 +188,7 @@ impl<T> Admission<T> {
     /// A tenant's counters (creating its lane if this is first contact,
     /// so `stats` on a fresh tenant reports its quota).
     pub fn stats(&self, tenant: &str) -> LaneStats {
-        let mut state = self.state.lock().expect("admission state");
+        let mut state = self.state.borrow_mut();
         let global_in_flight = state.global_in_flight;
         let default_quota = self.default_quota;
         let lane = lane_mut(&mut state, tenant, default_quota);

@@ -227,8 +227,6 @@ enum Action {
 struct Shared {
     engine: Engine,
     config: ServeConfig,
-    /// Admitted jobs waiting for dispatch: job id and engine request.
-    admission: Admission<(u64, TrainRequest)>,
     protocol_errors: AtomicU64,
     shutdown: AtomicBool,
     actions: Mutex<VecDeque<Action>>,
@@ -237,14 +235,9 @@ struct Shared {
 
 impl Shared {
     fn new(engine: Engine, config: ServeConfig, waker: Waker) -> Self {
-        let admission = Admission::new(DRR_QUANTUM, config.global_in_flight, config.default_quota);
-        for (tenant, quota) in &config.tenant_quotas {
-            admission.set_quota(tenant, *quota);
-        }
         Self {
             engine,
             config,
-            admission,
             protocol_errors: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             actions: Mutex::new(VecDeque::new()),
@@ -294,6 +287,7 @@ impl Server {
         let reactor = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
+                let jobs = Jobs::new(&shared.config);
                 Reactor {
                     shared,
                     poller,
@@ -309,7 +303,7 @@ impl Server {
                         partial_writes: 0,
                         slow_consumer_disconnects: 0,
                     },
-                    jobs: Jobs::default(),
+                    jobs,
                     touched: Vec::new(),
                     tokens: Vec::new(),
                     next_token: FIRST_CONN_TOKEN,
@@ -811,9 +805,7 @@ impl Reactor {
                 code::HELLO_REQUIRED,
                 "send Hello with your tenant id first",
             )),
-            (Request::Submit { train }, Some(tenant)) => {
-                self.jobs.submit(&self.shared, &tenant, &train, cost)
-            }
+            (Request::Submit { train }, Some(tenant)) => self.jobs.submit(&tenant, &train, cost),
             (Request::Observe { job, from }, Some(tenant)) => match self.jobs.owned(&tenant, job) {
                 Err(e) => Response::Err(e),
                 Ok(_) => {
@@ -1170,27 +1162,37 @@ impl Reactor {
 // ---------------------------------------------------------------------
 
 /// Every wire-submitted job, live or retained for replay, by id (which is
-/// submission order). The reactor owns it: workers reach it only through
-/// the [`Action`]s it applies, so nothing here takes a lock.
-#[derive(Default)]
+/// submission order), and the admission queues they wait in. The reactor
+/// owns both: workers reach them only through the [`Action`]s it applies,
+/// so nothing here takes a lock.
 struct Jobs {
     table: BTreeMap<u64, ServedJob>,
     /// The last job id handed out.
     last_id: u64,
     /// How many of each tenant's jobs in `table` are terminal.
     terminal: HashMap<String, usize>,
+    /// Admitted jobs waiting for dispatch: job id and engine request.
+    admission: Admission<(u64, TrainRequest)>,
 }
 
 impl Jobs {
+    /// An empty table under `config`'s admission policy.
+    fn new(config: &ServeConfig) -> Self {
+        let admission = Admission::new(DRR_QUANTUM, config.global_in_flight, config.default_quota);
+        for (tenant, quota) in &config.tenant_quotas {
+            admission.set_quota(tenant, *quota);
+        }
+        Self {
+            table: BTreeMap::new(),
+            last_id: 0,
+            terminal: HashMap::new(),
+            admission,
+        }
+    }
+
     /// Admit one training job: namespace its name, register it, and queue
     /// it (or refuse with typed `busy` backpressure).
-    fn submit(
-        &mut self,
-        shared: &Shared,
-        tenant: &str,
-        train: &protocol::WireTrain,
-        cost: usize,
-    ) -> Response {
+    fn submit(&mut self, tenant: &str, train: &protocol::WireTrain, cost: usize) -> Response {
         let mut request = match train.to_request() {
             Ok(request) => request,
             Err(e) => return Response::Err(e),
@@ -1203,7 +1205,7 @@ impl Jobs {
         request = request.named(format!("{tenant}:{visible}"));
         self.table.insert(id, ServedJob::new(id, tenant, visible));
         self.prune();
-        match shared.admission.offer(tenant, cost, (id, request)) {
+        match self.admission.offer(tenant, cost, (id, request)) {
             Ok(()) => Response::Ok(Payload::Submitted { job: id }),
             Err(busy) => {
                 // Refused at the door: forget the job id again.
@@ -1242,7 +1244,7 @@ impl Jobs {
 
     /// Hand every currently-dispatchable admitted job to the engine.
     fn dispatch(&mut self, shared: &Arc<Shared>) {
-        while let Some(dispatched) = shared.admission.try_next() {
+        while let Some(dispatched) = self.admission.try_next() {
             let (job, request) = dispatched.item;
             // An admitted job is live, so never pruned.
             let Some(job) = self.table.get_mut(&job) else {
@@ -1294,7 +1296,7 @@ impl Jobs {
                         Some(count) => *count += 1,
                         None => drop(self.terminal.insert(job.tenant.clone(), 1)),
                     }
-                    shared.admission.complete(&job.tenant);
+                    self.admission.complete(&job.tenant);
                 }
                 self.dispatch(shared);
                 id
@@ -1309,7 +1311,7 @@ impl Jobs {
     /// dispatched job's row is encoded from its live state, the status its
     /// engine handle reports.
     fn stats(&self, shared: &Shared, tenant: &str) -> Arc<[u8]> {
-        let lane = shared.admission.stats(tenant);
+        let lane = self.admission.stats(tenant);
         let cache = shared.engine.plan_cache();
         let calibration = shared.engine.calibration();
         let reply = StatsReply {
@@ -1402,9 +1404,8 @@ mod tests {
     }
 
     /// Submit `train` as `tenant`; the new job's id.
-    fn submitted(jobs: &mut Jobs, shared: &Shared, tenant: &str, train: &WireTrain) -> u64 {
-        let Response::Ok(Payload::Submitted { job }) = jobs.submit(shared, tenant, train, 100)
-        else {
+    fn submitted(jobs: &mut Jobs, tenant: &str, train: &WireTrain) -> u64 {
+        let Response::Ok(Payload::Submitted { job }) = jobs.submit(tenant, train, 100) else {
             panic!("submit refused");
         };
         jobs.owned(tenant, job).expect("submitted job").id
@@ -1496,7 +1497,7 @@ mod tests {
     #[test]
     fn stats_lists_each_tenants_retained_rows_and_never_goes_stale() {
         let shared = shared();
-        let mut jobs = Jobs::default();
+        let mut jobs = Jobs::new(&shared.config);
         let trained = shared
             .engine
             .train(
@@ -1531,9 +1532,9 @@ mod tests {
         // One long job of `a` dispatched and running, one job of `b` left
         // queued; each submit prunes the oldest terminal jobs to the cap.
         let train = endless();
-        let running = submitted(&mut jobs, &shared, "a", &train);
+        let running = submitted(&mut jobs, "a", &train);
         jobs.dispatch(&shared);
-        let queued = submitted(&mut jobs, &shared, "b", &train);
+        let queued = submitted(&mut jobs, "b", &train);
         wait_for(&mut jobs, &shared, running, |job| {
             job.handle
                 .as_ref()
@@ -1593,7 +1594,7 @@ mod tests {
     #[test]
     fn a_hogs_burst_prunes_its_own_history_not_a_quiet_tenants() {
         let shared = shared();
-        let mut jobs = Jobs::default();
+        let mut jobs = Jobs::new(&shared.config);
         let cancelled = Err(SessionError::Cancelled { iterations: 0 });
         let terminal = SERVED_HISTORY_CAP as u64 + 10;
         for id in 1..=terminal {
@@ -1603,7 +1604,7 @@ mod tests {
         jobs.last_id = terminal;
         let train = endless();
         let burst: Vec<u64> = (0..3)
-            .map(|_| submitted(&mut jobs, &shared, "hog", &train))
+            .map(|_| submitted(&mut jobs, "hog", &train))
             .collect();
         assert_eq!(jobs.table.len(), SERVED_HISTORY_CAP);
         let cancelled = |_| JobStatus::Cancelled;

@@ -6,8 +6,6 @@
 //! cargo run --release --example engine_jobs
 //! ```
 
-use std::time::Duration;
-
 use ml4all::{DataSource, Engine, GradientKind, JobEvent, SessionError, TrainRequest};
 use ml4all_core::estimator::SpeculationConfig;
 
@@ -16,7 +14,6 @@ fn main() -> Result<(), SessionError> {
         .with_registry_cap(2000)
         .with_speculation(SpeculationConfig {
             sample_size: 300,
-            budget: Duration::from_secs(5),
             max_iterations: 2000,
             ..SpeculationConfig::default()
         });

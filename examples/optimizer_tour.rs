@@ -8,7 +8,6 @@
 //! ```
 
 use ml4all_core::chooser::{choose_plan, OptimizerConfig};
-use ml4all_core::estimator::SpeculationConfig;
 use ml4all_dataflow::ClusterSpec;
 use ml4all_datasets::registry;
 use ml4all_gd::GradientKind;
@@ -28,11 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         let config = OptimizerConfig::new(gradient)
             .with_tolerance(tolerance)
-            .with_max_iter(1000)
-            .with_speculation(SpeculationConfig {
-                budget: std::time::Duration::from_secs(3),
-                ..SpeculationConfig::default()
-            });
+            .with_max_iter(1000);
         let report = choose_plan(&data, &config, &cluster)?;
 
         println!("-- speculation (Algorithm 1) --");
@@ -48,8 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
         println!(
-            "  speculation overhead: {:.1} simulated s, {:?} wall",
-            report.speculation_sim_s, report.speculation_wall
+            "  speculation overhead: {:.1} simulated s",
+            report.speculation_sim_s
         );
 
         println!("-- plan cost table (cheapest first) --");

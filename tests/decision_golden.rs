@@ -1,14 +1,13 @@
 //! Decision golden: the optimizer's full cold report — the speculation
 //! sample's rows and descriptor feed every number in it — hashed on dense,
 //! CSR and memory-mapped inputs, plus the weights a cold `Engine::train`
-//! ends with on a CSV of the served cold query's shape. Wall-clock fields
-//! are zeroed before hashing; everything else must repeat bit for bit.
+//! ends with on a CSV of the served cold query's shape. The report holds
+//! no wall-clock field, so all of it must repeat bit for bit.
 //! Regenerate with `UPDATE_GOLDEN=1` only after an intended change of
 //! decisions.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use ml4all::{DataSource, Engine, GradientKind, TrainRequest};
 use ml4all_bench::golden::assert_golden;
@@ -64,12 +63,8 @@ fn csv_text(seed: u64, rows: usize, dims: usize, zeros: bool) -> String {
     text
 }
 
-/// The report's hash with every wall-clock field zeroed.
-fn report_line(name: &str, mut report: OptimizerReport) -> String {
-    report.speculation_wall = Duration::ZERO;
-    for e in &mut report.estimates {
-        e.estimate.speculation_wall = Duration::ZERO;
-    }
+/// The report's hash, its best plan and its per-variant estimates.
+fn report_line(name: &str, report: OptimizerReport) -> String {
     let best = report.best().plan.to_string();
     let iterations: Vec<String> = report
         .estimates

@@ -72,7 +72,6 @@ fn optimizer_choice_is_deterministic() {
             .with_max_iter(300)
             .with_speculation(SpeculationConfig {
                 sample_size: 300,
-                budget: std::time::Duration::from_secs(30),
                 max_iterations: 3000,
                 ..SpeculationConfig::default()
             })

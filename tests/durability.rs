@@ -36,7 +36,6 @@ const SEED: u64 = 41;
 fn speculation() -> SpeculationConfig {
     SpeculationConfig {
         sample_size: 300,
-        budget: Duration::from_secs(1),
         max_iterations: 2000,
         ..SpeculationConfig::default()
     }

@@ -11,7 +11,6 @@ use ml4all_gd::{execute_plan, Gradient, GradientKind};
 fn quick_speculation() -> SpeculationConfig {
     SpeculationConfig {
         sample_size: 400,
-        budget: std::time::Duration::from_secs(2),
         max_iterations: 5000,
         ..SpeculationConfig::default()
     }

@@ -9,7 +9,6 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use ml4all::{
     render_report, DataSource, Engine, ExplainRequest, GradientKind, JobEvent, Model,
@@ -28,7 +27,6 @@ fn engine(workers: usize) -> Engine {
         .with_registry_cap(600)
         .with_speculation(SpeculationConfig {
             sample_size: 200,
-            budget: Duration::from_secs(30),
             max_iterations: 800,
             ..SpeculationConfig::default()
         })

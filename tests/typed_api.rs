@@ -29,7 +29,6 @@ fn dataset() -> PartitionedDataset {
 fn quick_engine() -> Engine {
     let engine = Engine::new().with_speculation(SpeculationConfig {
         sample_size: 150,
-        budget: std::time::Duration::from_secs(1),
         max_iterations: 400,
         ..SpeculationConfig::default()
     });

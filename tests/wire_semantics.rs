@@ -1500,22 +1500,20 @@ fn response() -> BoxedStrategy<Response> {
     .boxed()
 }
 
-/// The fixture entry with every float, count and duration redrawn.
+/// The fixture entry with every float and count redrawn.
 fn plan_cache_entry() -> BoxedStrategy<PlanCacheEntry> {
     (
         text(),
         opt(0u64..10),
         prop::collection::vec(finite_f64(), 8usize),
-        (0u64..u64::MAX, 0u32..1_000_000_000),
         prop::collection::vec((0u64..10_000, finite_f64()), 0..5),
     )
-        .prop_map(|(key, generation, floats, (secs, nanos), pairs)| {
+        .prop_map(|(key, generation, floats, pairs)| {
             let mut entry: PlanCacheEntry =
                 serde_json::from_str(ENTRY.trim_end()).expect("fixture entry");
             entry.key = key;
             entry.calibration_generation = generation;
             entry.report.speculation_sim_s = floats[0];
-            entry.report.speculation_wall = std::time::Duration::new(secs, nanos);
             for (choice, x) in entry.report.choices.iter_mut().zip(&floats[1..]) {
                 choice.total_s = *x;
                 choice.measured_s = Some(*x);
