@@ -487,6 +487,63 @@ impl ColumnarBuilder {
         self.len() == 0
     }
 
+    /// Stored entries pushed so far: the dense slab's values, or the CSR
+    /// store's explicit entries.
+    pub fn entries(&self) -> usize {
+        match &self.repr {
+            Repr::Empty => 0,
+            Repr::Dense { values, .. } | Repr::Csr { values, .. } => values.len(),
+        }
+    }
+
+    /// `(rows, entries)` the builder can still take before a column must
+    /// grow.
+    pub fn spare(&self) -> (usize, usize) {
+        fn spare<T>(v: &Vec<T>) -> usize {
+            v.capacity() - v.len()
+        }
+        match &self.repr {
+            Repr::Empty => (0, 0),
+            Repr::Dense { labels, values, .. } => (spare(labels), spare(values)),
+            Repr::Csr {
+                labels,
+                indptr,
+                indices,
+                values,
+                ..
+            } => (
+                spare(labels).min(spare(indptr)),
+                spare(indices).min(spare(values)),
+            ),
+        }
+    }
+
+    /// Grow every column to hold exactly `rows` more rows with `entries`
+    /// more stored entries among them ([`Vec::reserve_exact`]), so a
+    /// reader that knows how much input remains sizes each column about
+    /// once. An empty builder has no layout yet: its first row sets it.
+    pub fn reserve_exact(&mut self, rows: usize, entries: usize) {
+        match &mut self.repr {
+            Repr::Empty => {}
+            Repr::Dense { labels, values, .. } => {
+                labels.reserve_exact(rows);
+                values.reserve_exact(entries);
+            }
+            Repr::Csr {
+                labels,
+                indptr,
+                indices,
+                values,
+                ..
+            } => {
+                labels.reserve_exact(rows);
+                indptr.reserve_exact(rows);
+                indices.reserve_exact(entries);
+                values.reserve_exact(entries);
+            }
+        }
+    }
+
     /// Approximate in-memory footprint of the rows pushed so far, in the
     /// same accounting as [`ColumnStore::approx_bytes`]. This is what a
     /// spilling ingester budgets against.

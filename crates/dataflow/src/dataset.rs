@@ -205,34 +205,29 @@ impl PartitionedDataset {
     }
 
     /// Every physical row's label in the **original input order**, as
-    /// [`Self::iter_views_input_order`] visits the rows, read straight off
-    /// the partitions' label columns into one exact-size vector.
-    pub fn labels_input_order(&self) -> Vec<f64> {
-        let p = self.partitions.len();
-        let mut labels = Vec::with_capacity(self.physical_n());
-        match self.scheme {
+    /// [`Self::iter_views_input_order`] visits the rows, streamed straight
+    /// off the partitions' label columns (no row view, no copy). Consume
+    /// it with `fold`/`for_each`: those run as plain loops over the
+    /// columns.
+    pub fn input_order_labels(&self) -> impl Iterator<Item = f64> + '_ {
+        let parts = &self.partitions[..];
+        match parts.first() {
             // Row `g` went to `(g % p, g / p)`: offset `o` of every
             // partition, in partition order, is the input run `o·p ..`;
             // only the front partitions reach the last offset.
-            PartitionScheme::RoundRobin if p > 1 => {
-                let rounds = self.partitions.first().map_or(0, ColumnStore::len);
-                for offset in 0..rounds {
-                    labels.extend(
-                        self.partitions
-                            .iter()
-                            .filter_map(|part| part.labels().get(offset)),
-                    );
-                }
+            Some(first) if self.scheme == PartitionScheme::RoundRobin && parts.len() > 1 => {
+                InputOrderLabels::Interleaved((0..first.len()).flat_map(move |offset| {
+                    parts
+                        .iter()
+                        .filter_map(move |part| part.labels().get(offset).copied())
+                }))
             }
             // Contiguous windows (one partition under either scheme) are
             // partition-major already.
-            _ => {
-                for part in self.partitions.iter() {
-                    labels.extend_from_slice(part.labels());
-                }
-            }
+            _ => InputOrderLabels::Partitioned(
+                parts.iter().flat_map(|part| part.labels().iter().copied()),
+            ),
         }
-        labels
     }
 
     /// Borrow a row by `(partition, offset)` coordinates.
@@ -349,6 +344,31 @@ impl PartitionedDataset {
 /// chunks, front-filled, so trailing partitions may be short or empty.
 fn contiguous_chunk(n: usize, p: usize) -> usize {
     n.div_ceil(p)
+}
+
+/// The two shapes of [`PartitionedDataset::input_order_labels`]: one
+/// iterator type, each shape folding as its own loop nest.
+enum InputOrderLabels<I, P> {
+    Interleaved(I),
+    Partitioned(P),
+}
+
+impl<I: Iterator<Item = f64>, P: Iterator<Item = f64>> Iterator for InputOrderLabels<I, P> {
+    type Item = f64;
+
+    fn next(&mut self) -> Option<f64> {
+        match self {
+            Self::Interleaved(labels) => labels.next(),
+            Self::Partitioned(labels) => labels.next(),
+        }
+    }
+
+    fn fold<B, F: FnMut(B, f64) -> B>(self, init: B, f: F) -> B {
+        match self {
+            Self::Interleaved(labels) => labels.fold(init, f),
+            Self::Partitioned(labels) => labels.fold(init, f),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -718,10 +738,14 @@ mod tests {
                         assert_eq!(ds.num_partitions(), expected_p, "{case}");
                         let walked: Vec<f64> =
                             ds.iter_views_input_order().map(|v| v.label).collect();
-                        let labels = ds.labels_input_order();
+                        let labels: Vec<f64> = ds.input_order_labels().collect();
                         assert_eq!(labels, walked, "{case}");
+                        let folded = ds.input_order_labels().fold(Vec::new(), |mut v, l| {
+                            v.push(l);
+                            v
+                        });
+                        assert_eq!(folded, walked, "{case}: folded");
                         assert_eq!(labels, (0..n).map(|g| g as f64).collect::<Vec<_>>());
-                        assert_eq!(labels.capacity(), n, "{case}: one exact-size allocation");
                     }
                 }
             }

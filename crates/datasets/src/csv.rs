@@ -16,6 +16,7 @@ use ml4all_dataflow::{ColumnStore, ColumnarBuilder};
 use ml4all_linalg::PointView;
 
 use crate::lines::{find_byte, Lines};
+use crate::presize::Presize;
 use crate::DatasetError;
 
 /// `str::trim`, skipped where it is the identity: a field that begins and
@@ -51,6 +52,16 @@ pub fn for_each_csv_row<R: Read>(
     columns: Option<CsvColumns>,
     mut sink: impl FnMut(f64, &[f64]) -> Result<(), DatasetError>,
 ) -> Result<(), DatasetError> {
+    csv_rows(reader, columns, |_, label, features| sink(label, features))
+}
+
+/// [`for_each_csv_row`], also handing `sink` the bytes read through each
+/// row's line.
+fn csv_rows<R: Read>(
+    reader: R,
+    columns: Option<CsvColumns>,
+    mut sink: impl FnMut(u64, f64, &[f64]) -> Result<(), DatasetError>,
+) -> Result<(), DatasetError> {
     let mut lines = Lines::new(reader);
     let mut fields: Vec<f64> = Vec::new();
     while let Some((line_no, line)) = lines.next_line()? {
@@ -75,6 +86,7 @@ pub fn for_each_csv_row<R: Read>(
                 None => break,
             }
         }
+        let read = lines.bytes_read();
         match columns {
             None => {
                 if fields.len() < 2 {
@@ -83,7 +95,7 @@ pub fn for_each_csv_row<R: Read>(
                         reason: "need a label and at least one feature".into(),
                     });
                 }
-                sink(fields[0], &fields[1..])?;
+                sink(read, fields[0], &fields[1..])?;
             }
             Some(cols) => {
                 let label_ix = cols.label as usize;
@@ -104,33 +116,48 @@ pub fn for_each_csv_row<R: Read>(
                         ),
                     });
                 }
-                sink(fields[label_ix - 1], &fields[from - 1..to])?;
+                sink(read, fields[label_ix - 1], &fields[from - 1..to])?;
             }
         }
     }
     Ok(())
 }
 
-/// Read CSV rows straight into contiguous columnar storage: each parsed
-/// row is appended to the dense slab via [`for_each_csv_row`].
+/// Read CSV rows straight into contiguous columnar storage: each row
+/// [`for_each_csv_row`] would hand out is appended to the dense slab.
 pub fn read_csv_columns<R: Read>(
     reader: R,
     columns: Option<CsvColumns>,
 ) -> Result<ColumnStore, DatasetError> {
-    let mut b = ColumnarBuilder::new();
-    for_each_csv_row(reader, columns, |label, features| {
-        b.push_dense(label, features);
-        Ok(())
-    })?;
-    Ok(b.finish())
+    read_csv(reader, columns, None)
 }
 
-/// Read a CSV file from disk into columnar storage.
+/// Read a CSV file from disk into columnar storage, each column sized
+/// from the file's length and the bytes per row read so far rather than
+/// grown by doubling.
 pub fn read_csv_file_columns(
     path: impl AsRef<Path>,
     columns: Option<CsvColumns>,
 ) -> Result<ColumnStore, DatasetError> {
-    read_csv_columns(std::fs::File::open(path)?, columns)
+    let file = std::fs::File::open(path)?;
+    let presize = Presize::of(&file)?;
+    read_csv(file, columns, Some(&presize))
+}
+
+fn read_csv<R: Read>(
+    reader: R,
+    columns: Option<CsvColumns>,
+    presize: Option<&Presize>,
+) -> Result<ColumnStore, DatasetError> {
+    let mut b = ColumnarBuilder::new();
+    csv_rows(reader, columns, |read, label, features| {
+        if let Some(presize) = presize {
+            presize.room_for(&mut b, read, features.len());
+        }
+        b.push_dense(label, features);
+        Ok(())
+    })?;
+    Ok(b.finish())
 }
 
 /// Write rows as dense CSV (`label,f1,f2,…`).

@@ -19,13 +19,14 @@ pub mod csv;
 pub mod libsvm;
 mod lines;
 pub mod metrics;
+mod presize;
 pub mod registry;
 pub mod source;
 pub mod split;
 pub mod synth;
 
 pub use catalog::{EvictedDataset, SharedResolver};
-pub use metrics::{accuracy, mean_squared_error};
+pub use metrics::{accuracy, mean_squared_error, score};
 pub use registry::{DatasetSpec, Task};
 pub use source::{parse_memory_budget, DataSource, FileFormat, SourceError, MEMORY_BUDGET_ENV};
 pub use split::train_test_split;

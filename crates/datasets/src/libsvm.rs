@@ -16,6 +16,7 @@ use ml4all_dataflow::{ColumnStore, ColumnarBuilder};
 use ml4all_linalg::{FeatureView, PointView};
 
 use crate::lines::Lines;
+use crate::presize::Presize;
 use crate::DatasetError;
 
 /// Parse one LIBSVM line into reusable index/value buffers (cleared
@@ -75,6 +76,17 @@ pub fn for_each_libsvm_row<R: Read>(
     reader: R,
     mut sink: impl FnMut(usize, f64, &[u32], &[f64]) -> Result<(), DatasetError>,
 ) -> Result<(), DatasetError> {
+    libsvm_rows(reader, |line_no, _, label, indices, values| {
+        sink(line_no, label, indices, values)
+    })
+}
+
+/// [`for_each_libsvm_row`], also handing `sink` the bytes read through
+/// each row's line (after its line number).
+fn libsvm_rows<R: Read>(
+    reader: R,
+    mut sink: impl FnMut(usize, u64, f64, &[u32], &[f64]) -> Result<(), DatasetError>,
+) -> Result<(), DatasetError> {
     let mut lines = Lines::new(reader);
     let mut indices: Vec<u32> = Vec::new();
     let mut values: Vec<f64> = Vec::new();
@@ -84,22 +96,45 @@ pub fn for_each_libsvm_row<R: Read>(
             continue;
         }
         let label = parse_line_into(trimmed, line_no, &mut indices, &mut values)?;
-        sink(line_no, label, &indices, &values)?;
+        sink(line_no, lines.bytes_read(), label, &indices, &values)?;
     }
     Ok(())
 }
 
 /// Read LIBSVM data from any reader straight into CSR columnar storage:
-/// rows append to the shared `indptr`/`indices`/`values` slabs via
-/// [`for_each_libsvm_row`]. When `dims` is `None` the dimensionality is
+/// the rows [`for_each_libsvm_row`] would hand out append to the shared
+/// `indptr`/`indices`/`values` slabs. When `dims` is `None` the dimensionality is
 /// inferred as the maximum index seen (an explicit `dims` never shrinks
 /// below the observed maximum).
 pub fn read_libsvm_columns<R: Read>(
     reader: R,
     dims: Option<usize>,
 ) -> Result<ColumnStore, DatasetError> {
+    read_libsvm(reader, dims, None)
+}
+
+/// Read a LIBSVM file from disk into CSR columnar storage, each column
+/// sized from the file's length and the bytes per row read so far rather
+/// than grown by doubling.
+pub fn read_libsvm_file_columns(
+    path: impl AsRef<Path>,
+    dims: Option<usize>,
+) -> Result<ColumnStore, DatasetError> {
+    let file = std::fs::File::open(path)?;
+    let presize = Presize::of(&file)?;
+    read_libsvm(file, dims, Some(&presize))
+}
+
+fn read_libsvm<R: Read>(
+    reader: R,
+    dims: Option<usize>,
+    presize: Option<&Presize>,
+) -> Result<ColumnStore, DatasetError> {
     let mut b = ColumnarBuilder::new();
-    for_each_libsvm_row(reader, |line_no, label, indices, values| {
+    libsvm_rows(reader, |line_no, read, label, indices, values| {
+        if let Some(presize) = presize {
+            presize.room_for(&mut b, read, indices.len());
+        }
         b.push_sparse(label, indices, values)
             .map_err(|e| DatasetError::Parse {
                 line_no,
@@ -107,14 +142,6 @@ pub fn read_libsvm_columns<R: Read>(
             })
     })?;
     Ok(b.finish_with_dims(dims.unwrap_or(0)))
-}
-
-/// Read a LIBSVM file from disk into CSR columnar storage.
-pub fn read_libsvm_file_columns(
-    path: impl AsRef<Path>,
-    dims: Option<usize>,
-) -> Result<ColumnStore, DatasetError> {
-    read_libsvm_columns(std::fs::File::open(path)?, dims)
 }
 
 /// Write rows in LIBSVM format (sparse layout regardless of storage;

@@ -48,6 +48,8 @@ pub(crate) struct Lines<R> {
     /// call, so the line can borrow the read buffer until then.
     pending: usize,
     line_no: usize,
+    /// Bytes of the lines handed out so far.
+    bytes_read: u64,
 }
 
 impl<R: Read> Lines<R> {
@@ -57,7 +59,13 @@ impl<R: Read> Lines<R> {
             carry: Vec::new(),
             pending: 0,
             line_no: 0,
+            bytes_read: 0,
         }
+    }
+
+    /// Bytes of input read through the last line handed out.
+    pub(crate) fn bytes_read(&self) -> u64 {
+        self.bytes_read
     }
 
     /// The next line with its 1-based number, or `None` at the end of
@@ -100,6 +108,7 @@ impl<R: Read> Lines<R> {
             return Ok(None);
         }
         self.line_no += 1;
+        self.bytes_read += line.len() as u64;
         match std::str::from_utf8(line) {
             Ok(line) => Ok(Some((self.line_no, line))),
             Err(_) => Err(io::Error::new(

@@ -91,6 +91,16 @@ impl Context {
         }
     }
 
+    /// Set `weights` to `dims` zeros, in place when the width already
+    /// matches (a fresh context's weights are reused, not replaced).
+    pub fn zero_weights(&mut self) {
+        if self.weights.dim() == self.dims {
+            self.weights.fill_zero();
+        } else {
+            self.weights = DenseVector::zeros(self.dims);
+        }
+    }
+
     /// `true` once any weight is non-finite — the divergence detector.
     pub fn weights_diverged(&self) -> bool {
         Support::All.any_non_finite(self.weights.as_slice())

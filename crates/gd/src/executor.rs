@@ -257,8 +257,9 @@ struct PartialSlot {
     error: Option<GdError>,
 }
 
-/// Per-partition scratch accumulators, allocated once per run and reused
-/// by every compute wave: the wave performs no per-row or per-result heap
+/// Per-partition scratch accumulators, allocated on the first batch wave
+/// (`SampleSize::All`; a sampled run never allocates them) and reused by
+/// every later one: the wave performs no per-row or per-result heap
 /// allocation for dense data (strictly allocation-free on a single-worker
 /// runtime; the pooled path boxes one job envelope per busy worker).
 struct WaveScratch {
@@ -514,14 +515,14 @@ pub fn execute(
             error_seq.extend_from_slice(&rs.error_seq);
         }
     }
-    // Reused across every iteration: per-partition wave scratch, the
-    // sampled-coordinate and wave-support buffers, the previous-weights
-    // copy, and the error sequence's backing storage — the steady-state
-    // loop allocates nothing per iteration (bar one boxed job envelope per
-    // busy worker when a batch wave crosses a multi-worker pool, and the
-    // shuffled-partition sampler's order buffer growing when a reshuffle
-    // lands on a larger partition).
-    let mut scratch = WaveScratch::new(parts.len(), dims);
+    // Reused across every iteration: per-partition wave scratch (created
+    // by the first batch wave), the sampled-coordinate and wave-support
+    // buffers, the previous-weights copy, and the error sequence's backing
+    // storage — the steady-state loop allocates nothing per iteration (bar
+    // one boxed job envelope per busy worker when a batch wave crosses a
+    // multi-worker pool, and the shuffled-partition sampler's order buffer
+    // growing when a reshuffle lands on a larger partition).
+    let mut scratch: Option<WaveScratch> = None;
     let mut wave_support = WaveSupport::new(dims);
     let compute_writes_only_stored_indices = ops.compute.writes_only_stored_indices();
     // What lets a tail skip coordinates the wave did not touch: off the
@@ -621,6 +622,7 @@ pub fn execute(
                 // slot on the shared worker pool, and the partials reduce
                 // in partition order — bit-identical at any worker count.
                 let ctx_ref = &ctx;
+                let scratch = scratch.get_or_insert_with(|| WaveScratch::new(parts.len(), dims));
                 env.runtime()
                     .scatter_indexed(scratch.slots_mut(), |pi, slot| {
                         slot.acc.reset();

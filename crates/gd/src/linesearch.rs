@@ -43,7 +43,7 @@ pub struct LineSearchStage {
 impl StageOp for LineSearchStage {
     fn stage(&self, ctx: &mut Context, _staged: &ColumnStore) {
         ctx.dims = self.dims;
-        ctx.weights = DenseVector::zeros(self.dims);
+        ctx.zero_weights();
         ctx.iteration = 0;
         ctx.put("step", Extra::Scalar(self.initial_step));
         ctx.put("step0", Extra::Scalar(self.initial_step));

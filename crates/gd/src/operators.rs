@@ -351,7 +351,7 @@ pub struct ZeroStage {
 impl StageOp for ZeroStage {
     fn stage(&self, ctx: &mut Context, _staged: &ColumnStore) {
         ctx.dims = self.dims;
-        ctx.weights = DenseVector::zeros(self.dims);
+        ctx.zero_weights();
         ctx.iteration = 0;
         ctx.put("step", Extra::Scalar(1.0));
     }
@@ -369,7 +369,7 @@ pub struct StatsStage {
 impl StageOp for StatsStage {
     fn stage(&self, ctx: &mut Context, staged: &ColumnStore) {
         ctx.dims = self.dims;
-        ctx.weights = DenseVector::zeros(self.dims);
+        ctx.zero_weights();
         ctx.iteration = 0;
         ctx.put("step", Extra::Scalar(1.0));
         let mut means = DenseVector::zeros(self.dims);

@@ -41,7 +41,7 @@ pub struct SvrgStage {
 impl StageOp for SvrgStage {
     fn stage(&self, ctx: &mut Context, _staged: &ColumnStore) {
         ctx.dims = self.dims;
-        ctx.weights = DenseVector::zeros(self.dims);
+        ctx.zero_weights();
         ctx.iteration = 0;
         ctx.put("m", Extra::Int(self.update_frequency));
         ctx.put("alpha", Extra::Scalar(self.alpha));

@@ -395,14 +395,15 @@ impl Engine {
         self.core.resolver.register(name, data)
     }
 
-    /// A previously-trained model by name (a clone; models are small).
-    pub fn model(&self, name: &str) -> Option<Model> {
+    /// A previously-trained model by name: the registry's shared model —
+    /// the same `Arc` as the binding job's [`Trained::model`] — not a copy.
+    pub fn model(&self, name: &str) -> Option<Arc<Model>> {
         self.core
             .models
             .lock()
             .expect("model registry")
             .get(name)
-            .map(|model| Model::clone(model))
+            .cloned()
     }
 
     /// Submit a training job: returns immediately with a [`JobHandle`]
@@ -553,24 +554,28 @@ impl Engine {
     }
 
     /// Score a dataset with a model, straight off the columnar storage
-    /// (no point materialization; see [`Model::predict_batch`]).
+    /// (no point materialization; see [`Model::predict_batch`]). A bound
+    /// model scores as it is shared, with no copy, and MSE and accuracy
+    /// come from one pass over the label columns in input order.
     pub fn predict(&self, request: PredictRequest) -> Result<Predictions, SessionError> {
-        let model = match &request.model {
-            ModelRef::Named(name) => match self.model(name) {
+        let model = match request.model {
+            ModelRef::Named(name) => match self.model(&name) {
                 Some(m) => m,
-                None => {
-                    Model::load(self.core.resolver.data_dir().join(name)).map_err(|e| match e {
+                None => Model::load(self.core.resolver.data_dir().join(&name))
+                    .map(Arc::new)
+                    .map_err(|e| match e {
                         crate::ModelError::Io(io) if io.kind() == std::io::ErrorKind::NotFound => {
                             SessionError::Model(crate::ModelError::Format(format!(
                                 "`{name}` is neither an engine result nor a readable model file"
                             )))
                         }
                         other => SessionError::Model(other),
-                    })?
-                }
+                    })?,
             },
-            ModelRef::File(path) => Model::load(self.core.resolver.data_dir().join(path))?,
-            ModelRef::Inline(model) => model.clone(),
+            ModelRef::File(path) => {
+                Arc::new(Model::load(self.core.resolver.data_dir().join(path))?)
+            }
+            ModelRef::Inline(model) => model,
         };
         let data = self
             .core
@@ -588,13 +593,8 @@ impl Engine {
             });
         }
         let predictions = model.predict_batch(&data);
-        let labels = data.labels_input_order();
-        let mse = ml4all_datasets::mean_squared_error(&predictions, &labels);
-        let accuracy = if model.gradient.is_classification() {
-            Some(ml4all_datasets::accuracy(&predictions, &labels))
-        } else {
-            None
-        };
+        let (mse, accuracy) = ml4all_datasets::score(&predictions, data.input_order_labels());
+        let accuracy = model.gradient.is_classification().then_some(accuracy);
         Ok(Predictions {
             predictions,
             mse,
@@ -1563,7 +1563,11 @@ mod tests {
             .unwrap();
 
         let engine = quick_engine().with_state_dir(&dir);
-        assert_eq!(engine.model("J"), Some(model(1.0)), "only `4a.txt` is J");
+        assert_eq!(
+            engine.model("J"),
+            Some(Arc::new(model(1.0))),
+            "only `4a.txt` is J"
+        );
         assert_eq!(engine.core.models.lock().unwrap().len(), 1);
         let _ = std::fs::remove_dir_all(dir);
     }

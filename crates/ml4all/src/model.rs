@@ -5,6 +5,7 @@
 //! the gradient function and dimensionality, then one weight per line —
 //! so models are inspectable and diffable.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader};
 use std::path::Path;
 
@@ -93,7 +94,7 @@ impl Model {
             self.weights.dim()
         );
         for w in self.weights.as_slice() {
-            text.push_str(&format!("{w}\n"));
+            writeln!(text, "{w}").expect("writing to a String cannot fail");
         }
         ml4all_dataflow::atomic_write(path, text.as_bytes())?;
         Ok(())
@@ -173,6 +174,38 @@ mod tests {
         model.save(&path).unwrap();
         let loaded = Model::load(&path).unwrap();
         assert_eq!(model, loaded);
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn saved_weights_keep_the_one_line_display_format() {
+        let weights = vec![
+            -0.0,
+            f64::from_bits(1), // the least subnormal
+            1e300,
+            3.0,
+            0.1 + 0.2, // a long fraction: 0.30000000000000004
+        ];
+        let path = tmp("format.txt");
+        Model::new(GradientKind::Svm, DenseVector::new(weights.clone()))
+            .save(&path)
+            .unwrap();
+        let saved = std::fs::read_to_string(&path).unwrap();
+        // The text a `format!("{w}\n")` per weight produced.
+        let mut expected = String::from("ml4all-model v1\ngradient: hinge\ndims: 5\n");
+        for w in &weights {
+            expected.push_str(&format!("{w}\n"));
+        }
+        assert_eq!(saved, expected);
+        let lines: Vec<&str> = saved.lines().skip(3).collect();
+        assert_eq!(lines[0], "-0");
+        assert_eq!(lines[1], format!("0.{}5", "0".repeat(323)));
+        assert_eq!(lines[2], format!("1{}", "0".repeat(300)));
+        assert_eq!(lines[3], "3");
+        assert_eq!(lines[4], "0.30000000000000004");
+        let loaded = Model::load(&path).unwrap();
+        let bits = |ws: &[f64]| ws.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(loaded.weights.as_slice()), bits(&weights));
         let _ = std::fs::remove_file(path);
     }
 

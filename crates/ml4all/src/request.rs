@@ -7,6 +7,7 @@
 //! [`ExplainRequest`] complete the verb set.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 use ml4all_core::chooser::OptimizerConfig;
@@ -178,8 +179,10 @@ pub enum ModelRef {
     Named(String),
     /// A model file on disk only.
     File(PathBuf),
-    /// A model value handed over directly.
-    Inline(Model),
+    /// A model value handed over directly — shared, e.g. the one
+    /// [`Engine::model`](crate::Engine::model) returns, so scoring with it
+    /// copies no weights.
+    Inline(Arc<Model>),
 }
 
 impl From<&str> for ModelRef {
@@ -196,6 +199,12 @@ impl From<String> for ModelRef {
 
 impl From<Model> for ModelRef {
     fn from(model: Model) -> Self {
+        Self::Inline(Arc::new(model))
+    }
+}
+
+impl From<Arc<Model>> for ModelRef {
+    fn from(model: Arc<Model>) -> Self {
         Self::Inline(model)
     }
 }

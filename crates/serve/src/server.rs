@@ -1633,10 +1633,13 @@ mod tests {
             .named("acme:m")
         };
         let a = shared.engine.train(request(3)).expect("train A");
-        let a_weights = shared.engine.model("acme:m").expect("A bound").weights;
+        let a_model = shared.engine.model("acme:m").expect("A bound");
         shared.engine.train(request(6)).expect("train B");
-        let b_weights = shared.engine.model("acme:m").expect("B bound").weights;
-        assert_ne!(a_weights, b_weights, "the two runs must differ to tell");
+        let b_model = shared.engine.model("acme:m").expect("B bound");
+        assert_ne!(
+            a_model.weights, b_model.weights,
+            "the two runs must differ to tell"
+        );
 
         let job = ServedJob::new(1, "acme", "m".to_string());
         JobSink::new(&shared, &job).finished(&Ok(a));
@@ -1648,7 +1651,8 @@ mod tests {
         else {
             panic!("not a Joined answer");
         };
-        let expected: Vec<String> = a_weights
+        let expected: Vec<String> = a_model
+            .weights
             .as_slice()
             .iter()
             .copied()

@@ -91,7 +91,7 @@ struct Tick {
 /// trajectory, the yardstick every resumed run is held against.
 struct Reference {
     trained: ml4all::Trained,
-    model: ml4all::Model,
+    model: Arc<ml4all::Model>,
     ticks: HashMap<u64, Tick>,
 }
 
@@ -318,7 +318,7 @@ fn plant_misprediction(eng: &Engine, dataset: &str) -> ml4all::GdPlan {
 /// A replanned run's observables, captured bit-exactly.
 struct ReplannedRun {
     trained: ml4all::Trained,
-    model: ml4all::Model,
+    model: Arc<ml4all::Model>,
     /// `(iteration, to-plan)` of the mid-flight switch.
     switch: (u64, ml4all::GdPlan),
     ticks: HashMap<u64, Tick>,

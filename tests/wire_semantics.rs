@@ -5,8 +5,9 @@
 //! actually cross a wire or reach a state dir: `Request`,
 //! `Response`/`Payload`, `WireEvent`, `WireStats`, `PlanCacheEntry`, the
 //! checkpoint payload (through `encode_checkpoint`/`read_checkpoint`, its
-//! wire structs are private) and the calibration snapshot. The table test
-//! renders one `Ok(debug)` / `Err(text)` line per case into
+//! wire structs are private) and the calibration snapshot — plus the query
+//! `Constraints`, the one decoded type left carrying a `Duration`. The
+//! table test renders one `Ok(debug)` / `Err(text)` line per case into
 //! `tests/golden/wire_semantics.txt`; that golden was generated with the
 //! `Value`-tree codec (commit 23fb5aa) and the typed streaming codec must
 //! reproduce it byte for byte — same acceptances, same refusals, same
@@ -19,6 +20,7 @@ use std::sync::Arc;
 
 use ml4all_bench::golden::assert_golden;
 use ml4all_bench::wire_samples::weights;
+use ml4all_core::lang::Constraints;
 use ml4all_core::{CalibrationSnapshot, PlanCacheEntry};
 use ml4all_dataflow::checkpoint::encode_checkpoint;
 use ml4all_dataflow::{
@@ -36,6 +38,12 @@ use serde_json::Value;
 /// One real `PlanCacheEntry` as `plancache.json` holds it (three of the
 /// eleven costed plans, two of the three speculation estimates).
 const ENTRY: &str = include_str!("golden/semantics_plancache_entry.json");
+
+/// `having` constraints as the language's AST derives them: `time` is
+/// the one `Duration` a decoded type still carries (it becomes
+/// `TrainSpec.time_budget`).
+const CONSTRAINTS: &str = r#"{"time":{"secs":0,"nanos":8335175},"epsilon":0.005,"max_iter":4}"#;
+const DURATION: &str = r#"{"secs":0,"nanos":8335175}"#;
 
 const CALIBRATION: &str = r#"{"generation":1,"scales":{"io":0.9999999999998355,"cpu":1.0000000000002647,"net":1.0,"overhead":1.0000000000000548},"residuals":[{"key":"LogisticRegression|SGD-lazy-shuffle|local|n16|d6|sparse","factor":1.0000000000001292,"observations":1}],"min_observations":3,"observations":1}"#;
 
@@ -244,6 +252,7 @@ enum Kind {
     Entry,
     Entries,
     Calibration,
+    Constraints,
     U64,
     U32,
     I64,
@@ -274,6 +283,7 @@ fn decode_as(kind: Kind, input: &[u8]) -> String {
         Kind::Entry => decode::<PlanCacheEntry>(input),
         Kind::Entries => decode::<Vec<PlanCacheEntry>>(input),
         Kind::Calibration => decode::<CalibrationSnapshot>(input),
+        Kind::Constraints => decode::<Constraints>(input),
         Kind::U64 => decode::<u64>(input),
         Kind::U32 => decode::<u32>(input),
         Kind::I64 => decode::<i64>(input),
@@ -804,45 +814,6 @@ fn decode_and_encode_semantics_match_the_golden() {
     );
     t.case(
         Kind::Entry,
-        ENTRY
-            .trim_end()
-            .replace("{\"secs\":0,\"nanos\":8335175}", "{\"nanos\":8335175}"),
-    );
-    t.case(
-        Kind::Entry,
-        ENTRY
-            .trim_end()
-            .replace("{\"secs\":0,\"nanos\":8335175}", "{\"secs\":0}"),
-    );
-    t.case(
-        Kind::Entry,
-        ENTRY.trim_end().replace(
-            "{\"secs\":0,\"nanos\":8335175}",
-            "{\"secs\":null,\"nanos\":1}",
-        ),
-    );
-    t.case(
-        Kind::Entry,
-        ENTRY.trim_end().replace(
-            "{\"secs\":0,\"nanos\":8335175}",
-            "{\"nanos\":1,\"secs\":2,\"nanos\":3,\"micros\":[4]}",
-        ),
-    );
-    t.case(
-        Kind::Entry,
-        ENTRY
-            .trim_end()
-            .replace("{\"secs\":0,\"nanos\":8335175}", "[0,8335175]"),
-    );
-    t.case(
-        Kind::Entry,
-        ENTRY.trim_end().replace(
-            "{\"secs\":0,\"nanos\":8335175}",
-            "{\"secs\":0,\"nanos\":4294967296}",
-        ),
-    );
-    t.case(
-        Kind::Entry,
         ENTRY.trim_end().replace("[1,0.6035287006644293]", "[1]"),
     );
     t.case(
@@ -874,6 +845,22 @@ fn decode_and_encode_semantics_match_the_golden() {
         ENTRY.trim_end().replace("\"report\":{", "\"report\":[{"),
     );
     t.case(Kind::Entry, &ENTRY.trim_end()[..ENTRY.trim_end().len() - 1]);
+
+    t.section("durations (query constraints)");
+    t.case(Kind::Constraints, CONSTRAINTS);
+    for (from, to) in [
+        (DURATION, "{\"nanos\":8335175}"),
+        (DURATION, "{\"secs\":0}"),
+        (DURATION, "{\"secs\":null,\"nanos\":1}"),
+        (
+            DURATION,
+            "{\"nanos\":1,\"secs\":2,\"nanos\":3,\"micros\":[4]}",
+        ),
+        (DURATION, "[0,8335175]"),
+        (DURATION, "{\"secs\":0,\"nanos\":4294967296}"),
+    ] {
+        t.case(Kind::Constraints, CONSTRAINTS.replace(from, to));
+    }
 
     t.section("calibration snapshots");
     t.case(Kind::Calibration, CALIBRATION);
