@@ -245,11 +245,16 @@ pub struct VariantEstimate {
 /// The optimizer's full report: every plan costed, cheapest first.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OptimizerReport {
-    /// All plans, sorted by ascending total cost.
+    /// Every plan the request leaves choosable, sorted by ascending total
+    /// cost.
     pub choices: Vec<PlanChoice>,
-    /// Speculation outcomes per variant (empty when iterations were fixed).
+    /// Speculation outcomes, one per GD variant among [`Self::choices`] in
+    /// the order BGD, SGD, MGD: three on an unpinned request, one under a
+    /// pinned algorithm, none when iterations were fixed.
     pub estimates: Vec<VariantEstimate>,
-    /// Total simulated optimizer overhead (speculation runs).
+    /// Total simulated optimizer overhead: the one sample-collection job
+    /// plus the speculative runs actually made (one per entry of
+    /// [`Self::estimates`]).
     pub speculation_sim_s: f64,
     /// `true` when this report was served from a plan cache instead of a
     /// fresh optimization: speculation was skipped and every field (the
@@ -293,9 +298,15 @@ impl OptimizerReport {
     pub fn estimate_for(&self, variant: GdVariant) -> Option<&IterationsEstimate> {
         self.estimates
             .iter()
-            .find(|e| std::mem::discriminant(&e.variant) == std::mem::discriminant(&variant))
+            .find(|e| same_variant(&e.variant, &variant))
             .map(|e| &e.estimate)
     }
+}
+
+/// Whether two variants are the same GD algorithm (a mini-batch size does
+/// not make a different one).
+fn same_variant(a: &GdVariant, b: &GdVariant) -> bool {
+    std::mem::discriminant(a) == std::mem::discriminant(b)
 }
 
 /// The backend a plan mapping executes on (the Appendix D routing rule):
@@ -335,20 +346,36 @@ pub fn profile_choice(
     }
 }
 
-/// Run the optimizer: estimate iterations per variant, cost all 11 plans,
-/// return them cheapest-first.
+/// Run the optimizer: estimate iterations per GD variant the request leaves
+/// choosable, cost those variants' plans, return them cheapest-first.
 pub fn choose_plan(
     data: &PartitionedDataset,
     config: &OptimizerConfig,
     cluster: &ClusterSpec,
 ) -> Result<OptimizerReport, OptimizerError> {
-    let variants = [
-        GdVariant::Batch,
-        GdVariant::Stochastic,
-        GdVariant::MiniBatch {
-            batch: config.batch_size,
-        },
-    ];
+    // The plan space this request prices: the Figure 5 plans less those a
+    // pinned algorithm or sampler excludes.
+    let mut plans = enumerate_plans(config.batch_size);
+    plans.retain(|plan| {
+        config
+            .pinned_variant
+            .is_none_or(|v| same_variant(&plan.variant, &v))
+            && config
+                .pinned_sampling
+                .is_none_or(|s| plan.sampling.is_none() || plan.sampling == Some(s))
+    });
+    // Exactly the variants those plans use, in plan-space order (BGD, SGD,
+    // MGD; each variant's plans are contiguous): an excluded algorithm's
+    // estimate would never be read, so it is never speculated.
+    let mut variants = [GdVariant::Batch; 3];
+    let mut n = 0;
+    for plan in &plans {
+        if n == 0 || !same_variant(&variants[n - 1], &plan.variant) {
+            variants[n] = plan.variant;
+            n += 1;
+        }
+    }
+    let variants = &variants[..n];
 
     let params = config.train_params();
     let mut estimates = Vec::new();
@@ -357,19 +384,21 @@ pub fn choose_plan(
     let variant_iterations: Vec<(GdVariant, u64)> = match &config.iterations {
         IterationsSource::Fixed(t) => variants.iter().map(|v| (*v, *t)).collect(),
         IterationsSource::Speculate(spec_cfg) => {
-            // One Spark job collects the sample for all three speculative
-            // runs (the ~4 s overhead of Section 8.3).
+            // One Spark job collects the sample for every speculative run
+            // (the ~4 s overhead of Section 8.3).
             let mut collect_env = SimEnv::new(cluster.clone());
             collect_env.charge_sample_collection(data.descriptor(), spec_cfg.sample_size as u64);
             speculation_sim_s += collect_env.elapsed_s();
-            // The three speculative runs share one sample `D′` and are
-            // otherwise independent; dispatch them through the shared
-            // runtime worker pool (each builds its own environment and seed
-            // inside `estimate_on_sample`). Results come back in variant
-            // order, independent of the worker count.
+            // The speculative runs share one sample `D′` and are otherwise
+            // independent; dispatch them through the shared runtime worker
+            // pool (each builds its own environment and seed inside
+            // `estimate_on_sample`, so a variant's estimate is the same
+            // whichever others run beside it). Results come back in variant
+            // order, independent of the worker count; a lone run stays on
+            // the calling thread.
             let sample = speculation_sample(data, spec_cfg, cluster)?;
             let results: Vec<Result<IterationsEstimate, OptimizerError>> =
-                config.runtime.map_indexed(&variants, |_, variant| {
+                config.runtime.map_indexed(variants, |_, variant| {
                     estimate_on_sample(
                         &sample,
                         *variant,
@@ -396,20 +425,12 @@ pub fn choose_plan(
 
     let desc = data.descriptor();
     let model = PlanCostModel::new(cluster, desc);
-    let mut choices: Vec<PlanChoice> = enumerate_plans(config.batch_size)
+    let mut choices: Vec<PlanChoice> = plans
         .into_iter()
-        .filter(|plan| {
-            config
-                .pinned_variant
-                .is_none_or(|v| std::mem::discriminant(&plan.variant) == std::mem::discriminant(&v))
-                && config
-                    .pinned_sampling
-                    .is_none_or(|s| plan.sampling.is_none() || plan.sampling == Some(s))
-        })
         .map(|plan| {
             let (_, t) = variant_iterations
                 .iter()
-                .find(|(v, _)| std::mem::discriminant(v) == std::mem::discriminant(&plan.variant))
+                .find(|(v, _)| same_variant(v, &plan.variant))
                 .expect("every plan variant was estimated");
             // The user's iteration cap bounds every plan.
             let t = (*t).min(config.max_iter).max(1);
@@ -498,6 +519,128 @@ mod tests {
             &ClusterSpec::paper_testbed(),
         )
         .unwrap()
+    }
+
+    /// A separable CSR set: 64 columns, a handful of non-zeros a row.
+    fn sparse_dataset(n: usize) -> PartitionedDataset {
+        let mut rng = StdRng::seed_from_u64(4);
+        let dims = 64u32;
+        let mut rows = ml4all_dataflow::ColumnarBuilder::new();
+        for _ in 0..n {
+            let mut idx: Vec<u32> = (0..6).map(|_| rng.gen_range(0..dims)).collect();
+            idx.sort_unstable();
+            idx.dedup();
+            let vals: Vec<f64> = idx.iter().map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let score: f64 = idx
+                .iter()
+                .zip(&vals)
+                .map(|(&i, &v)| if i % 2 == 0 { v } else { -v })
+                .sum();
+            let label = if score > 0.0 { 1.0 } else { -1.0 };
+            rows.push_sparse(label, &idx, &vals).unwrap();
+        }
+        PartitionedDataset::from_columns(
+            "chooser-csr",
+            &rows.finish_with_dims(dims as usize),
+            PartitionScheme::RoundRobin,
+            &ClusterSpec::paper_testbed(),
+        )
+        .unwrap()
+    }
+
+    /// Every bit of an estimate, floats by their bit patterns.
+    type EstimateBits = (u64, u64, u64, usize, u64, Vec<(u64, u64)>, u64);
+
+    fn estimate_bits(e: &IterationsEstimate) -> EstimateBits {
+        (
+            e.iterations,
+            e.fit.a.to_bits(),
+            e.fit.r_squared.to_bits(),
+            e.fit.points,
+            e.speculation_iterations,
+            e.pairs.iter().map(|&(i, err)| (i, err.to_bits())).collect(),
+            e.speculation_sim_s.to_bits(),
+        )
+    }
+
+    /// A costed row by its bits.
+    fn choice_bits(c: &PlanChoice) -> (GdPlan, u64, u64) {
+        (c.plan, c.estimated_iterations, c.total_s.to_bits())
+    }
+
+    #[test]
+    fn a_pinned_variant_speculates_only_itself_bit_identically() {
+        let cluster = ClusterSpec::paper_testbed();
+        let spec_cfg = SpeculationConfig {
+            sample_size: 300,
+            max_iterations: 2000,
+            ..Default::default()
+        };
+        for data in [dataset(3000, 1024 * 1024), sparse_dataset(3000)] {
+            let config = OptimizerConfig::new(GradientKind::LogisticRegression)
+                .with_tolerance(0.01)
+                .with_speculation(spec_cfg.clone());
+            let unpinned = choose_plan(&data, &config, &cluster).unwrap();
+            assert_eq!(unpinned.estimates.len(), 3);
+            let mut collect = SimEnv::new(cluster.clone());
+            collect.charge_sample_collection(data.descriptor(), spec_cfg.sample_size as u64);
+            for variant in [
+                GdVariant::Batch,
+                GdVariant::Stochastic,
+                GdVariant::MiniBatch {
+                    batch: config.batch_size,
+                },
+            ] {
+                let pinned = choose_plan(
+                    &data,
+                    &config.clone().with_pinned_variant(variant),
+                    &cluster,
+                )
+                .unwrap();
+                assert_eq!(pinned.estimates.len(), 1, "{variant:?}");
+                assert_eq!(pinned.estimates[0].variant, variant);
+                let own = &pinned.estimates[0].estimate;
+                assert_eq!(
+                    estimate_bits(own),
+                    estimate_bits(unpinned.estimate_for(variant).unwrap()),
+                    "{variant:?}: the estimate depends on the variants run beside it"
+                );
+                assert_eq!(
+                    pinned.speculation_sim_s.to_bits(),
+                    (collect.elapsed_s() + own.speculation_sim_s).to_bits(),
+                    "{variant:?}: one collection plus one run"
+                );
+                let expected: Vec<_> = unpinned
+                    .choices
+                    .iter()
+                    .filter(|c| same_variant(&c.plan.variant, &variant))
+                    .map(choice_bits)
+                    .collect();
+                let priced: Vec<_> = pinned.choices.iter().map(choice_bits).collect();
+                assert_eq!(priced, expected, "{variant:?}");
+            }
+            // A pinned sampler leaves every algorithm choosable.
+            let sampled = choose_plan(
+                &data,
+                &OptimizerConfig {
+                    pinned_sampling: Some(ml4all_dataflow::SamplingMethod::ShuffledPartition),
+                    ..config.clone()
+                },
+                &cluster,
+            )
+            .unwrap();
+            let all_bits = |r: &OptimizerReport| {
+                r.estimates
+                    .iter()
+                    .map(|e| estimate_bits(&e.estimate))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(all_bits(&sampled), all_bits(&unpinned));
+            assert_eq!(
+                sampled.speculation_sim_s.to_bits(),
+                unpinned.speculation_sim_s.to_bits()
+            );
+        }
     }
 
     #[test]

@@ -76,8 +76,9 @@ pub struct IterationsEstimate {
     pub speculation_iterations: u64,
     /// Monotone `(iteration, error)` pairs the fit used.
     pub pairs: Vec<(u64, f64)>,
-    /// Simulated cost of the speculative run (sample collection + local
-    /// GD) — the optimizer overhead visible in Figure 8.
+    /// Simulated cost of the speculative run: local GD on the collected
+    /// sample, whose one collection job the chooser charges separately —
+    /// the optimizer overhead visible in Figure 8.
     pub speculation_sim_s: f64,
 }
 
@@ -147,8 +148,9 @@ pub fn estimate_on_sample(
     spec_params.seed = config.seed;
 
     // Speculative runs execute locally on the already-collected sample:
-    // no per-run Spark job (the chooser charges one collection job for all
-    // three variants, matching the paper's ~4 s overhead in Section 8.3).
+    // no per-run Spark job (the chooser charges one collection job for
+    // every variant it speculates, matching the paper's ~4 s overhead in
+    // Section 8.3).
     let mut local_spec = cluster.clone();
     local_spec.job_init_s = 0.0;
     let mut env = SimEnv::new(local_spec);

@@ -625,7 +625,10 @@ pub struct TrainSummary {
     pub converged: bool,
     /// Simulated training seconds.
     pub sim_time_s: f64,
-    /// Simulated optimizer (speculation) overhead.
+    /// Simulated optimizer (speculation) overhead: the report's
+    /// [`OptimizerReport::speculation_sim_s`], the sample collection plus
+    /// one speculative run per GD variant the request left choosable (one
+    /// under a pinned algorithm).
     pub speculation_s: f64,
     /// Backend the plan executed on, chosen from its platform mapping:
     /// `"simulated-cluster"` when any operator maps to Spark, `"local"`

@@ -89,9 +89,10 @@ pub fn render_report(report: &OptimizerReport) -> String {
     }
     if !report.estimates.is_empty() {
         out.push_str(&format!(
-            "speculation: {:.2} simulated s across {} variant estimates\n",
+            "speculation: {:.2} simulated s across {} variant estimate{}\n",
             report.speculation_sim_s,
-            report.estimates.len()
+            report.estimates.len(),
+            if report.estimates.len() == 1 { "" } else { "s" }
         ));
     }
     if report.cache_hit {
@@ -146,6 +147,32 @@ mod tests {
             format!("rng stream v{RNG_STREAM_VERSION}"),
             "seed-compatibility footer"
         );
+    }
+
+    #[test]
+    fn the_speculation_footer_counts_the_variants_speculated() {
+        use ml4all_core::estimator::SpeculationConfig;
+        use ml4all_gd::GdVariant;
+        let cluster = ClusterSpec::paper_testbed();
+        let data = ml4all_datasets::registry::adult()
+            .build(800, 7, &cluster)
+            .unwrap();
+        let config = OptimizerConfig::new(GradientKind::LogisticRegression)
+            .with_tolerance(0.05)
+            .with_speculation(SpeculationConfig {
+                sample_size: 200,
+                max_iterations: 400,
+                ..SpeculationConfig::default()
+            });
+        let footer = |config: &OptimizerConfig| {
+            let report = choose_plan(&data, config, &cluster).unwrap();
+            let table = render_report(&report);
+            let line = table.lines().find(|l| l.starts_with("speculation:"));
+            line.expect("speculation footer").to_string()
+        };
+        assert!(footer(&config).ends_with(" across 3 variant estimates"));
+        let pinned = config.with_pinned_variant(GdVariant::Stochastic);
+        assert!(footer(&pinned).ends_with(" across 1 variant estimate"));
     }
 
     #[test]

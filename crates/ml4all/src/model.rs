@@ -6,7 +6,6 @@
 //! so models are inspectable and diffable.
 
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader};
 use std::path::Path;
 
 use ml4all_dataflow::PartitionedDataset;
@@ -100,13 +99,19 @@ impl Model {
         Ok(())
     }
 
-    /// Load from disk, validating the header.
+    /// Load from disk, validating the header. The file is read once and
+    /// parsed off that buffer. The weight count `dims:` declares must match
+    /// the weights that follow, and the file's size, not `dims:`, bounds
+    /// the reservation, so a corrupt or hostile header is a
+    /// [`ModelError::Format`], never a panic or an abort.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, ModelError> {
         let path = path.as_ref();
-        let mut lines = BufReader::new(std::fs::File::open(path)?).lines();
+        let bytes = std::fs::read(path)?;
+        let text = std::str::from_utf8(&bytes)
+            .map_err(|e| ModelError::Format(format!("{}: not text: {e}", path.display())))?;
+        let mut lines = text.lines();
         let magic = lines
             .next()
-            .transpose()?
             .ok_or_else(|| ModelError::Format(format!("{}: empty file", path.display())))?;
         if magic.trim() != MAGIC {
             return Err(ModelError::Format(format!(
@@ -116,23 +121,22 @@ impl Model {
         }
         let gradient_line = lines
             .next()
-            .transpose()?
             .ok_or_else(|| ModelError::Format("missing gradient line".into()))?;
         let name = gradient_line.trim_start_matches("gradient:").trim();
         let gradient = GradientKind::from_function_name(name)
             .ok_or_else(|| ModelError::Format(format!("unknown gradient function {name:?}")))?;
         let dims_line = lines
             .next()
-            .transpose()?
             .ok_or_else(|| ModelError::Format("missing dims line".into()))?;
         let dims: usize = dims_line
             .trim_start_matches("dims:")
             .trim()
             .parse()
             .map_err(|e| ModelError::Format(format!("bad dims: {e}")))?;
-        let mut weights = Vec::with_capacity(dims);
+        // A weight takes at least a digit and a line break, so the file
+        // bounds the reservation whatever `dims:` claims.
+        let mut weights = Vec::with_capacity(dims.min(bytes.len() / 2 + 1));
         for line in lines {
-            let line = line?;
             let trimmed = line.trim();
             if trimmed.is_empty() {
                 continue;
@@ -235,6 +239,38 @@ mod tests {
     fn rejects_truncated_weights() {
         let path = tmp("truncated.txt");
         std::fs::write(&path, "ml4all-model v1\ngradient: hinge\ndims: 3\n1.0\n").unwrap();
+        assert!(matches!(Model::load(&path), Err(ModelError::Format(_))));
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn rejects_hostile_dims_headers_typed() {
+        // Both once reached `Vec::with_capacity` unchecked: the first
+        // panicked on capacity overflow, the second aborted the process
+        // on an 8 TB allocation.
+        for dims in [usize::MAX.to_string(), "1000000000000".to_string()] {
+            let path = tmp(&format!("dims-{dims}.txt"));
+            std::fs::write(
+                &path,
+                format!("ml4all-model v1\ngradient: hinge\ndims: {dims}\n1.0\n2.0\n"),
+            )
+            .unwrap();
+            match Model::load(&path) {
+                Err(ModelError::Format(m)) => assert!(m.contains("found 2"), "{m}"),
+                other => panic!("dims {dims}: {other:?}"),
+            }
+            let _ = std::fs::remove_file(path);
+        }
+    }
+
+    #[test]
+    fn rejects_surplus_weights() {
+        let path = tmp("surplus.txt");
+        std::fs::write(
+            &path,
+            "ml4all-model v1\ngradient: hinge\ndims: 1\n1.0\n2.0\n",
+        )
+        .unwrap();
         assert!(matches!(Model::load(&path), Err(ModelError::Format(_))));
         let _ = std::fs::remove_file(path);
     }

@@ -1,7 +1,9 @@
 //! Reading and scoring with a bound model copies no weights:
 //! `Engine::model` hands out the registry's shared model, and
 //! `Engine::predict` by name scores with it and streams the labels off
-//! their columns, so neither requests a block the size of the model.
+//! their columns, so neither requests a block the size of the model; and
+//! `Model::load` parses the file off one buffer, so the allocations it
+//! makes do not grow with the model's width.
 //!
 //! One `#[test]` only: the counters are process-wide, and the harness runs
 //! tests of one binary on parallel threads.
@@ -11,15 +13,17 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ml4all::{
-    DataSource, Engine, GdVariant, GradientKind, PredictRequest, SamplingMethod, TrainRequest,
+    DataSource, Engine, GdVariant, GradientKind, Model, PredictRequest, SamplingMethod,
+    TrainRequest,
 };
 use ml4all_core::estimator::SpeculationConfig;
 use ml4all_dataflow::{ClusterSpec, ColumnarBuilder, PartitionScheme, PartitionedDataset};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Requests (`alloc`, `alloc_zeroed`, `realloc`) of at least [`LARGE`]
-/// bytes.
+/// Requests (`alloc`, `alloc_zeroed`, `realloc`) of any size.
+static REQUESTS: AtomicU64 = AtomicU64::new(0);
+/// Requests of at least [`LARGE`] bytes.
 static LARGE_REQUESTS: AtomicU64 = AtomicU64::new(0);
 static LARGE: AtomicUsize = AtomicUsize::new(usize::MAX);
 
@@ -27,6 +31,7 @@ struct Counting;
 
 impl Counting {
     fn count(size: usize) {
+        REQUESTS.fetch_add(1, Ordering::Relaxed);
         if size >= LARGE.load(Ordering::Relaxed) {
             LARGE_REQUESTS.fetch_add(1, Ordering::Relaxed);
         }
@@ -97,14 +102,15 @@ fn wide_rows() -> PartitionedDataset {
     data
 }
 
-/// Model-sized requests `f` makes: the least of three calls, because the
-/// counter is process-wide and a stray request only ever adds.
-fn large_requests(mut f: impl FnMut()) -> u64 {
+/// Requests `f` makes, as `counter` counts them: the least of three
+/// calls, because the counters are process-wide and a stray request only
+/// ever adds.
+fn requests(counter: &AtomicU64, mut f: impl FnMut()) -> u64 {
     (0..3)
         .map(|_| {
-            let before = LARGE_REQUESTS.load(Ordering::Relaxed);
+            let before = counter.load(Ordering::Relaxed);
             f();
-            LARGE_REQUESTS.load(Ordering::Relaxed) - before
+            counter.load(Ordering::Relaxed) - before
         })
         .min()
         .expect("three calls")
@@ -134,10 +140,10 @@ fn reading_and_scoring_a_bound_model_copy_no_weights() {
     assert_eq!(bound.weights.dim(), DIMS);
 
     LARGE.store(DIMS * 8, Ordering::Relaxed);
-    let model = large_requests(|| {
+    let model = requests(&LARGE_REQUESTS, || {
         assert!(engine.model("m").is_some());
     });
-    let predict = large_requests(|| {
+    let predict = requests(&LARGE_REQUESTS, || {
         let scored = engine
             .predict(PredictRequest::new(DataSource::registered("wide"), "m"))
             .unwrap();
@@ -146,4 +152,30 @@ fn reading_and_scoring_a_bound_model_copy_no_weights() {
     LARGE.store(usize::MAX, Ordering::Relaxed);
     assert_eq!(model, 0, "Engine::model copied the weights");
     assert_eq!(predict, 0, "Engine::predict made a model-sized request");
+
+    // Loading the wide model makes as many requests as loading a narrow
+    // one: no per-weight line buffer.
+    let file = |tag: &str| {
+        std::env::temp_dir().join(format!("ml4all-alloc-{}-{tag}.txt", std::process::id()))
+    };
+    let (wide, narrow) = (file("wide"), file("narrow"));
+    bound.save(&wide).unwrap();
+    let small = Model::new(
+        bound.gradient,
+        bound.weights.as_slice()[..20].to_vec().into(),
+    );
+    small.save(&narrow).unwrap();
+    let load = |path: &std::path::Path, dims: usize| {
+        requests(&REQUESTS, || {
+            assert_eq!(Model::load(path).unwrap().weights.dim(), dims);
+        })
+    };
+    let (wide_loads, narrow_loads) = (load(&wide, DIMS), load(&narrow, 20));
+    let _ = std::fs::remove_file(wide);
+    let _ = std::fs::remove_file(narrow);
+    assert_eq!(
+        wide_loads, narrow_loads,
+        "Model::load allocates per weight: {wide_loads} requests at d = {DIMS}, \
+         {narrow_loads} at d = 20"
+    );
 }

@@ -975,7 +975,9 @@ pub struct WireReport {
     pub cache_hit: bool,
     /// Rendered winning (cheapest) plan.
     pub best: String,
-    /// Simulated optimizer overhead (speculation runs).
+    /// Simulated optimizer overhead: the sample collection plus the
+    /// speculative runs made, one per GD variant the request left
+    /// choosable.
     pub speculation_sim_s: f64,
     /// Every enumerated plan, cheapest first.
     pub choices: Vec<WireChoice>,

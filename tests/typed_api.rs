@@ -183,3 +183,39 @@ fn explain_best_row_matches_run_across_constraint_space() {
         assert_eq!(summary.plan, report.best().plan, "{stmt_body}");
     }
 }
+
+/// A pinned algorithm is the only one speculated: its speculation overhead
+/// falls below the unpinned twin's, and its parsed and typed forms still
+/// agree bit for bit.
+#[test]
+fn a_pinned_algorithm_speculates_less_than_its_unpinned_twin() {
+    let typed = |algorithm| {
+        let Trained { summary, .. } = quick_engine()
+            .train(typed_request(Some(0.05), 40, algorithm, None, None, None))
+            .unwrap();
+        summary
+    };
+    let unpinned = typed(None);
+    for algorithm in ["BGD", "SGD", "MGD"] {
+        let pinned = typed(Some(algorithm));
+        assert!(
+            pinned.speculation_s > 0.0 && pinned.speculation_s < unpinned.speculation_s,
+            "{algorithm}: {} s pinned, {} s unpinned",
+            pinned.speculation_s,
+            unpinned.speculation_s
+        );
+        let stmt = statement(Some(0.05), 40, Some(algorithm), None, None, None);
+        let SessionOutput::Trained(Trained {
+            summary: parsed, ..
+        }) = quick_session().execute(&stmt).unwrap()
+        else {
+            panic!("{stmt}: expected Trained");
+        };
+        assert_eq!(parsed.plan, pinned.plan, "{stmt}");
+        assert_eq!(
+            parsed.speculation_s.to_bits(),
+            pinned.speculation_s.to_bits(),
+            "{stmt}"
+        );
+    }
+}
