@@ -43,7 +43,11 @@ fn main() {
         for &tol in &tolerances {
             let mut row = vec![spec.name.clone(), format!("{tol}")];
             for variant in paper_variants() {
-                let params = params_for(&spec, &cfg, tol);
+                // The real run's cap is the estimate's cap too, so the
+                // estimate is Algorithm 1's full number wherever the real
+                // run can reach it (speculation stops early only past it).
+                let mut params = params_for(&spec, &cfg, tol);
+                params.max_iter = actual_cap;
                 // Estimated: Algorithm 1.
                 let est = estimate_iterations(
                     &data,
@@ -56,7 +60,6 @@ fn main() {
                 // Real: run the variant's reference plan to convergence
                 // (uncapped within reason).
                 let mut real_params = params.clone();
-                real_params.max_iter = actual_cap;
                 real_params.record_error_seq = false;
                 let real = run_plan(&actual_plan(variant), &data, &real_params, &cluster);
 

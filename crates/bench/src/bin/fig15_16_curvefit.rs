@@ -52,6 +52,9 @@ fn main() {
         let data = build_dataset(&spec, &cfg, &cluster);
         let mut params = params_for(&spec, &cfg, target);
         params.step = step;
+        // The real run's cap is the estimate's cap too: the fitted curve is
+        // Algorithm 1's full one wherever the real run can reach it.
+        params.max_iter = if cfg.quick { 50_000 } else { 500_000 };
 
         let spec_cfg = SpeculationConfig {
             sample_size: 1000,
@@ -69,7 +72,6 @@ fn main() {
         );
 
         let mut real_params = params.clone();
-        real_params.max_iter = if cfg.quick { 50_000 } else { 500_000 };
         real_params.record_error_seq = false;
         let real = run_plan(&GdPlan::bgd(), &data, &real_params, &cluster);
 

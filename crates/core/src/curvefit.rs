@@ -4,7 +4,8 @@
 //! the paper fits the observed speculation pairs `{(εᵢ, i)}` to `T(ε) =
 //! a/ε` and extrapolates the iterations needed for the target tolerance.
 //! The least-squares estimate has the closed form
-//! `a = Σᵢ (i/εᵢ) / Σᵢ (1/εᵢ²)`.
+//! `a = Σᵢ (i/εᵢ) / Σᵢ (1/εᵢ²)`: two running sums (`FitSums`), so the
+//! fit of a growing sequence costs O(1) per point.
 
 use serde::{Deserialize, Serialize};
 
@@ -24,25 +25,22 @@ impl CurveFit {
     /// or non-finite error are ignored. Returns `None` if fewer than two
     /// usable pairs remain.
     pub fn fit(pairs: &[(u64, f64)]) -> Option<Self> {
-        let usable: Vec<(f64, f64)> = pairs
-            .iter()
-            .filter(|(_, e)| e.is_finite() && *e > 0.0)
-            .map(|(i, e)| (*i as f64, *e))
-            .collect();
-        if usable.len() < 2 {
-            return None;
+        let usable = || {
+            pairs
+                .iter()
+                .filter(|(_, e)| e.is_finite() && *e > 0.0)
+                .map(|&(i, e)| (i as f64, e))
+        };
+        let mut sums = FitSums::default();
+        for (i, e) in usable() {
+            sums.push(i, e);
         }
-        let num: f64 = usable.iter().map(|(i, e)| i / e).sum();
-        let den: f64 = usable.iter().map(|(_, e)| 1.0 / (e * e)).sum();
-        if den <= 0.0 || !num.is_finite() || !den.is_finite() {
-            return None;
-        }
-        let a = num / den;
+        let a = sums.a()?;
 
         // R² over the T(ε) predictions.
-        let mean_i: f64 = usable.iter().map(|(i, _)| i).sum::<f64>() / usable.len() as f64;
-        let ss_tot: f64 = usable.iter().map(|(i, _)| (i - mean_i).powi(2)).sum();
-        let ss_res: f64 = usable.iter().map(|(i, e)| (i - a / e).powi(2)).sum();
+        let mean_i: f64 = usable().map(|(i, _)| i).sum::<f64>() / sums.points as f64;
+        let ss_tot: f64 = usable().map(|(i, _)| (i - mean_i).powi(2)).sum();
+        let ss_res: f64 = usable().map(|(i, e)| (i - a / e).powi(2)).sum();
         let r_squared = if ss_tot > 0.0 {
             (1.0 - ss_res / ss_tot).max(0.0)
         } else {
@@ -51,23 +49,66 @@ impl CurveFit {
         Some(Self {
             a,
             r_squared,
-            points: usable.len(),
+            points: sums.points,
         })
     }
 
     /// Predicted iterations to reach tolerance `epsilon` — `T(ε) = a/ε`,
     /// rounded up, at least 1.
     pub fn iterations_for(&self, epsilon: f64) -> u64 {
-        if epsilon <= 0.0 || !self.a.is_finite() {
-            return u64::MAX;
-        }
-        (self.a / epsilon).ceil().max(1.0) as u64
+        iterations_at(self.a, epsilon)
     }
 
     /// Predicted error after `iterations` — the inverse view `ε(i) = a/i`,
     /// used to draw the fitted curves of Figures 15–16.
     pub fn error_at(&self, iterations: u64) -> f64 {
         self.a / (iterations.max(1) as f64)
+    }
+}
+
+/// `T(ε) = a/ε`, rounded up, at least 1; `u64::MAX` for `ε ≤ 0` or a
+/// non-finite `a`.
+fn iterations_at(a: f64, epsilon: f64) -> u64 {
+    if epsilon <= 0.0 || !a.is_finite() {
+        return u64::MAX;
+    }
+    (a / epsilon).ceil().max(1.0) as u64
+}
+
+/// The running sums of the closed-form fit, `Σ i/εᵢ` and `Σ 1/εᵢ²`, added
+/// in push order: [`CurveFit::fit`] sums a whole sequence through them, and
+/// speculation keeps them point by point, so both see the same `a` bit for
+/// bit.
+#[derive(Debug, Default)]
+pub(crate) struct FitSums {
+    /// `Σ i/εᵢ`.
+    pub(crate) num: f64,
+    /// `Σ 1/εᵢ²`.
+    pub(crate) den: f64,
+    /// Number of points pushed.
+    pub(crate) points: usize,
+}
+
+impl FitSums {
+    /// Add the point `(i, ε)`; `ε` must be finite and positive.
+    pub(crate) fn push(&mut self, i: f64, e: f64) {
+        self.num += i / e;
+        self.den += 1.0 / (e * e);
+        self.points += 1;
+    }
+
+    /// The least-squares `a = Σ(i/εᵢ) / Σ(1/εᵢ²)`, or `None` with fewer
+    /// than two points or a degenerate sum.
+    pub(crate) fn a(&self) -> Option<f64> {
+        if self.points < 2 || self.den <= 0.0 || !self.num.is_finite() || !self.den.is_finite() {
+            return None;
+        }
+        Some(self.num / self.den)
+    }
+
+    /// [`CurveFit::iterations_for`] of the fit so far, if there is one.
+    pub(crate) fn iterations_for(&self, epsilon: f64) -> Option<u64> {
+        self.a().map(|a| iterations_at(a, epsilon))
     }
 }
 
@@ -138,6 +179,31 @@ mod tests {
         assert_eq!(fit.iterations_for(0.0), u64::MAX);
         assert_eq!(fit.iterations_for(-1.0), u64::MAX);
         assert!(fit.iterations_for(1e9) >= 1);
+    }
+
+    #[test]
+    fn running_sums_equal_the_fit_on_every_prefix() {
+        // A noisy, running-min-reduced sequence: the points speculation
+        // feeds its running sums one by one.
+        let raw: Vec<(u64, f64)> = (1..400u64)
+            .map(|i| {
+                let noise = 1.0 + 0.3 * ((i as f64) * 0.7).sin();
+                (i, 37.0 / i as f64 * noise)
+            })
+            .collect();
+        let pairs = running_min_error_seq(&raw);
+        assert!(pairs.len() > 50);
+        let mut sums = FitSums::default();
+        for (n, &(i, e)) in pairs.iter().enumerate() {
+            sums.push(i as f64, e);
+            let fit = CurveFit::fit(&pairs[..=n]);
+            assert_eq!(sums.a().map(f64::to_bits), fit.map(|f| f.a.to_bits()));
+            assert_eq!(
+                sums.iterations_for(1e-4),
+                fit.map(|f| f.iterations_for(1e-4))
+            );
+            assert_eq!(sums.points, n + 1);
+        }
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! 2. run the algorithm on `D′` until it reaches the (large) speculation
 //!    tolerance `ε_s` (default 0.05) or the iteration cap
 //!    `max_iterations` — the deterministic stand-in for the paper's time
-//!    budget `B`, so the estimate is a pure function of the run;
+//!    budget `B`, so the estimate is a pure function of the run — or, for
+//!    BGD and MGD, until the estimate clears the request's own cap
+//!    `max_iter` and no later point short of convergence can pull it back
+//!    (the cap stop below);
 //! 3. collect the error sequence `{(i, εᵢ)}`;
 //! 4. fit `T(ε) = a/ε` and return `T(ε_d) = a/ε_d`.
 //!
@@ -20,12 +23,48 @@
 //! into columnar storage) and runs steps 2–4 for BGD, SGD and MGD on that
 //! one sample ([`estimate_on_sample`]); [`estimate_iterations`] is the
 //! one-variant form that draws its own.
+//!
+//! **The cap stop.** The chooser prices a plan at `min(⌈a/ε_d⌉, max_iter)`,
+//! so once `a` stays at or above `θ = max_iter · ε_d` the rest of the run
+//! cannot move a priced bit. The running fit keeps `a` as two sums over
+//! the running-min points (`a = Σ(i/εᵢ) / Σ(1/εᵢ²)`), so the final `a` is
+//! a weighted mean of the current `a_k` and each later point's `i′·ε′`.
+//! Speculation therefore stops at the first new running-min point `k` with
+//! at least two points, `⌈a_k/ε_d⌉ ≥ max_iter` and `(k+1)·ε_s ≥ θ`: a later
+//! point that does not end the run has `i′ ≥ k+1` and `ε′ ≥ ε_s`, so
+//! `i′·ε′ ≥ θ` and the mean stays at or above the cap.
+//!
+//! The stop is exact except in one case: the point that would end the run
+//! *by converging* below `ε_s`. Its `i′·ε′` may be anything and its weight
+//! `1/ε′²` is the largest of all, so it can pull `a` under the cap, and
+//! the bound leaves it out for BGD and MGD as for SGD. A BGD or MGD delta is
+//! a step over a wave of rows and has not been seen to fall far across
+//! `ε_s`: `tests/speculation_exactness.rs` (five registry analogs, two
+//! target tolerances, three speculation seeds) and a 12-seed probe found
+//! no priced value that moved. An SGD delta is one row's step, and one
+//! draw can end the run orders of magnitude below every earlier point: on
+//! the rcv1 analog at `ε_d = 10⁻³` (4 000 rows), 5 of 12 speculation seeds
+//! stopped at the cap while the full run, ending on a delta as small as
+//! `1.5·10⁻⁴`, priced 1–870 iterations. So SGD runs to `ε_s` as before;
+//! its iterations are one row each. A run whose estimate binds (stays
+//! under the cap) runs exactly as before, so its estimate is unchanged.
+//!
+//! The stop keeps what the chooser prices, not the fit `a` itself: a cut
+//! run's `a` is that of its shorter sequence. A reader of the curve —
+//! the engine's replan trigger — takes [`full_run_fit_a`], which runs the
+//! cut variant again without the stop.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use ml4all_dataflow::{ClusterSpec, PartitionScheme, PartitionedDataset, SamplingMethod, SimEnv};
-use ml4all_gd::{execute_plan, GdPlan, GdVariant, TrainParams, TransformPolicy};
+use ml4all_gd::executor::reference_operators;
+use ml4all_gd::{
+    execute, Context, ExecHooks, GdOperators, GdPlan, GdVariant, LoopOp, TrainParams,
+    TransformPolicy,
+};
 use serde::{Deserialize, Serialize};
 
-use crate::curvefit::{running_min_error_seq, CurveFit};
+use crate::curvefit::{running_min_error_seq, CurveFit, FitSums};
 use crate::OptimizerError;
 
 /// Configuration of the speculation stage.
@@ -69,10 +108,22 @@ impl SpeculationConfig {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct IterationsEstimate {
     /// Estimated iterations `T(ε_d)` to reach the requested tolerance.
+    /// Exact Algorithm 1 whenever it is below the request's `max_iter`.
+    /// At or above it, BGD and MGD speculation may have stopped early (the
+    /// module doc's cap stop), and the value then only shows that the
+    /// estimate clears the cap. `min(iterations, max_iter)`, what the
+    /// chooser prices, is then the full run's, except when the full run
+    /// would have ended on a converging point below `ε_s` that pulls its
+    /// estimate under the cap, which was not seen for BGD or MGD. The
+    /// `fit` of a cut run is that of its shorter sequence
+    /// ([`full_run_fit_a`] gives the full run's `a`).
     pub iterations: u64,
     /// The fitted curve.
     pub fit: CurveFit,
-    /// Iterations actually executed during speculation.
+    /// Iterations actually executed during speculation: until `ε_s`, the
+    /// speculation cap, or (BGD and MGD) the first running-min point at
+    /// which the estimate clears the request's `max_iter` and the bound of
+    /// the module doc's cap stop holds, whichever comes first.
     pub speculation_iterations: u64,
     /// Monotone `(iteration, error)` pairs the fit used.
     pub pairs: Vec<(u64, f64)>,
@@ -128,7 +179,10 @@ pub fn estimate_iterations(
 /// Algorithm 1, lines 2–4, on an already drawn sample `D′`. The
 /// speculative plan runs the variant with eager transformation and
 /// random-partition sampling *within the sample*, mirroring the paper
-/// (BGD runs over all of `D′`; MGD and SGD draw from `D′`).
+/// (BGD runs over all of `D′`; MGD and SGD draw from `D′`). `params.max_iter`
+/// is the cap the estimate is priced under: BGD and MGD speculation stops
+/// once the estimate clears it under the bound of the module doc's cap
+/// stop; pass `u64::MAX` for the full run.
 pub fn estimate_on_sample(
     sample: &PartitionedDataset,
     variant: GdVariant,
@@ -138,7 +192,6 @@ pub fn estimate_on_sample(
     cluster: &ClusterSpec,
 ) -> Result<IterationsEstimate, OptimizerError> {
     let plan = speculative_plan(variant);
-
     let mut spec_params = params.clone();
     spec_params.tolerance = config.tolerance;
     spec_params.max_iter = config.max_iterations;
@@ -155,7 +208,30 @@ pub fn estimate_on_sample(
     local_spec.job_init_s = 0.0;
     let mut env = SimEnv::new(local_spec);
 
-    let result = execute_plan(&plan, sample, &spec_params, &mut env)?;
+    let ops = reference_operators(&plan, &spec_params, sample.descriptor().dims);
+    // One row's step can end an SGD run far below every earlier point, the
+    // case the cap stop does not cover (module doc): SGD runs to `ε_s`.
+    let ops = if variant == GdVariant::Stochastic {
+        ops
+    } else {
+        GdOperators {
+            loop_op: Box::new(SpeculationLoop::new(
+                ops.loop_op,
+                config.tolerance,
+                target_tolerance,
+                params.max_iter,
+            )),
+            ..ops
+        }
+    };
+    let result = execute(
+        &plan,
+        sample,
+        &ops,
+        &spec_params,
+        &mut env,
+        &ExecHooks::default(),
+    )?;
     let pairs = running_min_error_seq(&result.error_seq);
     let fit = match CurveFit::fit(&pairs) {
         Some(fit) => fit,
@@ -189,6 +265,122 @@ pub fn estimate_on_sample(
     })
 }
 
+/// The fit `a` of the full speculative run behind `estimate`, for a reader
+/// of the curve itself rather than of the priced `min(T, max_iter)`: the
+/// engine's replan trigger compares a job's deltas with `a/i`. The cap
+/// stop keeps the priced value but not `a`. A BGD or MGD estimate at or
+/// over `params.max_iter` whose last point is not below `ε_s` may have
+/// been cut short by it, so `variant` is speculated again on the same
+/// sample draw without the stop (`max_iter = u64::MAX`). That reproduces
+/// the full run bit for bit, so the `a` returned does not depend on
+/// whether the stop fired. Any other estimate's `a` is returned as it is.
+/// `estimate` must be the one [`estimate_iterations`] (or the chooser)
+/// returned for these arguments.
+pub fn full_run_fit_a(
+    estimate: &IterationsEstimate,
+    data: &PartitionedDataset,
+    variant: GdVariant,
+    params: &TrainParams,
+    target_tolerance: f64,
+    config: &SpeculationConfig,
+    cluster: &ClusterSpec,
+) -> Result<f64, OptimizerError> {
+    let may_be_cut = variant != GdVariant::Stochastic
+        && estimate.iterations >= params.max_iter
+        && estimate
+            .pairs
+            .last()
+            .is_some_and(|&(_, error)| error >= config.tolerance);
+    if !may_be_cut {
+        return Ok(estimate.fit.a);
+    }
+    let mut full = params.clone();
+    full.max_iter = u64::MAX;
+    let rerun = estimate_iterations(data, variant, &full, target_tolerance, config, cluster)?;
+    Ok(rerun.fit.a)
+}
+
+/// Algorithm 1's `Loop` for BGD and MGD: the speculation stop it wraps
+/// (the reference [`ToleranceLoop`](ml4all_gd::operators::ToleranceLoop)
+/// on `ε_s` and the speculation cap) plus the cap stop of the module doc.
+/// It keeps the running-min fit as it goes — the best `ε`, the two
+/// `FitSums` and the point count — in O(1) per iteration with no
+/// allocation. The cells are atomics only because
+/// [`LoopOp::should_continue`] takes `&self`; one run's driver thread is
+/// their only reader and writer, so `Relaxed` suffices.
+pub(crate) struct SpeculationLoop {
+    /// The speculation stop the cap stop adds to.
+    base: Box<dyn LoopOp>,
+    /// Speculation tolerance `ε_s`, for the floor `(k+1)·ε_s ≥ θ`.
+    tolerance: f64,
+    /// Target tolerance `ε_d` the estimate is for.
+    target_tolerance: f64,
+    /// The request's cap `max_iter` the estimate is priced under.
+    max_iter: u64,
+    /// `θ = max_iter · ε_d`.
+    threshold: f64,
+    /// Best `ε` so far (`f64` bits).
+    best: AtomicU64,
+    /// [`FitSums::num`] (`f64` bits).
+    num: AtomicU64,
+    /// [`FitSums::den`] (`f64` bits).
+    den: AtomicU64,
+    /// [`FitSums::points`].
+    points: AtomicU64,
+}
+
+impl SpeculationLoop {
+    /// `base` with the cap stop for estimating `target_tolerance` under
+    /// the cap `max_iter`; `tolerance` is the `ε_s` that `base` stops on.
+    pub(crate) fn new(
+        base: Box<dyn LoopOp>,
+        tolerance: f64,
+        target_tolerance: f64,
+        max_iter: u64,
+    ) -> Self {
+        Self {
+            base,
+            tolerance,
+            target_tolerance,
+            max_iter,
+            threshold: max_iter as f64 * target_tolerance,
+            best: AtomicU64::new(f64::INFINITY.to_bits()),
+            num: AtomicU64::new(0.0f64.to_bits()),
+            den: AtomicU64::new(0.0f64.to_bits()),
+            points: AtomicU64::new(0),
+        }
+    }
+}
+
+impl LoopOp for SpeculationLoop {
+    fn should_continue(&self, delta: f64, ctx: &Context) -> bool {
+        if !self.base.should_continue(delta, ctx) {
+            return false;
+        }
+        let load = |cell: &AtomicU64| f64::from_bits(cell.load(Ordering::Relaxed));
+        // `running_min_error_seq`'s filter: only a finite, positive, new
+        // best error is a point of the fit.
+        if !(delta.is_finite() && delta > 0.0 && delta < load(&self.best)) {
+            return true;
+        }
+        let mut sums = FitSums {
+            num: load(&self.num),
+            den: load(&self.den),
+            points: self.points.load(Ordering::Relaxed) as usize,
+        };
+        let k = ctx.iteration;
+        sums.push(k as f64, delta);
+        self.best.store(delta.to_bits(), Ordering::Relaxed);
+        self.num.store(sums.num.to_bits(), Ordering::Relaxed);
+        self.den.store(sums.den.to_bits(), Ordering::Relaxed);
+        self.points.store(sums.points as u64, Ordering::Relaxed);
+        let clears_cap = sums
+            .iterations_for(self.target_tolerance)
+            .is_some_and(|t| t >= self.max_iter);
+        !(clears_cap && (k + 1) as f64 * self.tolerance >= self.threshold)
+    }
+}
+
 fn speculative_plan(variant: GdVariant) -> GdPlan {
     match variant {
         GdVariant::Batch => GdPlan::bgd(),
@@ -203,6 +395,7 @@ fn speculative_plan(variant: GdVariant) -> GdPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ml4all_gd::operators::ToleranceLoop;
     use ml4all_gd::GradientKind;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -306,6 +499,55 @@ mod tests {
                 estimate_iterations(&data, variant, &params(), 0.001, &cfg, &cluster).unwrap();
             assert!(est.iterations >= 1, "{variant:?}");
         }
+    }
+
+    /// Feed `(iteration, delta)` boundaries to a loop; the iteration it
+    /// stopped at, if it did.
+    fn stops_at(op: &SpeculationLoop, boundaries: &[(u64, f64)]) -> Option<u64> {
+        let mut ctx = Context::new(1);
+        boundaries.iter().find_map(|&(i, delta)| {
+            ctx.iteration = i;
+            (!op.should_continue(delta, &ctx)).then_some(i)
+        })
+    }
+
+    #[test]
+    fn cap_stop_waits_for_the_floor_and_misses_only_a_converging_point() {
+        // ε_s = 0.05, ε_d = 10⁻³, cap 1 000: θ = 1, so the floor
+        // `(k+1)·ε_s ≥ θ` first holds at k = 19.
+        let config = SpeculationConfig::default();
+        let op_with_cap = |max_iter| {
+            let base = ToleranceLoop {
+                tolerance: config.tolerance,
+                max_iter: config.max_iterations,
+            };
+            SpeculationLoop::new(Box::new(base), config.tolerance, 1e-3, max_iter)
+        };
+        let op = || op_with_cap(1000);
+        // a = 20 (T = 20 000) from the second point on, but k = 10 is
+        // under the floor; the next new running min past it stops the run,
+        // and a repeated or worse delta is no new point.
+        let seq = [(5, 4.0), (10, 2.0), (15, 2.0), (18, 3.0), (20, 1.0)];
+        assert_eq!(stops_at(&op(), &seq), Some(20));
+        assert_eq!(stops_at(&op(), &seq[..4]), None);
+        let prefix = [(5, 4.0), (10, 2.0), (20, 1.0)];
+        let at_stop = CurveFit::fit(&prefix).unwrap().iterations_for(1e-3);
+        assert!(at_stop >= 1000);
+        // No point the run can go on past may pull the estimate under the
+        // cap: it has `i′ ≥ 21` and `ε′ ≥ ε_s`, so `i′·ε′ ≥ θ`...
+        for later in [(21, 0.05), (21, 0.9), (400, 0.05), (5000, 0.06)] {
+            let pairs = [&prefix[..], &[later]].concat();
+            let t = CurveFit::fit(&pairs).unwrap().iterations_for(1e-3);
+            assert!(t >= 1000, "{later:?} priced {t}");
+        }
+        // ...but the point that ends the run by converging below `ε_s` is
+        // the one case the bound does not cover: the full run prices 253.
+        let converged = [&prefix[..], &[(25, 0.01)]].concat();
+        assert_eq!(CurveFit::fit(&converged).unwrap().iterations_for(1e-3), 253);
+        // The wrapped stop still ends the run below `ε_s`; under the cap
+        // `u64::MAX` (the full run) nothing else does.
+        assert_eq!(stops_at(&op(), &[(1, 1.0), (2, 0.04)]), Some(2));
+        assert_eq!(stops_at(&op_with_cap(u64::MAX), &seq), None);
     }
 
     #[test]

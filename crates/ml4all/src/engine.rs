@@ -24,7 +24,7 @@ use ml4all_core::chooser::{
     backend_for, choose_plan, profile_choice, IterationsSource, OptimizerConfig, OptimizerReport,
     PlanChoice,
 };
-use ml4all_core::estimator::SpeculationConfig;
+use ml4all_core::estimator::{full_run_fit_a, SpeculationConfig};
 use ml4all_core::plancache::{PlanCache, PlanCacheKey};
 use ml4all_dataflow::{
     Backend, CheckpointError, ClusterSpec, ExecState, PartitionedDataset, Runtime, SimEnv,
@@ -908,11 +908,28 @@ impl TrainJob<'_> {
         // have no estimate, hence nothing to contradict), and the job has
         // not switched plans already. The trigger is a pure function of
         // the progress-tick stream — bit-identical at any worker count and
-        // across kill/resume.
-        let fit_a = report
-            .estimate_for(running.row.plan.variant)
-            .map(|estimate| estimate.fit.a);
-        let mut replan_armed = core.replan.is_some() && fit_a.is_some() && !running.switched;
+        // across kill/resume. Its curve is the winner's full speculative
+        // run (`full_run_fit_a`): the same `a` whether speculation took
+        // the cap stop or not, and whether the decision was made cold or
+        // served from the plan cache.
+        let variant = running.row.plan.variant;
+        let fit_a = match (&config.iterations, report.estimate_for(variant)) {
+            (IterationsSource::Speculate(spec), Some(estimate))
+                if core.replan.is_some() && !running.switched =>
+            {
+                Some(full_run_fit_a(
+                    estimate,
+                    data,
+                    variant,
+                    &params,
+                    config.tolerance,
+                    spec,
+                    &core.cluster,
+                )?)
+            }
+            _ => None,
+        };
+        let mut replan_armed = fit_a.is_some();
         let policy = core.replan.unwrap_or_default();
         let fit_a = fit_a.unwrap_or(0.0);
         let replan_trigger = move |tick: &IterationTick| policy.should_replan(fit_a, tick);
@@ -1837,15 +1854,34 @@ mod tests {
     /// Plant a doctored decision for `request` in `engine`'s plan cache:
     /// the *worst* plan is served as the winner, with its variant's curve
     /// fit inflated 1000× — the executed deltas must then fall far outside
-    /// the divergence band. Returns the planted plan.
+    /// the divergence band. The planted curve is the full speculative
+    /// run's, the one the replan trigger reads (`full_run_fit_a`). Returns
+    /// the planted plan.
     fn plant_misprediction(engine: &Engine, request: &TrainRequest) -> ml4all_gd::GdPlan {
         let Decision {
-            key, mut report, ..
+            config,
+            data,
+            key,
+            mut report,
         } = decide(&engine.core, request, &JobState::new(None)).unwrap();
+        let IterationsSource::Speculate(spec) = &config.iterations else {
+            panic!("a planted misprediction needs a speculated decision");
+        };
+        let mut full = config.train_params();
+        full.max_iter = u64::MAX;
         report.choices.rotate_right(1);
         let bad = report.choices[0].plan;
         for est in &mut report.estimates {
             if std::mem::discriminant(&est.variant) == std::mem::discriminant(&bad.variant) {
+                est.estimate = ml4all_core::estimate_iterations(
+                    &data,
+                    est.variant,
+                    &full,
+                    config.tolerance,
+                    spec,
+                    &engine.core.cluster,
+                )
+                .unwrap();
                 est.estimate.fit.a *= 1e3;
             }
         }
@@ -1944,5 +1980,113 @@ mod tests {
         reaffirmed.train(pinned()).unwrap();
         assert_eq!(reaffirmed.replans(), 0);
         assert_eq!(generation(&reaffirmed), 1, "a reaffirmed job feeds once");
+    }
+    /// Speculation's cap stop cuts a BGD/MGD run short once its estimate
+    /// clears `max_iter`, which keeps the priced plans but not the fit `a`.
+    /// The replan trigger reads the full run's `a`, so a job replans as it
+    /// would on the unstopped estimate, whether its decision is made cold
+    /// or served from a plan-cache entry that holds the full run. (MGD:
+    /// with BGD pinned there is one plan, so a replan cannot switch.)
+    #[test]
+    fn replanning_reads_the_full_speculative_curve_past_the_cap_stop() {
+        let policy = ReplanPolicy::default();
+        let setup = || {
+            let engine = quick_engine().with_replanning(policy);
+            engine.register_dataset("train", mem(3000, 7));
+            engine
+        };
+        let request = TrainRequest::new(GradientKind::LogisticRegression, "train")
+            .algorithm(ml4all_gd::GdVariant::MiniBatch { batch: 100 })
+            .epsilon(1e-6)
+            .max_iter(100)
+            .progress_every(1)
+            .seed(11)
+            .named("R");
+        let run = |engine: &Engine| {
+            let handle = engine.submit(request.clone());
+            let events: Vec<JobEvent> = handle.progress().collect();
+            handle.join().unwrap();
+            events
+        };
+
+        let cold = setup();
+        let Decision {
+            config,
+            data,
+            key,
+            mut report,
+        } = decide(&cold.core, &request, &JobState::new(None)).unwrap();
+        let IterationsSource::Speculate(spec) = &config.iterations else {
+            panic!("the request speculates");
+        };
+        let winner = report.best().plan.variant;
+        let mut unstopped = config.train_params();
+        unstopped.max_iter = u64::MAX;
+        let full = ml4all_core::estimate_iterations(
+            &data,
+            winner,
+            &unstopped,
+            config.tolerance,
+            spec,
+            &cold.core.cluster,
+        )
+        .unwrap();
+        let served = report.estimate_for(winner).unwrap().clone();
+        assert!(
+            served.speculation_iterations < full.speculation_iterations,
+            "the cap stop cut the served run short"
+        );
+        assert_eq!(
+            served.iterations.min(config.max_iter),
+            full.iterations.min(config.max_iter)
+        );
+
+        let events = run(&cold);
+        let replanned = |events: &[JobEvent]| {
+            events
+                .iter()
+                .any(|event| matches!(event, JobEvent::Replanned { .. }))
+        };
+        let triggers_at = |a: f64| {
+            events.iter().find_map(|event| match *event {
+                JobEvent::Progress {
+                    iteration,
+                    delta,
+                    sim_time_s,
+                    cost,
+                } => policy
+                    .should_replan(
+                        a,
+                        &IterationTick {
+                            iteration,
+                            delta,
+                            sim_time_s,
+                            cost,
+                        },
+                    )
+                    .then_some(iteration),
+                _ => None,
+            })
+        };
+        // The cut curve would replan at iteration 9; the full one never.
+        assert_eq!(triggers_at(served.fit.a), Some(9));
+        assert_eq!(triggers_at(full.fit.a), None);
+        assert!(!replanned(&events));
+        assert_eq!(cold.replans(), 0);
+
+        // A plan-cache entry holding the full run (as one written before
+        // the cap stop does) serves the same job.
+        let cached = setup();
+        for estimate in &mut report.estimates {
+            estimate.estimate = full.clone();
+        }
+        cached.core.plan_cache.insert(key, &report);
+        let replay = run(&cached);
+        assert_eq!(format!("{replay:?}"), format!("{events:?}"));
+        assert_eq!(cached.replans(), 0);
+        assert_eq!(
+            cold.model("R").unwrap().weights,
+            cached.model("R").unwrap().weights
+        );
     }
 }

@@ -1,6 +1,7 @@
 //! Decision golden: the optimizer's full cold report — the speculation
 //! sample's rows and descriptor feed every number in it — hashed on dense,
-//! CSR and memory-mapped inputs, plus the weights a cold `Engine::train`
+//! CSR and memory-mapped inputs — one of them, yearpred's, decided by an
+//! estimate under its cap — plus the weights a cold `Engine::train`
 //! ends with on a CSV of the served cold query's shape. The report holds
 //! no wall-clock field, so all of it must repeat bit for bit.
 //! Regenerate with `UPDATE_GOLDEN=1` only after an intended change of
@@ -128,6 +129,18 @@ fn decision_golden() {
         let report = choose_plan(&data, &config, &testbed).expect("choose");
         out.push_str(&report_line(name, report));
     }
+
+    // Yearpred's estimate binds — it stays under the 1 000-iteration cap,
+    // so Algorithm 1's number, not the cap, picks the plan and prices it:
+    // a broken estimator changes this decision, not only a hash.
+    let spec = registry::by_name("yearpred").expect("registry dataset");
+    let data = spec.build(4000, 7, &testbed).expect("build analog");
+    let config = OptimizerConfig::new(gradient_of(spec.task)).with_tolerance(1e-3);
+    let report = choose_plan(&data, &config, &testbed).expect("choose");
+    let priced = report.best().estimated_iterations;
+    assert!(priced < config.max_iter, "the yearpred estimate must bind");
+    let _ = writeln!(out, "yearpred binding: best priced at {priced} iterations");
+    out.push_str(&report_line("yearpred binding", report));
 
     // Small partitions, so the sample walks several of them: dealt
     // round-robin in memory, contiguous windows when spilled and mapped.

@@ -19,7 +19,7 @@ use ml4all::{
     ReplanPolicy, Runtime, SamplingMethod, SessionError, TrainRequest,
 };
 use ml4all_bench::runs::dense_tail_operators;
-use ml4all_core::estimator::SpeculationConfig;
+use ml4all_core::estimator::{estimate_iterations, SpeculationConfig};
 use ml4all_core::plancache::PlanCacheKey;
 use ml4all_dataflow::{ClusterSpec, CostBreakdown, ExecState, SimEnv};
 use ml4all_gd::executor::reference_operators;
@@ -290,11 +290,6 @@ fn plant_misprediction(eng: &Engine, dataset: &str) -> ml4all::GdPlan {
     let mut doctored = eng.explain(ExplainRequest::new(request(dataset))).unwrap();
     doctored.choices.rotate_right(1);
     let bad = doctored.choices[0].plan;
-    for est in &mut doctored.estimates {
-        if std::mem::discriminant(&est.variant) == std::mem::discriminant(&bad.variant) {
-            est.estimate.fit.a *= 1e3;
-        }
-    }
     // The cache key the engine will look this up under: same registry
     // analog (cap 1000, seed 7 — the engine's materialization inputs),
     // same spec/seed/speculation/cluster, calibration generation 0.
@@ -303,6 +298,26 @@ fn plant_misprediction(eng: &Engine, dataset: &str) -> ml4all::GdPlan {
         _ => ml4all_datasets::registry::svm1(),
     };
     let data = spec.build(1000, 7, &cluster).unwrap();
+    // The planted curve is the full speculative run's: the served estimate
+    // may have been cut short by speculation's cap stop, and the replan
+    // trigger reads a full run's `a` (`full_run_fit_a`).
+    let config = req.config().unwrap();
+    let mut full = config.train_params();
+    full.max_iter = u64::MAX;
+    for est in &mut doctored.estimates {
+        if std::mem::discriminant(&est.variant) == std::mem::discriminant(&bad.variant) {
+            est.estimate = estimate_iterations(
+                &data,
+                est.variant,
+                &full,
+                config.tolerance,
+                &speculation(),
+                &cluster,
+            )
+            .unwrap();
+            est.estimate.fit.a *= 1e3;
+        }
+    }
     let key = PlanCacheKey::new(
         data.fingerprint(),
         &req.spec,
