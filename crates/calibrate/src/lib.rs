@@ -18,15 +18,16 @@
 //!    per-key multiplicative residual, also an EWMA, gated behind a
 //!    minimum observation count so a single noisy job cannot steer the
 //!    chooser.
-//! 3. **Replanning policy** ([`ReplanPolicy`]): during execution, the
-//!    convergence deltas streaming out of the executor are compared to the
-//!    speculation-fitted curve `ε(i) = a/i`; when the observed ratio
-//!    leaves the trust band past a warmup floor, the policy requests a
-//!    yield ([`ml4all_gd::StopReason::Replan`]) so the engine can re-run
-//!    the chooser with a revised iteration estimate and calibrated costs.
+//! 3. **Replanning trigger** ([`should_replan`]): during execution, each
+//!    progress tick's delta implies an iteration count
+//!    ([`observed_iterations`]); when it leaves `[0.5, 2]` times the count
+//!    the running plan was priced at, past a warmup of 8 iterations, the
+//!    trigger requests a yield ([`ml4all_gd::StopReason::Replan`]) so the
+//!    engine can re-run the chooser on the iterations that observed count
+//!    leaves and with calibrated costs.
 //!
 //! Everything here is deterministic: the learners are pure folds over the
-//! observation sequence, the policy is a pure function of each tick, and
+//! observation sequence, the trigger is a pure function of each tick, and
 //! the persisted profile round-trips f64 values exactly (the vendored JSON
 //! writer emits shortest-roundtrip floats). The cold calibrator snapshots
 //! to [`CalibrationSnapshot::identity`]-equivalent state, which the
@@ -291,62 +292,41 @@ impl From<std::io::Error> for CalibrateError {
     }
 }
 
-/// Mid-flight replanning policy: a pure function of each
-/// [`IterationTick`], so the decision is bit-identical across worker
+/// Ticks at iterations below this never trigger a replan: the early
+/// deltas describe the transient, not the rate the job converges at.
+const REPLAN_WARMUP: u64 = 8;
+
+/// A job replans when its observed iteration count leaves this band
+/// around the priced one (`observed / priced`).
+const REPLAN_BAND: (f64, f64) = (0.5, 2.0);
+
+/// The iteration count a job's convergence implies at one point: the
+/// curve `ε(i) = a/i` through `(iteration, delta)` has `a = delta ×
+/// iteration`, so the job reaches `epsilon` after `⌈a/epsilon⌉`
+/// iterations. Clamped to `[1, max_iter]`, the same `min(T, max_iter)`
+/// the chooser prices a plan's iterations at. A function of the one
+/// point alone, so a resumed run recomputes it bit for bit.
+pub fn observed_iterations(iteration: u64, delta: f64, epsilon: f64, max_iter: u64) -> u64 {
+    // `as` saturates: an infinite count is the cap, a NaN one is 1.
+    ((delta * iteration as f64 / epsilon).ceil() as u64)
+        .min(max_iter)
+        .max(1)
+}
+
+/// Mid-flight replanning trigger: does `tick` contradict the `priced`
+/// iteration count of the running plan (its chooser row's
+/// `estimated_iterations`, already `min(T, max_iter)`)? It fires past
+/// the warmup when the tick's delta is finite and positive and its
+/// [`observed_iterations`] is outside `[0.5, 2]` times `priced`. A pure
+/// function of the tick, so the decision is bit-identical across worker
 /// counts, backends, and kill/resume boundaries.
-///
-/// The speculation phase fits `ε(i) = a/i` (Algorithm 1); the policy
-/// trusts the fit while the observed convergence delta at a tick stays
-/// within `band` of the curve's prediction, and requests a replan the
-/// first time it does not (past the `min_iteration` warmup floor, before
-/// which the `a/i` tail is a poor description of the transient).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReplanPolicy {
-    /// Acceptable `observed delta / predicted delta` band.
-    pub band: (f64, f64),
-    /// Ticks at iterations below this never trigger.
-    pub min_iteration: u64,
-}
-
-impl Default for ReplanPolicy {
-    fn default() -> Self {
-        Self {
-            band: (0.5, 2.0),
-            min_iteration: 8,
-        }
+pub fn should_replan(priced: u64, tick: &IterationTick, epsilon: f64, max_iter: u64) -> bool {
+    if tick.iteration < REPLAN_WARMUP || !tick.delta.is_finite() || tick.delta <= 0.0 {
+        return false;
     }
-}
-
-impl ReplanPolicy {
-    /// Does this tick leave the trust band of the fitted curve `ε(i) =
-    /// fit_a / i`? Non-finite or non-positive inputs never trigger.
-    pub fn should_replan(&self, fit_a: f64, tick: &IterationTick) -> bool {
-        if tick.iteration < self.min_iteration {
-            return false;
-        }
-        if !fit_a.is_finite() || fit_a <= 0.0 {
-            return false;
-        }
-        if !tick.delta.is_finite() || tick.delta <= 0.0 {
-            return false;
-        }
-        let predicted = fit_a / tick.iteration as f64;
-        let ratio = tick.delta / predicted;
-        ratio < self.band.0 || ratio > self.band.1
-    }
-
-    /// Memoryless revised iteration estimate at the trigger point: the
-    /// observed `(iteration, delta)` pins a fresh curve `a_obs = delta ×
-    /// iteration`, giving `T(ε) = ceil(a_obs / ε)`. Being a function of
-    /// the triggering tick alone, a resumed run recomputes the identical
-    /// estimate.
-    pub fn revised_iterations(&self, iteration: u64, delta: f64, epsilon: f64) -> u64 {
-        if !delta.is_finite() || delta <= 0.0 || epsilon.is_nan() || epsilon <= 0.0 {
-            return iteration.max(1);
-        }
-        let a_obs = delta * iteration as f64;
-        ((a_obs / epsilon).ceil() as u64).max(1)
-    }
+    let observed = observed_iterations(tick.iteration, tick.delta, epsilon, max_iter);
+    let ratio = observed as f64 / priced as f64;
+    !(REPLAN_BAND.0..=REPLAN_BAND.1).contains(&ratio)
 }
 
 #[cfg(test)]
@@ -499,38 +479,34 @@ mod tests {
 
     #[test]
     fn replan_policy_is_a_pure_function_of_the_tick() {
-        let policy = ReplanPolicy::default();
         let tick = |iteration: u64, delta: f64| IterationTick {
             iteration,
             delta,
             sim_time_s: 0.0,
             cost: CostBreakdown::default(),
         };
-        // Fit a = 1.0 → predicted delta at iteration 10 is 0.1.
-        assert!(!policy.should_replan(1.0, &tick(10, 0.1)), "on the curve");
-        assert!(!policy.should_replan(1.0, &tick(10, 0.19)), "inside band");
-        assert!(policy.should_replan(1.0, &tick(10, 0.5)), "diverged above");
-        assert!(policy.should_replan(1.0, &tick(10, 0.01)), "diverged below");
-        // Warmup floor and degenerate inputs never trigger.
-        assert!(!policy.should_replan(1.0, &tick(4, 0.5)));
-        assert!(!policy.should_replan(0.0, &tick(100, 0.5)));
-        assert!(!policy.should_replan(1.0, &tick(100, f64::NAN)));
-        // Same tick, same verdict — determinism is just purity here.
-        assert_eq!(
-            policy.should_replan(1.0, &tick(64, 0.3)),
-            policy.should_replan(1.0, &tick(64, 0.3))
-        );
+        // delta 0.1 at iteration 10 → observed 1000 iterations at 1e-3.
+        assert!(!should_replan(1000, &tick(10, 0.1), 1e-3, 5000), "priced");
+        assert!(!should_replan(1000, &tick(10, 0.19), 1e-3, 5000), "in band");
+        assert!(should_replan(1000, &tick(10, 0.5), 1e-3, 5000), "slower");
+        assert!(should_replan(1000, &tick(10, 0.01), 1e-3, 5000), "faster");
+        // Both counts at the cap: the job runs what it was priced for.
+        assert!(!should_replan(400, &tick(10, 0.5), 1e-3, 400));
+        // The warmup and a degenerate delta never trigger.
+        assert!(!should_replan(1, &tick(4, 0.5), 1e-3, 5000));
+        assert!(!should_replan(1, &tick(100, f64::NAN), 1e-3, 5000));
+        assert!(!should_replan(1, &tick(100, 0.0), 1e-3, 5000));
     }
 
     #[test]
     fn revised_estimate_extrapolates_the_observed_point() {
-        let policy = ReplanPolicy::default();
-        // delta 0.5 at iteration 10 → a_obs = 5 → T(1e-3) = 5000.
-        assert_eq!(policy.revised_iterations(10, 0.5, 1e-3), 5000);
-        // Faster than predicted → fewer iterations.
-        assert_eq!(policy.revised_iterations(10, 0.001, 1e-3), 10);
-        // Degenerate inputs fall back to the current iteration.
-        assert_eq!(policy.revised_iterations(7, f64::NAN, 1e-3), 7);
-        assert_eq!(policy.revised_iterations(7, 0.5, 0.0), 7);
+        // delta 0.5 at iteration 10 → a = 5 → T(1e-3) = 5000.
+        assert_eq!(observed_iterations(10, 0.5, 1e-3, u64::MAX), 5000);
+        // The cap clamps it, as the chooser clamps a priced count.
+        assert_eq!(observed_iterations(10, 0.5, 1e-3, 400), 400);
+        // Never below one iteration; a degenerate tolerance is the cap.
+        assert_eq!(observed_iterations(10, 1e-9, 1e-3, 5000), 1);
+        assert_eq!(observed_iterations(10, f64::INFINITY, 1e-3, 5000), 5000);
+        assert_eq!(observed_iterations(7, 0.5, 0.0, 5000), 5000);
     }
 }

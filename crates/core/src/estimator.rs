@@ -48,11 +48,6 @@
 //! `1.5·10⁻⁴`, priced 1–870 iterations. So SGD runs to `ε_s` as before;
 //! its iterations are one row each. A run whose estimate binds (stays
 //! under the cap) runs exactly as before, so its estimate is unchanged.
-//!
-//! The stop keeps what the chooser prices, not the fit `a` itself: a cut
-//! run's `a` is that of its shorter sequence. A reader of the curve —
-//! the engine's replan trigger — takes [`full_run_fit_a`], which runs the
-//! cut variant again without the stop.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -114,9 +109,7 @@ pub struct IterationsEstimate {
     /// estimate clears the cap. `min(iterations, max_iter)`, what the
     /// chooser prices, is then the full run's, except when the full run
     /// would have ended on a converging point below `ε_s` that pulls its
-    /// estimate under the cap, which was not seen for BGD or MGD. The
-    /// `fit` of a cut run is that of its shorter sequence
-    /// ([`full_run_fit_a`] gives the full run's `a`).
+    /// estimate under the cap, which was not seen for BGD or MGD.
     pub iterations: u64,
     /// The fitted curve.
     pub fit: CurveFit,
@@ -263,41 +256,6 @@ pub fn estimate_on_sample(
         pairs,
         speculation_sim_s: env.elapsed_s(),
     })
-}
-
-/// The fit `a` of the full speculative run behind `estimate`, for a reader
-/// of the curve itself rather than of the priced `min(T, max_iter)`: the
-/// engine's replan trigger compares a job's deltas with `a/i`. The cap
-/// stop keeps the priced value but not `a`. A BGD or MGD estimate at or
-/// over `params.max_iter` whose last point is not below `ε_s` may have
-/// been cut short by it, so `variant` is speculated again on the same
-/// sample draw without the stop (`max_iter = u64::MAX`). That reproduces
-/// the full run bit for bit, so the `a` returned does not depend on
-/// whether the stop fired. Any other estimate's `a` is returned as it is.
-/// `estimate` must be the one [`estimate_iterations`] (or the chooser)
-/// returned for these arguments.
-pub fn full_run_fit_a(
-    estimate: &IterationsEstimate,
-    data: &PartitionedDataset,
-    variant: GdVariant,
-    params: &TrainParams,
-    target_tolerance: f64,
-    config: &SpeculationConfig,
-    cluster: &ClusterSpec,
-) -> Result<f64, OptimizerError> {
-    let may_be_cut = variant != GdVariant::Stochastic
-        && estimate.iterations >= params.max_iter
-        && estimate
-            .pairs
-            .last()
-            .is_some_and(|&(_, error)| error >= config.tolerance);
-    if !may_be_cut {
-        return Ok(estimate.fit.a);
-    }
-    let mut full = params.clone();
-    full.max_iter = u64::MAX;
-    let rerun = estimate_iterations(data, variant, &full, target_tolerance, config, cluster)?;
-    Ok(rerun.fit.a)
 }
 
 /// Algorithm 1's `Loop` for BGD and MGD: the speculation stop it wraps

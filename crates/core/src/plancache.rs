@@ -123,8 +123,15 @@ pub struct PlanCacheEntry {
 /// A concurrent, unbounded memo of [`OptimizerReport`]s keyed by
 /// [`PlanCacheKey`], with hit/miss counters for observability.
 ///
-/// Reports are small (11 costed plans plus three estimates), so no
-/// eviction is needed at realistic request diversity.
+/// Nothing is ever evicted. Without calibration that is cheap: a report
+/// is small (11 costed plans plus up to three estimates) and a repeated
+/// request hits. Under calibration it is not: every completed job bumps
+/// the calibration generation, which is part of the key, so each
+/// calibrated decision leaves an entry no later lookup can hit, and each
+/// persistence offer re-exports every entry. Forty identical calibrated
+/// `train` calls on registry rcv1 with a state dir left 40 entries and a
+/// 493 612-byte `plancache.json` (one entry and 8 990 bytes without
+/// calibration).
 #[derive(Debug, Default)]
 pub struct PlanCache {
     entries: Mutex<HashMap<PlanCacheKey, OptimizerReport>>,

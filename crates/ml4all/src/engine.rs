@@ -18,13 +18,15 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use ml4all_calibrate::{Calibrator, CalibratorConfig, JobObservation, ReplanPolicy};
+use ml4all_calibrate::{
+    observed_iterations, should_replan, Calibrator, CalibratorConfig, JobObservation,
+};
 use ml4all_core::calibration::{plan_feature_key, CalibrationSnapshot};
 use ml4all_core::chooser::{
     backend_for, choose_plan, profile_choice, IterationsSource, OptimizerConfig, OptimizerReport,
     PlanChoice,
 };
-use ml4all_core::estimator::{full_run_fit_a, SpeculationConfig};
+use ml4all_core::estimator::SpeculationConfig;
 use ml4all_core::plancache::{PlanCache, PlanCacheKey};
 use ml4all_dataflow::{
     Backend, CheckpointError, ClusterSpec, ExecState, PartitionedDataset, Runtime, SimEnv,
@@ -73,8 +75,8 @@ struct EngineCore {
     /// prices it — the cold-start path is bit-identical to an engine
     /// built before calibration existed.
     calibration: Option<Mutex<Calibrator>>,
-    /// Mid-flight replanning policy ([`Engine::with_replanning`]).
-    replan: Option<ReplanPolicy>,
+    /// Mid-flight replanning ([`Engine::with_replanning`]).
+    replan: bool,
     replans: AtomicU64,
 }
 
@@ -138,7 +140,7 @@ impl Engine {
                 state: None,
                 jobs_resumed: AtomicU64::new(0),
                 calibration: None,
-                replan: None,
+                replan: false,
                 replans: AtomicU64::new(0),
             }),
         }
@@ -296,11 +298,12 @@ impl Engine {
         self
     }
 
-    /// Turn on deterministic mid-flight replanning: when a job's observed
-    /// per-iteration convergence diverges from the curve-fit estimate
-    /// beyond `policy`'s band, the executor yields at a wave boundary,
-    /// the chooser re-runs with calibrated costs and the revised
-    /// iteration estimate, and the job switches plans —
+    /// Turn on deterministic mid-flight replanning: when the iteration
+    /// count a job's observed convergence implies leaves `[0.5, 2]` times
+    /// the count its plan was priced at
+    /// ([`ml4all_calibrate::should_replan`]), the executor yields at a
+    /// wave boundary, the chooser re-runs with calibrated costs on the
+    /// iterations the observed count leaves, and the job switches plans —
     /// [`JobEvent::Replanned`] records the switch. The trigger is a pure
     /// function of the progress-tick stream, so the decision is
     /// bit-identical at any worker count and across kill/resume.
@@ -309,8 +312,8 @@ impl Engine {
     ///
     /// Panics if the engine is already shared (see the builder contract
     /// on [`Engine::with_cluster`]).
-    pub fn with_replanning(mut self, policy: ReplanPolicy) -> Self {
-        self.configure().replan = Some(policy);
+    pub fn with_replanning(mut self) -> Self {
+        self.configure().replan = true;
         self
     }
 
@@ -847,7 +850,7 @@ impl TrainJob<'_> {
             .choices
             .iter()
             .find(|choice| choice.plan.to_string() == ckpt.plan)
-            .filter(|row| row.plan == running.row.plan || self.core.replan.is_some())
+            .filter(|row| row.plan == running.row.plan || self.core.replan)
             .filter(|_| {
                 ckpt.key_hash == durable.key_hash && ckpt.rng_stream_version == RNG_STREAM_VERSION
             });
@@ -903,36 +906,22 @@ impl TrainJob<'_> {
             .unwrap_or(0);
         let checkpoint_to = self.durable.as_ref().filter(|_| checkpoint_every > 0);
 
-        // Mid-flight replanning arms only when a policy is installed, the
-        // winner has a curve fit to diverge from (fixed-iteration jobs
-        // have no estimate, hence nothing to contradict), and the job has
+        // Mid-flight replanning arms only when it is turned on, the winner's
+        // iteration count was speculated (a fixed-iteration job runs the
+        // count it asked for, hence nothing to contradict), and the job has
         // not switched plans already. The trigger is a pure function of
         // the progress-tick stream — bit-identical at any worker count and
-        // across kill/resume. Its curve is the winner's full speculative
-        // run (`full_run_fit_a`): the same `a` whether speculation took
-        // the cap stop or not, and whether the decision was made cold or
-        // served from the plan cache.
-        let variant = running.row.plan.variant;
-        let fit_a = match (&config.iterations, report.estimate_for(variant)) {
-            (IterationsSource::Speculate(spec), Some(estimate))
-                if core.replan.is_some() && !running.switched =>
-            {
-                Some(full_run_fit_a(
-                    estimate,
-                    data,
-                    variant,
-                    &params,
-                    config.tolerance,
-                    spec,
-                    &core.cluster,
-                )?)
-            }
-            _ => None,
-        };
-        let mut replan_armed = fit_a.is_some();
-        let policy = core.replan.unwrap_or_default();
-        let fit_a = fit_a.unwrap_or(0.0);
-        let replan_trigger = move |tick: &IterationTick| policy.should_replan(fit_a, tick);
+        // across kill/resume — and reads only the priced count.
+        let mut replan_armed = core.replan
+            && matches!(config.iterations, IterationsSource::Speculate(_))
+            && !running.switched;
+        let (priced, epsilon, max_iter) = (
+            running.row.estimated_iterations,
+            params.tolerance,
+            params.max_iter,
+        );
+        let replan_trigger =
+            move |tick: &IterationTick| should_replan(priced, tick, epsilon, max_iter);
 
         loop {
             let plan = running.row.plan;
@@ -967,10 +956,10 @@ impl TrainJob<'_> {
             let mut state = *result
                 .resume_state
                 .expect("a replan yield carries its resume state");
-            let revised =
-                policy.revised_iterations(state.iteration, state.final_delta, params.tolerance);
-            let remaining = revised.saturating_sub(state.iteration).max(1);
-            // Cache deliberately bypassed: the revised iteration count is
+            let observed =
+                observed_iterations(state.iteration, state.final_delta, epsilon, max_iter);
+            let remaining = observed.saturating_sub(state.iteration).max(1);
+            // Cache deliberately bypassed: the remaining iteration count is
             // job-local knowledge, not a reusable decision.
             let revision = choose_plan(
                 data,
@@ -1798,7 +1787,7 @@ mod tests {
     #[test]
     fn an_induced_misprediction_replans_mid_job_deterministically() {
         let setup = || {
-            let engine = quick_engine().with_replanning(ReplanPolicy::default());
+            let engine = quick_engine().with_replanning();
             engine.register_dataset("train", mem(3000, 7));
             engine
         };
@@ -1817,15 +1806,15 @@ mod tests {
         let handle = first.submit(request());
         let events: Vec<JobEvent> = handle.progress().collect();
         let trained = handle.join().unwrap();
-        let (from, to, at) = events
+        let (from, to, at, cost_delta) = events
             .iter()
-            .find_map(|event| match event {
+            .find_map(|event| match *event {
                 JobEvent::Replanned {
                     iteration,
                     from,
                     to,
-                    ..
-                } => Some((*from, *to, *iteration)),
+                    cost_delta,
+                } => Some((from, to, iteration, cost_delta)),
                 _ => None,
             })
             .expect("the misprediction must trigger a mid-job replan");
@@ -1837,6 +1826,24 @@ mod tests {
         );
         assert_eq!(first.replans(), 1);
         assert_eq!(at % 4, 0, "the switch lands on a tick boundary");
+
+        // The revision prices only the iterations the job can still run:
+        // the observed count sits at the cap, so `max_iter − at` of them.
+        let Decision { config, data, .. } =
+            decide(&first.core, &request(), &JobState::new(None)).unwrap();
+        assert_eq!(config.max_iter - at, 392);
+        let revision = choose_plan(
+            &data,
+            &config.clone().with_fixed_iterations(config.max_iter - at),
+            &first.core.cluster,
+        )
+        .unwrap();
+        let from_row = revision.choices.iter().find(|c| c.plan == from).unwrap();
+        assert_eq!(revision.best().plan, to);
+        assert_eq!(
+            cost_delta.to_bits(),
+            (revision.best().ranking_s() - from_row.ranking_s()).to_bits()
+        );
 
         // Replay on an identical engine: same switch, bit-identical weights.
         let second = setup();
@@ -1852,41 +1859,68 @@ mod tests {
     }
 
     /// Plant a doctored decision for `request` in `engine`'s plan cache:
-    /// the *worst* plan is served as the winner, with its variant's curve
-    /// fit inflated 1000× — the executed deltas must then fall far outside
-    /// the divergence band. The planted curve is the full speculative
-    /// run's, the one the replan trigger reads (`full_run_fit_a`). Returns
-    /// the planted plan.
+    /// the *worst* plan is served as the winner, priced at one iteration,
+    /// so the count the executed deltas imply falls far outside the replan
+    /// band. Returns the planted plan.
     fn plant_misprediction(engine: &Engine, request: &TrainRequest) -> ml4all_gd::GdPlan {
         let Decision {
-            config,
-            data,
-            key,
-            mut report,
+            key, mut report, ..
         } = decide(&engine.core, request, &JobState::new(None)).unwrap();
-        let IterationsSource::Speculate(spec) = &config.iterations else {
-            panic!("a planted misprediction needs a speculated decision");
-        };
-        let mut full = config.train_params();
-        full.max_iter = u64::MAX;
         report.choices.rotate_right(1);
-        let bad = report.choices[0].plan;
-        for est in &mut report.estimates {
-            if std::mem::discriminant(&est.variant) == std::mem::discriminant(&bad.variant) {
-                est.estimate = ml4all_core::estimate_iterations(
-                    &data,
-                    est.variant,
-                    &full,
-                    config.tolerance,
-                    spec,
-                    &engine.core.cluster,
-                )
-                .unwrap();
-                est.estimate.fit.a *= 1e3;
-            }
-        }
+        report.choices[0].estimated_iterations = 1;
         engine.core.plan_cache.insert(key, &report);
-        bad
+        report.choices[0].plan
+    }
+
+    /// A `max_iter`-only request runs the count it asked for, so a
+    /// replanning engine leaves it as one without replanning would, even
+    /// under a plant that would make an armed trigger fire.
+    #[test]
+    fn a_fixed_iteration_request_never_arms_the_replan_trigger() {
+        let request = TrainRequest::new(GradientKind::LogisticRegression, "train")
+            .max_iter(200)
+            .progress_every(4)
+            .seed(11)
+            .named("F");
+        let run = |engine: Engine| {
+            engine.register_dataset("train", mem(3000, 7));
+            plant_misprediction(&engine, &request);
+            let handle = engine.submit(request.clone());
+            let events: Vec<JobEvent> = handle.progress().collect();
+            handle.join().unwrap();
+            (events, engine)
+        };
+        let (events, replanning) = run(quick_engine().with_replanning());
+        let (_, plain) = run(quick_engine());
+
+        let config = request.config().unwrap();
+        assert!(matches!(config.iterations, IterationsSource::Fixed(200)));
+        let would_fire = |event: &JobEvent| match *event {
+            JobEvent::Progress {
+                iteration,
+                delta,
+                sim_time_s,
+                cost,
+            } => {
+                let tick = IterationTick {
+                    iteration,
+                    delta,
+                    sim_time_s,
+                    cost,
+                };
+                should_replan(1, &tick, config.tolerance, config.max_iter)
+            }
+            _ => false,
+        };
+        assert!(events.iter().any(would_fire));
+        assert!(!events
+            .iter()
+            .any(|event| matches!(event, JobEvent::Replanned { .. })));
+        assert_eq!(replanning.replans(), 0);
+        assert_eq!(
+            replanning.model("F").unwrap().weights,
+            plain.model("F").unwrap().weights
+        );
     }
 
     /// Cancels its job at the first tick after a mid-flight switch. It runs
@@ -1915,9 +1949,7 @@ mod tests {
     #[test]
     fn only_jobs_that_ran_their_chosen_plan_to_the_end_feed_calibration() {
         let setup = |dir: Option<&std::path::Path>| {
-            let mut engine = quick_engine()
-                .with_calibration()
-                .with_replanning(ReplanPolicy::default());
+            let mut engine = quick_engine().with_calibration().with_replanning();
             if let Some(dir) = dir {
                 engine = engine.with_state_dir(dir);
             }
@@ -1981,112 +2013,64 @@ mod tests {
         assert_eq!(reaffirmed.replans(), 0);
         assert_eq!(generation(&reaffirmed), 1, "a reaffirmed job feeds once");
     }
-    /// Speculation's cap stop cuts a BGD/MGD run short once its estimate
-    /// clears `max_iter`, which keeps the priced plans but not the fit `a`.
-    /// The replan trigger reads the full run's `a`, so a job replans as it
-    /// would on the unstopped estimate, whether its decision is made cold
-    /// or served from a plan-cache entry that holds the full run. (MGD:
-    /// with BGD pinned there is one plan, so a replan cannot switch.)
+
+    /// The trigger reads the winner's priced count, so a decision served
+    /// from the plan cache replans exactly as the cold one it memoizes.
+    /// Here the winner is priced at `max_iter` and every tick's observed
+    /// count sits at the cap too: the job runs exactly the iterations it
+    /// was priced for, so it never replans. (MGD: with BGD pinned there is one plan, so a
+    /// replan cannot switch.)
     #[test]
-    fn replanning_reads_the_full_speculative_curve_past_the_cap_stop() {
-        let policy = ReplanPolicy::default();
-        let setup = || {
-            let engine = quick_engine().with_replanning(policy);
-            engine.register_dataset("train", mem(3000, 7));
-            engine
-        };
+    fn a_winner_priced_and_observed_at_the_cap_never_replans() {
+        let engine = quick_engine().with_replanning();
+        engine.register_dataset("train", mem(3000, 7));
         let request = TrainRequest::new(GradientKind::LogisticRegression, "train")
             .algorithm(ml4all_gd::GdVariant::MiniBatch { batch: 100 })
             .epsilon(1e-6)
             .max_iter(100)
             .progress_every(1)
-            .seed(11)
-            .named("R");
-        let run = |engine: &Engine| {
-            let handle = engine.submit(request.clone());
-            let events: Vec<JobEvent> = handle.progress().collect();
+            .seed(11);
+        // The decision's cache provenance and the job's trajectory.
+        let run = |name: &str| {
+            let handle = engine.submit(request.clone().named(name));
+            let mut cache_hit = None;
+            let mut trajectory = Vec::new();
+            for event in handle.progress() {
+                match event {
+                    JobEvent::PlanChosen { cache_hit: hit, .. } => cache_hit = Some(hit),
+                    JobEvent::Progress { .. } | JobEvent::Replanned { .. } => {
+                        trajectory.push(event)
+                    }
+                    _ => {}
+                }
+            }
             handle.join().unwrap();
-            events
+            (cache_hit, trajectory)
         };
 
-        let cold = setup();
-        let Decision {
-            config,
-            data,
-            key,
-            mut report,
-        } = decide(&cold.core, &request, &JobState::new(None)).unwrap();
-        let IterationsSource::Speculate(spec) = &config.iterations else {
-            panic!("the request speculates");
-        };
-        let winner = report.best().plan.variant;
-        let mut unstopped = config.train_params();
-        unstopped.max_iter = u64::MAX;
-        let full = ml4all_core::estimate_iterations(
-            &data,
-            winner,
-            &unstopped,
-            config.tolerance,
-            spec,
-            &cold.core.cluster,
-        )
-        .unwrap();
-        let served = report.estimate_for(winner).unwrap().clone();
-        assert!(
-            served.speculation_iterations < full.speculation_iterations,
-            "the cap stop cut the served run short"
-        );
+        let (cold_hit, cold) = run("cold");
+        let (served_hit, served) = run("served");
+        assert_eq!((cold_hit, served_hit), (Some(false), Some(true)));
+        assert_eq!(format!("{served:?}"), format!("{cold:?}"));
         assert_eq!(
-            served.iterations.min(config.max_iter),
-            full.iterations.min(config.max_iter)
+            engine.model("cold").unwrap().weights,
+            engine.model("served").unwrap().weights
         );
 
-        let events = run(&cold);
-        let replanned = |events: &[JobEvent]| {
-            events
-                .iter()
-                .any(|event| matches!(event, JobEvent::Replanned { .. }))
-        };
-        let triggers_at = |a: f64| {
-            events.iter().find_map(|event| match *event {
-                JobEvent::Progress {
-                    iteration,
-                    delta,
-                    sim_time_s,
-                    cost,
-                } => policy
-                    .should_replan(
-                        a,
-                        &IterationTick {
-                            iteration,
-                            delta,
-                            sim_time_s,
-                            cost,
-                        },
-                    )
-                    .then_some(iteration),
-                _ => None,
-            })
-        };
-        // The cut curve would replan at iteration 9; the full one never.
-        assert_eq!(triggers_at(served.fit.a), Some(9));
-        assert_eq!(triggers_at(full.fit.a), None);
-        assert!(!replanned(&events));
-        assert_eq!(cold.replans(), 0);
-
-        // A plan-cache entry holding the full run (as one written before
-        // the cap stop does) serves the same job.
-        let cached = setup();
-        for estimate in &mut report.estimates {
-            estimate.estimate = full.clone();
+        let Decision { config, report, .. } =
+            decide(&engine.core, &request, &JobState::new(None)).unwrap();
+        assert_eq!(report.best().estimated_iterations, config.max_iter);
+        assert_eq!(cold.len() as u64, config.max_iter, "one tick per iteration");
+        for event in &cold {
+            let JobEvent::Progress {
+                iteration, delta, ..
+            } = *event
+            else {
+                panic!("replanned: {event:?}");
+            };
+            let observed = observed_iterations(iteration, delta, config.tolerance, config.max_iter);
+            assert_eq!(observed, config.max_iter, "iteration {iteration}");
         }
-        cached.core.plan_cache.insert(key, &report);
-        let replay = run(&cached);
-        assert_eq!(format!("{replay:?}"), format!("{events:?}"));
-        assert_eq!(cached.replans(), 0);
-        assert_eq!(
-            cold.model("R").unwrap().weights,
-            cached.model("R").unwrap().weights
-        );
+        assert_eq!(engine.replans(), 0);
     }
 }

@@ -77,11 +77,12 @@ pub enum JobEvent {
         /// Iterations already completed by the checkpointed run.
         iteration: u64,
     },
-    /// Mid-flight replanning: the observed convergence deltas left the
-    /// trust band of the speculation fit, the chooser re-ran with
-    /// calibrated costs and a revised iteration estimate, and the job
-    /// switched plans at a wave boundary. At most one per job; a re-choice
-    /// that reaffirms the executing plan emits nothing.
+    /// Mid-flight replanning: the iteration count the observed
+    /// convergence implies left the replan band around the plan's priced
+    /// count, the chooser re-ran with calibrated costs on the iterations
+    /// that count leaves, and the job switched plans at a wave boundary.
+    /// At most one per job; a re-choice that reaffirms the executing plan
+    /// emits nothing.
     Replanned {
         /// Wave boundary (iteration) the switch happened at.
         iteration: u64,

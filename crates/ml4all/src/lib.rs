@@ -57,7 +57,7 @@ pub use session::{Session, SessionOutput};
 
 // The vocabulary the typed requests are written in, re-exported so facade
 // users need only the `ml4all` crate.
-pub use ml4all_calibrate::{CalibratorConfig, ReplanPolicy};
+pub use ml4all_calibrate::CalibratorConfig;
 pub use ml4all_core::calibration::{CalibrationSnapshot, CalibrationStamp};
 pub use ml4all_core::chooser::{OptimizerReport, PlanChoice};
 pub use ml4all_core::lang::{AlgorithmPin, TrainSpec};

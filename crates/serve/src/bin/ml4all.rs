@@ -179,7 +179,7 @@ fn serve_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) {
         engine = engine.with_calibration();
     }
     if replan {
-        engine = engine.with_replanning(ml4all::ReplanPolicy::default());
+        engine = engine.with_replanning();
     }
     if let Some(dir) = &state_dir {
         engine = engine.with_state_dir(dir);
@@ -399,8 +399,9 @@ options:
   --calibrate            online cost-model calibration: refit unit costs and
                          residuals from measured jobs (profile persists under
                          --state-dir)
-  --replan               deterministic mid-flight replanning when observed
-                         convergence diverges from the estimate
+  --replan               deterministic mid-flight replanning when the
+                         iteration count observed convergence implies
+                         leaves 0.5-2x the plan's priced count
   --max-frame BYTES      frame payload cap (default 1 MiB)
   --global-in-flight N   max concurrent jobs across tenants (default 8)
   --max-in-flight N      default per-tenant in-flight quota (default 4)

@@ -16,10 +16,10 @@ use std::time::Duration;
 
 use ml4all::{
     CheckpointError, DataSource, Engine, ExplainRequest, GdVariant, GradientKind, JobEvent,
-    ReplanPolicy, Runtime, SamplingMethod, SessionError, TrainRequest,
+    Runtime, SamplingMethod, SessionError, TrainRequest,
 };
 use ml4all_bench::runs::dense_tail_operators;
-use ml4all_core::estimator::{estimate_iterations, SpeculationConfig};
+use ml4all_core::estimator::SpeculationConfig;
 use ml4all_core::plancache::PlanCacheKey;
 use ml4all_dataflow::{ClusterSpec, CostBreakdown, ExecState, SimEnv};
 use ml4all_gd::executor::reference_operators;
@@ -277,19 +277,19 @@ fn killed_jobs_resume_bit_identically_across_backends_and_workers() {
 }
 
 fn replan_engine(workers: usize) -> Engine {
-    engine(workers).with_replanning(ReplanPolicy::default())
+    engine(workers).with_replanning()
 }
 
 /// Plant a doctored plan decision in `eng`'s cache: the *worst* plan is
-/// served as the winner and its variant's curve fit is inflated 1000×, so
-/// the executed deltas fall far outside the divergence band and the job
+/// served as the winner, priced at one iteration, so the count the
+/// executed deltas imply falls far outside the replan band and the job
 /// must replan mid-flight.
 fn plant_misprediction(eng: &Engine, dataset: &str) -> ml4all::GdPlan {
     let cluster = eng.cluster().clone();
     let req = request(dataset);
     let mut doctored = eng.explain(ExplainRequest::new(request(dataset))).unwrap();
     doctored.choices.rotate_right(1);
-    let bad = doctored.choices[0].plan;
+    doctored.choices[0].estimated_iterations = 1;
     // The cache key the engine will look this up under: same registry
     // analog (cap 1000, seed 7 — the engine's materialization inputs),
     // same spec/seed/speculation/cluster, calibration generation 0.
@@ -298,26 +298,6 @@ fn plant_misprediction(eng: &Engine, dataset: &str) -> ml4all::GdPlan {
         _ => ml4all_datasets::registry::svm1(),
     };
     let data = spec.build(1000, 7, &cluster).unwrap();
-    // The planted curve is the full speculative run's: the served estimate
-    // may have been cut short by speculation's cap stop, and the replan
-    // trigger reads a full run's `a` (`full_run_fit_a`).
-    let config = req.config().unwrap();
-    let mut full = config.train_params();
-    full.max_iter = u64::MAX;
-    for est in &mut doctored.estimates {
-        if std::mem::discriminant(&est.variant) == std::mem::discriminant(&bad.variant) {
-            est.estimate = estimate_iterations(
-                &data,
-                est.variant,
-                &full,
-                config.tolerance,
-                &speculation(),
-                &cluster,
-            )
-            .unwrap();
-            est.estimate.fit.a *= 1e3;
-        }
-    }
     let key = PlanCacheKey::new(
         data.fingerprint(),
         &req.spec,
@@ -327,7 +307,7 @@ fn plant_misprediction(eng: &Engine, dataset: &str) -> ml4all::GdPlan {
         0,
     );
     eng.plan_cache().insert(key, &doctored);
-    bad
+    doctored.choices[0].plan
 }
 
 /// A replanned run's observables, captured bit-exactly.
