@@ -302,13 +302,13 @@ const REPLAN_BAND: (f64, f64) = (0.5, 2.0);
 
 /// The iteration count a job's convergence implies at one point: the
 /// curve `ε(i) = a/i` through `(iteration, delta)` has `a = delta ×
-/// iteration`, so the job reaches `epsilon` after `⌈a/epsilon⌉`
-/// iterations. Clamped to `[1, max_iter]`, the same `min(T, max_iter)`
-/// the chooser prices a plan's iterations at. A function of the one
-/// point alone, so a resumed run recomputes it bit for bit.
+/// iteration`, so the job reaches `epsilon` after Algorithm 1's
+/// `⌈a/epsilon⌉` ([`ml4all_core::curvefit::iterations_at`]) iterations.
+/// Clamped to `[1, max_iter]`, the same `min(T, max_iter)` the chooser
+/// prices a plan's iterations at. A function of the one point alone, so a
+/// resumed run recomputes it bit for bit.
 pub fn observed_iterations(iteration: u64, delta: f64, epsilon: f64, max_iter: u64) -> u64 {
-    // `as` saturates: an infinite count is the cap, a NaN one is 1.
-    ((delta * iteration as f64 / epsilon).ceil() as u64)
+    ml4all_core::curvefit::iterations_at(delta * iteration as f64, epsilon)
         .min(max_iter)
         .max(1)
 }
@@ -508,5 +508,11 @@ mod tests {
         assert_eq!(observed_iterations(10, 1e-9, 1e-3, 5000), 1);
         assert_eq!(observed_iterations(10, f64::INFINITY, 1e-3, 5000), 5000);
         assert_eq!(observed_iterations(7, 0.5, 0.0, 5000), 5000);
+        // The clamp's edges: `⌈0.5·8/0.25⌉ = 16` is kept at the cap 16 and
+        // cut to 15, and `0.25·8/2 = 1` stays 1 while `0.25·9/2` rounds up.
+        assert_eq!(observed_iterations(8, 0.5, 0.25, 16), 16);
+        assert_eq!(observed_iterations(8, 0.5, 0.25, 15), 15);
+        assert_eq!(observed_iterations(8, 0.25, 2.0, 5000), 1);
+        assert_eq!(observed_iterations(9, 0.25, 2.0, 5000), 2);
     }
 }

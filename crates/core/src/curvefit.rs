@@ -4,8 +4,10 @@
 //! the paper fits the observed speculation pairs `{(εᵢ, i)}` to `T(ε) =
 //! a/ε` and extrapolates the iterations needed for the target tolerance.
 //! The least-squares estimate has the closed form
-//! `a = Σᵢ (i/εᵢ) / Σᵢ (1/εᵢ²)`: two running sums (`FitSums`), so the
-//! fit of a growing sequence costs O(1) per point.
+//! `a = Σᵢ (i/εᵢ) / Σᵢ (1/εᵢ²)`, two sums that [`RunningFit`] keeps point
+//! by point: speculation fits as it runs, and [`CurveFit::fit`] and
+//! [`running_min_error_seq`] fold a whole sequence through the same type.
+//! Every `T = ⌈a/ε⌉` is [`iterations_at`].
 
 use serde::{Deserialize, Serialize};
 
@@ -25,32 +27,11 @@ impl CurveFit {
     /// or non-finite error are ignored. Returns `None` if fewer than two
     /// usable pairs remain.
     pub fn fit(pairs: &[(u64, f64)]) -> Option<Self> {
-        let usable = || {
-            pairs
-                .iter()
-                .filter(|(_, e)| e.is_finite() && *e > 0.0)
-                .map(|&(i, e)| (i as f64, e))
-        };
-        let mut sums = FitSums::default();
-        for (i, e) in usable() {
-            sums.push(i, e);
+        let mut fit = RunningFit::default();
+        for &(i, e) in pairs {
+            fit.push(i, e);
         }
-        let a = sums.a()?;
-
-        // R² over the T(ε) predictions.
-        let mean_i: f64 = usable().map(|(i, _)| i).sum::<f64>() / sums.points as f64;
-        let ss_tot: f64 = usable().map(|(i, _)| (i - mean_i).powi(2)).sum();
-        let ss_res: f64 = usable().map(|(i, e)| (i - a / e).powi(2)).sum();
-        let r_squared = if ss_tot > 0.0 {
-            (1.0 - ss_res / ss_tot).max(0.0)
-        } else {
-            1.0
-        };
-        Some(Self {
-            a,
-            r_squared,
-            points: sums.points,
-        })
+        fit.curve()
     }
 
     /// Predicted iterations to reach tolerance `epsilon` — `T(ε) = a/ε`,
@@ -58,77 +39,104 @@ impl CurveFit {
     pub fn iterations_for(&self, epsilon: f64) -> u64 {
         iterations_at(self.a, epsilon)
     }
-
-    /// Predicted error after `iterations` — the inverse view `ε(i) = a/i`,
-    /// used to draw the fitted curves of Figures 15–16.
-    pub fn error_at(&self, iterations: u64) -> f64 {
-        self.a / (iterations.max(1) as f64)
-    }
 }
 
-/// `T(ε) = a/ε`, rounded up, at least 1; `u64::MAX` for `ε ≤ 0` or a
-/// non-finite `a`.
-fn iterations_at(a: f64, epsilon: f64) -> u64 {
+/// `T(ε) = ⌈a/ε⌉`, at least 1; `u64::MAX` for `ε ≤ 0` or a non-finite `a`
+/// (`as` saturates a count past `u64::MAX` to it).
+pub fn iterations_at(a: f64, epsilon: f64) -> u64 {
     if epsilon <= 0.0 || !a.is_finite() {
         return u64::MAX;
     }
     (a / epsilon).ceil().max(1.0) as u64
 }
 
-/// The running sums of the closed-form fit, `Σ i/εᵢ` and `Σ 1/εᵢ²`, added
-/// in push order: [`CurveFit::fit`] sums a whole sequence through them, and
-/// speculation keeps them point by point, so both see the same `a` bit for
-/// bit.
+/// Algorithm 1's fit of a growing `(i, εᵢ)` sequence: the kept pairs and
+/// the sums `Σ i/εᵢ` and `Σ 1/εᵢ²`, added in push order, so a fit read
+/// mid-sequence is the fit of that prefix bit for bit.
 #[derive(Debug, Default)]
-pub(crate) struct FitSums {
+pub struct RunningFit {
     /// `Σ i/εᵢ`.
-    pub(crate) num: f64,
+    num: f64,
     /// `Σ 1/εᵢ²`.
-    pub(crate) den: f64,
-    /// Number of points pushed.
-    pub(crate) points: usize,
+    den: f64,
+    /// The kept points, in push order.
+    pairs: Vec<(u64, f64)>,
 }
 
-impl FitSums {
-    /// Add the point `(i, ε)`; `ε` must be finite and positive.
-    pub(crate) fn push(&mut self, i: f64, e: f64) {
-        self.num += i / e;
+impl RunningFit {
+    /// Keep `(i, ε)` as a point of the fit if `ε` is finite and positive.
+    /// Returns whether it was kept.
+    pub fn push(&mut self, i: u64, e: f64) -> bool {
+        if !(e.is_finite() && e > 0.0) {
+            return false;
+        }
+        self.num += i as f64 / e;
         self.den += 1.0 / (e * e);
-        self.points += 1;
+        self.pairs.push((i, e));
+        true
+    }
+
+    /// [`RunningFit::push`] behind the running-min filter: keep `(i, ε)`
+    /// only if `ε` is also below every kept error, so the pairs map each
+    /// iteration to the *best tolerance reached so far*, the monotone
+    /// `T(ε)` view Algorithm 1 fits. Stochastic plans produce noisy,
+    /// non-monotone deltas; without this the fit chases noise.
+    pub fn push_min(&mut self, i: u64, e: f64) -> bool {
+        e < self.pairs.last().map_or(f64::INFINITY, |&(_, best)| best) && self.push(i, e)
     }
 
     /// The least-squares `a = Σ(i/εᵢ) / Σ(1/εᵢ²)`, or `None` with fewer
     /// than two points or a degenerate sum.
-    pub(crate) fn a(&self) -> Option<f64> {
-        if self.points < 2 || self.den <= 0.0 || !self.num.is_finite() || !self.den.is_finite() {
+    pub fn a(&self) -> Option<f64> {
+        if self.pairs.len() < 2 || self.den <= 0.0 || !self.num.is_finite() || !self.den.is_finite()
+        {
             return None;
         }
         Some(self.num / self.den)
     }
 
-    /// [`CurveFit::iterations_for`] of the fit so far, if there is one.
-    pub(crate) fn iterations_for(&self, epsilon: f64) -> Option<u64> {
-        self.a().map(|a| iterations_at(a, epsilon))
+    /// The fit so far with its R² in `T` space, if there is one.
+    pub fn curve(&self) -> Option<CurveFit> {
+        let a = self.a()?;
+        let n = self.pairs.len();
+        let mean_i: f64 = self.pairs.iter().map(|&(i, _)| i as f64).sum::<f64>() / n as f64;
+        let ss_tot: f64 = (self.pairs.iter())
+            .map(|&(i, _)| (i as f64 - mean_i).powi(2))
+            .sum();
+        let ss_res: f64 = (self.pairs.iter())
+            .map(|&(i, e)| (i as f64 - a / e).powi(2))
+            .sum();
+        let r_squared = if ss_tot > 0.0 {
+            (1.0 - ss_res / ss_tot).max(0.0)
+        } else {
+            1.0
+        };
+        Some(CurveFit {
+            a,
+            r_squared,
+            points: n,
+        })
+    }
+
+    /// The kept points, in push order.
+    pub fn pairs(&self) -> &[(u64, f64)] {
+        &self.pairs
+    }
+
+    /// The kept points, consuming the fit.
+    pub fn into_pairs(self) -> Vec<(u64, f64)> {
+        self.pairs
     }
 }
 
-/// Reduce a raw error sequence to its running minimum so that it maps each
-/// iteration to the *best tolerance reached so far* — the monotone `T(ε)`
-/// view Algorithm 1 fits. Stochastic plans produce noisy, non-monotone
-/// deltas; without this the fit chases noise.
+/// Reduce a raw error sequence to the pairs [`RunningFit::push_min`]
+/// keeps of it.
 pub fn running_min_error_seq(raw: &[(u64, f64)]) -> Vec<(u64, f64)> {
-    let mut out = Vec::with_capacity(raw.len());
-    let mut best = f64::INFINITY;
+    let mut fit = RunningFit::default();
     for &(i, e) in raw {
-        if !e.is_finite() || e <= 0.0 {
-            continue;
-        }
-        if e < best {
-            best = e;
-            out.push((i, best));
-        }
+        fit.push_min(i, e);
     }
-    out
+    fit.into_pairs()
 }
 
 #[cfg(test)]
@@ -143,7 +151,6 @@ mod tests {
         assert!((fit.a - a_true).abs() < 1e-6, "a = {}", fit.a);
         assert!(fit.r_squared > 0.999);
         assert_eq!(fit.iterations_for(0.5), 1000);
-        assert!((fit.error_at(1000) - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -183,27 +190,52 @@ mod tests {
 
     #[test]
     fn running_sums_equal_the_fit_on_every_prefix() {
-        // A noisy, running-min-reduced sequence: the points speculation
-        // feeds its running sums one by one.
-        let raw: Vec<(u64, f64)> = (1..400u64)
+        // A noisy raw delta sequence with every kind of point the filter
+        // drops (repeats, rises, zero, negative, NaN, ±∞), ending on the
+        // point that ends a run by converging far below the rest.
+        let mut raw: Vec<(u64, f64)> = (1..400u64)
             .map(|i| {
                 let noise = 1.0 + 0.3 * ((i as f64) * 0.7).sin();
                 (i, 37.0 / i as f64 * noise)
             })
             .collect();
-        let pairs = running_min_error_seq(&raw);
-        assert!(pairs.len() > 50);
-        let mut sums = FitSums::default();
-        for (n, &(i, e)) in pairs.iter().enumerate() {
-            sums.push(i as f64, e);
-            let fit = CurveFit::fit(&pairs[..=n]);
-            assert_eq!(sums.a().map(f64::to_bits), fit.map(|f| f.a.to_bits()));
-            assert_eq!(
-                sums.iterations_for(1e-4),
-                fit.map(|f| f.iterations_for(1e-4))
-            );
-            assert_eq!(sums.points, n + 1);
+        for (i, bad) in [
+            (7, 0.0),
+            (40, -1.0),
+            (41, f64::NAN),
+            (90, f64::INFINITY),
+            (91, f64::NEG_INFINITY),
+            (150, 1e9),
+        ] {
+            raw[i - 1].1 = bad;
         }
+        raw.push((400, 1e-6));
+        let mut running = RunningFit::default();
+        for (n, &(i, e)) in raw.iter().enumerate() {
+            let kept = running.push_min(i, e);
+            let pairs = running_min_error_seq(&raw[..=n]);
+            assert_eq!(kept, pairs.last() == Some(&(i, e)), "point {n}");
+            assert_eq!(running.pairs(), &pairs[..], "point {n}");
+            let (got, want) = (running.curve(), CurveFit::fit(&pairs));
+            assert_eq!(got.map(|f| f.a.to_bits()), want.map(|f| f.a.to_bits()));
+            assert_eq!(
+                got.map(|f| f.r_squared.to_bits()),
+                want.map(|f| f.r_squared.to_bits())
+            );
+            assert_eq!(got.map(|f| f.points), want.map(|f| f.points));
+            // The closed form, summed afresh over the kept pairs.
+            if pairs.len() >= 2 {
+                let num: f64 = pairs.iter().map(|&(i, e)| i as f64 / e).sum();
+                let den: f64 = pairs.iter().map(|&(_, e)| 1.0 / (e * e)).sum();
+                assert_eq!(running.a().map(f64::to_bits), Some((num / den).to_bits()));
+            }
+        }
+        assert!(running.pairs().len() > 50);
+        assert_eq!(running.pairs().last(), Some(&(400, 1e-6)));
+        assert!(running
+            .pairs()
+            .iter()
+            .all(|&(_, e)| e.is_finite() && e > 0.0));
     }
 
     #[test]

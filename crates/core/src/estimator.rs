@@ -4,15 +4,16 @@
 //! `ε_d` on dataset `D`:
 //!
 //! 1. take a small sample `D′` of `D` (default 1 000 points);
-//! 2. run the algorithm on `D′` until it reaches the (large) speculation
-//!    tolerance `ε_s` (default 0.05) or the iteration cap
-//!    `max_iterations` — the deterministic stand-in for the paper's time
-//!    budget `B`, so the estimate is a pure function of the run — or, for
-//!    BGD and MGD, until the estimate clears the request's own cap
-//!    `max_iter` and no later point short of convergence can pull it back
-//!    (the cap stop below);
-//! 3. collect the error sequence `{(i, εᵢ)}`;
-//! 4. fit `T(ε) = a/ε` and return `T(ε_d) = a/ε_d`.
+//! 2. run the algorithm on `D′` under `SpeculationLoop`, which feeds
+//!    every convergence delta `(i, εᵢ)` to a running `a/ε` fit
+//!    ([`RunningFit::push_min`]) before it asks the reference stop whether
+//!    to go on. The run stops at the (large) speculation tolerance `ε_s`
+//!    (default 0.05), at the iteration cap `max_iterations` — the
+//!    deterministic stand-in for the paper's time budget `B`, so the
+//!    estimate is a pure function of the run — or at the cap stop below;
+//! 3. the loop's fit is the estimate: its running-min pairs, `a`, and R²,
+//!    the run-ending point included;
+//! 4. return `T(ε_d) = ⌈a/ε_d⌉`.
 //!
 //! The sample size keeps the speculative runs fast, and — the paper's key
 //! observation — the *shape* of the error sequence over a sample matches
@@ -26,30 +27,31 @@
 //!
 //! **The cap stop.** The chooser prices a plan at `min(⌈a/ε_d⌉, max_iter)`,
 //! so once `a` stays at or above `θ = max_iter · ε_d` the rest of the run
-//! cannot move a priced bit. The running fit keeps `a` as two sums over
-//! the running-min points (`a = Σ(i/εᵢ) / Σ(1/εᵢ²)`), so the final `a` is
-//! a weighted mean of the current `a_k` and each later point's `i′·ε′`.
-//! Speculation therefore stops at the first new running-min point `k` with
-//! at least two points, `⌈a_k/ε_d⌉ ≥ max_iter` and `(k+1)·ε_s ≥ θ`: a later
-//! point that does not end the run has `i′ ≥ k+1` and `ε′ ≥ ε_s`, so
-//! `i′·ε′ ≥ θ` and the mean stays at or above the cap.
+//! cannot move a priced bit. `a = Σ(i/εᵢ) / Σ(1/εᵢ²)` over the running-min
+//! points, so the final `a` is a weighted mean of the current `a_k` and
+//! each later point's `i′·ε′`. Speculation therefore stops at the first
+//! new running-min point `k` with at least two points, `⌈a_k/ε_d⌉ ≥
+//! max_iter` and `(k+1)·ε_s ≥ θ`: a later point that does not end the run
+//! has `i′ ≥ k+1` and `ε′ ≥ ε_s`, so `i′·ε′ ≥ θ` and the mean stays at or
+//! above the cap.
 //!
 //! The stop is exact except in one case: the point that would end the run
 //! *by converging* below `ε_s`. Its `i′·ε′` may be anything and its weight
-//! `1/ε′²` is the largest of all, so it can pull `a` under the cap, and
-//! the bound leaves it out for BGD and MGD as for SGD. A BGD or MGD delta is
-//! a step over a wave of rows and has not been seen to fall far across
-//! `ε_s`: `tests/speculation_exactness.rs` (five registry analogs, two
-//! target tolerances, three speculation seeds) and a 12-seed probe found
-//! no priced value that moved. An SGD delta is one row's step, and one
-//! draw can end the run orders of magnitude below every earlier point: on
-//! the rcv1 analog at `ε_d = 10⁻³` (4 000 rows), 5 of 12 speculation seeds
-//! stopped at the cap while the full run, ending on a delta as small as
-//! `1.5·10⁻⁴`, priced 1–870 iterations. So SGD runs to `ε_s` as before;
-//! its iterations are one row each. A run whose estimate binds (stays
-//! under the cap) runs exactly as before, so its estimate is unchanged.
+//! `1/ε′²` is the largest of all, so it can pull `a` under the cap. A BGD
+//! or MGD delta is a step over a wave of rows and has not been seen to
+//! fall far across `ε_s`: `tests/speculation_exactness.rs` (five registry
+//! analogs, two target tolerances, three speculation seeds) and a 12-seed
+//! probe found no priced value that moved. An SGD delta is one row's step,
+//! and one draw can end the run orders of magnitude below every earlier
+//! point: on the rcv1 analog at `ε_d = 10⁻³` (4 000 rows), 5 of 12
+//! speculation seeds stopped at the cap while the full run, ending on a
+//! delta as small as `1.5·10⁻⁴`, priced 1–870 iterations. So SGD
+//! speculates under the cap `u64::MAX`, which turns the stop off, and runs
+//! to `ε_s`; its iterations are one row each. A run whose estimate binds
+//! (stays under the cap) runs exactly as without the stop, so its estimate
+//! is unchanged.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use ml4all_dataflow::{ClusterSpec, PartitionScheme, PartitionedDataset, SamplingMethod, SimEnv};
 use ml4all_gd::executor::reference_operators;
@@ -59,7 +61,7 @@ use ml4all_gd::{
 };
 use serde::{Deserialize, Serialize};
 
-use crate::curvefit::{running_min_error_seq, CurveFit, FitSums};
+use crate::curvefit::{iterations_at, CurveFit, RunningFit};
 use crate::OptimizerError;
 
 /// Configuration of the speculation stage.
@@ -111,14 +113,18 @@ pub struct IterationsEstimate {
     /// would have ended on a converging point below `ε_s` that pulls its
     /// estimate under the cap, which was not seen for BGD or MGD.
     pub iterations: u64,
-    /// The fitted curve.
+    /// The fit the speculation loop kept as it ran, over [`Self::pairs`].
+    /// A run that converged before a second point anchors `a = i·εᵢ` on its
+    /// last point, with R² 1.
     pub fit: CurveFit,
     /// Iterations actually executed during speculation: until `ε_s`, the
     /// speculation cap, or (BGD and MGD) the first running-min point at
     /// which the estimate clears the request's `max_iter` and the bound of
     /// the module doc's cap stop holds, whichever comes first.
     pub speculation_iterations: u64,
-    /// Monotone `(iteration, error)` pairs the fit used.
+    /// The running-min `(iteration, error)` pairs the loop kept: every
+    /// delta that was finite, positive and a new best, up to and including
+    /// the one the run stopped on.
     pub pairs: Vec<(u64, f64)>,
     /// Simulated cost of the speculative run: local GD on the collected
     /// sample, whose one collection job the chooser charges separately —
@@ -175,7 +181,7 @@ pub fn estimate_iterations(
 /// (BGD runs over all of `D′`; MGD and SGD draw from `D′`). `params.max_iter`
 /// is the cap the estimate is priced under: BGD and MGD speculation stops
 /// once the estimate clears it under the bound of the module doc's cap
-/// stop; pass `u64::MAX` for the full run.
+/// stop; pass `u64::MAX` for the full run, as SGD always speculates.
 pub fn estimate_on_sample(
     sample: &PartitionedDataset,
     variant: GdVariant,
@@ -188,7 +194,8 @@ pub fn estimate_on_sample(
     let mut spec_params = params.clone();
     spec_params.tolerance = config.tolerance;
     spec_params.max_iter = config.max_iterations;
-    spec_params.record_error_seq = true;
+    // The loop keeps the fit; the executor records nothing.
+    spec_params.record_error_seq = false;
     // The run stops on `ε_s` or the cap alone, never on a clock.
     spec_params.wall_budget = None;
     spec_params.seed = config.seed;
@@ -204,18 +211,16 @@ pub fn estimate_on_sample(
     let ops = reference_operators(&plan, &spec_params, sample.descriptor().dims);
     // One row's step can end an SGD run far below every earlier point, the
     // case the cap stop does not cover (module doc): SGD runs to `ε_s`.
-    let ops = if variant == GdVariant::Stochastic {
-        ops
+    let cap = if variant == GdVariant::Stochastic {
+        u64::MAX
     } else {
-        GdOperators {
-            loop_op: Box::new(SpeculationLoop::new(
-                ops.loop_op,
-                config.tolerance,
-                target_tolerance,
-                params.max_iter,
-            )),
-            ..ops
-        }
+        params.max_iter
+    };
+    let stop = SpeculationLoop::new(ops.loop_op, config.tolerance, target_tolerance, cap);
+    let fit = Arc::clone(&stop.fit);
+    let ops = GdOperators {
+        loop_op: Box::new(stop),
+        ..ops
     };
     let result = execute(
         &plan,
@@ -225,47 +230,47 @@ pub fn estimate_on_sample(
         &mut env,
         &ExecHooks::default(),
     )?;
-    let pairs = running_min_error_seq(&result.error_seq);
-    let fit = match CurveFit::fit(&pairs) {
-        Some(fit) => fit,
+    let fit = std::mem::take(&mut *fit.lock().unwrap_or_else(PoisonError::into_inner));
+    let curve = match fit.curve() {
+        Some(curve) => curve,
         None if result.converged() || result.final_delta <= config.tolerance => {
             // The run hit the speculation tolerance almost immediately
             // (typical for SGD on hinge losses, where one in-margin sample
             // yields a zero delta — the effect behind the paper's 4–8
             // iteration SGD runs on dense SVM data, Table 4). Anchor the
             // inverse law on the last observed point: `a = i·εᵢ`.
-            let a = pairs.last().map(|&(i, e)| i as f64 * e).unwrap_or(0.0);
+            let a = fit.pairs().last().map_or(0.0, |&(i, e)| i as f64 * e);
             CurveFit {
                 a,
                 r_squared: 1.0,
-                points: pairs.len(),
+                points: fit.pairs().len(),
             }
         }
         None => {
             return Err(OptimizerError::InsufficientSpeculation {
                 plan: plan.name(),
-                pairs: pairs.len(),
+                pairs: fit.pairs().len(),
             })
         }
     };
 
     Ok(IterationsEstimate {
-        iterations: fit.iterations_for(target_tolerance),
-        fit,
+        iterations: curve.iterations_for(target_tolerance),
+        fit: curve,
         speculation_iterations: result.iterations,
-        pairs,
+        pairs: fit.into_pairs(),
         speculation_sim_s: env.elapsed_s(),
     })
 }
 
-/// Algorithm 1's `Loop` for BGD and MGD: the speculation stop it wraps
-/// (the reference [`ToleranceLoop`](ml4all_gd::operators::ToleranceLoop)
-/// on `ε_s` and the speculation cap) plus the cap stop of the module doc.
-/// It keeps the running-min fit as it goes — the best `ε`, the two
-/// `FitSums` and the point count — in O(1) per iteration with no
-/// allocation. The cells are atomics only because
-/// [`LoopOp::should_continue`] takes `&self`; one run's driver thread is
-/// their only reader and writer, so `Relaxed` suffices.
+/// Algorithm 1's `Loop`: the speculation stop it wraps (the reference
+/// [`ToleranceLoop`](ml4all_gd::operators::ToleranceLoop) on `ε_s` and the
+/// speculation cap) plus the running fit and the cap stop of the module
+/// doc. Every delta goes to the fit before the wrapped stop is asked, so
+/// the point that ends the run is fitted too. The fit sits behind a mutex
+/// only because [`LoopOp::should_continue`] takes `&self` and the caller
+/// reads the fit back after the run; one run's driver thread is its only
+/// user while the run lasts.
 pub(crate) struct SpeculationLoop {
     /// The speculation stop the cap stop adds to.
     base: Box<dyn LoopOp>,
@@ -273,23 +278,17 @@ pub(crate) struct SpeculationLoop {
     tolerance: f64,
     /// Target tolerance `ε_d` the estimate is for.
     target_tolerance: f64,
-    /// The request's cap `max_iter` the estimate is priced under.
+    /// The cap `max_iter` the estimate is priced under; `u64::MAX` turns
+    /// the cap stop off.
     max_iter: u64,
-    /// `θ = max_iter · ε_d`.
-    threshold: f64,
-    /// Best `ε` so far (`f64` bits).
-    best: AtomicU64,
-    /// [`FitSums::num`] (`f64` bits).
-    num: AtomicU64,
-    /// [`FitSums::den`] (`f64` bits).
-    den: AtomicU64,
-    /// [`FitSums::points`].
-    points: AtomicU64,
+    /// The running-min fit of the deltas seen so far.
+    fit: Arc<Mutex<RunningFit>>,
 }
 
 impl SpeculationLoop {
-    /// `base` with the cap stop for estimating `target_tolerance` under
-    /// the cap `max_iter`; `tolerance` is the `ε_s` that `base` stops on.
+    /// `base` with the running fit and the cap stop for estimating
+    /// `target_tolerance` under the cap `max_iter`; `tolerance` is the
+    /// `ε_s` that `base` stops on.
     pub(crate) fn new(
         base: Box<dyn LoopOp>,
         tolerance: f64,
@@ -301,41 +300,26 @@ impl SpeculationLoop {
             tolerance,
             target_tolerance,
             max_iter,
-            threshold: max_iter as f64 * target_tolerance,
-            best: AtomicU64::new(f64::INFINITY.to_bits()),
-            num: AtomicU64::new(0.0f64.to_bits()),
-            den: AtomicU64::new(0.0f64.to_bits()),
-            points: AtomicU64::new(0),
+            fit: Arc::default(),
         }
     }
 }
 
 impl LoopOp for SpeculationLoop {
     fn should_continue(&self, delta: f64, ctx: &Context) -> bool {
+        let mut fit = self.fit.lock().unwrap_or_else(PoisonError::into_inner);
+        let k = ctx.iteration;
+        let new_point = fit.push_min(k, delta);
         if !self.base.should_continue(delta, ctx) {
             return false;
         }
-        let load = |cell: &AtomicU64| f64::from_bits(cell.load(Ordering::Relaxed));
-        // `running_min_error_seq`'s filter: only a finite, positive, new
-        // best error is a point of the fit.
-        if !(delta.is_finite() && delta > 0.0 && delta < load(&self.best)) {
-            return true;
-        }
-        let mut sums = FitSums {
-            num: load(&self.num),
-            den: load(&self.den),
-            points: self.points.load(Ordering::Relaxed) as usize,
-        };
-        let k = ctx.iteration;
-        sums.push(k as f64, delta);
-        self.best.store(delta.to_bits(), Ordering::Relaxed);
-        self.num.store(sums.num.to_bits(), Ordering::Relaxed);
-        self.den.store(sums.den.to_bits(), Ordering::Relaxed);
-        self.points.store(sums.points as u64, Ordering::Relaxed);
-        let clears_cap = sums
-            .iterations_for(self.target_tolerance)
-            .is_some_and(|t| t >= self.max_iter);
-        !(clears_cap && (k + 1) as f64 * self.tolerance >= self.threshold)
+        // The cap stop at a new point: `⌈a_k/ε_d⌉ ≥ max_iter` and the floor
+        // `(k+1)·ε_s ≥ θ = max_iter · ε_d`.
+        let theta = self.max_iter as f64 * self.target_tolerance;
+        !(new_point
+            && self.max_iter < u64::MAX
+            && (fit.a()).is_some_and(|a| iterations_at(a, self.target_tolerance) >= self.max_iter)
+            && (k + 1) as f64 * self.tolerance >= theta)
     }
 }
 
@@ -474,13 +458,14 @@ mod tests {
         // ε_s = 0.05, ε_d = 10⁻³, cap 1 000: θ = 1, so the floor
         // `(k+1)·ε_s ≥ θ` first holds at k = 19.
         let config = SpeculationConfig::default();
-        let op_with_cap = |max_iter| {
+        let op_at = |target, max_iter| {
             let base = ToleranceLoop {
                 tolerance: config.tolerance,
                 max_iter: config.max_iterations,
             };
-            SpeculationLoop::new(Box::new(base), config.tolerance, 1e-3, max_iter)
+            SpeculationLoop::new(Box::new(base), config.tolerance, target, max_iter)
         };
+        let op_with_cap = |max_iter| op_at(1e-3, max_iter);
         let op = || op_with_cap(1000);
         // a = 20 (T = 20 000) from the second point on, but k = 10 is
         // under the floor; the next new running min past it stops the run,
@@ -506,6 +491,15 @@ mod tests {
         // `u64::MAX` (the full run) nothing else does.
         assert_eq!(stops_at(&op(), &[(1, 1.0), (2, 0.04)]), Some(2));
         assert_eq!(stops_at(&op_with_cap(u64::MAX), &seq), None);
+        // Not even at `ε_d = 0`, where every estimate is `u64::MAX`.
+        assert_eq!(stops_at(&op_at(0.0, u64::MAX), &seq), None);
+        // The loop fits each point before the wrapped stop is asked, so the
+        // run-ending point is in the fit it keeps.
+        let full = op_with_cap(u64::MAX);
+        assert_eq!(stops_at(&full, &converged), Some(25));
+        let fit = full.fit.lock().unwrap();
+        assert_eq!(fit.pairs(), &converged[..]);
+        assert_eq!(fit.curve().unwrap().iterations_for(1e-3), 253);
     }
 
     #[test]

@@ -120,21 +120,15 @@ pub struct PlanCacheEntry {
     pub report: OptimizerReport,
 }
 
-/// A concurrent, unbounded memo of [`OptimizerReport`]s keyed by
-/// [`PlanCacheKey`], with hit/miss counters for observability.
-///
-/// Nothing is ever evicted. Without calibration that is cheap: a report
-/// is small (11 costed plans plus up to three estimates) and a repeated
-/// request hits. Under calibration it is not: every completed job bumps
-/// the calibration generation, which is part of the key, so each
-/// calibrated decision leaves an entry no later lookup can hit, and each
-/// persistence offer re-exports every entry. Forty identical calibrated
-/// `train` calls on registry rcv1 with a state dir left 40 entries and a
-/// 493 612-byte `plancache.json` (one entry and 8 990 bytes without
-/// calibration).
+/// A concurrent memo of [`OptimizerReport`]s with hit/miss counters for
+/// observability. It holds one decision per
+/// [`PlanCacheKey::durable_identity`], the newest calibration
+/// generation's: every completed calibrated job bumps the generation, so
+/// no later lookup can hit an older one.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    entries: Mutex<HashMap<PlanCacheKey, OptimizerReport>>,
+    /// Per durable identity, the newest key seen and its decision.
+    entries: Mutex<HashMap<String, (PlanCacheKey, OptimizerReport)>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -145,32 +139,46 @@ impl PlanCache {
         Self::default()
     }
 
-    /// Look a decision up. On a hit, returns a clone of the cached report
-    /// with [`OptimizerReport::cache_hit`] set.
+    /// Look a decision up. It hits only on a decision stored under the
+    /// same key, calibration generation included. On a hit, returns a
+    /// clone of the cached report with [`OptimizerReport::cache_hit`] set.
     pub fn get(&self, key: &PlanCacheKey) -> Option<OptimizerReport> {
         let entries = self.entries.lock().expect("plan cache");
-        match entries.get(key) {
-            Some(report) => {
+        match entries.get(key.durable_identity()) {
+            Some((stored, report)) if stored == key => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 let mut report = report.clone();
                 report.cache_hit = true;
                 Some(report)
             }
-            None => {
+            _ => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
     }
 
-    /// Store a freshly computed decision. The stored copy is normalized to
-    /// `cache_hit: false` (the marker describes how a report was *served*,
-    /// not how it is stored); concurrent duplicate computations insert the
-    /// same value, so last-write-wins is safe.
+    /// Store a freshly computed decision, replacing its identity's decision
+    /// from an older generation; one from a newer generation stays. The
+    /// stored copy is normalized to `cache_hit: false` (the marker
+    /// describes how a report was *served*, not how it is stored);
+    /// concurrent duplicate computations insert the same value, so
+    /// last-write-wins is safe.
     pub fn insert(&self, key: PlanCacheKey, report: &OptimizerReport) {
-        let mut stored = report.clone();
-        stored.cache_hit = false;
-        self.entries.lock().expect("plan cache").insert(key, stored);
+        self.store(key, report.clone());
+    }
+
+    /// Keep `report` under `key`'s identity unless a newer one is there.
+    fn store(&self, key: PlanCacheKey, mut report: OptimizerReport) {
+        report.cache_hit = false;
+        let mut entries = self.entries.lock().expect("plan cache");
+        let identity = key.durable_identity();
+        if entries
+            .get(identity)
+            .is_none_or(|(held, _)| held.generation <= key.generation)
+        {
+            entries.insert(identity.to_string(), (key, report));
+        }
     }
 
     /// Number of cached decisions.
@@ -198,7 +206,7 @@ impl PlanCache {
     pub fn export(&self) -> Vec<PlanCacheEntry> {
         let entries = self.entries.lock().expect("plan cache");
         let mut out: Vec<PlanCacheEntry> = entries
-            .iter()
+            .values()
             .map(|(k, report)| PlanCacheEntry {
                 key: k.rendered.clone(),
                 calibration_generation: Some(k.generation),
@@ -211,7 +219,8 @@ impl PlanCache {
 
     /// Import previously exported entries (e.g. read back from disk).
     /// Stored reports are normalized to `cache_hit: false`, exactly as
-    /// [`PlanCache::insert`] would; counters are untouched.
+    /// [`PlanCache::insert`] would; counters are untouched. An identity
+    /// imported at several generations keeps the newest.
     ///
     /// An entry without a calibration generation is **refused** with
     /// [`OptimizerError::StalePlanCache`] — it predates generation keying
@@ -224,11 +233,9 @@ impl PlanCache {
                 key: stale.key.clone(),
             });
         }
-        let mut map = self.entries.lock().expect("plan cache");
-        for mut e in entries {
-            e.report.cache_hit = false;
+        for e in entries {
             let generation = e.calibration_generation.expect("checked above");
-            map.insert(PlanCacheKey::from_string(e.key, generation), e.report);
+            self.store(PlanCacheKey::from_string(e.key, generation), e.report);
         }
         Ok(())
     }
@@ -390,6 +397,43 @@ mod tests {
         // Nothing was imported: the damaged file cannot partially warm.
         assert!(warmed.is_empty());
         assert!(warmed.get(&key).is_none());
+    }
+
+    #[test]
+    fn a_newer_generation_replaces_its_identity_and_an_older_one_does_not() {
+        let data = dataset(500);
+        let config =
+            OptimizerConfig::new(GradientKind::LogisticRegression).with_fixed_iterations(100);
+        let report = choose_plan(&data, &config, &ClusterSpec::paper_testbed()).unwrap();
+        let at = |generation| {
+            let key = key_for(&data, 0, Some(100));
+            PlanCacheKey::from_string(
+                format!("{}|gen{generation}", key.durable_identity()),
+                generation,
+            )
+        };
+        let cache = PlanCache::new();
+        cache.insert(at(0), &report);
+        cache.insert(at(2), &report);
+        cache.insert(at(1), &report);
+        assert_eq!(cache.len(), 1);
+        assert!(cache.get(&at(0)).is_none() && cache.get(&at(1)).is_none());
+        assert!(cache.get(&at(2)).is_some());
+        assert_eq!((cache.hits(), cache.misses()), (1, 2));
+
+        // Import keeps the newest generation of an identity, in any order,
+        // and exports its rendered key unchanged.
+        let entry = |generation| PlanCacheEntry {
+            key: at(generation).as_str().to_string(),
+            calibration_generation: Some(generation),
+            report: report.clone(),
+        };
+        let warmed = PlanCache::new();
+        warmed.import(vec![entry(3), entry(5), entry(4)]).unwrap();
+        let exported = warmed.export();
+        assert_eq!(exported.len(), 1);
+        assert_eq!(exported[0].key, at(5).as_str());
+        assert_eq!(exported[0].calibration_generation, Some(5));
     }
 
     #[test]

@@ -1746,6 +1746,15 @@ mod tests {
         assert_eq!(engine.plan_cache().misses(), 2);
         assert_eq!(engine.plan_cache().hits(), 0);
         assert_eq!(engine.calibration().unwrap().generation, 2);
+        // The newer decision replaced the older one: one entry in memory
+        // and one key on disk.
+        assert_eq!(engine.plan_cache().len(), 1);
+        engine.sync();
+        let persisted: Vec<ml4all_core::PlanCacheEntry> =
+            serde_json::from_str(&std::fs::read_to_string(dir.join("plancache.json")).unwrap())
+                .unwrap();
+        assert_eq!(persisted.len(), 1);
+        assert_eq!(persisted[0].calibration_generation, Some(1));
         drop(engine);
         // A fresh engine on the same state dir resumes the learned
         // profile, not a cold one.
