@@ -126,11 +126,6 @@ pub fn checkpoint(d: usize) -> Checkpoint {
                 bytes_shuffled: 0,
                 node_compute_s: vec![0.1, 0.2],
                 waves: 3,
-                nodes_lost: 0,
-                recovery_tuples: 0,
-                recovery_bytes: 0,
-                recovery_compute_s: 0.0,
-                straggler_delay_s: 0.0,
             },
         },
     }

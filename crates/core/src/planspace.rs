@@ -55,26 +55,6 @@ pub fn enumerate_plans_for_variants(variants: &[GdVariant]) -> Vec<GdPlan> {
     plans
 }
 
-/// Enumerate only the plans of one GD variant (used by Table 4's
-/// per-algorithm best-plan study and the Figure 9 comparisons, where the
-/// algorithm is fixed and the optimizer picks sampling/transformation).
-pub fn enumerate_variant_plans(variant: GdVariant) -> Vec<GdPlan> {
-    enumerate_plans(match variant {
-        GdVariant::MiniBatch { batch } => batch,
-        _ => 1000,
-    })
-    .into_iter()
-    .filter(|p| {
-        matches!(
-            (p.variant, variant),
-            (GdVariant::Batch, GdVariant::Batch)
-                | (GdVariant::Stochastic, GdVariant::Stochastic)
-                | (GdVariant::MiniBatch { .. }, GdVariant::MiniBatch { .. })
-        )
-    })
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,6 +63,13 @@ mod tests {
     fn search_space_has_exactly_eleven_plans() {
         let plans = enumerate_plans(1000);
         assert_eq!(plans.len(), 11, "Figure 5: 1 BGD + 5 SGD + 5 MGD");
+        let count = |of: fn(GdVariant) -> bool| plans.iter().filter(|p| of(p.variant)).count();
+        assert_eq!(count(|v| v == GdVariant::Batch), 1);
+        assert_eq!(count(|v| v == GdVariant::Stochastic), 5);
+        assert_eq!(
+            count(|v| matches!(v, GdVariant::MiniBatch { batch: 1000 })),
+            5
+        );
     }
 
     #[test]
@@ -113,16 +100,6 @@ mod tests {
         assert_eq!(bgd.len(), 1);
         assert_eq!(bgd[0].transform, TransformPolicy::Eager);
         assert!(bgd[0].sampling.is_none());
-    }
-
-    #[test]
-    fn variant_filter_returns_five_stochastic_plans() {
-        assert_eq!(enumerate_variant_plans(GdVariant::Stochastic).len(), 5);
-        assert_eq!(
-            enumerate_variant_plans(GdVariant::MiniBatch { batch: 500 }).len(),
-            5
-        );
-        assert_eq!(enumerate_variant_plans(GdVariant::Batch).len(), 1);
     }
 
     #[test]

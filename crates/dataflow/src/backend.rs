@@ -8,146 +8,14 @@
 //! round-robin partition placement and a broadcast/aggregate step per
 //! compute wave. The simulated cluster never changes *what* executes (the
 //! math and its RNG streams are backend-invariant, bit for bit); it adds a
-//! per-node **usage meter** ([`crate::ledger::UsageMeter`]) so a run yields
-//! a measured cost vector beside the modelled one — the raw material of
-//! the conformance harness.
+//! **usage meter** ([`crate::ledger::UsageMeter`]: tuples scanned, bytes
+//! shuffled, busy seconds per node, waves) so a run yields a measured cost
+//! vector beside the modelled one — the raw material of the conformance
+//! harness.
+
+use std::num::NonZeroUsize;
 
 use crate::cluster::ClusterSpec;
-
-/// Deterministic fault injection for the simulated cluster: scripted
-/// node losses and stragglers, applied as an accounting overlay by
-/// [`crate::SimEnv::meter_cluster_wave`]. Faults never change *what*
-/// executes — the math and RNG streams stay bit-identical to a
-/// fault-free run — they change where partitions are placed and what the
-/// usage meter records, so `explain`'s measured column shows what a
-/// failure costs. An empty schedule meters exactly like before.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FaultSchedule {
-    /// `(wave, node)`: the node dies during that 1-based compute wave.
-    /// Its in-flight work is lost and its partitions re-place onto the
-    /// survivors from that wave onward.
-    node_losses: Vec<(u64, usize)>,
-    /// `(node, slowdown)`: the node computes `slowdown`× slower than its
-    /// peers for the whole run.
-    stragglers: Vec<(usize, u32)>,
-}
-
-impl FaultSchedule {
-    /// An empty schedule (no faults).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Script node `node` to die during 1-based wave `wave`.
-    pub fn lose_node(mut self, wave: u64, node: usize) -> Self {
-        self.node_losses.push((wave.max(1), node));
-        self
-    }
-
-    /// Script node `node` as a straggler computing `slowdown`× slower.
-    pub fn straggler(mut self, node: usize, slowdown: u32) -> Self {
-        self.stragglers.push((node, slowdown.max(1)));
-        self
-    }
-
-    /// `true` when nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.node_losses.is_empty() && self.stragglers.is_empty()
-    }
-
-    /// Nodes scripted to die during exactly wave `wave`.
-    pub fn losses_at(&self, wave: u64) -> Vec<usize> {
-        self.node_losses
-            .iter()
-            .filter(|(w, _)| *w == wave)
-            .map(|(_, n)| *n)
-            .collect()
-    }
-
-    /// `true` when `node` is dead as of wave `wave` (it died during this
-    /// wave or an earlier one).
-    pub fn is_dead_at(&self, node: usize, wave: u64) -> bool {
-        self.node_losses
-            .iter()
-            .any(|(w, n)| *n == node && *w <= wave)
-    }
-
-    /// The straggler slowdown factor for `node` (1 when not a straggler).
-    pub fn straggler_factor(&self, node: usize) -> u32 {
-        self.stragglers
-            .iter()
-            .find(|(n, _)| *n == node)
-            .map_or(1, |(_, s)| *s)
-    }
-}
-
-/// Deterministic placement of partitions onto simulated cluster nodes.
-///
-/// Placement is round-robin by partition index — the statistical analog of
-/// HDFS block assignment — so it depends only on the partition count and
-/// the node count, never on worker identity or execution order. With a
-/// [`FaultSchedule`] attached, partitions of dead nodes re-place
-/// round-robin over the survivors — still a pure function of `(partition,
-/// wave)`, so fault-injected runs stay deterministic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClusterTopology {
-    nodes: usize,
-    faults: FaultSchedule,
-}
-
-impl ClusterTopology {
-    /// Topology with the node count of `spec` (at least one node).
-    pub fn new(spec: &ClusterSpec) -> Self {
-        Self {
-            nodes: spec.nodes.max(1),
-            faults: FaultSchedule::default(),
-        }
-    }
-
-    /// Attach a fault schedule (builder-style).
-    pub fn with_faults(mut self, faults: FaultSchedule) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// The attached fault schedule (empty by default).
-    pub fn faults(&self) -> &FaultSchedule {
-        &self.faults
-    }
-
-    /// Number of simulated nodes.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
-    /// The node hosting partition `pi` in a fault-free cluster.
-    pub fn node_of(&self, pi: usize) -> usize {
-        pi % self.nodes
-    }
-
-    /// The node hosting partition `pi` as of 1-based wave `wave`, with
-    /// the fault schedule applied: partitions of dead nodes re-place
-    /// round-robin over the surviving nodes. Falls back to the fault-free
-    /// placement when no nodes survive (a degenerate schedule).
-    pub fn node_of_at(&self, pi: usize, wave: u64) -> usize {
-        let base = self.node_of(pi);
-        if self.faults.node_losses.is_empty() || !self.faults.is_dead_at(base, wave) {
-            return base;
-        }
-        let survivors: Vec<usize> = (0..self.nodes)
-            .filter(|&n| !self.faults.is_dead_at(n, wave))
-            .collect();
-        if survivors.is_empty() {
-            return base;
-        }
-        survivors[pi % survivors.len()]
-    }
-
-    /// Nodes that hold at least one of `partitions` partitions.
-    pub fn active_nodes(&self, partitions: usize) -> usize {
-        partitions.min(self.nodes)
-    }
-}
 
 /// Which backend executes a plan.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -156,28 +24,29 @@ pub enum Backend {
     /// shared worker pool runs the waves, nothing is metered.
     #[default]
     Local,
-    /// Deterministic simulated cluster (the paper's "Spark" side): waves
+    /// Deterministic simulated cluster (the paper's "Spark" side) of
+    /// `nodes` nodes, partition `pi` placed on node `pi % nodes`: waves
     /// still execute on the shared pool — placement is an accounting
     /// overlay, so results stay bit-identical to [`Backend::Local`] — but
     /// every wave meters tuples scanned, bytes shuffled (model broadcast +
     /// partial aggregation), and busy seconds per node.
-    SimulatedCluster(ClusterTopology),
+    SimulatedCluster {
+        /// Simulated node count.
+        nodes: NonZeroUsize,
+    },
 }
 
 impl Backend {
-    /// A simulated cluster with the node count of `spec`.
+    /// A simulated cluster with the node count of `spec` (at least one).
     pub fn simulated_cluster(spec: &ClusterSpec) -> Self {
-        Self::SimulatedCluster(ClusterTopology::new(spec))
-    }
-
-    /// A simulated cluster with a [`FaultSchedule`] attached.
-    pub fn simulated_cluster_with_faults(spec: &ClusterSpec, faults: FaultSchedule) -> Self {
-        Self::SimulatedCluster(ClusterTopology::new(spec).with_faults(faults))
+        Self::SimulatedCluster {
+            nodes: NonZeroUsize::new(spec.nodes).unwrap_or(NonZeroUsize::MIN),
+        }
     }
 
     /// `true` for the simulated-cluster backend.
     pub fn is_cluster(&self) -> bool {
-        matches!(self, Self::SimulatedCluster(_))
+        matches!(self, Self::SimulatedCluster { .. })
     }
 
     /// Stable backend label used in reports and summaries.
@@ -207,22 +76,36 @@ impl std::fmt::Display for Backend {
 mod tests {
     use super::*;
 
+    fn nodes(n: usize) -> NonZeroUsize {
+        NonZeroUsize::new(n).unwrap()
+    }
+
+    /// Busy seconds per node after one wave of `units` at one second each.
+    fn placed(backend: Backend, units: &[u64]) -> Vec<f64> {
+        let mut env = crate::SimEnv::new(ClusterSpec::paper_testbed()).with_backend(backend);
+        env.meter_cluster_wave(units, 1.0, 8);
+        env.ledger.usage().node_compute_s.clone()
+    }
+
     #[test]
     fn placement_is_round_robin_over_nodes() {
-        let topo = ClusterTopology::new(&ClusterSpec::paper_testbed());
-        assert_eq!(topo.nodes(), 4);
-        assert_eq!(topo.node_of(0), 0);
-        assert_eq!(topo.node_of(5), 1);
-        assert_eq!(topo.node_of(7), 3);
-        assert_eq!(topo.active_nodes(2), 2);
-        assert_eq!(topo.active_nodes(100), 4);
+        let cluster = Backend::simulated_cluster(&ClusterSpec::paper_testbed());
+        assert_eq!(cluster, Backend::SimulatedCluster { nodes: nodes(4) });
+        // Partition `pi` lands on node `pi % 4`.
+        let units = [1, 2, 4, 8, 16, 32, 64, 128];
+        assert_eq!(
+            placed(cluster.clone(), &units),
+            vec![17.0, 34.0, 68.0, 136.0]
+        );
+        // Two partitions occupy only two nodes.
+        assert_eq!(placed(cluster, &[1, 2]), vec![1.0, 2.0]);
     }
 
     #[test]
     fn single_node_spec_still_has_one_node() {
-        let topo = ClusterTopology::new(&ClusterSpec::local(4));
-        assert_eq!(topo.nodes(), 1);
-        assert_eq!(topo.node_of(9), 0);
+        let cluster = Backend::simulated_cluster(&ClusterSpec::local(4));
+        assert_eq!(cluster, Backend::SimulatedCluster { nodes: nodes(1) });
+        assert_eq!(placed(cluster, &[1, 2, 4]), vec![7.0]);
     }
 
     #[test]

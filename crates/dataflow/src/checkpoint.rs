@@ -191,11 +191,6 @@ struct WireUsage {
     bytes_shuffled: u64,
     node_compute_s: Vec<u64>,
     waves: u64,
-    nodes_lost: u64,
-    recovery_tuples: u64,
-    recovery_bytes: u64,
-    recovery_compute_s: u64,
-    straggler_delay_s: u64,
 }
 
 #[derive(Serialize, Deserialize)]
@@ -260,11 +255,6 @@ impl WireCheckpoint {
                 bytes_shuffled: s.usage.bytes_shuffled,
                 node_compute_s: bits(&s.usage.node_compute_s),
                 waves: s.usage.waves,
-                nodes_lost: s.usage.nodes_lost,
-                recovery_tuples: s.usage.recovery_tuples,
-                recovery_bytes: s.usage.recovery_bytes,
-                recovery_compute_s: s.usage.recovery_compute_s.to_bits(),
-                straggler_delay_s: s.usage.straggler_delay_s.to_bits(),
             },
         }
     }
@@ -316,11 +306,6 @@ impl WireCheckpoint {
                     bytes_shuffled: self.usage.bytes_shuffled,
                     node_compute_s: floats(&self.usage.node_compute_s),
                     waves: self.usage.waves,
-                    nodes_lost: self.usage.nodes_lost,
-                    recovery_tuples: self.usage.recovery_tuples,
-                    recovery_bytes: self.usage.recovery_bytes,
-                    recovery_compute_s: f64::from_bits(self.usage.recovery_compute_s),
-                    straggler_delay_s: f64::from_bits(self.usage.straggler_delay_s),
                 },
             },
         })
@@ -427,11 +412,6 @@ mod tests {
                     bytes_shuffled: 2048,
                     node_compute_s: vec![0.5, 0.25],
                     waves: 5,
-                    nodes_lost: 1,
-                    recovery_tuples: 250,
-                    recovery_bytes: 160,
-                    recovery_compute_s: 0.125,
-                    straggler_delay_s: 0.0,
                 },
             },
         }

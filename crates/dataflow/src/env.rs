@@ -150,57 +150,24 @@ impl SimEnv {
     }
 
     /// Meter one compute wave on the simulated-cluster backend:
-    /// `units[pi]` data units ran on the node hosting partition `pi` at
-    /// `per_unit_s` each, and the `model_bytes`-sized weight vector was
-    /// broadcast to — and its partial aggregates gathered from — every
-    /// active node. No-op on the local backend, where nothing crosses a
-    /// node boundary. Metering never moves the simulated clock; the
-    /// cost charges stay backend-invariant.
+    /// `units[pi]` data units ran on node `pi % nodes` at `per_unit_s`
+    /// each, and the `model_bytes`-sized weight vector was broadcast to —
+    /// and its partial aggregates gathered from — each of the
+    /// `min(partitions, nodes)` active nodes. No-op on the local backend,
+    /// where nothing crosses a node boundary. Metering never moves the
+    /// simulated clock; the cost charges stay backend-invariant.
     pub fn meter_cluster_wave(&mut self, units: &[u64], per_unit_s: f64, model_bytes: u64) {
-        let Backend::SimulatedCluster(topo) = &self.backend else {
+        let Backend::SimulatedCluster { nodes } = self.backend else {
             return;
         };
-        let active = topo.active_nodes(units.len()) as u64;
-        // 1-based index of the wave being metered (the meter counts it
-        // below), used to position the fault schedule.
-        let wave = self.ledger.usage().waves + 1;
+        let nodes = nodes.get();
+        let active = units.len().min(nodes) as u64;
         self.ledger.meter_wave();
         self.ledger.meter_shuffle_bytes(2 * model_bytes * active);
-        let faults = topo.faults();
-        if faults.is_empty() {
-            for (pi, &u) in units.iter().enumerate() {
-                self.ledger.meter_tuples(u);
-                self.ledger
-                    .meter_node_compute(topo.node_of(pi), u as f64 * per_unit_s);
-            }
-            return;
-        }
-        // Node losses scheduled for this wave: the dying node's in-flight
-        // attempt is lost (metered as recovery waste plus one extra
-        // broadcast/aggregate round per lost node), and the re-execution
-        // lands on the survivors via the re-placed `node_of_at` below.
-        for node in faults.losses_at(wave) {
-            let lost_units: u64 = units
-                .iter()
-                .enumerate()
-                .filter(|(pi, _)| topo.node_of_at(*pi, wave.saturating_sub(1)) == node)
-                .map(|(_, &u)| u)
-                .sum();
-            self.ledger.meter_node_loss(
-                lost_units,
-                2 * model_bytes,
-                lost_units as f64 * per_unit_s,
-            );
-        }
         for (pi, &u) in units.iter().enumerate() {
-            let node = topo.node_of_at(pi, wave);
-            let s = u as f64 * per_unit_s;
-            let slowdown = faults.straggler_factor(node) as f64;
             self.ledger.meter_tuples(u);
-            self.ledger.meter_node_compute(node, s * slowdown);
-            if slowdown > 1.0 {
-                self.ledger.meter_straggler_delay(s * (slowdown - 1.0));
-            }
+            self.ledger
+                .meter_node_compute(pi % nodes, u as f64 * per_unit_s);
         }
     }
 

@@ -68,7 +68,8 @@ impl CostBreakdown {
 /// the *measured* counterpart of the modelled cost vector. Ledger seconds
 /// follow the logical dataset descriptor; these counters follow the rows
 /// this process actually pushed through the backend, so they quantify the
-/// work the cluster really performed.
+/// work the cluster really performed. Four counters, all accounting: none
+/// of them moves the simulated clock or the model.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct UsageMeter {
     /// Data units fed through compute waves and sample draws.
@@ -81,19 +82,6 @@ pub struct UsageMeter {
     pub node_compute_s: Vec<f64>,
     /// Broadcast/aggregate waves executed.
     pub waves: u64,
-    /// Node-loss events injected by the fault schedule.
-    pub nodes_lost: u64,
-    /// Data units re-processed because their node died mid-wave.
-    pub recovery_tuples: u64,
-    /// Bytes re-shuffled to recover lost partials (model re-broadcast and
-    /// re-aggregation for the recovery round).
-    pub recovery_bytes: u64,
-    /// Compute seconds wasted on dying nodes' lost attempts (the re-spent
-    /// seconds land in [`UsageMeter::node_compute_s`] of the survivors
-    /// that took over).
-    pub recovery_compute_s: f64,
-    /// Extra critical-path seconds induced by injected stragglers.
-    pub straggler_delay_s: f64,
 }
 
 impl UsageMeter {
@@ -103,23 +91,9 @@ impl UsageMeter {
         self.node_compute_s.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Total compute seconds across all nodes.
-    pub fn total_node_compute_s(&self) -> f64 {
-        self.node_compute_s.iter().sum()
-    }
-
     /// `true` when nothing was metered (local-backend runs).
     pub fn is_empty(&self) -> bool {
-        self.tuples_scanned == 0
-            && self.bytes_shuffled == 0
-            && self.node_compute_s.is_empty()
-            && self.nodes_lost == 0
-            && self.straggler_delay_s == 0.0
-    }
-
-    /// `true` when the fault schedule injected failures into this run.
-    pub fn saw_faults(&self) -> bool {
-        self.nodes_lost > 0 || self.straggler_delay_s > 0.0
+        self.tuples_scanned == 0 && self.bytes_shuffled == 0 && self.node_compute_s.is_empty()
     }
 }
 
@@ -182,23 +156,6 @@ impl CostLedger {
     /// Meter one broadcast/aggregate wave.
     pub fn meter_wave(&mut self) {
         self.meter.waves += 1;
-    }
-
-    /// Meter one injected node-loss event with its recovery footprint:
-    /// `tuples` data units re-executed, `bytes` re-shuffled, and `s`
-    /// compute seconds wasted-plus-respent.
-    pub fn meter_node_loss(&mut self, tuples: u64, bytes: u64, s: f64) {
-        debug_assert!(s >= 0.0, "negative recovery charge {s}");
-        self.meter.nodes_lost += 1;
-        self.meter.recovery_tuples += tuples;
-        self.meter.recovery_bytes += bytes;
-        self.meter.recovery_compute_s += s;
-    }
-
-    /// Meter `s` extra critical-path seconds caused by a straggler.
-    pub fn meter_straggler_delay(&mut self, s: f64) {
-        debug_assert!(s >= 0.0, "negative straggler delay {s}");
-        self.meter.straggler_delay_s += s;
     }
 
     /// Physical usage metered so far.
@@ -296,7 +253,6 @@ mod tests {
         let usage = l.usage();
         assert_eq!(usage.node_compute_s, vec![0.5, 0.0, 2.0]);
         assert_eq!(usage.busiest_node_s(), 2.0);
-        assert!((usage.total_node_compute_s() - 2.5).abs() < 1e-12);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod ledger;
 pub mod sampling;
 pub mod slab;
 
-pub use backend::{Backend, ClusterTopology, FaultSchedule};
+pub use backend::Backend;
 pub use checkpoint::{
     decode_checkpoint, encode_checkpoint, fnv1a64, read_checkpoint, write_checkpoint, Checkpoint,
     CheckpointError, ExecState,

@@ -123,18 +123,10 @@ fn csv_rows<R: Read>(
     Ok(())
 }
 
-/// Read CSV rows straight into contiguous columnar storage: each row
-/// [`for_each_csv_row`] would hand out is appended to the dense slab.
-pub fn read_csv_columns<R: Read>(
-    reader: R,
-    columns: Option<CsvColumns>,
-) -> Result<ColumnStore, DatasetError> {
-    read_csv(reader, columns, None)
-}
-
-/// Read a CSV file from disk into columnar storage, each column sized
-/// from the file's length and the bytes per row read so far rather than
-/// grown by doubling.
+/// Read a CSV file from disk straight into contiguous columnar storage:
+/// each row [`for_each_csv_row`] would hand out is appended to the dense
+/// slab, each column sized from the file's length and the bytes per row
+/// read so far rather than grown by doubling.
 pub fn read_csv_file_columns(
     path: impl AsRef<Path>,
     columns: Option<CsvColumns>,
@@ -186,7 +178,7 @@ mod tests {
 
     #[test]
     fn default_columns_take_label_first() {
-        let rows = read_csv_columns("1.0,2.0,3.0\n-1.0,0.5,0.25\n".as_bytes(), None).unwrap();
+        let rows = read_csv("1.0,2.0,3.0\n-1.0,0.5,0.25\n".as_bytes(), None, None).unwrap();
         let pts = rows.to_points();
         assert_eq!(pts.len(), 2);
         assert_eq!(pts[0].label, 1.0);
@@ -201,7 +193,7 @@ mod tests {
             label: 2,
             features: (4, 5),
         };
-        let rows = read_csv_columns("9,1,8,10,20\n9,-1,8,30,40\n".as_bytes(), Some(cols)).unwrap();
+        let rows = read_csv("9,1,8,10,20\n9,-1,8,30,40\n".as_bytes(), Some(cols), None).unwrap();
         let pts = rows.to_points();
         assert_eq!(pts[0].label, 1.0);
         assert_eq!(pts[0].dim(), 2);
@@ -215,17 +207,17 @@ mod tests {
             label: 2,
             features: (4, 9),
         };
-        assert!(read_csv_columns("1,2,3,4,5\n".as_bytes(), Some(cols)).is_err());
+        assert!(read_csv("1,2,3,4,5\n".as_bytes(), Some(cols), None).is_err());
         let zero = CsvColumns {
             label: 0,
             features: (1, 2),
         };
-        assert!(read_csv_columns("1,2,3\n".as_bytes(), Some(zero)).is_err());
+        assert!(read_csv("1,2,3\n".as_bytes(), Some(zero), None).is_err());
     }
 
     #[test]
     fn bad_numbers_error_with_line() {
-        let err = read_csv_columns("1,2\nx,3\n".as_bytes(), None).unwrap_err();
+        let err = read_csv("1,2\nx,3\n".as_bytes(), None, None).unwrap_err();
         match err {
             DatasetError::Parse { line_no, .. } => assert_eq!(line_no, 2),
             other => panic!("{other:?}"),
@@ -234,16 +226,16 @@ mod tests {
 
     #[test]
     fn skips_comments_and_blanks() {
-        let rows = read_csv_columns("# header\n\n1,2\n".as_bytes(), None).unwrap();
+        let rows = read_csv("# header\n\n1,2\n".as_bytes(), None, None).unwrap();
         assert_eq!(rows.len(), 1);
     }
 
     #[test]
     fn round_trip() {
-        let rows = read_csv_columns("1,2,0\n-1,0,4\n".as_bytes(), None).unwrap();
+        let rows = read_csv("1,2,0\n-1,0,4\n".as_bytes(), None, None).unwrap();
         let mut buf = Vec::new();
         write_csv(&mut buf, &rows.to_points()).unwrap();
-        let again = read_csv_columns(buf.as_slice(), None).unwrap();
+        let again = read_csv(buf.as_slice(), None, None).unwrap();
         assert_eq!(rows, again);
     }
 }

@@ -101,21 +101,13 @@ fn libsvm_rows<R: Read>(
     Ok(())
 }
 
-/// Read LIBSVM data from any reader straight into CSR columnar storage:
-/// the rows [`for_each_libsvm_row`] would hand out append to the shared
-/// `indptr`/`indices`/`values` slabs. When `dims` is `None` the dimensionality is
-/// inferred as the maximum index seen (an explicit `dims` never shrinks
-/// below the observed maximum).
-pub fn read_libsvm_columns<R: Read>(
-    reader: R,
-    dims: Option<usize>,
-) -> Result<ColumnStore, DatasetError> {
-    read_libsvm(reader, dims, None)
-}
-
-/// Read a LIBSVM file from disk into CSR columnar storage, each column
-/// sized from the file's length and the bytes per row read so far rather
-/// than grown by doubling.
+/// Read a LIBSVM file from disk straight into CSR columnar storage: the
+/// rows [`for_each_libsvm_row`] would hand out append to the shared
+/// `indptr`/`indices`/`values` slabs, each column sized from the file's
+/// length and the bytes per row read so far rather than grown by
+/// doubling. When `dims` is `None` the dimensionality is inferred as the
+/// maximum index seen (an explicit `dims` never shrinks below the
+/// observed maximum).
 pub fn read_libsvm_file_columns(
     path: impl AsRef<Path>,
     dims: Option<usize>,
@@ -179,7 +171,7 @@ mod tests {
     #[test]
     fn parses_basic_file() {
         let text = "+1 2:0.1 4:0.4 10:0.3\n-1 3:0.3 4:0.5 9:0.5\n";
-        let rows = read_libsvm_columns(text.as_bytes(), None).unwrap();
+        let rows = read_libsvm(text.as_bytes(), None, None).unwrap();
         let pts = rows.to_points();
         assert_eq!(pts.len(), 2);
         assert_eq!(pts[0].label, 1.0);
@@ -190,39 +182,39 @@ mod tests {
     #[test]
     fn skips_comments_and_blank_lines() {
         let text = "# header\n\n+1 1:1\n";
-        let rows = read_libsvm_columns(text.as_bytes(), None).unwrap();
+        let rows = read_libsvm(text.as_bytes(), None, None).unwrap();
         assert_eq!(rows.len(), 1);
     }
 
     #[test]
     fn explicit_dims_overrides_inference() {
-        let rows = read_libsvm_columns("1 1:1\n".as_bytes(), Some(100)).unwrap();
+        let rows = read_libsvm("1 1:1\n".as_bytes(), Some(100), None).unwrap();
         assert_eq!(rows.view(0).unwrap().dim(), 100);
         // But never shrinks below the observed maximum.
-        let rows = read_libsvm_columns("1 50:1\n".as_bytes(), Some(10)).unwrap();
+        let rows = read_libsvm("1 50:1\n".as_bytes(), Some(10), None).unwrap();
         assert_eq!(rows.view(0).unwrap().dim(), 50);
     }
 
     #[test]
     fn rejects_zero_index() {
-        let err = read_libsvm_columns("1 0:5\n".as_bytes(), None).unwrap_err();
+        let err = read_libsvm("1 0:5\n".as_bytes(), None, None).unwrap_err();
         assert!(matches!(err, DatasetError::Parse { line_no: 1, .. }));
     }
 
     #[test]
     fn rejects_malformed_tokens() {
-        assert!(read_libsvm_columns("1 abc\n".as_bytes(), None).is_err());
-        assert!(read_libsvm_columns("x 1:1\n".as_bytes(), None).is_err());
-        assert!(read_libsvm_columns("1 1:zz\n".as_bytes(), None).is_err());
+        assert!(read_libsvm("1 abc\n".as_bytes(), None, None).is_err());
+        assert!(read_libsvm("x 1:1\n".as_bytes(), None, None).is_err());
+        assert!(read_libsvm("1 1:zz\n".as_bytes(), None, None).is_err());
     }
 
     #[test]
     fn round_trip_preserves_points() {
         let text = "1 2:0.25 4:0.5\n-1 1:1\n";
-        let rows = read_libsvm_columns(text.as_bytes(), Some(4)).unwrap();
+        let rows = read_libsvm(text.as_bytes(), Some(4), None).unwrap();
         let mut buf = Vec::new();
         write_libsvm(&mut buf, &rows.to_points()).unwrap();
-        let again = read_libsvm_columns(buf.as_slice(), Some(4)).unwrap();
+        let again = read_libsvm(buf.as_slice(), Some(4), None).unwrap();
         assert_eq!(rows, again);
     }
 

@@ -46,8 +46,10 @@ pub struct TrainParams {
     pub max_iter: u64,
     /// RNG seed for sampling.
     pub seed: u64,
-    /// Record the `(iteration, delta)` error sequence (needed by the
-    /// iterations estimator; costs memory on long runs).
+    /// Record the `(iteration, delta)` error sequence into
+    /// [`TrainResult::error_seq`] (costs memory on long runs). Its readers
+    /// are the figure binaries, the baselines and tests; engine jobs and
+    /// speculation run with this `false`.
     pub record_error_seq: bool,
     /// Optional real wall-clock limit, set only from a request's
     /// `wall_limit`: the run stops at the first wave boundary after it

@@ -65,8 +65,8 @@ pub use ml4all_core::plancache::PlanCache;
 pub use ml4all_core::platform::{Platform, PlatformMapping};
 pub use ml4all_core::OptimizerError;
 pub use ml4all_dataflow::{
-    Backend, CancelToken, Checkpoint, CheckpointError, ExecState, FaultSchedule, Runtime,
-    SamplingMethod, UsageMeter, RNG_STREAM_VERSION,
+    Backend, CancelToken, Checkpoint, CheckpointError, ExecState, Runtime, SamplingMethod,
+    UsageMeter, RNG_STREAM_VERSION,
 };
 pub use ml4all_datasets::catalog::EvictedDataset;
 pub use ml4all_datasets::source::{DataSource, FileFormat, SourceError};

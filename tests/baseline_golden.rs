@@ -185,8 +185,7 @@ fn result_line(r: &TrainResult) -> String {
     let nodes: Vec<String> = u.node_compute_s.iter().map(|&s| bits(s)).collect();
     let mut line = format!(
         "iterations {} stop {:?} final_delta {} weights [{}] sim {} cost {} tuples {} bytes {} \
-         nodes [{}] waves {} lost {} recovery_tuples {} recovery_bytes {} recovery_compute {} \
-         straggler {} shuffles {}",
+         nodes [{}] waves {} shuffles {}",
         r.iterations,
         r.stop,
         bits(r.final_delta),
@@ -197,11 +196,6 @@ fn result_line(r: &TrainResult) -> String {
         u.bytes_shuffled,
         nodes.join(" "),
         u.waves,
-        u.nodes_lost,
-        u.recovery_tuples,
-        u.recovery_bytes,
-        bits(u.recovery_compute_s),
-        bits(u.straggler_delay_s),
         r.sampler_shuffles,
     );
     if !r.error_seq.is_empty() {

@@ -111,83 +111,6 @@ fn chosen_plans_match_the_golden_table() {
     assert_golden("table4_chosen_plans.txt", &table);
 }
 
-/// Fault injection is an accounting overlay, the in-repo analog of the
-/// paper's recovery-cost discussion: a scripted node loss plus a straggler
-/// must leave the trajectory, the cost clock, and the final model
-/// bit-identical to the fault-free run, while the usage meter bills the
-/// recovery. Set `FAULT_CONFORMANCE_JSON=<path>` to persist the evidence
-/// (the CI artifact).
-#[test]
-fn node_loss_recovery_is_metered_without_perturbing_the_model() {
-    use ml4all_dataflow::{Backend, FaultSchedule, SimEnv};
-    use ml4all_gd::{execute_plan, GdPlan, GradientKind, TrainParams};
-
-    let cluster = ClusterSpec::paper_testbed();
-    let data = registry::svm1()
-        .build(MAX_PHYSICAL, SEED, &cluster)
-        .unwrap();
-    // BGD sweeps every partition each iteration, so every node computes
-    // every wave — the schedule below is guaranteed to hit live work.
-    let plan = GdPlan::bgd();
-    let mut params = TrainParams::paper_defaults(GradientKind::LogisticRegression);
-    params.max_iter = ITERATIONS;
-    params.tolerance = 0.0;
-    params.seed = SEED;
-    let run = |backend: Backend| {
-        let mut env = SimEnv::new(cluster.clone()).with_backend(backend);
-        execute_plan(&plan, &data, &params, &mut env).unwrap()
-    };
-
-    let clean = run(Backend::simulated_cluster(&cluster));
-    assert!(!clean.usage.saw_faults());
-    let faults = FaultSchedule::new().lose_node(3, 1).straggler(2, 4);
-    let faulty = run(Backend::simulated_cluster_with_faults(&cluster, faults));
-
-    // The math and the simulated clock are untouched …
-    assert_eq!(
-        clean.weights, faulty.weights,
-        "faults must not move weights"
-    );
-    assert_eq!(clean.iterations, faulty.iterations);
-    assert_eq!(clean.error_seq, faulty.error_seq);
-    assert_eq!(clean.cost, faulty.cost, "the cost clock ignores faults");
-    assert_eq!(
-        clean.sim_time_s.to_bits(),
-        faulty.sim_time_s.to_bits(),
-        "simulated time ignores faults"
-    );
-
-    // … but the recovery cost lands in the usage meter.
-    let usage = &faulty.usage;
-    assert!(usage.saw_faults());
-    assert_eq!(usage.nodes_lost, 1, "one scripted node loss");
-    assert!(usage.recovery_tuples > 0, "lost units are re-processed");
-    assert!(usage.recovery_bytes > 0, "recovery re-shuffles the model");
-    assert!(usage.recovery_compute_s > 0.0, "lost attempts are billed");
-    assert!(
-        usage.straggler_delay_s > 0.0,
-        "the straggler stretches waves"
-    );
-    assert!(
-        usage.total_node_compute_s() > clean.usage.total_node_compute_s(),
-        "recovery and straggling add busy seconds"
-    );
-
-    if let Ok(path) = std::env::var("FAULT_CONFORMANCE_JSON") {
-        let report = format!(
-            "{{\n  \"dataset\": \"svm1\",\n  \"plan\": \"{}\",\n  \"iterations\": {},\n  \
-             \"weights_identical\": true,\n  \"sim_time_identical\": true,\n  \
-             \"clean_usage\": {},\n  \"faulty_usage\": {}\n}}\n",
-            plan,
-            faulty.iterations,
-            serde_json::to_string(&clean.usage).unwrap(),
-            serde_json::to_string(&faulty.usage).unwrap()
-        );
-        std::fs::write(&path, report).unwrap();
-        eprintln!("wrote fault conformance report to {path}");
-    }
-}
-
 /// The calibration double sweep (the CI "cold, then calibrated" pass):
 /// sweep every dataset cold while fitting a calibrator from the executed
 /// plans, sweep again under the fitted snapshot, and require the

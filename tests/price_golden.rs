@@ -12,8 +12,8 @@ use ml4all_bench::golden::assert_golden;
 use ml4all_core::cost::{OperatorCosts, PlanCostModel};
 use ml4all_core::enumerate_plans;
 use ml4all_dataflow::{
-    Backend, ClusterSpec, ColumnStore, CostBreakdown, DatasetDescriptor, FaultSchedule,
-    PartitionScheme, PartitionedDataset, SamplingMethod, SimEnv,
+    Backend, ClusterSpec, ColumnStore, CostBreakdown, DatasetDescriptor, PartitionScheme,
+    PartitionedDataset, SamplingMethod, SimEnv,
 };
 use ml4all_gd::linesearch::line_search_operators;
 use ml4all_gd::operators::{
@@ -216,8 +216,7 @@ fn run_line(head: &str, r: &TrainResult) -> String {
     let u = &r.usage;
     let nodes: Vec<String> = u.node_compute_s.iter().map(|&s| bits(s)).collect();
     format!(
-        "{head}: iterations {} cost {} sim {} tuples {} bytes {} nodes [{}] waves {} lost {} \
-         recovery_tuples {} recovery_bytes {} recovery_compute {} straggler {} shuffles {}\n",
+        "{head}: iterations {} cost {} sim {} tuples {} bytes {} nodes [{}] waves {} shuffles {}\n",
         r.iterations,
         vector(&r.cost),
         bits(r.sim_time_s),
@@ -225,11 +224,6 @@ fn run_line(head: &str, r: &TrainResult) -> String {
         u.bytes_shuffled,
         nodes.join(" "),
         u.waves,
-        u.nodes_lost,
-        u.recovery_tuples,
-        u.recovery_bytes,
-        bits(u.recovery_compute_s),
-        bits(u.straggler_delay_s),
         r.sampler_shuffles,
     )
 }
@@ -238,13 +232,7 @@ fn executed_rows() -> String {
     let spec = ClusterSpec::paper_testbed();
     let backends = [
         ("local", Backend::Local),
-        (
-            "cluster-faults",
-            Backend::simulated_cluster_with_faults(
-                &spec,
-                FaultSchedule::new().lose_node(2, 1).straggler(3, 4),
-            ),
-        ),
+        ("cluster", Backend::simulated_cluster(&spec)),
     ];
     let datasets = [
         dataset("one-partition", 100_000, 7 * MB),

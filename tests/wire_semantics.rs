@@ -205,11 +205,6 @@ fn checkpoint(d: usize) -> Checkpoint {
                 bytes_shuffled: 0,
                 node_compute_s: vec![0.1, 0.2],
                 waves: 3,
-                nodes_lost: 0,
-                recovery_tuples: 0,
-                recovery_bytes: 0,
-                recovery_compute_s: 0.0,
-                straggler_delay_s: 0.0,
             },
         },
     }
@@ -322,11 +317,13 @@ impl Table {
             .push_str(&format!("{kind:?} <- {label}\n    => {outcome}\n"));
     }
 
-    /// One checkpoint payload through the public file reader.
-    fn checkpoint(&mut self, label: &str, payload: &str) {
+    /// One checkpoint payload through the public file reader; returns
+    /// the rendered outcome.
+    fn checkpoint(&mut self, label: &str, payload: &str) -> String {
         let outcome = read_checkpoint_payload(payload, &label.replace(' ', "-"));
         self.out
             .push_str(&format!("Checkpoint <- {label}\n    => {outcome}\n"));
+        outcome
     }
 
     fn encode<T: serde::Serialize + ?Sized>(&mut self, label: &str, value: &T) {
@@ -882,13 +879,24 @@ fn decode_and_encode_semantics_match_the_golden() {
     t.section("checkpoint payloads through read_checkpoint");
     let payload = checkpoint_payload(&checkpoint(4));
     t.out.push_str(&format!("payload line\n    => {payload}\n"));
-    t.checkpoint("as written", &payload);
-    t.checkpoint("waves missing", &payload.replace("\"waves\":3,", ""));
+    let written = t.checkpoint("as written", &payload);
+    // The usage keys an older writer appended after `waves`, all zero:
+    // the decoder skips them, so such a checkpoint still resumes.
+    let parent = t.checkpoint(
+        "parent fault keys",
+        &payload.replace(
+            "\"waves\":3}",
+            "\"waves\":3,\"nodes_lost\":0,\"recovery_tuples\":0,\"recovery_bytes\":0,\
+             \"recovery_compute_s\":0,\"straggler_delay_s\":0}",
+        ),
+    );
+    assert_eq!(parent, written, "older usage keys must decode as written");
+    t.checkpoint("waves missing", &payload.replace(",\"waves\":3", ""));
     t.checkpoint(
         "unknown and duplicate keys",
         &payload.replace(
-            "\"waves\":3,",
-            "\"waves\":9,\"future\":{\"x\":[1]},\"waves\":3,",
+            "\"waves\":3}",
+            "\"waves\":9,\"future\":{\"x\":[1]},\"waves\":3}",
         ),
     );
     t.checkpoint(
