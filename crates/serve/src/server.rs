@@ -38,6 +38,17 @@
 //! Applying `Finished`, the reactor encodes the job's `Stats` row once,
 //! and answers `Stats` by copying finished rows into the frame.
 //!
+//! A finished job keeps its `Joined` answer as `JoinedParts` — the
+//! outcome's fields and the job's own model, shared with the engine's
+//! registry — beside the frame its worker encoded from them at finish.
+//! A `Join` that arrives before or right after the end is answered from
+//! that frame. Once a `Join` delivery leaves no other `Join` waiting, the
+//! frame is dropped, so the history holds each model once as `f64`s
+//! rather than twice as JSON text. A later `Join` waits while the
+//! tenant's lane re-encodes the frame from the parts, byte for byte the
+//! same, and the frame is dropped again once it is delivered. The reactor
+//! never formats weights.
+//!
 //! Outbound data sits in a per-connection write buffer capped at
 //! [`ServeConfig::max_write_buffer`] bytes, under one rule: a frame fits
 //! if it stays under the cap, or if it is larger than the whole cap and
@@ -68,8 +79,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use ml4all::RNG_STREAM_VERSION;
 use ml4all::{Engine, EventSink, JobEvent, JobHandle, JobStatus, ModelRef, PredictRequest};
-use ml4all::{ExplainRequest, SessionError, TrainRequest, Trained, RNG_STREAM_VERSION};
+use ml4all::{ExplainRequest, GdPlan, Model, SessionError, TrainRequest, Trained};
 
 use crate::admission::{Admission, TenantQuota};
 use crate::protocol::{
@@ -118,7 +130,10 @@ const DRR_QUANTUM: usize = 4096;
 
 /// Served jobs kept for replay after they finish. Terminal jobs beyond
 /// this count are pruned on submit, each the oldest of the tenant holding
-/// the most ([`Jobs::prune`]).
+/// the most ([`Jobs::prune`]). A retained job that has been joined holds
+/// about 8·d bytes for its model's d weights, plus its event frames, its
+/// `Stats` row and its record: ≈ 2.2 KB at d = 123. Its `Joined` frame,
+/// ≈ 32·d bytes of JSON text, is kept only until a `Join` takes it.
 const SERVED_HISTORY_CAP: usize = 4096;
 
 /// Parsed requests a connection may queue while a verb is pending;
@@ -138,16 +153,31 @@ const OBSERVER_STALL_STRIKES: u32 = 4;
 const LISTENER_TOKEN: u64 = 0;
 const FIRST_CONN_TOKEN: u64 = 2;
 
-/// A finished job's record: the weights live once, in the encoded
-/// `Joined` frame.
+/// A finished job's record. Its weights live once, in the model its
+/// [`JoinedParts`] share with the engine's registry; the encoded `Joined`
+/// frame is kept only while a `Join` may take it.
 struct Finished {
     /// The job's `Stats` row, final — status `completed`, `cancelled` or
     /// `failed` — and encoded once.
     row: EncodedRow,
-    /// Pre-framed `Joined(outcome)` response.
-    joined: Arc<[u8]>,
     /// Pre-framed `ObserveEnd` response.
     end: Arc<[u8]>,
+    /// The `Joined` answer, boxed: one pointer in the inline record.
+    joined: Box<Joined>,
+}
+
+/// A finished job's `Joined` answer: the parts every frame of it is
+/// encoded from, and the frame while it is kept.
+struct Joined {
+    parts: JoinedParts,
+    /// The worker's frame until a `Join` takes it; after that, a frame
+    /// re-encoded in the tenant's lane while later `Join`s wait for it.
+    frame: Option<Arc<[u8]>>,
+    /// A `Join` has taken the frame: it is dropped whenever no `Join`
+    /// waits for it ([`Reactor::release_joined`]).
+    taken: bool,
+    /// A re-encode is on its way from the tenant's lane.
+    encoding: bool,
 }
 
 /// One wire-submitted job and its progress, owned by the reactor. Events
@@ -199,6 +229,15 @@ impl ServedJob {
             status: status.name(),
         }
     }
+
+    /// Drop `token` from the waiters. A terminal job's list gives its
+    /// capacity back once the last waiter leaves: `retain` keeps it.
+    fn unwait(&mut self, token: u64) {
+        self.waiters.retain(|&t| t != token);
+        if self.waiters.is_empty() && self.finished.is_some() {
+            self.waiters = Vec::new();
+        }
+    }
 }
 
 /// Work pool workers hand to the reactor through [`Shared::post`]. A
@@ -214,14 +253,17 @@ enum Action {
         seq: u64,
         frame: Arc<[u8]>,
     },
-    /// Job `job` ended under `status`, after its last event, with its
-    /// pre-framed `Joined` and `ObserveEnd` answers.
+    /// Job `job` ended, after its last event: the parts of its `Joined`
+    /// answer, and its pre-framed `Joined` and `ObserveEnd` answers.
     Finished {
         job: u64,
-        status: JobStatus,
+        parts: JoinedParts,
         joined: Arc<[u8]>,
         end: Arc<[u8]>,
     },
+    /// Job `job`'s `Joined` frame, re-encoded from its parts for the
+    /// `Join`s that wait on it.
+    Rejoined { job: u64, frame: Arc<[u8]> },
 }
 
 struct Shared {
@@ -286,30 +328,7 @@ impl Server {
         let shared = Arc::new(Shared::new(engine, config, poller.waker()));
         let reactor = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                let jobs = Jobs::new(&shared.config);
-                Reactor {
-                    shared,
-                    poller,
-                    listener,
-                    conns: HashMap::new(),
-                    counters: WireServerStats {
-                        backend: Poller::BACKEND.to_string(),
-                        active_connections: 0,
-                        total_connections: 0,
-                        wakeups: 0,
-                        bytes_in: 0,
-                        bytes_out: 0,
-                        partial_writes: 0,
-                        slow_consumer_disconnects: 0,
-                    },
-                    jobs,
-                    touched: Vec::new(),
-                    tokens: Vec::new(),
-                    next_token: FIRST_CONN_TOKEN,
-                }
-                .run();
-            })
+            std::thread::spawn(move || Reactor::new(shared, poller, listener).run())
         };
         Ok(Self {
             shared,
@@ -395,61 +414,113 @@ impl EventSink for JobSink {
         });
     }
 
+    /// Build the job's [`JoinedParts`] once, encode its `Joined` and
+    /// `ObserveEnd` frames from them, and post all three. The parts keep
+    /// the job's own model, the `Arc` the engine's registry holds, so no
+    /// weight is copied.
     fn finished(&self, outcome: &Result<Trained, SessionError>) {
-        let (status, reply) = project_outcome(self.job, &self.qualified[self.split..], outcome);
+        let parts = JoinedParts::new(outcome);
         let end = encode_shared_frame(&Response::Ok(Payload::ObserveEnd {
             job: self.job,
-            status: status.name().to_string(),
+            status: parts.status().name().to_string(),
         }))
         .expect("serialize");
-        let joined = encode_shared_frame(&reply).expect("serialize");
+        let joined = parts.encode(self.job, &self.qualified[self.split..]);
         self.shared.post(Action::Finished {
             job: self.job,
-            status,
+            parts,
             joined,
             end,
         });
     }
 }
 
-/// The one projection of a job's outcome onto the wire: its terminal
-/// status and `Joined` answer — bound name, plan and the weights this job
-/// bound on success, iterations on cancellation, the rendered error on
-/// failure.
-fn project_outcome<'a>(
-    job: u64,
-    name: &'a str,
-    outcome: &'a Result<Trained, SessionError>,
-) -> (JobStatus, JoinedReply<'a>) {
-    let mut reply = JoinedReply {
-        job,
-        ..JoinedReply::default()
-    };
-    let status = match outcome {
-        Ok(trained) => {
-            reply.name = Some(name);
-            reply.plan = Some(trained.summary.plan.to_string());
-            reply.iterations = Some(trained.summary.iterations);
-            reply.converged = Some(trained.summary.converged);
-            reply.sim_time_s = Some(trained.summary.sim_time_s);
-            reply.weights = Some(trained.model.weights.as_slice());
-            JobStatus::Completed
+/// A job's outcome as its `Joined` answer is written from: the one
+/// projection of an outcome onto the wire. Every `Joined` frame, the
+/// worker's at finish and any re-encoded later, is
+/// [`JoinedParts::encode`]d from it.
+#[derive(Clone)]
+enum JoinedParts {
+    /// The plan, counters and the model this job bound, shared with the
+    /// engine's registry: its own weights, whatever a later job binds
+    /// under the same name.
+    Completed {
+        plan: GdPlan,
+        iterations: u64,
+        converged: bool,
+        sim_time_s: f64,
+        model: Arc<Model>,
+    },
+    /// Cancelled after `iterations`.
+    Cancelled { iterations: u64 },
+    /// Failed with this rendered error.
+    Failed { error: String },
+}
+
+impl JoinedParts {
+    fn new(outcome: &Result<Trained, SessionError>) -> Self {
+        match outcome {
+            Ok(trained) => Self::Completed {
+                plan: trained.summary.plan,
+                iterations: trained.summary.iterations,
+                converged: trained.summary.converged,
+                sim_time_s: trained.summary.sim_time_s,
+                model: Arc::clone(&trained.model),
+            },
+            Err(SessionError::Cancelled { iterations }) => Self::Cancelled {
+                iterations: *iterations,
+            },
+            Err(other) => Self::Failed {
+                error: other.to_string(),
+            },
         }
-        Err(SessionError::Cancelled { iterations }) => {
-            reply.iterations = Some(*iterations);
-            JobStatus::Cancelled
+    }
+
+    /// The job's terminal status.
+    fn status(&self) -> JobStatus {
+        match self {
+            Self::Completed { .. } => JobStatus::Completed,
+            Self::Cancelled { .. } => JobStatus::Cancelled,
+            Self::Failed { .. } => JobStatus::Failed,
         }
-        Err(other) => {
-            reply.error = Some(other.to_string());
-            JobStatus::Failed
+    }
+
+    /// Job `job`'s `Joined` answer, bound as `name` on success.
+    fn reply<'a>(&'a self, job: u64, name: &'a str) -> JoinedReply<'a> {
+        let mut reply = JoinedReply {
+            job,
+            status: self.status().name(),
+            ..JoinedReply::default()
+        };
+        match self {
+            Self::Completed {
+                plan,
+                iterations,
+                converged,
+                sim_time_s,
+                model,
+            } => {
+                reply.name = Some(name);
+                reply.plan = Some(plan.to_string());
+                reply.iterations = Some(*iterations);
+                reply.converged = Some(*converged);
+                reply.sim_time_s = Some(*sim_time_s);
+                reply.weights = Some(model.weights.as_slice());
+            }
+            Self::Cancelled { iterations } => reply.iterations = Some(*iterations),
+            Self::Failed { error } => reply.error = Some(error.clone()),
         }
-    };
-    reply.status = status.name();
-    (status, reply)
+        reply
+    }
+
+    /// The `Joined` frame of job `job`, bound as `name` on success.
+    fn encode(&self, job: u64, name: &str) -> Arc<[u8]> {
+        encode_shared_frame(&self.reply(job, name)).expect("serialize")
+    }
 }
 
 // ---------------------------------------------------------------------
-// Explain/Predict: jobs in the tenant's runtime lane
+// Explain, Predict and late Joins: jobs in the tenant's runtime lane
 // ---------------------------------------------------------------------
 
 fn explain(engine: &Engine, train: &protocol::WireTrain, measured: bool) -> Response {
@@ -493,6 +564,29 @@ fn predict(engine: &Engine, tenant: &str, model: &str, source: &protocol::WireSo
             accuracy: p.accuracy,
         }),
     }
+}
+
+/// Run `encode` as a job in `tenant`'s runtime lane and post the frame it
+/// returns — or a `failed` answer with the panic message, if it panics —
+/// as the action `deliver` makes of it.
+fn spawn_frame(
+    shared: &Arc<Shared>,
+    tenant: &str,
+    encode: impl FnOnce(&Engine) -> Arc<[u8]> + Send + 'static,
+    deliver: impl FnOnce(Arc<[u8]>) -> Action + Send + 'static,
+) {
+    let poster = Arc::clone(shared);
+    shared.engine.spawn_in_lane(
+        tenant,
+        move |engine| Ok(encode(engine)),
+        move |outcome| {
+            let frame = outcome.unwrap_or_else(|e| {
+                let failed = Response::Err(WireError::new(code::FAILED, e.to_string()));
+                encode_shared_frame(&failed).expect("serialize response")
+            });
+            poster.post(deliver(frame));
+        },
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -596,6 +690,30 @@ struct Reactor {
 }
 
 impl Reactor {
+    fn new(shared: Arc<Shared>, poller: Poller, listener: TcpListener) -> Self {
+        let jobs = Jobs::new(&shared.config);
+        Self {
+            shared,
+            poller,
+            listener,
+            conns: HashMap::new(),
+            counters: WireServerStats {
+                backend: Poller::BACKEND.to_string(),
+                active_connections: 0,
+                total_connections: 0,
+                wakeups: 0,
+                bytes_in: 0,
+                bytes_out: 0,
+                partial_writes: 0,
+                slow_consumer_disconnects: 0,
+            },
+            jobs,
+            touched: Vec::new(),
+            tokens: Vec::new(),
+            next_token: FIRST_CONN_TOKEN,
+        }
+    }
+
     fn run(mut self) {
         let mut events: Vec<Event> = Vec::with_capacity(256);
         loop {
@@ -872,16 +990,11 @@ impl Reactor {
             return;
         };
         conn.pending = Some(PendingVerb::Lane);
-        let shared = Arc::clone(&self.shared);
-        self.shared.engine.spawn_in_lane(
+        spawn_frame(
+            &self.shared,
             tenant,
-            move |engine| Ok(verb(engine)),
-            move |outcome| {
-                let response = outcome
-                    .unwrap_or_else(|e| Response::Err(WireError::new(code::FAILED, e.to_string())));
-                let frame = encode_shared_frame(&response).expect("serialize response");
-                shared.post(Action::Respond { token, frame });
-            },
+            move |engine| encode_shared_frame(&verb(engine)).expect("serialize response"),
+            move |frame| Action::Respond { token, frame },
         );
     }
 
@@ -905,10 +1018,58 @@ impl Reactor {
         });
         self.top_up(token);
         let waiting = self.conns[&token].pending.is_some();
-        if let Some(job) = self.jobs.table.get_mut(&job).filter(|_| waiting) {
-            job.waiters.push(token);
+        if let Some(served) = self.jobs.table.get_mut(&job).filter(|_| waiting) {
+            served.waiters.push(token);
+            if cursor.is_none() {
+                self.reencode_joined(job);
+            }
         }
         self.service(token);
+    }
+
+    /// A `Join` waits on a finished job whose frame was dropped: re-encode
+    /// the frame once from the job's parts, in the tenant's runtime lane
+    /// as `Explain`/`Predict` run, and post it back as
+    /// [`Action::Rejoined`]. `Join`s arriving meanwhile wait for the same
+    /// frame.
+    fn reencode_joined(&mut self, id: u64) {
+        let Some(job) = self.jobs.table.get_mut(&id) else {
+            return;
+        };
+        let Some(joined) = job.finished.as_mut().map(|f| &mut f.joined) else {
+            return;
+        };
+        if joined.frame.is_some() || joined.encoding {
+            return;
+        }
+        joined.encoding = true;
+        let (parts, name) = (joined.parts.clone(), job.name.clone());
+        spawn_frame(
+            &self.shared,
+            &job.tenant,
+            move |_| parts.encode(id, &name),
+            move |frame| Action::Rejoined { job: id, frame },
+        );
+    }
+
+    /// Drop job `id`'s `Joined` frame once a `Join` has taken it and no
+    /// `Join` waits for it any more; a later `Join` re-encodes it
+    /// ([`Reactor::reencode_joined`]). A frame no `Join` has taken is kept.
+    fn release_joined(&mut self, id: u64) {
+        let Some(job) = self.jobs.table.get_mut(&id) else {
+            return;
+        };
+        let Some(joined) = job.finished.as_mut().map(|f| &mut f.joined) else {
+            return;
+        };
+        let conns = &self.conns;
+        let joining = |token: &u64| {
+            let pending = conns.get(token).and_then(|c| c.pending.as_ref());
+            matches!(pending, Some(PendingVerb::Job { cursor: None, .. }))
+        };
+        if joined.taken && !job.waiters.iter().any(joining) {
+            joined.frame = None;
+        }
     }
 
     // -- job fan-out --------------------------------------------------
@@ -946,6 +1107,8 @@ impl Reactor {
             }
         }
         self.tokens = tokens;
+        // A re-encoded frame whose `Join`s all left before it came.
+        self.release_joined(id);
     }
 
     /// Feed a connection waiting on a job from the job's frame buffer,
@@ -959,11 +1122,14 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&token) else {
             return false;
         };
-        let Some(PendingVerb::Job { job, cursor, .. }) = conn.pending else {
+        let Some(PendingVerb::Job {
+            job: id, cursor, ..
+        }) = conn.pending
+        else {
             return false;
         };
         // A waited-on job is never pruned.
-        let Some(job) = self.jobs.table.get_mut(&job) else {
+        let Some(job) = self.jobs.table.get_mut(&id) else {
             return false;
         };
         let (queued, mut cursor) = (conn.wbuf.len(), cursor);
@@ -973,26 +1139,37 @@ impl Reactor {
             }
         }
         // Frames are never appended after a job turns terminal, so the
-        // stream is complete once it is.
-        let done = job.finished.as_ref().is_some_and(|f| match cursor {
+        // stream is complete once it is. A `Join` of a job whose frame was
+        // dropped waits for the re-encoded one.
+        let done = job.finished.as_mut().is_some_and(|f| match cursor {
             Some(at) => at >= job.frames.len() && conn.queue(&f.end, max),
-            None => conn.queue(&f.joined, max),
+            None => {
+                let joined = &mut f.joined;
+                let sent = joined.frame.as_ref().is_some_and(|j| conn.queue(j, max));
+                joined.taken |= sent;
+                sent
+            }
         });
         let queued = conn.wbuf.len() > queued;
         if done {
             conn.pending = None;
-            job.waiters.retain(|&t| t != token);
+            job.unwait(token);
+            if cursor.is_none() {
+                self.release_joined(id);
+            }
         } else if let Some(PendingVerb::Job { cursor: at, .. }) = &mut conn.pending {
             *at = cursor;
         }
         queued
     }
 
-    /// Drop one token from a job's waiter list.
+    /// Drop one token from a job's waiter list; a `Join` that leaves may
+    /// release the job's `Joined` frame.
     fn unwait(&mut self, job_id: u64, token: u64) {
         if let Some(job) = self.jobs.table.get_mut(&job_id) {
-            job.waiters.retain(|&t| t != token);
+            job.unwait(token);
         }
+        self.release_joined(job_id);
     }
 
     // -- write path ---------------------------------------------------
@@ -1268,7 +1445,8 @@ impl Jobs {
     /// Apply an action a job's worker posted; returns the job. An event
     /// frame is appended. A finish drops the engine handle, encodes the
     /// `Stats` row once from the engine id stored at dispatch, frees the
-    /// admission slot, and dispatches what that made room for.
+    /// admission slot, and dispatches what that made room for. A
+    /// re-encoded `Joined` frame is kept for the `Join`s waiting on it.
     fn apply(&mut self, shared: &Arc<Shared>, action: Action) -> u64 {
         match action {
             Action::Event {
@@ -1284,14 +1462,20 @@ impl Jobs {
             }
             Action::Finished {
                 job: id,
-                status,
+                parts,
                 joined,
                 end,
             } => {
                 if let Some(job) = self.table.get_mut(&id) {
                     job.handle = None;
-                    let row = job.row(status).encode();
-                    job.finished = Some(Finished { row, joined, end });
+                    let row = job.row(parts.status()).encode();
+                    let joined = Box::new(Joined {
+                        parts,
+                        frame: Some(joined),
+                        taken: false,
+                        encoding: false,
+                    });
+                    job.finished = Some(Finished { row, end, joined });
                     match self.terminal.get_mut(&job.tenant) {
                         Some(count) => *count += 1,
                         None => drop(self.terminal.insert(job.tenant.clone(), 1)),
@@ -1299,6 +1483,17 @@ impl Jobs {
                     self.admission.complete(&job.tenant);
                 }
                 self.dispatch(shared);
+                id
+            }
+            Action::Rejoined { job: id, frame } => {
+                let finished = self
+                    .table
+                    .get_mut(&id)
+                    .and_then(|job| job.finished.as_mut());
+                if let Some(Finished { joined, .. }) = finished {
+                    joined.frame = Some(frame);
+                    joined.encoding = false;
+                }
                 id
             }
             Action::Respond { .. } => unreachable!("the reactor answers connections"),
@@ -1619,11 +1814,183 @@ mod tests {
         assert_eq!(stats_ids(&jobs, &shared, "hog", &cancelled), hog);
     }
 
+    /// A reactor driven by hand on the test's thread: no event loop runs,
+    /// the test applies its actions with [`Reactor::drain_actions`].
+    fn reactor() -> Reactor {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("nonblocking");
+        let poller = Poller::new().expect("poller");
+        let engine = Engine::new().with_registry_cap(1000);
+        let shared = Arc::new(Shared::new(engine, ServeConfig::default(), poller.waker()));
+        Reactor::new(shared, poller, listener)
+    }
+
+    /// A client connection of `tenant`, past `Hello`.
+    struct Peer {
+        token: u64,
+        reader: std::io::BufReader<TcpStream>,
+    }
+
+    impl Peer {
+        fn connect(reactor: &mut Reactor, tenant: &str) -> Self {
+            let addr = reactor.listener.local_addr().expect("address");
+            let stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(60)))
+                .expect("timeout");
+            let token = reactor.next_token;
+            reactor.accept_ready();
+            assert!(reactor.conns.contains_key(&token), "accepted");
+            let hello = Request::Hello {
+                tenant: tenant.to_string(),
+                protocol: None,
+            };
+            reactor.handle_request(token, hello, 0);
+            let mut peer = Self {
+                token,
+                reader: std::io::BufReader::new(stream),
+            };
+            peer.frame();
+            peer
+        }
+
+        /// The next frame the server sent, header included.
+        fn frame(&mut self) -> Vec<u8> {
+            match protocol::read_frame(&mut self.reader, 1 << 20).expect("a frame") {
+                protocol::FrameIn::Frame(payload) => {
+                    let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+                    frame.extend(payload);
+                    frame
+                }
+                other => panic!("not a frame: {other:?}"),
+            }
+        }
+
+        /// Send `Join` for job `id`.
+        fn join(&self, reactor: &mut Reactor, id: u64) {
+            reactor.handle_request(self.token, Request::Join { job: id }, 0);
+        }
+
+        /// Apply posted actions until this peer's pending verb resolves,
+        /// then read its answer.
+        fn answer(&mut self, reactor: &mut Reactor) -> Vec<u8> {
+            let deadline = std::time::Instant::now() + Duration::from_secs(60);
+            while reactor.conns[&self.token].pending.is_some() {
+                assert!(std::time::Instant::now() < deadline, "no answer");
+                std::thread::sleep(Duration::from_millis(1));
+                reactor.drain_actions();
+            }
+            self.frame()
+        }
+    }
+
+    /// Finished job `id`'s `Joined` record.
+    fn joined_of(reactor: &Reactor, id: u64) -> &Joined {
+        let finished = reactor.jobs.table[&id].finished.as_ref();
+        &finished.expect("finished").joined
+    }
+
+    /// `Joined.weights_bits` of a `Joined` frame.
+    fn weights_bits(frame: &[u8]) -> Option<Vec<String>> {
+        let Response::Ok(Payload::Joined(wire)) =
+            serde_json::from_slice(&frame[4..]).expect("decode Joined")
+        else {
+            panic!("not a Joined answer");
+        };
+        wire.weights_bits
+    }
+
+    /// The first `Join` of a completed, a cancelled and a failed job takes
+    /// the worker's frame, and the record drops it. A later `Join`, from
+    /// the same connection or another, waits while the tenant's lane
+    /// re-encodes the frame from the job's parts, and reads the first
+    /// `Join`'s bytes; the frame is dropped again once delivered.
+    #[test]
+    fn a_late_join_of_a_compacted_job_reads_the_first_joins_bytes() {
+        let mut reactor = reactor();
+        let shared = Arc::clone(&reactor.shared);
+        let trained = shared
+            .engine
+            .train(
+                TrainRequest::new(
+                    GradientKind::LogisticRegression,
+                    DataSource::registry("adult"),
+                )
+                .max_iter(3)
+                .named("acme:j1"),
+            )
+            .expect("train");
+        let outcomes = [
+            Ok(trained),
+            Err(SessionError::Cancelled { iterations: 7 }),
+            Err(SessionError::UnknownName("m".to_string())),
+        ];
+        let mut first = Peer::connect(&mut reactor, "acme");
+        let mut second = Peer::connect(&mut reactor, "acme");
+        for (id, outcome) in (1..).zip(&outcomes) {
+            finish_job(&mut reactor.jobs, &shared, (id, "acme", Some(id)), outcome);
+            let worker = joined_of(&reactor, id).frame.clone().expect("kept");
+            first.join(&mut reactor, id);
+            assert_eq!(first.answer(&mut reactor), worker[..]);
+            assert!(joined_of(&reactor, id).frame.is_none(), "job {id}: taken");
+            for peer in [&mut first, &mut second] {
+                peer.join(&mut reactor, id);
+                assert!(joined_of(&reactor, id).encoding, "job {id}: re-encoding");
+                assert_eq!(reactor.jobs.table[&id].waiters, [peer.token]);
+                assert_eq!(
+                    peer.answer(&mut reactor),
+                    worker[..],
+                    "job {id}: a late join reads the first join's bytes"
+                );
+                let joined = joined_of(&reactor, id);
+                assert!(joined.frame.is_none() && !joined.encoding, "job {id}");
+            }
+        }
+    }
+
+    /// Two `Join`s waiting on a running job both read the frame its worker
+    /// encoded at finish: nothing is re-encoded, the frame is dropped once
+    /// the second has it, and the job's waiter list gives its capacity
+    /// back.
+    #[test]
+    fn two_joins_waiting_on_a_running_job_both_get_the_workers_frame() {
+        let mut reactor = reactor();
+        let shared = Arc::clone(&reactor.shared);
+        let job = ServedJob::new(1, "acme", "j1".to_string());
+        let sink = JobSink::new(&shared, &job);
+        reactor.jobs.table.insert(1, job);
+        let mut peers = [
+            Peer::connect(&mut reactor, "acme"),
+            Peer::connect(&mut reactor, "acme"),
+        ];
+        for peer in &peers {
+            peer.join(&mut reactor, 1);
+        }
+        let tokens: Vec<u64> = peers.iter().map(|peer| peer.token).collect();
+        assert_eq!(reactor.jobs.table[&1].waiters, tokens);
+
+        let outcome = Err(SessionError::Cancelled { iterations: 4 });
+        sink.finished(&outcome);
+        reactor.drain_actions();
+        let worker = JoinedParts::new(&outcome).encode(1, "j1");
+        for peer in &mut peers {
+            assert_eq!(peer.answer(&mut reactor), worker[..]);
+        }
+        let joined = joined_of(&reactor, 1);
+        assert!(joined.taken && joined.frame.is_none() && !joined.encoding);
+        assert!(shared.next_action().is_none(), "nothing re-encoded");
+        let waiters = &reactor.jobs.table[&1].waiters;
+        assert!(waiters.is_empty() && waiters.capacity() == 0);
+    }
+
     /// Two same-named jobs of one tenant may run at once; whichever binds
-    /// the name last, each job's `Joined` carries the weights it trained.
+    /// the name last, each job's `Joined` carries the weights it trained,
+    /// and so does a late `Join` re-encoded from the job's parts after
+    /// the name was rebound.
     #[test]
     fn joined_carries_its_own_jobs_weights() {
-        let shared = shared();
+        let mut reactor = reactor();
+        let shared = Arc::clone(&reactor.shared);
         let request = |max_iter| {
             TrainRequest::new(
                 GradientKind::LogisticRegression,
@@ -1643,13 +2010,11 @@ mod tests {
 
         let job = ServedJob::new(1, "acme", "m".to_string());
         JobSink::new(&shared, &job).finished(&Ok(a));
-        let Some(Action::Finished { joined, .. }) = shared.next_action() else {
+        let action = shared
+            .next_action()
+            .expect("the sink posts the finished job");
+        let Action::Finished { joined, .. } = &action else {
             panic!("the sink posts the finished job");
-        };
-        let Response::Ok(Payload::Joined(wire)) =
-            serde_json::from_slice(&joined[4..]).expect("decode Joined")
-        else {
-            panic!("not a Joined answer");
         };
         let expected: Vec<String> = a_model
             .weights
@@ -1658,6 +2023,17 @@ mod tests {
             .copied()
             .map(protocol::f64_to_bits_hex)
             .collect();
-        assert_eq!(wire.weights_bits, Some(expected));
+        assert_eq!(weights_bits(joined), Some(expected.clone()));
+
+        let worker = joined.to_vec();
+        reactor.jobs.table.insert(1, job);
+        reactor.jobs.apply(&shared, action);
+        let mut peer = Peer::connect(&mut reactor, "acme");
+        for _ in 0..2 {
+            peer.join(&mut reactor, 1);
+            assert_eq!(peer.answer(&mut reactor), worker);
+        }
+        assert!(joined_of(&reactor, 1).taken, "the second join was late");
+        assert_eq!(weights_bits(&worker), Some(expected));
     }
 }

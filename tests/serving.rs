@@ -1119,3 +1119,109 @@ fn a_tenants_predict_overtakes_another_tenants_burst_of_cold_explains() {
         "B's predict must not wait behind A's backlog: answer order {answers:?}"
     );
 }
+
+/// One request on a raw connection; the payload of its answer frame.
+fn raw_call(stream: &TcpStream, reader: &mut BufReader<TcpStream>, request: &Request) -> Vec<u8> {
+    protocol::write_message(&mut &*stream, request).expect("send");
+    match protocol::read_frame(reader, 1 << 20).expect("answer") {
+        protocol::FrameIn::Frame(payload) => payload,
+        other => panic!("expected a frame, got {other:?}"),
+    }
+}
+
+/// The `status` of a `Joined` answer's payload.
+fn joined_status(payload: &[u8]) -> String {
+    match serde_json::from_slice(payload).expect("decode") {
+        Response::Ok(protocol::Payload::Joined(joined)) => joined.status,
+        other => panic!("expected Joined, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_late_join_reads_the_first_joins_bytes_on_any_connection() {
+    // A finished job keeps its `Joined` frame only until a join takes it;
+    // a later join is answered from a frame re-encoded from the job's
+    // model and outcome, which must be the same bytes.
+    let server = serve(Engine::new(), ServeConfig::default());
+    let mut owner = connect(&server, "acme");
+    let completed = owner.submit(&adult_train(5, 3, "late")).expect("submit");
+    let cancelled = owner.submit(&hog_train("hog")).expect("submit hog");
+    owner.cancel(cancelled).expect("cancel");
+    let missing = WireTrain::new("logistic", WireSource::Registry("no-such-set".into()));
+    let failed = owner.submit(&missing).expect("submit");
+
+    let (first, mut first_reader) = raw_hello(&server, "acme");
+    let (second, mut second_reader) = raw_hello(&server, "acme");
+    for stream in [&first, &second] {
+        // A join that is never answered fails the test instead of hanging it.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .expect("timeout");
+    }
+    for (job, status) in [
+        (completed, "completed"),
+        (cancelled, "cancelled"),
+        (failed, "failed"),
+    ] {
+        let join = Request::Join { job };
+        let taken = raw_call(&first, &mut first_reader, &join);
+        assert_eq!(joined_status(&taken), status);
+        for _ in 0..2 {
+            let again = raw_call(&first, &mut first_reader, &join);
+            assert!(
+                again == taken,
+                "job {job}: a late join on the same connection"
+            );
+            let other = raw_call(&second, &mut second_reader, &join);
+            assert!(
+                other == taken,
+                "job {job}: a late join on another connection"
+            );
+        }
+    }
+    let weights = owner.join(completed).expect("join").weights_bits;
+    assert_eq!(weights.expect("weights").len(), 123);
+}
+
+#[test]
+fn two_joins_waiting_on_a_running_job_both_get_its_frame() {
+    let server = serve(Engine::new(), ServeConfig::default());
+    let mut owner = connect(&server, "acme");
+    let hog = owner.submit(&hog_train("hog")).expect("submit hog");
+
+    // Both joins are read by the reactor, and so wait on the running
+    // job, before the job is cancelled.
+    let join = Request::Join { job: hog };
+    let joiners: Vec<_> = (0..2).map(|_| raw_hello(&server, "acme")).collect();
+    for (stream, _) in &joiners {
+        // A join that is never answered fails the test instead of hanging it.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .expect("timeout");
+    }
+    let frame_len = |request: &Request| serde_json::to_vec(request).expect("serialize").len() + 4;
+    let mut expected_in = owner.server_stats().expect("server stats").bytes_in;
+    for (stream, _) in &joiners {
+        protocol::write_message(&mut &*stream, &join).expect("send join");
+        expected_in += frame_len(&join) as u64;
+    }
+    loop {
+        expected_in += frame_len(&Request::ServerStats) as u64;
+        if owner.server_stats().expect("server stats").bytes_in >= expected_in {
+            break;
+        }
+    }
+    owner.cancel(hog).expect("cancel");
+
+    let answers: Vec<Vec<u8>> = joiners
+        .into_iter()
+        .map(
+            |(_stream, mut reader)| match protocol::read_frame(&mut reader, 1 << 20) {
+                Ok(protocol::FrameIn::Frame(payload)) => payload,
+                other => panic!("expected a frame, got {other:?}"),
+            },
+        )
+        .collect();
+    assert_eq!(joined_status(&answers[0]), "cancelled");
+    assert!(answers[0] == answers[1], "both joins read one frame");
+}
