@@ -85,37 +85,9 @@ impl From<std::io::Error> for CheckpointError {
 /// FNV-1a 64-bit hash — the checkpoint checksum, and the stable hash the
 /// engine uses to derive checkpoint file names from job keys.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(bytes);
-    h.finish()
-}
-
-/// Streaming FNV-1a 64: dependency-free and deterministic across
-/// platforms. Behind [`fnv1a64`] and the dataset fingerprint.
-pub(crate) struct Fnv64(u64);
-
-impl Fnv64 {
-    pub(crate) fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    #[inline]
-    pub(crate) fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    /// The value's 8 little-endian bytes.
-    #[inline]
-    pub(crate) fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
-    }
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
 }
 
 /// The executor's full mutable state at a wave boundary: what a resumed

@@ -15,10 +15,10 @@ use std::sync::{Arc, OnceLock};
 use ml4all_linalg::PointView;
 use rand::{Rng, SeedableRng};
 
-use crate::checkpoint::Fnv64;
 use crate::cluster::ClusterSpec;
 use crate::columns::{ColumnStore, ColumnarBuilder};
 use crate::descriptor::DatasetDescriptor;
+use crate::hash::WordHasher;
 use crate::DataflowError;
 
 /// How points are laid out across partitions.
@@ -244,12 +244,18 @@ impl PartitionedDataset {
     /// overwhelming probability. Computed once per underlying storage and
     /// cached (clones share the cache), so repeated callers — the plan
     /// cache keys on this — pay the O(rows × features) pass only once.
+    ///
+    /// The words go through a four-lane hasher on xxHash64's
+    /// multiply-rotate round with its final avalanche, one 64-bit word
+    /// per step. Builds before it hashed the same words byte by byte with
+    /// FNV-1a, so plan-cache entries persisted by those builds carry
+    /// other fingerprints and miss.
     pub fn fingerprint(&self) -> u64 {
         *self.fingerprint.get_or_init(|| {
-            let mut h = Fnv64::new();
+            let mut h = WordHasher::new();
             // Length-prefixed, so the name cannot alias the fields after it.
             h.write_u64(self.desc.name.len() as u64);
-            h.write(self.desc.name.as_bytes());
+            h.write_bytes(self.desc.name.as_bytes());
             h.write_u64(self.desc.n);
             h.write_u64(self.desc.dims as u64);
             h.write_u64(self.desc.bytes);
@@ -260,11 +266,7 @@ impl PartitionedDataset {
                 for v in part.iter() {
                     h.write_u64(v.label.to_bits());
                     match v.features {
-                        ml4all_linalg::FeatureView::Dense(values) => {
-                            for &x in values {
-                                h.write_u64(x.to_bits());
-                            }
-                        }
+                        ml4all_linalg::FeatureView::Dense(values) => h.write_f64s(values),
                         ml4all_linalg::FeatureView::Sparse {
                             dim,
                             indices,
@@ -609,6 +611,77 @@ mod tests {
         )
         .unwrap();
         assert_ne!(a.fingerprint(), renamed.fingerprint());
+    }
+
+    /// A dataset of exactly these partitions, dense or CSR.
+    fn of_partitions(parts: &[Vec<(f64, [f64; 3])>], sparse: bool) -> PartitionedDataset {
+        let partitions: Vec<ColumnStore> = parts
+            .iter()
+            .map(|rows| {
+                let mut b = ColumnarBuilder::new();
+                for (label, features) in rows {
+                    if sparse {
+                        b.push_sparse(*label, &[0, 1, 2], features).unwrap();
+                    } else {
+                        b.push_dense(*label, features);
+                    }
+                }
+                b.finish_with_dims(3)
+            })
+            .collect();
+        PartitionedDataset {
+            desc: DatasetDescriptor::new("s", 8, 3, 1024, 1.0),
+            partitions: partitions.into(),
+            scheme: PartitionScheme::Contiguous,
+            fingerprint: Arc::new(OnceLock::new()),
+        }
+    }
+
+    #[test]
+    fn fingerprint_sees_every_bit_every_order_and_every_partition_edge() {
+        let row = |r: usize| -> (f64, [f64; 3]) {
+            let x = |j: usize| (r * 3 + j) as f64 * 0.37 - 1.5;
+            (
+                if r.is_multiple_of(2) { 1.0 } else { -1.0 },
+                [x(0), x(1), x(2)],
+            )
+        };
+        let base: Vec<Vec<(f64, [f64; 3])>> =
+            vec![(0..4).map(row).collect(), (4..8).map(row).collect()];
+        for sparse in [false, true] {
+            let print = |parts: &[Vec<(f64, [f64; 3])>]| of_partitions(parts, sparse).fingerprint();
+            let want = print(&base);
+            assert_eq!(want, print(&base.clone()), "sparse {sparse}");
+            for bit in 0..64 {
+                let mut feature = base.clone();
+                let x = &mut feature[1][2].1[1];
+                *x = f64::from_bits(x.to_bits() ^ (1 << bit));
+                assert_ne!(print(&feature), want, "sparse {sparse}: feature bit {bit}");
+                let mut label = base.clone();
+                let y = &mut label[0][3].0;
+                *y = f64::from_bits(y.to_bits() ^ (1 << bit));
+                assert_ne!(print(&label), want, "sparse {sparse}: label bit {bit}");
+            }
+            // Top-bit flips in two words, which cancel under word-wise
+            // FNV-1a.
+            let mut two = base.clone();
+            for (r, j) in [(0, 0), (2, 1)] {
+                let x = &mut two[1][r].1[j];
+                *x = -*x;
+            }
+            assert_ne!(print(&two), want, "sparse {sparse}: two sign flips");
+            let mut swapped = base.clone();
+            swapped[0].swap(1, 2);
+            assert_ne!(print(&swapped), want, "sparse {sparse}: rows swapped");
+            let mut across = base.clone();
+            let (first, second) = across.split_at_mut(1);
+            std::mem::swap(&mut first[0][3], &mut second[0][0]);
+            assert_ne!(print(&across), want, "sparse {sparse}: rows swapped across");
+            let mut moved = base.clone();
+            let last = moved[0].pop().unwrap();
+            moved[1].insert(0, last);
+            assert_ne!(print(&moved), want, "sparse {sparse}: row moved");
+        }
     }
 
     #[test]

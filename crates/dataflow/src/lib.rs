@@ -46,6 +46,7 @@ pub mod columns;
 pub mod dataset;
 pub mod descriptor;
 pub mod env;
+mod hash;
 pub mod ledger;
 pub mod sampling;
 pub mod slab;

@@ -3,11 +3,15 @@
 //! the label and attributes 4–20 are the features").
 //!
 //! Lines come from the crate's one streaming line scanner (a bounded read
-//! buffer, no whole-file read); a line is trimmed, blank and `#` lines are
-//! skipped, and fields are cut at each `,` by a byte search. Every field
-//! is trimmed as `str::trim` trims it and parsed by `str::parse::<f64>`,
-//! so each value is exactly the float the standard library reads from its
-//! text.
+//! buffer, no whole-file read); a line is trimmed, and blank and `#` lines
+//! are skipped. Each field is the text up to the next `,`, trimmed as
+//! `str::trim` trims it, and its value is exactly the `f64`
+//! `str::parse::<f64>` reads from that text, or the same error. The
+//! number parser ([`crate::number`]) starts at the field: a plain decimal
+//! that it reads up to the `,` or the end of the line is the field, with
+//! nothing to trim. Any other field is cut at the `,` by a byte search,
+//! trimmed, and parsed by the same parser, which hands every token
+//! outside its fast path to `str::parse`.
 
 use std::io::Read;
 use std::path::Path;
@@ -16,6 +20,7 @@ use ml4all_dataflow::{ColumnStore, ColumnarBuilder};
 use ml4all_linalg::PointView;
 
 use crate::lines::{find_byte, Lines};
+use crate::number::{parse_f64, parse_prefix};
 use crate::presize::Presize;
 use crate::DatasetError;
 
@@ -72,16 +77,22 @@ fn csv_rows<R: Read>(
         fields.clear();
         let mut rest = trimmed;
         loop {
-            let (tok, next) = match find_byte(b',', rest.as_bytes()) {
-                Some(i) => (&rest[..i], Some(&rest[i + 1..])),
-                None => (rest, None),
+            // A field the parser reads to its end is a plain decimal with
+            // no whitespace to trim; any other field is cut and trimmed.
+            let (v, len) = match parse_prefix(rest.as_bytes()) {
+                Some((v, len)) if matches!(rest.as_bytes().get(len), None | Some(b',')) => (v, len),
+                _ => {
+                    let len = find_byte(b',', rest.as_bytes()).unwrap_or(rest.len());
+                    let tok = &rest[..len];
+                    let v = parse_f64(trim(tok)).map_err(|e| DatasetError::Parse {
+                        line_no,
+                        reason: format!("bad number {tok:?}: {e}"),
+                    })?;
+                    (v, len)
+                }
             };
-            let v: f64 = trim(tok).parse().map_err(|e| DatasetError::Parse {
-                line_no,
-                reason: format!("bad number {tok:?}: {e}"),
-            })?;
             fields.push(v);
-            match next {
+            match rest.get(len + 1..) {
                 Some(next) => rest = next,
                 None => break,
             }

@@ -19,6 +19,7 @@ pub mod csv;
 pub mod libsvm;
 mod lines;
 pub mod metrics;
+pub mod number;
 mod presize;
 pub mod registry;
 pub mod source;

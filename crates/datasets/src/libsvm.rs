@@ -6,8 +6,11 @@
 //! all (an all-zero point), which is how [`write_libsvm`] writes one.
 //!
 //! Lines come from the crate's one streaming line scanner (a bounded read
-//! buffer, no whole-file read); tokens are split on whitespace and every
-//! number is parsed by the standard library.
+//! buffer, no whole-file read); tokens are split on whitespace. Each
+//! index is read by `str::parse::<u32>`. Each label and value is exactly
+//! the `f64` `str::parse::<f64>` reads from its text, or the same error:
+//! the crate's number parser ([`crate::number`]) reads plain decimals
+//! itself and hands every other token to `str::parse`.
 
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
@@ -16,6 +19,7 @@ use ml4all_dataflow::{ColumnStore, ColumnarBuilder};
 use ml4all_linalg::{FeatureView, PointView};
 
 use crate::lines::Lines;
+use crate::number::parse_f64;
 use crate::presize::Presize;
 use crate::DatasetError;
 
@@ -30,17 +34,14 @@ fn parse_line_into(
     indices.clear();
     values.clear();
     let mut parts = line.split_whitespace();
-    let label: f64 = parts
-        .next()
-        .ok_or_else(|| DatasetError::Parse {
-            line_no,
-            reason: "empty line".into(),
-        })?
-        .parse()
-        .map_err(|e| DatasetError::Parse {
-            line_no,
-            reason: format!("bad label: {e}"),
-        })?;
+    let label = parts.next().ok_or_else(|| DatasetError::Parse {
+        line_no,
+        reason: "empty line".into(),
+    })?;
+    let label = parse_f64(label).map_err(|e| DatasetError::Parse {
+        line_no,
+        reason: format!("bad label: {e}"),
+    })?;
     for tok in parts {
         let (i, v) = tok.split_once(':').ok_or_else(|| DatasetError::Parse {
             line_no,
@@ -56,7 +57,7 @@ fn parse_line_into(
                 reason: "LIBSVM indices are 1-based".into(),
             });
         }
-        let val: f64 = v.parse().map_err(|e| DatasetError::Parse {
+        let val = parse_f64(v).map_err(|e| DatasetError::Parse {
             line_no,
             reason: format!("bad value {v:?}: {e}"),
         })?;

@@ -630,6 +630,35 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
+    /// A decision persisted under another fingerprint of the same data,
+    /// as a build that hashed the rows differently wrote it, does not
+    /// stop the boot: the request misses and is decided afresh.
+    #[test]
+    fn a_decision_persisted_under_another_fingerprint_misses() {
+        let dir = state_dir("old-fingerprint");
+        let explain = || ExplainRequest::new(request(4, 60));
+        let first = with_data(engine(2).with_state_dir(&dir));
+        let cold = first.explain(explain()).unwrap();
+        drop(first);
+
+        let path = dir.join("plancache.json");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let at = text.find("|fp").expect("a persisted key") + 3;
+        let moved = text.replace(&text[at - 3..at + 16], "|fp0123456789abcdef");
+        assert_ne!(moved, text);
+        std::fs::write(&path, moved).unwrap();
+
+        let second = with_data(engine(2).with_state_dir(&dir));
+        let again = second.explain(explain()).unwrap();
+        assert!(
+            !again.cache_hit,
+            "an entry under another fingerprint misses"
+        );
+        assert_eq!(again.best().plan, cold.best().plan);
+        drop(second);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
     #[test]
     fn a_last_drop_inside_the_only_worker_drains_instead_of_waiting() {
         let dir = state_dir("worker-drop");

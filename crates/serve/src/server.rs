@@ -186,7 +186,8 @@ struct Joined {
 #[derive(Default)]
 struct ServedJob {
     id: u64,
-    tenant: String,
+    /// The owning tenant, shared with its connections.
+    tenant: Arc<str>,
     /// Tenant-visible result name (always set; the engine sees it
     /// prefixed with `tenant:`).
     name: String,
@@ -210,8 +211,7 @@ struct ServedJob {
 }
 
 impl ServedJob {
-    fn new(id: u64, tenant: &str, name: String) -> Self {
-        let tenant = tenant.to_string();
+    fn new(id: u64, tenant: Arc<str>, name: String) -> Self {
         Self {
             id,
             tenant,
@@ -614,7 +614,8 @@ enum PendingVerb {
 /// One connection: a readiness-driven state machine.
 struct Conn {
     stream: TcpStream,
-    tenant: Option<String>,
+    /// Set by `Hello`; each verb and job takes a reference to it.
+    tenant: Option<Arc<str>>,
     decoder: FrameDecoder,
     /// Outbound frames; the head may be partially written.
     wbuf: VecDeque<Arc<[u8]>>,
@@ -910,7 +911,7 @@ impl Reactor {
                     format!("server speaks protocol {PROTOCOL_VERSION}, not {asked}"),
                 )),
                 _ => {
-                    conn.tenant = Some(tenant);
+                    conn.tenant = Some(tenant.into());
                     Response::Ok(Payload::Hello {
                         server: concat!("ml4all-serve ", env!("CARGO_PKG_VERSION")).to_string(),
                         protocol: PROTOCOL_VERSION,
@@ -956,7 +957,7 @@ impl Reactor {
                 });
             }
             (Request::Predict { model, source }, Some(tenant)) => {
-                let owner = tenant.clone();
+                let owner = Arc::clone(&tenant);
                 return self.run_in_lane(token, &tenant, move |engine| {
                     predict(engine, &owner, &model, &source)
                 });
@@ -1347,7 +1348,7 @@ struct Jobs {
     /// The last job id handed out.
     last_id: u64,
     /// How many of each tenant's jobs in `table` are terminal.
-    terminal: HashMap<String, usize>,
+    terminal: HashMap<Arc<str>, usize>,
     /// Admitted jobs waiting for dispatch: job id and engine request.
     admission: Admission<(u64, TrainRequest)>,
 }
@@ -1369,7 +1370,7 @@ impl Jobs {
 
     /// Admit one training job: namespace its name, register it, and queue
     /// it (or refuse with typed `busy` backpressure).
-    fn submit(&mut self, tenant: &str, train: &protocol::WireTrain, cost: usize) -> Response {
+    fn submit(&mut self, tenant: &Arc<str>, train: &protocol::WireTrain, cost: usize) -> Response {
         let mut request = match train.to_request() {
             Ok(request) => request,
             Err(e) => return Response::Err(e),
@@ -1380,7 +1381,8 @@ impl Jobs {
         // tenants cannot observe (or shadow) each other's models.
         let visible = request.name.clone().unwrap_or_else(|| format!("j{id}"));
         request = request.named(format!("{tenant}:{visible}"));
-        self.table.insert(id, ServedJob::new(id, tenant, visible));
+        self.table
+            .insert(id, ServedJob::new(id, Arc::clone(tenant), visible));
         self.prune();
         match self.admission.offer(tenant, cost, (id, request)) {
             Ok(()) => Response::Ok(Payload::Submitted { job: id }),
@@ -1478,7 +1480,7 @@ impl Jobs {
                     job.finished = Some(Finished { row, end, joined });
                     match self.terminal.get_mut(&job.tenant) {
                         Some(count) => *count += 1,
-                        None => drop(self.terminal.insert(job.tenant.clone(), 1)),
+                        None => drop(self.terminal.insert(Arc::clone(&job.tenant), 1)),
                     }
                     self.admission.complete(&job.tenant);
                 }
@@ -1531,7 +1533,7 @@ impl Jobs {
         };
         reply
             .encode_shared(self.table.len(), |rows| {
-                for job in self.table.values().filter(|job| job.tenant == tenant) {
+                for job in self.table.values().filter(|job| *job.tenant == *tenant) {
                     match &job.finished {
                         Some(finished) => rows.encoded(&finished.row),
                         None => {
@@ -1552,7 +1554,7 @@ impl Jobs {
             .table
             .get_mut(&id)
             .ok_or_else(|| WireError::new(code::UNKNOWN_JOB, format!("no job {id}")))?;
-        if job.tenant != tenant {
+        if *job.tenant != *tenant {
             return Err(WireError::new(
                 code::FORBIDDEN,
                 format!("job {id} is not owned by tenant `{tenant}`"),
@@ -1590,7 +1592,7 @@ mod tests {
         (id, tenant, engine_id): (u64, &str, Option<u64>),
         outcome: &Result<Trained, SessionError>,
     ) {
-        let mut job = ServedJob::new(id, tenant, format!("j{id}"));
+        let mut job = ServedJob::new(id, tenant.into(), format!("j{id}"));
         job.engine_id = engine_id;
         let sink = JobSink::new(shared, &job);
         jobs.table.insert(id, job);
@@ -1600,7 +1602,8 @@ mod tests {
 
     /// Submit `train` as `tenant`; the new job's id.
     fn submitted(jobs: &mut Jobs, tenant: &str, train: &WireTrain) -> u64 {
-        let Response::Ok(Payload::Submitted { job }) = jobs.submit(tenant, train, 100) else {
+        let Response::Ok(Payload::Submitted { job }) = jobs.submit(&tenant.into(), train, 100)
+        else {
             panic!("submit refused");
         };
         jobs.owned(tenant, job).expect("submitted job").id
@@ -1618,7 +1621,7 @@ mod tests {
         let mut rows: Vec<WireJob> = jobs
             .table
             .values()
-            .filter(|job| job.tenant == tenant)
+            .filter(|job| *job.tenant == *tenant)
             .map(|job| {
                 let status = match (&job.finished, &job.handle) {
                     (Some(_), _) => outcome(job.id),
@@ -1956,7 +1959,7 @@ mod tests {
     fn two_joins_waiting_on_a_running_job_both_get_the_workers_frame() {
         let mut reactor = reactor();
         let shared = Arc::clone(&reactor.shared);
-        let job = ServedJob::new(1, "acme", "j1".to_string());
+        let job = ServedJob::new(1, "acme".into(), "j1".to_string());
         let sink = JobSink::new(&shared, &job);
         reactor.jobs.table.insert(1, job);
         let mut peers = [
@@ -2008,7 +2011,7 @@ mod tests {
             "the two runs must differ to tell"
         );
 
-        let job = ServedJob::new(1, "acme", "m".to_string());
+        let job = ServedJob::new(1, "acme".into(), "m".to_string());
         JobSink::new(&shared, &job).finished(&Ok(a));
         let action = shared
             .next_action()
