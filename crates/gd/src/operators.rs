@@ -73,7 +73,7 @@ impl Support<'_> {
     /// `true` when any of `values` on the support is NaN or infinite.
     pub(crate) fn any_non_finite(self, values: &[f64]) -> bool {
         match self {
-            Self::All => values.iter().any(|v| !v.is_finite()),
+            Self::All => any_non_finite(values),
             Self::Indices(idx) => idx.iter().any(|&i| !values[i as usize].is_finite()),
         }
     }
@@ -90,6 +90,24 @@ impl Support<'_> {
             }
         }
     }
+}
+
+/// `true` when any of `values` is NaN or infinite, without a branch per
+/// value. `v * 0.0` is a zero for a finite `v` and NaN otherwise, and a
+/// NaN stays NaN through every later sum, so eight running sums, one per
+/// lane, give the scalar scan's verdict. They vectorize; a
+/// short-circuiting `any` does not, and took twice as long as the update
+/// it guards on a d = 20 000 model.
+fn any_non_finite(values: &[f64]) -> bool {
+    const LANES: usize = 8;
+    let mut chunks = values.chunks_exact(LANES);
+    let mut sums = [0.0f64; LANES];
+    for chunk in &mut chunks {
+        for (sum, v) in sums.iter_mut().zip(chunk) {
+            *sum += v * 0.0;
+        }
+    }
+    sums.iter().any(|sum| sum.is_nan()) || chunks.remainder().iter().any(|v| !v.is_finite())
 }
 
 /// Accumulated output of `Compute` over the units of one iteration: the
@@ -567,6 +585,33 @@ mod tests {
         let mut c = Context::new(dims);
         ZeroStage { dims }.stage(&mut c, &ColumnStore::empty());
         c
+    }
+
+    /// The lane sums give the scalar scan's verdict for a non-finite value
+    /// of every kind at every position, across chunk and remainder
+    /// lengths, and for finite extremes.
+    #[test]
+    fn any_non_finite_matches_the_scalar_scan() {
+        let odd = [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let odd = odd
+            .into_iter()
+            .chain([f64::from_bits(0x7ff0_0000_dead_beef)]);
+        for len in [0, 1, 7, 8, 9, 16, 23, 64] {
+            let mut values: Vec<f64> = (0..len).map(|i| (i as f64 * 0.37).sin()).collect();
+            if len > 2 {
+                values[0] = f64::MAX;
+                values[1] = -f64::MAX;
+                values[2] = f64::from_bits(1);
+            }
+            assert!(!any_non_finite(&values), "len {len}");
+            for at in 0..len {
+                for bad in odd.clone() {
+                    let kept = std::mem::replace(&mut values[at], bad);
+                    assert!(any_non_finite(&values), "len {len}, {bad} at {at}");
+                    values[at] = kept;
+                }
+            }
+        }
     }
 
     #[test]

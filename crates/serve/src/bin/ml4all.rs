@@ -15,7 +15,7 @@
 //! [predictions: 600 points, mse 0.583, accuracy 85.3%]
 //!
 //! $ ML4ALL_WORKERS=4 ml4all serve --addr 127.0.0.1:7878
-//! ml4all-serve listening on 127.0.0.1:7878 (protocol 1, rng stream 3)
+//! ml4all-serve listening on 127.0.0.1:7878 (protocols 1-2, rng stream 3)
 //! ```
 //!
 //! Options: `-e "<stmt>"` (execute and exit, repeatable),
@@ -26,7 +26,9 @@
 use std::io::{BufRead, Write};
 
 use ml4all::{render_report, Engine, Session, SessionOutput, Trained, RNG_STREAM_VERSION};
-use ml4all_serve::{Client, ServeConfig, Server, TenantQuota, PROTOCOL_VERSION};
+use ml4all_serve::{
+    Client, ServeConfig, Server, TenantQuota, PROTOCOL_RAW_WEIGHTS, PROTOCOL_VERSION,
+};
 
 fn main() {
     let mut args = std::env::args().skip(1).peekable();
@@ -187,7 +189,7 @@ fn serve_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) {
     match Server::start(engine, config) {
         Ok(server) => {
             println!(
-                "ml4all-serve listening on {} (protocol {PROTOCOL_VERSION}, \
+                "ml4all-serve listening on {} (protocols {PROTOCOL_VERSION}-{PROTOCOL_RAW_WEIGHTS}, \
                  rng stream {RNG_STREAM_VERSION})",
                 server.local_addr()
             );

@@ -4,10 +4,12 @@
 use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
+use ml4all::JobStatus;
+
 use crate::protocol::{
     code, encode_frame_into, read_frame, write_frame, FrameIn, Payload, Request, Response,
     WireError, WireEvent, WireReport, WireServerStats, WireSource, WireStats, WireTrain,
-    WireTrained, PROTOCOL_VERSION,
+    WireTrained, PROTOCOL_RAW_WEIGHTS, PROTOCOL_VERSION,
 };
 
 /// Client-side cap on a response frame (joins carry whole weight
@@ -84,6 +86,9 @@ pub struct Client {
     /// The outgoing frame, built in place and written in one call;
     /// reused across requests.
     frame: Vec<u8>,
+    /// The server's last `Hello` answer named protocol 2: a completed
+    /// `Joined` is followed by its weight block.
+    raw_weights: bool,
 }
 
 impl Client {
@@ -97,15 +102,26 @@ impl Client {
             reader: BufReader::new(stream.try_clone()?),
             writer: stream,
             frame: Vec::new(),
+            raw_weights: false,
         })
     }
 
-    /// Authenticate as `tenant` and negotiate the protocol version.
+    /// Authenticate as `tenant` and negotiate the protocol version:
+    /// protocol 2, whose `Joined` sends the weights as raw bytes, or
+    /// protocol 1 from a server that refuses 2 as `unsupported_protocol`.
+    /// Every verb answers the same under both.
     pub fn hello(&mut self, tenant: &str) -> Result<HelloInfo, ClientError> {
-        match self.call(&Request::Hello {
+        let hello = |protocol| Request::Hello {
             tenant: tenant.to_string(),
-            protocol: Some(PROTOCOL_VERSION),
-        })? {
+            protocol: Some(protocol),
+        };
+        let answer = match self.call(&hello(PROTOCOL_RAW_WEIGHTS)) {
+            Err(ClientError::Server(e)) if e.code == code::UNSUPPORTED_PROTOCOL => {
+                self.call(&hello(PROTOCOL_VERSION))
+            }
+            answer => answer,
+        };
+        match answer? {
             Payload::Hello {
                 server,
                 protocol,
@@ -164,7 +180,7 @@ impl Client {
     }
 
     /// Block until a job finishes; returns its outcome (bit-exact
-    /// weights included on success).
+    /// weights included on success), the same under either protocol.
     pub fn join(&mut self, job: u64) -> Result<WireTrained, ClientError> {
         match self.call(&Request::Join { job })? {
             Payload::Joined(outcome) => Ok(outcome),
@@ -220,7 +236,10 @@ impl Client {
         }
     }
 
-    /// One request/response exchange, unwrapping `Ok`.
+    /// One request/response exchange, unwrapping `Ok`. A `Hello` answer
+    /// sets the protocol the next answers are read under, and a completed
+    /// `Joined` under protocol 2 comes back with its weight block read
+    /// into `weights` and `weights_bits`.
     pub fn call(&mut self, request: &Request) -> Result<Payload, ClientError> {
         self.send(request)?;
         let response = self.read_response_inner()?;
@@ -248,6 +267,33 @@ impl Client {
     }
 
     fn read_response_inner(&mut self) -> Result<Response, ClientError> {
+        let payload = self.read_payload()?;
+        let mut response = serde_json::from_slice(&payload)
+            .map_err(|e| ClientError::Protocol(format!("unparseable response: {e}")))?;
+        match &mut response {
+            Response::Ok(Payload::Hello { protocol, .. }) => {
+                self.raw_weights = *protocol == PROTOCOL_RAW_WEIGHTS;
+            }
+            Response::Ok(Payload::Joined(joined))
+                if self.raw_weights && joined.status == JobStatus::Completed.name() =>
+            {
+                let block = self.read_payload().map_err(|e| match e {
+                    ClientError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
+                        ClientError::Protocol("eof inside the weight block".to_string())
+                    }
+                    e => e,
+                })?;
+                joined
+                    .attach_weight_block(&block)
+                    .map_err(ClientError::Protocol)?;
+            }
+            _ => {}
+        }
+        Ok(response)
+    }
+
+    /// The next frame's payload.
+    fn read_payload(&mut self) -> Result<Vec<u8>, ClientError> {
         match read_frame(&mut self.reader, CLIENT_MAX_FRAME)? {
             FrameIn::Eof => Err(ClientError::Protocol(
                 "server closed the connection mid-call".to_string(),
@@ -255,8 +301,7 @@ impl Client {
             FrameIn::Oversized { len } => Err(ClientError::Protocol(format!(
                 "server sent an implausible {len}-byte frame"
             ))),
-            FrameIn::Frame(payload) => serde_json::from_slice(&payload)
-                .map_err(|e| ClientError::Protocol(format!("unparseable response: {e}"))),
+            FrameIn::Frame(payload) => Ok(payload),
         }
     }
 }

@@ -4,9 +4,10 @@
 //! The paper's system is a long-running service in spirit — declarative
 //! training requests arrive, the cost-based optimizer picks a plan, the
 //! plan cache amortizes repeated decisions. This crate puts an actual
-//! wire on that: a TCP server speaking length-prefixed JSON frames
-//! ([`protocol`]), per-tenant admission control with typed `busy`
-//! backpressure and deficit-round-robin fairness ([`admission`]), and a
+//! wire on that: a TCP server speaking length-prefixed JSON frames, with
+//! a raw weight block negotiated for `Join` ([`protocol`]), per-tenant
+//! admission control with typed `busy` backpressure and
+//! deficit-round-robin fairness ([`admission`]), and a
 //! blocking [`client`] used by the CLI, the load generator, and the
 //! tests.
 //!
@@ -53,6 +54,6 @@ pub use client::{Client, ClientError, HelloInfo, PredictInfo};
 pub use protocol::{
     code, f64_from_bits_hex, f64_to_bits_hex, JoinedReply, Payload, Request, Response, WireError,
     WireEvent, WireJob, WireReport, WireServerStats, WireSource, WireStats, WireTrain, WireTrained,
-    DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    DEFAULT_MAX_FRAME, PROTOCOL_RAW_WEIGHTS, PROTOCOL_VERSION,
 };
 pub use server::{ServeConfig, Server};

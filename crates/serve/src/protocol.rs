@@ -1,13 +1,30 @@
-//! The serving wire protocol: length-prefixed JSON frames.
+//! The serving wire protocol: length-prefixed frames, JSON but for one
+//! raw block of weights.
 //!
 //! Every message — request or response — is one **frame**: a 4-byte
-//! big-endian `u32` payload length followed by exactly that many bytes of
-//! UTF-8 JSON. Requests are the externally-tagged [`Request`] enum;
+//! big-endian `u32` payload length followed by exactly that many bytes.
+//! Every request and every response is UTF-8 JSON; the one raw frame is
+//! protocol 2's weight block (see [Versions](#versions)). Requests are the
+//! externally-tagged [`Request`] enum;
 //! responses are [`Response`], either `{"Ok": …}` or `{"Err": {code,
 //! message, retry_after_ms}}`. A connection is a strict
 //! request/response sequence, except `Observe`, which streams one
 //! `{"Ok":{"Event":…}}` frame per job event and terminates with
-//! `{"Ok":{"ObserveEnd":…}}`.
+//! `{"Ok":{"ObserveEnd":…}}`, and a completed `Join` under protocol 2,
+//! whose `Joined` is followed by its weight block.
+//!
+//! # Versions
+//!
+//! `Hello` negotiates the version. Protocol 1 ([`PROTOCOL_VERSION`]) is
+//! the default, and a `Hello` that names none gets it: every frame is
+//! JSON. Protocol 2 ([`PROTOCOL_RAW_WEIGHTS`]) differs in one answer
+//! only. A `Join` of a completed job is answered with two frames: the
+//! `Joined` JSON with `weights` and `weights_bits` null, then one raw
+//! frame of 8·d bytes, each weight's IEEE-754 bit pattern little-endian
+//! ([`JoinedReply::encode_raw`]; the client rebuilds both fields from it
+//! with [`WireTrained::attach_weight_block`]). A cancelled or failed job's
+//! `Joined` carries no weights, so it is the one JSON frame under both
+//! versions.
 //!
 //! # Framing
 //!
@@ -19,8 +36,10 @@
 //! [`encode_shared_frame`]: one encode into a reused per-thread scratch
 //! buffer, one copy into an exact-size `Arc<[u8]>` that every observer
 //! shares — one allocation per frame. The `Joined` answer is written from
-//! borrowed parts by [`JoinedReply`], both weight arrays straight off the
-//! bound weight slice, and the `Stats` answer by [`StatsReply`], which
+//! borrowed parts by [`JoinedReply`]: under protocol 1 both weight arrays
+//! straight off the bound weight slice, under protocol 2 a copy of its
+//! bytes behind the JSON ([`JoinedReply::encode_raw`]). The `Stats`
+//! answer is written by [`StatsReply`], which
 //! copies each finished job's row as it was encoded once
 //! ([`EncodedRow`]). [`encode_frame`] remains for owned frames (clients,
 //! tools), and [`write_message`] is the blocking writer over it.
@@ -48,10 +67,12 @@
 //!   survives, because the framing layer already knows where the next
 //!   frame starts.
 //!
-//! Floats cross the wire twice: as plain JSON numbers (readable, and
-//! round-trip-exact under Rust's shortest-representation formatting) and
-//! as 16-hex-digit IEEE-754 bit patterns (`*_bits` fields), which are the
-//! authoritative values for bit-exactness checks.
+//! In JSON, floats cross the wire twice: as plain JSON numbers (readable,
+//! and round-trip-exact under Rust's shortest-representation formatting;
+//! NaN and the infinities are `null`) and as 16-hex-digit IEEE-754 bit
+//! patterns (`*_bits` fields), which are the authoritative values for
+//! bit-exactness checks. A protocol-2 weight block carries the bit
+//! patterns alone, NaN payloads included.
 
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -67,9 +88,14 @@ use serde::de::{self, Deserializer, Slot};
 use serde::ser::{Compound, Serializer};
 use serde::{Deserialize, Serialize};
 
-/// Version of this wire protocol. `Hello` reports it; a client asking for
-/// a different version is refused with `unsupported_protocol`.
+/// The default wire protocol, all JSON: a `Hello` that asks for no
+/// version gets it. A client asking for a version other than this or
+/// [`PROTOCOL_RAW_WEIGHTS`] is refused with `unsupported_protocol`.
 pub const PROTOCOL_VERSION: u32 = 1;
+
+/// The protocol whose completed `Joined` sends the weights as one raw
+/// little-endian block after the JSON (see the module docs).
+pub const PROTOCOL_RAW_WEIGHTS: u32 = 2;
 
 /// Default cap on a single frame's payload bytes (1 MiB).
 pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
@@ -374,8 +400,8 @@ pub enum Request {
     Hello {
         /// Tenant id this connection acts as.
         tenant: String,
-        /// Protocol version the client speaks; `null` accepts the
-        /// server's.
+        /// Protocol version the client speaks; `null` takes the default,
+        /// [`PROTOCOL_VERSION`].
         protocol: Option<u32>,
     },
     /// Enqueue a training job; answers `Submitted` with the job id
@@ -954,6 +980,39 @@ impl Serialize for JoinedReply<'_> {
     }
 }
 
+impl JoinedReply<'_> {
+    /// Protocol 2's `Joined` answer as one buffer of two frames: this
+    /// reply with `weights` and `weights_bits` null, then, when it carries
+    /// weights, the raw block frame, each weight's bit pattern in 8
+    /// little-endian bytes. Without weights it is the protocol-1 frame.
+    ///
+    /// `fits` is asked the buffer's length before the buffer exists, and
+    /// `None` comes back if it says no. The JSON is encoded in this
+    /// thread's scratch buffer, so the answer with weights costs two
+    /// allocations whatever d: the buffer and its shared copy.
+    pub fn encode_raw(mut self, fits: impl FnOnce(usize) -> bool) -> io::Result<Option<Arc<[u8]>>> {
+        let weights = self.weights.take();
+        with_scratch(|header| {
+            frame_into(header, |out| self.serialize(&mut Serializer::compact(out)))?;
+            let Some(weights) = weights else {
+                return Ok(fits(header.len()).then(|| Arc::from(header.as_slice())));
+            };
+            let len = header.len() + 4 + 8 * weights.len();
+            if !fits(len) {
+                return Ok(None);
+            }
+            let mut frame = Vec::with_capacity(len);
+            frame.extend_from_slice(header);
+            frame_into(&mut frame, |out| {
+                for weight in weights {
+                    out.extend_from_slice(&weight.to_le_bytes());
+                }
+            })?;
+            Ok(Some(Arc::from(frame)))
+        })
+    }
+}
+
 /// A weight slice as its array of bit patterns.
 struct WeightBits<'a>(&'a [f64]);
 
@@ -1365,6 +1424,34 @@ pub fn f64_from_bits_hex(s: &str) -> Option<f64> {
         return None;
     }
     u64::from_str_radix(s, 16).ok().map(f64::from_bits)
+}
+
+impl WireTrained {
+    /// Fill `weights` and `weights_bits` from a protocol-2 weight block,
+    /// bit for bit what the protocol-1 JSON carries: the numbers keep
+    /// every bit, NaN payloads included, and the bit patterns are spelled
+    /// as [`f64_to_bits_hex`] spells them. This costs a `String` per
+    /// weight and two exact-size vectors. A block whose length is not a
+    /// multiple of 8, or a `Joined` that already carries weights, is
+    /// refused with a description.
+    pub fn attach_weight_block(&mut self, block: &[u8]) -> Result<(), String> {
+        if self.weights.is_some() || self.weights_bits.is_some() {
+            return Err("a Joined followed by a weight block carries weights of its own".into());
+        }
+        if !block.len().is_multiple_of(8) {
+            return Err(format!(
+                "a weight block of {} bytes is not a whole number of 8-byte weights",
+                block.len()
+            ));
+        }
+        let weights: Vec<f64> = block
+            .chunks_exact(8)
+            .map(|bytes| f64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+            .collect();
+        self.weights_bits = Some(weights.iter().copied().map(f64_to_bits_hex).collect());
+        self.weights = Some(weights);
+        Ok(())
+    }
 }
 
 /// Encode a weight vector in both wire forms (numbers + bit patterns).

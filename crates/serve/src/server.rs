@@ -15,7 +15,7 @@
 //!                 ┌───────▼────────────────────┴───────────────┐
 //!                 │ engine runtime: one worker pool, one lane   │
 //!                 │ per tenant (EventSink encodes each event    │
-//!                 │ and the terminal frames, then posts them)   │
+//!                 │ and the ObserveEnd frame, then posts them)  │
 //!                 └────────────────────────────────────────────┘
 //! ```
 //!
@@ -32,7 +32,8 @@
 //! reactor alone owns the job table and every job's frames, unlocked: a
 //! training job's worker serializes each [`ml4all::JobEvent`] **once**
 //! into a length-prefixed frame shared (`Arc<[u8]>`) by every observer
-//! and posts it as an `Event`, then its terminal frames as `Finished`.
+//! and posts it as an `Event`, then its `ObserveEnd` frame and outcome
+//! as `Finished`.
 //! So a thousand idle observers cost file descriptors and buffer space,
 //! not threads, and replay from any sequence number is a buffer copy.
 //! Applying `Finished`, the reactor encodes the job's `Stats` row once,
@@ -40,14 +41,15 @@
 //!
 //! A finished job keeps its `Joined` answer as `JoinedParts` — the
 //! outcome's fields and the job's own model, shared with the engine's
-//! registry — beside the frame its worker encoded from them at finish.
-//! A `Join` that arrives before or right after the end is answered from
-//! that frame. Once a `Join` delivery leaves no other `Join` waiting, the
-//! frame is dropped, so the history holds each model once as `f64`s
-//! rather than twice as JSON text. A later `Join` waits while the
-//! tenant's lane re-encodes the frame from the parts, byte for byte the
-//! same, and the frame is dropped again once it is delivered. The reactor
-//! never formats weights.
+//! registry — and its worker encodes no `Joined` frame: an answer is
+//! encoded only when a `Join` asks for it, under the protocol its
+//! connection negotiated. A protocol-2 `Join` is answered by the reactor
+//! on the spot, the small JSON header and a copy of the model's 8·d bytes
+//! behind it. A protocol-1 `Join` waits while the tenant's lane encodes
+//! the JSON frame from the parts, and every protocol-1 `Join` waiting
+//! then reads that one frame; it is dropped once none waits, so the
+//! history holds each model once, as `f64`s. The reactor never formats
+//! weights.
 //!
 //! Outbound data sits in a per-connection write buffer capped at
 //! [`ServeConfig::max_write_buffer`] bytes, under one rule: a frame fits
@@ -87,7 +89,7 @@ use crate::admission::{Admission, TenantQuota};
 use crate::protocol::{
     self, code, encode_shared_frame, Decoded, EncodedRow, FrameDecoder, JobRow, JoinedReply,
     Payload, Request, Response, StatsReply, WireError, WireEvent, WireServerStats,
-    DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    DEFAULT_MAX_FRAME, PROTOCOL_RAW_WEIGHTS, PROTOCOL_VERSION,
 };
 use crate::reactor::{Event, Interest, Poller, Waker};
 
@@ -130,10 +132,10 @@ const DRR_QUANTUM: usize = 4096;
 
 /// Served jobs kept for replay after they finish. Terminal jobs beyond
 /// this count are pruned on submit, each the oldest of the tenant holding
-/// the most ([`Jobs::prune`]). A retained job that has been joined holds
-/// about 8·d bytes for its model's d weights, plus its event frames, its
-/// `Stats` row and its record: ≈ 2.2 KB at d = 123. Its `Joined` frame,
-/// ≈ 32·d bytes of JSON text, is kept only until a `Join` takes it.
+/// the most ([`Jobs::prune`]). A retained job holds about 8·d bytes for
+/// its model's d weights, plus its event frames, its `Stats` row and its
+/// record: ≈ 2.2 KB at d = 123. A protocol-1 `Joined` frame, ≈ 32·d bytes
+/// of JSON text, is kept only while a `Join` waits for it.
 const SERVED_HISTORY_CAP: usize = 4096;
 
 /// Parsed requests a connection may queue while a verb is pending;
@@ -154,8 +156,8 @@ const LISTENER_TOKEN: u64 = 0;
 const FIRST_CONN_TOKEN: u64 = 2;
 
 /// A finished job's record. Its weights live once, in the model its
-/// [`JoinedParts`] share with the engine's registry; the encoded `Joined`
-/// frame is kept only while a `Join` may take it.
+/// [`JoinedParts`] share with the engine's registry; a protocol-1 `Joined`
+/// frame is kept only while a `Join` waits for it.
 struct Finished {
     /// The job's `Stats` row, final — status `completed`, `cancelled` or
     /// `failed` — and encoded once.
@@ -167,16 +169,14 @@ struct Finished {
 }
 
 /// A finished job's `Joined` answer: the parts every frame of it is
-/// encoded from, and the frame while it is kept.
+/// encoded from, and the protocol-1 frame while it is kept.
 struct Joined {
     parts: JoinedParts,
-    /// The worker's frame until a `Join` takes it; after that, a frame
-    /// re-encoded in the tenant's lane while later `Join`s wait for it.
+    /// The protocol-1 frame, encoded in the tenant's lane for the `Join`s
+    /// that wait for it and dropped once none does
+    /// ([`Reactor::release_joined`]).
     frame: Option<Arc<[u8]>>,
-    /// A `Join` has taken the frame: it is dropped whenever no `Join`
-    /// waits for it ([`Reactor::release_joined`]).
-    taken: bool,
-    /// A re-encode is on its way from the tenant's lane.
+    /// An encode is on its way from the tenant's lane.
     encoding: bool,
 }
 
@@ -254,16 +254,15 @@ enum Action {
         frame: Arc<[u8]>,
     },
     /// Job `job` ended, after its last event: the parts of its `Joined`
-    /// answer, and its pre-framed `Joined` and `ObserveEnd` answers.
+    /// answer, and its pre-framed `ObserveEnd` answer.
     Finished {
         job: u64,
         parts: JoinedParts,
-        joined: Arc<[u8]>,
         end: Arc<[u8]>,
     },
-    /// Job `job`'s `Joined` frame, re-encoded from its parts for the
-    /// `Join`s that wait on it.
-    Rejoined { job: u64, frame: Arc<[u8]> },
+    /// Job `job`'s protocol-1 `Joined` frame, encoded from its parts for
+    /// the `Join`s that wait on it.
+    JoinedFrame { job: u64, frame: Arc<[u8]> },
 }
 
 struct Shared {
@@ -373,17 +372,14 @@ impl Drop for Server {
 // ---------------------------------------------------------------------
 
 /// Runs on the engine worker executing the job: serializes each event,
-/// and at the end the terminal frames, and posts them to the reactor,
+/// and at the end the `ObserveEnd` frame, and posts them to the reactor,
 /// which owns the job's frame buffer. No pump thread exists per job —
 /// this *is* the push path.
 struct JobSink {
     shared: Arc<Shared>,
     job: u64,
-    /// `"{tenant}:{name}"`: the prefix stripped from bound names on the
-    /// wire, then the job's visible name.
-    qualified: String,
-    /// Where the prefix ends in `qualified`.
-    split: usize,
+    /// `"{tenant}:"`, the prefix stripped from bound names on the wire.
+    prefix: String,
     /// The next event's sequence number (a job emits its events one
     /// after another).
     seq: AtomicU64,
@@ -394,8 +390,7 @@ impl JobSink {
         Self {
             shared: Arc::clone(shared),
             job: job.id,
-            qualified: format!("{}:{}", job.tenant, job.name),
-            split: job.tenant.len() + 1,
+            prefix: format!("{}:", job.tenant),
             seq: AtomicU64::new(0),
         }
     }
@@ -403,7 +398,7 @@ impl JobSink {
 
 impl EventSink for JobSink {
     fn event(&self, event: JobEvent) {
-        let wire = WireEvent::from_job_event(&event, &self.qualified[..self.split]);
+        let wire = WireEvent::from_job_event(&event, &self.prefix);
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let frame = encode_shared_frame(&Response::Ok(Payload::Event { seq, event: wire }))
             .expect("serialize event");
@@ -414,10 +409,10 @@ impl EventSink for JobSink {
         });
     }
 
-    /// Build the job's [`JoinedParts`] once, encode its `Joined` and
-    /// `ObserveEnd` frames from them, and post all three. The parts keep
-    /// the job's own model, the `Arc` the engine's registry holds, so no
-    /// weight is copied.
+    /// Build the job's [`JoinedParts`] once, encode its `ObserveEnd`
+    /// frame, and post both. The parts keep the job's own model, the `Arc`
+    /// the engine's registry holds, so no weight is copied, and no
+    /// `Joined` frame is encoded until a `Join` asks for one.
     fn finished(&self, outcome: &Result<Trained, SessionError>) {
         let parts = JoinedParts::new(outcome);
         let end = encode_shared_frame(&Response::Ok(Payload::ObserveEnd {
@@ -425,20 +420,18 @@ impl EventSink for JobSink {
             status: parts.status().name().to_string(),
         }))
         .expect("serialize");
-        let joined = parts.encode(self.job, &self.qualified[self.split..]);
         self.shared.post(Action::Finished {
             job: self.job,
             parts,
-            joined,
             end,
         });
     }
 }
 
 /// A job's outcome as its `Joined` answer is written from: the one
-/// projection of an outcome onto the wire. Every `Joined` frame, the
-/// worker's at finish and any re-encoded later, is
-/// [`JoinedParts::encode`]d from it.
+/// projection of an outcome onto the wire. Every `Joined` answer is
+/// [`JoinedParts::reply`] to it, encoded under the joining connection's
+/// protocol.
 #[derive(Clone)]
 enum JoinedParts {
     /// The plan, counters and the model this job bound, shared with the
@@ -513,14 +506,15 @@ impl JoinedParts {
         reply
     }
 
-    /// The `Joined` frame of job `job`, bound as `name` on success.
+    /// The protocol-1 `Joined` frame of job `job`, bound as `name` on
+    /// success.
     fn encode(&self, job: u64, name: &str) -> Arc<[u8]> {
         encode_shared_frame(&self.reply(job, name)).expect("serialize")
     }
 }
 
 // ---------------------------------------------------------------------
-// Explain, Predict and late Joins: jobs in the tenant's runtime lane
+// Explain, Predict and protocol-1 Joins: jobs in the tenant's runtime lane
 // ---------------------------------------------------------------------
 
 fn explain(engine: &Engine, train: &protocol::WireTrain, measured: bool) -> Response {
@@ -616,6 +610,9 @@ struct Conn {
     stream: TcpStream,
     /// Set by `Hello`; each verb and job takes a reference to it.
     tenant: Option<Arc<str>>,
+    /// Set by a `Hello` that asked for protocol 2: a completed `Joined`
+    /// is answered with its weights as a raw block.
+    raw_weights: bool,
     decoder: FrameDecoder,
     /// Outbound frames; the head may be partially written.
     wbuf: VecDeque<Arc<[u8]>>,
@@ -638,6 +635,7 @@ impl Conn {
         Self {
             stream,
             tenant: None,
+            raw_weights: false,
             decoder: FrameDecoder::new(max_frame),
             wbuf: VecDeque::new(),
             wbuf_off: 0,
@@ -657,12 +655,18 @@ impl Conn {
         }
     }
 
-    /// Queue `frame` if it fits the write cap `max`: under it, or — a
+    /// Whether `len` more bytes fit the write cap `max`: under it, or — a
     /// single frame larger than the whole cap — into an empty buffer,
     /// where progress beats a livelock and the overshoot is one frame
-    /// deep. Returns whether it was queued.
+    /// deep.
+    fn fits(&self, len: usize, max: usize) -> bool {
+        self.wbuf.is_empty() || self.wbuf_bytes + len <= max
+    }
+
+    /// Queue `frame` if it [`fits`](Conn::fits) the write cap `max`.
+    /// Returns whether it was queued.
     fn queue(&mut self, frame: &Arc<[u8]>, max: usize) -> bool {
-        let fits = self.wbuf.is_empty() || self.wbuf_bytes + frame.len() <= max;
+        let fits = self.fits(frame.len(), max);
         if fits {
             self.wbuf_bytes += frame.len();
             self.wbuf.push_back(Arc::clone(frame));
@@ -906,15 +910,22 @@ impl Reactor {
         };
         let response = match (request, conn.tenant.clone()) {
             (Request::Hello { tenant, protocol }, _) => match protocol {
-                Some(asked) if asked != PROTOCOL_VERSION => Response::Err(WireError::new(
-                    code::UNSUPPORTED_PROTOCOL,
-                    format!("server speaks protocol {PROTOCOL_VERSION}, not {asked}"),
-                )),
+                Some(asked) if asked != PROTOCOL_VERSION && asked != PROTOCOL_RAW_WEIGHTS => {
+                    Response::Err(WireError::new(
+                        code::UNSUPPORTED_PROTOCOL,
+                        format!(
+                            "server speaks protocols {PROTOCOL_VERSION} and \
+                             {PROTOCOL_RAW_WEIGHTS}, not {asked}"
+                        ),
+                    ))
+                }
                 _ => {
+                    let protocol = protocol.unwrap_or(PROTOCOL_VERSION);
                     conn.tenant = Some(tenant.into());
+                    conn.raw_weights = protocol == PROTOCOL_RAW_WEIGHTS;
                     Response::Ok(Payload::Hello {
                         server: concat!("ml4all-serve ", env!("CARGO_PKG_VERSION")).to_string(),
-                        protocol: PROTOCOL_VERSION,
+                        protocol,
                         rng_stream_version: RNG_STREAM_VERSION,
                         max_frame: self.shared.config.max_frame as u64,
                     })
@@ -1004,7 +1015,8 @@ impl Reactor {
     /// [`Reactor::service`]. A backlog or a `Joined` larger than the
     /// write cap drains as the socket accepts it — lag, not a protocol
     /// violation. A wait the first top-up cannot finish joins the job's
-    /// waiters, to be fed as the job produces.
+    /// waiters, to be fed as the job produces, or as the tenant's lane
+    /// encodes a protocol-1 `Joined`.
     fn wait_on(&mut self, token: u64, job: u64, cursor: Option<usize>) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
@@ -1021,19 +1033,16 @@ impl Reactor {
         let waiting = self.conns[&token].pending.is_some();
         if let Some(served) = self.jobs.table.get_mut(&job).filter(|_| waiting) {
             served.waiters.push(token);
-            if cursor.is_none() {
-                self.reencode_joined(job);
-            }
         }
         self.service(token);
     }
 
-    /// A `Join` waits on a finished job whose frame was dropped: re-encode
-    /// the frame once from the job's parts, in the tenant's runtime lane
-    /// as `Explain`/`Predict` run, and post it back as
-    /// [`Action::Rejoined`]. `Join`s arriving meanwhile wait for the same
-    /// frame.
-    fn reencode_joined(&mut self, id: u64) {
+    /// A protocol-1 `Join` waits on a finished job: unless its frame is
+    /// kept or on its way, encode it once from the job's parts, in the
+    /// tenant's runtime lane as `Explain`/`Predict` run, and post it back
+    /// as [`Action::JoinedFrame`]. `Join`s arriving meanwhile wait for the
+    /// same frame.
+    fn encode_joined(&mut self, id: u64) {
         let Some(job) = self.jobs.table.get_mut(&id) else {
             return;
         };
@@ -1049,13 +1058,13 @@ impl Reactor {
             &self.shared,
             &job.tenant,
             move |_| parts.encode(id, &name),
-            move |frame| Action::Rejoined { job: id, frame },
+            move |frame| Action::JoinedFrame { job: id, frame },
         );
     }
 
-    /// Drop job `id`'s `Joined` frame once a `Join` has taken it and no
-    /// `Join` waits for it any more; a later `Join` re-encodes it
-    /// ([`Reactor::reencode_joined`]). A frame no `Join` has taken is kept.
+    /// Drop job `id`'s protocol-1 `Joined` frame once no protocol-1 `Join`
+    /// waits for it; a later one encodes it again
+    /// ([`Reactor::encode_joined`]).
     fn release_joined(&mut self, id: u64) {
         let Some(job) = self.jobs.table.get_mut(&id) else {
             return;
@@ -1065,10 +1074,11 @@ impl Reactor {
         };
         let conns = &self.conns;
         let joining = |token: &u64| {
-            let pending = conns.get(token).and_then(|c| c.pending.as_ref());
-            matches!(pending, Some(PendingVerb::Job { cursor: None, .. }))
+            conns.get(token).is_some_and(|c| {
+                !c.raw_weights && matches!(c.pending, Some(PendingVerb::Job { cursor: None, .. }))
+            })
         };
-        if joined.taken && !job.waiters.iter().any(joining) {
+        if !job.waiters.iter().any(joining) {
             joined.frame = None;
         }
     }
@@ -1108,7 +1118,7 @@ impl Reactor {
             }
         }
         self.tokens = tokens;
-        // A re-encoded frame whose `Join`s all left before it came.
+        // A protocol-1 frame whose `Join`s all left before it came.
         self.release_joined(id);
     }
 
@@ -1117,7 +1127,10 @@ impl Reactor {
     /// cursor, then — once the job is terminal and every event went out
     /// — the terminal frame, which finishes the wait. A reader catching
     /// up on a large backlog is drip-fed at the rate its socket drains
-    /// instead of tripping the cap. Returns whether anything was queued.
+    /// instead of tripping the cap. A protocol-2 `Joined` is encoded here,
+    /// once it fits; a protocol-1 `Join` with no frame to take has its
+    /// frame encoded in the tenant's lane. Returns whether anything was
+    /// queued.
     fn top_up(&mut self, token: u64) -> bool {
         let max = self.shared.config.max_write_buffer;
         let Some(conn) = self.conns.get_mut(&token) else {
@@ -1140,26 +1153,32 @@ impl Reactor {
             }
         }
         // Frames are never appended after a job turns terminal, so the
-        // stream is complete once it is. A `Join` of a job whose frame was
-        // dropped waits for the re-encoded one.
-        let done = job.finished.as_mut().is_some_and(|f| match cursor {
+        // stream is complete once it is.
+        let done = job.finished.as_ref().is_some_and(|f| match cursor {
             Some(at) => at >= job.frames.len() && conn.queue(&f.end, max),
-            None => {
-                let joined = &mut f.joined;
-                let sent = joined.frame.as_ref().is_some_and(|j| conn.queue(j, max));
-                joined.taken |= sent;
-                sent
+            None if conn.raw_weights => {
+                let reply = f.joined.parts.reply(id, &job.name);
+                let frame = reply.encode_raw(|len| conn.fits(len, max));
+                let frame = frame.expect("serialize");
+                frame.is_some_and(|frame| conn.queue(&frame, max))
             }
+            None => f.joined.frame.as_ref().is_some_and(|j| conn.queue(j, max)),
         });
         let queued = conn.wbuf.len() > queued;
+        let json_join_waits = cursor.is_none() && !conn.raw_weights && job.finished.is_some();
         if done {
             conn.pending = None;
             job.unwait(token);
             if cursor.is_none() {
                 self.release_joined(id);
             }
-        } else if let Some(PendingVerb::Job { cursor: at, .. }) = &mut conn.pending {
-            *at = cursor;
+        } else {
+            if let Some(PendingVerb::Job { cursor: at, .. }) = &mut conn.pending {
+                *at = cursor;
+            }
+            if json_join_waits {
+                self.encode_joined(id);
+            }
         }
         queued
     }
@@ -1448,7 +1467,7 @@ impl Jobs {
     /// frame is appended. A finish drops the engine handle, encodes the
     /// `Stats` row once from the engine id stored at dispatch, frees the
     /// admission slot, and dispatches what that made room for. A
-    /// re-encoded `Joined` frame is kept for the `Join`s waiting on it.
+    /// protocol-1 `Joined` frame is kept for the `Join`s waiting on it.
     fn apply(&mut self, shared: &Arc<Shared>, action: Action) -> u64 {
         match action {
             Action::Event {
@@ -1465,7 +1484,6 @@ impl Jobs {
             Action::Finished {
                 job: id,
                 parts,
-                joined,
                 end,
             } => {
                 if let Some(job) = self.table.get_mut(&id) {
@@ -1473,8 +1491,7 @@ impl Jobs {
                     let row = job.row(parts.status()).encode();
                     let joined = Box::new(Joined {
                         parts,
-                        frame: Some(joined),
-                        taken: false,
+                        frame: None,
                         encoding: false,
                     });
                     job.finished = Some(Finished { row, end, joined });
@@ -1487,7 +1504,7 @@ impl Jobs {
                 self.dispatch(shared);
                 id
             }
-            Action::Rejoined { job: id, frame } => {
+            Action::JoinedFrame { job: id, frame } => {
                 let finished = self
                     .table
                     .get_mut(&id)
@@ -1835,7 +1852,12 @@ mod tests {
     }
 
     impl Peer {
+        /// A protocol-1 connection: it names no protocol.
         fn connect(reactor: &mut Reactor, tenant: &str) -> Self {
+            Self::connect_with(reactor, tenant, None)
+        }
+
+        fn connect_with(reactor: &mut Reactor, tenant: &str, protocol: Option<u32>) -> Self {
             let addr = reactor.listener.local_addr().expect("address");
             let stream = TcpStream::connect(addr).expect("connect");
             stream
@@ -1846,7 +1868,7 @@ mod tests {
             assert!(reactor.conns.contains_key(&token), "accepted");
             let hello = Request::Hello {
                 tenant: tenant.to_string(),
-                protocol: None,
+                protocol,
             };
             reactor.handle_request(token, hello, 0);
             let mut peer = Self {
@@ -1893,6 +1915,12 @@ mod tests {
         &finished.expect("finished").joined
     }
 
+    /// Job `id`'s protocol-1 `Joined` frame, encoded from its parts.
+    fn v1_frame(reactor: &Reactor, id: u64) -> Arc<[u8]> {
+        let job = &reactor.jobs.table[&id];
+        joined_of(reactor, id).parts.encode(id, &job.name)
+    }
+
     /// `Joined.weights_bits` of a `Joined` frame.
     fn weights_bits(frame: &[u8]) -> Option<Vec<String>> {
         let Response::Ok(Payload::Joined(wire)) =
@@ -1903,11 +1931,12 @@ mod tests {
         wire.weights_bits
     }
 
-    /// The first `Join` of a completed, a cancelled and a failed job takes
-    /// the worker's frame, and the record drops it. A later `Join`, from
-    /// the same connection or another, waits while the tenant's lane
-    /// re-encodes the frame from the job's parts, and reads the first
-    /// `Join`'s bytes; the frame is dropped again once delivered.
+    /// A finished job's record keeps no `Joined` frame. The first
+    /// protocol-1 `Join` of a completed, a cancelled and a failed job waits
+    /// while the tenant's lane encodes the frame from the job's parts, and
+    /// the record drops it once delivered. A later `Join`, from the same
+    /// connection or another, waits for a new encode and reads the first
+    /// `Join`'s bytes.
     #[test]
     fn a_late_join_of_a_compacted_job_reads_the_first_joins_bytes() {
         let mut reactor = reactor();
@@ -1932,17 +1961,21 @@ mod tests {
         let mut second = Peer::connect(&mut reactor, "acme");
         for (id, outcome) in (1..).zip(&outcomes) {
             finish_job(&mut reactor.jobs, &shared, (id, "acme", Some(id)), outcome);
-            let worker = joined_of(&reactor, id).frame.clone().expect("kept");
+            assert!(
+                joined_of(&reactor, id).frame.is_none(),
+                "job {id}: no frame at finish"
+            );
             first.join(&mut reactor, id);
-            assert_eq!(first.answer(&mut reactor), worker[..]);
+            let taken = first.answer(&mut reactor);
+            assert_eq!(taken, v1_frame(&reactor, id)[..]);
             assert!(joined_of(&reactor, id).frame.is_none(), "job {id}: taken");
             for peer in [&mut first, &mut second] {
                 peer.join(&mut reactor, id);
-                assert!(joined_of(&reactor, id).encoding, "job {id}: re-encoding");
+                assert!(joined_of(&reactor, id).encoding, "job {id}: encoding");
                 assert_eq!(reactor.jobs.table[&id].waiters, [peer.token]);
                 assert_eq!(
                     peer.answer(&mut reactor),
-                    worker[..],
+                    taken,
                     "job {id}: a late join reads the first join's bytes"
                 );
                 let joined = joined_of(&reactor, id);
@@ -1951,12 +1984,12 @@ mod tests {
         }
     }
 
-    /// Two `Join`s waiting on a running job both read the frame its worker
-    /// encoded at finish: nothing is re-encoded, the frame is dropped once
-    /// the second has it, and the job's waiter list gives its capacity
-    /// back.
+    /// Two protocol-1 `Join`s waiting on a running job both read one frame
+    /// the tenant's lane encodes once the job finishes: one encode, the
+    /// frame dropped once the second has it, and the job's waiter list
+    /// gives its capacity back.
     #[test]
-    fn two_joins_waiting_on_a_running_job_both_get_the_workers_frame() {
+    fn two_joins_waiting_on_a_running_job_share_one_encoded_frame() {
         let mut reactor = reactor();
         let shared = Arc::clone(&reactor.shared);
         let job = ServedJob::new(1, "acme".into(), "j1".to_string());
@@ -1975,21 +2008,64 @@ mod tests {
         let outcome = Err(SessionError::Cancelled { iterations: 4 });
         sink.finished(&outcome);
         reactor.drain_actions();
-        let worker = JoinedParts::new(&outcome).encode(1, "j1");
+        assert!(joined_of(&reactor, 1).encoding, "one encode for both");
+        let expected = JoinedParts::new(&outcome).encode(1, "j1");
         for peer in &mut peers {
-            assert_eq!(peer.answer(&mut reactor), worker[..]);
+            assert_eq!(peer.answer(&mut reactor), expected[..]);
         }
         let joined = joined_of(&reactor, 1);
-        assert!(joined.taken && joined.frame.is_none() && !joined.encoding);
-        assert!(shared.next_action().is_none(), "nothing re-encoded");
+        assert!(joined.frame.is_none() && !joined.encoding);
+        assert!(shared.next_action().is_none(), "nothing encoded twice");
         let waiters = &reactor.jobs.table[&1].waiters;
         assert!(waiters.is_empty() && waiters.capacity() == 0);
     }
 
+    /// A protocol-2 `Join` of a finished job is answered on the spot, the
+    /// JSON header and the raw block straight from the job's model: no
+    /// lane encode, and no frame kept.
+    #[test]
+    fn a_raw_join_is_answered_on_the_spot_and_keeps_no_frame() {
+        let mut reactor = reactor();
+        let shared = Arc::clone(&reactor.shared);
+        let trained = shared
+            .engine
+            .train(
+                TrainRequest::new(
+                    GradientKind::LogisticRegression,
+                    DataSource::registry("adult"),
+                )
+                .max_iter(3)
+                .named("acme:j1"),
+            )
+            .expect("train");
+        let weights = trained.model.weights.as_slice().to_vec();
+        finish_job(
+            &mut reactor.jobs,
+            &shared,
+            (1, "acme", Some(1)),
+            &Ok(trained),
+        );
+        let mut peer = Peer::connect_with(&mut reactor, "acme", Some(PROTOCOL_RAW_WEIGHTS));
+        peer.join(&mut reactor, 1);
+        assert!(reactor.conns[&peer.token].pending.is_none(), "answered");
+        assert!(shared.next_action().is_none(), "no lane encode");
+        let joined = joined_of(&reactor, 1);
+        assert!(joined.frame.is_none() && !joined.encoding);
+
+        let header = peer.frame();
+        assert_eq!(weights_bits(&header), None, "the header carries no weights");
+        let block = peer.frame();
+        let bytes: Vec<u8> = weights.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(block[4..], bytes[..]);
+        let mut reply = joined.parts.reply(1, "j1");
+        reply.weights = None;
+        let expected = encode_shared_frame(&reply).expect("encode");
+        assert_eq!(header, expected[..], "the protocol-1 frame without weights");
+    }
+
     /// Two same-named jobs of one tenant may run at once; whichever binds
     /// the name last, each job's `Joined` carries the weights it trained,
-    /// and so does a late `Join` re-encoded from the job's parts after
-    /// the name was rebound.
+    /// under either protocol, even once the name was rebound.
     #[test]
     fn joined_carries_its_own_jobs_weights() {
         let mut reactor = reactor();
@@ -2016,9 +2092,10 @@ mod tests {
         let action = shared
             .next_action()
             .expect("the sink posts the finished job");
-        let Action::Finished { joined, .. } = &action else {
-            panic!("the sink posts the finished job");
-        };
+        assert!(matches!(action, Action::Finished { .. }));
+        reactor.jobs.table.insert(1, job);
+        reactor.jobs.apply(&shared, action);
+
         let expected: Vec<String> = a_model
             .weights
             .as_slice()
@@ -2026,17 +2103,23 @@ mod tests {
             .copied()
             .map(protocol::f64_to_bits_hex)
             .collect();
-        assert_eq!(weights_bits(joined), Some(expected.clone()));
-
-        let worker = joined.to_vec();
-        reactor.jobs.table.insert(1, job);
-        reactor.jobs.apply(&shared, action);
         let mut peer = Peer::connect(&mut reactor, "acme");
         for _ in 0..2 {
             peer.join(&mut reactor, 1);
-            assert_eq!(peer.answer(&mut reactor), worker);
+            assert_eq!(
+                weights_bits(&peer.answer(&mut reactor)),
+                Some(expected.clone())
+            );
         }
-        assert!(joined_of(&reactor, 1).taken, "the second join was late");
-        assert_eq!(weights_bits(&worker), Some(expected));
+        let mut raw = Peer::connect_with(&mut reactor, "acme", Some(PROTOCOL_RAW_WEIGHTS));
+        raw.join(&mut reactor, 1);
+        let Response::Ok(Payload::Joined(mut wire)) =
+            serde_json::from_slice(&raw.answer(&mut reactor)[4..]).expect("decode header")
+        else {
+            panic!("not a Joined answer");
+        };
+        wire.attach_weight_block(&raw.frame()[4..])
+            .expect("a weight block");
+        assert_eq!(wire.weights_bits, Some(expected));
     }
 }

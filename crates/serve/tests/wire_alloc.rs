@@ -8,9 +8,12 @@
 //!
 //! The server side: a frame the server queues is one request, the
 //! `Arc<[u8]>` it is shared as, building and encoding a `Joined` answer
-//! costs the same requests at d = 20 000 as at d = 123, and a `Stats`
-//! answer from encoded rows the same at 2 048 rows as at 16. A decoded
-//! `Stats` row costs its name only: its status borrows a literal.
+//! costs the same requests at d = 20 000 as at d = 123, under either
+//! protocol, and a `Stats` answer from encoded rows the same at 2 048 rows
+//! as at 16. A decoded `Stats` row costs its name only: its status borrows
+//! a literal. The client's decode of a protocol-2 `Joined` costs a
+//! request per weight, its hex `String`, and a constant: no doubling
+//! series.
 //!
 //! One `#[test]` only: the counters are process-wide, and the harness runs
 //! tests of one binary on parallel threads.
@@ -126,6 +129,7 @@ fn the_codec_allocates_for_its_output_only() {
 
     shared_frames_cost_one_request();
     joined_costs_no_request_per_weight();
+    raw_joined_costs_the_same_at_any_width();
     stats_costs_no_request_per_row();
 }
 
@@ -205,6 +209,67 @@ fn joined_costs_no_request_per_weight() {
         made, 0,
         "encoding Joined into a warm buffer must not allocate"
     );
+}
+
+/// A completed `Joined` under protocol 2 is its JSON header and a copy of
+/// the weights' bytes: the server's answer costs the same requests at
+/// d = 20 000 as at d = 123, and the client's decode one per weight (its
+/// hex `String`) and a constant, with no doubling vector.
+fn raw_joined_costs_the_same_at_any_width() {
+    let build_and_encode = |weights: &[f64]| {
+        requests(|| {
+            let reply = JoinedReply {
+                job: 1,
+                status: "completed",
+                name: Some("hot"),
+                plan: Some("SGD-lazy-shuffle".to_string()),
+                iterations: Some(5),
+                converged: Some(false),
+                sim_time_s: Some(4.010036191371873),
+                weights: Some(weights),
+                error: None,
+            };
+            reply.encode_raw(|_| true).expect("encode").expect("fits")
+        })
+    };
+    let (narrow, wide) = (weights(123), weights(20_000));
+    // The first answer on the thread grows its scratch buffer.
+    build_and_encode(&wide);
+    let (narrow_requests, narrow_answer) = build_and_encode(&narrow);
+    let (wide_requests, wide_answer) = build_and_encode(&wide);
+    assert_eq!(
+        wide_requests, narrow_requests,
+        "a protocol-2 Joined at d = 20000 made {wide_requests} allocation requests, at \
+         d = 123 {narrow_requests}"
+    );
+    // The plan text, the answer's buffer, its shared copy.
+    assert!(
+        narrow_requests <= 3,
+        "a protocol-2 Joined made {narrow_requests} allocation requests"
+    );
+
+    for (d, answer) in [(123, narrow_answer), (20_000, wide_answer)] {
+        let header_len = 4 + u32::from_be_bytes(answer[..4].try_into().expect("4 bytes")) as usize;
+        let (header, block) = answer.split_at(header_len);
+        let (decode_requests, joined) = requests(|| {
+            let Ok(Response::Ok(Payload::Joined(mut joined))) =
+                serde_json::from_slice::<Response>(&header[4..])
+            else {
+                panic!("not a Joined header");
+            };
+            joined.attach_weight_block(&block[4..]).expect("a block");
+            joined
+        });
+        assert_eq!(joined.weights_bits.map(|bits| bits.len()), Some(d));
+        // The status, name and plan; the two exact-size vectors; a hex
+        // `String` per weight.
+        let bound = 3 + 2 + d as u64 + CONSTANT;
+        assert!(
+            decode_requests <= bound,
+            "decoding a protocol-2 Joined at d = {d} made {decode_requests} allocation \
+             requests, its output accounts for at most {bound}"
+        );
+    }
 }
 
 /// `Stats` is written from rows encoded once: building and encoding the

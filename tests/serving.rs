@@ -15,7 +15,7 @@ use ml4all::{DataSource, Engine, GradientKind, JobEvent, Runtime, TrainRequest};
 use ml4all_bench::golden::assert_golden;
 use ml4all_serve::{
     code, f64_to_bits_hex, protocol, Client, ClientError, Request, Response, ServeConfig, Server,
-    TenantQuota, WireEvent, WireSource, WireTrain, PROTOCOL_VERSION,
+    TenantQuota, WireEvent, WireSource, WireTrain, PROTOCOL_RAW_WEIGHTS, PROTOCOL_VERSION,
 };
 
 fn serve(engine: Engine, config: ServeConfig) -> Server {
@@ -341,14 +341,28 @@ fn hello_gates_verbs_and_reports_the_rng_stream_version() {
         other => panic!("expected unsupported_protocol, got {other:?}"),
     }
 
-    // A proper hello reports the server, protocol, and the RNG stream
-    // version that pins bit-level reproducibility.
+    // A proper hello reports the server, the protocol it negotiated (the
+    // client asks for the raw weight block), and the RNG stream version
+    // that pins bit-level reproducibility.
     let hello = client.hello("acme").expect("hello");
     assert!(hello.server.starts_with("ml4all-serve "));
-    assert_eq!(hello.protocol, ml4all_serve::PROTOCOL_VERSION);
+    assert_eq!(hello.protocol, PROTOCOL_RAW_WEIGHTS);
     assert_eq!(hello.rng_stream_version, ml4all::RNG_STREAM_VERSION);
     assert_eq!(hello.max_frame, ml4all_serve::DEFAULT_MAX_FRAME as u64);
     client.stats().expect("stats after hello");
+
+    // A hello that names no protocol, or protocol 1, gets the JSON default.
+    for protocol in [None, Some(PROTOCOL_VERSION)] {
+        match client.call(&Request::Hello {
+            tenant: "acme".into(),
+            protocol,
+        }) {
+            Ok(protocol::Payload::Hello { protocol, .. }) => {
+                assert_eq!(protocol, PROTOCOL_VERSION);
+            }
+            other => panic!("expected Hello, got {other:?}"),
+        }
+    }
 }
 
 #[test]
@@ -895,8 +909,9 @@ fn join_pipelined_behind_a_paced_observe_is_answered_after_the_stream() {
 
 #[test]
 fn a_join_larger_than_the_write_cap_is_answered() {
-    // adult has d = 123, so its `Joined` frame is ≈ 5 KB: over a 4 KiB
-    // cap it is paced into the empty buffer, not refused.
+    // adult has d = 123, so its protocol-1 `Joined` frame is ≈ 5 KB: over
+    // a 4 KiB cap it is paced into the empty buffer, not refused. The
+    // protocol-2 answer, ≈ 1.2 KB, fits.
     let config = ServeConfig {
         max_write_buffer: 4 << 10,
         ..ServeConfig::default()
@@ -907,8 +922,61 @@ fn a_join_larger_than_the_write_cap_is_answered() {
     let outcome = client.join(job).expect("join");
     assert_eq!(outcome.status, "completed");
     assert_eq!(outcome.weights.expect("weights").len(), 123);
+    let mut json = connect_v1(&server, "wide");
+    let outcome = json.join(job).expect("protocol-1 join");
+    assert_eq!(outcome.weights.expect("weights").len(), 123);
     let stats = client.server_stats().expect("stats");
     assert_eq!(stats.slow_consumer_disconnects, 0);
+}
+
+/// A client that asks for protocol 1: every answer is JSON.
+fn connect_v1(server: &Server, tenant: &str) -> Client {
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let hello = Request::Hello {
+        tenant: tenant.into(),
+        protocol: Some(PROTOCOL_VERSION),
+    };
+    match client.call(&hello) {
+        Ok(protocol::Payload::Hello { protocol, .. }) => assert_eq!(protocol, PROTOCOL_VERSION),
+        other => panic!("expected Hello, got {other:?}"),
+    }
+    client
+}
+
+#[test]
+fn a_protocol_1_and_a_protocol_2_connection_join_one_job_alike() {
+    let server = serve(Engine::new(), ServeConfig::default());
+    let mut raw = connect(&server, "acme");
+    let mut json = connect_v1(&server, "acme");
+    let completed = raw.submit(&adult_train(5, 3, "mixed")).expect("submit");
+    let cancelled = raw.submit(&hog_train("hog")).expect("submit hog");
+    raw.cancel(cancelled).expect("cancel");
+    let missing = WireTrain::new("logistic", WireSource::Registry("no-such-set".into()));
+    let failed = raw.submit(&missing).expect("submit");
+    for (job, status) in [
+        (completed, "completed"),
+        (cancelled, "cancelled"),
+        (failed, "failed"),
+    ] {
+        // Either protocol first, then the other: one outcome, bit for bit.
+        let first = raw.join(job).expect("protocol-2 join");
+        let second = json.join(job).expect("protocol-1 join");
+        let third = raw.join(job).expect("protocol-2 join again");
+        assert_eq!(first.status, status);
+        assert_eq!(format!("{first:?}"), format!("{second:?}"), "job {job}");
+        assert_eq!(format!("{first:?}"), format!("{third:?}"), "job {job}");
+
+        // A protocol-1 join after protocol-2 joins reads the frame a
+        // protocol-1 server writes: the derived encoding of the outcome.
+        let (stream, mut reader) = raw_hello(&server, "acme");
+        let payload = raw_call(&stream, &mut reader, &Request::Join { job });
+        let today =
+            serde_json::to_vec(&Response::Ok(protocol::Payload::Joined(first))).expect("encode");
+        assert!(payload == today, "job {job}: protocol-1 bytes");
+    }
+    // The completed job's block carried every weight.
+    let outcome = raw.join(completed).expect("join");
+    assert_eq!(outcome.weights_bits.expect("weights").len(), 123);
 }
 
 #[test]

@@ -2,6 +2,14 @@
 //! untrusted bytes: `Request` and `Response` frames, the checkpoint
 //! payload and `plancache.json` (`Vec<PlanCacheEntry>`).
 //!
+//! Then the client's read of protocol 2's raw weight block, against a
+//! scripted server on a loopback socket: a block whose length is not a
+//! multiple of 8, a missing block, a block cut at every byte, a completed
+//! header that carries weights of its own, and a stray block on a
+//! protocol-1 connection are each a typed `ClientError::Protocol`, and
+//! randomly cut or re-sized answers are answered `Ok` or `Err`, never a
+//! panic or a hang.
+//!
 //! Every mutant (see `tests/mutate.rs`: byte flips, truncations, nesting
 //! bombs, duplicate and unknown keys, megabyte runs, perturbed numbers)
 //! must be answered with `Ok` or `Err` — never a panic; on a thread with a
@@ -20,12 +28,19 @@
 mod mutate;
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::{BufReader, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread::JoinHandle;
 
 use ml4all_bench::wire_samples;
 use ml4all_core::PlanCacheEntry;
 use ml4all_dataflow::{decode_checkpoint, encode_checkpoint, fnv1a64};
-use ml4all_serve::protocol::{Request, Response};
+use ml4all_serve::protocol::{
+    encode_frame, read_frame, write_frame, FrameIn, JoinedReply, Payload, Request, Response,
+    WireError,
+};
+use ml4all_serve::{code, Client, ClientError, PROTOCOL_RAW_WEIGHTS, PROTOCOL_VERSION};
 use mutate::{mutate, Limits};
 use proptest::TestRng;
 use serde_json::Value;
@@ -210,6 +225,173 @@ fn fuzz_all() {
     }
 }
 
+// ---------------------------------------------------------------------
+// Protocol 2's raw weight block, read by the client
+// ---------------------------------------------------------------------
+
+/// A server on a loopback socket that reads one request frame per entry
+/// of `answers` and writes that entry's bytes back, then closes.
+fn scripted(answers: Vec<Vec<u8>>) -> (SocketAddr, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("address");
+    let server = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        for answer in answers {
+            if !matches!(read_frame(&mut reader, 1 << 20), Ok(FrameIn::Frame(_))) {
+                return;
+            }
+            // A client that gave up early has closed its end.
+            let _ = (&stream).write_all(&answer);
+        }
+    });
+    (addr, server)
+}
+
+/// The `Hello` answer naming `protocol`.
+fn hello(protocol: u32) -> Vec<u8> {
+    encode_frame(&Response::Ok(Payload::Hello {
+        server: "scripted".into(),
+        protocol,
+        rng_stream_version: 1,
+        max_frame: 1 << 20,
+    }))
+    .expect("encode")
+}
+
+/// A completed job's `Joined` reply over `weights`.
+fn reply(weights: &[f64]) -> JoinedReply<'_> {
+    JoinedReply {
+        job: 1,
+        status: "completed",
+        name: Some("m"),
+        plan: Some("SGD-lazy-shuffle".into()),
+        iterations: Some(5),
+        converged: Some(false),
+        sim_time_s: Some(0.5),
+        weights: Some(weights),
+        error: None,
+    }
+}
+
+/// Connect to a scripted server, say `Hello` and `Join`; the join's
+/// outcome, and the scripted server once it has closed.
+fn join_against(answers: Vec<Vec<u8>>) -> Result<ml4all_serve::WireTrained, ClientError> {
+    let (addr, server) = scripted(answers);
+    let mut client = Client::connect(addr).expect("connect");
+    client.hello("t").expect("hello");
+    let outcome = client.join(1);
+    drop(client);
+    server.join().expect("the scripted server");
+    outcome
+}
+
+/// `outcome` is a typed protocol violation.
+fn assert_protocol_error<T: std::fmt::Debug>(label: &str, outcome: Result<T, ClientError>) {
+    match outcome {
+        Err(ClientError::Protocol(_)) => {}
+        other => panic!("{label}: expected a protocol error, got {other:?}"),
+    }
+}
+
+fn raw_block_faults() {
+    let weights = wire_samples::weights(123);
+    let answer = reply(&weights)
+        .encode_raw(|_| true)
+        .expect("encode")
+        .expect("fits")
+        .to_vec();
+    let header_len = 4 + u32::from_be_bytes(answer[..4].try_into().expect("4 bytes")) as usize;
+    let (header, block) = answer.split_at(header_len);
+
+    // The whole answer decodes to the weights, bit for bit.
+    let joined = join_against(vec![hello(PROTOCOL_RAW_WEIGHTS), answer.clone()]).expect("join");
+    let back: Vec<u64> = joined
+        .weights
+        .iter()
+        .flatten()
+        .map(|w| w.to_bits())
+        .collect();
+    let sent: Vec<u64> = weights.iter().map(|w| w.to_bits()).collect();
+    assert_eq!(back, sent);
+
+    // A block whose length is not a multiple of 8.
+    for cut in [1, 3, 7, 9] {
+        let mut bad = header.to_vec();
+        write_frame(&mut bad, &block[4..block.len() - cut]).expect("frame");
+        let outcome = join_against(vec![hello(PROTOCOL_RAW_WEIGHTS), bad]);
+        assert_protocol_error(&format!("a block {cut} bytes short"), outcome);
+    }
+
+    // No block after a completed header, and a block cut at every byte,
+    // its length prefix included: the server closes mid-answer.
+    for cut in 0..block.len() {
+        let mut bad = header.to_vec();
+        bad.extend_from_slice(&block[..cut]);
+        let outcome = join_against(vec![hello(PROTOCOL_RAW_WEIGHTS), bad]);
+        assert_protocol_error(&format!("a block cut at byte {cut}"), outcome);
+    }
+
+    // A completed header that carries its weights, then a block.
+    let mut doubled = encode_frame(&Response::Ok(Payload::Joined(joined.clone()))).expect("frame");
+    doubled.extend_from_slice(block);
+    let outcome = join_against(vec![hello(PROTOCOL_RAW_WEIGHTS), doubled]);
+    assert_protocol_error("a header with weights", outcome);
+
+    // Protocol 1 reads JSON only. A raw frame answering its `Join` is
+    // unparseable; a stray one behind the JSON answer is read by the next
+    // call, as unparseable.
+    let json = encode_frame(&Response::Ok(Payload::Joined(joined))).expect("frame");
+    let (addr, server) = scripted(vec![
+        hello(PROTOCOL_VERSION),
+        block.to_vec(),
+        [json.as_slice(), block].concat(),
+        Vec::new(),
+    ]);
+    let mut client = Client::connect(addr).expect("connect");
+    assert_eq!(client.hello("t").expect("hello").protocol, PROTOCOL_VERSION);
+    assert_protocol_error("a raw frame answering a JSON join", client.join(1));
+    let outcome = client.join(1).expect("the JSON join");
+    assert_eq!(outcome.weights_bits.expect("weights").len(), weights.len());
+    assert_protocol_error("a stray raw frame", client.stats());
+    drop(client);
+    server.join().expect("the scripted server");
+
+    // Cut or re-sized answers: `Ok` or a typed error, never a panic or a
+    // hang (the scripted server closes after its answer).
+    let mut rng = TestRng::for_test("wire_fuzz::raw_block");
+    for case in 0..200 {
+        let mut mutant = answer.clone();
+        match rng.below(3) {
+            0 => mutant.truncate(rng.below(answer.len() as u64) as usize),
+            1 => {
+                let at = header_len + rng.below(4) as usize;
+                mutant[at] = rng.below(256) as u8;
+            }
+            _ => mutant.extend((0..rng.below(24)).map(|_| rng.below(256) as u8)),
+        }
+        match join_against(vec![hello(PROTOCOL_RAW_WEIGHTS), mutant]) {
+            Ok(joined) => assert!(joined.weights.is_some(), "case {case}"),
+            Err(ClientError::Protocol(_) | ClientError::Io(_)) => {}
+            Err(e) => panic!("case {case}: {e}"),
+        }
+    }
+}
+
+/// A server that refuses protocol 2 is spoken to in protocol 1.
+fn a_server_refusing_protocol_2_gets_protocol_1() {
+    let refused = encode_frame(&Response::Err(WireError::new(
+        code::UNSUPPORTED_PROTOCOL,
+        "server speaks protocol 1, not 2",
+    )))
+    .expect("encode");
+    let (addr, server) = scripted(vec![refused, hello(PROTOCOL_VERSION)]);
+    let mut client = Client::connect(addr).expect("connect");
+    assert_eq!(client.hello("t").expect("hello").protocol, PROTOCOL_VERSION);
+    drop(client);
+    server.join().expect("the scripted server");
+}
+
 #[test]
 fn mutants_are_refused_or_decoded_within_stack_and_memory_bounds() {
     std::thread::Builder::new()
@@ -218,4 +400,8 @@ fn mutants_are_refused_or_decoded_within_stack_and_memory_bounds() {
         .expect("spawn the decoding thread")
         .join()
         .expect("a decoder panicked on a mutant (see the message above)");
+    // After the decoders, whose live-byte budgets a loopback server on
+    // another thread would disturb.
+    raw_block_faults();
+    a_server_refusing_protocol_2_gets_protocol_1();
 }

@@ -16,6 +16,7 @@
 
 use std::borrow::Cow;
 use std::fmt::Debug;
+use std::ops::Range;
 use std::sync::Arc;
 
 use ml4all_bench::golden::assert_golden;
@@ -1098,6 +1099,114 @@ proptest! {
         let derived = encode_frame(&joined(&w)).expect("encode derived");
         prop_assert!(reply[..] == derived[..]);
     }
+}
+
+// ---------------------------------------------------------------------
+// Protocol 2's header and raw block decode to the protocol-1 outcome
+// ---------------------------------------------------------------------
+
+/// IEEE-754 bit patterns, the awkward classes drawn often: signed zeros,
+/// subnormals of both signs, the infinities and NaNs with payloads of
+/// both signs, beside arbitrary patterns.
+fn weight_bits() -> BoxedStrategy<u64> {
+    const SIGN: u64 = 1 << 63;
+    const EXPONENT: u64 = 0x7ff << 52;
+    const MANTISSA: Range<u64> = 1..1 << 52;
+    prop_oneof![
+        0u64..u64::MAX,
+        Just(0),
+        Just(SIGN),
+        MANTISSA,
+        MANTISSA.prop_map(|m| SIGN | m),
+        Just(EXPONENT),
+        Just(SIGN | EXPONENT),
+        MANTISSA.prop_map(|payload| EXPONENT | payload),
+        MANTISSA.prop_map(|payload| SIGN | EXPONENT | payload),
+    ]
+    .boxed()
+}
+
+/// A protocol-2 `Joined` answer decoded as the client does: the header
+/// frame's JSON, then the weight block frame attached to it.
+fn decode_raw_joined(answer: &[u8]) -> WireTrained {
+    let frame = |at: usize| {
+        let len = u32::from_be_bytes(answer[at..at + 4].try_into().expect("a header"));
+        &answer[at + 4..at + 4 + len as usize]
+    };
+    let header = frame(0);
+    let Ok(Response::Ok(Payload::Joined(mut joined))) = serde_json::from_slice(header) else {
+        panic!("not a Joined header");
+    };
+    let block = frame(4 + header.len());
+    assert_eq!(
+        4 + header.len() + 4 + block.len(),
+        answer.len(),
+        "two frames"
+    );
+    joined.attach_weight_block(block).expect("a weight block");
+    joined
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn a_raw_weight_block_decodes_to_the_protocol_1_outcome(
+        bits in prop::collection::vec(weight_bits(), 0..40),
+    ) {
+        let w: Vec<f64> = bits.iter().map(|b| f64::from_bits(*b)).collect();
+        let raw = joined_reply(&w).encode_raw(|_| true).expect("encode").expect("fits");
+        let decoded = decode_raw_joined(&raw);
+        // Every weight keeps its bits, NaN payloads included.
+        let back: Vec<u64> = decoded.weights.iter().flatten().map(|x| x.to_bits()).collect();
+        prop_assert_eq!(back, bits);
+        // Re-encoded as JSON, the outcome is the server's protocol-1 frame.
+        let v1 = encode_shared_frame(&joined_reply(&w)).expect("encode reply");
+        let again = encode_frame(&Response::Ok(Payload::Joined(decoded.clone()))).expect("encode");
+        prop_assert!(again[..] == v1[..]);
+        // Where the protocol-1 JSON decodes, every weight finite, it is the
+        // same outcome; JSON carries a non-finite weight as `null`, which a
+        // weight refuses.
+        match serde_json::from_slice::<Response>(&v1[4..]) {
+            Ok(Response::Ok(Payload::Joined(json))) => {
+                prop_assert_eq!(format!("{json:?}"), format!("{decoded:?}"));
+            }
+            Ok(other) => prop_assert!(false, "not a Joined answer: {other:?}"),
+            Err(_) => prop_assert!(w.iter().any(|x| !x.is_finite())),
+        }
+    }
+}
+
+#[test]
+fn a_joined_without_weights_is_the_protocol_1_frame_under_protocol_2() {
+    for reply in [
+        JoinedReply {
+            job: 8,
+            status: "failed",
+            error: Some("no such dataset".into()),
+            ..JoinedReply::default()
+        },
+        JoinedReply {
+            job: 9,
+            status: "cancelled",
+            iterations: Some(3),
+            ..JoinedReply::default()
+        },
+    ] {
+        let v1 = encode_shared_frame(&reply).expect("encode");
+        let raw = reply.encode_raw(|_| true).expect("encode").expect("fits");
+        assert!(raw == v1);
+    }
+    // The length `fits` is asked is the whole answer's.
+    let w = weights(123);
+    let mut asked = 0;
+    let refused = joined_reply(&w).encode_raw(|len| {
+        asked = len;
+        false
+    });
+    assert!(refused.expect("encode").is_none());
+    let raw = joined_reply(&w).encode_raw(|_| true).expect("encode");
+    assert_eq!(raw.expect("fits").len(), asked);
 }
 
 // ---------------------------------------------------------------------
