@@ -11,7 +11,8 @@
 //!                 │  observer fan-out · bounded write buffers   │
 //!                 └───────┬────────────────────▲───────────────┘
 //!      training jobs,     │                    │ Action queue + waker
-//!      Explain, Predict   │                    │ (Event, Finished, Respond)
+//!      Explain, Predict,  │                    │ (Event, Finished, Respond)
+//!      protocol-1 Joins   │                    │
 //!                 ┌───────▼────────────────────┴───────────────┐
 //!                 │ engine runtime: one worker pool, one lane   │
 //!                 │ per tenant (EventSink encodes each event    │
@@ -24,16 +25,16 @@
 //! from in-memory state (`Hello`, `Submit`, `Cancel`, `Join`, `Observe`,
 //! `Stats`, `ServerStats`) run inline. Everything that computes runs on
 //! the engine's runtime, the process's one worker pool, in the
-//! requesting tenant's lane: admitted training jobs, and the two verbs
-//! that do real work (`Explain`, `Predict`), which stay outside the
-//! admission quotas and answer through the action queue. Within a lane
-//! jobs run FIFO, across lanes round-robin, so one tenant's burst of
-//! cold `Explain`s cannot hold back another tenant's `Predict`. The
-//! reactor alone owns the job table and every job's frames, unlocked: a
-//! training job's worker serializes each [`ml4all::JobEvent`] **once**
-//! into a length-prefixed frame shared (`Arc<[u8]>`) by every observer
-//! and posts it as an `Event`, then its `ObserveEnd` frame and outcome
-//! as `Finished`.
+//! requesting tenant's lane: admitted training jobs, and the lane verbs
+//! (`Explain`, `Predict`, and a protocol-1 `Join` of a finished job),
+//! which stay outside the admission quotas and answer through the action
+//! queue. Within a lane jobs run FIFO, across lanes round-robin, so one
+//! tenant's burst of cold `Explain`s cannot hold back another tenant's
+//! `Predict`. The reactor alone owns the job table and every job's
+//! frames, unlocked: a training job's worker serializes each
+//! [`ml4all::JobEvent`] **once** into a length-prefixed frame shared
+//! (`Arc<[u8]>`) by every observer and posts it as an `Event`, then its
+//! `ObserveEnd` frame and outcome as `Finished`.
 //! So a thousand idle observers cost file descriptors and buffer space,
 //! not threads, and replay from any sequence number is a buffer copy.
 //! Applying `Finished`, the reactor encodes the job's `Stats` row once,
@@ -41,29 +42,29 @@
 //!
 //! A finished job keeps its `Joined` answer as `JoinedParts` — the
 //! outcome's fields and the job's own model, shared with the engine's
-//! registry — and its worker encodes no `Joined` frame: an answer is
-//! encoded only when a `Join` asks for it, under the protocol its
-//! connection negotiated. A protocol-2 `Join` is answered by the reactor
-//! on the spot, the small JSON header and a copy of the model's 8·d bytes
-//! behind it. A protocol-1 `Join` waits while the tenant's lane encodes
-//! the JSON frame from the parts, and every protocol-1 `Join` waiting
-//! then reads that one frame; it is dropped once none waits, so the
-//! history holds each model once, as `f64`s. The reactor never formats
-//! weights.
+//! registry — and no encoded `Joined` frame: an answer is encoded only
+//! when a `Join` asks for it, under the protocol its connection
+//! negotiated, and lives until it is written. A protocol-2 `Join` is
+//! answered by the reactor on the spot, the small JSON header and a copy
+//! of the model's 8·d bytes behind it. A protocol-1 `Join` of a finished
+//! job is a lane verb like `Explain`/`Predict`: it leaves the job's
+//! waiters, and the tenant's lane encodes the JSON frame from the parts.
+//! So the history holds each model once, as `f64`s, and the reactor never
+//! formats weights.
 //!
 //! Outbound data sits in a per-connection write buffer capped at
 //! [`ServeConfig::max_write_buffer`] bytes, under one rule: a frame fits
 //! if it stays under the cap, or if it is larger than the whole cap and
-//! the buffer is empty. A connection waiting on a job (`Observe`, `Join`)
-//! is paced by that rule — its events, then its terminal frame, are
-//! topped up as the socket drains — so a large backlog or a large
-//! `Joined` is lag, never an offence. A one-shot answer that does not fit
-//! a non-empty buffer, or an observer whose socket absorbs nothing while
-//! its stream keeps producing, makes the peer a slow consumer: its
-//! undelivered whole frames are dropped, it receives a final typed
-//! `slow_consumer` error frame, and is disconnected once that drains —
-//! the partially-written head frame is always completed first so the
-//! stream stays frame-aligned to the end.
+//! the buffer is empty. Everything a connection waits on is paced by that
+//! rule — an `Observe`'s events and terminal frame, a `Join`'s answer, a
+//! lane verb's answer — and topped up as the socket drains, so a large
+//! backlog or a large answer is lag, never an offence. An inline answer
+//! that does not fit a non-empty buffer, or an observer whose socket
+//! absorbs nothing while its stream keeps producing, makes the peer a
+//! slow consumer: its undelivered whole frames are dropped, it receives a
+//! final typed `slow_consumer` error frame, and is disconnected once that
+//! drains — the partially-written head frame is always completed first so
+//! the stream stays frame-aligned to the end.
 //!
 //! Determinism: the server adds no randomness and no wall-clock values
 //! to any response — a wire-submitted job runs the exact
@@ -107,10 +108,12 @@ pub struct ServeConfig {
     pub default_quota: TenantQuota,
     /// Per-tenant quota overrides.
     pub tenant_quotas: Vec<(String, TenantQuota)>,
-    /// Cap on a connection's buffered outbound bytes. `Observe` and
-    /// `Join` are paced through it; a one-shot answer may overshoot it
-    /// only into an empty buffer, and one that overflows a non-empty
-    /// buffer is a `slow_consumer` disconnect (see the module docs).
+    /// Cap on a connection's buffered outbound bytes. Everything a
+    /// connection waits on — `Observe`, `Join`, and the `Explain`/`Predict`
+    /// answers from the lane — is paced through it; an inline answer may
+    /// overshoot it only into an empty buffer, and one that overflows a
+    /// non-empty buffer is a `slow_consumer` disconnect (see the module
+    /// docs).
     pub max_write_buffer: usize,
 }
 
@@ -134,8 +137,8 @@ const DRR_QUANTUM: usize = 4096;
 /// this count are pruned on submit, each the oldest of the tenant holding
 /// the most ([`Jobs::prune`]). A retained job holds about 8·d bytes for
 /// its model's d weights, plus its event frames, its `Stats` row and its
-/// record: ≈ 2.2 KB at d = 123. A protocol-1 `Joined` frame, ≈ 32·d bytes
-/// of JSON text, is kept only while a `Join` waits for it.
+/// record: ≈ 2.2 KB at d = 123. No `Joined` frame is kept: a protocol-1
+/// one, ≈ 32·d bytes of JSON text, lives only until it is written.
 const SERVED_HISTORY_CAP: usize = 4096;
 
 /// Parsed requests a connection may queue while a verb is pending;
@@ -156,28 +159,16 @@ const LISTENER_TOKEN: u64 = 0;
 const FIRST_CONN_TOKEN: u64 = 2;
 
 /// A finished job's record. Its weights live once, in the model its
-/// [`JoinedParts`] share with the engine's registry; a protocol-1 `Joined`
-/// frame is kept only while a `Join` waits for it.
+/// [`JoinedParts`] share with the engine's registry; no `Joined` frame is
+/// kept.
 struct Finished {
     /// The job's `Stats` row, final — status `completed`, `cancelled` or
     /// `failed` — and encoded once.
     row: EncodedRow,
     /// Pre-framed `ObserveEnd` response.
     end: Arc<[u8]>,
-    /// The `Joined` answer, boxed: one pointer in the inline record.
-    joined: Box<Joined>,
-}
-
-/// A finished job's `Joined` answer: the parts every frame of it is
-/// encoded from, and the protocol-1 frame while it is kept.
-struct Joined {
+    /// What every `Joined` answer of the job is encoded from.
     parts: JoinedParts,
-    /// The protocol-1 frame, encoded in the tenant's lane for the `Join`s
-    /// that wait for it and dropped once none does
-    /// ([`Reactor::release_joined`]).
-    frame: Option<Arc<[u8]>>,
-    /// An encode is on its way from the tenant's lane.
-    encoding: bool,
 }
 
 /// One wire-submitted job and its progress, owned by the reactor. Events
@@ -244,8 +235,8 @@ impl ServedJob {
 /// worker only encodes; the reactor, the one owner of the job table,
 /// applies what it is posted.
 enum Action {
-    /// An `Explain`/`Predict` answer: queue `frame` on connection
-    /// `token`.
+    /// A lane verb's answer: park `frame` on connection `token`'s pending
+    /// verb, for the paced top-up to queue.
     Respond { token: u64, frame: Arc<[u8]> },
     /// Job `job`'s event `seq`, pre-framed, to append to its frames.
     Event {
@@ -260,9 +251,6 @@ enum Action {
         parts: JoinedParts,
         end: Arc<[u8]>,
     },
-    /// Job `job`'s protocol-1 `Joined` frame, encoded from its parts for
-    /// the `Join`s that wait on it.
-    JoinedFrame { job: u64, frame: Arc<[u8]> },
 }
 
 struct Shared {
@@ -514,7 +502,7 @@ impl JoinedParts {
 }
 
 // ---------------------------------------------------------------------
-// Explain, Predict and protocol-1 Joins: jobs in the tenant's runtime lane
+// Explain and Predict: lane verbs, jobs in the tenant's runtime lane
 // ---------------------------------------------------------------------
 
 fn explain(engine: &Engine, train: &protocol::WireTrain, measured: bool) -> Response {
@@ -560,29 +548,6 @@ fn predict(engine: &Engine, tenant: &str, model: &str, source: &protocol::WireSo
     }
 }
 
-/// Run `encode` as a job in `tenant`'s runtime lane and post the frame it
-/// returns — or a `failed` answer with the panic message, if it panics —
-/// as the action `deliver` makes of it.
-fn spawn_frame(
-    shared: &Arc<Shared>,
-    tenant: &str,
-    encode: impl FnOnce(&Engine) -> Arc<[u8]> + Send + 'static,
-    deliver: impl FnOnce(Arc<[u8]>) -> Action + Send + 'static,
-) {
-    let poster = Arc::clone(shared);
-    shared.engine.spawn_in_lane(
-        tenant,
-        move |engine| Ok(encode(engine)),
-        move |outcome| {
-            let frame = outcome.unwrap_or_else(|e| {
-                let failed = Response::Err(WireError::new(code::FAILED, e.to_string()));
-                encode_shared_frame(&failed).expect("serialize response")
-            });
-            poster.post(deliver(frame));
-        },
-    );
-}
-
 // ---------------------------------------------------------------------
 // Connection state
 // ---------------------------------------------------------------------
@@ -592,7 +557,8 @@ fn spawn_frame(
 enum PendingVerb {
     /// Waiting on a job: its events from `cursor` (`Observe`; `None` for
     /// a `Join`, which streams none), then its terminal frame —
-    /// `ObserveEnd`, or `Joined` for a join.
+    /// `ObserveEnd`, or a protocol-2 `Joined`; a protocol-1 `Join` of a
+    /// finished job turns into a [`PendingVerb::Lane`].
     Job {
         job: u64,
         cursor: Option<usize>,
@@ -601,8 +567,10 @@ enum PendingVerb {
         /// [`OBSERVER_STALL_STRIKES`]).
         stalls: u32,
     },
-    /// Waiting for an `Explain`/`Predict` job in the tenant's lane.
-    Lane,
+    /// Waiting for a lane verb's answer (`Explain`, `Predict`, or a
+    /// protocol-1 `Join` of a finished job), then, once it is parked here,
+    /// for room to queue it, as a job's terminal frame waits.
+    Lane(Option<Arc<[u8]>>),
 }
 
 /// One connection: a readiness-driven state machine.
@@ -756,12 +724,14 @@ impl Reactor {
     fn drain_actions(&mut self) {
         while let Some(action) = self.shared.next_action() {
             match action {
-                // A lane verb's one answer resolves the connection's
-                // pending verb; a connection that died meanwhile is skipped.
+                // A lane verb's one answer is parked on the connection's
+                // pending verb and queued by the paced top-up; a connection
+                // that died meanwhile is skipped.
                 Action::Respond { token, frame } => {
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.pending = None;
-                        self.send(token, &frame);
+                    let pending = self.conns.get_mut(&token).and_then(|c| c.pending.as_mut());
+                    if let Some(PendingVerb::Lane(answer)) = pending {
+                        *answer = Some(frame);
+                        self.service(token);
                     }
                 }
                 action => {
@@ -964,13 +934,14 @@ impl Reactor {
             (Request::Explain { train, measured }, Some(tenant)) => {
                 let measured = measured.unwrap_or(false);
                 return self.run_in_lane(token, &tenant, move |engine| {
-                    explain(engine, &train, measured)
+                    encode_shared_frame(&explain(engine, &train, measured)).expect("serialize")
                 });
             }
             (Request::Predict { model, source }, Some(tenant)) => {
                 let owner = Arc::clone(&tenant);
                 return self.run_in_lane(token, &tenant, move |engine| {
-                    predict(engine, &owner, &model, &source)
+                    encode_shared_frame(&predict(engine, &owner, &model, &source))
+                        .expect("serialize")
                 });
             }
             (Request::Stats, Some(tenant)) => {
@@ -988,25 +959,31 @@ impl Reactor {
         }
     }
 
-    /// Run a computing verb as a job in `tenant`'s runtime lane; its
-    /// answer — or `failed` with the panic message, if it panics —
-    /// comes back as [`Action::Respond`]. The connection's inbox waits
-    /// meanwhile.
+    /// Run a lane verb as a job in `tenant`'s runtime lane: the frame
+    /// `encode` returns — or `failed` with the panic message, if it panics
+    /// — comes back as [`Action::Respond`], and is queued, paced, by
+    /// [`Reactor::top_up`]. The connection's inbox waits meanwhile.
     fn run_in_lane(
         &mut self,
         token: u64,
         tenant: &str,
-        verb: impl FnOnce(&Engine) -> Response + Send + 'static,
+        encode: impl FnOnce(&Engine) -> Arc<[u8]> + Send + 'static,
     ) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        conn.pending = Some(PendingVerb::Lane);
-        spawn_frame(
-            &self.shared,
+        conn.pending = Some(PendingVerb::Lane(None));
+        let poster = Arc::clone(&self.shared);
+        self.shared.engine.spawn_in_lane(
             tenant,
-            move |engine| encode_shared_frame(&verb(engine)).expect("serialize response"),
-            move |frame| Action::Respond { token, frame },
+            move |engine| Ok(encode(engine)),
+            move |outcome| {
+                let frame = outcome.unwrap_or_else(|e| {
+                    let failed = Response::Err(WireError::new(code::FAILED, e.to_string()));
+                    encode_shared_frame(&failed).expect("serialize response")
+                });
+                poster.post(Action::Respond { token, frame });
+            },
         );
     }
 
@@ -1014,9 +991,9 @@ impl Reactor {
     /// `Join`), then its terminal frame, fed by the paced top-up in
     /// [`Reactor::service`]. A backlog or a `Joined` larger than the
     /// write cap drains as the socket accepts it — lag, not a protocol
-    /// violation. A wait the first top-up cannot finish joins the job's
-    /// waiters, to be fed as the job produces, or as the tenant's lane
-    /// encodes a protocol-1 `Joined`.
+    /// violation. A wait the first top-up neither finishes nor hands to
+    /// the tenant's lane joins the job's waiters, to be fed as the job
+    /// produces.
     fn wait_on(&mut self, token: u64, job: u64, cursor: Option<usize>) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
@@ -1030,57 +1007,11 @@ impl Reactor {
             stalls: 0,
         });
         self.top_up(token);
-        let waiting = self.conns[&token].pending.is_some();
+        let waiting = matches!(self.conns[&token].pending, Some(PendingVerb::Job { .. }));
         if let Some(served) = self.jobs.table.get_mut(&job).filter(|_| waiting) {
             served.waiters.push(token);
         }
         self.service(token);
-    }
-
-    /// A protocol-1 `Join` waits on a finished job: unless its frame is
-    /// kept or on its way, encode it once from the job's parts, in the
-    /// tenant's runtime lane as `Explain`/`Predict` run, and post it back
-    /// as [`Action::JoinedFrame`]. `Join`s arriving meanwhile wait for the
-    /// same frame.
-    fn encode_joined(&mut self, id: u64) {
-        let Some(job) = self.jobs.table.get_mut(&id) else {
-            return;
-        };
-        let Some(joined) = job.finished.as_mut().map(|f| &mut f.joined) else {
-            return;
-        };
-        if joined.frame.is_some() || joined.encoding {
-            return;
-        }
-        joined.encoding = true;
-        let (parts, name) = (joined.parts.clone(), job.name.clone());
-        spawn_frame(
-            &self.shared,
-            &job.tenant,
-            move |_| parts.encode(id, &name),
-            move |frame| Action::JoinedFrame { job: id, frame },
-        );
-    }
-
-    /// Drop job `id`'s protocol-1 `Joined` frame once no protocol-1 `Join`
-    /// waits for it; a later one encodes it again
-    /// ([`Reactor::encode_joined`]).
-    fn release_joined(&mut self, id: u64) {
-        let Some(job) = self.jobs.table.get_mut(&id) else {
-            return;
-        };
-        let Some(joined) = job.finished.as_mut().map(|f| &mut f.joined) else {
-            return;
-        };
-        let conns = &self.conns;
-        let joining = |token: &u64| {
-            conns.get(token).is_some_and(|c| {
-                !c.raw_weights && matches!(c.pending, Some(PendingVerb::Job { cursor: None, .. }))
-            })
-        };
-        if !job.waiters.iter().any(joining) {
-            joined.frame = None;
-        }
     }
 
     // -- job fan-out --------------------------------------------------
@@ -1118,29 +1049,34 @@ impl Reactor {
             }
         }
         self.tokens = tokens;
-        // A protocol-1 frame whose `Join`s all left before it came.
-        self.release_joined(id);
     }
 
-    /// Feed a connection waiting on a job from the job's frame buffer,
-    /// paced by the write cap ([`Conn::queue`]): the events from its
-    /// cursor, then — once the job is terminal and every event went out
-    /// — the terminal frame, which finishes the wait. A reader catching
-    /// up on a large backlog is drip-fed at the rate its socket drains
-    /// instead of tripping the cap. A protocol-2 `Joined` is encoded here,
-    /// once it fits; a protocol-1 `Join` with no frame to take has its
-    /// frame encoded in the tenant's lane. Returns whether anything was
+    /// Feed a connection's pending verb, paced by the write cap
+    /// ([`Conn::queue`]). A lane verb's answer is queued once it is parked
+    /// and fits. A wait on a job is fed from the job's frame buffer: the
+    /// events from its cursor, then — once the job is terminal and every
+    /// event went out — the terminal frame, which finishes the wait. A
+    /// reader catching up on a large backlog is drip-fed at the rate its
+    /// socket drains instead of tripping the cap. A protocol-2 `Joined` is
+    /// encoded here, once it fits; a protocol-1 `Join` of a finished job
+    /// leaves the job for the tenant's lane. Returns whether anything was
     /// queued.
     fn top_up(&mut self, token: u64) -> bool {
         let max = self.shared.config.max_write_buffer;
-        let Some(conn) = self.conns.get_mut(&token) else {
+        let Some(conn) = self.conns.get_mut(&token).filter(|c| !c.doomed) else {
             return false;
         };
-        let Some(PendingVerb::Job {
-            job: id, cursor, ..
-        }) = conn.pending
-        else {
-            return false;
+        let (id, cursor) = match &conn.pending {
+            Some(PendingVerb::Job { job, cursor, .. }) => (*job, *cursor),
+            Some(PendingVerb::Lane(answer)) => {
+                let answer = answer.clone();
+                let queued = answer.is_some_and(|frame| conn.queue(&frame, max));
+                if queued {
+                    conn.pending = None;
+                }
+                return queued;
+            }
+            None => return false,
         };
         // A waited-on job is never pruned.
         let Some(job) = self.jobs.table.get_mut(&id) else {
@@ -1154,42 +1090,32 @@ impl Reactor {
         }
         // Frames are never appended after a job turns terminal, so the
         // stream is complete once it is.
+        let mut lane_join = None;
         let done = job.finished.as_ref().is_some_and(|f| match cursor {
             Some(at) => at >= job.frames.len() && conn.queue(&f.end, max),
             None if conn.raw_weights => {
-                let reply = f.joined.parts.reply(id, &job.name);
+                let reply = f.parts.reply(id, &job.name);
                 let frame = reply.encode_raw(|len| conn.fits(len, max));
                 let frame = frame.expect("serialize");
                 frame.is_some_and(|frame| conn.queue(&frame, max))
             }
-            None => f.joined.frame.as_ref().is_some_and(|j| conn.queue(j, max)),
+            None => {
+                lane_join = Some((f.parts.clone(), job.name.clone()));
+                true
+            }
         });
         let queued = conn.wbuf.len() > queued;
-        let json_join_waits = cursor.is_none() && !conn.raw_weights && job.finished.is_some();
         if done {
             conn.pending = None;
             job.unwait(token);
-            if cursor.is_none() {
-                self.release_joined(id);
-            }
-        } else {
-            if let Some(PendingVerb::Job { cursor: at, .. }) = &mut conn.pending {
-                *at = cursor;
-            }
-            if json_join_waits {
-                self.encode_joined(id);
-            }
+        } else if let Some(PendingVerb::Job { cursor: at, .. }) = &mut conn.pending {
+            *at = cursor;
+        }
+        if let Some((parts, name)) = lane_join {
+            let tenant = Arc::clone(&job.tenant);
+            self.run_in_lane(token, &tenant, move |_| parts.encode(id, &name));
         }
         queued
-    }
-
-    /// Drop one token from a job's waiter list; a `Join` that leaves may
-    /// release the job's `Joined` frame.
-    fn unwait(&mut self, job_id: u64, token: u64) {
-        if let Some(job) = self.jobs.table.get_mut(&job_id) {
-            job.unwait(token);
-        }
-        self.release_joined(job_id);
     }
 
     // -- write path ---------------------------------------------------
@@ -1202,9 +1128,10 @@ impl Reactor {
         );
     }
 
-    /// Queue one answer frame under the write cap ([`Conn::queue`]) and
-    /// flush. A frame that does not fit a non-empty buffer makes the
-    /// connection a slow consumer.
+    /// Queue one inline answer frame under the write cap ([`Conn::queue`])
+    /// and flush. A frame that does not fit a non-empty buffer makes the
+    /// connection a slow consumer; a lane verb's answer waits for room
+    /// instead ([`Reactor::top_up`]).
     fn send(&mut self, token: u64, frame: &Arc<[u8]>) {
         let max = self.shared.config.max_write_buffer;
         let Some(conn) = self.conns.get_mut(&token) else {
@@ -1244,7 +1171,9 @@ impl Reactor {
         conn.doomed = true;
         if let Some(PendingVerb::Job { job, .. }) = conn.pending {
             conn.pending = None;
-            self.unwait(job, token);
+            if let Some(job) = self.jobs.table.get_mut(&job) {
+                job.unwait(token);
+            }
         }
     }
 
@@ -1348,7 +1277,9 @@ impl Reactor {
         };
         let _ = self.poller.deregister(&conn.stream);
         if let Some(PendingVerb::Job { job, .. }) = conn.pending {
-            self.unwait(job, token);
+            if let Some(job) = self.jobs.table.get_mut(&job) {
+                job.unwait(token);
+            }
         }
         self.counters.active_connections -= 1;
     }
@@ -1466,8 +1397,7 @@ impl Jobs {
     /// Apply an action a job's worker posted; returns the job. An event
     /// frame is appended. A finish drops the engine handle, encodes the
     /// `Stats` row once from the engine id stored at dispatch, frees the
-    /// admission slot, and dispatches what that made room for. A
-    /// protocol-1 `Joined` frame is kept for the `Join`s waiting on it.
+    /// admission slot, and dispatches what that made room for.
     fn apply(&mut self, shared: &Arc<Shared>, action: Action) -> u64 {
         match action {
             Action::Event {
@@ -1489,12 +1419,7 @@ impl Jobs {
                 if let Some(job) = self.table.get_mut(&id) {
                     job.handle = None;
                     let row = job.row(parts.status()).encode();
-                    let joined = Box::new(Joined {
-                        parts,
-                        frame: None,
-                        encoding: false,
-                    });
-                    job.finished = Some(Finished { row, end, joined });
+                    job.finished = Some(Finished { row, end, parts });
                     match self.terminal.get_mut(&job.tenant) {
                         Some(count) => *count += 1,
                         None => drop(self.terminal.insert(Arc::clone(&job.tenant), 1)),
@@ -1502,17 +1427,6 @@ impl Jobs {
                     self.admission.complete(&job.tenant);
                 }
                 self.dispatch(shared);
-                id
-            }
-            Action::JoinedFrame { job: id, frame } => {
-                let finished = self
-                    .table
-                    .get_mut(&id)
-                    .and_then(|job| job.finished.as_mut());
-                if let Some(Finished { joined, .. }) = finished {
-                    joined.frame = Some(frame);
-                    joined.encoding = false;
-                }
                 id
             }
             Action::Respond { .. } => unreachable!("the reactor answers connections"),
@@ -1837,11 +1751,15 @@ mod tests {
     /// A reactor driven by hand on the test's thread: no event loop runs,
     /// the test applies its actions with [`Reactor::drain_actions`].
     fn reactor() -> Reactor {
+        reactor_with(ServeConfig::default())
+    }
+
+    fn reactor_with(config: ServeConfig) -> Reactor {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         listener.set_nonblocking(true).expect("nonblocking");
         let poller = Poller::new().expect("poller");
         let engine = Engine::new().with_registry_cap(1000);
-        let shared = Arc::new(Shared::new(engine, ServeConfig::default(), poller.waker()));
+        let shared = Arc::new(Shared::new(engine, config, poller.waker()));
         Reactor::new(shared, poller, listener)
     }
 
@@ -1909,16 +1827,36 @@ mod tests {
         }
     }
 
-    /// Finished job `id`'s `Joined` record.
-    fn joined_of(reactor: &Reactor, id: u64) -> &Joined {
+    /// Finished job `id`'s record, whose shape is checked: its `Stats`
+    /// row, its `ObserveEnd` frame and its `Joined` parts, and no encoded
+    /// `Joined` frame.
+    fn finished_of(reactor: &Reactor, id: u64) -> &Finished {
         let finished = reactor.jobs.table[&id].finished.as_ref();
-        &finished.expect("finished").joined
+        let finished = finished.expect("finished");
+        // Exhaustive: a field added to the record must be checked here.
+        let Finished { row: _, end, parts } = finished;
+        let observe_end = Response::Ok(Payload::ObserveEnd {
+            job: id,
+            status: parts.status().name().to_string(),
+        });
+        let observe_end = encode_shared_frame(&observe_end).expect("encode");
+        assert_eq!(
+            end[..],
+            observe_end[..],
+            "job {id}: `end` is its ObserveEnd"
+        );
+        finished
     }
 
     /// Job `id`'s protocol-1 `Joined` frame, encoded from its parts.
     fn v1_frame(reactor: &Reactor, id: u64) -> Arc<[u8]> {
         let job = &reactor.jobs.table[&id];
-        joined_of(reactor, id).parts.encode(id, &job.name)
+        finished_of(reactor, id).parts.encode(id, &job.name)
+    }
+
+    /// Whether connection `token` waits on a lane verb.
+    fn in_lane(reactor: &Reactor, token: u64) -> bool {
+        matches!(reactor.conns[&token].pending, Some(PendingVerb::Lane(_)))
     }
 
     /// `Joined.weights_bits` of a `Joined` frame.
@@ -1931,12 +1869,11 @@ mod tests {
         wire.weights_bits
     }
 
-    /// A finished job's record keeps no `Joined` frame. The first
-    /// protocol-1 `Join` of a completed, a cancelled and a failed job waits
-    /// while the tenant's lane encodes the frame from the job's parts, and
-    /// the record drops it once delivered. A later `Join`, from the same
-    /// connection or another, waits for a new encode and reads the first
-    /// `Join`'s bytes.
+    /// A finished job's record keeps no `Joined` frame. Each protocol-1
+    /// `Join` of a completed, a cancelled and a failed job leaves the job's
+    /// waiters for the tenant's lane, which encodes the frame from the
+    /// job's parts; every later `Join`, from the same connection or
+    /// another, reads the first `Join`'s bytes.
     #[test]
     fn a_late_join_of_a_compacted_job_reads_the_first_joins_bytes() {
         let mut reactor = reactor();
@@ -1961,35 +1898,29 @@ mod tests {
         let mut second = Peer::connect(&mut reactor, "acme");
         for (id, outcome) in (1..).zip(&outcomes) {
             finish_job(&mut reactor.jobs, &shared, (id, "acme", Some(id)), outcome);
-            assert!(
-                joined_of(&reactor, id).frame.is_none(),
-                "job {id}: no frame at finish"
-            );
             first.join(&mut reactor, id);
             let taken = first.answer(&mut reactor);
             assert_eq!(taken, v1_frame(&reactor, id)[..]);
-            assert!(joined_of(&reactor, id).frame.is_none(), "job {id}: taken");
             for peer in [&mut first, &mut second] {
                 peer.join(&mut reactor, id);
-                assert!(joined_of(&reactor, id).encoding, "job {id}: encoding");
-                assert_eq!(reactor.jobs.table[&id].waiters, [peer.token]);
+                assert!(in_lane(&reactor, peer.token), "job {id}: a lane verb");
+                assert!(reactor.jobs.table[&id].waiters.is_empty(), "job {id}");
                 assert_eq!(
                     peer.answer(&mut reactor),
                     taken,
                     "job {id}: a late join reads the first join's bytes"
                 );
-                let joined = joined_of(&reactor, id);
-                assert!(joined.frame.is_none() && !joined.encoding, "job {id}");
+                finished_of(&reactor, id);
             }
         }
     }
 
-    /// Two protocol-1 `Join`s waiting on a running job both read one frame
-    /// the tenant's lane encodes once the job finishes: one encode, the
-    /// frame dropped once the second has it, and the job's waiter list
-    /// gives its capacity back.
+    /// Two protocol-1 `Join`s waiting on a running job leave its waiters
+    /// for the tenant's lane once it finishes, and each reads the frame
+    /// encoded from the job's parts; the job's waiter list gives its
+    /// capacity back.
     #[test]
-    fn two_joins_waiting_on_a_running_job_share_one_encoded_frame() {
+    fn two_joins_waiting_on_a_running_job_leave_for_the_lane_when_it_finishes() {
         let mut reactor = reactor();
         let shared = Arc::clone(&reactor.shared);
         let job = ServedJob::new(1, "acme".into(), "j1".to_string());
@@ -2008,16 +1939,16 @@ mod tests {
         let outcome = Err(SessionError::Cancelled { iterations: 4 });
         sink.finished(&outcome);
         reactor.drain_actions();
-        assert!(joined_of(&reactor, 1).encoding, "one encode for both");
+        for token in tokens {
+            assert!(in_lane(&reactor, token), "both joins left for the lane");
+        }
+        let waiters = &reactor.jobs.table[&1].waiters;
+        assert!(waiters.is_empty() && waiters.capacity() == 0);
         let expected = JoinedParts::new(&outcome).encode(1, "j1");
         for peer in &mut peers {
             assert_eq!(peer.answer(&mut reactor), expected[..]);
         }
-        let joined = joined_of(&reactor, 1);
-        assert!(joined.frame.is_none() && !joined.encoding);
-        assert!(shared.next_action().is_none(), "nothing encoded twice");
-        let waiters = &reactor.jobs.table[&1].waiters;
-        assert!(waiters.is_empty() && waiters.capacity() == 0);
+        finished_of(&reactor, 1);
     }
 
     /// A protocol-2 `Join` of a finished job is answered on the spot, the
@@ -2049,18 +1980,91 @@ mod tests {
         peer.join(&mut reactor, 1);
         assert!(reactor.conns[&peer.token].pending.is_none(), "answered");
         assert!(shared.next_action().is_none(), "no lane encode");
-        let joined = joined_of(&reactor, 1);
-        assert!(joined.frame.is_none() && !joined.encoding);
+        let parts = &finished_of(&reactor, 1).parts;
 
         let header = peer.frame();
         assert_eq!(weights_bits(&header), None, "the header carries no weights");
         let block = peer.frame();
         let bytes: Vec<u8> = weights.iter().flat_map(|w| w.to_le_bytes()).collect();
         assert_eq!(block[4..], bytes[..]);
-        let mut reply = joined.parts.reply(1, "j1");
+        let mut reply = parts.reply(1, "j1");
         reply.weights = None;
         let expected = encode_shared_frame(&reply).expect("encode");
         assert_eq!(header, expected[..], "the protocol-1 frame without weights");
+    }
+
+    /// A lane verb's answer that arrives while the write buffer still holds
+    /// earlier bytes, and does not fit under the cap beside them, waits on
+    /// the connection and goes out once the buffer drains: lag, not a slow
+    /// consumer.
+    #[test]
+    fn a_lane_answer_past_the_cap_waits_for_the_buffer_to_drain() {
+        let max = 1024;
+        let mut reactor = reactor_with(ServeConfig {
+            max_write_buffer: max,
+            ..ServeConfig::default()
+        });
+        let mut peer = Peer::connect(&mut reactor, "acme");
+        let token = peer.token;
+        // Fill the socket's kernel buffers while the peer reads nothing, so
+        // what the reactor queues next stays in its own buffer.
+        let mut stuffed = 0;
+        loop {
+            let before = stuffed;
+            let mut stream = &reactor.conns[&token].stream;
+            loop {
+                match stream.write(&[0; 64 << 10]) {
+                    Ok(n) => stuffed += n,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) => panic!("stuffing the socket: {e}"),
+                }
+            }
+            if stuffed == before {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let failed = |text: String| {
+            let response = Response::Err(WireError::new(code::FAILED, text));
+            encode_shared_frame(&response).expect("encode")
+        };
+        let earlier = failed("e".repeat(600));
+        let answer = failed("a".repeat(600));
+        reactor.send(token, &earlier);
+        let buffered = reactor.conns[&token].wbuf_bytes;
+        assert!(buffered > 0 && buffered + answer.len() > max, "no room");
+
+        let lane_answer = Arc::clone(&answer);
+        reactor.run_in_lane(token, "acme", move |_| lane_answer);
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        while !matches!(
+            reactor.conns[&token].pending,
+            Some(PendingVerb::Lane(Some(_)))
+        ) {
+            assert!(std::time::Instant::now() < deadline, "no answer parked");
+            std::thread::sleep(Duration::from_millis(1));
+            reactor.drain_actions();
+        }
+        assert_eq!(reactor.conns[&token].wbuf_bytes, buffered, "it waits");
+        assert!(!reactor.conns[&token].doomed);
+
+        // The peer reads the filler; the reactor flushes as the socket takes
+        // more, as on a writable event, and the answer follows.
+        let mut filler = (&mut peer.reader).take(stuffed as u64);
+        let read = io::copy(&mut filler, &mut io::sink()).expect("read");
+        assert_eq!(read, stuffed as u64);
+        loop {
+            let conn = &reactor.conns[&token];
+            if conn.pending.is_none() && conn.wbuf.is_empty() {
+                break;
+            }
+            assert!(std::time::Instant::now() < deadline, "not flushed");
+            std::thread::sleep(Duration::from_millis(1));
+            reactor.service(token);
+        }
+        assert_eq!(peer.frame(), earlier[..]);
+        assert_eq!(peer.frame(), answer[..]);
+        assert_eq!(reactor.counters.slow_consumer_disconnects, 0);
     }
 
     /// Two same-named jobs of one tenant may run at once; whichever binds

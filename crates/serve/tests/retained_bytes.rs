@@ -1,12 +1,14 @@
 //! What a served job costs the server once it is over: the bytes it still
 //! holds for `Observe`/`Join` replay. A finished job keeps its model's d
 //! weights once, as `f64`s, beside its event frames, its `Stats` row and
-//! its record; its `Joined` frame, the weights again as ≈ 32·d bytes of
-//! JSON text, is dropped once a `Join` has taken it. Under a global
-//! allocator that counts live bytes (allocated minus freed), hot-shaped
-//! jobs (adult, d = 123, `Submit → Observe → Join` on a plan-cache hit)
-//! must leave at most 8·d + 1 536 bytes each behind. A history that keeps
-//! every `Joined` frame holds about twice that.
+//! its record; no `Joined` frame outlives its write, neither the
+//! protocol-2 header and raw block nor the protocol-1 frame, the weights
+//! again as ≈ 32·d bytes of JSON text. Under a global allocator that
+//! counts live bytes (allocated minus freed), hot-shaped jobs (adult,
+//! d = 123, `Submit → Observe → Join` on a plan-cache hit, each measured
+//! job joined once more over a protocol-1 connection) must leave at most
+//! 8·d + 1 536 bytes each behind. A history that keeps every `Joined`
+//! frame holds about twice that.
 //!
 //! One `#[test]` only: the counter is process-wide, and the harness runs
 //! tests of one binary on parallel threads.
@@ -15,7 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
 
 use ml4all::Engine;
-use ml4all_serve::{Client, ServeConfig, Server, WireSource, WireTrain};
+use ml4all_serve::{Client, Payload, Request, ServeConfig, Server, WireSource, WireTrain};
 
 /// Bytes allocated and not yet freed, process-wide.
 static LIVE: AtomicI64 = AtomicI64::new(0);
@@ -59,12 +61,14 @@ const WARM_UP: usize = 64;
 const JOBS: usize = 64;
 
 /// One hot-shaped job: `Submit`, `Observe` from 0 to the end, `Join`.
-fn hot_job(client: &mut Client, train: &WireTrain) {
+/// Returns the job's id.
+fn hot_job(client: &mut Client, train: &WireTrain) -> u64 {
     let job = client.submit(train).expect("submit");
     let status = client.observe(job, 0, |_, _| {}).expect("observe");
     assert_eq!(status, "completed");
     let joined = client.join(job).expect("join");
     assert_eq!(joined.weights_bits.expect("weights").len(), D);
+    job
 }
 
 /// Live bytes once the jobs' workers have let go of what they drop after
@@ -79,6 +83,14 @@ fn a_joined_job_keeps_its_model_not_its_joined_text() {
     let server = Server::start(Engine::new(), ServeConfig::default()).expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
     client.hello("t0").expect("hello");
+    // `Client::hello` negotiates protocol 2; a `Hello` naming no protocol
+    // gets protocol 1, whose `Joined` is JSON text encoded in the lane.
+    let mut json = Client::connect(server.local_addr()).expect("connect");
+    let hello = Request::Hello {
+        tenant: "t0".into(),
+        protocol: None,
+    };
+    json.call(&hello).expect("hello");
     let mut train = WireTrain::new("logistic", WireSource::Registry("adult".into()));
     train.max_iter = Some(5);
     train.seed = Some(1);
@@ -89,7 +101,11 @@ fn a_joined_job_keeps_its_model_not_its_joined_text() {
     }
     let before = live_after_settling();
     for _ in 0..JOBS {
-        hot_job(&mut client, &train);
+        let job = hot_job(&mut client, &train);
+        let Payload::Joined(joined) = json.call(&Request::Join { job }).expect("join") else {
+            panic!("not a Joined answer");
+        };
+        assert_eq!(joined.weights_bits.expect("weights").len(), D);
     }
     let per_job = (live_after_settling() - before) / JOBS as i64;
     let bound = (8 * D + 1536) as i64;
