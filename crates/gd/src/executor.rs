@@ -261,9 +261,8 @@ struct PartialSlot {
 
 /// Per-partition scratch accumulators, allocated on the first batch wave
 /// (`SampleSize::All`; a sampled run never allocates them) and reused by
-/// every later one: the wave performs no per-row or per-result heap
-/// allocation for dense data (strictly allocation-free on a single-worker
-/// runtime; the pooled path boxes one job envelope per busy worker).
+/// every later one: a later wave performs no heap allocation at any
+/// worker count (the pool queues its chunks as plain records, not boxes).
 struct WaveScratch {
     slots: Vec<PartialSlot>,
 }
@@ -520,9 +519,8 @@ pub fn execute(
     // Reused across every iteration: per-partition wave scratch (created
     // by the first batch wave), the sampled-coordinate and wave-support
     // buffers, the previous-weights copy, and the error sequence's backing
-    // storage — the steady-state loop allocates nothing per iteration (bar
-    // one boxed job envelope per busy worker when a batch wave crosses a
-    // multi-worker pool, and the shuffled-partition sampler's order buffer
+    // storage — the steady-state loop allocates nothing per iteration, at
+    // any worker count (bar the shuffled-partition sampler's order buffer
     // growing when a reshuffle lands on a larger partition).
     let mut scratch: Option<WaveScratch> = None;
     let mut wave_support = WaveSupport::new(dims);

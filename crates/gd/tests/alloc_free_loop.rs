@@ -1,8 +1,8 @@
 //! The steady-state training loop allocates nothing per iteration: under a
-//! counting global allocator, doubling `max_iter` adds no request the size
-//! of a model vector on any runtime, and no request at all on the inline
-//! (one-worker) runtime — lazily transformed units included, which are
-//! written to one reused buffer.
+//! counting global allocator, doubling `max_iter` adds no allocation
+//! request at all, at 1, 2 and 4 workers — lazily transformed units
+//! included, which are written to one reused buffer. The multi-partition
+//! sets send every batch wave across the pool.
 //!
 //! One `#[test]` only: the counters are process-wide, and the harness runs
 //! tests of one binary on parallel threads.
@@ -12,8 +12,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ml4all_dataflow::{
-    ClusterSpec, ColumnarBuilder, PartitionScheme, PartitionedDataset, Runtime, SamplingMethod,
-    SimEnv,
+    ClusterSpec, ColumnarBuilder, DatasetDescriptor, PartitionScheme, PartitionedDataset, Runtime,
+    SamplingMethod, SimEnv,
 };
 use ml4all_gd::executor::{execute, reference_operators, ExecHooks};
 use ml4all_gd::operators::{MeanCenterTransform, StatsStage};
@@ -69,7 +69,8 @@ const ROWS: usize = 2048;
 const DENSE_DIMS: usize = 64;
 const CSR_DIMS: usize = 4096;
 
-fn dataset(dims: usize, sparse: bool) -> PartitionedDataset {
+/// `ROWS` rows dealt round-robin into `partitions` equal partitions.
+fn dataset(dims: usize, sparse: bool, partitions: u64) -> PartitionedDataset {
     let mut rng = StdRng::seed_from_u64(1);
     let mut rows = ColumnarBuilder::new();
     for _ in 0..ROWS {
@@ -89,13 +90,17 @@ fn dataset(dims: usize, sparse: bool) -> PartitionedDataset {
             rows.push_dense(label, &xs);
         }
     }
-    PartitionedDataset::from_columns(
-        "alloc",
-        &rows.finish_with_dims(dims),
-        PartitionScheme::RoundRobin,
-        &ClusterSpec::paper_testbed(),
-    )
-    .unwrap()
+    let rows = rows.finish_with_dims(dims);
+    let spec = ClusterSpec {
+        partition_bytes: DatasetDescriptor::from_columns("alloc", &rows)
+            .bytes
+            .div_ceil(partitions),
+        ..ClusterSpec::paper_testbed()
+    };
+    let data = PartitionedDataset::from_columns("alloc", &rows, PartitionScheme::RoundRobin, &spec)
+        .unwrap();
+    assert_eq!(data.num_partitions() as u64, partitions);
+    data
 }
 
 /// `(all requests, model-sized requests)` of one whole run: the least of
@@ -152,9 +157,10 @@ fn requests_once(
 
 #[test]
 fn doubling_the_iterations_adds_no_allocation() {
-    // Shuffled sampling serves all runs below from the one partition's
-    // first shuffle (at most 32 × 40 of its 2 048 rows), so no reshuffle —
-    // the loop's one documented allocation site — falls inside a run.
+    // Shuffled sampling on one partition serves every run below from its
+    // first shuffle (at most 32 × 40 of its 2 048 rows); on equal
+    // partitions a reshuffle never needs a larger order buffer — the
+    // loop's one documented allocation site.
     let shuffled = SamplingMethod::ShuffledPartition;
     let lazy_sgd = GdPlan::sgd(TransformPolicy::Lazy, shuffled).unwrap();
     let lazy_mgd = GdPlan::mgd(32, TransformPolicy::Lazy, shuffled).unwrap();
@@ -186,30 +192,31 @@ fn doubling_the_iterations_adds_no_allocation() {
         ("mgd-32-centered", (lazy_mgd, true)),
     ];
     for (store, dims, sparse) in [("dense", DENSE_DIMS, false), ("csr", CSR_DIMS, true)] {
-        let data = dataset(dims, sparse);
-        assert_eq!(data.num_partitions(), 1, "one shuffle serves a whole run");
-        LARGE.store(dims * 8, Ordering::Relaxed);
-        for workers in [1usize, 2] {
-            let runtime = Arc::new(Runtime::new(workers));
-            for (name, plan) in &plans {
-                let label = format!("{name} on {store} rows at {workers} workers");
-                // Once-per-process set-up (kernel dispatch, thread start)
-                // happens in a run of its own.
-                requests_once(plan, &data, &runtime, 1);
-                let (all_short, large_short) = requests(plan, &data, &runtime, 20);
-                let (all_long, large_long) = requests(plan, &data, &runtime, 40);
-                assert_eq!(
-                    large_long, large_short,
-                    "{label}: model-sized requests grew with the iteration count"
-                );
-                if workers == 1 {
+        for partitions in [1, 4] {
+            let data = dataset(dims, sparse, partitions);
+            LARGE.store(dims * 8, Ordering::Relaxed);
+            for workers in [1usize, 2, 4] {
+                let runtime = Arc::new(Runtime::new(workers));
+                for (name, plan) in &plans {
+                    let label = format!(
+                        "{name} on {store} rows in {partitions} partitions at {workers} workers"
+                    );
+                    // Once-per-process set-up (kernel dispatch, thread
+                    // start) happens in a run of its own.
+                    requests_once(plan, &data, &runtime, 1);
+                    let (all_short, large_short) = requests(plan, &data, &runtime, 20);
+                    let (all_long, large_long) = requests(plan, &data, &runtime, 40);
+                    assert_eq!(
+                        large_long, large_short,
+                        "{label}: model-sized requests grew with the iteration count"
+                    );
                     assert_eq!(
                         all_long, all_short,
-                        "{label}: the inline loop allocated per iteration"
+                        "{label}: the loop allocated per iteration"
                     );
                 }
             }
+            LARGE.store(usize::MAX, Ordering::Relaxed);
         }
-        LARGE.store(usize::MAX, Ordering::Relaxed);
     }
 }

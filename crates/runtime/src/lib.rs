@@ -19,43 +19,110 @@
 //!    seed with the item index — never from worker identity.
 //! 2. **No deadlock under nesting.** A task may itself dispatch through
 //!    the runtime (the chooser's speculative runs execute full GD plans).
-//!    While waiting for its tasks, the submitting thread *helps*: it pops
-//!    and runs queued jobs instead of blocking, so a pool saturated with
-//!    waiting parents still makes progress.
+//!    While any wave's tasks are queued, the submitting thread *helps*: it
+//!    pops and runs them instead of blocking, and it parks only once
+//!    every task of its own is running elsewhere, so a pool saturated
+//!    with waiting parents still makes progress.
 //! 3. **Panic transparency.** A panicking task poisons nothing: the first
 //!    payload is captured and re-thrown on the submitting thread after
 //!    the whole batch completes.
 
 #![warn(clippy::undocumented_unsafe_blocks)]
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::thread::{JoinHandle, Thread};
 
-/// A type-erased unit of work. Lifetimes are erased on submission; safety
-/// comes from [`Runtime::map_indexed`] not returning until every job of
-/// the batch has run (see `run_batch`).
+/// A detached unit of work ([`Runtime::spawn`]): one box per job.
 type Job = Box<dyn FnOnce() + Send>;
 
-/// The two job tiers behind one lock (one lock, one condvar: pushes and
-/// pops can never miss a wakeup).
+/// Retired lanes kept for reuse, name and queue buffer both, so a tenant
+/// whose lane drained between two jobs does not allocate a new lane.
+const SPARE_LANES: usize = 16;
+
+/// A wave's completion state, on its submitter's stack for the whole
+/// wave. Chunks reach it through [`Chunk`] pointers.
+struct Batch<'a> {
+    /// Runs one chunk: the contiguous index range chunk `c` owns.
+    body: &'a (dyn Fn(usize) + Sync),
+    /// Chunks not yet finished; the submitter returns only at zero.
+    remaining: AtomicUsize,
+    /// The first panic payload of any chunk, re-thrown by the submitter.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// The submitter, unparked by whichever chunk finishes last.
+    owner: Thread,
+}
+
+/// One queued wave chunk: a plain record, not a boxed closure. The batch
+/// pointer's lifetime is erased; it stays valid because the submitter
+/// does not return (and so does not free the batch) until every chunk of
+/// it has finished.
+struct Chunk {
+    batch: NonNull<Batch<'static>>,
+    index: usize,
+}
+
+// SAFETY: a `Chunk` only hands a shared `&Batch` to the thread that runs
+// it, and every field of `Batch` is `Sync` (`&dyn Fn + Sync`, atomics, a
+// `Mutex`, a `Thread`); its validity is argued at `Chunk`.
+unsafe impl Send for Chunk {}
+
+impl Chunk {
+    /// Run this chunk, record a panic, and count it done. The last chunk
+    /// to finish unparks the submitter through a `Thread` handle cloned
+    /// *before* the decrement: from the moment `remaining` reaches zero
+    /// the submitter may return and free the batch, so nothing of it is
+    /// touched after the decrement.
+    fn run(self) {
+        let batch = self.batch.as_ptr();
+        let owner = {
+            // SAFETY: `remaining` is still above zero (this chunk has not
+            // counted itself done), so the submitter is still waiting and
+            // its batch is alive. The reference ends before the decrement.
+            let batch = unsafe { &*batch };
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (batch.body)(self.index))) {
+                let mut slot = batch.panic.lock().expect("runtime panic slot");
+                slot.get_or_insert(payload);
+            }
+            batch.owner.clone()
+        };
+        // SAFETY: as above; the batch is alive up to and including this
+        // decrement, and it is the last access.
+        if unsafe { (*batch).remaining.fetch_sub(1, Ordering::AcqRel) } == 1 {
+            owner.unpark();
+        }
+    }
+}
+
+/// A retired or live detached-job lane: a tenant's name and its FIFO.
+#[derive(Default)]
+struct Lane {
+    name: String,
+    jobs: VecDeque<Job>,
+}
+
+/// The two job tiers behind one lock. Idle workers are the only threads
+/// that wait on [`Shared::cv`]; a wave submitter waits by parking until
+/// its own last chunk unparks it.
 #[derive(Default)]
 struct Queues {
-    /// FIFO of pending batch (wave) tasks. One global queue keeps
-    /// scheduling order deterministic-enough for helping and makes
-    /// stealing trivial.
-    batch: VecDeque<Job>,
+    /// FIFO of pending wave chunks. One global queue keeps scheduling
+    /// order deterministic-enough for helping and makes stealing trivial.
+    batch: VecDeque<Chunk>,
     /// Detached jobs ([`Runtime::spawn`] /
     /// [`Runtime::spawn_in_lane`]): long-lived work that only
     /// otherwise-idle workers pick up, so a whole submitted job never
-    /// delays the wave tasks of a batch already in flight. Jobs are
+    /// delays the wave chunks of a batch already in flight. Jobs are
     /// grouped into per-lane FIFOs drained round-robin — the fairness
     /// hook a multi-tenant front end keys by tenant, so one lane queueing
     /// a burst cannot starve another lane's single job.
-    lanes: Vec<(String, VecDeque<Job>)>,
+    lanes: Vec<Lane>,
+    /// Retired lanes, emptied, kept for reuse (at most [`SPARE_LANES`]).
+    spare: Vec<Lane>,
     /// Next lane to serve (round-robin cursor over `lanes`).
     next_lane: usize,
 }
@@ -63,14 +130,17 @@ struct Queues {
 impl Queues {
     /// Append a detached job to `lane`, creating the lane on first use
     /// (lane order is creation order, so scheduling stays deterministic
-    /// for a fixed submission sequence).
+    /// for a fixed submission sequence). A new lane takes a spare's name
+    /// and buffer when one is left.
     fn push_detached(&mut self, lane: &str, job: Job) {
-        match self.lanes.iter_mut().find(|(name, _)| name == lane) {
-            Some((_, queue)) => queue.push_back(job),
+        match self.lanes.iter_mut().find(|l| l.name == lane) {
+            Some(l) => l.jobs.push_back(job),
             None => {
-                let mut queue = VecDeque::new();
-                queue.push_back(job);
-                self.lanes.push((lane.to_string(), queue));
+                let mut l = self.spare.pop().unwrap_or_default();
+                l.name.clear();
+                l.name.push_str(lane);
+                l.jobs.push_back(job);
+                self.lanes.push(l);
             }
         }
     }
@@ -83,33 +153,25 @@ impl Queues {
     fn pop_detached(&mut self) -> Option<Job> {
         while !self.lanes.is_empty() {
             let idx = self.next_lane % self.lanes.len();
-            match self.lanes[idx].1.pop_front() {
-                Some(job) => {
-                    if self.lanes[idx].1.is_empty() {
-                        // Retire the drained lane; the lane that shifts
-                        // into its slot is served next, which preserves
-                        // the rotation order.
-                        self.lanes.remove(idx);
-                        self.next_lane = if self.lanes.is_empty() {
-                            0
-                        } else {
-                            idx % self.lanes.len()
-                        };
-                    } else {
-                        self.next_lane = (idx + 1) % self.lanes.len();
-                    }
-                    return Some(job);
-                }
-                // Defensive: an empty lane should have been retired on
-                // its last pop; drop it and keep scanning.
-                None => {
-                    self.lanes.remove(idx);
-                    self.next_lane = if self.lanes.is_empty() {
-                        0
-                    } else {
-                        idx % self.lanes.len()
-                    };
-                }
+            let job = self.lanes[idx].jobs.pop_front();
+            if job.is_some() && !self.lanes[idx].jobs.is_empty() {
+                self.next_lane = (idx + 1) % self.lanes.len();
+                return job;
+            }
+            // Retire the drained lane (or, defensively, a lane that was
+            // already empty); the lane that shifts into its slot is
+            // served next, which preserves the rotation order.
+            let retired = self.lanes.remove(idx);
+            if self.spare.len() < SPARE_LANES {
+                self.spare.push(retired);
+            }
+            self.next_lane = if self.lanes.is_empty() {
+                0
+            } else {
+                idx % self.lanes.len()
+            };
+            if job.is_some() {
+                return job;
             }
         }
         None
@@ -118,27 +180,32 @@ impl Queues {
     /// Total queued detached jobs.
     #[cfg(test)]
     fn detached_len(&self) -> usize {
-        self.lanes.iter().map(|(_, q)| q.len()).sum()
+        self.lanes.iter().map(|l| l.jobs.len()).sum()
     }
 }
 
 struct Shared {
     queue: Mutex<Queues>,
-    /// Signalled on job push and job completion.
+    /// Idle workers wait here, and only they do. Each queued chunk or
+    /// detached job sends one `notify_one`, waking at most one of them;
+    /// only shutdown wakes them all.
     cv: Condvar,
     shutdown: AtomicBool,
+    /// Workers waiting on `cv` right now.
+    #[cfg(test)]
+    idle: AtomicUsize,
+    /// Idle wake-ups that found no work to take.
+    #[cfg(test)]
+    empty_wakeups: AtomicUsize,
+    /// Times a wave submitter parked for its last chunks.
+    #[cfg(test)]
+    parks: AtomicUsize,
 }
 
 impl Shared {
-    fn pop(&self) -> Option<Job> {
+    fn pop_chunk(&self) -> Option<Chunk> {
         self.queue.lock().expect("runtime queue").batch.pop_front()
     }
-}
-
-/// Per-batch completion state, shared between the submitter and its jobs.
-struct Batch {
-    remaining: AtomicUsize,
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
 
 /// The worker pool. Cheap to share via [`Arc`]; see [`Runtime::global`]
@@ -167,6 +234,12 @@ impl Runtime {
             queue: Mutex::new(Queues::default()),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            #[cfg(test)]
+            idle: AtomicUsize::new(0),
+            #[cfg(test)]
+            empty_wakeups: AtomicUsize::new(0),
+            #[cfg(test)]
+            parks: AtomicUsize::new(0),
         });
         let handles = (0..workers)
             .map(|i| {
@@ -258,10 +331,11 @@ impl Runtime {
 
     /// Run `n` indexed tasks in parallel for their side effects only.
     ///
-    /// The single-worker runtime executes inline with zero heap
-    /// allocation; the multi-worker path allocates nothing per task or
-    /// per result — only one job envelope per busy worker (at most
-    /// `workers` boxes per call).
+    /// Allocates nothing on any pool size. The indices are cut into at
+    /// most `workers` contiguous chunks; the caller queues chunks 1.. as
+    /// plain records pointing at a batch on its own stack, waking one
+    /// idle worker per chunk, runs chunk 0 itself, helps with queued
+    /// chunks, then parks until its last chunk finishes.
     pub fn for_each_indexed<F>(&self, n: usize, f: F)
     where
         F: Fn(usize) + Sync,
@@ -273,66 +347,57 @@ impl Runtime {
             return;
         }
         let shared = &self.shared;
-
         let chunks = self.workers.min(n);
+        let body = |c: usize| {
+            for i in n * c / chunks..n * (c + 1) / chunks {
+                f(i);
+            }
+        };
         let batch = Batch {
+            body: &body,
             remaining: AtomicUsize::new(chunks),
             panic: Mutex::new(None),
+            owner: std::thread::current(),
         };
+        let erased = NonNull::from(&batch).cast::<Batch<'static>>();
 
-        {
-            let mut queue = shared.queue.lock().expect("runtime queue");
-            for w in 0..chunks {
-                let lo = n * w / chunks;
-                let hi = n * (w + 1) / chunks;
-                let f = &f;
-                let batch = &batch;
-                let shared_ref: &Shared = shared;
-                let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                    let out = catch_unwind(AssertUnwindSafe(|| {
-                        for i in lo..hi {
-                            f(i);
-                        }
-                    }));
-                    if let Err(payload) = out {
-                        let mut p = batch.panic.lock().expect("runtime panic slot");
-                        p.get_or_insert(payload);
-                    }
-                    batch.remaining.fetch_sub(1, Ordering::AcqRel);
-                    shared_ref.cv.notify_all();
-                });
-                // SAFETY: `for_each_indexed` does not return until
-                // `remaining` hits zero, i.e. until every job above has
-                // finished executing, so the `'_` borrows of `f`, `batch`,
-                // and `shared` outlive the jobs. The transmute only erases
-                // those lifetimes.
-                let job: Job =
-                    unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
-                queue.batch.push_back(job);
-            }
+        shared
+            .queue
+            .lock()
+            .expect("runtime queue")
+            .batch
+            .extend((1..chunks).map(|index| Chunk {
+                batch: erased,
+                index,
+            }));
+        for _ in 1..chunks {
+            shared.cv.notify_one();
         }
-        shared.cv.notify_all();
+        Chunk {
+            batch: erased,
+            index: 0,
+        }
+        .run();
 
-        // Help while waiting: run queued batch jobs (ours or anyone's)
-        // instead of blocking, so nested dispatch cannot deadlock the
-        // pool. Helping never picks up a *detached* job — a whole
-        // submitted training job must not run inside someone's wave wait.
+        // Help while chunks are queued: run queued chunks (ours or
+        // anyone's) instead of blocking, so nested dispatch cannot
+        // deadlock the pool — every chunk this call queued is either taken
+        // by another thread or run here. Helping never picks up a
+        // *detached* job: a whole submitted training job must not run
+        // inside someone's wave wait.
         while batch.remaining.load(Ordering::Acquire) > 0 {
-            if let Some(job) = shared.pop() {
-                job();
-                continue;
-            }
-            let guard = shared.queue.lock().expect("runtime queue");
-            if batch.remaining.load(Ordering::Acquire) == 0 {
+            let Some(chunk) = shared.pop_chunk() else {
                 break;
-            }
-            if !guard.batch.is_empty() {
-                continue;
-            }
-            let _ = shared
-                .cv
-                .wait_timeout(guard, Duration::from_millis(1))
-                .expect("runtime condvar");
+            };
+            chunk.run();
+        }
+        // Every chunk left is running on another thread; the last to
+        // finish unparks this one. A stale unpark from an earlier wave
+        // only makes `park` return early, and the loop parks again.
+        while batch.remaining.load(Ordering::Acquire) > 0 {
+            #[cfg(test)]
+            shared.parks.fetch_add(1, Ordering::Relaxed);
+            std::thread::park();
         }
 
         let payload = batch.panic.lock().expect("runtime panic slot").take();
@@ -347,7 +412,7 @@ impl Runtime {
     ///
     /// Scheduling rules keep whole jobs from starving fine-grained waves:
     /// detached jobs sit in their own FIFO that only otherwise-idle
-    /// workers pop — batch tasks from [`Runtime::for_each_indexed`]
+    /// workers pop — wave chunks from [`Runtime::for_each_indexed`]
     /// always take priority, and the helping loop of a waiting submitter
     /// never picks up a detached job. A detached job may itself dispatch
     /// waves through the runtime; the nesting guarantees of the batch
@@ -371,7 +436,7 @@ impl Runtime {
             .lock()
             .expect("runtime queue")
             .push_detached(lane, Box::new(job));
-        self.shared.cv.notify_all();
+        self.shared.cv.notify_one();
     }
 
     /// Run `n` indexed tasks in parallel, returning results in index
@@ -423,29 +488,49 @@ impl Drop for Runtime {
     }
 }
 
+/// What an idle worker takes off the queues.
+enum Work {
+    Chunk(Chunk),
+    Detached(Job),
+}
+
 fn worker_loop(shared: &Shared) {
     loop {
-        let job = {
+        let work = {
             let mut queue = shared.queue.lock().expect("runtime queue");
             loop {
-                // Batch (wave) tasks always take priority; an otherwise-
-                // idle worker hosts the next detached job.
-                if let Some(job) = queue.batch.pop_front() {
-                    break job;
+                // Wave chunks always take priority; an otherwise-idle
+                // worker hosts the next detached job.
+                if let Some(chunk) = queue.batch.pop_front() {
+                    break Work::Chunk(chunk);
                 }
                 if let Some(job) = queue.pop_detached() {
-                    break job;
+                    break Work::Detached(job);
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
                 }
+                #[cfg(test)]
+                shared.idle.fetch_add(1, Ordering::Relaxed);
                 queue = shared.cv.wait(queue).expect("runtime condvar");
+                #[cfg(test)]
+                {
+                    shared.idle.fetch_sub(1, Ordering::Relaxed);
+                    if queue.batch.is_empty() && queue.lanes.is_empty() {
+                        shared.empty_wakeups.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
             }
         };
-        // Batch jobs catch their own panics (see `run_indexed`) and
-        // detached jobs are wrapped by their submitters, so a worker
-        // thread survives any task failure.
-        let _ = catch_unwind(AssertUnwindSafe(job));
+        match work {
+            // A chunk catches its own panic for its submitter.
+            Work::Chunk(chunk) => chunk.run(),
+            // Detached jobs are wrapped by their submitters; catching here
+            // too keeps the worker thread alive through any failure.
+            Work::Detached(job) => {
+                let _ = catch_unwind(AssertUnwindSafe(job));
+            }
+        }
     }
 }
 
@@ -506,6 +591,7 @@ pub fn derive_seed(base: u64, index: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn map_returns_results_in_item_order() {
@@ -763,6 +849,141 @@ mod tests {
         assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), 7);
         // Batch dispatch still works afterwards.
         assert_eq!(rt.run_indexed(3, |i| i), vec![0, 1, 2]);
+    }
+
+    /// A detached job pushed onto an idle pool wakes one worker, not the
+    /// whole pool. Each job lands while all four workers wait: a
+    /// broadcast would wake all four and leave three with nothing, about
+    /// 3 000 empty wake-ups over the run.
+    #[test]
+    fn a_detached_job_wakes_at_most_one_idle_worker() {
+        const JOBS: usize = 1_000;
+        const WORKERS: usize = 4;
+        let rt = Runtime::new(WORKERS);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let all_idle = || rt.shared.idle.load(Ordering::Relaxed) == WORKERS;
+        for i in 0..JOBS {
+            // A worker woken but not yet scheduled still counts as idle,
+            // so the pool must read idle twice, a moment apart.
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while !all_idle() || {
+                std::thread::sleep(Duration::from_micros(50));
+                !all_idle()
+            } {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "the pool never went idle"
+                );
+            }
+            let tx = tx.clone();
+            rt.spawn(move || tx.send(i).unwrap());
+            assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), i);
+        }
+        let empty = rt.shared.empty_wakeups.load(Ordering::Relaxed);
+        assert!(
+            empty < JOBS,
+            "{empty} idle wake-ups found no work over {JOBS} jobs: \
+             more than one worker woke per job"
+        );
+    }
+
+    /// Ten thousand two-chunk waves, each under a watchdog, with the
+    /// worker's chunk finishing before the submitter parks, after it
+    /// parks, and anywhere around the park.
+    #[test]
+    fn a_wave_never_misses_its_last_chunk() {
+        const WAVES: usize = 10_000;
+        let rt = Arc::new(Runtime::new(2));
+        let pool = Arc::clone(&rt);
+        let (tick, ticks) = std::sync::mpsc::channel();
+        let waves = std::thread::spawn(move || {
+            for wave in 0..WAVES {
+                let started = AtomicBool::new(false);
+                let done = AtomicBool::new(false);
+                pool.for_each_indexed(2, |i| {
+                    let spin_until = |flag: &AtomicBool| {
+                        let deadline = std::time::Instant::now() + Duration::from_millis(50);
+                        while !flag.load(Ordering::Acquire) && std::time::Instant::now() < deadline
+                        {
+                            std::hint::spin_loop();
+                        }
+                    };
+                    if i == 0 {
+                        started.store(true, Ordering::Release);
+                        if wave % 3 == 0 {
+                            // The other chunk finishes first.
+                            spin_until(&done);
+                        }
+                        return;
+                    }
+                    match wave % 3 {
+                        // Finishes long after the submitter parked.
+                        1 => {
+                            spin_until(&started);
+                            std::thread::sleep(Duration::from_micros(100));
+                        }
+                        // Finishes around the park, by a varying margin.
+                        2 => (0..wave % 64 * 16).for_each(|_| std::hint::spin_loop()),
+                        _ => {}
+                    }
+                    done.store(true, Ordering::Release);
+                });
+                tick.send(wave).unwrap();
+            }
+        });
+        for wave in 0..WAVES {
+            assert_eq!(
+                ticks.recv_timeout(Duration::from_secs(10)),
+                Ok(wave),
+                "wave {wave} hung"
+            );
+        }
+        waves.join().unwrap();
+        let parks = rt.shared.parks.load(Ordering::Relaxed);
+        assert!(parks > 0, "no submitter ever parked for its last chunk");
+    }
+
+    /// Detached jobs that hold every worker run nested waves whose inner
+    /// chunk panics: each panic reaches its outer submitter, and the pool
+    /// keeps serving both tiers afterwards.
+    #[test]
+    fn a_nested_panic_reaches_the_outer_submitter_on_a_busy_pool() {
+        const WORKERS: usize = 3;
+        let rt = Arc::new(Runtime::new(WORKERS));
+        let (tx, rx) = std::sync::mpsc::channel();
+        for job in 0..WORKERS {
+            let tx = tx.clone();
+            let pool = Arc::clone(&rt);
+            rt.spawn(move || {
+                let outer = catch_unwind(AssertUnwindSafe(|| {
+                    pool.for_each_indexed(4, |i| {
+                        let inner = pool.run_indexed(6, |j| {
+                            if i == job % 4 && j == 5 {
+                                panic!("inner boom {job}");
+                            }
+                            i * j
+                        });
+                        assert_eq!(inner.len(), 6);
+                    })
+                }));
+                let message = outer
+                    .err()
+                    .and_then(|p| p.downcast_ref::<String>().cloned());
+                tx.send(message).unwrap();
+            });
+        }
+        let mut got: Vec<Option<String>> = (0..WORKERS)
+            .map(|_| rx.recv_timeout(Duration::from_secs(10)).unwrap())
+            .collect();
+        got.sort();
+        let expect: Vec<Option<String>> = (0..WORKERS)
+            .map(|job| Some(format!("inner boom {job}")))
+            .collect();
+        assert_eq!(got, expect);
+        assert_eq!(rt.run_indexed(5, |i| i * 2), vec![0, 2, 4, 6, 8]);
+        let (tx, rx) = std::sync::mpsc::channel();
+        rt.spawn(move || tx.send(7u32).unwrap());
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), 7);
     }
 
     #[test]
